@@ -82,6 +82,9 @@ void ByteReader::take(void* dst, std::size_t len, const char* field) {
                                   << field << ": wanted " << len
                                   << " bytes at offset " << pos_ << ", have "
                                   << (len_ - pos_));
+  // An empty matrix or vector reads into a null data(), and memcpy needs
+  // valid pointers even for zero bytes.
+  if (len == 0) return;
   std::memcpy(dst, data_ + pos_, len);
   pos_ += len;
 }

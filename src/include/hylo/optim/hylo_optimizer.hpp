@@ -48,15 +48,13 @@ class HyloOptimizer : public CurvatureOptimizer {
   enum class Policy { kGradientBased, kRandom, kAlwaysKid, kAlwaysKis };
 
   explicit HyloOptimizer(OptimConfig cfg, std::uint64_t seed = 0x48794C6F)
-      : CurvatureOptimizer(cfg), rng_(seed) {}
+      : CurvatureOptimizer(cfg, "hylo"), rng_(seed) {}
 
   std::string name() const override { return "HyLo"; }
 
-  void update_curvature(const std::vector<ParamBlock*>& blocks,
-                        const CaptureSet& capture, CommSim* comm) override;
   void begin_epoch(index_t epoch, bool lr_decayed) override;
   void accumulate_gradient(const std::vector<ParamBlock*>& blocks) override;
-  index_t state_bytes() const override;
+  index_t state_bytes() const override;  ///< adds the Δ_e accumulators
   void save_state(Network& net, ckpt::ByteWriter& w) const override;
   void load_state(Network& net, ckpt::ByteReader& r) override;
 
@@ -81,34 +79,36 @@ class HyloOptimizer : public CurvatureOptimizer {
   /// The global low rank r used at the last curvature refresh.
   index_t last_rank() const { return last_rank_; }
 
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "HyLo layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
-  void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
-
- private:
-  struct LayerState {
+  struct State final : LayerState {
     HyloMode mode = HyloMode::kKid;
     Matrix a_s, g_s;      ///< gathered low-rank factors (r rows)
     LuFactor kid_middle;  ///< LU of (K̂ + Y⁻¹)      [KID]
     Matrix kis_chol;      ///< Cholesky of (K̂ + αI)  [KIS]
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since these factors last landed
+    std::vector<const Matrix*> guarded() const override {
+      return {&a_s, &g_s, &kid_middle.lu, &kis_chol};
+    }
+    index_t scalars() const override {
+      return a_s.size() + g_s.size() + kid_middle.lu.size() + kis_chol.size();
+    }
+    void write(ckpt::ByteWriter& w) const override;
+    void read(ckpt::ByteReader& r) override;
   };
 
+  /// Algorithm 1 for every layer: compress each rank's factors (KID or
+  /// KIS), assemble the gathered low-rank factors and factorize the r x r
+  /// middle matrix. Published by gathers of the compressed factors (plus the
+  /// KID residual projections), then a broadcast of the r x r inverse.
+  std::vector<Candidate> build(const CaptureSet& capture,
+                               CommSim* comm) override;
+  std::unique_ptr<LayerState> make_state() const override {
+    return std::make_unique<State>();
+  }
+  void precondition_block(ParamBlock& pb, index_t layer) override;
+  void probe_layer(index_t layer, const CaptureSet& capture,
+                   obs::LayerHealth& h) const override;
+
+ private:
   Policy policy_ = Policy::kGradientBased;
   HyloMode mode_ = HyloMode::kKid;
   std::vector<HyloMode> mode_history_;
@@ -119,19 +119,8 @@ class HyloOptimizer : public CurvatureOptimizer {
   bool delta_dirty_ = false;
   std::vector<real_t> delta_norms_;
 
-  std::vector<LayerState> layers_;
   index_t last_rank_ = 0;
   Rng rng_;
-
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  /// Commit completed pendings in (ready, seq) order; with `deadline`, a
-  /// pending that has not completed degrades to stale factors.
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
 };
 
 }  // namespace hylo

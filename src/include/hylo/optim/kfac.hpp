@@ -8,6 +8,7 @@
 ///  - KBfgs: Kronecker factors with a limited-memory BFGS inverse on the
 ///    gradient side (re-derivation of Goldfarb et al.'s KBFGS-L; see
 ///    DESIGN.md §6).
+/// All three accumulate the same running Kronecker factors E[aaᵀ], E[ggᵀ].
 
 #include <deque>
 
@@ -17,203 +18,103 @@ namespace hylo {
 
 class KFac : public CurvatureOptimizer {
  public:
-  explicit KFac(OptimConfig cfg) : CurvatureOptimizer(cfg) {}
+  explicit KFac(OptimConfig cfg) : CurvatureOptimizer(cfg, "kfac") {}
   std::string name() const override { return "KFAC"; }
 
-  void update_curvature(const std::vector<ParamBlock*>& blocks,
-                        const CaptureSet& capture, CommSim* comm) override;
-  index_t state_bytes() const override;
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
-
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "KFAC layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
-  void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
-
-  struct LayerState {
+  struct State final : LayerState {
     Matrix a_factor, g_factor;  ///< running E[aaᵀ], E[ggᵀ]
     Matrix a_inv, g_inv;        ///< damped inverses
-    bool ready = false;
-    index_t staleness = 0;      ///< refreshes since this layer last landed
+    std::vector<const Matrix*> guarded() const override {
+      return {&a_factor, &g_factor, &a_inv, &g_inv};
+    }
+    index_t scalars() const override;
+    void write(ckpt::ByteWriter& w) const override;
+    void read(ckpt::ByteReader& r) override;
   };
-  std::vector<LayerState> layers_;
 
-  /// Merged running-factor candidates for every layer (stat-decay blend of
-  /// the capture's per-rank Gram sums into the committed running factors);
-  /// charges comp/factorization. Pure compute — no collectives.
-  std::vector<std::pair<Matrix, Matrix>> factor_candidates(
-      const std::vector<ParamBlock*>& blocks, const CaptureSet& capture,
-      CommSim* comm);
-
-  /// Accumulate running factors from a capture (shared with EKFac): updates
-  /// a_factor/g_factor in layers_ and charges the factor allreduce. A layer
-  /// whose allreduce is lost to an injected fault keeps its previous running
-  /// factors; the returned flags mark those layers (one entry per layer) so
-  /// the caller folds the loss into its own staleness accounting.
-  std::vector<char> refresh_factors(const std::vector<ParamBlock*>& blocks,
-                                    const CaptureSet& capture, CommSim* comm);
-
-  /// Health probes over the served (committed) factor/inverse pairs.
-  void probe_health();
-
- private:
-  /// Async-mode refresh: full candidate state (factors + inverses) is
-  /// computed now, its allreduce→broadcast chain is issued as events, and
-  /// the commit is deferred to the handle (poll_async / next-refresh
-  /// deadline).
-  void async_refresh(const std::vector<ParamBlock*>& blocks,
-                     const CaptureSet& capture, CommSim& comm);
-
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  /// Commit completed pendings in (ready, seq) order; with `deadline`, a
-  /// pending that has not completed degrades to stale factors.
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
+  /// Running factors, then their π-corrected damped inverses; published by
+  /// a factor allreduce followed by an inverse broadcast.
+  std::vector<Candidate> build(const CaptureSet& capture,
+                               CommSim* comm) override;
+  std::unique_ptr<LayerState> make_state() const override {
+    return std::make_unique<State>();
+  }
+  void precondition_block(ParamBlock& pb, index_t layer) override;
+  void probe_layer(index_t layer, const CaptureSet& capture,
+                   obs::LayerHealth& h) const override;
 };
 
-class EKFac : public KFac {
+class EKFac : public CurvatureOptimizer {
  public:
-  explicit EKFac(OptimConfig cfg) : KFac(cfg) {}
+  explicit EKFac(OptimConfig cfg) : CurvatureOptimizer(cfg, "ekfac") {}
   std::string name() const override { return "EKFAC"; }
 
-  void update_curvature(const std::vector<ParamBlock*>& blocks,
-                        const CaptureSet& capture, CommSim* comm) override;
-  index_t state_bytes() const override;
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
-
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(eig_.size()),
-               "EKFAC layer " << layer << " unknown");
-    return eig_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(epending_.size());
-  }
-
  protected:
-  void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(eig_.size()) &&
-           eig_[static_cast<std::size_t>(layer)].ready;
+  /// Factors and eigenbasis are one state, so a lost refresh keeps the old
+  /// factors *and* the old basis.
+  struct State final : LayerState {
+    Matrix a_factor, g_factor;  ///< running E[aaᵀ], E[ggᵀ]
+    Matrix v_a, v_g;            ///< Kronecker eigenbases
+    Matrix scaling;  ///< running E[(V_gᵀ g a V_a)²], d_out x (d_in+1)
+    std::vector<const Matrix*> guarded() const override {
+      return {&a_factor, &g_factor, &v_a, &v_g, &scaling};
+    }
+    index_t scalars() const override;
+    void write(ckpt::ByteWriter& w) const override;
+    void read(ckpt::ByteReader& r) override;
+  };
+
+  /// Running factors, their eigenbases, and the capture's second moments in
+  /// that basis blended into the served scaling; published by a factor
+  /// allreduce followed by an eigenbasis broadcast.
+  std::vector<Candidate> build(const CaptureSet& capture,
+                               CommSim* comm) override;
+  std::unique_ptr<LayerState> make_state() const override {
+    return std::make_unique<State>();
   }
-
- private:
-  struct EigState {
-    Matrix v_a, v_g;   ///< Kronecker eigenbases
-    Matrix scaling;    ///< running E[(V_gᵀ g a V_a)²], d_out x (d_in+1)
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since this layer last landed
-  };
-  std::vector<EigState> eig_;
-
-  /// Candidate eigenbasis + merged second-moment scaling for layer `l`,
-  /// computed from the given (candidate or committed) Kronecker factors and
-  /// blended into the committed scaling with stat_decay. Pure compute.
-  EigState build_eig(const Matrix& a_factor, const Matrix& g_factor,
-                     const CaptureSet& capture, index_t l) const;
-
-  /// Health probes over the served eigenbasis scalings.
-  void probe_eig_health();
-
-  void async_refresh(const std::vector<ParamBlock*>& blocks,
-                     const CaptureSet& capture, CommSim& comm);
-
-  /// One chain covers factors + eigenbasis for a layer, so a missed
-  /// deadline keeps the old factors *and* the old basis (never half-new).
-  struct EigPending {
-    index_t layer = 0;
-    CommEvent event;
-    Matrix a_factor, g_factor;
-    EigState eig;
-  };
-  void resolve_eig_pending(CommSim& comm, bool deadline);
-  std::vector<EigPending> epending_;
+  void precondition_block(ParamBlock& pb, index_t layer) override;
+  void probe_layer(index_t layer, const CaptureSet& capture,
+                   obs::LayerHealth& h) const override;
 };
 
 class KBfgs : public CurvatureOptimizer {
  public:
-  explicit KBfgs(OptimConfig cfg) : CurvatureOptimizer(cfg) {}
+  explicit KBfgs(OptimConfig cfg) : CurvatureOptimizer(cfg, "kbfgs") {}
   std::string name() const override { return "KBFGS-L"; }
 
-  void update_curvature(const std::vector<ParamBlock*>& blocks,
-                        const CaptureSet& capture, CommSim* comm) override;
-  index_t state_bytes() const override;
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
-
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "KBFGS layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
-  void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
-
- private:
-  struct LayerState {
+  struct State final : LayerState {
     Matrix a_factor;  ///< running E[aaᵀ]
     Matrix a_inv;     ///< exact damped inverse of the input factor
     Matrix g_factor;  ///< running E[ggᵀ] (used to synthesize y = (C+γI)s)
     Matrix g_mean_prev;  ///< previous mean per-sample gradient (d_out x 1)
     std::deque<std::pair<std::vector<real_t>, std::vector<real_t>>> sy_pairs;
     real_t h0_scale = 1.0;  ///< initial inverse-Hessian scaling
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since this layer last landed
+    std::vector<const Matrix*> guarded() const override {
+      return {&a_factor, &g_factor, &a_inv};
+    }
+    index_t scalars() const override;
+    void write(ckpt::ByteWriter& w) const override;
+    void read(ckpt::ByteReader& r) override;
   };
 
+  /// Running factors, the input-side inverse and the BFGS pair update on top
+  /// of the served (s, y) history; published by a factor allreduce followed
+  /// by an inverse broadcast.
+  std::vector<Candidate> build(const CaptureSet& capture,
+                               CommSim* comm) override;
+  std::unique_ptr<LayerState> make_state() const override {
+    return std::make_unique<State>();
+  }
+  void precondition_block(ParamBlock& pb, index_t layer) override;
+  void probe_layer(index_t layer, const CaptureSet& capture,
+                   obs::LayerHealth& h) const override;
+
+ private:
   /// Two-loop L-BFGS application of the inverse G-side Hessian to each
   /// column of `m` (in place).
-  void apply_hg(const LayerState& st, Matrix& m) const;
-
-  /// Full per-layer candidate refreshes from a capture (running factors,
-  /// input-side inverse, BFGS pair update) — pure compute on copies.
-  std::vector<LayerState> build_candidates(const CaptureSet& capture);
-
-  /// Health probes over the served input-side factor/inverse pairs.
-  void probe_health();
-
-  void async_refresh(const CaptureSet& capture, CommSim& comm);
-
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
-
-  std::vector<LayerState> layers_;
+  void apply_hg(const State& st, Matrix& m) const;
 };
 
 }  // namespace hylo

@@ -2,36 +2,113 @@
 /// \file second_order.hpp
 /// Shared machinery for the NGD family: capture scheduling, KL-clipped
 /// trust-region application, damped inversion helpers with escalation, and
-/// the async-refresh plumbing (pending-commit handles on the event
-/// timeline, DESIGN.md §15).
+/// the one curvature-refresh pipeline every method runs in both comm modes
+/// (DESIGN.md §10, §15, §16).
 
-#include <algorithm>
+#include <memory>
 
 #include "hylo/optim/optimizer.hpp"
 
 namespace hylo {
 
-/// Base for every curvature-preconditioned optimizer. Subclasses implement
-/// update_curvature() and precondition_block(); step() then snapshots the
-/// raw gradient, preconditions, applies the KAISA-style KL clip
+namespace obs {
+struct LayerHealth;
+}  // namespace obs
+
+/// Base for every curvature-preconditioned optimizer. It owns the refresh
+/// lifecycle of Fig. 1 — build candidates, publish them through collectives,
+/// commit or degrade — and step(): snapshot the raw gradient, precondition
+/// served layers, apply the KAISA-style KL clip
 ///   ν = min(1, sqrt(κ / (lr² Σ_l ⟨precond g_l, g_l⟩)))
-/// and performs the common momentum update.
+/// and perform the common momentum update. A method supplies only its math:
+/// build(), its LayerState type, precondition_block() and probe_layer().
 class CurvatureOptimizer : public Optimizer {
  public:
-  explicit CurvatureOptimizer(OptimConfig cfg) : Optimizer(cfg) {}
+  /// One layer's curvature state in a method's own type: what the layer
+  /// serves once committed, or a candidate refresh still in flight.
+  struct LayerState {
+    LayerState() = default;
+    LayerState(const LayerState&) = default;
+    LayerState(LayerState&&) = default;
+    LayerState& operator=(const LayerState&) = default;
+    LayerState& operator=(LayerState&&) = default;
+    virtual ~LayerState() = default;
+    /// The matrices the numeric commit gate scans, position-matched between
+    /// a candidate and the served state it would replace.
+    virtual std::vector<const Matrix*> guarded() const = 0;
+    /// Scalars held (the state_bytes() footprint).
+    virtual index_t scalars() const = 0;
+    virtual void write(ckpt::ByteWriter& w) const = 0;
+    virtual void read(ckpt::ByteReader& r) = 0;
+  };
+
+  /// One collective of a layer's refresh. Allreduces and allgathers charge
+  /// comm/gather, broadcasts comm/broadcast; all may fail (FailMode
+  /// kMayFail).
+  struct Collective {
+    enum class Kind { kAllreduce, kAllgather, kBroadcast };
+    Kind kind = Kind::kAllreduce;
+    std::vector<index_t> scalars;  ///< payload; one entry per rank (allgather)
+    std::vector<Matrix*> carries;  ///< candidate matrices the payload models
+
+    static Collective allreduce(index_t scalars, std::vector<Matrix*> carries) {
+      return {Kind::kAllreduce, {scalars}, std::move(carries)};
+    }
+    static Collective broadcast(index_t scalars, std::vector<Matrix*> carries) {
+      return {Kind::kBroadcast, {scalars}, std::move(carries)};
+    }
+    /// Gather of per-rank row blocks. The cost model's latency term follows
+    /// the largest block; the wire ledger sums every rank's (ranks may hold
+    /// different row counts when a local batch is short or compressed to a
+    /// different local rank).
+    static Collective allgather(const std::vector<Matrix>& parts,
+                                std::vector<Matrix*> carries);
+  };
+
+  /// One layer's built refresh: the candidate and, in issue order, the
+  /// collectives that publish it.
+  struct Candidate {
+    std::unique_ptr<LayerState> state;
+    std::vector<Collective> collectives;
+  };
+
+  /// `method` keys the optim/<method>/* metrics, e.g. "kfac".
+  CurvatureOptimizer(OptimConfig cfg, const char* method)
+      : Optimizer(cfg), method_(method) {}
 
   bool needs_capture(index_t iteration) const override {
     return cfg_.update_freq <= 1 || iteration % cfg_.update_freq == 0;
   }
 
+  /// The refresh pipeline. build() makes every layer's candidate; then each
+  /// layer's collectives go out in order, and every collective's escaped
+  /// silent corruption lands in the candidate matrices it carries. A layer
+  /// whose collectives all landed and whose candidate passes the numeric
+  /// commit gate serves that candidate (moved in whole, never half-new);
+  /// otherwise it keeps serving its previous refresh, one refresh staler.
+  /// Lockstep comm charges blocking collectives, stops at a layer's first
+  /// lost one and settles the layer at once. Async comm issues the chain on
+  /// the event timeline and settles it at poll_async() or, at the latest,
+  /// at the next refresh. Without a communicator every candidate commits.
+  void update_curvature(const std::vector<ParamBlock*>& blocks,
+                        const CaptureSet& capture, CommSim* comm) final;
+
   void step(Network& net, index_t iteration) override;
+
+  /// Served curvature state plus momentum (Table IV).
+  index_t state_bytes() const override;
+
+  /// Served and in-flight layer state, so a snapshot taken with gathers on
+  /// the wire resumes bitwise (DESIGN.md §15).
+  void save_state(Network& net, ckpt::ByteWriter& w) const override;
+  void load_state(Network& net, ckpt::ByteReader& r) override;
 
   /// Refresh age of the curvature served for `layer`: 0 when the last
   /// refresh landed, k when the last k refreshes lost their collectives and
   /// the layer still serves factors from k refreshes ago (or, while
   /// layer_ready() is false, has none and passes gradients through as plain
   /// SGD directions).
-  virtual index_t layer_staleness(index_t /*layer*/) const { return 0; }
+  index_t layer_staleness(index_t layer) const;
 
   /// Async comm mode only: commit every pending refresh whose collectives
   /// have completed by the timeline's current clock, in (ready time, seq)
@@ -39,11 +116,13 @@ class CurvatureOptimizer : public Optimizer {
   /// at refresh t land while iterations t+1..t+f-1 compute; anything still
   /// in flight when the *next* refresh starts has missed its commit
   /// deadline and degrades to stale factors, exactly like a lost lockstep
-  /// collective (PR-4 semantics).
-  virtual void poll_async(CommSim& /*comm*/) {}
+  /// collective (DESIGN.md §10).
+  void poll_async(CommSim& comm);
 
   /// Number of layers with an in-flight async refresh.
-  virtual index_t async_pending() const { return 0; }
+  index_t async_pending() const {
+    return static_cast<index_t>(in_flight_.size());
+  }
 
   /// Recovery-ladder rung 2 (DESIGN.md §16): while set, step() skips the
   /// preconditioning pass and applies the raw (momentum/KL-clipped)
@@ -53,71 +132,72 @@ class CurvatureOptimizer : public Optimizer {
   bool first_order() const { return first_order_; }
 
  protected:
-  /// Replace pb.gw by the preconditioned gradient for layer index `layer`.
-  /// Called only after at least one update_curvature() succeeded for that
-  /// layer; before that, gradients pass through unchanged.
+  /// The method's math: every layer's candidate from a capture, one entry
+  /// per layer. It may read served state (served_if) for running averages
+  /// but must not change it, and it books its own measured compute
+  /// (comp/* sections, optim/<method>/* metrics) when `comm` is non-null.
+  virtual std::vector<Candidate> build(const CaptureSet& capture,
+                                       CommSim* comm) = 0;
+
+  /// An empty state of the method's type, for LayerState::read on resume.
+  virtual std::unique_ptr<LayerState> make_state() const = 0;
+
+  /// Replace pb.gw by the preconditioned gradient for a served `layer`.
   virtual void precondition_block(ParamBlock& pb, index_t layer) = 0;
 
-  /// True once layer `layer` has curvature state.
-  virtual bool layer_ready(index_t layer) const = 0;
+  /// Fill the method's health fields (cond*, nonfinite, energy_fraction) for
+  /// a served `layer`; layer and staleness are already set.
+  virtual void probe_layer(index_t layer, const CaptureSet& capture,
+                           obs::LayerHealth& h) const = 0;
 
-  /// Bookkeeping for a curvature refresh whose collective was lost to an
-  /// injected fault (CommFailure): counts optim/<method>/stale_refreshes and
-  /// drops a trace instant naming the fallback the layer degrades to.
-  void note_stale_refresh(CommSim& comm, const char* method,
-                          index_t layer, bool has_previous) const;
-
-  /// Consume the communicator's escaped-corruption ticket (if the charges
-  /// just issued for this layer's refresh left one) and apply the seeded
-  /// bit-flips to one of the candidate matrices the collective carried. The
-  /// ticket seed picks the target deterministically; a null or empty target
-  /// is skipped. Call immediately after the charge_*/icharge_* calls whose
-  /// payload the candidates model.
-  static void apply_escaped_corruption(CommSim& comm,
-                                       std::initializer_list<Matrix*> targets);
-
-  /// Numeric commit gate (DESIGN.md §16): scan the candidate matrices about
-  /// to be committed for non-finite values, absurd magnitudes, and factor
-  /// norms exploding relative to the currently committed predecessors
-  /// (position-matched; an empty/missing predecessor skips the ratio
-  /// check). Returns true when the candidate may commit. A rejection books
-  /// optim/<method>/guard_rejects (+ a trace instant) and the caller must
-  /// degrade to stale factors exactly as for a lost collective. Always true
-  /// when cfg_.guard_gates is off.
-  bool guard_commit(CommSim& comm, const char* method, index_t layer,
-                    std::initializer_list<const Matrix*> candidates,
-                    std::initializer_list<const Matrix*> committed) const;
-
-  /// Completion handle for a dependent chain of nonblocking collectives
-  /// (e.g. factor allreduce → inverse broadcast): the chain starts with its
-  /// first link, completes with its last, and fails if any link failed.
-  static CommEvent chain_event(const CommEvent& first, const CommEvent& last) {
-    CommEvent ev;
-    ev.seq = last.seq;
-    ev.start_s = first.start_s;
-    ev.ready_s = last.ready_s;
-    ev.failed = first.failed || last.failed;
-    return ev;
+  /// True once layer `layer` serves curvature.
+  bool layer_ready(index_t layer) const {
+    return layer >= 0 && layer < static_cast<index_t>(layers_.size()) &&
+           layers_[static_cast<std::size_t>(layer)] != nullptr;
   }
 
-  /// The event-queue ordering rule: pendings commit in (ready time, seq)
-  /// order, which totally orders the replayed timeline. `P` is any struct
-  /// with a CommEvent member named `event`.
-  template <typename P>
-  static void sort_by_completion(std::vector<P>& pending) {
-    std::sort(pending.begin(), pending.end(), [](const P& x, const P& y) {
-      if (x.event.ready_s != y.event.ready_s)
-        return x.event.ready_s < y.event.ready_s;
-      return x.event.seq < y.event.seq;
-    });
+  /// The state `layer` serves; the layer must be ready.
+  template <typename S>
+  const S& served(index_t layer) const {
+    return static_cast<const S&>(*layers_[static_cast<std::size_t>(layer)]);
+  }
+  /// The state `layer` serves, or null before its first commit.
+  template <typename S>
+  const S* served_if(index_t layer) const {
+    return layer_ready(layer) ? &served<S>(layer) : nullptr;
   }
 
-  /// Pending-handle serialization (snapshots taken with gathers in flight
-  /// must resume bitwise — DESIGN.md §15).
-  static void write_event(ckpt::ByteWriter& w, const CommEvent& ev);
-  static CommEvent read_event(ckpt::ByteReader& r);
+  /// Book one refresh's per-layer inversion seconds: each as an
+  /// optim/<method>/inversion_seconds sample, their sum under
+  /// comp/inversion (the cluster-wide work) and their max under
+  /// comp/inversion_critical (the critical path when P exceeds the layer
+  /// count). No-op without a communicator.
+  void book_inversions(CommSim* comm, const std::vector<double>& seconds) const;
 
  private:
+  /// A candidate whose async collective chain has not settled yet.
+  struct InFlight {
+    index_t layer = 0;
+    CommEvent event;
+    std::unique_ptr<LayerState> state;
+  };
+
+  /// Commit `cand` to `layer` if its collectives `landed` and it passes the
+  /// numeric commit gate; otherwise count a stale refresh and age the layer.
+  void settle(CommSim* comm, index_t layer, std::unique_ptr<LayerState> cand,
+              bool landed);
+
+  /// Settle every completed or failed chain in (ready time, seq) order;
+  /// with `deadline`, a chain still in flight degrades to stale factors.
+  void settle_in_flight(CommSim& comm, bool deadline);
+
+  /// Health probes over the served state (cadence-gated observers).
+  void probe_health(const CaptureSet& capture) const;
+
+  const char* method_;
+  std::vector<std::unique_ptr<LayerState>> layers_;  ///< null until ready
+  std::vector<index_t> staleness_;  ///< refreshes since a layer last landed
+  std::vector<InFlight> in_flight_;  ///< async chains not yet settled
   bool first_order_ = false;
 };
 

@@ -14,55 +14,38 @@ namespace hylo {
 
 class Sngd : public CurvatureOptimizer {
  public:
-  explicit Sngd(OptimConfig cfg) : CurvatureOptimizer(cfg) {}
+  explicit Sngd(OptimConfig cfg) : CurvatureOptimizer(cfg, "sngd") {}
   std::string name() const override { return "SNGD"; }
-
-  void update_curvature(const std::vector<ParamBlock*>& blocks,
-                        const CaptureSet& capture, CommSim* comm) override;
-  index_t state_bytes() const override;
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
 
   /// Preconditioned copy of a gradient without mutating it (shared with the
   /// Fig. 12 gradient-error bench).
   Matrix preconditioned(const Matrix& grad, index_t layer) const;
 
-  index_t layer_staleness(index_t layer) const override {
-    HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-               "SNGD layer " << layer << " unknown");
-    return layers_[static_cast<std::size_t>(layer)].staleness;
-  }
-
-  void poll_async(CommSim& comm) override;
-  index_t async_pending() const override {
-    return static_cast<index_t>(pending_.size());
-  }
-
  protected:
-  void precondition_block(ParamBlock& pb, index_t layer) override;
-  bool layer_ready(index_t layer) const override {
-    return layer < static_cast<index_t>(layers_.size()) &&
-           layers_[static_cast<std::size_t>(layer)].ready;
-  }
-
- private:
-  struct LayerState {
+  struct State final : LayerState {
     Matrix a_glob, g_glob;  ///< gathered global-batch factors (P·m rows)
     Matrix kernel_chol;     ///< Cholesky of (K + αI), dimension P·m
-    bool ready = false;
-    index_t staleness = 0;  ///< refreshes since these factors last landed
+    std::vector<const Matrix*> guarded() const override {
+      return {&a_glob, &g_glob, &kernel_chol};
+    }
+    index_t scalars() const override {
+      return a_glob.size() + g_glob.size() + kernel_chol.size();
+    }
+    void write(ckpt::ByteWriter& w) const override;
+    void read(ckpt::ByteReader& r) override;
   };
-  std::vector<LayerState> layers_;
 
-  struct Pending {
-    index_t layer = 0;
-    CommEvent event;
-    LayerState state;
-  };
-  /// Commit completed pendings in (ready, seq) order; with `deadline`, a
-  /// pending that has not completed degrades to stale factors.
-  void resolve_pending(CommSim& comm, bool deadline);
-  std::vector<Pending> pending_;
+  /// Stack every layer's global factors and invert its kernel; published by
+  /// allgathers of the raw per-sample matrices (Fig. 1 step 2), then a
+  /// broadcast of the inverted kernel (step 4).
+  std::vector<Candidate> build(const CaptureSet& capture,
+                               CommSim* comm) override;
+  std::unique_ptr<LayerState> make_state() const override {
+    return std::make_unique<State>();
+  }
+  void precondition_block(ParamBlock& pb, index_t layer) override;
+  void probe_layer(index_t layer, const CaptureSet& capture,
+                   obs::LayerHealth& h) const override;
 };
 
 }  // namespace hylo

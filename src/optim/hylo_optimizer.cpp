@@ -12,15 +12,16 @@
 namespace hylo {
 
 namespace {
-index_t wire_bytes(const CommSim& comm, index_t scalars) {
-  return comm.wire_bytes(scalars);
+std::uint8_t mode_tag(HyloMode m) { return m == HyloMode::kKid ? 0 : 1; }
+HyloMode mode_from_tag(std::uint8_t t) {
+  HYLO_CHECK(t <= 1, "snapshot HyLo mode tag " << int(t) << " unknown");
+  return t == 0 ? HyloMode::kKid : HyloMode::kKis;
 }
 
 // The inversion of a layer's kernel runs on that layer's assigned owner
-// rank; place its span on the owner's simulated-timeline track, before the
-// broadcast barrier that publishes the result.
-void trace_inversion(CommSim* comm, index_t layer, int owner, double dur_s) {
-  obs::TraceBuffer* trace = comm->trace();
+// rank; place its measured span on the owner's trace track.
+void trace_inversion(CommSim& comm, index_t layer, int owner, double dur_s) {
+  obs::TraceBuffer* trace = comm.trace();
   if (trace == nullptr) return;
   obs::Json args = obs::Json::object();
   args.set("layer", layer);
@@ -51,11 +52,9 @@ LuFactor damped_lu(Matrix m, real_t damping, int* escalations,
   }
 }
 
-/// Per-layer staging area for the split curvature refresh: the parallel
+/// Per-layer staging area for the split curvature build: the parallel
 /// compute stage fills it, the serial bookkeeping stage drains it into the
-/// profiler / comm model in exact layer order — and commits the candidate
-/// factors to LayerState only once the layer's collectives all landed, so a
-/// lost gather/broadcast leaves the previous refresh's factors serving.
+/// profiler and the layer's candidate in exact layer order.
 struct LayerScratch {
   std::vector<Matrix> a_parts, g_parts;  ///< per-rank compressed factors
   std::vector<Matrix> y_parts;           ///< KID residual projections
@@ -124,16 +123,6 @@ void factorize_kis(LayerScratch& sc, const std::vector<Matrix>& a_ranks,
   }
 }
 
-// Per-rank gather sizes: the cost model's latency term follows the slowest
-// rank, the wire ledger sums every rank's contribution (ranks can compress
-// to different local ranks when a local batch is short).
-std::vector<index_t> part_bytes(const CommSim& comm,
-                                const std::vector<Matrix>& parts) {
-  std::vector<index_t> bytes;
-  bytes.reserve(parts.size());
-  for (const auto& m : parts) bytes.push_back(comm.wire_bytes(m.size()));
-  return bytes;
-}
 }  // namespace
 
 void HyloOptimizer::begin_epoch(index_t epoch, bool lr_decayed) {
@@ -210,19 +199,9 @@ void HyloOptimizer::accumulate_gradient(const std::vector<ParamBlock*>& blocks) 
   delta_dirty_ = true;
 }
 
-void HyloOptimizer::update_curvature(const std::vector<ParamBlock*>& blocks,
-                                     const CaptureSet& capture, CommSim* comm) {
+std::vector<CurvatureOptimizer::Candidate> HyloOptimizer::build(
+    const CaptureSet& capture, CommSim* comm) {
   const index_t layers = capture.layers();
-  HYLO_CHECK(layers == static_cast<index_t>(blocks.size()),
-             "capture/block count mismatch");
-  if (static_cast<index_t>(layers_.size()) != layers)
-    layers_.resize(static_cast<std::size_t>(layers));
-
-  // Async mode: anything still in flight from the previous refresh has
-  // missed its commit deadline and degrades to stale factors.
-  const bool async = comm != nullptr && comm->async();
-  if (async) resolve_pending(*comm, true);
-
   // Global batch and rank budget: r = rank_ratio · (P·m), split evenly as
   // ρ = r / P rows per worker (paper Table I).
   const index_t world = capture.world();
@@ -294,10 +273,10 @@ void HyloOptimizer::update_curvature(const std::vector<ParamBlock*>& blocks,
 
   // --- Stage 2 (parallel across layers): factorize + invert --------------
   // Pure compute on disjoint per-layer scratch; the gathered factors are
-  // assembled locally (bitwise equal to the modeled allgather result) and
-  // the comm model is charged afterwards, in stage 3. Kernel-level
-  // parallel_for calls nested inside run inline on this thread.
-  // hylo-scratch-begin(hylo_update)
+  // assembled locally (bitwise equal to the modeled allgather result), and
+  // the pipeline charges the collectives afterwards in layer order.
+  // Kernel-level parallel_for calls nested inside run inline on this
+  // thread.
   par::parallel_for(
       0, layers, 1,
       [&](index_t l0, index_t l1) {
@@ -338,115 +317,48 @@ void HyloOptimizer::update_curvature(const std::vector<ParamBlock*>& blocks,
         ws.add_range(scratch.data(), l0, l1);
       }));
 
-  // --- Stage 3 (serial, layer order): profiler / comm-model bookkeeping --
-  // Replays exactly the charge sequence the serial implementation issued,
-  // so traces, byte counters, and call counts are unchanged by threading.
-  // Each layer's candidate factors commit only after its gathers and
-  // broadcast all landed: a CommFailure (injected rank_down) leaves the
-  // previous refresh serving, one refresh staler.
+  // --- Stage 3 (serial, layer order): bookkeeping + candidates ----------
+  // Books the measured compute of every layer — including the inversion
+  // span on its owner's trace track — in exact layer order, so traces and
+  // call counts are unchanged by threading; then hands each candidate to
+  // the pipeline with the collectives that publish it.
   double inv_max = 0.0;
   int escalations = 0;
-  std::vector<Pending> fresh;
-  if (async) fresh.reserve(static_cast<std::size_t>(layers));
+  std::vector<Candidate> out;
+  out.reserve(static_cast<std::size_t>(layers));
   for (index_t l = 0; l < layers; ++l) {
-    LayerState& st = layers_[static_cast<std::size_t>(l)];
     LayerScratch& sc = scratch[static_cast<std::size_t>(l)];
     escalations += sc.escalations;
+    inv_max = std::max(inv_max, sc.inv_s);
     if (comm != nullptr) {
       comm->profiler().add("comp/factorization", sc.factor_s);
-      if (async) {
-        // Nonblocking chain: gathers of the compressed factors (and the
-        // KID residual projections), then the inverse broadcast. The full
-        // candidate state exists now; only its commit waits on the chain.
-        comm->profiler().add("comp/inversion", sc.inv_s);
-        inv_max = std::max(inv_max, sc.inv_s);
-        comm->profiler().registry().histogram("optim/hylo/inversion_seconds")
-            .observe(sc.inv_s);
-        const double now = comm->timeline()->max_clock();
-        CommEvent ev = comm->icharge_allgather(part_bytes(*comm, sc.a_parts),
-                                               "comm/gather", now);
-        apply_escaped_corruption(*comm, {&sc.a_s});
-        ev = chain_event(
-            ev, comm->icharge_allgather(part_bytes(*comm, sc.g_parts),
-                                        "comm/gather", ev.ready_s));
-        apply_escaped_corruption(*comm, {&sc.g_s});
-        if (mode_ == HyloMode::kKid) {
-          ev = chain_event(
-              ev, comm->icharge_allgather(part_bytes(*comm, sc.y_parts),
-                                          "comm/gather", ev.ready_s));
-          apply_escaped_corruption(*comm, {&sc.kid_middle.lu});
-        }
-        ev = chain_event(
-            ev, comm->icharge_broadcast(
-                    wire_bytes(*comm, sc.a_s.rows() * sc.a_s.rows()),
-                    "comm/broadcast", ev.ready_s));
-        apply_escaped_corruption(
-            *comm, {mode_ == HyloMode::kKid ? &sc.kid_middle.lu
-                                            : &sc.kis_chol});
-        Pending p;
-        p.layer = l;
-        p.event = ev;
-        p.state.mode = mode_;
-        p.state.a_s = std::move(sc.a_s);
-        p.state.g_s = std::move(sc.g_s);
-        p.state.kid_middle = std::move(sc.kid_middle);
-        p.state.kis_chol = std::move(sc.kis_chol);
-        p.state.ready = true;
-        fresh.push_back(std::move(p));
-        continue;
-      }
-      try {
-        comm->charge_allgather(part_bytes(*comm, sc.a_parts), "comm/gather");
-        apply_escaped_corruption(*comm, {&sc.a_s});
-        comm->charge_allgather(part_bytes(*comm, sc.g_parts), "comm/gather");
-        apply_escaped_corruption(*comm, {&sc.g_s});
-        if (mode_ == HyloMode::kKid) {
-          comm->charge_allgather(part_bytes(*comm, sc.y_parts), "comm/gather");
-          apply_escaped_corruption(*comm, {&sc.kid_middle.lu});
-        }
-        comm->profiler().add("comp/inversion", sc.inv_s);
-        trace_inversion(comm, l, static_cast<int>(assignment.owner(l)),
-                        sc.inv_s);
-        // Line 11/21: broadcast the r x r inverse.
-        comm->charge_broadcast(wire_bytes(*comm, sc.a_s.rows() * sc.a_s.rows()),
-                               "comm/broadcast");
-        apply_escaped_corruption(
-            *comm, {mode_ == HyloMode::kKid ? &sc.kid_middle.lu
-                                            : &sc.kis_chol});
-      } catch (const CommFailure&) {
-        // hylo-commit-begin(hylo_stale)
-        note_stale_refresh(*comm, "hylo", l, st.ready);
-        ++st.staleness;
-        // hylo-commit-end(hylo_stale)
-        continue;
-      }
-      if (!guard_commit(*comm, "hylo", l,
-                        {&sc.a_s, &sc.g_s, &sc.kid_middle.lu, &sc.kis_chol},
-                        {&st.a_s, &st.g_s, &st.kid_middle.lu,
-                         &st.kis_chol})) {
-        // hylo-commit-begin(hylo_guard)
-        note_stale_refresh(*comm, "hylo", l, st.ready);
-        ++st.staleness;
-        // hylo-commit-end(hylo_guard)
-        continue;
-      }
-      inv_max = std::max(inv_max, sc.inv_s);
+      comm->profiler().add("comp/inversion", sc.inv_s);
       comm->profiler().registry().histogram("optim/hylo/inversion_seconds")
           .observe(sc.inv_s);
+      trace_inversion(*comm, l, static_cast<int>(assignment.owner(l)),
+                      sc.inv_s);
     }
-    // hylo-commit-begin(hylo_update)
-    st.mode = mode_;
-    st.a_s = std::move(sc.a_s);
-    st.g_s = std::move(sc.g_s);
-    st.kid_middle = std::move(sc.kid_middle);
-    st.kis_chol = std::move(sc.kis_chol);
-    st.ready = true;
-    st.staleness = 0;
-    // hylo-commit-end(hylo_update)
+    auto st = std::make_unique<State>();
+    st->mode = mode_;
+    st->a_s = std::move(sc.a_s);
+    st->g_s = std::move(sc.g_s);
+    st->kid_middle = std::move(sc.kid_middle);
+    st->kis_chol = std::move(sc.kis_chol);
+    Candidate c;
+    // Alg. 1 lines 7/18: gathers of the compressed factors (and the KID
+    // residual projections, which land in the middle matrix).
+    c.collectives.push_back(Collective::allgather(sc.a_parts, {&st->a_s}));
+    c.collectives.push_back(Collective::allgather(sc.g_parts, {&st->g_s}));
+    if (mode_ == HyloMode::kKid)
+      c.collectives.push_back(
+          Collective::allgather(sc.y_parts, {&st->kid_middle.lu}));
+    // Lines 11/21: broadcast of the r x r inverse.
+    c.collectives.push_back(Collective::broadcast(
+        st->a_s.rows() * st->a_s.rows(),
+        {mode_ == HyloMode::kKid ? &st->kid_middle.lu : &st->kis_chol}));
+    c.state = std::move(st);
+    out.push_back(std::move(c));
   }
-  // hylo-commit-begin(hylo_async)
-  for (auto& p : fresh) pending_.push_back(std::move(p));
-  // hylo-commit-end(hylo_async)
   if (comm != nullptr) {
     comm->profiler().add("comp/inversion_critical", inv_max);
     auto& reg = comm->profiler().registry();
@@ -458,98 +370,44 @@ void HyloOptimizer::update_curvature(const std::vector<ParamBlock*>& blocks,
                   obs::Histogram::linear_bounds(0.0, 4096.0, 65))
         .observe(static_cast<double>(last_rank_));
   }
-
-  // --- Health probes (observers only; reads the *committed* state, so a
-  // layer whose collectives failed this refresh reports its served stale
-  // factors, not the dropped candidate). Gated on the probe cadence.
-  if (health_ != nullptr && health_->due()) {
-    for (index_t l = 0; l < layers; ++l) {
-      const LayerState& st = layers_[static_cast<std::size_t>(l)];
-      obs::LayerHealth h;
-      h.layer = l;
-      h.staleness = st.staleness;
-      if (st.ready) {
-        h.cond = st.mode == HyloMode::kKid
-                     ? obs::cond_from_lu(st.kid_middle.lu)
-                     : obs::cond_from_cholesky(st.kis_chol);
-        h.nonfinite = obs::count_nonfinite(st.a_s) +
-                      obs::count_nonfinite(st.g_s) +
-                      (st.mode == HyloMode::kKid
-                           ? obs::count_nonfinite(st.kid_middle.lu)
-                           : obs::count_nonfinite(st.kis_chol));
-        // Captured-energy fraction: tr(K̂) of the served low-rank factors
-        // over tr(K) of the full capture, both via the Khatri-Rao diagonal
-        // K_jj = ‖a_j‖²‖g_j‖². KIS row scaling makes tr(K̂) an unbiased
-        // estimator of tr(K), so ≈1 there is correct, not vacuous; for KID
-        // this is the energy the chosen rank actually keeps.
-        double kept = 0.0;
-        {
-          const auto na = row_norms(st.a_s);
-          const auto ng = row_norms(st.g_s);
-          for (std::size_t j = 0; j < na.size(); ++j) {
-            const double s = na[j] * ng[j];
-            kept += s * s;
-          }
-        }
-        double total = 0.0;
-        for (index_t rank = 0; rank < world; ++rank) {
-          const auto na =
-              row_norms(capture.a[static_cast<std::size_t>(l)]
-                                 [static_cast<std::size_t>(rank)]);
-          const auto ng =
-              row_norms(capture.g[static_cast<std::size_t>(l)]
-                                 [static_cast<std::size_t>(rank)]);
-          for (std::size_t j = 0; j < na.size(); ++j) {
-            const double s = na[j] * ng[j];
-            total += s * s;
-          }
-        }
-        if (total > 0.0) h.energy_fraction = kept / total;
-      }
-      health_->report_layer(h);
-    }
-  }
-  // hylo-scratch-end(hylo_update)
+  return out;
 }
 
-void HyloOptimizer::resolve_pending(CommSim& comm, bool deadline) {
-  if (pending_.empty()) return;
-  const double now = comm.timeline()->max_clock();
-  sort_by_completion(pending_);
-  std::vector<Pending> keep;
-  for (auto& p : pending_) {
-    const std::size_t l = static_cast<std::size_t>(p.layer);
-    if (l >= layers_.size()) continue;  // network shrank; refresh is moot
-    LayerState& st = layers_[l];
-    if (!p.event.failed && p.event.ready_s <= now) {
-      if (guard_commit(comm, "hylo", p.layer,
-                       {&p.state.a_s, &p.state.g_s, &p.state.kid_middle.lu,
-                        &p.state.kis_chol},
-                       {&st.a_s, &st.g_s, &st.kid_middle.lu,
-                        &st.kis_chol})) {
-        st = std::move(p.state);
-        st.staleness = 0;
-      } else {
-        note_stale_refresh(comm, "hylo", p.layer, st.ready);
-        ++st.staleness;
-      }
-    } else if (p.event.failed || deadline) {
-      note_stale_refresh(comm, "hylo", p.layer, st.ready);
-      ++st.staleness;
-    } else {
-      keep.push_back(std::move(p));
+// The condition estimate comes off the factorization the layer already
+// holds. The captured-energy fraction is tr(K̂) of the served low-rank
+// factors over tr(K) of the full capture, both via the Khatri-Rao diagonal
+// K_jj = ‖a_j‖²‖g_j‖². KIS row scaling makes tr(K̂) an unbiased estimator of
+// tr(K), so ≈1 there is correct, not vacuous; for KID this is the energy the
+// chosen rank actually keeps.
+void HyloOptimizer::probe_layer(index_t layer, const CaptureSet& capture,
+                                obs::LayerHealth& h) const {
+  const State& st = served<State>(layer);
+  const bool kid = st.mode == HyloMode::kKid;
+  h.cond = kid ? obs::cond_from_lu(st.kid_middle.lu)
+               : obs::cond_from_cholesky(st.kis_chol);
+  h.nonfinite = obs::count_nonfinite(st.a_s) + obs::count_nonfinite(st.g_s) +
+                obs::count_nonfinite(kid ? st.kid_middle.lu : st.kis_chol);
+  auto add_energy = [](const Matrix& a, const Matrix& g, double& e) {
+    const auto na = row_norms(a);
+    const auto ng = row_norms(g);
+    for (std::size_t j = 0; j < na.size(); ++j) {
+      const double s = na[j] * ng[j];
+      e += s * s;
     }
-  }
-  pending_.swap(keep);
+  };
+  double kept = 0.0, total = 0.0;
+  add_energy(st.a_s, st.g_s, kept);
+  const auto& a_ranks = capture.a[static_cast<std::size_t>(layer)];
+  const auto& g_ranks = capture.g[static_cast<std::size_t>(layer)];
+  for (std::size_t rank = 0; rank < a_ranks.size(); ++rank)
+    add_energy(a_ranks[rank], g_ranks[rank], total);
+  if (total > 0.0) h.energy_fraction = kept / total;
 }
-
-void HyloOptimizer::poll_async(CommSim& comm) { resolve_pending(comm, false); }
 
 Matrix HyloOptimizer::preconditioned(const Matrix& grad, index_t layer) const {
-  HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-             "HyLo layer " << layer << " unknown");
-  const LayerState& st = layers_[static_cast<std::size_t>(layer)];
-  HYLO_CHECK(st.ready, "HyLo layer " << layer << " has no curvature yet");
+  HYLO_CHECK(layer_ready(layer),
+             "HyLo layer " << layer << " has no curvature yet");
+  const State& st = served<State>(layer);
   const Matrix uv = apply_jacobian(st.a_s, st.g_s, grad);
   const Matrix y = (st.mode == HyloMode::kKid)
                        ? lu_solve(st.kid_middle, uv)
@@ -565,24 +423,31 @@ void HyloOptimizer::precondition_block(ParamBlock& pb, index_t layer) {
 
 index_t HyloOptimizer::state_bytes() const {
   index_t scalars = 0;
-  for (const auto& st : layers_) {
-    scalars += st.a_s.size() + st.g_s.size();
-    scalars += st.kid_middle.lu.size() + st.kis_chol.size();
-  }
   for (const auto& d : delta_) scalars += d.size();
-  return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
+  return CurvatureOptimizer::state_bytes() +
+         scalars * static_cast<index_t>(sizeof(real_t));
 }
 
-namespace {
-std::uint8_t mode_tag(HyloMode m) { return m == HyloMode::kKid ? 0 : 1; }
-HyloMode mode_from_tag(std::uint8_t t) {
-  HYLO_CHECK(t <= 1, "snapshot HyLo mode tag " << int(t) << " unknown");
-  return t == 0 ? HyloMode::kKid : HyloMode::kKis;
+void HyloOptimizer::State::write(ckpt::ByteWriter& w) const {
+  w.u8(mode_tag(mode));
+  w.matrix(a_s);
+  w.matrix(g_s);
+  w.matrix(kid_middle.lu);
+  w.index_vec(kid_middle.piv);
+  w.matrix(kis_chol);
 }
-}  // namespace
+
+void HyloOptimizer::State::read(ckpt::ByteReader& r) {
+  mode = mode_from_tag(r.u8());
+  a_s = r.matrix();
+  g_s = r.matrix();
+  kid_middle.lu = r.matrix();
+  kid_middle.piv = r.index_vec();
+  kis_chol = r.matrix();
+}
 
 void HyloOptimizer::save_state(Network& net, ckpt::ByteWriter& w) const {
-  Optimizer::save_state(net, w);
+  CurvatureOptimizer::save_state(net, w);
   w.u8(static_cast<std::uint8_t>(policy_));
   w.u8(mode_tag(mode_));
   w.u64(mode_history_.size());
@@ -601,38 +466,12 @@ void HyloOptimizer::save_state(Network& net, ckpt::ByteWriter& w) const {
   for (const auto& m : delta_) w.matrix(m);
   w.b(delta_dirty_);
   w.real_vec(delta_norms_);
-  w.u64(layers_.size());
-  for (const auto& st : layers_) {
-    w.u8(mode_tag(st.mode));
-    w.matrix(st.a_s);
-    w.matrix(st.g_s);
-    w.matrix(st.kid_middle.lu);
-    w.index_vec(st.kid_middle.piv);
-    w.matrix(st.kis_chol);
-    w.b(st.ready);
-    w.i64(st.staleness);
-  }
   w.i64(last_rank_);
   ckpt::write_rng_state(w, rng_.state());
-  // In-flight async refreshes (see DESIGN.md §15): snapshots taken with
-  // gathers on the wire must resume bitwise.
-  w.u64(pending_.size());
-  for (const auto& p : pending_) {
-    w.i64(p.layer);
-    write_event(w, p.event);
-    w.u8(mode_tag(p.state.mode));
-    w.matrix(p.state.a_s);
-    w.matrix(p.state.g_s);
-    w.matrix(p.state.kid_middle.lu);
-    w.index_vec(p.state.kid_middle.piv);
-    w.matrix(p.state.kis_chol);
-    w.b(p.state.ready);
-    w.i64(p.state.staleness);
-  }
 }
 
 void HyloOptimizer::load_state(Network& net, ckpt::ByteReader& r) {
-  Optimizer::load_state(net, r);
+  CurvatureOptimizer::load_state(net, r);
   const std::uint8_t policy = r.u8();
   HYLO_CHECK(policy <= static_cast<std::uint8_t>(Policy::kAlwaysKis),
              "snapshot HyLo policy tag " << int(policy) << " unknown");
@@ -654,32 +493,8 @@ void HyloOptimizer::load_state(Network& net, ckpt::ByteReader& r) {
   for (auto& m : delta_) m = r.matrix();
   delta_dirty_ = r.b();
   delta_norms_ = r.real_vec();
-  layers_.assign(r.u64(), LayerState{});
-  for (auto& st : layers_) {
-    st.mode = mode_from_tag(r.u8());
-    st.a_s = r.matrix();
-    st.g_s = r.matrix();
-    st.kid_middle.lu = r.matrix();
-    st.kid_middle.piv = r.index_vec();
-    st.kis_chol = r.matrix();
-    st.ready = r.b();
-    st.staleness = r.i64();
-  }
   last_rank_ = r.i64();
   rng_.set_state(ckpt::read_rng_state(r));
-  pending_.assign(r.u64(), Pending{});
-  for (auto& p : pending_) {
-    p.layer = r.i64();
-    p.event = read_event(r);
-    p.state.mode = mode_from_tag(r.u8());
-    p.state.a_s = r.matrix();
-    p.state.g_s = r.matrix();
-    p.state.kid_middle.lu = r.matrix();
-    p.state.kid_middle.piv = r.index_vec();
-    p.state.kis_chol = r.matrix();
-    p.state.ready = r.b();
-    p.state.staleness = r.i64();
-  }
 }
 
 }  // namespace hylo

@@ -1,6 +1,8 @@
 #include "hylo/optim/kfac.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "hylo/ckpt/snapshot.hpp"
 #include "hylo/linalg/eigh.hpp"
@@ -19,577 +21,256 @@ real_t pi_correction(const Matrix& a, const Matrix& g) {
   return std::sqrt(ta / tg);
 }
 
-index_t wire_bytes(const CommSim& comm, index_t scalars) {
-  return comm.wire_bytes(scalars);
+// The stat_decay running average: decay·old + (1−decay)·fresh.
+Matrix blend(const Matrix& old, const Matrix& fresh, real_t decay) {
+  Matrix run = old;
+  run *= decay;
+  axpy(run, fresh, 1.0 - decay);
+  return run;
+}
+
+// Running Kronecker factors E[aaᵀ], E[ggᵀ] of layer `l`, shared by KFAC,
+// EKFAC and KBFGS: the capture's per-rank Gram sums over the global batch,
+// blended into the factors `prev` serves (null on the layer's first refresh).
+template <typename S>
+std::pair<Matrix, Matrix> running_factors(const CaptureSet& capture, index_t l,
+                                          const S* prev, real_t decay) {
+  const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
+  const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
+  index_t m_total = 0;
+  Matrix a, g;
+  for (std::size_t r = 0; r < a_ranks.size(); ++r) {
+    m_total += a_ranks[r].rows();
+    if (r == 0) {
+      a = gram_tn(a_ranks[r]);
+      g = gram_tn(g_ranks[r]);
+    } else {
+      a += gram_tn(a_ranks[r]);
+      g += gram_tn(g_ranks[r]);
+    }
+  }
+  HYLO_CHECK(m_total > 0, "empty capture for layer " << l);
+  a *= 1.0 / static_cast<real_t>(m_total);
+  g *= 1.0 / static_cast<real_t>(m_total);
+  if (prev == nullptr) return {std::move(a), std::move(g)};
+  return {blend(prev->a_factor, a, decay), blend(prev->g_factor, g, decay)};
+}
+
+// Scalars held by the given matrices (payload sizes, state footprint).
+index_t sizes(std::initializer_list<const Matrix*> ms) {
+  index_t n = 0;
+  for (const Matrix* m : ms) n += m->size();
+  return n;
 }
 }  // namespace
 
-std::vector<std::pair<Matrix, Matrix>> KFac::factor_candidates(
-    const std::vector<ParamBlock*>& blocks, const CaptureSet& capture,
-    CommSim* comm) {
+// ---------------------------------------------------------------- KFac ----
+
+std::vector<CurvatureOptimizer::Candidate> KFac::build(
+    const CaptureSet& capture, CommSim* comm) {
   const index_t layers = capture.layers();
-  HYLO_CHECK(layers == static_cast<index_t>(blocks.size()),
-             "capture/block count mismatch");
-  if (static_cast<index_t>(layers_.size()) != layers) layers_.resize(static_cast<std::size_t>(layers));
-
-  WallTimer timer;
-  std::vector<std::pair<Matrix, Matrix>> cand(static_cast<std::size_t>(layers));
+  std::vector<std::unique_ptr<State>> cand(static_cast<std::size_t>(layers));
+  WallTimer factor_timer;
   for (index_t l = 0; l < layers; ++l) {
-    const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
-    const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
-    index_t m_total = 0;
-    Matrix a_new, g_new;
-    for (std::size_t r = 0; r < a_ranks.size(); ++r) {
-      m_total += a_ranks[r].rows();
-      if (r == 0) {
-        a_new = gram_tn(a_ranks[r]);
-        g_new = gram_tn(g_ranks[r]);
-      } else {
-        a_new += gram_tn(a_ranks[r]);
-        g_new += gram_tn(g_ranks[r]);
-      }
-    }
-    HYLO_CHECK(m_total > 0, "empty capture for layer " << l);
-    a_new *= 1.0 / static_cast<real_t>(m_total);
-    g_new *= 1.0 / static_cast<real_t>(m_total);
-
-    const LayerState& st = layers_[static_cast<std::size_t>(l)];
-    if (!st.a_factor.empty()) {
-      Matrix a_run = st.a_factor;
-      a_run *= cfg_.stat_decay;
-      axpy(a_run, a_new, 1.0 - cfg_.stat_decay);
-      a_new = std::move(a_run);
-      Matrix g_run = st.g_factor;
-      g_run *= cfg_.stat_decay;
-      axpy(g_run, g_new, 1.0 - cfg_.stat_decay);
-      g_new = std::move(g_run);
-    }
-    cand[static_cast<std::size_t>(l)] = {std::move(a_new), std::move(g_new)};
+    auto& st = cand[static_cast<std::size_t>(l)];
+    st = std::make_unique<State>();
+    std::tie(st->a_factor, st->g_factor) =
+        running_factors(capture, l, served_if<State>(l), cfg_.stat_decay);
   }
   if (comm != nullptr)
-    comm->profiler().add("comp/factorization", timer.seconds());
-  return cand;
-}
+    comm->profiler().add("comp/factorization", factor_timer.seconds());
 
-std::vector<char> KFac::refresh_factors(const std::vector<ParamBlock*>& blocks,
-                                        const CaptureSet& capture,
-                                        CommSim* comm) {
-  // Compute the merged running factors into candidates first; each layer's
-  // candidate replaces the running state only once its factor allreduce
-  // landed, so a lost collective keeps the previous statistics.
-  // hylo-scratch-begin(kfac_factors)
-  std::vector<std::pair<Matrix, Matrix>> cand =
-      factor_candidates(blocks, capture, comm);
-  const index_t layers = static_cast<index_t>(cand.size());
-  std::vector<char> degraded(static_cast<std::size_t>(layers), 0);
-  // refresh_factors is shared with EKFac, so reject accounting follows the
-  // concrete method.
-  const char* method = name() == "EKFAC" ? "ekfac" : "kfac";
-  if (comm != nullptr) {
-    for (index_t l = 0; l < layers; ++l) {
-      auto& [a_new, g_new] = cand[static_cast<std::size_t>(l)];
-      try {
-        comm->charge_allreduce(wire_bytes(*comm, a_new.size() + g_new.size()),
-                               "comm/gather");
-        apply_escaped_corruption(*comm, {&a_new, &g_new});
-      } catch (const CommFailure&) {
-        degraded[static_cast<std::size_t>(l)] = 1;
-      }
-      if (!degraded[static_cast<std::size_t>(l)] &&
-          !guard_commit(*comm, method, l, {&a_new, &g_new},
-                        {&layers_[static_cast<std::size_t>(l)].a_factor,
-                         &layers_[static_cast<std::size_t>(l)].g_factor}))
-        degraded[static_cast<std::size_t>(l)] = 1;
-    }
-  }
-  // hylo-commit-begin(kfac_factors)
-  for (index_t l = 0; l < layers; ++l) {
-    if (degraded[static_cast<std::size_t>(l)]) continue;
-    LayerState& st = layers_[static_cast<std::size_t>(l)];
-    st.a_factor = std::move(cand[static_cast<std::size_t>(l)].first);
-    st.g_factor = std::move(cand[static_cast<std::size_t>(l)].second);
-  }
-  // hylo-commit-end(kfac_factors)
-  // hylo-scratch-end(kfac_factors)
-  return degraded;
-}
-
-void KFac::update_curvature(const std::vector<ParamBlock*>& blocks,
-                            const CaptureSet& capture, CommSim* comm) {
-  if (comm != nullptr && comm->async()) {
-    async_refresh(blocks, capture, *comm);
-    return;
-  }
-  std::vector<char> degraded = refresh_factors(blocks, capture, comm);
-  // Per-layer timing: the total is the cluster-wide inversion work (layers
-  // are distributed over owners), the max single layer is the critical path
-  // when P exceeds the layer count. Inverses are staged per layer and
-  // committed only after the layer's broadcast landed.
-  // hylo-scratch-begin(kfac_update)
-  double inv_total = 0.0, inv_max = 0.0;
-  std::vector<std::pair<Matrix, Matrix>> inv(layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const LayerState& st = layers_[l];
+  std::vector<double> inv_s;
+  std::vector<Candidate> out;
+  for (auto& st : cand) {
     WallTimer timer;
-    const real_t pi = pi_correction(st.a_factor, st.g_factor);
+    const real_t pi = pi_correction(st->a_factor, st->g_factor);
     const real_t root = std::sqrt(cfg_.damping);
-    inv[l].first = damped_spd_inverse(st.a_factor, pi * root);
-    inv[l].second = damped_spd_inverse(st.g_factor, root / pi);
-    const double sec = timer.seconds();
-    inv_total += sec;
-    inv_max = std::max(inv_max, sec);
-    if (comm != nullptr)
-      comm->profiler().registry().histogram("optim/kfac/inversion_seconds")
-          .observe(sec);
+    st->a_inv = damped_spd_inverse(st->a_factor, pi * root);
+    st->g_inv = damped_spd_inverse(st->g_factor, root / pi);
+    inv_s.push_back(timer.seconds());
+    Candidate c;
+    c.collectives = {
+        Collective::allreduce(sizes({&st->a_factor, &st->g_factor}),
+                              {&st->a_factor, &st->g_factor}),
+        Collective::broadcast(sizes({&st->a_inv, &st->g_inv}),
+                              {&st->a_inv, &st->g_inv})};
+    c.state = std::move(st);
+    out.push_back(std::move(c));
   }
-  if (comm != nullptr) {
-    comm->profiler().add("comp/inversion", inv_total);
-    comm->profiler().add("comp/inversion_critical", inv_max);
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      try {
-        comm->charge_broadcast(
-            wire_bytes(*comm, inv[l].first.size() + inv[l].second.size()),
-            "comm/broadcast");
-        apply_escaped_corruption(*comm, {&inv[l].first, &inv[l].second});
-      } catch (const CommFailure&) {
-        degraded[l] = 1;
-      }
-      if (!degraded[l] &&
-          !guard_commit(*comm, "kfac", static_cast<index_t>(l),
-                        {&inv[l].first, &inv[l].second},
-                        {&layers_[l].a_inv, &layers_[l].g_inv}))
-        degraded[l] = 1;
-    }
-  }
-  // hylo-commit-begin(kfac_update)
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    LayerState& st = layers_[l];
-    if (degraded[l]) {
-      if (comm != nullptr)
-        note_stale_refresh(*comm, "kfac", static_cast<index_t>(l), st.ready);
-      ++st.staleness;
-      continue;
-    }
-    st.a_inv = std::move(inv[l].first);
-    st.g_inv = std::move(inv[l].second);
-    st.ready = true;
-    st.staleness = 0;
-  }
-  // hylo-commit-end(kfac_update)
-  // hylo-scratch-end(kfac_update)
-
-  probe_health();
+  book_inversions(comm, inv_s);
+  return out;
 }
-
-// Health probes over the served Kronecker factor pairs: κ∞ estimates come
-// free from the factor/inverse pairs already held. No rank truncation, so
-// energy_fraction stays NaN.
-void KFac::probe_health() {
-  if (health_ == nullptr || !health_->due()) return;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const LayerState& st = layers_[l];
-    obs::LayerHealth h;
-    h.layer = static_cast<index_t>(l);
-    h.staleness = st.staleness;
-    if (st.ready) {
-      h.cond_a = obs::cond_from_pair(st.a_factor, st.a_inv);
-      h.cond_g = obs::cond_from_pair(st.g_factor, st.g_inv);
-      h.nonfinite = obs::count_nonfinite(st.a_inv) +
-                    obs::count_nonfinite(st.g_inv);
-    }
-    health_->report_layer(h);
-  }
-}
-
-void KFac::async_refresh(const std::vector<ParamBlock*>& blocks,
-                         const CaptureSet& capture, CommSim& comm) {
-  // Commit deadline for the previous refresh round: whatever is still in
-  // flight now degrades to stale factors, exactly like a lost lockstep
-  // collective.
-  resolve_pending(comm, /*deadline=*/true);
-
-  // Full candidate state is computed immediately (the data already lives in
-  // shared memory); only the *commit* waits on the modeled
-  // allreduce→broadcast chain.
-  // hylo-scratch-begin(kfac_async)
-  std::vector<std::pair<Matrix, Matrix>> cand =
-      factor_candidates(blocks, capture, &comm);
-  const double now = comm.timeline()->max_clock();
-  double inv_total = 0.0, inv_max = 0.0;
-  std::vector<Pending> fresh;
-  fresh.reserve(cand.size());
-  for (std::size_t l = 0; l < cand.size(); ++l) {
-    Pending p;
-    p.layer = static_cast<index_t>(l);
-    p.state.a_factor = std::move(cand[l].first);
-    p.state.g_factor = std::move(cand[l].second);
-    WallTimer timer;
-    const real_t pi = pi_correction(p.state.a_factor, p.state.g_factor);
-    const real_t root = std::sqrt(cfg_.damping);
-    p.state.a_inv = damped_spd_inverse(p.state.a_factor, pi * root);
-    p.state.g_inv = damped_spd_inverse(p.state.g_factor, root / pi);
-    p.state.ready = true;
-    const double sec = timer.seconds();
-    inv_total += sec;
-    inv_max = std::max(inv_max, sec);
-    comm.profiler().registry().histogram("optim/kfac/inversion_seconds")
-        .observe(sec);
-    const CommEvent ar = comm.icharge_allreduce(
-        wire_bytes(comm, p.state.a_factor.size() + p.state.g_factor.size()),
-        "comm/gather", now);
-    apply_escaped_corruption(comm, {&p.state.a_factor, &p.state.g_factor});
-    const CommEvent bc = comm.icharge_broadcast(
-        wire_bytes(comm, p.state.a_inv.size() + p.state.g_inv.size()),
-        "comm/broadcast", ar.ready_s);
-    apply_escaped_corruption(comm, {&p.state.a_inv, &p.state.g_inv});
-    p.event = chain_event(ar, bc);
-    fresh.push_back(std::move(p));
-  }
-  comm.profiler().add("comp/inversion", inv_total);
-  comm.profiler().add("comp/inversion_critical", inv_max);
-  // hylo-commit-begin(kfac_async)
-  for (auto& p : fresh) pending_.push_back(std::move(p));
-  // hylo-commit-end(kfac_async)
-  // hylo-scratch-end(kfac_async)
-  probe_health();
-}
-
-void KFac::resolve_pending(CommSim& comm, bool deadline) {
-  if (pending_.empty()) return;
-  const double now = comm.timeline()->max_clock();
-  sort_by_completion(pending_);
-  std::vector<Pending> keep;
-  for (auto& p : pending_) {
-    const std::size_t l = static_cast<std::size_t>(p.layer);
-    if (l >= layers_.size()) continue;  // network shrank; refresh is moot
-    LayerState& st = layers_[l];
-    if (!p.event.failed && p.event.ready_s <= now) {
-      if (guard_commit(comm, "kfac", p.layer,
-                       {&p.state.a_factor, &p.state.g_factor,
-                        &p.state.a_inv, &p.state.g_inv},
-                       {&st.a_factor, &st.g_factor, &st.a_inv, &st.g_inv})) {
-        st = std::move(p.state);
-        st.staleness = 0;
-      } else {
-        note_stale_refresh(comm, "kfac", p.layer, st.ready);
-        ++st.staleness;
-      }
-    } else if (p.event.failed || deadline) {
-      note_stale_refresh(comm, "kfac", p.layer, st.ready);
-      ++st.staleness;
-    } else {
-      keep.push_back(std::move(p));
-    }
-  }
-  pending_.swap(keep);
-}
-
-void KFac::poll_async(CommSim& comm) { resolve_pending(comm, false); }
 
 void KFac::precondition_block(ParamBlock& pb, index_t layer) {
-  const LayerState& st = layers_[static_cast<std::size_t>(layer)];
+  const State& st = served<State>(layer);
   pb.gw = matmul(st.g_inv, matmul(pb.gw, st.a_inv));
 }
 
-index_t KFac::state_bytes() const {
-  index_t scalars = 0;
-  for (const auto& st : layers_)
-    scalars += st.a_factor.size() + st.g_factor.size() + st.a_inv.size() +
-               st.g_inv.size();
-  return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
+// κ∞ estimates come free from the factor/inverse pairs already held. No rank
+// truncation, so energy_fraction stays NaN.
+void KFac::probe_layer(index_t layer, const CaptureSet& /*capture*/,
+                       obs::LayerHealth& h) const {
+  const State& st = served<State>(layer);
+  h.cond_a = obs::cond_from_pair(st.a_factor, st.a_inv);
+  h.cond_g = obs::cond_from_pair(st.g_factor, st.g_inv);
+  h.nonfinite = obs::count_nonfinite(st.a_inv) + obs::count_nonfinite(st.g_inv);
 }
 
-// ------------------------------------------------------------- EKFac ----
+index_t KFac::State::scalars() const {
+  return sizes({&a_factor, &g_factor, &a_inv, &g_inv});
+}
 
-void EKFac::update_curvature(const std::vector<ParamBlock*>& blocks,
-                             const CaptureSet& capture, CommSim* comm) {
-  if (comm != nullptr && comm->async()) {
-    async_refresh(blocks, capture, *comm);
-    return;
-  }
-  std::vector<char> degraded = refresh_factors(blocks, capture, comm);
+void KFac::State::write(ckpt::ByteWriter& w) const {
+  w.matrix(a_factor);
+  w.matrix(g_factor);
+  w.matrix(a_inv);
+  w.matrix(g_inv);
+}
+
+void KFac::State::read(ckpt::ByteReader& r) {
+  a_factor = r.matrix();
+  g_factor = r.matrix();
+  a_inv = r.matrix();
+  g_inv = r.matrix();
+}
+
+// --------------------------------------------------------------- EKFac ----
+
+std::vector<CurvatureOptimizer::Candidate> EKFac::build(
+    const CaptureSet& capture, CommSim* comm) {
   const index_t layers = capture.layers();
-  if (static_cast<index_t>(eig_.size()) != layers) eig_.resize(static_cast<std::size_t>(layers));
-
-  // Candidate eigenbases + merged scalings, committed per layer only after
-  // that layer's broadcast landed.
-  // hylo-scratch-begin(ekfac_update)
-  double inv_total = 0.0, inv_max = 0.0;
-  std::vector<EigState> cand(static_cast<std::size_t>(layers));
+  std::vector<std::unique_ptr<State>> cand(static_cast<std::size_t>(layers));
+  WallTimer factor_timer;
   for (index_t l = 0; l < layers; ++l) {
+    auto& st = cand[static_cast<std::size_t>(l)];
+    st = std::make_unique<State>();
+    std::tie(st->a_factor, st->g_factor) =
+        running_factors(capture, l, served_if<State>(l), cfg_.stat_decay);
+  }
+  if (comm != nullptr)
+    comm->profiler().add("comp/factorization", factor_timer.seconds());
+
+  std::vector<double> inv_s;
+  std::vector<Candidate> out;
+  for (index_t l = 0; l < layers; ++l) {
+    auto& st = cand[static_cast<std::size_t>(l)];
     WallTimer timer;
-    const LayerState& kst = layers_[static_cast<std::size_t>(l)];
-    // A layer whose factor allreduce has *never* landed (degraded on the
-    // first refresh) has empty running factors: eigh would hand back a 0x0
-    // basis and the capture projection below would die on a gemm shape
-    // mismatch. Skip the rebuild — the commit loop degrades it to stale.
-    if (kst.a_factor.size() == 0 || kst.g_factor.size() == 0) {
-      degraded[static_cast<std::size_t>(l)] = 1;
-      continue;
-    }
-    cand[static_cast<std::size_t>(l)] =
-        build_eig(kst.a_factor, kst.g_factor, capture, l);
-    const double sec = timer.seconds();
-    inv_total += sec;
-    inv_max = std::max(inv_max, sec);
-    if (comm != nullptr)
-      comm->profiler().registry().histogram("optim/ekfac/inversion_seconds")
-          .observe(sec);
-  }
-  if (comm != nullptr) {
-    comm->profiler().add("comp/inversion", inv_total);
-    comm->profiler().add("comp/inversion_critical", inv_max);
-    for (index_t l = 0; l < layers; ++l) {
-      EigState& est = cand[static_cast<std::size_t>(l)];
-      try {
-        comm->charge_broadcast(
-            wire_bytes(*comm, est.v_a.size() + est.v_g.size() + est.scaling.size()),
-            "comm/broadcast");
-        apply_escaped_corruption(*comm,
-                                 {&est.v_a, &est.v_g, &est.scaling});
-      } catch (const CommFailure&) {
-        degraded[static_cast<std::size_t>(l)] = 1;
-      }
-      if (!degraded[static_cast<std::size_t>(l)] &&
-          !guard_commit(*comm, "ekfac", l,
-                        {&est.v_a, &est.v_g, &est.scaling},
-                        {&eig_[static_cast<std::size_t>(l)].v_a,
-                         &eig_[static_cast<std::size_t>(l)].v_g,
-                         &eig_[static_cast<std::size_t>(l)].scaling}))
-        degraded[static_cast<std::size_t>(l)] = 1;
-    }
-  }
-  // hylo-commit-begin(ekfac_update)
-  for (index_t l = 0; l < layers; ++l) {
-    EigState& est = eig_[static_cast<std::size_t>(l)];
-    if (degraded[static_cast<std::size_t>(l)]) {
-      if (comm != nullptr)
-        note_stale_refresh(*comm, "ekfac", l, est.ready);
-      ++est.staleness;
-      continue;
-    }
-    est = std::move(cand[static_cast<std::size_t>(l)]);
-    est.staleness = 0;
-  }
-  // hylo-commit-end(ekfac_update)
-  // hylo-scratch-end(ekfac_update)
-
-  probe_eig_health();
-}
-
-EKFac::EigState EKFac::build_eig(const Matrix& a_factor,
-                                 const Matrix& g_factor,
-                                 const CaptureSet& capture, index_t l) const {
-  EigState est;
-  est.v_a = eigh(a_factor).eigenvectors;
-  est.v_g = eigh(g_factor).eigenvectors;
-
-  // Per-entry second moments in the eigenbasis:
-  // s_{oj} = E_i[(V_gᵀ g_i)_o² (a_iᵀ V_a)_j²].
-  const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
-  const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
-  Matrix s_new(est.v_g.cols(), est.v_a.cols());
-  index_t m_total = 0;
-  for (std::size_t r = 0; r < a_ranks.size(); ++r) {
-    Matrix pa = matmul(a_ranks[r], est.v_a);  // m x (d_in+1)
-    Matrix pg = matmul(g_ranks[r], est.v_g);  // m x d_out
-    hadamard_inplace(pa, pa);
-    hadamard_inplace(pg, pg);
-    gemm_tn(pg, pa, s_new, 1.0, 1.0);
-    m_total += a_ranks[r].rows();
-  }
-  s_new *= 1.0 / static_cast<real_t>(m_total);
-  const EigState& prev = eig_[static_cast<std::size_t>(l)];
-  if (prev.scaling.empty()) {
-    est.scaling = std::move(s_new);
-  } else {
-    est.scaling = prev.scaling;
-    est.scaling *= cfg_.stat_decay;
-    axpy(est.scaling, s_new, 1.0 - cfg_.stat_decay);
-  }
-  est.ready = true;
-  return est;
-}
-
-// Health probes: the damped eigenbasis scalings are exactly the spectrum
-// the preconditioner divides by, so their spread is the served condition
-// number — no extra factorization work.
-void EKFac::probe_eig_health() {
-  if (health_ == nullptr || !health_->due()) return;
-  for (std::size_t l = 0; l < eig_.size(); ++l) {
-    const EigState& est = eig_[l];
-    obs::LayerHealth h;
-    h.layer = static_cast<index_t>(l);
-    h.staleness = est.staleness;
-    if (est.ready && !est.scaling.empty()) {
-      real_t lo = est.scaling[0], hi = est.scaling[0];
-      for (index_t i = 0; i < est.scaling.size(); ++i) {
-        lo = std::min(lo, est.scaling[i]);
-        hi = std::max(hi, est.scaling[i]);
-      }
-      h.cond = (hi + cfg_.damping) / (lo + cfg_.damping);
-      h.nonfinite = obs::count_nonfinite(est.v_a) +
-                    obs::count_nonfinite(est.v_g) +
-                    obs::count_nonfinite(est.scaling);
-    }
-    health_->report_layer(h);
-  }
-}
-
-void EKFac::async_refresh(const std::vector<ParamBlock*>& blocks,
-                          const CaptureSet& capture, CommSim& comm) {
-  resolve_eig_pending(comm, /*deadline=*/true);
-  const index_t layers = capture.layers();
-  if (static_cast<index_t>(eig_.size()) != layers) eig_.resize(static_cast<std::size_t>(layers));
-
-  // One chain per layer covers factors + eigenbasis: candidate factors are
-  // built now, the eigenbasis is computed from those *candidates* (the sync
-  // path reads the just-committed factors — same values when the refresh
-  // lands), and the whole bundle commits on the chain's completion.
-  // hylo-scratch-begin(ekfac_async)
-  std::vector<std::pair<Matrix, Matrix>> cand =
-      factor_candidates(blocks, capture, &comm);
-  const double now = comm.timeline()->max_clock();
-  double inv_total = 0.0, inv_max = 0.0;
-  std::vector<EigPending> fresh;
-  fresh.reserve(cand.size());
-  for (index_t l = 0; l < layers; ++l) {
-    EigPending p;
-    p.layer = l;
-    p.a_factor = std::move(cand[static_cast<std::size_t>(l)].first);
-    p.g_factor = std::move(cand[static_cast<std::size_t>(l)].second);
-    WallTimer timer;
-    p.eig = build_eig(p.a_factor, p.g_factor, capture, l);
-    const double sec = timer.seconds();
-    inv_total += sec;
-    inv_max = std::max(inv_max, sec);
-    comm.profiler().registry().histogram("optim/ekfac/inversion_seconds")
-        .observe(sec);
-    const CommEvent ar = comm.icharge_allreduce(
-        wire_bytes(comm, p.a_factor.size() + p.g_factor.size()),
-        "comm/gather", now);
-    apply_escaped_corruption(comm, {&p.a_factor, &p.g_factor});
-    const CommEvent bc = comm.icharge_broadcast(
-        wire_bytes(comm, p.eig.v_a.size() + p.eig.v_g.size() +
-                             p.eig.scaling.size()),
-        "comm/broadcast", ar.ready_s);
-    apply_escaped_corruption(comm,
-                             {&p.eig.v_a, &p.eig.v_g, &p.eig.scaling});
-    p.event = chain_event(ar, bc);
-    fresh.push_back(std::move(p));
-  }
-  comm.profiler().add("comp/inversion", inv_total);
-  comm.profiler().add("comp/inversion_critical", inv_max);
-  // hylo-commit-begin(ekfac_async)
-  for (auto& p : fresh) epending_.push_back(std::move(p));
-  // hylo-commit-end(ekfac_async)
-  // hylo-scratch-end(ekfac_async)
-  probe_eig_health();
-}
-
-void EKFac::resolve_eig_pending(CommSim& comm, bool deadline) {
-  if (epending_.empty()) return;
-  const double now = comm.timeline()->max_clock();
-  sort_by_completion(epending_);
-  std::vector<EigPending> keep;
-  for (auto& p : epending_) {
-    const std::size_t l = static_cast<std::size_t>(p.layer);
-    if (l >= eig_.size() || l >= layers_.size()) continue;
-    EigState& est = eig_[l];
-    if (!p.event.failed && p.event.ready_s <= now) {
-      if (guard_commit(comm, "ekfac", p.layer,
-                       {&p.a_factor, &p.g_factor, &p.eig.v_a, &p.eig.v_g,
-                        &p.eig.scaling},
-                       {&layers_[l].a_factor, &layers_[l].g_factor,
-                        &est.v_a, &est.v_g, &est.scaling})) {
-        layers_[l].a_factor = std::move(p.a_factor);
-        layers_[l].g_factor = std::move(p.g_factor);
-        est = std::move(p.eig);
-        est.staleness = 0;
-      } else {
-        note_stale_refresh(comm, "ekfac", p.layer, est.ready);
-        ++est.staleness;
-      }
-    } else if (p.event.failed || deadline) {
-      note_stale_refresh(comm, "ekfac", p.layer, est.ready);
-      ++est.staleness;
-    } else {
-      keep.push_back(std::move(p));
-    }
-  }
-  epending_.swap(keep);
-}
-
-void EKFac::poll_async(CommSim& comm) { resolve_eig_pending(comm, false); }
-
-void EKFac::precondition_block(ParamBlock& pb, index_t layer) {
-  const EigState& est = eig_[static_cast<std::size_t>(layer)];
-  // Project, rescale by the damped second moments, project back.
-  Matrix t = matmul(matmul_tn(est.v_g, pb.gw), est.v_a);
-  for (index_t i = 0; i < t.rows(); ++i)
-    for (index_t j = 0; j < t.cols(); ++j)
-      t(i, j) /= est.scaling(i, j) + cfg_.damping;
-  pb.gw = matmul_nt(matmul(est.v_g, t), est.v_a);
-}
-
-index_t EKFac::state_bytes() const {
-  index_t scalars = 0;
-  for (const auto& est : eig_)
-    scalars += est.v_a.size() + est.v_g.size() + est.scaling.size();
-  for (const auto& st : layers_)
-    scalars += st.a_factor.size() + st.g_factor.size();
-  return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
-}
-
-// ------------------------------------------------------------- KBfgs ----
-
-std::vector<KBfgs::LayerState> KBfgs::build_candidates(
-    const CaptureSet& capture) {
-  const index_t layers = capture.layers();
-  std::vector<LayerState> cand(static_cast<std::size_t>(layers));
-  for (index_t l = 0; l < layers; ++l) {
+    st->v_a = eigh(st->a_factor).eigenvectors;
+    st->v_g = eigh(st->g_factor).eigenvectors;
+    // Per-entry second moments in the eigenbasis:
+    // s_{oj} = E_i[(V_gᵀ g_i)_o² (a_iᵀ V_a)_j²].
     const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
     const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
-    LayerState& st = cand[static_cast<std::size_t>(l)];
-    st = layers_[static_cast<std::size_t>(l)];
+    Matrix s_new(st->v_g.cols(), st->v_a.cols());
     index_t m_total = 0;
-    Matrix a_new, g_new;
-    Matrix g_mean(g_ranks[0].cols(), 1);
     for (std::size_t r = 0; r < a_ranks.size(); ++r) {
+      Matrix pa = matmul(a_ranks[r], st->v_a);  // m x (d_in+1)
+      Matrix pg = matmul(g_ranks[r], st->v_g);  // m x d_out
+      hadamard_inplace(pa, pa);
+      hadamard_inplace(pg, pg);
+      gemm_tn(pg, pa, s_new, 1.0, 1.0);
       m_total += a_ranks[r].rows();
-      if (r == 0) {
-        a_new = gram_tn(a_ranks[r]);
-        g_new = gram_tn(g_ranks[r]);
-      } else {
-        a_new += gram_tn(a_ranks[r]);
-        g_new += gram_tn(g_ranks[r]);
-      }
-      for (index_t i = 0; i < g_ranks[r].rows(); ++i)
-        for (index_t o = 0; o < g_ranks[r].cols(); ++o)
-          g_mean[o] += g_ranks[r](i, o);
     }
-    a_new *= 1.0 / static_cast<real_t>(m_total);
-    g_new *= 1.0 / static_cast<real_t>(m_total);
-    g_mean *= 1.0 / static_cast<real_t>(m_total);
+    s_new *= 1.0 / static_cast<real_t>(m_total);
+    const State* prev = served_if<State>(l);
+    st->scaling = prev == nullptr
+                      ? std::move(s_new)
+                      : blend(prev->scaling, s_new, cfg_.stat_decay);
+    inv_s.push_back(timer.seconds());
+    Candidate c;
+    c.collectives = {
+        Collective::allreduce(sizes({&st->a_factor, &st->g_factor}),
+                              {&st->a_factor, &st->g_factor}),
+        Collective::broadcast(sizes({&st->v_a, &st->v_g, &st->scaling}),
+                              {&st->v_a, &st->v_g, &st->scaling})};
+    c.state = std::move(st);
+    out.push_back(std::move(c));
+  }
+  book_inversions(comm, inv_s);
+  return out;
+}
 
-    if (st.a_factor.empty()) {
-      st.a_factor = std::move(a_new);
-      st.g_factor = std::move(g_new);
-    } else {
-      st.a_factor *= cfg_.stat_decay;
-      axpy(st.a_factor, a_new, 1.0 - cfg_.stat_decay);
-      st.g_factor *= cfg_.stat_decay;
-      axpy(st.g_factor, g_new, 1.0 - cfg_.stat_decay);
+void EKFac::precondition_block(ParamBlock& pb, index_t layer) {
+  const State& st = served<State>(layer);
+  // Project, rescale by the damped second moments, project back.
+  Matrix t = matmul(matmul_tn(st.v_g, pb.gw), st.v_a);
+  for (index_t i = 0; i < t.rows(); ++i)
+    for (index_t j = 0; j < t.cols(); ++j)
+      t(i, j) /= st.scaling(i, j) + cfg_.damping;
+  pb.gw = matmul_nt(matmul(st.v_g, t), st.v_a);
+}
+
+// The damped eigenbasis scalings are exactly the spectrum the
+// preconditioner divides by, so their spread is the served condition
+// number — no extra factorization work.
+void EKFac::probe_layer(index_t layer, const CaptureSet& /*capture*/,
+                        obs::LayerHealth& h) const {
+  const State& st = served<State>(layer);
+  real_t lo = st.scaling[0], hi = st.scaling[0];
+  for (index_t i = 0; i < st.scaling.size(); ++i) {
+    lo = std::min(lo, st.scaling[i]);
+    hi = std::max(hi, st.scaling[i]);
+  }
+  h.cond = (hi + cfg_.damping) / (lo + cfg_.damping);
+  h.nonfinite = obs::count_nonfinite(st.v_a) + obs::count_nonfinite(st.v_g) +
+                obs::count_nonfinite(st.scaling);
+}
+
+index_t EKFac::State::scalars() const {
+  return sizes({&a_factor, &g_factor, &v_a, &v_g, &scaling});
+}
+
+void EKFac::State::write(ckpt::ByteWriter& w) const {
+  w.matrix(a_factor);
+  w.matrix(g_factor);
+  w.matrix(v_a);
+  w.matrix(v_g);
+  w.matrix(scaling);
+}
+
+void EKFac::State::read(ckpt::ByteReader& r) {
+  a_factor = r.matrix();
+  g_factor = r.matrix();
+  v_a = r.matrix();
+  v_g = r.matrix();
+  scaling = r.matrix();
+}
+
+// --------------------------------------------------------------- KBfgs ----
+
+std::vector<CurvatureOptimizer::Candidate> KBfgs::build(
+    const CaptureSet& capture, CommSim* comm) {
+  const index_t layers = capture.layers();
+  WallTimer factor_timer;
+  std::vector<Candidate> out;
+  for (index_t l = 0; l < layers; ++l) {
+    const State* prev = served_if<State>(l);
+    auto st = std::make_unique<State>();
+    std::tie(st->a_factor, st->g_factor) =
+        running_factors(capture, l, prev, cfg_.stat_decay);
+    st->a_inv = damped_spd_inverse(st->a_factor, cfg_.damping);
+
+    // Mean per-sample gradient over the global batch.
+    const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
+    Matrix g_mean(g_ranks[0].cols(), 1);
+    index_t m_total = 0;
+    for (const Matrix& g : g_ranks) {
+      m_total += g.rows();
+      for (index_t i = 0; i < g.rows(); ++i)
+        for (index_t o = 0; o < g.cols(); ++o) g_mean[o] += g(i, o);
     }
-    st.a_inv = damped_spd_inverse(st.a_factor, cfg_.damping);
+    g_mean *= 1.0 / static_cast<real_t>(m_total);
 
     // (L-)BFGS pair from the change in the mean per-sample gradient, with
     // curvature synthesized through the damped G factor: y = (C_g + γI)s.
-    if (!st.g_mean_prev.empty()) {
-      const Matrix s = g_mean - st.g_mean_prev;
+    if (prev != nullptr) {
+      st->sy_pairs = prev->sy_pairs;
+      st->h0_scale = prev->h0_scale;
+      const Matrix s = g_mean - prev->g_mean_prev;
       const real_t s_norm = frobenius_norm(s);
       if (s_norm > 1e-12) {
-        Matrix y = matmul(st.g_factor, s);
+        Matrix y = matmul(st->g_factor, s);
         axpy(y, s, cfg_.damping);
         const real_t sy = dot(s, y);
         if (sy > 1e-12 * s_norm * frobenius_norm(y)) {
@@ -599,161 +280,39 @@ std::vector<KBfgs::LayerState> KBfgs::build_candidates(
             sv[static_cast<std::size_t>(i)] = s[i];
             yv[static_cast<std::size_t>(i)] = y[i];
           }
-          st.sy_pairs.emplace_back(std::move(sv), std::move(yv));
-          while (static_cast<index_t>(st.sy_pairs.size()) > cfg_.bfgs_memory)
-            st.sy_pairs.pop_front();
-          st.h0_scale = sy / dot(y, y);
+          st->sy_pairs.emplace_back(std::move(sv), std::move(yv));
+          while (static_cast<index_t>(st->sy_pairs.size()) > cfg_.bfgs_memory)
+            st->sy_pairs.pop_front();
+          st->h0_scale = sy / dot(y, y);
         }
       }
     }
-    st.g_mean_prev = g_mean;
-    st.ready = true;
+    st->g_mean_prev = std::move(g_mean);
+
+    Candidate c;
+    c.collectives = {
+        Collective::allreduce(sizes({&st->a_factor, &st->g_factor}),
+                              {&st->a_factor, &st->g_factor}),
+        Collective::broadcast(st->a_inv.size(), {&st->a_inv})};
+    c.state = std::move(st);
+    out.push_back(std::move(c));
   }
-  return cand;
-}
-
-// Health probes: κ∞ of the input-side factor via the held inverse pair
-// (the G side is applied through the BFGS recursion, no inverse to read).
-void KBfgs::probe_health() {
-  if (health_ == nullptr || !health_->due()) return;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const LayerState& st = layers_[l];
-    obs::LayerHealth h;
-    h.layer = static_cast<index_t>(l);
-    h.staleness = st.staleness;
-    if (st.ready) {
-      h.cond_a = obs::cond_from_pair(st.a_factor, st.a_inv);
-      h.nonfinite = obs::count_nonfinite(st.a_inv) +
-                    obs::count_nonfinite(st.g_factor);
-    }
-    health_->report_layer(h);
-  }
-}
-
-void KBfgs::update_curvature(const std::vector<ParamBlock*>& blocks,
-                             const CaptureSet& capture, CommSim* comm) {
-  const index_t layers = capture.layers();
-  HYLO_CHECK(layers == static_cast<index_t>(blocks.size()),
-             "capture/block count mismatch");
-  if (static_cast<index_t>(layers_.size()) != layers) layers_.resize(static_cast<std::size_t>(layers));
-
-  if (comm != nullptr && comm->async()) {
-    async_refresh(capture, *comm);
-    return;
-  }
-
-  // Each layer's whole refresh (running factors, inverse, BFGS pair) is
-  // built on a candidate copy and swapped in only after the layer's
-  // collectives landed, so a lost allreduce/broadcast keeps the previous
-  // curvature intact — including the (s, y) history.
-  // hylo-scratch-begin(kbfgs_update)
-  WallTimer factor_timer;
-  std::vector<LayerState> cand = build_candidates(capture);
-  std::vector<char> degraded(static_cast<std::size_t>(layers), 0);
-  if (comm != nullptr) {
+  if (comm != nullptr)
     comm->profiler().add("comp/factorization", factor_timer.seconds());
-    for (index_t l = 0; l < layers; ++l) {
-      LayerState& st = cand[static_cast<std::size_t>(l)];
-      try {
-        comm->charge_allreduce(
-            wire_bytes(*comm, st.a_factor.size() + st.g_factor.size()), "comm/gather");
-        apply_escaped_corruption(*comm, {&st.a_factor, &st.g_factor});
-        comm->charge_broadcast(wire_bytes(*comm, st.a_inv.size()), "comm/broadcast");
-        apply_escaped_corruption(*comm, {&st.a_inv});
-      } catch (const CommFailure&) {
-        degraded[static_cast<std::size_t>(l)] = 1;
-      }
-      if (!degraded[static_cast<std::size_t>(l)] &&
-          !guard_commit(*comm, "kbfgs", l,
-                        {&st.a_factor, &st.g_factor, &st.a_inv},
-                        {&layers_[static_cast<std::size_t>(l)].a_factor,
-                         &layers_[static_cast<std::size_t>(l)].g_factor,
-                         &layers_[static_cast<std::size_t>(l)].a_inv}))
-        degraded[static_cast<std::size_t>(l)] = 1;
-    }
-  }
-  // hylo-commit-begin(kbfgs_update)
-  for (index_t l = 0; l < layers; ++l) {
-    LayerState& st = layers_[static_cast<std::size_t>(l)];
-    if (degraded[static_cast<std::size_t>(l)]) {
-      if (comm != nullptr)
-        note_stale_refresh(*comm, "kbfgs", l, st.ready);
-      ++st.staleness;
-      continue;
-    }
-    st = std::move(cand[static_cast<std::size_t>(l)]);
-    st.staleness = 0;
-  }
-  // hylo-commit-end(kbfgs_update)
-  // hylo-scratch-end(kbfgs_update)
-
-  probe_health();
+  return out;
 }
 
-void KBfgs::async_refresh(const CaptureSet& capture, CommSim& comm) {
-  resolve_pending(comm, /*deadline=*/true);
-
-  // hylo-scratch-begin(kbfgs_async)
-  WallTimer factor_timer;
-  std::vector<LayerState> cand = build_candidates(capture);
-  comm.profiler().add("comp/factorization", factor_timer.seconds());
-  const double now = comm.timeline()->max_clock();
-  std::vector<Pending> fresh;
-  fresh.reserve(cand.size());
-  for (std::size_t l = 0; l < cand.size(); ++l) {
-    Pending p;
-    p.layer = static_cast<index_t>(l);
-    p.state = std::move(cand[l]);
-    const CommEvent ar = comm.icharge_allreduce(
-        wire_bytes(comm, p.state.a_factor.size() + p.state.g_factor.size()),
-        "comm/gather", now);
-    apply_escaped_corruption(comm, {&p.state.a_factor, &p.state.g_factor});
-    const CommEvent bc = comm.icharge_broadcast(
-        wire_bytes(comm, p.state.a_inv.size()), "comm/broadcast", ar.ready_s);
-    apply_escaped_corruption(comm, {&p.state.a_inv});
-    p.event = chain_event(ar, bc);
-    fresh.push_back(std::move(p));
-  }
-  // hylo-commit-begin(kbfgs_async)
-  for (auto& p : fresh) pending_.push_back(std::move(p));
-  // hylo-commit-end(kbfgs_async)
-  // hylo-scratch-end(kbfgs_async)
-  probe_health();
+// κ∞ of the input-side factor via the held inverse pair (the G side is
+// applied through the BFGS recursion, no inverse to read).
+void KBfgs::probe_layer(index_t layer, const CaptureSet& /*capture*/,
+                        obs::LayerHealth& h) const {
+  const State& st = served<State>(layer);
+  h.cond_a = obs::cond_from_pair(st.a_factor, st.a_inv);
+  h.nonfinite =
+      obs::count_nonfinite(st.a_inv) + obs::count_nonfinite(st.g_factor);
 }
 
-void KBfgs::resolve_pending(CommSim& comm, bool deadline) {
-  if (pending_.empty()) return;
-  const double now = comm.timeline()->max_clock();
-  sort_by_completion(pending_);
-  std::vector<Pending> keep;
-  for (auto& p : pending_) {
-    const std::size_t l = static_cast<std::size_t>(p.layer);
-    if (l >= layers_.size()) continue;  // network shrank; refresh is moot
-    LayerState& st = layers_[l];
-    if (!p.event.failed && p.event.ready_s <= now) {
-      if (guard_commit(comm, "kbfgs", p.layer,
-                       {&p.state.a_factor, &p.state.g_factor,
-                        &p.state.a_inv},
-                       {&st.a_factor, &st.g_factor, &st.a_inv})) {
-        st = std::move(p.state);
-        st.staleness = 0;
-      } else {
-        note_stale_refresh(comm, "kbfgs", p.layer, st.ready);
-        ++st.staleness;
-      }
-    } else if (p.event.failed || deadline) {
-      note_stale_refresh(comm, "kbfgs", p.layer, st.ready);
-      ++st.staleness;
-    } else {
-      keep.push_back(std::move(p));
-    }
-  }
-  pending_.swap(keep);
-}
-
-void KBfgs::poll_async(CommSim& comm) { resolve_pending(comm, false); }
-
-void KBfgs::apply_hg(const LayerState& st, Matrix& m) const {
+void KBfgs::apply_hg(const State& st, Matrix& m) const {
   const index_t n = m.rows(), cols = m.cols();
   const index_t k = static_cast<index_t>(st.sy_pairs.size());
   std::vector<real_t> q(static_cast<std::size_t>(n));
@@ -791,7 +350,7 @@ void KBfgs::apply_hg(const LayerState& st, Matrix& m) const {
 }
 
 void KBfgs::precondition_block(ParamBlock& pb, index_t layer) {
-  const LayerState& st = layers_[static_cast<std::size_t>(layer)];
+  const State& st = served<State>(layer);
   Matrix g = pb.gw;
   if (st.sy_pairs.empty()) {
     // No curvature pairs yet: fall back to H_g = (C_g + γI)⁻¹-free identity.
@@ -802,187 +361,38 @@ void KBfgs::precondition_block(ParamBlock& pb, index_t layer) {
   pb.gw = matmul(g, st.a_inv);
 }
 
-index_t KBfgs::state_bytes() const {
-  index_t scalars = 0;
-  for (const auto& st : layers_) {
-    scalars += st.a_factor.size() + st.a_inv.size() + st.g_factor.size() +
-               st.g_mean_prev.size();
-    for (const auto& [s, y] : st.sy_pairs)
-      scalars += static_cast<index_t>(s.size() + y.size());
-  }
-  return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
+index_t KBfgs::State::scalars() const {
+  index_t n = sizes({&a_factor, &a_inv, &g_factor, &g_mean_prev});
+  for (const auto& [s, y] : sy_pairs)
+    n += static_cast<index_t>(s.size() + y.size());
+  return n;
 }
 
-void KFac::save_state(Network& net, ckpt::ByteWriter& w) const {
-  Optimizer::save_state(net, w);
-  w.u64(layers_.size());
-  for (const auto& st : layers_) {
-    w.matrix(st.a_factor);
-    w.matrix(st.g_factor);
-    w.matrix(st.a_inv);
-    w.matrix(st.g_inv);
-    w.b(st.ready);
-    w.i64(st.staleness);
+void KBfgs::State::write(ckpt::ByteWriter& w) const {
+  w.matrix(a_factor);
+  w.matrix(a_inv);
+  w.matrix(g_factor);
+  w.matrix(g_mean_prev);
+  w.u64(sy_pairs.size());
+  for (const auto& [s, y] : sy_pairs) {
+    w.real_vec(s);
+    w.real_vec(y);
   }
-  // In-flight async refreshes: a snapshot taken with gathers on the wire
-  // must resume bitwise, so the pending handles travel with the state.
-  w.u64(pending_.size());
-  for (const auto& p : pending_) {
-    w.i64(p.layer);
-    write_event(w, p.event);
-    w.matrix(p.state.a_factor);
-    w.matrix(p.state.g_factor);
-    w.matrix(p.state.a_inv);
-    w.matrix(p.state.g_inv);
-    w.b(p.state.ready);
-    w.i64(p.state.staleness);
-  }
+  w.real(h0_scale);
 }
 
-void KFac::load_state(Network& net, ckpt::ByteReader& r) {
-  Optimizer::load_state(net, r);
-  layers_.assign(r.u64(), LayerState{});
-  for (auto& st : layers_) {
-    st.a_factor = r.matrix();
-    st.g_factor = r.matrix();
-    st.a_inv = r.matrix();
-    st.g_inv = r.matrix();
-    st.ready = r.b();
-    st.staleness = r.i64();
+void KBfgs::State::read(ckpt::ByteReader& r) {
+  a_factor = r.matrix();
+  a_inv = r.matrix();
+  g_factor = r.matrix();
+  g_mean_prev = r.matrix();
+  const std::uint64_t pairs = r.u64();
+  for (std::uint64_t k = 0; k < pairs; ++k) {
+    std::vector<real_t> s = r.real_vec();
+    std::vector<real_t> y = r.real_vec();
+    sy_pairs.emplace_back(std::move(s), std::move(y));
   }
-  pending_.assign(r.u64(), Pending{});
-  for (auto& p : pending_) {
-    p.layer = r.i64();
-    p.event = read_event(r);
-    p.state.a_factor = r.matrix();
-    p.state.g_factor = r.matrix();
-    p.state.a_inv = r.matrix();
-    p.state.g_inv = r.matrix();
-    p.state.ready = r.b();
-    p.state.staleness = r.i64();
-  }
-}
-
-void EKFac::save_state(Network& net, ckpt::ByteWriter& w) const {
-  KFac::save_state(net, w);
-  w.u64(eig_.size());
-  for (const auto& st : eig_) {
-    w.matrix(st.v_a);
-    w.matrix(st.v_g);
-    w.matrix(st.scaling);
-    w.b(st.ready);
-    w.i64(st.staleness);
-  }
-  w.u64(epending_.size());
-  for (const auto& p : epending_) {
-    w.i64(p.layer);
-    write_event(w, p.event);
-    w.matrix(p.a_factor);
-    w.matrix(p.g_factor);
-    w.matrix(p.eig.v_a);
-    w.matrix(p.eig.v_g);
-    w.matrix(p.eig.scaling);
-    w.b(p.eig.ready);
-    w.i64(p.eig.staleness);
-  }
-}
-
-void EKFac::load_state(Network& net, ckpt::ByteReader& r) {
-  KFac::load_state(net, r);
-  eig_.assign(r.u64(), EigState{});
-  for (auto& st : eig_) {
-    st.v_a = r.matrix();
-    st.v_g = r.matrix();
-    st.scaling = r.matrix();
-    st.ready = r.b();
-    st.staleness = r.i64();
-  }
-  epending_.assign(r.u64(), EigPending{});
-  for (auto& p : epending_) {
-    p.layer = r.i64();
-    p.event = read_event(r);
-    p.a_factor = r.matrix();
-    p.g_factor = r.matrix();
-    p.eig.v_a = r.matrix();
-    p.eig.v_g = r.matrix();
-    p.eig.scaling = r.matrix();
-    p.eig.ready = r.b();
-    p.eig.staleness = r.i64();
-  }
-}
-
-void KBfgs::save_state(Network& net, ckpt::ByteWriter& w) const {
-  Optimizer::save_state(net, w);
-  w.u64(layers_.size());
-  for (const auto& st : layers_) {
-    w.matrix(st.a_factor);
-    w.matrix(st.a_inv);
-    w.matrix(st.g_factor);
-    w.matrix(st.g_mean_prev);
-    w.u64(st.sy_pairs.size());
-    for (const auto& [s, y] : st.sy_pairs) {
-      w.real_vec(s);
-      w.real_vec(y);
-    }
-    w.real(st.h0_scale);
-    w.b(st.ready);
-    w.i64(st.staleness);
-  }
-  w.u64(pending_.size());
-  for (const auto& p : pending_) {
-    w.i64(p.layer);
-    write_event(w, p.event);
-    w.matrix(p.state.a_factor);
-    w.matrix(p.state.a_inv);
-    w.matrix(p.state.g_factor);
-    w.matrix(p.state.g_mean_prev);
-    w.u64(p.state.sy_pairs.size());
-    for (const auto& [s, y] : p.state.sy_pairs) {
-      w.real_vec(s);
-      w.real_vec(y);
-    }
-    w.real(p.state.h0_scale);
-    w.b(p.state.ready);
-    w.i64(p.state.staleness);
-  }
-}
-
-void KBfgs::load_state(Network& net, ckpt::ByteReader& r) {
-  Optimizer::load_state(net, r);
-  layers_.assign(r.u64(), LayerState{});
-  for (auto& st : layers_) {
-    st.a_factor = r.matrix();
-    st.a_inv = r.matrix();
-    st.g_factor = r.matrix();
-    st.g_mean_prev = r.matrix();
-    const std::uint64_t pairs = r.u64();
-    for (std::uint64_t k = 0; k < pairs; ++k) {
-      std::vector<real_t> s = r.real_vec();
-      std::vector<real_t> y = r.real_vec();
-      st.sy_pairs.emplace_back(std::move(s), std::move(y));
-    }
-    st.h0_scale = r.real();
-    st.ready = r.b();
-    st.staleness = r.i64();
-  }
-  pending_.assign(r.u64(), Pending{});
-  for (auto& p : pending_) {
-    p.layer = r.i64();
-    p.event = read_event(r);
-    p.state.a_factor = r.matrix();
-    p.state.a_inv = r.matrix();
-    p.state.g_factor = r.matrix();
-    p.state.g_mean_prev = r.matrix();
-    const std::uint64_t pairs = r.u64();
-    for (std::uint64_t k = 0; k < pairs; ++k) {
-      std::vector<real_t> s = r.real_vec();
-      std::vector<real_t> y = r.real_vec();
-      p.state.sy_pairs.emplace_back(std::move(s), std::move(y));
-    }
-    p.state.h0_scale = r.real();
-    p.state.ready = r.b();
-    p.state.staleness = r.i64();
-  }
+  h0_scale = r.real();
 }
 
 }  // namespace hylo

@@ -1,5 +1,6 @@
 #include "hylo/optim/second_order.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hylo/ckpt/snapshot.hpp"
@@ -8,6 +9,272 @@
 #include "hylo/tensor/ops.hpp"
 
 namespace hylo {
+
+namespace {
+
+using Collective = CurvatureOptimizer::Collective;
+
+// Issue one collective: a blocking charge in lockstep (throws CommFailure
+// when an injected fault loses it), a nonblocking one on the event timeline
+// in async (a loss comes back as event.failed).
+CommEvent issue(CommSim& comm, const Collective& c, double earliest_s) {
+  const char* section =
+      c.kind == Collective::Kind::kBroadcast ? "comm/broadcast" : "comm/gather";
+  if (c.kind == Collective::Kind::kAllgather) {
+    std::vector<index_t> bytes;
+    bytes.reserve(c.scalars.size());
+    for (const index_t s : c.scalars) bytes.push_back(comm.wire_bytes(s));
+    if (comm.async()) return comm.icharge_allgather(bytes, section, earliest_s);
+    comm.charge_allgather(bytes, section);
+    return {};
+  }
+  const index_t bytes = comm.wire_bytes(c.scalars.front());
+  if (c.kind == Collective::Kind::kAllreduce) {
+    if (comm.async()) return comm.icharge_allreduce(bytes, section, earliest_s);
+    comm.charge_allreduce(bytes, section);
+  } else {
+    if (comm.async()) return comm.icharge_broadcast(bytes, section, earliest_s);
+    comm.charge_broadcast(bytes, section);
+  }
+  return {};
+}
+
+// Consume the escaped-corruption ticket the collective just issued may have
+// left and flip its seeded bits in one of the candidate matrices the
+// collective carried; the seed picks that victim deterministically.
+void apply_escaped_corruption(CommSim& comm,
+                              const std::vector<Matrix*>& carries) {
+  const auto ticket = comm.take_silent_corruption();
+  if (!ticket || carries.empty()) return;
+  Matrix* victim = carries[static_cast<std::size_t>(*ticket % carries.size())];
+  if (victim != nullptr) corrupt_values(*victim, *ticket);
+}
+
+// Issue a layer's collectives in order. Lockstep stops at the first one
+// lost; async chains them on the timeline, each starting once its
+// predecessor completes. The returned handle starts with the first link,
+// completes with the last and fails if any link failed (a lockstep handle
+// carries only `failed`).
+CommEvent publish(CommSim& comm, const std::vector<Collective>& chain,
+                  double now) {
+  CommEvent ev;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    CommEvent link;
+    try {
+      link = issue(comm, chain[i], i == 0 ? now : ev.ready_s);
+    } catch (const CommFailure&) {
+      ev.failed = true;
+      return ev;
+    }
+    apply_escaped_corruption(comm, chain[i].carries);
+    if (i == 0) {
+      ev = link;
+    } else {
+      ev.seq = link.seq;
+      ev.ready_s = link.ready_s;
+      ev.failed = ev.failed || link.failed;
+    }
+  }
+  return ev;
+}
+
+// Bookkeeping for a refresh that did not commit (a collective lost to an
+// injected fault, a missed async deadline, or a guard rejection): counts
+// optim/<method>/stale_refreshes and drops a trace instant naming the
+// fallback the layer degrades to.
+void note_stale_refresh(CommSim& comm, const char* method, index_t layer,
+                        bool has_previous) {
+  comm.profiler()
+      .registry()
+      .counter(std::string("optim/") + method + "/stale_refreshes")
+      .inc();
+  if (obs::TraceBuffer* trace = comm.trace()) {
+    obs::Json args = obs::Json::object();
+    args.set("optimizer", method);
+    args.set("layer", static_cast<std::int64_t>(layer));
+    args.set("fallback", has_previous ? "stale_factors" : "sgd_direction");
+    trace->add_instant("stale_refresh", "optim", obs::TraceBuffer::kCommTrack,
+                       std::move(args));
+  }
+}
+
+// Numeric commit gate (DESIGN.md §16): a candidate is rejected when a
+// matrix holds non-finite values or an absurd magnitude, or when its norm
+// explodes relative to the position-matched served predecessor (an empty or
+// missing predecessor skips that ratio check). A rejection books
+// optim/<method>/guard_rejects (+ a trace instant) and the layer degrades
+// exactly as for a lost collective.
+bool guard_commit(CommSim& comm, const char* method, index_t layer,
+                  const CurvatureOptimizer::LayerState& cand,
+                  const CurvatureOptimizer::LayerState* served) {
+  // Bounds chosen far outside anything a healthy refresh produces: a clean
+  // run never trips them, so default-on gates stay bitwise-invisible.
+  constexpr real_t kAbsNormBound = 1e30;
+  constexpr real_t kRatioBound = 1e6;
+  const std::vector<const Matrix*> next = cand.guarded();
+  const std::vector<const Matrix*> prev =
+      served != nullptr ? served->guarded() : std::vector<const Matrix*>{};
+  const char* reason = nullptr;
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    const Matrix* m = next[i];
+    if (m == nullptr || m->size() == 0) continue;
+    if (obs::count_nonfinite(*m) > 0) {
+      reason = "non_finite";
+      break;
+    }
+    const real_t norm = frobenius_norm(*m);
+    if (norm > kAbsNormBound) {
+      reason = "abs_norm";
+      break;
+    }
+    if (i < prev.size() && prev[i] != nullptr && prev[i]->size() > 0) {
+      const real_t prev_norm = frobenius_norm(*prev[i]);
+      if (prev_norm > 0.0 && norm > kRatioBound * prev_norm) {
+        reason = "norm_ratio";
+        break;
+      }
+    }
+  }
+  if (reason == nullptr) return true;
+  comm.profiler()
+      .registry()
+      .counter(std::string("optim/") + method + "/guard_rejects")
+      .inc();
+  if (obs::TraceBuffer* trace = comm.trace()) {
+    obs::Json args = obs::Json::object();
+    args.set("optimizer", method);
+    args.set("layer", static_cast<std::int64_t>(layer));
+    args.set("reason", reason);
+    trace->add_instant("guard_reject", "optim", obs::TraceBuffer::kCommTrack,
+                       std::move(args));
+  }
+  return false;
+}
+
+}  // namespace
+
+CurvatureOptimizer::Collective CurvatureOptimizer::Collective::allgather(
+    const std::vector<Matrix>& parts, std::vector<Matrix*> carries) {
+  Collective c{Kind::kAllgather, {}, std::move(carries)};
+  c.scalars.reserve(parts.size());
+  for (const Matrix& m : parts) c.scalars.push_back(m.size());
+  return c;
+}
+
+void CurvatureOptimizer::update_curvature(
+    const std::vector<ParamBlock*>& blocks, const CaptureSet& capture,
+    CommSim* comm) {
+  const index_t layers = capture.layers();
+  HYLO_CHECK(layers == static_cast<index_t>(blocks.size()),
+             "capture/block count mismatch");
+  const bool async = comm != nullptr && comm->async();
+  // The next refresh is the commit deadline: whatever is still in flight
+  // degrades to stale factors, exactly like a lost lockstep collective.
+  if (async) settle_in_flight(*comm, /*deadline=*/true);
+  if (static_cast<index_t>(layers_.size()) != layers) {
+    layers_.resize(static_cast<std::size_t>(layers));
+    staleness_.resize(static_cast<std::size_t>(layers), 0);
+  }
+
+  // Candidates are complete before any collective goes out (the data lives
+  // in shared memory); only their commit waits on the collectives.
+  // hylo-scratch-begin(refresh)
+  std::vector<Candidate> built = build(capture, comm);
+  HYLO_CHECK(static_cast<index_t>(built.size()) == layers,
+             "" << name() << " built " << built.size() << " candidates for "
+                    << layers << " layers");
+  const double now = async ? comm->timeline()->max_clock() : 0.0;
+  for (index_t l = 0; l < layers; ++l) {
+    Candidate& c = built[static_cast<std::size_t>(l)];
+    const CommEvent ev =
+        comm != nullptr ? publish(*comm, c.collectives, now) : CommEvent{};
+    if (async) {
+      // hylo-commit-begin(refresh)
+      in_flight_.push_back({l, ev, std::move(c.state)});
+      // hylo-commit-end(refresh)
+    } else {
+      settle(comm, l, std::move(c.state), !ev.failed);
+    }
+  }
+  // hylo-scratch-end(refresh)
+  probe_health(capture);
+}
+
+void CurvatureOptimizer::settle(CommSim* comm, index_t layer,
+                                std::unique_ptr<LayerState> cand,
+                                bool landed) {
+  // hylo-scratch-begin(settle)
+  auto& slot = layers_[static_cast<std::size_t>(layer)];
+  auto& age = staleness_[static_cast<std::size_t>(layer)];
+  const bool commit =
+      landed && (comm == nullptr || !cfg_.guard_gates ||
+                 guard_commit(*comm, method_, layer, *cand, slot.get()));
+  if (!commit && comm != nullptr)
+    note_stale_refresh(*comm, method_, layer, slot != nullptr);
+  // hylo-commit-begin(settle)
+  if (commit) {
+    slot = std::move(cand);
+    age = 0;
+  } else {
+    ++age;
+  }
+  // hylo-commit-end(settle)
+  // hylo-scratch-end(settle)
+}
+
+void CurvatureOptimizer::settle_in_flight(CommSim& comm, bool deadline) {
+  if (in_flight_.empty()) return;
+  const double now = comm.timeline()->max_clock();
+  // hylo-scratch-begin(settle_in_flight)
+  // hylo-commit-begin(take_in_flight)
+  std::vector<InFlight> queue = std::move(in_flight_);
+  in_flight_.clear();
+  // hylo-commit-end(take_in_flight)
+  // The event-queue rule: chains settle in (ready time, seq) order, which
+  // totally orders the replayed timeline.
+  std::sort(queue.begin(), queue.end(),
+            [](const InFlight& x, const InFlight& y) {
+              if (x.event.ready_s != y.event.ready_s)
+                return x.event.ready_s < y.event.ready_s;
+              return x.event.seq < y.event.seq;
+            });
+  for (InFlight& p : queue) {
+    if (p.layer >= static_cast<index_t>(layers_.size()))
+      continue;  // network shrank; refresh is moot
+    const bool landed = !p.event.failed && p.event.ready_s <= now;
+    if (landed || p.event.failed || deadline) {
+      settle(&comm, p.layer, std::move(p.state), landed);
+    } else {
+      // hylo-commit-begin(keep_in_flight)
+      in_flight_.push_back(std::move(p));
+      // hylo-commit-end(keep_in_flight)
+    }
+  }
+  // hylo-scratch-end(settle_in_flight)
+}
+
+void CurvatureOptimizer::poll_async(CommSim& comm) {
+  settle_in_flight(comm, /*deadline=*/false);
+}
+
+index_t CurvatureOptimizer::layer_staleness(index_t layer) const {
+  HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(staleness_.size()),
+             "" << name() << " layer " << layer << " unknown");
+  return staleness_[static_cast<std::size_t>(layer)];
+}
+
+// Health probes read the *served* state, so a layer whose refresh was lost
+// reports its stale factors, not the dropped candidate.
+void CurvatureOptimizer::probe_health(const CaptureSet& capture) const {
+  if (health_ == nullptr || !health_->due()) return;
+  for (index_t l = 0; l < static_cast<index_t>(layers_.size()); ++l) {
+    obs::LayerHealth h;
+    h.layer = l;
+    h.staleness = staleness_[static_cast<std::size_t>(l)];
+    if (layer_ready(l)) probe_layer(l, capture, h);
+    health_->report_layer(h);
+  }
+}
 
 void CurvatureOptimizer::step(Network& net, index_t /*iteration*/) {
   auto blocks = net.param_blocks();
@@ -40,101 +307,72 @@ void CurvatureOptimizer::step(Network& net, index_t /*iteration*/) {
   apply_sgd_update(net, nu);
 }
 
-void CurvatureOptimizer::note_stale_refresh(CommSim& comm, const char* method,
-                                            index_t layer,
-                                            bool has_previous) const {
-  comm.profiler()
-      .registry()
-      .counter(std::string("optim/") + method + "/stale_refreshes")
-      .inc();
-  if (obs::TraceBuffer* trace = comm.trace()) {
-    obs::Json args = obs::Json::object();
-    args.set("optimizer", method);
-    args.set("layer", static_cast<std::int64_t>(layer));
-    args.set("fallback", has_previous ? "stale_factors" : "sgd_direction");
-    trace->add_instant("stale_refresh", "optim", obs::TraceBuffer::kCommTrack,
-                       std::move(args));
+index_t CurvatureOptimizer::state_bytes() const {
+  index_t scalars = 0;
+  for (const auto& st : layers_)
+    if (st != nullptr) scalars += st->scalars();
+  return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
+}
+
+void CurvatureOptimizer::save_state(Network& net, ckpt::ByteWriter& w) const {
+  Optimizer::save_state(net, w);
+  w.u64(layers_.size());
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    w.i64(staleness_[l]);
+    w.b(layers_[l] != nullptr);
+    if (layers_[l] != nullptr) layers_[l]->write(w);
+  }
+  w.u64(in_flight_.size());
+  for (const InFlight& p : in_flight_) {
+    w.i64(p.layer);
+    w.u64(p.event.seq);
+    w.f64(p.event.start_s);
+    w.f64(p.event.ready_s);
+    w.b(p.event.failed);
+    p.state->write(w);
   }
 }
 
-void CurvatureOptimizer::apply_escaped_corruption(
-    CommSim& comm, std::initializer_list<Matrix*> targets) {
-  const auto ticket = comm.take_silent_corruption();
-  if (!ticket || targets.size() == 0) return;
-  // The seed picks the victim deterministically among the matrices the
-  // collective carried, then seeds the bit-flips themselves.
-  Matrix* victim = *(targets.begin() +
-                     static_cast<std::ptrdiff_t>(*ticket % targets.size()));
-  if (victim != nullptr) corrupt_values(*victim, *ticket);
-}
-
-bool CurvatureOptimizer::guard_commit(
-    CommSim& comm, const char* method, index_t layer,
-    std::initializer_list<const Matrix*> candidates,
-    std::initializer_list<const Matrix*> committed) const {
-  if (!cfg_.guard_gates) return true;
-  // Bounds chosen far outside anything a healthy refresh produces: a clean
-  // run never trips them, so default-on gates stay bitwise-invisible.
-  constexpr real_t kAbsNormBound = 1e30;
-  constexpr real_t kRatioBound = 1e6;
-  const char* reason = nullptr;
-  const Matrix* const* prev = committed.begin();
-  const std::size_t nprev = committed.size();
-  std::size_t i = 0;
-  for (const Matrix* cand : candidates) {
-    if (cand == nullptr || cand->size() == 0) {
-      ++i;
-      continue;
-    }
-    if (obs::count_nonfinite(*cand) > 0) {
-      reason = "non_finite";
-      break;
-    }
-    const real_t norm = frobenius_norm(*cand);
-    if (norm > kAbsNormBound) {
-      reason = "abs_norm";
-      break;
-    }
-    if (i < nprev && prev[i] != nullptr && prev[i]->size() > 0) {
-      const real_t prev_norm = frobenius_norm(*prev[i]);
-      if (prev_norm > 0.0 && norm > kRatioBound * prev_norm) {
-        reason = "norm_ratio";
-        break;
-      }
-    }
-    ++i;
+void CurvatureOptimizer::load_state(Network& net, ckpt::ByteReader& r) {
+  Optimizer::load_state(net, r);
+  const std::uint64_t layers = r.u64();
+  layers_.clear();
+  layers_.resize(layers);
+  staleness_.assign(layers, 0);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    staleness_[l] = r.i64();
+    if (!r.b()) continue;
+    layers_[l] = make_state();
+    layers_[l]->read(r);
   }
-  if (reason == nullptr) return true;
-  comm.profiler()
-      .registry()
-      .counter(std::string("optim/") + method + "/guard_rejects")
-      .inc();
-  if (obs::TraceBuffer* trace = comm.trace()) {
-    obs::Json args = obs::Json::object();
-    args.set("optimizer", method);
-    args.set("layer", static_cast<std::int64_t>(layer));
-    args.set("reason", reason);
-    trace->add_instant("guard_reject", "optim", obs::TraceBuffer::kCommTrack,
-                       std::move(args));
+  in_flight_.clear();
+  const std::uint64_t in_flight = r.u64();
+  for (std::uint64_t k = 0; k < in_flight; ++k) {
+    InFlight p;
+    p.layer = r.i64();
+    p.event.seq = r.u64();
+    p.event.start_s = r.f64();
+    p.event.ready_s = r.f64();
+    p.event.failed = r.b();
+    p.state = make_state();
+    p.state->read(r);
+    in_flight_.push_back(std::move(p));
   }
-  return false;
 }
 
-void CurvatureOptimizer::write_event(ckpt::ByteWriter& w,
-                                     const CommEvent& ev) {
-  w.u64(ev.seq);
-  w.f64(ev.start_s);
-  w.f64(ev.ready_s);
-  w.b(ev.failed);
-}
-
-CommEvent CurvatureOptimizer::read_event(ckpt::ByteReader& r) {
-  CommEvent ev;
-  ev.seq = r.u64();
-  ev.start_s = r.f64();
-  ev.ready_s = r.f64();
-  ev.failed = r.b();
-  return ev;
+void CurvatureOptimizer::book_inversions(
+    CommSim* comm, const std::vector<double>& seconds) const {
+  if (comm == nullptr) return;
+  obs::Histogram& hist = comm->profiler().registry().histogram(
+      std::string("optim/") + method_ + "/inversion_seconds");
+  double total = 0.0, critical = 0.0;
+  for (const double s : seconds) {
+    hist.observe(s);
+    total += s;
+    critical = std::max(critical, s);
+  }
+  comm->profiler().add("comp/inversion", total);
+  comm->profiler().add("comp/inversion_critical", critical);
 }
 
 Matrix damped_cholesky(const Matrix& c, real_t damping, int attempts) {

@@ -8,41 +8,27 @@
 
 namespace hylo {
 
-void Sngd::update_curvature(const std::vector<ParamBlock*>& blocks,
-                            const CaptureSet& capture, CommSim* comm) {
+std::vector<CurvatureOptimizer::Candidate> Sngd::build(
+    const CaptureSet& capture, CommSim* comm) {
   const index_t layers = capture.layers();
-  HYLO_CHECK(layers == static_cast<index_t>(blocks.size()),
-             "capture/block count mismatch");
-  if (static_cast<index_t>(layers_.size()) != layers)
-    layers_.resize(static_cast<std::size_t>(layers));
-
-  // Async mode: anything still in flight from the previous refresh has
-  // missed its commit deadline and degrades to stale factors.
-  if (comm != nullptr && comm->async()) resolve_pending(*comm, true);
-
-  // Stage 1 (parallel across layers): assemble the global factors — bitwise
-  // equal to the modeled allgather result — and invert each layer's kernel.
-  // Pure compute on disjoint per-layer *candidate* state; the comm model is
-  // charged afterwards, serially, so its trace is unchanged by threading,
-  // and candidates commit only once their collectives landed.
-  // hylo-scratch-begin(sngd_update)
-  std::vector<LayerState> cand(static_cast<std::size_t>(layers));
+  // Parallel across layers: assemble the global factors — bitwise equal to
+  // the modeled allgather result — and invert each layer's kernel, on
+  // disjoint per-layer candidates. The pipeline charges the collectives
+  // afterwards, serially, so the trace is unchanged by threading.
+  std::vector<State> cand(static_cast<std::size_t>(layers));
   std::vector<double> inv_s(static_cast<std::size_t>(layers), 0.0);
   par::parallel_for(
       0, layers, 1,
       [&](index_t l0, index_t l1) {
         for (index_t l = l0; l < l1; ++l) {
-          LayerState& st = cand[static_cast<std::size_t>(l)];
-          const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
-          const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
-          st.a_glob = vstack(a_ranks);
-          st.g_glob = vstack(g_ranks);
+          State& st = cand[static_cast<std::size_t>(l)];
+          st.a_glob = vstack(capture.a[static_cast<std::size_t>(l)]);
+          st.g_glob = vstack(capture.g[static_cast<std::size_t>(l)]);
 
           // Kernel inversion at global-batch dimension (step 3).
           WallTimer timer;
           const Matrix k = kernel_matrix(st.a_glob, st.g_glob);
           st.kernel_chol = damped_cholesky(k, cfg_.damping);
-          st.ready = true;
           inv_s[static_cast<std::size_t>(l)] = timer.seconds();
         }
       },
@@ -51,179 +37,43 @@ void Sngd::update_curvature(const std::vector<ParamBlock*>& blocks,
         ws.add_range(cand.data(), l0, l1);
         ws.add_range(inv_s.data(), l0, l1);
       }));
+  book_inversions(comm, inv_s);
 
-  // hylo-commit-begin(sngd_update)
-  auto commit = [&](index_t l) {
-    LayerState& st = layers_[static_cast<std::size_t>(l)];
-    st = std::move(cand[static_cast<std::size_t>(l)]);
-    st.staleness = 0;
-  };
-  // hylo-commit-end(sngd_update)
-
-  // Health probes over the committed (served) state. The exact SNGD kernel
-  // has no rank truncation, so energy_fraction stays NaN (not applicable).
-  auto probe_all = [&] {
-    if (health_ == nullptr || !health_->due()) return;
-    for (index_t l = 0; l < layers; ++l) {
-      const LayerState& st = layers_[static_cast<std::size_t>(l)];
-      obs::LayerHealth h;
-      h.layer = l;
-      h.staleness = st.staleness;
-      if (st.ready) {
-        h.cond = obs::cond_from_cholesky(st.kernel_chol);
-        h.nonfinite = obs::count_nonfinite(st.a_glob) +
-                      obs::count_nonfinite(st.g_glob) +
-                      obs::count_nonfinite(st.kernel_chol);
-      }
-      health_->report_layer(h);
-    }
-  };
-
-  // Stage 2 (serial, layer order): modeled gathers of the raw per-sample
-  // matrices (step 2 of Fig. 1) and broadcast of each inverted kernel
-  // (step 4) — the exact charge sequence of the serial implementation. A
-  // layer whose gather or broadcast is lost keeps its previous factors.
-  if (comm == nullptr) {
-    for (index_t l = 0; l < layers; ++l) commit(l);
-    probe_all();
-    return;
-  }
-
-  // Per-rank gather sizes: the latency term follows the slowest rank, the
-  // wire ledger sums every rank's contribution (ranks may hold different
-  // local-batch row counts).
-  auto rank_bytes = [&](const std::vector<Matrix>& ranks) {
-    std::vector<index_t> bytes;
-    bytes.reserve(ranks.size());
-    for (const auto& m : ranks) bytes.push_back(comm->wire_bytes(m.size()));
-    return bytes;
-  };
-
-  if (comm->async()) {
-    const double now = comm->timeline()->max_clock();
-    double ainv_total = 0.0, ainv_max = 0.0;
-    std::vector<Pending> fresh;
-    fresh.reserve(static_cast<std::size_t>(layers));
-    for (index_t l = 0; l < layers; ++l) {
-      Pending p;
-      p.layer = l;
-      p.state = std::move(cand[static_cast<std::size_t>(l)]);
-      const double sec = inv_s[static_cast<std::size_t>(l)];
-      ainv_total += sec;
-      ainv_max = std::max(ainv_max, sec);
-      comm->profiler().registry().histogram("optim/sngd/inversion_seconds")
-          .observe(sec);
-      const CommEvent ga = comm->icharge_allgather(
-          rank_bytes(capture.a[static_cast<std::size_t>(l)]), "comm/gather",
-          now);
-      apply_escaped_corruption(*comm, {&p.state.a_glob});
-      const CommEvent gg = comm->icharge_allgather(
-          rank_bytes(capture.g[static_cast<std::size_t>(l)]), "comm/gather",
-          ga.ready_s);
-      apply_escaped_corruption(*comm, {&p.state.g_glob});
-      const CommEvent bc = comm->icharge_broadcast(
-          comm->wire_bytes(p.state.a_glob.rows() * p.state.a_glob.rows()),
-          "comm/broadcast", gg.ready_s);
-      apply_escaped_corruption(*comm, {&p.state.kernel_chol});
-      p.event = chain_event(chain_event(ga, gg), bc);
-      fresh.push_back(std::move(p));
-    }
-    comm->profiler().add("comp/inversion", ainv_total);
-    comm->profiler().add("comp/inversion_critical", ainv_max);
-    // hylo-commit-begin(sngd_async)
-    for (auto& p : fresh) pending_.push_back(std::move(p));
-    // hylo-commit-end(sngd_async)
-    probe_all();
-    return;
-  }
-
-  double inv_total = 0.0, inv_max = 0.0;
+  std::vector<Candidate> out;
+  out.reserve(static_cast<std::size_t>(layers));
   for (index_t l = 0; l < layers; ++l) {
-    LayerState& st = cand[static_cast<std::size_t>(l)];
-    const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
-    const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
-    const double sec = inv_s[static_cast<std::size_t>(l)];
-    inv_total += sec;
-    try {
-      // Each charge may leave an escaped-corruption ticket for the payload
-      // it modeled; consume it against the candidate that payload carried.
-      comm->charge_allgather(rank_bytes(a_ranks), "comm/gather");
-      apply_escaped_corruption(*comm, {&st.a_glob});
-      comm->charge_allgather(rank_bytes(g_ranks), "comm/gather");
-      apply_escaped_corruption(*comm, {&st.g_glob});
-      inv_max = std::max(inv_max, sec);
-      comm->profiler().registry().histogram("optim/sngd/inversion_seconds")
-          .observe(sec);
-      // Broadcast of the inverted kernel (step 4): (P·m)² scalars.
-      comm->charge_broadcast(
-          comm->wire_bytes(st.a_glob.rows() * st.a_glob.rows()),
-          "comm/broadcast");
-      apply_escaped_corruption(*comm, {&st.kernel_chol});
-    } catch (const CommFailure&) {
-      // hylo-commit-begin(sngd_stale)
-      LayerState& old = layers_[static_cast<std::size_t>(l)];
-      note_stale_refresh(*comm, "sngd", l, old.ready);
-      ++old.staleness;
-      // hylo-commit-end(sngd_stale)
-      continue;
-    }
-    if (!guard_commit(*comm, "sngd", l,
-                      {&st.a_glob, &st.g_glob, &st.kernel_chol},
-                      {&layers_[static_cast<std::size_t>(l)].a_glob,
-                       &layers_[static_cast<std::size_t>(l)].g_glob,
-                       &layers_[static_cast<std::size_t>(l)].kernel_chol})) {
-      // hylo-commit-begin(sngd_guard)
-      LayerState& old = layers_[static_cast<std::size_t>(l)];
-      note_stale_refresh(*comm, "sngd", l, old.ready);
-      ++old.staleness;
-      // hylo-commit-end(sngd_guard)
-      continue;
-    }
-    commit(l);
+    auto st =
+        std::make_unique<State>(std::move(cand[static_cast<std::size_t>(l)]));
+    Candidate c;
+    c.collectives = {
+        Collective::allgather(capture.a[static_cast<std::size_t>(l)],
+                              {&st->a_glob}),
+        Collective::allgather(capture.g[static_cast<std::size_t>(l)],
+                              {&st->g_glob}),
+        // The inverted kernel: (P·m)² scalars.
+        Collective::broadcast(st->a_glob.rows() * st->a_glob.rows(),
+                              {&st->kernel_chol})};
+    c.state = std::move(st);
+    out.push_back(std::move(c));
   }
-  comm->profiler().add("comp/inversion", inv_total);
-  comm->profiler().add("comp/inversion_critical", inv_max);
-  probe_all();
-  // hylo-scratch-end(sngd_update)
+  return out;
 }
 
-void Sngd::resolve_pending(CommSim& comm, bool deadline) {
-  if (pending_.empty()) return;
-  const double now = comm.timeline()->max_clock();
-  sort_by_completion(pending_);
-  std::vector<Pending> keep;
-  for (auto& p : pending_) {
-    const std::size_t l = static_cast<std::size_t>(p.layer);
-    if (l >= layers_.size()) continue;  // network shrank; refresh is moot
-    LayerState& st = layers_[l];
-    if (!p.event.failed && p.event.ready_s <= now) {
-      if (guard_commit(comm, "sngd", p.layer,
-                       {&p.state.a_glob, &p.state.g_glob,
-                        &p.state.kernel_chol},
-                       {&st.a_glob, &st.g_glob, &st.kernel_chol})) {
-        st = std::move(p.state);
-        st.staleness = 0;
-      } else {
-        note_stale_refresh(comm, "sngd", p.layer, st.ready);
-        ++st.staleness;
-      }
-    } else if (p.event.failed || deadline) {
-      note_stale_refresh(comm, "sngd", p.layer, st.ready);
-      ++st.staleness;
-    } else {
-      keep.push_back(std::move(p));
-    }
-  }
-  pending_.swap(keep);
+// The exact SNGD kernel has no rank truncation, so energy_fraction stays NaN
+// (not applicable).
+void Sngd::probe_layer(index_t layer, const CaptureSet& /*capture*/,
+                       obs::LayerHealth& h) const {
+  const State& st = served<State>(layer);
+  h.cond = obs::cond_from_cholesky(st.kernel_chol);
+  h.nonfinite = obs::count_nonfinite(st.a_glob) +
+                obs::count_nonfinite(st.g_glob) +
+                obs::count_nonfinite(st.kernel_chol);
 }
-
-void Sngd::poll_async(CommSim& comm) { resolve_pending(comm, false); }
 
 Matrix Sngd::preconditioned(const Matrix& grad, index_t layer) const {
-  HYLO_CHECK(layer >= 0 && layer < static_cast<index_t>(layers_.size()),
-             "SNGD layer " << layer << " unknown");
-  const LayerState& st = layers_[static_cast<std::size_t>(layer)];
-  HYLO_CHECK(st.ready, "SNGD layer " << layer << " has no curvature yet");
+  HYLO_CHECK(layer_ready(layer),
+             "SNGD layer " << layer << " has no curvature yet");
+  const State& st = served<State>(layer);
   const Matrix uv = apply_jacobian(st.a_glob, st.g_glob, grad);
   const Matrix y = cholesky_solve(st.kernel_chol, uv);
   Matrix out = grad - apply_jacobian_t(st.a_glob, st.g_glob, y);
@@ -235,57 +85,16 @@ void Sngd::precondition_block(ParamBlock& pb, index_t layer) {
   pb.gw = preconditioned(pb.gw, layer);
 }
 
-index_t Sngd::state_bytes() const {
-  index_t scalars = 0;
-  for (const auto& st : layers_)
-    scalars += st.a_glob.size() + st.g_glob.size() + st.kernel_chol.size();
-  return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
+void Sngd::State::write(ckpt::ByteWriter& w) const {
+  w.matrix(a_glob);
+  w.matrix(g_glob);
+  w.matrix(kernel_chol);
 }
 
-void Sngd::save_state(Network& net, ckpt::ByteWriter& w) const {
-  Optimizer::save_state(net, w);
-  w.u64(layers_.size());
-  for (const auto& st : layers_) {
-    w.matrix(st.a_glob);
-    w.matrix(st.g_glob);
-    w.matrix(st.kernel_chol);
-    w.b(st.ready);
-    w.i64(st.staleness);
-  }
-  // In-flight async refreshes (see DESIGN.md §15): snapshots taken with
-  // gathers on the wire must resume bitwise.
-  w.u64(pending_.size());
-  for (const auto& p : pending_) {
-    w.i64(p.layer);
-    write_event(w, p.event);
-    w.matrix(p.state.a_glob);
-    w.matrix(p.state.g_glob);
-    w.matrix(p.state.kernel_chol);
-    w.b(p.state.ready);
-    w.i64(p.state.staleness);
-  }
-}
-
-void Sngd::load_state(Network& net, ckpt::ByteReader& r) {
-  Optimizer::load_state(net, r);
-  layers_.assign(r.u64(), LayerState{});
-  for (auto& st : layers_) {
-    st.a_glob = r.matrix();
-    st.g_glob = r.matrix();
-    st.kernel_chol = r.matrix();
-    st.ready = r.b();
-    st.staleness = r.i64();
-  }
-  pending_.assign(r.u64(), Pending{});
-  for (auto& p : pending_) {
-    p.layer = r.i64();
-    p.event = read_event(r);
-    p.state.a_glob = r.matrix();
-    p.state.g_glob = r.matrix();
-    p.state.kernel_chol = r.matrix();
-    p.state.ready = r.b();
-    p.state.staleness = r.i64();
-  }
+void Sngd::State::read(ckpt::ByteReader& r) {
+  a_glob = r.matrix();
+  g_glob = r.matrix();
+  kernel_chol = r.matrix();
 }
 
 }  // namespace hylo

@@ -301,14 +301,15 @@ TEST(AsyncTrainer, ConfigPinBeatsEnvironment) {
 }
 
 TEST(AsyncTrainer, SnapshotResumeIsBitwise) {
-  // Interrupt an async run at a snapshot boundary and resume: weights,
-  // losses, and metrics must match the uninterrupted run bitwise. The
-  // timeline section rides in the snapshot exactly when async mode is
+  // Interrupt an async run at a snapshot boundary and resume, for every
+  // curvature optimizer: weights, losses, and metrics must match the
+  // uninterrupted run bitwise. The earliest snapshot catches refresh chains
+  // still in flight, so the resume replays serialized pending state too.
+  // The timeline section rides in the snapshot exactly when async mode is
   // active, so the resumed event queue continues from the same clocks and
   // wire cursor. (Wall seconds fold in measured replicated compute, which
   // the resume contract documents as restarting — not compared.)
   const DataSplit data = spiral_data();
-  const std::string dir = tmp_dir("async_resume");
   auto make_net = [] { return make_mlp({2, 1, 1}, {16}, 2, 3); };
   auto make_cfg = [&] {
     TrainConfig tc = async_config(2, 2);
@@ -321,48 +322,64 @@ TEST(AsyncTrainer, SnapshotResumeIsBitwise) {
   oc.damping = 0.3;
   oc.update_freq = 3;
 
-  // Reference: straight through.
-  Network ref_net = make_net();
-  KFac ref_opt(oc);
-  Trainer ref(ref_net, ref_opt, data, make_cfg());
-  const TrainResult ref_res = ref.run();
+  for (const char* name : {"KFAC", "EKFAC", "KBFGS-L", "SNGD", "HyLo"}) {
+    SCOPED_TRACE(name);
+    const std::string dir = tmp_dir(std::string("async_resume_") + name);
 
-  // Snapshotting run.
-  Network snap_net = make_net();
-  KFac snap_opt(oc);
-  TrainConfig snap_cfg = make_cfg();
-  snap_cfg.checkpoint.dir = dir;
-  snap_cfg.checkpoint.every = 4;
-  snap_cfg.checkpoint.keep = 0;
-  Trainer snapper(snap_net, snap_opt, data, snap_cfg);
-  snapper.run();
-  const std::vector<std::string> snaps = ckpt::list_snapshots(dir);
-  ASSERT_FALSE(snaps.empty());
+    // Reference: straight through.
+    Network ref_net = make_net();
+    auto ref_opt = make_optimizer(name, oc);
+    Trainer ref(ref_net, *ref_opt, data, make_cfg());
+    const TrainResult ref_res = ref.run();
 
-  // Resume the earliest snapshot to cover the longest continuation.
-  Network res_net = make_net();
-  KFac res_opt(oc);
-  Trainer resumer(res_net, res_opt, data, make_cfg());
-  const TrainResult res_res = resumer.resume(snaps.front());
+    // Snapshotting run.
+    Network snap_net = make_net();
+    auto snap_opt = make_optimizer(name, oc);
+    TrainConfig snap_cfg = make_cfg();
+    snap_cfg.checkpoint.dir = dir;
+    snap_cfg.checkpoint.every = 4;
+    snap_cfg.checkpoint.keep = 0;
+    Trainer snapper(snap_net, *snap_opt, data, snap_cfg);
+    snapper.run();
+    const std::vector<std::string> snaps = ckpt::list_snapshots(dir);
+    ASSERT_FALSE(snaps.empty());
 
-  ASSERT_EQ(ref_res.epochs.size(), res_res.epochs.size());
-  for (std::size_t e = 0; e < ref_res.epochs.size(); ++e) {
-    EXPECT_EQ(ref_res.epochs[e].train_loss, res_res.epochs[e].train_loss);
-    EXPECT_EQ(ref_res.epochs[e].test_metric, res_res.epochs[e].test_metric);
+    // The earliest snapshot holds chains in flight.
+    {
+      const ckpt::SnapshotReader snap(snaps.front());
+      Network probe_net = make_net();
+      auto probe = make_optimizer(name, oc);
+      ckpt::ByteReader r = snap.open("optimizer");
+      probe->load_state(probe_net, r);
+      EXPECT_GT(dynamic_cast<CurvatureOptimizer&>(*probe).async_pending(), 0);
+    }
+
+    // Resume the earliest snapshot to cover the longest continuation.
+    Network res_net = make_net();
+    auto res_opt = make_optimizer(name, oc);
+    Trainer resumer(res_net, *res_opt, data, make_cfg());
+    const TrainResult res_res = resumer.resume(snaps.front());
+
+    ASSERT_EQ(ref_res.epochs.size(), res_res.epochs.size());
+    for (std::size_t e = 0; e < ref_res.epochs.size(); ++e) {
+      EXPECT_EQ(ref_res.epochs[e].train_loss, res_res.epochs[e].train_loss);
+      EXPECT_EQ(ref_res.epochs[e].test_metric, res_res.epochs[e].test_metric);
+    }
+    // The modeled timeline itself continues bitwise.
+    EXPECT_EQ(ref.comm().timeline()->horizon(),
+              resumer.comm().timeline()->horizon());
+    EXPECT_EQ(ref.comm().comm_seconds(), resumer.comm().comm_seconds());
+    auto flat = [](Network& n) {
+      std::vector<real_t> out;
+      for (auto* pb : n.param_blocks())
+        out.insert(out.end(), pb->w.data(), pb->w.data() + pb->w.size());
+      return out;
+    };
+    const std::vector<real_t> wa = flat(ref_net), wb = flat(res_net);
+    ASSERT_EQ(wa.size(), wb.size());
+    for (std::size_t i = 0; i < wa.size(); ++i) EXPECT_EQ(wa[i], wb[i]);
+    std::filesystem::remove_all(dir);
   }
-  // The modeled timeline itself continues bitwise.
-  EXPECT_EQ(ref.comm().timeline()->horizon(),
-            resumer.comm().timeline()->horizon());
-  EXPECT_EQ(ref.comm().comm_seconds(), resumer.comm().comm_seconds());
-  auto flat = [](Network& n) {
-    std::vector<real_t> out;
-    for (auto* pb : n.param_blocks())
-      out.insert(out.end(), pb->w.data(), pb->w.data() + pb->w.size());
-    return out;
-  };
-  const std::vector<real_t> wa = flat(ref_net), wb = flat(res_net);
-  ASSERT_EQ(wa.size(), wb.size());
-  for (std::size_t i = 0; i < wa.size(); ++i) EXPECT_EQ(wa[i], wb[i]);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <type_traits>
 
 #include "hylo/hylo.hpp"
 #include "test_util.hpp"
@@ -314,6 +316,113 @@ TEST(OptimizerDegradation, SngdKeepsStaleFactors) {
   EXPECT_EQ(comm.profiler().registry().counter_value(
                 "optim/sngd/stale_refreshes"),
             1);
+}
+
+// Seed of a rank_down-only schedule whose first collective lands and whose
+// second is lost.
+std::uint64_t land_then_lose_seed(index_t world) {
+  for (std::uint64_t seed = 1;; ++seed) {
+    FaultPlan plan(only_rank_down(seed, 0.5));
+    const FaultKind first = plan.next(world).kind;
+    if (first == FaultKind::kNone &&
+        plan.next(world).kind == FaultKind::kRankDown)
+      return seed;
+  }
+}
+
+template <typename Opt>
+struct ExposedOptimizer : Opt {
+  using Opt::Opt;
+  using Opt::precondition_block;
+};
+
+// What one comm mode serves across three refreshes (clean, lost, clean).
+struct LostRefreshRun {
+  std::vector<Matrix> preconditioned;  ///< after each refresh
+  std::vector<index_t> staleness;      ///< after each refresh
+  std::int64_t inversion_calls = 0;    ///< comp/inversion bookings
+  std::int64_t inversion_samples = 0;  ///< optim/<m>/inversion_seconds
+};
+
+template <typename Opt>
+LostRefreshRun run_lost_refresh(CommMode mode, const char* method) {
+  const index_t world = 2, m = 8, din = 6, dout = 5;
+  Rng rng(11);
+  const CaptureSet caps[] = {make_capture(rng, world, m, din, dout),
+                             make_capture(rng, world, m, din, dout),
+                             make_capture(rng, world, m, din, dout)};
+  const Matrix grad = testutil::random_matrix(rng, dout, din);
+  OptimConfig cfg;
+  cfg.damping = 0.3;
+  cfg.stat_decay = 0.5;
+  cfg.rank_ratio = 0.5;
+  ExposedOptimizer<Opt> opt(cfg);
+  if constexpr (std::is_same_v<Opt, HyloOptimizer>) {
+    opt.set_policy(HyloOptimizer::Policy::kAlwaysKid);
+    opt.begin_epoch(0, false);
+  }
+  ParamBlock pb;
+  CommSim comm(world, mist_v100());
+  comm.set_mode(mode);
+  LostRefreshRun out;
+  for (int refresh = 0; refresh < 3; ++refresh) {
+    comm.configure_faults(refresh == 1
+                              ? only_rank_down(land_then_lose_seed(world), 0.5)
+                              : FaultConfig{});
+    opt.update_curvature({&pb}, caps[refresh], &comm);
+    if (comm.async()) {
+      // Let every chain complete, then commit (or degrade) it.
+      comm.timeline()->barrier_at(comm.timeline()->horizon());
+      opt.poll_async(comm);
+    }
+    pb.gw = grad;
+    opt.precondition_block(pb, 0);
+    out.preconditioned.push_back(pb.gw);
+    out.staleness.push_back(opt.layer_staleness(0));
+  }
+  auto& reg = comm.profiler().registry();
+  out.inversion_calls = comm.profiler().calls("comp/inversion");
+  out.inversion_samples =
+      reg.histogram(std::string("optim/") + method + "/inversion_seconds")
+          .count();
+  return out;
+}
+
+template <typename Opt>
+void expect_lost_refresh_mode_parity(const char* method,
+                                     std::int64_t inversion_calls,
+                                     std::int64_t inversion_samples) {
+  const LostRefreshRun lock = run_lost_refresh<Opt>(CommMode::kLockstep, method);
+  const LostRefreshRun async = run_lost_refresh<Opt>(CommMode::kAsync, method);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const Matrix& a = lock.preconditioned[r];
+    const Matrix& b = async.preconditioned[r];
+    ASSERT_EQ(a.size(), b.size()) << method;
+    const std::size_t bytes =
+        sizeof(real_t) * static_cast<std::size_t>(a.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
+        << method << " refresh " << r << ": lockstep and async serve "
+        << "curvature that differs by " << max_abs_diff(a, b) << " max-abs";
+    EXPECT_EQ(lock.staleness[r], async.staleness[r]) << method << " " << r;
+  }
+  EXPECT_EQ(lock.staleness, (std::vector<index_t>{0, 1, 0})) << method;
+  // Measured compute is booked once per built candidate, lost or not.
+  EXPECT_EQ(lock.inversion_calls, inversion_calls) << method;
+  EXPECT_EQ(async.inversion_calls, inversion_calls) << method;
+  EXPECT_EQ(lock.inversion_samples, inversion_samples) << method;
+  EXPECT_EQ(async.inversion_samples, inversion_samples) << method;
+}
+
+TEST(OptimizerDegradation, LostRefreshCommitsIdenticallyInBothModes) {
+  // A refresh whose first collective lands and whose second is lost commits
+  // nothing in either comm mode: the next preconditioned gradients and
+  // staleness ages are bitwise equal in lockstep and async. KFAC/EKFAC book
+  // comp/inversion once per refresh, HyLo once per layer (one layer here).
+  expect_lost_refresh_mode_parity<KFac>("kfac", 3, 3);
+  expect_lost_refresh_mode_parity<EKFac>("ekfac", 3, 3);
+  expect_lost_refresh_mode_parity<KBfgs>("kbfgs", 0, 0);
+  expect_lost_refresh_mode_parity<Sngd>("sngd", 3, 3);
+  expect_lost_refresh_mode_parity<HyloOptimizer>("hylo", 3, 3);
 }
 
 TEST(TrainerFaults, CompletesUnderHeavyGatherFailure) {

@@ -24,6 +24,14 @@ CaptureSet make_capture(Rng& rng, index_t world, index_t m, index_t din,
   return cap;
 }
 
+// Exposes the served running input factor E[aaᵀ] of a layer.
+struct TestKFac : KFac {
+  using KFac::KFac;
+  const Matrix& a_factor(index_t layer) const {
+    return served<State>(layer).a_factor;
+  }
+};
+
 TEST(KFac, PreconditionMatchesManualFormula) {
   Rng rng(1);
   const index_t m = 12, din = 5, dout = 4;
@@ -67,40 +75,31 @@ TEST(KFac, FactorsAverageAcrossWorkers) {
   const CaptureSet cap = make_capture(rng, 2, 8, 5, 4);
   OptimConfig cfg;
   cfg.stat_decay = 0.0;
-  struct TestKFac : KFac {
-    using KFac::KFac;
-    using KFac::layers_;
-    using KFac::refresh_factors;
-  };
   TestKFac opt(cfg);
   ParamBlock pb;
   CommSim comm(2, loopback());
-  opt.refresh_factors({&pb}, cap, &comm);
+  opt.update_curvature({&pb}, cap, &comm);
 
   std::vector<Matrix> ap(cap.a[0].begin(), cap.a[0].end());
   const Matrix want = gram_tn(vstack(ap)) * (1.0 / 16.0);
-  EXPECT_LT(max_abs_diff(opt.layers_[0].a_factor, want), 1e-10);
+  EXPECT_LT(max_abs_diff(opt.a_factor(0), want), 1e-10);
 }
 
 TEST(KFac, StatDecayBlendsOldAndNew) {
   Rng rng(3);
   OptimConfig cfg;
   cfg.stat_decay = 0.5;
-  struct TestKFac : KFac {
-    using KFac::KFac;
-    using KFac::layers_;
-  };
   TestKFac opt(cfg);
   ParamBlock pb;
   CommSim comm(1, loopback());
   const CaptureSet cap1 = make_capture(rng, 1, 8, 4, 3);
   const CaptureSet cap2 = make_capture(rng, 1, 8, 4, 3);
   opt.update_curvature({&pb}, cap1, &comm);
-  const Matrix f1 = opt.layers_[0].a_factor;
+  const Matrix f1 = opt.a_factor(0);
   opt.update_curvature({&pb}, cap2, &comm);
   const Matrix f2_new = gram_tn(cap2.a[0][0]) * (1.0 / 8.0);
   const Matrix want = f1 * 0.5 + f2_new * 0.5;
-  EXPECT_LT(max_abs_diff(opt.layers_[0].a_factor, want), 1e-10);
+  EXPECT_LT(max_abs_diff(opt.a_factor(0), want), 1e-10);
 }
 
 TEST(KFac, ChargesFactorAllreduceAndInverseBroadcast) {
