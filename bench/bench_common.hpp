@@ -9,17 +9,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "hylo/common/env.hpp"
 #include "hylo/hylo.hpp"
 
 namespace hylo::bench {
 
 inline bool large_scale() {
-  const char* env = std::getenv("HYLO_BENCH_SCALE");
-  return env != nullptr && std::string(env) == "large";
+  return env::read("HYLO_BENCH_SCALE", [](const std::string& scale) {
+           HYLO_CHECK(scale == "large", "'" << scale
+                                            << "' is not a bench scale (large, "
+                                               "or unset for the default)");
+           return true;
+         }).value_or(false);
 }
 
 /// Opt-in telemetry for every bench driver: when HYLO_TELEMETRY_DIR is set,
@@ -27,9 +32,9 @@ inline bool large_scale() {
 /// each training run the bench performs (per-step records off — bench runs
 /// are short but many). No-op otherwise.
 inline void apply_env_telemetry(TrainConfig& tc, const std::string& tag) {
-  const char* dir = std::getenv("HYLO_TELEMETRY_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  tc.telemetry.dir = std::string(dir) + "/" + tag;
+  const std::optional<std::string> dir = env::get("HYLO_TELEMETRY_DIR");
+  if (!dir.has_value()) return;
+  tc.telemetry.dir = *dir + "/" + tag;
   tc.telemetry.per_step = false;
 }
 

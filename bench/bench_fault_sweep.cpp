@@ -53,10 +53,7 @@ SweepResult run_point(const SweepPoint& point, index_t world) {
   auto& reg = trainer.comm().profiler().registry();
   out.injected = reg.counter_value("comm/faults/injected");
   out.unrecoverable = reg.counter_value("comm/faults/unrecoverable");
-  for (const auto& [name, c] : reg.counters())
-    if (name.rfind("optim/", 0) == 0 &&
-        name.find("/stale_refreshes") != std::string::npos)
-      out.stale += c.value();
+  out.stale = optim_counter_sum(reg, "/stale_refreshes");
   return out;
 }
 

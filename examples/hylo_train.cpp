@@ -8,7 +8,8 @@
 //       --checkpoint model.ckpt
 //   (one command line; wrapped here for readability)
 //
-// Flags (all optional; sensible defaults):
+// Flags (all optional; sensible defaults; numeric values are parsed whole,
+// like the HYLO_* variables in README "Configuration"):
 //   --model {mlp,c3f1,resnet32,resnet50,densenet,unet}
 //   --optimizer {SGD,ADAM,KFAC,EKFAC,KBFGS-L,SNGD,HyLo}
 //   --world N --epochs N --batch N --max-iters N --seed N
@@ -45,10 +46,11 @@
 //                          HYLO_RECOVER, e.g. --recover 5:40:0.25; needs
 //                          --checkpoint-dir/-every; the flag overrides the
 //                          environment spec — see DESIGN.md §16)
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "hylo/hylo.hpp"
 
@@ -65,10 +67,18 @@ struct Args {
   }
   double getd(const std::string& key, double def) const {
     const auto it = kv.find(key);
-    return it == kv.end() ? def : std::stod(it->second);
+    constexpr double kMax = std::numeric_limits<double>::max();
+    return it == kv.end()
+               ? def
+               : env::parse_real(it->second, -kMax, kMax, "--" + key);
   }
-  index_t geti(const std::string& key, index_t def) const {
-    return static_cast<index_t>(getd(key, static_cast<double>(def)));
+  template <typename Int = index_t>
+  Int geti(const std::string& key, std::type_identity_t<Int> def) const {
+    const auto it = kv.find(key);
+    using limits = std::numeric_limits<Int>;
+    return it == kv.end() ? def
+                          : env::parse_int<Int>(it->second, limits::min(),
+                                                limits::max(), "--" + key);
   }
   bool has(const std::string& key) const { return flags.count(key) > 0; }
 };
@@ -100,7 +110,7 @@ int main(int argc, char** argv) {
 
   const std::string model = args.get("model", "resnet32");
   const std::string optimizer = args.get("optimizer", "HyLo");
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.geti("seed", 42));
+  const std::uint64_t seed = args.geti<std::uint64_t>("seed", 42);
 
   // Dataset + model pairing.
   DataSplit data;

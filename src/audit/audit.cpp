@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hylo/common/check.hpp"
+#include "hylo/common/env.hpp"
 #include "hylo/obs/metrics.hpp"
 #include "hylo/par/thread_pool.hpp"
 
@@ -26,11 +25,8 @@ std::atomic<std::int64_t> g_checked{0};
 std::atomic<std::int64_t> g_replays{0};
 
 int resolve_enabled() {
-  const char* env = std::getenv("HYLO_AUDIT");
-  if (env != nullptr && *env != '\0') {
-    const std::string_view v(env);
-    return (v == "0" || v == "false" || v == "off" || v == "OFF") ? 0 : 1;
-  }
+  if (const auto on = env::read("HYLO_AUDIT", env::parse_switch))
+    return *on ? 1 : 0;
 #ifdef HYLO_AUDIT_DEFAULT
   return 1;
 #else

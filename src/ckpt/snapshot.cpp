@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
@@ -304,25 +303,6 @@ Rng::State read_rng_state(ByteReader& r) {
   st.have_cached_normal = r.b();
   st.cached_normal = r.real();
   return st;
-}
-
-// ------------------------------------------------------------------- config
-
-std::optional<CkptConfig> CkptConfig::from_env() {
-  const char* dir = std::getenv("HYLO_CKPT_DIR");
-  if (dir == nullptr || *dir == '\0') return std::nullopt;
-  CkptConfig cfg;
-  cfg.dir = dir;
-  cfg.every = 50;
-  if (const char* every = std::getenv("HYLO_CKPT_EVERY");
-      every != nullptr && *every != '\0')
-    cfg.every = static_cast<index_t>(std::atoll(every));
-  if (const char* keep = std::getenv("HYLO_CKPT_KEEP");
-      keep != nullptr && *keep != '\0')
-    cfg.keep = static_cast<index_t>(std::atoll(keep));
-  HYLO_CHECK(cfg.every >= 0 && cfg.keep >= 0,
-             "HYLO_CKPT_EVERY / HYLO_CKPT_KEEP must be non-negative");
-  return cfg;
 }
 
 std::vector<std::string> list_snapshots(const std::string& dir) {

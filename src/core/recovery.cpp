@@ -1,83 +1,37 @@
 #include "hylo/core/recovery.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <limits>
 #include <string>
-#include <vector>
 
-#include "hylo/common/check.hpp"
+#include "hylo/common/env.hpp"
 
 namespace hylo {
 
-namespace {
-std::string lower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-double parse_number(const std::string& field, const char* what) {
-  char* end = nullptr;
-  const double v = std::strtod(field.c_str(), &end);
-  HYLO_CHECK(end != field.c_str() && *end == '\0',
-             "bad recovery spec: " << what << " '" << field
-                                   << "' is not a number (expected "
-                                      "off|on|BUDGET[:FO_ITERS[:LR_BACKOFF]])");
-  return v;
-}
-}  // namespace
-
 RecoveryConfig RecoveryConfig::parse(const std::string& spec) {
   RecoveryConfig cfg;
-  const std::string s = lower(spec);
+  const std::string s = env::lower(spec);
   if (s.empty() || s == "off") return cfg;  // disabled
   cfg.enabled = true;
   if (s == "on" || s == "1") return cfg;
-  const auto fields = split(s, ':');
+  const auto fields = env::split(s, ':');
   HYLO_CHECK(fields.size() <= 3,
              "bad recovery spec '" << spec
                                    << "': expected "
                                       "off|on|BUDGET[:FO_ITERS[:LR_BACKOFF]]");
-  const double budget = parse_number(fields[0], "budget");
-  HYLO_CHECK(budget >= 1.0 && budget == static_cast<index_t>(budget),
-             "bad recovery spec '" << spec
-                                   << "': budget must be a positive integer");
-  cfg.max_rollbacks = static_cast<index_t>(budget);
-  if (fields.size() >= 2) {
-    const double fo = parse_number(fields[1], "first-order iters");
-    HYLO_CHECK(fo >= 0.0 && fo == static_cast<index_t>(fo),
-               "bad recovery spec '"
-                   << spec << "': first-order iters must be a non-negative "
-                              "integer");
-    cfg.first_order_iters = static_cast<index_t>(fo);
-  }
+  constexpr index_t kMax = std::numeric_limits<index_t>::max();
+  cfg.max_rollbacks =
+      env::parse_int<index_t>(fields[0], 1, kMax, "recovery budget");
+  if (fields.size() >= 2)
+    cfg.first_order_iters = env::parse_int<index_t>(
+        fields[1], 0, kMax, "recovery first-order iters");
   if (fields.size() == 3) {
-    const double backoff = parse_number(fields[2], "lr backoff");
-    HYLO_CHECK(backoff > 0.0 && backoff <= 1.0,
+    cfg.lr_backoff =
+        env::parse_real(fields[2], 0.0, 1.0, "recovery lr backoff");
+    HYLO_CHECK(cfg.lr_backoff > 0.0,
                "bad recovery spec '" << spec
                                      << "': lr backoff must be in (0, 1]");
-    cfg.lr_backoff = backoff;
   }
   return cfg;
-}
-
-std::optional<RecoveryConfig> RecoveryConfig::from_env() {
-  const char* spec = std::getenv("HYLO_RECOVER");
-  if (spec == nullptr || *spec == '\0') return std::nullopt;
-  return parse(spec);
 }
 
 RecoveryAction RecoveryPolicy::on_trigger(const std::string& snapshot_path) {

@@ -1,13 +1,13 @@
 #include "hylo/core/trainer.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
 
 #include "hylo/audit/audit.hpp"
+#include "hylo/common/env.hpp"
 #include "hylo/optim/hylo_optimizer.hpp"
 #include "hylo/optim/kfac.hpp"
 #include "hylo/optim/sngd.hpp"
@@ -30,6 +30,23 @@ struct RollbackSignal {
   RecoveryAction action;
   std::string target;
 };
+
+/// A name-keyed map in a snapshot section: its size, then each name
+/// followed by what `put` writes for its value.
+template <typename Map, typename Put>
+void save_named(ckpt::ByteWriter& w, const Map& map, Put put) {
+  w.u64(map.size());
+  for (const auto& [name, value] : map) {
+    w.str(name);
+    put(value);
+  }
+}
+
+/// Read back a save_named map: `take(name)` reads each entry's value.
+template <typename Take>
+void load_named(ckpt::ByteReader& r, Take take) {
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) take(r.str());
+}
 }  // namespace
 
 real_t TrainResult::best_metric() const {
@@ -45,72 +62,22 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
       segmentation_(data.train.is_segmentation()), world_(cfg.world) {
   HYLO_CHECK(cfg_.world >= 1 && cfg_.epochs >= 1 && cfg_.batch_size >= 1,
              "bad train config");
+  const ResolvedConfig rc = resolve_config(cfg_);
   comm_.set_wire_scalar_bytes(cfg_.wire_scalar_bytes);
-  // Comm execution mode: explicit config pins it; the HYLO_COMM environment
-  // applies only when the config leaves it unset. Default stays lockstep.
-  if (cfg_.comm_mode.has_value()) {
-    comm_.set_mode(*cfg_.comm_mode);
-  } else if (const auto env = comm_mode_from_env(); env.has_value()) {
-    comm_.set_mode(*env);
+  comm_.set_mode(rc.comm_mode);
+  comm_.configure_faults(rc.faults);
+  ckpt_ = rc.checkpoint;
+  recovery_ = RecoveryPolicy(rc.recovery);
+  health_ = obs::HealthMonitor(rc.health);
+  alerts_ = obs::AlertEngine(rc.health.alerts);
+  curv_ = dynamic_cast<CurvatureOptimizer*>(opt_);
+  if (rc.health.enabled) {
+    health_.set_method(env::lower(opt_->name()));
+    health_.attach(&comm_.profiler().registry(), &runlog_);
+    alerts_.attach(&comm_.profiler().registry(), &runlog_);
+    opt_->set_health(&health_);
   }
-  // Explicit config pins the fault schedule; the HYLO_FAULTS environment
-  // spec applies only when the config leaves it open.
-  if (cfg_.faults.has_value()) {
-    comm_.configure_faults(*cfg_.faults);
-  } else if (const auto env = FaultConfig::from_env(); env.has_value()) {
-    comm_.configure_faults(*env);
-  }
-  // Same precedence for snapshots: a non-empty checkpoint dir in the config
-  // pins the cadence (every == 0 then pins checkpointing off); HYLO_CKPT_*
-  // applies only when the config leaves the dir empty.
-  if (!cfg_.checkpoint.dir.empty()) {
-    ckpt_ = cfg_.checkpoint;
-  } else if (const auto env = ckpt::CkptConfig::from_env(); env.has_value()) {
-    ckpt_ = *env;
-  }
-  // Rollback self-healing: an explicit config pins the policy (enabled ==
-  // false pins off); the HYLO_RECOVER spec applies only when unset.
-  {
-    RecoveryConfig rc;
-    if (cfg_.recovery.has_value()) {
-      rc = *cfg_.recovery;
-    } else if (const auto env = RecoveryConfig::from_env(); env.has_value()) {
-      rc = *env;
-    }
-    HYLO_CHECK(!rc.enabled || ckpt_.enabled(),
-               "recovery needs a checkpoint cadence to roll back to — set "
-               "TrainConfig::checkpoint (dir + every) or HYLO_CKPT_DIR / "
-               "HYLO_CKPT_EVERY alongside HYLO_RECOVER");
-    recovery_ = RecoveryPolicy(rc);
-  }
-  // And for health probes: an explicit config pins them (enabled == false
-  // pins off); the HYLO_HEALTH cadence applies only when unset.
-  {
-    obs::HealthConfig hc;
-    if (cfg_.health.has_value()) {
-      hc = *cfg_.health;
-    } else if (const auto env = obs::HealthConfig::from_env();
-               env.has_value()) {
-      hc = *env;
-    }
-    health_ = obs::HealthMonitor(hc);
-    alerts_ = obs::AlertEngine(hc.alerts);
-    curv_ = dynamic_cast<CurvatureOptimizer*>(opt_);
-    uses_capture_ = curv_ != nullptr;
-    if (hc.enabled) {
-      std::string method = opt_->name();
-      for (char& c : method)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      health_.set_method(std::move(method));
-      health_.attach(&comm_.profiler().registry(), &runlog_);
-      alerts_.attach(&comm_.profiler().registry(), &runlog_);
-      opt_->set_health(&health_);
-    }
-  }
-  loaders_.reserve(static_cast<std::size_t>(cfg_.world));
-  for (index_t r = 0; r < cfg_.world; ++r)
-    loaders_.emplace_back(data.train, cfg_.batch_size, cfg_.data_seed, r,
-                          cfg_.world);
+  reset_loaders();
   if (runlog_.enabled()) {
     runlog_.attach_metrics(&comm_.profiler().registry());
     comm_.set_trace(&runlog_.trace());
@@ -159,6 +126,7 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
       rec.set("lr_backoff", rc.lr_backoff);
       start.set("recovery", std::move(rec));
     }
+    start.set("config_source", rc.source);
     // A resumed run appends to the interrupted run's log: the original
     // run_start already opens it, resume() records the continuation point.
     if (!cfg_.telemetry.append) runlog_.record("run_start", std::move(start));
@@ -263,7 +231,7 @@ void Trainer::run_epoch(index_t epoch, TrainResult& result) {
     // A probe opportunity is a curvature refresh — or, for first-order
     // methods (which never capture), every iteration; the monitor's cadence
     // then thins these to actual probes.
-    if (health_on && (capture || !uses_capture_)) health_.begin_refresh();
+    if (health_on && (capture || curv_ == nullptr)) health_.begin_refresh();
     const PassContext ctx{.training = true, .capture = capture};
     net_->zero_grad();
 
@@ -514,13 +482,10 @@ obs::Json Trainer::collective_deltas() {
 obs::Json Trainer::fault_deltas(std::int64_t* stale) {
   obs::Json out = obs::Json::object();
   *stale = 0;
-  const std::string stale_suffix = "/stale_refreshes";
   for (const auto& [name, c] : comm_.profiler().registry().counters()) {
-    const bool is_fault = name.rfind("comm/faults/", 0) == 0;
+    const bool is_fault = name.starts_with("comm/faults/");
     const bool is_stale =
-        name.rfind("optim/", 0) == 0 && name.size() > stale_suffix.size() &&
-        name.compare(name.size() - stale_suffix.size(), stale_suffix.size(),
-                     stale_suffix) == 0;
+        name.starts_with("optim/") && name.ends_with("/stale_refreshes");
     if (!is_fault && !is_stale) continue;
     const std::int64_t delta = c.value() - last_fault_counters_[name];
     last_fault_counters_[name] = c.value();
@@ -652,14 +617,7 @@ TrainResult Trainer::run_from() {
     rec.set("rollbacks", recovery_.rollbacks());
     rec.set("budget", recovery_.config().max_rollbacks);
     rec.set("rerun_iters", reg.counter_value("recover/rerun_iters"));
-    std::int64_t rejects = 0;
-    const std::string suffix = "/guard_rejects";
-    for (const auto& [name, c] : reg.counters())
-      if (name.rfind("optim/", 0) == 0 && name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0)
-        rejects += c.value();
-    rec.set("guard_rejects", rejects);
+    rec.set("guard_rejects", optim_counter_sum(reg, "/guard_rejects"));
     rec.set("last_good", last_good_path_);
     runlog_.record("recovery_summary", std::move(rec));
   }
@@ -705,14 +663,7 @@ TrainResult Trainer::run_from() {
       const auto& reg = comm_.profiler().registry();
       rec.set("faults_injected", reg.counter_value("comm/faults/injected"));
       rec.set("total_retry_bytes", comm_.total_retry_bytes());
-      std::int64_t stale = 0;
-      const std::string suffix = "/stale_refreshes";
-      for (const auto& [name, c] : reg.counters())
-        if (name.rfind("optim/", 0) == 0 && name.size() > suffix.size() &&
-            name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-                0)
-          stale += c.value();
-      rec.set("stale_refreshes", stale);
+      rec.set("stale_refreshes", optim_counter_sum(reg, "/stale_refreshes"));
       rec.set("fault_plan_draws", comm_.fault_plan()->drawn());
       rec.set("world_shrinks",
               reg.counter_value("dist/elastic/world_shrinks"));
@@ -762,40 +713,17 @@ std::string Trainer::write_snapshot(index_t epoch, index_t next_iter,
   // restored (DESIGN.md §11).
   ckpt::ByteWriter& clock = snap.section("clock");
   const auto& reg = comm_.profiler().registry();
-  const auto& timings = reg.timings();
-  clock.u64(timings.size());
-  for (const auto& [name, e] : timings) {
-    clock.str(name);
+  const auto f64 = [&clock](double v) { clock.f64(v); };
+  const auto i64 = [&clock](std::int64_t v) { clock.i64(v); };
+  save_named(clock, reg.timings(), [&](const auto& e) {
     clock.f64(e.seconds);
     clock.i64(e.calls);
-  }
-  const auto& counters = reg.counters();
-  clock.u64(counters.size());
-  for (const auto& [name, c] : counters) {
-    clock.str(name);
-    clock.i64(c.value());
-  }
-  const auto& gauges = reg.gauges();
-  clock.u64(gauges.size());
-  for (const auto& [name, g] : gauges) {
-    clock.str(name);
-    clock.f64(g.value());
-  }
-  clock.u64(last_comm_seconds_.size());
-  for (const auto& [name, s] : last_comm_seconds_) {
-    clock.str(name);
-    clock.f64(s);
-  }
-  clock.u64(last_comm_counters_.size());
-  for (const auto& [name, v] : last_comm_counters_) {
-    clock.str(name);
-    clock.i64(v);
-  }
-  clock.u64(last_fault_counters_.size());
-  for (const auto& [name, v] : last_fault_counters_) {
-    clock.str(name);
-    clock.i64(v);
-  }
+  });
+  save_named(clock, reg.counters(), [&](const auto& c) { i64(c.value()); });
+  save_named(clock, reg.gauges(), [&](const auto& g) { f64(g.value()); });
+  save_named(clock, last_comm_seconds_, f64);
+  save_named(clock, last_comm_counters_, i64);
+  save_named(clock, last_fault_counters_, i64);
 
   // timeline: the async simulator's clocks / wire cursor / event sequence,
   // present exactly when async mode is active (presence checked on restore)
@@ -846,119 +774,79 @@ void Trainer::restore_snapshot(const std::string& path) {
   ckpt::SnapshotReader snap(path);
 
   ckpt::ByteReader meta = snap.open("meta");
-  const std::string opt_name = meta.str();
-  HYLO_CHECK(opt_name == opt_->name(),
-             "snapshot was written by optimizer " << opt_name
-                 << ", trainer runs " << opt_->name());
-  const index_t world = static_cast<index_t>(meta.i64());
-  HYLO_CHECK(world == cfg_.world, "snapshot world " << world
-                                      << " != configured world "
-                                      << cfg_.world);
-  const index_t batch = static_cast<index_t>(meta.i64());
-  HYLO_CHECK(batch == cfg_.batch_size, "snapshot batch_size "
-                                           << batch << " != configured "
-                                           << cfg_.batch_size);
+  const auto same = [](const char* what, const auto& stored,
+                       const auto& configured) {
+    HYLO_CHECK(stored == configured, "snapshot " << what << " " << stored
+                                                 << " != configured "
+                                                 << configured);
+  };
+  same("optimizer", meta.str(), opt_->name());
+  same("world", meta.i64(), cfg_.world);
+  same("batch_size", meta.i64(), cfg_.batch_size);
   meta.i64();  // epochs as of the snapshot; the horizon may move
-  const std::uint64_t data_seed = meta.u64();
-  HYLO_CHECK(data_seed == cfg_.data_seed,
-             "snapshot data_seed " << data_seed << " != configured "
-                                   << cfg_.data_seed);
-  const bool seg = meta.b();
-  HYLO_CHECK(seg == segmentation_, "snapshot task kind (segmentation="
-                                       << seg << ") does not match dataset");
+  same("data_seed", meta.u64(), cfg_.data_seed);
+  same("segmentation", meta.b(), segmentation_);
   meta.expect_done();
-
-  // Network before optimizer: load_state walks the (restored) graph in the
-  // same block order save_state did.
-  ckpt::ByteReader net = snap.open("network");
-  net_->deserialize_state(net);
-  net.expect_done();
-  ckpt::ByteReader optr = snap.open("optimizer");
-  opt_->load_state(*net_, optr);
-  optr.expect_done();
-
-  ckpt::ByteReader prog = snap.open("progress");
-  global_iter_ = static_cast<index_t>(prog.i64());
-  start_epoch_ = static_cast<index_t>(prog.i64());
-  start_iter_ = static_cast<index_t>(prog.i64());
-  resume_loss_acc_ = prog.real();
-  resume_metric_acc_ = prog.real();
-  resume_rank_batches_ = static_cast<index_t>(prog.i64());
-  const std::int64_t seq = prog.i64();
-  prog.expect_done();
-  // iter 0 is legal: recovery pins an initial snapshot before the first
-  // training iteration so a rollback target always exists.
-  HYLO_CHECK(global_iter_ >= 0 && start_iter_ >= 0 && start_epoch_ >= 0,
-             "snapshot progress cursor is corrupt (global_iter "
-                 << global_iter_ << ", epoch " << start_epoch_ << ", iter "
-                 << start_iter_ << ")");
-  HYLO_CHECK(start_epoch_ < cfg_.epochs,
-             "snapshot is at epoch " << start_epoch_
-                                     << " but the run ends at epoch "
-                                     << cfg_.epochs << " — nothing to resume");
+  const std::int64_t seq = load_training_state(snap);
 
   ckpt::ByteReader clock = snap.open("clock");
   auto& reg = comm_.profiler().registry();
-  for (std::uint64_t i = 0, n = clock.u64(); i < n; ++i) {
-    const std::string name = clock.str();
+  load_named(clock, [&](const std::string& name) {
     const double seconds = clock.f64();
-    const std::int64_t calls = clock.i64();
-    reg.set_timing(name, seconds, calls);
-  }
-  for (std::uint64_t i = 0, n = clock.u64(); i < n; ++i) {
-    const std::string name = clock.str();
+    reg.set_timing(name, seconds, clock.i64());
+  });
+  load_named(clock, [&](const std::string& name) {
     const std::int64_t value = clock.i64();
     auto& c = reg.counter(name);
     HYLO_CHECK(value >= c.value(), "snapshot counter " << name
                                        << " is behind this trainer's — "
                                           "resume into a fresh Trainer");
     c.inc(value - c.value());
-  }
-  for (std::uint64_t i = 0, n = clock.u64(); i < n; ++i) {
-    const std::string name = clock.str();
+  });
+  load_named(clock, [&](const std::string& name) {
     reg.gauge(name).set(clock.f64());
-  }
+  });
   last_comm_seconds_.clear();
-  for (std::uint64_t i = 0, n = clock.u64(); i < n; ++i) {
-    const std::string name = clock.str();
+  load_named(clock, [&](const std::string& name) {
     last_comm_seconds_[name] = clock.f64();
-  }
-  last_comm_counters_.clear();
-  for (std::uint64_t i = 0, n = clock.u64(); i < n; ++i) {
-    const std::string name = clock.str();
-    last_comm_counters_[name] = clock.i64();
-  }
-  last_fault_counters_.clear();
-  for (std::uint64_t i = 0, n = clock.u64(); i < n; ++i) {
-    const std::string name = clock.str();
-    last_fault_counters_[name] = clock.i64();
+  });
+  for (auto* baseline : {&last_comm_counters_, &last_fault_counters_}) {
+    baseline->clear();
+    load_named(clock, [&](const std::string& name) {
+      (*baseline)[name] = clock.i64();
+    });
   }
   clock.expect_done();
 
   // The timeline section must be present exactly when this trainer runs the
   // async simulator: replaying an async run in lockstep (or vice versa)
   // would silently diverge from the interrupted event order.
+  HYLO_CHECK(snap.has("timeline") == comm_.async(),
+             "snapshot " << path
+                 << (comm_.async()
+                         ? " has no event-timeline state but this trainer "
+                           "runs HYLO_COMM=async"
+                         : " carries event-timeline state but this trainer "
+                           "runs the lockstep simulator — configure the same "
+                           "HYLO_COMM mode"));
   if (comm_.async()) {
-    HYLO_CHECK(snap.has("timeline"),
-               "snapshot " << path << " has no event-timeline state but this "
-                              "trainer runs HYLO_COMM=async");
     ckpt::ByteReader t = snap.open("timeline");
     comm_.timeline()->load(t);
     t.expect_done();
-  } else {
-    HYLO_CHECK(!snap.has("timeline"),
-               "snapshot " << path << " carries event-timeline state but "
-                              "this trainer runs the lockstep simulator — "
-                              "configure the same HYLO_COMM mode");
   }
 
   // The fault section must be present exactly when this trainer has an
   // active plan: replaying a faulted run fault-free (or vice versa) would
   // silently diverge from the interrupted schedule.
+  HYLO_CHECK(snap.has("faults") == comm_.faults_active(),
+             "snapshot " << path
+                 << (comm_.faults_active()
+                         ? " has no fault state but this trainer has an "
+                           "active fault plan"
+                         : " carries fault state but this trainer has no "
+                           "fault plan — configure the same "
+                           "HYLO_FAULTS/TrainConfig::faults spec"));
   if (comm_.faults_active()) {
-    HYLO_CHECK(snap.has("faults"),
-               "snapshot " << path << " has no fault state but this trainer "
-                              "has an active fault plan");
     ckpt::ByteReader f = snap.open("faults");
     FaultPlan& plan = *comm_.fault_plan();
     const std::uint64_t seed = f.u64();
@@ -983,21 +871,10 @@ void Trainer::restore_snapshot(const std::string& path) {
     plan.restore(rng, drawn);
     comm_.restore_world(live_world, std::move(lost));
     world_ = live_world;
-  } else {
-    HYLO_CHECK(!snap.has("faults"),
-               "snapshot " << path << " carries fault state but this trainer "
-                              "has no fault plan — configure the same "
-                              "HYLO_FAULTS/TrainConfig::faults spec");
   }
 
   // Re-shard data for the restored world (no-op unless ranks were lost).
-  if (world_ != cfg_.world) {
-    loaders_.clear();
-    loaders_.reserve(static_cast<std::size_t>(world_));
-    for (index_t r = 0; r < world_; ++r)
-      loaders_.emplace_back(data_->train, cfg_.batch_size, cfg_.data_seed, r,
-                            world_);
-  }
+  if (world_ != cfg_.world) reset_loaders();
 
   resumed_ = true;
   comm_.profiler().add("ckpt/restore", timer.seconds());
@@ -1029,15 +906,15 @@ void Trainer::initiate_rollback(index_t epoch, index_t iter, const char* why) {
                     "tighten the checkpoint cadence (checkpoint.every / "
                     "HYLO_CKPT_EVERY)");
   const RecoveryAction act = recovery_.on_trigger(last_good_path_);
+  obs::Json rec = obs::Json::object();  // the rollback or exhaustion record
+  rec.set("trigger", why);
+  rec.set("epoch", epoch);
+  rec.set("iter", iter);
+  rec.set("global_iter", global_iter_);
   if (act.exhausted) {
     // Loud failure with the recovery report on disk: never degrade a spent
     // budget into a silent wrong result.
     if (runlog_.enabled()) {
-      obs::Json rec = obs::Json::object();
-      rec.set("trigger", why);
-      rec.set("epoch", epoch);
-      rec.set("iter", iter);
-      rec.set("global_iter", global_iter_);
       rec.set("rollbacks", recovery_.rollbacks());
       rec.set("budget", recovery_.config().max_rollbacks);
       rec.set("last_good", last_good_path_);
@@ -1055,11 +932,6 @@ void Trainer::initiate_rollback(index_t epoch, index_t iter, const char* why) {
   }
   comm_.profiler().registry().counter("recover/rollbacks").inc();
   if (runlog_.enabled()) {
-    obs::Json rec = obs::Json::object();
-    rec.set("trigger", why);
-    rec.set("epoch", epoch);
-    rec.set("iter", iter);
-    rec.set("global_iter", global_iter_);
     rec.set("target", last_good_path_);
     rec.set("rung", act.rung);
     rec.set("first_order", act.first_order);
@@ -1081,18 +953,16 @@ void Trainer::initiate_rollback(index_t epoch, index_t iter, const char* why) {
   throw RollbackSignal{act, last_good_path_};
 }
 
-void Trainer::rollback_restore(const std::string& path) {
-  WallTimer timer;
-  ckpt::SnapshotReader snap(path);
-  // Network before optimizer, as in restore_snapshot. The meta section was
-  // written by this very trainer, so the structural checks are skipped; the
-  // container's per-section CRCs still verify the bytes.
+std::int64_t Trainer::load_training_state(const ckpt::SnapshotReader& snap) {
+  // Network before optimizer: load_state walks the (restored) graph in the
+  // same block order save_state did.
   ckpt::ByteReader net = snap.open("network");
   net_->deserialize_state(net);
   net.expect_done();
   ckpt::ByteReader optr = snap.open("optimizer");
   opt_->load_state(*net_, optr);
   optr.expect_done();
+
   ckpt::ByteReader prog = snap.open("progress");
   global_iter_ = static_cast<index_t>(prog.i64());
   start_epoch_ = static_cast<index_t>(prog.i64());
@@ -1100,8 +970,35 @@ void Trainer::rollback_restore(const std::string& path) {
   resume_loss_acc_ = prog.real();
   resume_metric_acc_ = prog.real();
   resume_rank_batches_ = static_cast<index_t>(prog.i64());
-  prog.i64();  // run-log cursor: the live log keeps appending past it
+  const std::int64_t seq = prog.i64();
   prog.expect_done();
+  // iter 0 is legal: recovery pins an initial snapshot before the first
+  // training iteration so a rollback target always exists.
+  HYLO_CHECK(global_iter_ >= 0 && start_iter_ >= 0 && start_epoch_ >= 0,
+             "snapshot progress cursor is corrupt (global_iter "
+                 << global_iter_ << ", epoch " << start_epoch_ << ", iter "
+                 << start_iter_ << ")");
+  HYLO_CHECK(start_epoch_ < cfg_.epochs,
+             "snapshot is at epoch " << start_epoch_
+                                     << " but the run ends at epoch "
+                                     << cfg_.epochs << " — nothing to resume");
+  return seq;
+}
+
+void Trainer::reset_loaders() {
+  loaders_.clear();
+  loaders_.reserve(static_cast<std::size_t>(world_));
+  for (index_t r = 0; r < world_; ++r)
+    loaders_.emplace_back(data_->train, cfg_.batch_size, cfg_.data_seed, r,
+                          world_);
+}
+
+void Trainer::rollback_restore(const std::string& path) {
+  WallTimer timer;
+  // The meta section was written by this very trainer, so the structural
+  // checks are skipped; the container's per-section CRCs still verify the
+  // bytes. The run-log cursor is ignored: the live log keeps appending.
+  load_training_state(ckpt::SnapshotReader(path));
   resumed_ = true;
   comm_.profiler().add("ckpt/restore", timer.seconds());
 }
@@ -1131,11 +1028,7 @@ void Trainer::apply_world_shrink(index_t epoch, index_t next_iter) {
 
   // Re-shard the epoch among the survivors: each re-draws the deterministic
   // epoch permutation at the new world and fast-forwards to the boundary.
-  loaders_.clear();
-  loaders_.reserve(static_cast<std::size_t>(world_));
-  for (index_t r = 0; r < world_; ++r)
-    loaders_.emplace_back(data_->train, cfg_.batch_size, cfg_.data_seed, r,
-                          world_);
+  reset_loaders();
   for (auto& loader : loaders_) {
     loader.start_epoch(epoch);
     loader.skip(next_iter);

@@ -1,10 +1,9 @@
 #include "hylo/dist/comm.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 
+#include "hylo/common/env.hpp"
 #include "hylo/common/rng.hpp"
 #include "hylo/tensor/ops.hpp"
 
@@ -18,16 +17,13 @@ const char* to_string(CommMode mode) {
   return "?";
 }
 
-std::optional<CommMode> comm_mode_from_env() {
-  const char* raw = std::getenv("HYLO_COMM");
-  if (raw == nullptr || raw[0] == '\0') return std::nullopt;
-  std::string v(raw);
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
+CommMode parse_comm_mode(const std::string& spec) {
+  const std::string v = env::lower(spec);
   if (v == "lockstep" || v == "sync") return CommMode::kLockstep;
   if (v == "async" || v == "event") return CommMode::kAsync;
-  HYLO_CHECK(false, "HYLO_COMM='" << raw
-                    << "' is not a comm mode (lockstep|sync|async|event)");
-  return std::nullopt;
+  HYLO_CHECK(false, "'" << spec
+                        << "' is not a comm mode (lockstep|sync|async|event)");
+  return CommMode::kLockstep;
 }
 
 void corrupt_values(Matrix& m, std::uint64_t seed) {

@@ -1,8 +1,12 @@
 #include "hylo/dist/fault_plan.hpp"
 
-#include <cstdlib>
-#include <sstream>
-#include <vector>
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string_view>
+#include <utility>
+
+#include "hylo/common/env.hpp"
 
 namespace hylo {
 
@@ -19,96 +23,55 @@ const char* to_string(FaultKind k) {
   return "unknown";
 }
 
-namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (const char c : s) {
-    if (c == sep) {
-      parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  parts.push_back(cur);
-  return parts;
-}
-
-double parse_number(const std::string& s, const char* what) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  HYLO_CHECK(used == s.size() && !s.empty(),
-             "fault spec: bad " << what << " '" << s << "'");
-  return v;
-}
-
-}  // namespace
-
 FaultConfig FaultConfig::parse(const std::string& spec) {
-  const auto fields = split(spec, ':');
+  const auto fields = env::split(spec, ':');
   HYLO_CHECK(fields.size() == 2 || fields.size() == 3,
              "fault spec '" << spec << "' is not seed:rate[:mix]");
   FaultConfig cfg;
-  const double seed = parse_number(fields[0], "seed");
-  HYLO_CHECK(seed >= 0.0, "fault spec: seed must be non-negative");
-  cfg.seed = static_cast<std::uint64_t>(seed);
-  cfg.rate = parse_number(fields[1], "rate");
-  HYLO_CHECK(cfg.rate >= 0.0 && cfg.rate <= 1.0,
-             "fault spec: rate " << cfg.rate << " outside [0, 1]");
+  cfg.seed = env::parse_int<std::uint64_t>(
+      fields[0], 0, std::numeric_limits<std::uint64_t>::max(),
+      "fault spec: seed");
+  cfg.rate = env::parse_real(fields[1], 0.0, 1.0, "fault spec: rate");
   if (fields.size() == 3 && !fields[2].empty()) {
     // An explicit mix replaces the all-ones default: unnamed kinds are off.
     cfg.timeout_weight = cfg.straggler_weight = 0.0;
     cfg.corrupt_weight = cfg.rank_down_weight = cfg.rank_lost_weight = 0.0;
     cfg.silent_weight = 0.0;
-    for (const std::string& pair : split(fields[2], ',')) {
-      const auto kv = split(pair, '=');
+    // Each mix key and the field it sets. `escape` is a pseudo-key: the
+    // silent_corrupt detection-escape probability, not a mix weight.
+    const std::pair<std::string_view, double*> keys[] = {
+        {"timeout", &cfg.timeout_weight},
+        {"straggler", &cfg.straggler_weight},
+        {"corrupt", &cfg.corrupt_weight},
+        {"corrupt_payload", &cfg.corrupt_weight},
+        {"rank_down", &cfg.rank_down_weight},
+        {"rank_lost", &cfg.rank_lost_weight},
+        {"silent", &cfg.silent_weight},
+        {"silent_corrupt", &cfg.silent_weight},
+        {"escape", &cfg.sdc_escape}};
+    for (const std::string& pair : env::split(fields[2], ',')) {
+      const auto kv = env::split(pair, '=');
       HYLO_CHECK(kv.size() == 2,
                  "fault spec: mix entry '" << pair << "' is not kind=weight");
-      const double w = parse_number(kv[1], "mix weight");
-      HYLO_CHECK(w >= 0.0, "fault spec: negative weight in '" << pair << "'");
-      if (kv[0] == "timeout") {
-        cfg.timeout_weight = w;
-      } else if (kv[0] == "straggler") {
-        cfg.straggler_weight = w;
-      } else if (kv[0] == "corrupt" || kv[0] == "corrupt_payload") {
-        cfg.corrupt_weight = w;
-      } else if (kv[0] == "rank_down") {
-        cfg.rank_down_weight = w;
-      } else if (kv[0] == "rank_lost") {
-        cfg.rank_lost_weight = w;
-      } else if (kv[0] == "silent" || kv[0] == "silent_corrupt") {
-        cfg.silent_weight = w;
-      } else if (kv[0] == "escape") {
-        // Pseudo-key: the silent_corrupt detection-escape probability, not
-        // a mix weight.
-        HYLO_CHECK(w <= 1.0,
-                   "fault spec: escape " << w << " outside [0, 1]");
-        cfg.sdc_escape = w;
-      } else {
-        HYLO_CHECK(false,
-                   "fault spec: unknown fault kind '"
-                       << kv[0]
-                       << "' (want timeout|straggler|corrupt|rank_down|"
-                          "rank_lost|silent|escape)");
-      }
+      const auto* key = std::find_if(
+          std::begin(keys), std::end(keys),
+          [&](const auto& k) { return k.first == kv[0]; });
+      HYLO_CHECK(key != std::end(keys),
+                 "fault spec: unknown fault kind '"
+                     << kv[0]
+                     << "' (want timeout|straggler|corrupt|rank_down|"
+                        "rank_lost|silent|escape)");
+      const double hi = key->second == &cfg.sdc_escape
+                            ? 1.0
+                            : std::numeric_limits<double>::max();
+      *key->second = env::parse_real(kv[1], 0.0, hi, "fault spec: " + kv[0]);
     }
   }
-  HYLO_CHECK(!cfg.enabled() || cfg.total_weight() > 0.0,
-             "fault spec: rate > 0 but every kind weight is zero");
+  HYLO_CHECK(!cfg.enabled() || (cfg.total_weight() > 0.0 &&
+                                 std::isfinite(cfg.total_weight())),
+             "fault spec: rate > 0 needs kind weights with a positive, "
+             "finite sum");
   return cfg;
-}
-
-std::optional<FaultConfig> FaultConfig::from_env() {
-  const char* env = std::getenv("HYLO_FAULTS");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  return parse(env);
 }
 
 FaultPlan::FaultPlan(FaultConfig cfg) : cfg_(cfg), rng_(cfg.seed) {

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -164,17 +163,15 @@ class SnapshotReader {
   std::map<std::string, std::vector<unsigned char>> sections_;
 };
 
-/// Trainer-facing cadence config (TrainConfig::checkpoint). Explicit config
-/// wins over the environment: HYLO_CKPT_DIR / HYLO_CKPT_EVERY /
-/// HYLO_CKPT_KEEP apply only when the config's dir is empty. `every == 0`
-/// with a non-empty dir pins checkpointing off regardless of environment.
+/// Trainer-facing cadence config (TrainConfig::checkpoint, or HYLO_CKPT_DIR /
+/// HYLO_CKPT_EVERY / HYLO_CKPT_KEEP). A non-empty dir with `every == 0`
+/// pins checkpointing off.
 struct CkptConfig {
   std::string dir;     ///< snapshot directory (empty = disabled)
   index_t every = 0;   ///< snapshot cadence in iterations (0 = disabled)
   index_t keep = 3;    ///< retain the newest K snapshots (0 = keep all)
 
   bool enabled() const { return !dir.empty() && every > 0; }
-  static std::optional<CkptConfig> from_env();
 };
 
 /// Rng stream-position serialization: the four xoshiro256** words plus the

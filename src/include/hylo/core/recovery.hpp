@@ -32,16 +32,13 @@
 /// Off by default: with recovery disabled the trainer takes no rollback
 /// branches and runs byte-identically to a build without this subsystem.
 
-#include <optional>
 #include <string>
 
 #include "hylo/common/types.hpp"
 
 namespace hylo {
 
-/// Trainer-facing recovery config (TrainConfig::recovery). Explicit config
-/// pins the policy (enabled == false pins it off); the HYLO_RECOVER
-/// environment spec applies only when the config leaves it unset.
+/// Trainer-facing recovery config (TrainConfig::recovery or HYLO_RECOVER).
 struct RecoveryConfig {
   bool enabled = false;
   /// Total rollbacks permitted for the run; exceeding it fails loudly.
@@ -52,13 +49,10 @@ struct RecoveryConfig {
   /// rollback to the same snapshot.
   double lr_backoff = 0.5;
 
-  /// Parse a spec string: "off" (disabled), "on" (defaults), or
-  /// "BUDGET[:FO_ITERS[:LR_BACKOFF]]", e.g. "5:40:0.25". Throws
-  /// hylo::Error on malformed input.
+  /// Parse a spec string: "off" (disabled), "on" or "1" (defaults), or
+  /// "BUDGET[:FO_ITERS[:LR_BACKOFF]]" with integer BUDGET >= 1 and
+  /// FO_ITERS >= 0, e.g. "5:40:0.25". Throws hylo::Error on malformed input.
   static RecoveryConfig parse(const std::string& spec);
-
-  /// HYLO_RECOVER environment spec; nullopt when unset or empty.
-  static std::optional<RecoveryConfig> from_env();
 };
 
 /// What the trainer must do about one critical trigger.

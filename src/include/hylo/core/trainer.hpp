@@ -41,6 +41,13 @@ struct LrSchedule {
   }
 };
 
+/// Five fields can also come from the environment: comm_mode (HYLO_COMM),
+/// faults (HYLO_FAULTS), checkpoint (HYLO_CKPT_*), health (HYLO_HEALTH) and
+/// recovery (HYLO_RECOVER). One precedence rule covers all five: a field
+/// set here pins the setting, off included (a std::optional holding a
+/// disabled config, or a checkpoint with a non-empty dir and every == 0);
+/// the environment applies only to a field left unset; with neither, the
+/// feature is off and training is bitwise identical to a build without it.
 struct TrainConfig {
   index_t epochs = 10;
   index_t batch_size = 32;  ///< per worker (paper's local batch m)
@@ -49,10 +56,7 @@ struct TrainConfig {
   /// Modeled bytes per communicated scalar: 4 = FP32 (KAISA's wire format),
   /// 2 = FP16, 2.625 = the 21-bit custom float of Ueno et al. [7].
   double wire_scalar_bytes = 4.0;
-  /// Comm execution mode (DESIGN.md §15). Set here to pin it — this takes
-  /// precedence over the HYLO_COMM environment variable, which applies only
-  /// when this is unset. With neither, the lockstep simulator runs and the
-  /// trainer is bitwise-identical to builds without the async path.
+  /// Comm execution mode (DESIGN.md §15); lockstep by default.
   std::optional<CommMode> comm_mode;
   /// Modeled device throughput driving the async timeline's per-rank
   /// compute advance (never measured wall time, so replays are bitwise).
@@ -70,35 +74,38 @@ struct TrainConfig {
   /// enable; `verbose` additionally echoes the epoch lines to stdout
   /// regardless of telemetry. See obs/run_log.hpp for the artifact layout.
   obs::RunLogConfig telemetry;
-  /// Deterministic fault injection on the simulated fabric (see
-  /// dist/fault_plan.hpp). Set here to pin the schedule programmatically —
-  /// this takes precedence over the HYLO_FAULTS environment spec, which
-  /// applies only when this is unset. With neither, the comm path takes no
-  /// fault branches and runs bitwise-identically to a fault-free build.
+  /// Deterministic fault injection on the simulated fabric
+  /// (dist/fault_plan.hpp).
   std::optional<FaultConfig> faults;
-  /// Crash-safe run snapshots (hylo::ckpt, DESIGN.md §11). Set
-  /// `checkpoint.dir` + `checkpoint.every` to write a RunSnapshot every N
-  /// iterations; Trainer::resume(path) continues one bitwise-identically.
-  /// Precedence mirrors `faults`: a non-empty dir here pins the cadence
-  /// (every == 0 pins checkpointing off); the HYLO_CKPT_DIR /
-  /// HYLO_CKPT_EVERY / HYLO_CKPT_KEEP environment applies only when the
-  /// dir is left empty.
+  /// Crash-safe run snapshots (hylo::ckpt, DESIGN.md §11): `dir` + `every`
+  /// write a RunSnapshot every N iterations; Trainer::resume(path)
+  /// continues one bitwise-identically. A non-empty dir pins the field.
   ckpt::CkptConfig checkpoint;
   /// Training-health probes + alert engine (obs/health.hpp, DESIGN.md §12).
-  /// Precedence mirrors `faults`: set here to pin probes programmatically
-  /// (enabled == false pins them off); the HYLO_HEALTH environment cadence
-  /// applies only when this is unset. With neither, the hot path takes no
-  /// probe branches and training is bitwise identical to a probe-free build.
   std::optional<obs::HealthConfig> health;
   /// Checkpoint-rollback self-healing (core/recovery.hpp, DESIGN.md §16).
-  /// Precedence mirrors `faults`: set here to pin the policy (enabled ==
-  /// false pins it off); the HYLO_RECOVER environment spec applies only
-  /// when this is unset. Requires an active checkpoint cadence — rollback
-  /// needs snapshots to roll back to. With recovery off (the default) the
-  /// trainer takes no rollback branches and training is byte-identical to
-  /// a build without the subsystem.
+  /// Needs an active checkpoint cadence to roll back to.
   std::optional<RecoveryConfig> recovery;
 };
+
+/// The five environment-overridable settings as a Trainer runs them.
+struct ResolvedConfig {
+  CommMode comm_mode = CommMode::kLockstep;
+  FaultConfig faults;
+  ckpt::CkptConfig checkpoint;
+  obs::HealthConfig health;
+  RecoveryConfig recovery;
+  /// Where each came from, as run_start's `config_source` record:
+  /// {"comm_mode": "config" | "env" | "default", "faults": ..., ...}.
+  obs::Json source = obs::Json::object();
+};
+
+/// Resolve `cfg` against the environment under TrainConfig's precedence
+/// rule. Every set variable is parsed, even one a config field overrides.
+/// Throws hylo::Error, naming the variable, on a malformed value; on a set
+/// HYLO_* name outside env::kCatalogue; on HYLO_CKPT_EVERY or HYLO_CKPT_KEEP
+/// without HYLO_CKPT_DIR; and on recovery without a checkpoint cadence.
+ResolvedConfig resolve_config(const TrainConfig& cfg);
 
 struct EpochStats {
   index_t epoch = 0;
@@ -193,6 +200,12 @@ class Trainer {
                              real_t metric_acc, index_t rank_batches);
   /// Parse + verify a snapshot and load every section into live state.
   void restore_snapshot(const std::string& path);
+  /// Load the network, optimizer and progress sections (the state both a
+  /// resume and a rollback restore) and check the progress cursor. Returns
+  /// the run-log cursor stored with them.
+  std::int64_t load_training_state(const ckpt::SnapshotReader& snap);
+  /// One data loader per live rank, sharding the training split world_ ways.
+  void reset_loaders();
   /// True when no live weight or bias holds a non-finite value — the
   /// trainer-side verification gate for pinning a snapshot as the
   /// verified-good rollback target.
@@ -229,8 +242,7 @@ class Trainer {
   obs::RunLogger runlog_;
   obs::HealthMonitor health_;
   obs::AlertEngine alerts_;
-  bool uses_capture_ = false;  ///< optimizer has curvature refreshes
-  CurvatureOptimizer* curv_ = nullptr;  ///< non-null iff uses_capture_
+  CurvatureOptimizer* curv_ = nullptr;  ///< non-null iff it has refreshes
   std::int64_t last_alert_faults_ = 0;  ///< fault-budget epoch delta base
   std::vector<DataLoader> loaders_;
   SoftmaxCrossEntropy ce_;

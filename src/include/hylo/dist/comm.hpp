@@ -54,9 +54,9 @@ enum class CommMode { kLockstep, kAsync };
 
 const char* to_string(CommMode mode);
 
-/// Parse HYLO_COMM ("lockstep"/"sync" or "async"/"event"); nullopt when the
-/// variable is unset or empty, loud failure on anything else.
-std::optional<CommMode> comm_mode_from_env();
+/// Parse a comm mode spec, as HYLO_COMM takes it: "lockstep"/"sync" or
+/// "async"/"event", any case. Throws hylo::Error on anything else.
+CommMode parse_comm_mode(const std::string& spec);
 
 /// Completion handle for a nonblocking (icharge_*) collective. In async
 /// mode the caller keeps the handle and commits its dependent state once

@@ -63,7 +63,6 @@
 /// build.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "hylo/common/check.hpp"
@@ -131,11 +130,9 @@ struct FaultConfig {
   }
 
   /// Parse "seed:rate[:mix]" (see file comment). Throws hylo::Error on a
-  /// malformed spec, out-of-range rate, or unknown mix kind.
+  /// malformed spec, a seed that is not an integer in [0, 2^64), an
+  /// out-of-range rate, a non-finite weight, or an unknown mix kind.
   static FaultConfig parse(const std::string& spec);
-
-  /// The HYLO_FAULTS environment spec, or nullopt when unset/empty.
-  static std::optional<FaultConfig> from_env();
 };
 
 /// The deterministic schedule itself: one event per next() call, drawn from

@@ -3,7 +3,9 @@
 /// Umbrella header: the full public API of the HyLo reproduction library.
 ///
 /// Quick tour:
-///   - hylo/core/trainer.hpp    — Trainer, TrainConfig, make_optimizer()
+///   - hylo/core/trainer.hpp    — Trainer, TrainConfig, resolve_config(),
+///                                make_optimizer()
+///   - hylo/common/env.hpp      — the HYLO_* catalogue and strict parsers
 ///   - hylo/optim/*             — SGD/Adam, KFAC/EKFAC/KBFGS, SNGD, HyLo
 ///   - hylo/models/zoo.hpp      — model builders (mlp, c3f1, resnet, ...)
 ///   - hylo/data/datasets.hpp   — synthetic datasets + sharded DataLoader
@@ -26,6 +28,7 @@
 #include "hylo/audit/write_set.hpp"
 #include "hylo/ckpt/snapshot.hpp"
 #include "hylo/common/csv.hpp"
+#include "hylo/common/env.hpp"
 #include "hylo/common/rng.hpp"
 #include "hylo/common/timer.hpp"
 #include "hylo/core/trainer.hpp"

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,9 +58,9 @@ struct HealthConfig {
   index_t cadence = 1;  ///< probe every Nth refresh opportunity (>= 1)
   AlertConfig alerts;   ///< rule thresholds (engine runs iff enabled)
 
-  /// Parse the HYLO_HEALTH environment spec: an integer cadence ("1" =
-  /// probe every refresh, "4" = every fourth). Unset/empty/"0" → nullopt.
-  static std::optional<HealthConfig> from_env();
+  /// Parse a cadence spec, as HYLO_HEALTH takes it: a non-negative integer
+  /// ("1" = probe every refresh, "4" = every fourth, "0" = off).
+  static HealthConfig parse(const std::string& spec);
 };
 
 /// One layer's probe results for a single probed refresh. NaN marks a probe

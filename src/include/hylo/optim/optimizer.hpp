@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +22,7 @@
 
 namespace hylo::obs {
 class HealthMonitor;
+class MetricsRegistry;
 }  // namespace hylo::obs
 
 namespace hylo {
@@ -166,5 +168,10 @@ class Adam : public Optimizer {
   std::unordered_map<const void*, State> state_;
   index_t t_ = 0;
 };
+
+/// Sum over every method of the `optim/<method><suffix>` counters in `reg`,
+/// e.g. suffix "/stale_refreshes".
+std::int64_t optim_counter_sum(const obs::MetricsRegistry& reg,
+                               std::string_view suffix);
 
 }  // namespace hylo

@@ -12,8 +12,9 @@
 /// which executes the body inline on the calling thread, reproducing the
 /// serial seed path exactly.
 ///
-/// The pool size defaults to `HYLO_NUM_THREADS` (else hardware concurrency)
-/// and can be changed at runtime with `set_num_threads` (benches/tests).
+/// The pool size defaults to `HYLO_NUM_THREADS` (an integer in [1, 1024];
+/// anything else is rejected), else hardware concurrency, and can be
+/// changed at runtime with `set_num_threads` (benches/tests).
 /// Nested `parallel_for` from inside a pool worker runs inline — one level
 /// of parallelism, no oversubscription, same bitwise results.
 ///

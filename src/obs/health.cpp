@@ -2,25 +2,21 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
+#include "hylo/common/env.hpp"
 #include "hylo/obs/json.hpp"
 #include "hylo/obs/metrics.hpp"
 #include "hylo/obs/run_log.hpp"
 
 namespace hylo::obs {
 
-std::optional<HealthConfig> HealthConfig::from_env() {
-  const char* env = std::getenv("HYLO_HEALTH");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const long cadence = std::strtol(env, &end, 10);
-  HYLO_CHECK(end != nullptr && *end == '\0' && cadence >= 0,
-             "HYLO_HEALTH must be a non-negative cadence, got '" << env
-                                                                 << "'");
-  if (cadence == 0) return std::nullopt;
+HealthConfig HealthConfig::parse(const std::string& spec) {
+  const index_t cadence = env::parse_int<index_t>(
+      spec, 0, std::numeric_limits<index_t>::max(), "health cadence");
   HealthConfig cfg;
-  cfg.enabled = true;
-  cfg.cadence = static_cast<index_t>(cadence);
+  cfg.enabled = cadence > 0;
+  if (cfg.enabled) cfg.cadence = cadence;
   return cfg;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "hylo/ckpt/snapshot.hpp"
+#include "hylo/obs/metrics.hpp"
 #include "hylo/tensor/ops.hpp"
 
 namespace hylo {
@@ -206,6 +207,15 @@ void Adam::load_state(Network& net, ckpt::ByteReader& r) {
                    st.v_plain.size() == pp.value->size(),
                "snapshot Adam plain moments do not match parameter size");
   }
+}
+
+std::int64_t optim_counter_sum(const obs::MetricsRegistry& reg,
+                               std::string_view suffix) {
+  std::int64_t total = 0;
+  for (const auto& [name, c] : reg.counters())
+    if (name.starts_with("optim/") && name.ends_with(suffix))
+      total += c.value();
+  return total;
 }
 
 }  // namespace hylo

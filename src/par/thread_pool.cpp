@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 #include "hylo/audit/audit.hpp"
 #include "hylo/common/check.hpp"
+#include "hylo/common/env.hpp"
 #include "hylo/common/thread_annotations.hpp"
 #include "hylo/obs/metrics.hpp"
 
@@ -22,13 +22,10 @@ namespace {
 thread_local bool tl_in_parallel = false;
 
 int env_default_threads() {
-  const char* env = std::getenv("HYLO_NUM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v >= 1 && v <= 1024)
-      return static_cast<int>(v);
-  }
+  const auto n = env::read("HYLO_NUM_THREADS", [](const std::string& v) {
+    return env::parse_int(v, 1, 1024, "thread count");
+  });
+  if (n.has_value()) return *n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -1,34 +1,42 @@
 #include "hylo/tensor/kernel_dispatch.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "hylo/common/check.hpp"
+#include "hylo/common/env.hpp"
 
 namespace hylo::kern {
 
 namespace {
 
+// Process-wide active tier: -1 = unresolved, else the Tier value. Resolution
+// happens once under first use; set_tier stores directly.
+std::atomic<int> g_tier{-1};
+
+Tier resolve_tier() {
+  return env::read("HYLO_KERNEL", [](const std::string& name) {
+           const Tier t = parse_tier(name);  // throws on unknown names
+           HYLO_CHECK(available(t),
+                      "requests a kernel tier this CPU/build cannot run");
+           return t;
+         }).value_or(best());
+}
+
+}  // namespace
+
 // Compile-time capability: the microkernels in gemm_packed.cpp are emitted
 // with GCC/Clang target attributes, so x86 tiers exist in any x86 build
 // regardless of -march; NEON is baseline on aarch64.
-#if defined(__x86_64__) || defined(__i386__)
-constexpr bool kCompiledX86 = true;
-#else
-constexpr bool kCompiledX86 = false;
-#endif
-#if defined(__aarch64__)
-constexpr bool kCompiledNeon = true;
-#else
-constexpr bool kCompiledNeon = false;
-#endif
-
-bool cpu_supports(Tier t) {
+bool available(Tier t) {
   switch (t) {
     case Tier::kScalar:
       return true;
     case Tier::kNeon:
-      return kCompiledNeon;  // NEON is architecturally baseline on aarch64
+#if defined(__aarch64__)
+      return true;  // NEON is architecturally baseline on aarch64
+#else
+      return false;
+#endif
     case Tier::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -46,40 +54,16 @@ bool cpu_supports(Tier t) {
   return false;
 }
 
-// Process-wide active tier: -1 = unresolved, else the Tier value. Resolution
-// happens once under first use; set_tier stores directly.
-std::atomic<int> g_tier{-1};
-
-Tier resolve_from_env() {
-  const char* env = std::getenv("HYLO_KERNEL");
-  if (env == nullptr || *env == '\0') return best();
-  const Tier t = parse_tier(env);  // throws on unknown names
-  HYLO_CHECK(available(t), "HYLO_KERNEL=" << env
-                                          << " requests a kernel tier this "
-                                             "CPU/build cannot run");
-  return t;
-}
-
-}  // namespace
-
-bool available(Tier t) {
-  if (t == Tier::kScalar) return true;
-  if (t == Tier::kNeon) return kCompiledNeon;
-  if (!kCompiledX86) return false;
-  return cpu_supports(t);
-}
-
 Tier best() {
-  if (cpu_supports(Tier::kAvx512)) return Tier::kAvx512;
-  if (cpu_supports(Tier::kAvx2)) return Tier::kAvx2;
-  if (cpu_supports(Tier::kNeon)) return Tier::kNeon;
+  for (const Tier t : {Tier::kAvx512, Tier::kAvx2, Tier::kNeon})
+    if (available(t)) return t;
   return Tier::kScalar;
 }
 
 Tier active() {
   int v = g_tier.load(std::memory_order_relaxed);
   if (v < 0) {
-    const Tier t = resolve_from_env();
+    const Tier t = resolve_tier();
     // Racing first uses resolve to the same value; last store wins harmlessly.
     g_tier.store(static_cast<int>(t), std::memory_order_relaxed);
     return t;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "hylo/hylo.hpp"
+#include "test_util.hpp"
 
 namespace hylo {
 namespace {
@@ -98,13 +99,17 @@ TEST(SilentCorrupt, RecoverySpecParsing) {
   EXPECT_THROW(RecoveryConfig::parse("3:5:0"), Error);
   EXPECT_THROW(RecoveryConfig::parse("3:5:0.5:9"), Error);
 
-  ::setenv("HYLO_RECOVER", "4:10", 1);
-  const auto env = RecoveryConfig::from_env();
-  ASSERT_TRUE(env.has_value());
-  EXPECT_EQ(env->max_rollbacks, 4);
-  EXPECT_EQ(env->first_order_iters, 10);
-  ::unsetenv("HYLO_RECOVER");
-  EXPECT_FALSE(RecoveryConfig::from_env().has_value());
+  testutil::ScopedEnv spec("HYLO_RECOVER", "4:10");
+  TrainConfig tc;  // recovery needs a cadence to roll back to
+  tc.checkpoint.dir = "unused";
+  tc.checkpoint.every = 4;
+  const ResolvedConfig r = resolve_config(tc);
+  ASSERT_EQ(r.source.at("recovery").str(), "env");
+  const RecoveryConfig& env = r.recovery;
+  EXPECT_EQ(env.max_rollbacks, 4);
+  EXPECT_EQ(env.first_order_iters, 10);
+  spec.set(nullptr);
+  EXPECT_EQ(resolve_config(tc).source.at("recovery").str(), "default");
 }
 
 TEST(SilentCorrupt, PolicyLadderAndBudget) {
@@ -486,10 +491,9 @@ TEST(ChaosRecovery, RecoveryRequiresCheckpointCadence) {
 TEST(ChaosRecovery, DisabledRecoveryIsBitwiseInvisible) {
   // With recovery off (the default), a run with the subsystem pinned off
   // and a run with it wholly unset are identical — and HYLO_RECOVER must
-  // not leak in when the config pins it.
-  const char* ambient = ::getenv("HYLO_RECOVER");
-  const std::string saved = ambient == nullptr ? "" : ambient;
-  ::setenv("HYLO_RECOVER", "off", 1);
+  // not leak in when the config pins it. The guard restores the ambient
+  // spec the chaos_env ctest variants rely on for the rest of the suite.
+  const testutil::ScopedEnv off("HYLO_RECOVER", "off");
   auto run_once = [](bool pin_off, const std::string& dir) {
     TrainConfig tc = tiny_config(2);
     tc.checkpoint.dir = dir;
@@ -499,13 +503,6 @@ TEST(ChaosRecovery, DisabledRecoveryIsBitwiseInvisible) {
   };
   const std::string da = tmp_dir("off_a"), db = tmp_dir("off_b");
   const TinyRun a = run_once(true, da), b = run_once(false, db);
-  // Restore the ambient spec — the chaos_env ctest variants rely on it for
-  // the rest of the suite.
-  if (saved.empty()) {
-    ::unsetenv("HYLO_RECOVER");
-  } else {
-    ::setenv("HYLO_RECOVER", saved.c_str(), 1);
-  }
   ASSERT_FALSE(a.threw);
   ASSERT_FALSE(b.threw);
   EXPECT_EQ(a.res.rollbacks, 0);

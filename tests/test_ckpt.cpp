@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "hylo/hylo.hpp"
+#include "test_util.hpp"
 
 namespace hylo {
 namespace {
@@ -213,24 +214,22 @@ TEST(SnapshotContainer, ListAndRetain) {
 }
 
 TEST(SnapshotContainer, EnvConfigResolution) {
-  unsetenv("HYLO_CKPT_DIR");
-  unsetenv("HYLO_CKPT_EVERY");
-  unsetenv("HYLO_CKPT_KEEP");
-  EXPECT_FALSE(ckpt::CkptConfig::from_env().has_value());
+  testutil::ScopedEnv dir("HYLO_CKPT_DIR", nullptr);
+  testutil::ScopedEnv every("HYLO_CKPT_EVERY", nullptr);
+  testutil::ScopedEnv keep("HYLO_CKPT_KEEP", nullptr);
+  EXPECT_EQ(resolve_config(TrainConfig{}).source.at("checkpoint").str(),
+            "default");
 
-  setenv("HYLO_CKPT_DIR", "/tmp/hylo_env_snaps", 1);
-  setenv("HYLO_CKPT_EVERY", "25", 1);
-  const auto cfg = ckpt::CkptConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->dir, "/tmp/hylo_env_snaps");
-  EXPECT_EQ(cfg->every, 25);
-  EXPECT_EQ(cfg->keep, 3);  // default retention
-  setenv("HYLO_CKPT_KEEP", "7", 1);
-  EXPECT_EQ(ckpt::CkptConfig::from_env()->keep, 7);
-
-  unsetenv("HYLO_CKPT_DIR");
-  unsetenv("HYLO_CKPT_EVERY");
-  unsetenv("HYLO_CKPT_KEEP");
+  dir.set("/tmp/hylo_env_snaps");
+  every.set("25");
+  const ResolvedConfig r = resolve_config(TrainConfig{});
+  ASSERT_EQ(r.source.at("checkpoint").str(), "env");
+  const ckpt::CkptConfig& cfg = r.checkpoint;
+  EXPECT_EQ(cfg.dir, "/tmp/hylo_env_snaps");
+  EXPECT_EQ(cfg.every, 25);
+  EXPECT_EQ(cfg.keep, 3);  // default retention
+  keep.set("7");
+  EXPECT_EQ(resolve_config(TrainConfig{}).checkpoint.keep, 7);
 }
 
 // ---------------------------------------------------------------------------

@@ -278,7 +278,7 @@ TEST(AsyncTrainer, ConfigPinBeatsEnvironment) {
   // config unset the environment decides; with neither, lockstep. This
   // test adapts to the ambient environment so it holds in both the plain
   // and the comm_async_env_suite ctest lanes.
-  const std::optional<CommMode> env = comm_mode_from_env();
+  const CommMode env = resolve_config(TrainConfig{}).comm_mode;
   const DataSplit data = spiral_data();
   auto mode_of = [&](std::optional<CommMode> pin) {
     Network net = make_mlp({2, 1, 1}, {16}, 2, 3);
@@ -297,7 +297,7 @@ TEST(AsyncTrainer, ConfigPinBeatsEnvironment) {
   };
   EXPECT_EQ(mode_of(CommMode::kAsync), CommMode::kAsync);
   EXPECT_EQ(mode_of(CommMode::kLockstep), CommMode::kLockstep);
-  EXPECT_EQ(mode_of(std::nullopt), env.value_or(CommMode::kLockstep));
+  EXPECT_EQ(mode_of(std::nullopt), env);
 }
 
 TEST(AsyncTrainer, SnapshotResumeIsBitwise) {

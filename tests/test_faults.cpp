@@ -77,15 +77,17 @@ TEST(FaultConfig, RejectsMalformedSpecs) {
 }
 
 TEST(FaultConfig, ReadsEnvironmentSpec) {
-  ::setenv("HYLO_FAULTS", "5:0.2:straggler=2", 1);
-  const auto cfg = FaultConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_EQ(cfg->seed, 5u);
-  EXPECT_EQ(cfg->rate, 0.2);
-  EXPECT_EQ(cfg->straggler_weight, 2.0);
-  EXPECT_EQ(cfg->timeout_weight, 0.0);
-  ::unsetenv("HYLO_FAULTS");
-  EXPECT_FALSE(FaultConfig::from_env().has_value());
+  testutil::ScopedEnv env("HYLO_FAULTS", "5:0.2:straggler=2");
+  const ResolvedConfig r = resolve_config(TrainConfig{});
+  ASSERT_EQ(r.source.at("faults").str(), "env");
+  const FaultConfig& cfg = r.faults;
+  EXPECT_EQ(cfg.seed, 5u);
+  EXPECT_EQ(cfg.rate, 0.2);
+  EXPECT_EQ(cfg.straggler_weight, 2.0);
+  EXPECT_EQ(cfg.timeout_weight, 0.0);
+  env.set(nullptr);
+  EXPECT_EQ(resolve_config(TrainConfig{}).source.at("faults").str(),
+            "default");
 }
 
 TEST(FaultPlan, SameSeedSameSchedule) {
@@ -506,7 +508,7 @@ TEST(TrainerFaults, DisabledFaultsAreBitwiseInvisible) {
   // With HYLO_FAULTS unset, a run with no fault config and a run with an
   // explicitly disabled config must be bitwise identical: the comm path
   // takes zero new branches when the plan is absent.
-  ::unsetenv("HYLO_FAULTS");
+  const testutil::ScopedEnv no_faults("HYLO_FAULTS", nullptr);
   const DataSplit data = make_spirals(512, 128, 2, 0.08, 11);
   struct Snapshot {
     TrainResult res;

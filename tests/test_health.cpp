@@ -149,20 +149,20 @@ TEST(HealthMonitor, FlushAggregatesWorstLayer) {
 }
 
 TEST(HealthMonitor, FromEnvParsesCadence) {
-  ::unsetenv("HYLO_HEALTH");
-  EXPECT_FALSE(HealthConfig::from_env().has_value());
-  ::setenv("HYLO_HEALTH", "0", 1);
-  EXPECT_FALSE(HealthConfig::from_env().has_value());
-  ::setenv("HYLO_HEALTH", "4", 1);
-  const auto cfg = HealthConfig::from_env();
-  ASSERT_TRUE(cfg.has_value());
-  EXPECT_TRUE(cfg->enabled);
-  EXPECT_EQ(cfg->cadence, 4);
-  ::setenv("HYLO_HEALTH", "garbage", 1);
-  EXPECT_THROW(HealthConfig::from_env(), Error);
-  ::setenv("HYLO_HEALTH", "-2", 1);
-  EXPECT_THROW(HealthConfig::from_env(), Error);
-  ::unsetenv("HYLO_HEALTH");
+  testutil::ScopedEnv env("HYLO_HEALTH", nullptr);
+  EXPECT_FALSE(resolve_config(TrainConfig{}).health.enabled);
+  env.set("0");
+  EXPECT_FALSE(resolve_config(TrainConfig{}).health.enabled);
+  env.set("4");
+  const ResolvedConfig r = resolve_config(TrainConfig{});
+  ASSERT_EQ(r.source.at("health").str(), "env");
+  const HealthConfig& cfg = r.health;
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_EQ(cfg.cadence, 4);
+  env.set("garbage");
+  EXPECT_THROW(resolve_config(TrainConfig{}), Error);
+  env.set("-2");
+  EXPECT_THROW(resolve_config(TrainConfig{}), Error);
 }
 
 // --------------------------------------------------------- alert rules ----

@@ -1,5 +1,10 @@
 #pragma once
-// Shared helpers for hylo tests: random matrix generation and tolerances.
+// Shared helpers for hylo tests: random matrix generation, tolerances, and
+// the environment guard.
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "hylo/common/rng.hpp"
 #include "hylo/tensor/matrix.hpp"
 #include "hylo/tensor/ops.hpp"
@@ -35,5 +40,34 @@ inline Matrix random_symmetric(Rng& rng, index_t n) {
 inline Matrix random_low_rank(Rng& rng, index_t rows, index_t cols, index_t r) {
   return matmul(random_matrix(rng, rows, r), random_matrix(rng, r, cols));
 }
+
+/// Holds one environment variable at `value` (nullptr: unset) until it goes
+/// out of scope, then restores the prior value, or unsets it if it was
+/// unset. Every test that changes the environment does so through this, so
+/// a ctest lane that runs a whole binary under an ambient HYLO_* setting
+/// keeps that setting for the tests that follow.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prior = std::getenv(name)) prior_ = prior;
+    set(value);
+  }
+  ~ScopedEnv() { set(prior_.has_value() ? prior_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  /// Change the held value (nullptr: unset).
+  void set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(name_.c_str());
+    } else {
+      ::setenv(name_.c_str(), value, 1);
+    }
+  }
+
+ private:
+  std::string name_;
+  std::optional<std::string> prior_;
+};
 
 }  // namespace hylo::testutil

@@ -185,6 +185,14 @@ void section_header(std::ostream& os, const RunData& run) {
        << fmt(num(rs, "batch_size", 0), 6) << " | " << fmt(num(rs, "lr", 0))
        << " | " << str(rs, "interconnect") << " | "
        << fmt(num(rs, "params", 0), 12) << " |";
+    // Which settings came from TrainConfig, HYLO_* or the default; logs
+    // written before the field existed have no such line.
+    if (const Json* src = rs.find("config_source");
+        src != nullptr && src->is_object()) {
+      os << "\n\nconfig source:";
+      for (const auto& member : src->members())
+        os << " " << member.first << "=" << str(*src, member.first);
+    }
   }
   os << "\n\n";
 }
