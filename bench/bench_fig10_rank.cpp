@@ -45,8 +45,6 @@ std::vector<real_t> layer_ranks(const Workload& w, index_t global_batch) {
                       : DiceBceLoss().compute(out, batch.masks);
   net.backward(lr.grad, ctx);
 
-  // Rank at 90% coverage is insensitive to the eigensolver's last digits:
-  // a loose tolerance keeps the Jacobi sweeps cheap at batch-sized kernels.
   std::vector<real_t> ranks;
   const auto blocks = net.param_blocks();
   // Subsample every other layer at the default scale (distribution shape is
@@ -55,7 +53,7 @@ std::vector<real_t> layer_ranks(const Workload& w, index_t global_batch) {
   for (std::size_t l = 0; l < blocks.size(); l += stride) {
     const Matrix k =
         kernel_matrix(blocks[l]->a_samples, blocks[l]->g_samples);
-    const auto eigs = eigvalsh(k, 1e-7, 20);
+    const auto eigs = eigvalsh(k);
     ranks.push_back(static_cast<real_t>(numerical_rank(eigs, 0.9)));
   }
   return ranks;

@@ -7,9 +7,9 @@
 
 namespace hylo {
 
-/// Scalar type for all numerical work. Double keeps the Jacobi eigensolver,
-/// pivoted QR and SMW solves well-conditioned; model sizes in this
-/// reproduction are small enough that the bandwidth cost is irrelevant.
+/// Scalar type for all numerical work. Double keeps the symmetric
+/// eigensolver, pivoted QR and SMW solves well-conditioned; model sizes in
+/// this reproduction are small enough that the bandwidth cost is irrelevant.
 using real_t = double;
 
 /// Signed index type (Core Guidelines ES.107: prefer signed for subscripts

@@ -1,9 +1,11 @@
 #pragma once
 /// \file eigh.hpp
-/// Symmetric eigendecomposition via the cyclic Jacobi method. Used by EKFAC
-/// (Kronecker eigenbasis), the kernel-rank analysis of Fig. 10, and the
-/// KBFGS factor conditioning. Jacobi is O(n³) per sweep but unconditionally
-/// stable and exact enough at the n ≤ few-hundred sizes this library uses.
+/// Dense symmetric eigendecomposition: Householder reduction to tridiagonal
+/// form, then implicit-shift QL on the tridiagonal (EISPACK tred2/tql2,
+/// Golub–Van Loan §8.3), about 9n³ flops with eigenvectors. Used by EKFAC
+/// (the Kronecker-factor eigenbasis) and the kernel-rank analysis of
+/// Fig. 10. Plain serial loops: the result is deterministic and does not
+/// depend on HYLO_KERNEL or HYLO_NUM_THREADS.
 
 #include <vector>
 
@@ -18,14 +20,18 @@ struct EighResult {
   Matrix eigenvectors;
 };
 
-/// Full symmetric eigendecomposition. `a` must be symmetric (only the upper
-/// triangle is read). Converges when all off-diagonal mass is below
-/// tol * frobenius_norm(a).
-EighResult eigh(const Matrix& a, real_t tol = 1e-12, int max_sweeps = 64);
+/// Full symmetric eigendecomposition. `a` must be symmetric; only its upper
+/// triangle is read. Any finite input works: it is scaled by the power of
+/// two nearest 1 / max|a_ij| (exact) and the eigenvalues are scaled back.
+/// A NaN or ±Inf in the upper triangle, or an eigenvalue that needs more
+/// than 30 QL iterations, gives all-NaN eigenvalues and eigenvectors, which
+/// the optimizers' finiteness gate rejects.
+EighResult eigh(const Matrix& a);
 
-/// Eigenvalues only (same algorithm, skips vector accumulation).
-std::vector<real_t> eigvalsh(const Matrix& a, real_t tol = 1e-12,
-                             int max_sweeps = 64);
+/// Eigenvalues only: the same reduction without accumulating the
+/// transformations, then QL on the values; bitwise equal to
+/// eigh(a).eigenvalues.
+std::vector<real_t> eigvalsh(const Matrix& a);
 
 /// Numerical rank in the paper's Fig. 10 sense: the number of largest
 /// eigenvalues whose partial sum reaches `coverage` (default 90%) of the

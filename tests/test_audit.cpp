@@ -9,7 +9,6 @@
 // fail on a synthetic thread-count-dependent region.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,11 +43,7 @@ class Audit : public ::testing::Test {
   bool was_enabled_ = false;
 };
 
-bool bitwise_equal(const Matrix& x, const Matrix& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(),
-                     sizeof(real_t) * static_cast<std::size_t>(x.size())) == 0;
-}
+using testutil::bitwise_equal;
 
 TEST_F(Audit, OverlappingDeclarationIsCaughtWithLabelAndChunks) {
   Matrix m(16, 4);

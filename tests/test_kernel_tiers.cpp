@@ -54,11 +54,7 @@ std::vector<Tier> all_tiers() {
   return out;
 }
 
-bool bitwise_equal(const Matrix& x, const Matrix& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         std::memcmp(x.data(), y.data(),
-                     sizeof(real_t) * static_cast<std::size_t>(x.size())) == 0;
-}
+using testutil::bitwise_equal;
 
 bool bitwise_equal(const Tensor4& x, const Tensor4& y) {
   return x.size() == y.size() &&

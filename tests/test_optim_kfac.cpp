@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "hylo/linalg/cholesky.hpp"
 #include "hylo/linalg/eigh.hpp"
+#include "hylo/obs/health.hpp"
 #include "hylo/optim/kfac.hpp"
 #include "test_util.hpp"
 
@@ -182,6 +184,63 @@ TEST(EKFac, ExactDiagonalRescalingBeatsKfacOnFisherDiagonal) {
   kfac.precondition_block(p1, 0);
   ekfac.precondition_block(p2, 0);
   EXPECT_GT(max_abs_diff(p1.gw, p2.gw), 1e-6);
+}
+
+TEST(EKFac, NonFiniteCaptureDegradesOnlyThatLayerToStale) {
+  // One NaN in one layer's capture poisons that layer's factors (and, via
+  // eigh's non-finite contract, its eigenbasis). The commit gate rejects
+  // the candidate; the layer keeps serving its previous state while every
+  // other layer commits.
+  struct TestEKFac : EKFac {
+    using EKFac::EKFac;
+    using EKFac::State;
+    const State& state(index_t layer) const { return served<State>(layer); }
+  };
+  const index_t layers = 3, poisoned = 1;
+  Rng rng(10);
+  auto capture = [&] {
+    CaptureSet cap;
+    cap.a.resize(layers);
+    cap.g.resize(layers);
+    for (index_t l = 0; l < layers; ++l) {
+      cap.a[l].push_back(testutil::random_matrix(rng, 12, 5 + l));
+      cap.g[l].push_back(testutil::random_matrix(rng, 12, 4));
+    }
+    return cap;
+  };
+  OptimConfig cfg;
+  TestEKFac opt(cfg);
+  std::vector<ParamBlock> pbs(layers);
+  std::vector<ParamBlock*> blocks;
+  for (ParamBlock& pb : pbs) blocks.push_back(&pb);
+  CommSim comm(1, loopback());
+  opt.update_curvature(blocks, capture(), &comm);
+  std::vector<TestEKFac::State> before;
+  for (index_t l = 0; l < layers; ++l) before.push_back(opt.state(l));
+
+  CaptureSet cap = capture();
+  cap.a[poisoned][0](3, 2) = std::numeric_limits<real_t>::quiet_NaN();
+  opt.update_curvature(blocks, cap, &comm);
+
+  const auto& reg = comm.profiler().registry();
+  EXPECT_EQ(reg.counter_value("optim/ekfac/guard_rejects"), 1);
+  EXPECT_EQ(reg.counter_value("optim/ekfac/stale_refreshes"), 1);
+  for (index_t l = 0; l < layers; ++l) {
+    const TestEKFac::State& now = opt.state(l);
+    if (l == poisoned) {
+      EXPECT_EQ(opt.layer_staleness(l), 1);
+      EXPECT_EQ(max_abs_diff(now.a_factor, before[l].a_factor), 0.0);
+      EXPECT_EQ(max_abs_diff(now.v_a, before[l].v_a), 0.0);
+      EXPECT_EQ(max_abs_diff(now.v_g, before[l].v_g), 0.0);
+      EXPECT_EQ(max_abs_diff(now.scaling, before[l].scaling), 0.0);
+    } else {
+      EXPECT_EQ(opt.layer_staleness(l), 0) << "layer " << l;
+      EXPECT_GT(max_abs_diff(now.a_factor, before[l].a_factor), 0.0)
+          << "layer " << l << " did not commit";
+      EXPECT_EQ(obs::count_nonfinite(now.v_a) + obs::count_nonfinite(now.v_g),
+                0);
+    }
+  }
 }
 
 TEST(KBfgs, BuildsPairsAndPreconditions) {

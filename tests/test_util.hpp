@@ -1,7 +1,8 @@
 #pragma once
-// Shared helpers for hylo tests: random matrix generation, tolerances, and
-// the environment guard.
+// Shared helpers for hylo tests: random matrix generation, tolerances,
+// bitwise comparison, and the environment guard.
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 
@@ -39,6 +40,13 @@ inline Matrix random_symmetric(Rng& rng, index_t n) {
 /// Rank-deficient matrix: product of (rows x r) and (r x cols).
 inline Matrix random_low_rank(Rng& rng, index_t rows, index_t cols, index_t r) {
   return matmul(random_matrix(rng, rows, r), random_matrix(rng, r, cols));
+}
+
+/// Same shape and the same bits in every entry.
+inline bool bitwise_equal(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(),
+                     sizeof(real_t) * static_cast<std::size_t>(x.size())) == 0;
 }
 
 /// Holds one environment variable at `value` (nullptr: unset) until it goes
