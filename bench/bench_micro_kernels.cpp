@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the dense kernels underlying the
-// Table I complexity rows: GEMM, Gram products, Cholesky, LU, symmetric
-// eigendecomposition, column-pivoted QR, interpolative decomposition, and
-// the kernel-matrix + SMW application path.
+// Table I complexity rows: GEMM, Gram products, Cholesky and the damped SPD
+// inverse, LU, symmetric eigendecomposition, column-pivoted QR,
+// interpolative decomposition, and the kernel-matrix + SMW application path.
 #include <benchmark/benchmark.h>
 
 #include "hylo/hylo.hpp"
@@ -41,6 +41,24 @@ void BM_GramNt(benchmark::State& state) {
 }
 BENCHMARK(BM_GramNt)->Arg(64)->Arg(128)->Arg(256)->Complexity();
 
+void BM_GramTn(benchmark::State& state) {
+  // A Kronecker-factor Gram: 16 captured rows of an n-wide layer input, the
+  // shape KAISA's refresh forms per rank (n = 109/217/433 are the ResNet-50
+  // proxy's 3x3-conv A-factor sizes).
+  const index_t n = state.range(0);
+  Rng rng(11);
+  const Matrix a = random_matrix(rng, 16, n);
+  for (auto _ : state) {
+    Matrix g = gram_tn(a);
+    benchmark::DoNotOptimize(g.data());
+  }
+}
+BENCHMARK(BM_GramTn)
+    ->Arg(109)
+    ->Arg(217)
+    ->Arg(433)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Cholesky(benchmark::State& state) {
   const index_t n = state.range(0);
   Rng rng(3);
@@ -52,7 +70,31 @@ void BM_Cholesky(benchmark::State& state) {
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_Cholesky)->Arg(64)->Arg(128)->Arg(256)->Complexity(benchmark::oNCubed);
+BENCHMARK(BM_Cholesky)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(433)
+    ->Complexity(benchmark::oNCubed);
+
+void BM_SpdInverse(benchmark::State& state) {
+  // KFAC's per-refresh inverse on a factor-like input: the Gram of 64
+  // samples over 64, plus damping, at KAISA's A-factor sizes.
+  const index_t n = state.range(0);
+  Rng rng(12);
+  Matrix c = gram_tn(random_matrix(rng, 64, n));
+  c *= 1.0 / 64.0;
+  for (auto _ : state) {
+    Matrix inv = damped_spd_inverse(c, 1e-3);
+    benchmark::DoNotOptimize(inv.data());
+  }
+}
+BENCHMARK(BM_SpdInverse)
+    ->Arg(28)
+    ->Arg(109)
+    ->Arg(217)
+    ->Arg(433)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LuInverse(benchmark::State& state) {
   const index_t n = state.range(0);

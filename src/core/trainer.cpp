@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "hylo/audit/audit.hpp"
 #include "hylo/common/env.hpp"
@@ -103,7 +104,9 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
     if (comm_.faults_active()) {
       const FaultConfig& fc = comm_.fault_plan()->config();
       obs::Json faults = obs::Json::object();
-      faults.set("seed", static_cast<std::int64_t>(fc.seed));
+      // Decimal string: a JSON number is a double and would round seeds
+      // above 2^53 (and wrap those >= 2^63 through int64).
+      faults.set("seed", std::to_string(fc.seed));
       faults.set("rate", fc.rate);
       faults.set("timeout_weight", fc.timeout_weight);
       faults.set("straggler_weight", fc.straggler_weight);

@@ -85,6 +85,16 @@ class WriteSet {
         add_bytes(m.row_ptr(r) + c, sizeof(real_t));
   }
 
+  /// Declare the diagonal-and-left part of rows [r0, r1) from column c0
+  /// writable: elements (r, j) with c0 <= j <= r. The in-place lower-
+  /// triangle update of the trailing block at (c0, c0) (syrk_trailing).
+  void add_row_head(const Matrix& m, index_t r0, index_t r1, index_t c0) {
+    track(m);
+    for (index_t r = r0; r < r1; ++r)
+      add_bytes(m.row_ptr(r) + c0,
+                sizeof(real_t) * static_cast<std::size_t>(r - c0 + 1));
+  }
+
   /// Declare samples [n0, n1) of an NCHW tensor writable.
   void add_samples(const Tensor4& t, index_t n0, index_t n1) {
     track(t.data(), sizeof(real_t) * static_cast<std::size_t>(t.size()));

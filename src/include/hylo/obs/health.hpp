@@ -32,7 +32,7 @@ class RunLogger;
 /// Probe catalogue: the closed set of per-layer probe names. Every
 /// `optim/<method>/health/<probe>` metric and every per-layer field of a
 /// `health` run-log record must use a name from this list — enforced by the
-/// `health_catalogue` rule of tools/lint_hylo.py, which parses this block.
+/// `health_catalogue` rule of tools/hylo_analyze, which parses this block.
 /// hylo-probe-catalogue-begin
 inline constexpr const char* kProbeCatalogue[] = {
     "cond",             ///< served-factorization condition estimate (max)

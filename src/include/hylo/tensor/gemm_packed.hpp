@@ -1,8 +1,9 @@
 #pragma once
 /// \file gemm_packed.hpp
 /// Packed, cache-blocked GEMM with explicit SIMD microkernels — the
-/// DESIGN.md §13 fast path behind hylo::gemm/gram_nt and the fused-im2col
-/// convolution. Layout (BLIS-style):
+/// DESIGN.md §13 fast path behind hylo::gemm, the Gram products, the
+/// Cholesky trailing update and the fused-im2col convolution. Layout
+/// (BLIS-style):
 ///
 ///   * B is packed once per call into KC-deep blocks of NR-wide column
 ///     panels (`bpack[q][kk*NR + c]`), A is packed per (MC, KC) block into
@@ -10,9 +11,10 @@
 ///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x8 AVX-512 /
 ///     8x4 NEON, selected by hylo::kern::active()) accumulates
 ///     C-tile += Apanel · Bpanel with the k loop innermost.
-///   * Edge tiles (m % MR, n % NR, and gram_nt's diagonal straddle) run the
-///     same microkernel on a copy-in/copy-out scratch tile, so every element
-///     sees the identical fma chain regardless of tiling.
+///   * Edge tiles (m % MR, n % NR, and the symmetric kernels' diagonal
+///     straddle) run the same microkernel on a copy-in/copy-out scratch
+///     tile, so every element sees the identical fma chain regardless of
+///     tiling.
 ///
 /// Determinism: for each C element the accumulation is strictly ascending in
 /// k (KC blocks outermost, kk inside the microkernel), independent of the
@@ -47,6 +49,18 @@ void packed_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha);
 /// tiles write only j >= i) and mirrored once per row block, so
 /// C(i,j) and C(j,i) are the same double. C must be m x m, zeroed.
 void packed_gram_nt(const Matrix& a, Matrix& c);
+
+/// C = Aᵀ·A (A: k x m) through the same triangle tile loop as
+/// packed_gram_nt, reading A's columns in the pack accessors (no transposed
+/// copy); bitwise equal to packed_gram_nt(Aᵀ). With `tril`, A is square and
+/// lower triangular and each tile skips the rows where A is zero. C must be
+/// m x m, zeroed.
+void packed_gram_tn(const Matrix& a, Matrix& c, bool tril);
+
+/// Lower triangle of C₂₂ += alpha·P·Pᵀ in place, with C₂₂ = c[k1:n, k1:n]
+/// and P = c[k1:n, k0:k1] (c square, n x n). Every element accumulates one
+/// FMA per k, ascending.
+void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha);
 
 // ---- Tier-dispatched vector helpers -----------------------------------
 // These dispatch on kern::active() internally; the scalar tier runs the

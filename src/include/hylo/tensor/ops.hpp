@@ -4,12 +4,13 @@
 /// written cache-friendly for row-major storage; they are the compute
 /// backbone of both the NN framework (conv = im2col + gemm) and the
 /// second-order machinery (Gram/kernel matrices, SMW applications).
-/// The GEMM/Gram family is multi-threaded over output row blocks through
-/// hylo::par (HYLO_NUM_THREADS) and dispatches between the scalar loop
-/// nests below and the packed SIMD microkernels (gemm_packed.hpp) via
-/// hylo::kern::active() (HYLO_KERNEL). Results are bitwise deterministic at
-/// any thread count *within a kernel tier*; the scalar tier preserves the
-/// original serial accumulation order exactly — see DESIGN.md §8 and §13.
+/// The GEMM/Gram family and the Cholesky trailing update are multi-threaded
+/// over output row blocks through hylo::par (HYLO_NUM_THREADS) and dispatch
+/// between the scalar loop nests below and the packed SIMD microkernels
+/// (gemm_packed.hpp) via hylo::kern::active() (HYLO_KERNEL). Results are
+/// bitwise deterministic at any thread count *within a kernel tier*; the
+/// scalar tier preserves the original serial accumulation order exactly —
+/// see DESIGN.md §8 and §13.
 
 #include <vector>
 
@@ -41,10 +42,28 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 
-/// Symmetric rank-k: C = A * A^T (m x m from m x k). Exploits symmetry.
+/// Symmetric rank-k: C = A * A^T (m x m from m x k). Computes one triangle
+/// and mirrors it, so C is exactly symmetric.
 Matrix gram_nt(const Matrix& a);
-/// C = A^T * A (k x k from m x k). Exploits symmetry.
+/// C = A^T * A (k x k from m x k), the Kronecker-factor Gram. Exactly
+/// symmetric, and bitwise equal to gram_nt(Aᵀ) in every tier: the packed
+/// path reads A's columns straight into the same triangle tile loop, with
+/// no transposed copy.
 Matrix gram_tn(const Matrix& a);
+/// C = Xᵀ * X for a square lower-triangular X (its strict upper triangle
+/// must be zero). Skips the zero triangle — n³/3 flops against gram_tn's
+/// n³ — and, the skipped terms being exact zeros, equals gram_tn(X) bit for
+/// bit on any finite X.
+Matrix gram_tn_tril(const Matrix& x);
+
+/// Symmetric rank-k update of a trailing block, in place:
+///   c(i, j) += alpha * Σ_{k0 <= k < k1} c(i, k) * c(j, k)   for k1 <= j <= i,
+/// i.e. the lower triangle of C₂₂ += alpha·P·Pᵀ with C₂₂ = c[k1:n, k1:n] and
+/// P = c[k1:n, k0:k1] — the right-looking Cholesky trailing update. Nothing
+/// above the diagonal is read or written. Each element accumulates one fused
+/// multiply-add per k in ascending order, in every tier, so the result is
+/// the same bits in every tier and at any thread count.
+void syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha);
 
 /// y = A * x for x given as flat vector; y resized to a.rows().
 void matvec(const Matrix& a, const std::vector<real_t>& x,

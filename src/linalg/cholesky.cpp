@@ -1,27 +1,81 @@
 #include "hylo/linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "hylo/tensor/ops.hpp"
+
 namespace hylo {
+
+namespace {
+
+// Inverts the lower-triangular diagonal block x[r0:r1, r0:r1] in place. A
+// block of at most kCholeskyPanel rows runs the unblocked column sweep;
+// a larger one splits in two, inverts both halves, and forms the
+// off-diagonal block X₂₁ = −X₂₂·L₂₁·X₁₁ with two GEMMs (packed in the SIMD
+// tiers, so the result is bitwise the same at any thread count).
+void invert_lower(Matrix& x, index_t r0, index_t r1) {
+  const index_t n = r1 - r0;
+  if (n <= kCholeskyPanel) {
+    for (index_t j = r0; j < r1; ++j) {
+      x(j, j) = 1.0 / x(j, j);
+      for (index_t i = j + 1; i < r1; ++i) {
+        const real_t* xi = x.row_ptr(i);
+        real_t acc = 0.0;
+        for (index_t k = j; k < i; ++k) acc += xi[k] * x(k, j);
+        x(i, j) = -acc / xi[i];
+      }
+    }
+    return;
+  }
+  const index_t mid = r0 + n / 2;
+  invert_lower(x, r0, mid);
+  invert_lower(x, mid, r1);
+  auto block = [&x](index_t i0, index_t i1, index_t j0, index_t j1) {
+    Matrix b(i1 - i0, j1 - j0);
+    for (index_t i = i0; i < i1; ++i)
+      std::copy(x.row_ptr(i) + j0, x.row_ptr(i) + j1, b.row_ptr(i - i0));
+    return b;
+  };
+  const Matrix t = matmul(block(mid, r1, r0, mid), block(r0, mid, r0, mid));
+  Matrix x21;
+  gemm(block(mid, r1, mid, r1), t, x21, -1.0);
+  for (index_t i = mid; i < r1; ++i)
+    std::copy(x21.row_ptr(i - mid), x21.row_ptr(i - mid) + (mid - r0),
+              x.row_ptr(i) + r0);
+}
+
+}  // namespace
 
 bool try_cholesky(const Matrix& a, Matrix& l) {
   HYLO_CHECK(a.rows() == a.cols(), "cholesky needs square");
   const index_t n = a.rows();
   l.resize(n, n);
-  for (index_t j = 0; j < n; ++j) {
-    real_t diag = a(j, j);
-    const real_t* lj = l.row_ptr(j);
-    for (index_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
-    if (!(diag > 0.0) || !std::isfinite(diag)) return false;
-    const real_t ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    const real_t inv = 1.0 / ljj;
-    for (index_t i = j + 1; i < n; ++i) {
-      real_t v = a(i, j);
-      const real_t* li = l.row_ptr(i);
-      for (index_t k = 0; k < j; ++k) v -= li[k] * lj[k];
-      l(i, j) = v * inv;
+  for (index_t i = 0; i < n; ++i)
+    std::copy(a.row_ptr(i), a.row_ptr(i) + i + 1, l.row_ptr(i));
+  // Right-looking, kCholeskyPanel columns at a time, in place in the lower
+  // triangle of l. Entering a panel, the columns left of it have already
+  // been subtracted (syrk_trailing), so each element's chain is
+  // a(i, j) − Σ_k l(i, k)·l(j, k) with one FMA per k, ascending: the
+  // unblocked dot form's chain, hence its bits.
+  for (index_t p0 = 0; p0 < n; p0 += kCholeskyPanel) {
+    const index_t p1 = std::min(p0 + kCholeskyPanel, n);
+    for (index_t j = p0; j < p1; ++j) {
+      real_t* lj = l.row_ptr(j);
+      real_t diag = lj[j];
+      for (index_t k = p0; k < j; ++k) diag = std::fma(-lj[k], lj[k], diag);
+      if (!(diag > 0.0) || !std::isfinite(diag)) return false;
+      const real_t ljj = std::sqrt(diag);
+      lj[j] = ljj;
+      const real_t inv = 1.0 / ljj;
+      for (index_t i = j + 1; i < n; ++i) {
+        real_t* li = l.row_ptr(i);
+        real_t v = li[j];
+        for (index_t k = p0; k < j; ++k) v = std::fma(-li[k], lj[k], v);
+        li[j] = v * inv;
+      }
     }
+    syrk_trailing(l, p0, p1, -1.0);
   }
   return true;
 }
@@ -84,10 +138,14 @@ Matrix cholesky_solve(const Matrix& l, const Matrix& b) {
   return x;
 }
 
-Matrix spd_inverse(const Matrix& a) {
-  const Matrix l = cholesky(a);
-  return cholesky_solve(l, Matrix::identity(a.rows()));
+Matrix cholesky_inverse(const Matrix& l) {
+  HYLO_CHECK(l.rows() == l.cols(), "cholesky_inverse needs square");
+  Matrix x = l;
+  invert_lower(x, 0, x.rows());
+  return gram_tn_tril(x);
 }
+
+Matrix spd_inverse(const Matrix& a) { return cholesky_inverse(cholesky(a)); }
 
 Matrix spd_solve(const Matrix& a, const Matrix& b) {
   const Matrix l = cholesky(a);

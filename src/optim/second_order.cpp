@@ -396,8 +396,7 @@ Matrix damped_cholesky(const Matrix& c, real_t damping, int attempts) {
 }
 
 Matrix damped_spd_inverse(const Matrix& c, real_t damping, int attempts) {
-  const Matrix l = damped_cholesky(c, damping, attempts);
-  return cholesky_solve(l, Matrix::identity(c.rows()));
+  return cholesky_inverse(damped_cholesky(c, damping, attempts));
 }
 
 }  // namespace hylo

@@ -341,21 +341,32 @@ void micro_edge(const TierCfg& cfg, index_t kc, const real_t* ap,
     for (index_t l = 0; l < cols; ++l) c[r * ldc + l] = tmp[r * cfg.nr + l];
 }
 
-/// gram_nt's diagonal-straddling tiles: like micro_edge, but only elements
-/// with global column >= global row (the declared add_row_tail region) are
-/// copied in and written back.
+/// Which triangle a symmetric tile sweep (sym_tiles) writes: the upper one,
+/// mirrored into the lower once accumulated (the Gram products), or the lower
+/// one alone, in place (the Cholesky trailing update).
+enum class Tri { kUpperMirrored, kLower };
+
+/// Whether global element (i, j) lies in the swept triangle, diagonal
+/// included.
+bool in_tri(Tri tri, index_t i, index_t j) {
+  return tri == Tri::kLower ? j <= i : j >= i;
+}
+
+/// Diagonal-straddling tiles of a symmetric sweep: like micro_edge, but only
+/// elements of the swept triangle (the declared footprint) are copied in and
+/// written back.
 void micro_edge_tri(const TierCfg& cfg, index_t kc, const real_t* ap,
                     const real_t* bp, real_t* c, index_t ldc, index_t rows,
-                    index_t cols, index_t i, index_t j0) {
+                    index_t cols, index_t i, index_t j0, Tri tri) {
   real_t tmp[kMaxMR * kMaxNR];
   std::fill(tmp, tmp + cfg.mr * cfg.nr, 0.0);
   for (index_t r = 0; r < rows; ++r)
     for (index_t l = 0; l < cols; ++l)
-      if (j0 + l >= i + r) tmp[r * cfg.nr + l] = c[r * ldc + l];
+      if (in_tri(tri, i + r, j0 + l)) tmp[r * cfg.nr + l] = c[r * ldc + l];
   cfg.micro(kc, ap, bp, tmp, cfg.nr);
   for (index_t r = 0; r < rows; ++r)
     for (index_t l = 0; l < cols; ++l)
-      if (j0 + l >= i + r) c[r * ldc + l] = tmp[r * cfg.nr + l];
+      if (in_tri(tri, i + r, j0 + l)) c[r * ldc + l] = tmp[r * cfg.nr + l];
 }
 
 /// Shared driver: C += srcA · srcB with C m x n, inner dimension k. B is
@@ -411,6 +422,97 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
         }
       },
       label, audit::row_block(c));
+}
+
+/// The triangle tile loop shared by gram_nt, gram_tn and the trailing
+/// update: one triangle (diagonal included) of the square block
+/// c[off:, off:] += srcA · srcB, inner dimension k (the mirrored upper sweep
+/// is only used with off == 0). B is packed once on the calling
+/// thread; rows are partitioned with an MR-aligned grain. Tiles wholly
+/// outside the triangle are skipped and straddling tiles go through
+/// micro_edge_tri, so no element outside the triangle is read or written.
+/// With `tril_source` the operand is lower triangular (column j is zero above
+/// row j), so a tile starting at column j0 of the upper triangle starts its k
+/// loop at j0: the skipped products are exact zeros added to a +0
+/// accumulator, so the bits equal the full sweep on any finite operand.
+template <typename SrcA, typename SrcB>
+void sym_tiles(Matrix& c, index_t off, index_t k, const SrcA& srcA,
+               const SrcB& srcB, Tri tri, bool tril_source,
+               const char* label) {
+  const index_t m = c.rows() - off, ldc = c.cols();
+  if (m == 0 || k == 0) return;
+  real_t* cp = c.data() + off * ldc + off;
+  const TierCfg cfg = tier_cfg(active());
+  const index_t mr = cfg.mr, nr = cfg.nr;
+  const index_t npanels = (m + nr - 1) / nr;
+
+  std::vector<real_t>& bpack = tl_scratch(0);
+  bpack.resize(static_cast<std::size_t>(k * npanels * nr));
+  for (index_t k0 = 0; k0 < k; k0 += kKC) {
+    const index_t kc = std::min(kKC, k - k0);
+    pack_b(bpack.data() + k0 * npanels * nr, k0, kc, m, nr, srcB);
+  }
+  const real_t* bp_all = bpack.data();
+
+  par::parallel_for(
+      0, m, mr,
+      [&](index_t i0, index_t i1) {
+        std::vector<real_t>& apack = tl_scratch(1);
+        const index_t mc_pad =
+            ((std::min(kMC, i1 - i0) + mr - 1) / mr) * mr;
+        apack.resize(static_cast<std::size_t>(mc_pad * std::min(kKC, k)));
+        for (index_t k0 = 0; k0 < k; k0 += kKC) {
+          const index_t kc = std::min(kKC, k - k0);
+          const real_t* bblk = bp_all + k0 * npanels * nr;
+          for (index_t ic = i0; ic < i1; ic += kMC) {
+            const index_t mc = std::min(kMC, i1 - ic);
+            pack_a(apack.data(), ic, mc, k0, kc, mr, srcA);
+            for (index_t p = 0; p < mc; p += mr) {
+              const real_t* ap = apack.data() + (p / mr) * kc * mr;
+              const index_t i = ic + p;
+              const index_t rows = std::min(mr, mc - p);
+              real_t* crow = cp + i * ldc;
+              for (index_t q = 0; q < npanels; ++q) {
+                const index_t j0 = q * nr;
+                const index_t jw = std::min(nr, m - j0);
+                const bool outside = tri == Tri::kLower ? j0 >= i + rows
+                                                        : j0 + jw <= i;
+                if (outside) continue;
+                const index_t skip =
+                    tril_source ? std::clamp<index_t>(j0 - k0, 0, kc) : 0;
+                if (skip == kc) continue;
+                const real_t* a_k = ap + skip * mr;
+                const real_t* b_k = bblk + q * kc * nr + skip * nr;
+                const bool inside = tri == Tri::kLower ? j0 + nr - 1 <= i
+                                                       : j0 >= i + mr - 1;
+                if (rows == mr && jw == nr && inside)
+                  cfg.micro(kc - skip, a_k, b_k, crow + j0, ldc);
+                else
+                  micro_edge_tri(cfg, kc - skip, a_k, b_k, crow + j0, ldc,
+                                 rows, jw, i, j0, tri);
+              }
+            }
+          }
+        }
+        if (tri != Tri::kUpperMirrored) return;
+        // Mirror the chunk's rows into the column tail once, after every
+        // KC block has accumulated: C(j, i) = C(i, j) — the same double, so
+        // symmetry is exact.
+        for (index_t i = i0; i < i1; ++i) {
+          const real_t* ri = cp + i * ldc;
+          for (index_t j = i + 1; j < m; ++j) cp[j * ldc + i] = ri[j];
+        }
+      },
+      label,
+      audit::Footprint([&c, off, tri](index_t i0, index_t i1,
+                                      audit::WriteSet& ws) {
+        if (tri == Tri::kLower) {
+          ws.add_row_head(c, off + i0, off + i1, off);
+        } else {
+          ws.add_row_tail(c, i0, i1);
+          ws.add_col_tail(c, i0, i1);
+        }
+      }));
 }
 
 // ---- Fused im2col pack sources ----------------------------------------
@@ -583,70 +685,31 @@ void packed_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c,
 void packed_gram_nt(const Matrix& a, Matrix& c) {
   const index_t m = a.rows(), k = a.cols();
   HYLO_CHECK(c.rows() == m && c.cols() == m, "packed_gram_nt C shape");
-  if (m == 0) return;
-  const TierCfg cfg = tier_cfg(active());
-  const index_t mr = cfg.mr, nr = cfg.nr;
-  const index_t npanels = (m + nr - 1) / nr;
   const real_t* pa = a.data();
+  sym_tiles(
+      c, 0, k, [pa, k](index_t i, index_t kk) { return pa[i * k + kk]; },
+      [pa, k](index_t kk, index_t j) { return pa[j * k + kk]; },
+      Tri::kUpperMirrored, false, "tensor/gram_nt");
+}
 
-  std::vector<real_t>& bpack = tl_scratch(0);
-  bpack.resize(static_cast<std::size_t>(std::max<index_t>(k, 1) * npanels * nr));
-  for (index_t k0 = 0; k0 < k; k0 += kKC) {
-    const index_t kc = std::min(kKC, k - k0);
-    pack_b(bpack.data() + k0 * npanels * nr, k0, kc, m, nr,
-           [pa, k](index_t kk, index_t j) { return pa[j * k + kk]; });
-  }
-  const real_t* bp_all = bpack.data();
-  const index_t ldc = m;
-  real_t* cp = c.data();
+void packed_gram_tn(const Matrix& a, Matrix& c, bool tril) {
+  const index_t k = a.rows(), m = a.cols();
+  HYLO_CHECK(c.rows() == m && c.cols() == m, "packed_gram_tn C shape");
+  const real_t* pa = a.data();
+  sym_tiles(
+      c, 0, k, [pa, m](index_t i, index_t kk) { return pa[kk * m + i]; },
+      [pa, m](index_t kk, index_t j) { return pa[kk * m + j]; },
+      Tri::kUpperMirrored, tril, "tensor/gram_tn");
+}
 
-  par::parallel_for(
-      0, m, mr,
-      [&](index_t i0, index_t i1) {
-        std::vector<real_t>& apack = tl_scratch(1);
-        const index_t mc_pad =
-            ((std::min(kMC, i1 - i0) + mr - 1) / mr) * mr;
-        apack.resize(static_cast<std::size_t>(
-            mc_pad * std::min(kKC, std::max<index_t>(k, 1))));
-        for (index_t k0 = 0; k0 < k; k0 += kKC) {
-          const index_t kc = std::min(kKC, k - k0);
-          const real_t* bblk = bp_all + k0 * npanels * nr;
-          for (index_t ic = i0; ic < i1; ic += kMC) {
-            const index_t mc = std::min(kMC, i1 - ic);
-            pack_a(apack.data(), ic, mc, k0, kc, mr,
-                   [pa, k](index_t i, index_t kk) { return pa[i * k + kk]; });
-            for (index_t p = 0; p < mc; p += mr) {
-              const real_t* ap = apack.data() + (p / mr) * kc * mr;
-              const index_t i = ic + p;
-              const index_t rows = std::min(mr, mc - p);
-              real_t* crow = cp + i * ldc;
-              for (index_t q = 0; q < npanels; ++q) {
-                const index_t j0 = q * nr;
-                if (j0 + nr <= i) continue;  // tile fully below the diagonal
-                const real_t* bpan = bblk + q * kc * nr;
-                const index_t jw = std::min(nr, m - j0);
-                if (rows == mr && jw == nr && j0 >= i + mr - 1)
-                  cfg.micro(kc, ap, bpan, crow + j0, ldc);
-                else
-                  micro_edge_tri(cfg, kc, ap, bpan, crow + j0, ldc, rows, jw,
-                                 i, j0);
-              }
-            }
-          }
-        }
-        // Mirror the chunk's rows into the column tail once, after every
-        // KC block has accumulated: C(j, i) = C(i, j) — the same double, so
-        // symmetry is exact.
-        for (index_t i = i0; i < i1; ++i) {
-          const real_t* ri = cp + i * ldc;
-          for (index_t j = i + 1; j < m; ++j) cp[j * ldc + i] = ri[j];
-        }
-      },
-      "tensor/gram_nt",
-      audit::Footprint([&c](index_t i0, index_t i1, audit::WriteSet& ws) {
-        ws.add_row_tail(c, i0, i1);
-        ws.add_col_tail(c, i0, i1);
-      }));
+void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha) {
+  const index_t n = c.rows();
+  const real_t* p = c.data() + k1 * n + k0;  // P = c[k1:n, k0:k1]
+  sym_tiles(
+      c, k1, k1 - k0,
+      [p, n, alpha](index_t i, index_t kk) { return alpha * p[i * n + kk]; },
+      [p, n](index_t kk, index_t j) { return p[j * n + kk]; }, Tri::kLower,
+      false, "tensor/syrk_trailing");
 }
 
 // ---- Vector helpers ----------------------------------------------------

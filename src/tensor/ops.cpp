@@ -206,21 +206,31 @@ Matrix gram_nt(const Matrix& a) {
   return c;
 }
 
-Matrix gram_tn(const Matrix& a) {
+namespace {
+// C = AᵀA; with `tril`, A is square and lower triangular (gram_tn_tril).
+Matrix gram_tn_impl(const Matrix& a, bool tril) {
   const index_t m = a.rows(), k = a.cols();
   Matrix c(k, k);
+  if (kern::active() != kern::Tier::kScalar) {
+    kern::packed_gram_tn(a, c, tril);
+    return c;
+  }
   // Rank-1 accumulation over rows of A; the r loop stays outermost inside
   // each thread's private block of output rows, so every element sums in
-  // r-ascending (serial) order. Fill upper triangle then mirror.
+  // r-ascending (serial) order. Row r of a lower-triangular A is zero past
+  // column r, so `tril` stops both inner loops there. Fill upper triangle
+  // then mirror.
   par::parallel_for(
       0, k, 8,
       [&](index_t i0, index_t i1) {
         for (index_t r = 0; r < m; ++r) {
           const real_t* ar = a.row_ptr(r);
-          for (index_t i = i0; i < i1; ++i) {
+          const index_t iend = tril ? std::min(i1, r + 1) : i1;
+          const index_t jend = tril ? r + 1 : k;
+          for (index_t i = i0; i < iend; ++i) {
             const real_t v = ar[i];
             real_t* ci = c.row_ptr(i);
-            for (index_t j = i; j < k; ++j) ci[j] += v * ar[j];
+            for (index_t j = i; j < jend; ++j) ci[j] += v * ar[j];
           }
         }
       },
@@ -231,6 +241,49 @@ Matrix gram_tn(const Matrix& a) {
   for (index_t i = 0; i < k; ++i)
     for (index_t j = 0; j < i; ++j) c(i, j) = c(j, i);
   return c;
+}
+}  // namespace
+
+Matrix gram_tn(const Matrix& a) { return gram_tn_impl(a, false); }
+
+Matrix gram_tn_tril(const Matrix& x) {
+  HYLO_CHECK(x.rows() == x.cols(), "gram_tn_tril needs square, got "
+                                       << x.rows() << "x" << x.cols());
+  return gram_tn_impl(x, true);
+}
+
+void syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha) {
+  const index_t n = c.rows();
+  HYLO_CHECK(c.cols() == n && 0 <= k0 && k0 <= k1 && k1 <= n,
+             "syrk_trailing range [" << k0 << ", " << k1 << ") on "
+                                     << c.rows() << "x" << c.cols());
+  if (k0 == k1 || k1 == n) return;
+  if (kern::active() != kern::Tier::kScalar) {
+    kern::packed_syrk_trailing(c, k0, k1, alpha);
+    return;
+  }
+  // std::fma per term, k ascending: the packed microkernel's exact chain, so
+  // every tier gives the same bits whether or not the build contracts. Chunk
+  // [i0, i1) owns rows k1+i0 .. k1+i1-1 from column k1 through the diagonal;
+  // the P columns it reads lie left of k1 and are never written.
+  par::parallel_for(
+      0, n - k1, 8,
+      [&](index_t i0, index_t i1) {
+        for (index_t i = k1 + i0; i < k1 + i1; ++i) {
+          real_t* ci = c.row_ptr(i);
+          for (index_t j = k1; j <= i; ++j) {
+            const real_t* cj = c.row_ptr(j);
+            real_t acc = ci[j];
+            for (index_t kk = k0; kk < k1; ++kk)
+              acc = std::fma(alpha * ci[kk], cj[kk], acc);
+            ci[j] = acc;
+          }
+        }
+      },
+      "tensor/syrk_trailing",
+      audit::Footprint([&c, k1](index_t i0, index_t i1, audit::WriteSet& ws) {
+        ws.add_row_head(c, k1 + i0, k1 + i1, k1);
+      }));
 }
 
 void matvec(const Matrix& a, const std::vector<real_t>& x,

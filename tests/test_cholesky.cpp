@@ -1,11 +1,93 @@
-// Cholesky factorization and SPD solves across a size sweep.
+// Cholesky factorization, SPD solves and the SPD inverse across a size
+// sweep. The blocked factorization is pinned bit for bit to an unblocked
+// reference in every kernel tier and at 1 and 2 threads.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "hylo/linalg/cholesky.hpp"
+#include "hylo/linalg/eigh.hpp"
+#include "hylo/par/thread_pool.hpp"
+#include "hylo/tensor/kernel_dispatch.hpp"
 #include "test_util.hpp"
 
 namespace hylo {
 namespace {
+
+using testutil::bitwise_equal;
+
+constexpr index_t kNb = kCholeskyPanel;
+
+// The unblocked dot-form Cholesky the blocked one replaced, with its
+// multiply-subtracts written as the fused operations an FMA build compiles
+// them to. Returns -1 on success, else the column whose pivot failed.
+index_t reference_cholesky(const Matrix& a, Matrix& l) {
+  const index_t n = a.rows();
+  l.resize(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    real_t diag = a(j, j);
+    const real_t* lj = l.row_ptr(j);
+    for (index_t k = 0; k < j; ++k) diag = std::fma(-lj[k], lj[k], diag);
+    if (!(diag > 0.0) || !std::isfinite(diag)) return j;
+    const real_t ljj = std::sqrt(diag);
+    l(j, j) = ljj;
+    const real_t inv = 1.0 / ljj;
+    for (index_t i = j + 1; i < n; ++i) {
+      real_t v = a(i, j);
+      const real_t* li = l.row_ptr(i);
+      for (index_t k = 0; k < j; ++k) v = std::fma(-li[k], lj[k], v);
+      l(i, j) = v * inv;
+    }
+  }
+  return -1;
+}
+
+std::vector<kern::Tier> available_tiers() {
+  std::vector<kern::Tier> out;
+  for (const kern::Tier t : {kern::Tier::kScalar, kern::Tier::kNeon,
+                             kern::Tier::kAvx2, kern::Tier::kAvx512})
+    if (kern::available(t)) out.push_back(t);
+  return out;
+}
+
+// Restores the ambient kernel tier and thread count when it goes out of
+// scope, so a test that sweeps them leaks nothing into later tests.
+class TierThreadGuard {
+ public:
+  TierThreadGuard() : tier_(kern::active()) {}
+  ~TierThreadGuard() {
+    kern::set_tier(tier_);
+    par::set_num_threads(0);
+  }
+  TierThreadGuard(const TierThreadGuard&) = delete;
+  TierThreadGuard& operator=(const TierThreadGuard&) = delete;
+
+ private:
+  kern::Tier tier_;
+};
+
+Matrix leading(const Matrix& a, index_t k) {
+  Matrix out(k, k);
+  for (index_t i = 0; i < k; ++i)
+    for (index_t j = 0; j < k; ++j) out(i, j) = a(i, j);
+  return out;
+}
+
+// A Kronecker-factor-like input: the Gram of m samples divided by m, plus
+// damping — rank-deficient before damping when m < n.
+Matrix factor_like(Rng& rng, index_t n, index_t m, real_t damping) {
+  Matrix a = gram_tn(testutil::random_matrix(rng, m, n));
+  a *= 1.0 / static_cast<real_t>(m);
+  add_diagonal(a, damping);
+  return a;
+}
+
+real_t inverse_residual(const Matrix& a, const Matrix& inv) {
+  return max_abs_diff(matmul(a, inv), Matrix::identity(a.rows()));
+}
 
 class CholeskySizes : public ::testing::TestWithParam<index_t> {};
 
@@ -37,8 +119,108 @@ TEST_P(CholeskySizes, InverseIsInverse) {
   EXPECT_LT(max_abs_diff(matmul(a, inv), Matrix::identity(n)), 1e-7);
 }
 
+TEST_P(CholeskySizes, BlockedMatchesUnblockedReferenceBitwise) {
+  const index_t n = GetParam();
+  Rng rng(3000 + n);
+  const Matrix a = factor_like(rng, n, 16 + n / 2, 1e-3);
+  Matrix want;
+  ASSERT_EQ(reference_cholesky(a, want), -1);
+  TierThreadGuard guard;
+  for (const kern::Tier tier : available_tiers()) {
+    kern::set_tier(tier);
+    for (const int threads : {1, 2}) {
+      par::set_num_threads(threads);
+      Matrix l;
+      ASSERT_TRUE(try_cholesky(a, l))
+          << kern::tier_name(tier) << " @" << threads;
+      EXPECT_TRUE(bitwise_equal(l, want))
+          << kern::tier_name(tier) << " @" << threads;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, CholeskySizes,
-                         ::testing::Values(1, 2, 3, 5, 8, 16, 37, 64, 100));
+                         ::testing::Values(1, 2, 3, 5, 8, 16, 37, 64, 100,
+                                           kNb - 1, kNb, kNb + 1, 2 * kNb + 3,
+                                           217, 433));
+
+// A failing pivot is reported at the column the unblocked reference stops
+// at: the leading block just before it factors (to the reference's bits)
+// and the one including it does not.
+void expect_fails_at_reference_column(const Matrix& a, index_t want_col) {
+  Matrix ref;
+  ASSERT_EQ(reference_cholesky(a, ref), want_col);
+  TierThreadGuard guard;
+  for (const kern::Tier tier : available_tiers()) {
+    kern::set_tier(tier);
+    for (const int threads : {1, 2}) {
+      par::set_num_threads(threads);
+      Matrix l, lead_ref;
+      EXPECT_FALSE(try_cholesky(a, l)) << kern::tier_name(tier);
+      const Matrix before = leading(a, want_col);
+      ASSERT_EQ(reference_cholesky(before, lead_ref), -1);
+      ASSERT_TRUE(try_cholesky(before, l)) << kern::tier_name(tier);
+      EXPECT_TRUE(bitwise_equal(l, lead_ref)) << kern::tier_name(tier);
+      EXPECT_FALSE(try_cholesky(leading(a, want_col + 1), l))
+          << kern::tier_name(tier) << " @" << threads;
+    }
+  }
+}
+
+TEST(Cholesky, IndefinitePivotInLaterPanelFailsAtReferenceColumn) {
+  Rng rng(41);
+  const index_t n = 3 * kNb + 7, bad = 2 * kNb + 5;
+  Matrix a = testutil::random_spd(rng, n);
+  a(bad, bad) = -1.0;
+  expect_fails_at_reference_column(a, bad);
+}
+
+TEST(Cholesky, NaNInTrailingBlockFailsAtReferenceColumn) {
+  Rng rng(42);
+  const index_t n = 3 * kNb + 7, i = 2 * kNb + 9, j = kNb + 3;
+  Matrix a = testutil::random_spd(rng, n);
+  a(i, j) = a(j, i) = std::numeric_limits<real_t>::quiet_NaN();
+  // l(i, j) turns NaN; the first pivot that reads it is column i's.
+  expect_fails_at_reference_column(a, i);
+}
+
+TEST(Cholesky, InverseOfFactorLikeInputs) {
+  // KAISA's 3x3-conv A-factor sizes, at batch-like sample counts.
+  TierThreadGuard guard;
+  for (const index_t n : {28, 109, 217, 433})
+    for (const index_t m : {16, 64}) {
+      Rng rng(static_cast<std::uint64_t>(100 * n + m));
+      const Matrix a = factor_like(rng, n, m, 1e-3);
+      const std::vector<real_t> ev = eigvalsh(a);
+      const real_t kappa = ev.back() / ev.front();
+      const real_t eps = std::numeric_limits<real_t>::epsilon();
+      // The route the blocked inverse replaced: solve against I.
+      const real_t solve_res = inverse_residual(
+          a, cholesky_solve(cholesky(a), Matrix::identity(n)));
+      for (const kern::Tier tier : available_tiers()) {
+        kern::set_tier(tier);
+        par::set_num_threads(1);
+        const Matrix inv = spd_inverse(a);
+        const real_t res = inverse_residual(a, inv);
+        EXPECT_LT(res, static_cast<real_t>(n) * eps * kappa)
+            << kern::tier_name(tier) << " n=" << n << " m=" << m;
+        EXPECT_LE(res, 4.0 * solve_res)
+            << kern::tier_name(tier) << " n=" << n << " m=" << m;
+        for (index_t r = 0; r < n; ++r)
+          for (index_t c = 0; c < r; ++c)
+            ASSERT_EQ(std::memcmp(inv.row_ptr(r) + c, inv.row_ptr(c) + r,
+                                  sizeof(real_t)),
+                      0)
+                << kern::tier_name(tier) << " n=" << n << " (" << r << ","
+                << c << ")";
+        for (const int threads : {2, 4}) {
+          par::set_num_threads(threads);
+          EXPECT_TRUE(bitwise_equal(spd_inverse(a), inv))
+              << kern::tier_name(tier) << " n=" << n << " @" << threads;
+        }
+      }
+    }
+}
 
 TEST(Cholesky, VectorSolve) {
   Rng rng(9);

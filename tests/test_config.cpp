@@ -203,5 +203,35 @@ TEST(ConfigResolver, RunStartRecordsConfigSource) {
   fs::remove_all(dir);
 }
 
+TEST(ConfigResolver, RunStartRecordsFaultSeedExactly) {
+  const ClearedEnv cleared;
+  // 2^53 + 1 (the first integer a double rounds) and 2^64 - 1.
+  for (const std::string seed : {"9007199254740993", "18446744073709551615"}) {
+    const fs::path dir = fs::temp_directory_path() /
+                         ("hylo_fault_seed_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const DataSplit data = make_spirals(256, 64, 2, 0.08, 11);
+    Network net = make_mlp({2, 1, 1}, {16}, 2, 3);
+    Sgd opt(OptimConfig{});
+    TrainConfig tc;
+    tc.epochs = 1;
+    tc.batch_size = 16;
+    tc.world = 2;
+    tc.max_iters_per_epoch = 2;
+    tc.faults = FaultConfig::parse(seed + ":0.1");
+    tc.health = obs::HealthConfig{};
+    tc.telemetry.dir = dir.string();
+    Trainer trainer(net, opt, data, tc);
+    trainer.run();
+
+    std::ifstream in(trainer.run_log().run_log_path());
+    std::string first;
+    ASSERT_TRUE(std::getline(in, first));
+    const obs::Json start = obs::Json::parse(first);
+    EXPECT_EQ(start.at("faults").at("seed").str(), seed);
+    fs::remove_all(dir);
+  }
+}
+
 }  // namespace
 }  // namespace hylo

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "hylo/common/check.hpp"
+#include "hylo/linalg/cholesky.hpp"
 #include "hylo/linalg/kernels.hpp"
 #include "hylo/nn/layers.hpp"
 #include "hylo/nn/loss.hpp"
@@ -81,6 +82,13 @@ Matrix exponent_spread_matrix(Rng& rng, index_t rows, index_t cols) {
   return m;
 }
 
+// The lower triangle of a square matrix, zeros above the diagonal.
+Matrix lower_triangle(Matrix m) {
+  for (index_t i = 0; i < m.rows(); ++i)
+    for (index_t j = i + 1; j < m.cols(); ++j) m(i, j) = 0.0;
+  return m;
+}
+
 // ---- Dispatch ----------------------------------------------------------
 
 TEST_F(KernelTiers, ParseAcceptsCanonicalNames) {
@@ -128,6 +136,7 @@ TEST_F(KernelTiers, GemmFamilyBitwiseAcrossThreadCountsWithinTier) {
   const Matrix b = testutil::random_matrix(rng, 53, 29);
   const Matrix at = testutil::random_matrix(rng, 53, 37);
   const Matrix bt = testutil::random_matrix(rng, 29, 53);
+  const Matrix tri = lower_triangle(testutil::random_matrix(rng, 45, 45));
   Matrix y(53, 1);
   for (index_t i = 0; i < 53; ++i) y[i] = rng.normal();
 
@@ -138,6 +147,8 @@ TEST_F(KernelTiers, GemmFamilyBitwiseAcrossThreadCountsWithinTier) {
     const Matrix r_tn = matmul_tn(at, b);
     const Matrix r_nt = matmul_nt(a, bt);
     const Matrix r_gram = gram_nt(a);
+    const Matrix r_gram_tn = gram_tn(a);
+    const Matrix r_gram_tril = gram_tn_tril(tri);
     Matrix r_diag;
     gemm_tn_diag(at, y, b, r_diag);
 
@@ -151,6 +162,10 @@ TEST_F(KernelTiers, GemmFamilyBitwiseAcrossThreadCountsWithinTier) {
           << kern::tier_name(tier) << " gemm_nt @" << t;
       EXPECT_TRUE(bitwise_equal(gram_nt(a), r_gram))
           << kern::tier_name(tier) << " gram_nt @" << t;
+      EXPECT_TRUE(bitwise_equal(gram_tn(a), r_gram_tn))
+          << kern::tier_name(tier) << " gram_tn @" << t;
+      EXPECT_TRUE(bitwise_equal(gram_tn_tril(tri), r_gram_tril))
+          << kern::tier_name(tier) << " gram_tn_tril @" << t;
       Matrix d;
       gemm_tn_diag(at, y, b, d);
       EXPECT_TRUE(bitwise_equal(d, r_diag))
@@ -218,11 +233,18 @@ TEST_F(KernelTiers, SimdMatchesScalarOnRandomMatrices) {
   const Matrix at = testutil::random_matrix(rng, 83, 61);
   const Matrix bt = testutil::random_matrix(rng, 47, 83);
 
+  // A damped factor-like SPD matrix for the inverse (κ ≈ 1e3).
+  Matrix spd = gram_tn(testutil::random_matrix(rng, 48, 97));
+  spd *= 1.0 / 48.0;
+  add_diagonal(spd, 1e-2);
+
   kern::set_tier(Tier::kScalar);
   const Matrix r_nn = matmul(a, b);
   const Matrix r_tn = matmul_tn(at, b);
   const Matrix r_nt = matmul_nt(a, bt);
   const Matrix r_gram = gram_nt(a);
+  const Matrix r_gram_tn = gram_tn(at);
+  const Matrix r_inv = spd_inverse(spd);
 
   for (const Tier tier : simd_tiers()) {
     kern::set_tier(tier);
@@ -232,6 +254,11 @@ TEST_F(KernelTiers, SimdMatchesScalarOnRandomMatrices) {
     EXPECT_LT(norm_rel_err(r_nt, matmul_nt(a, bt)), 1e-13)
         << kern::tier_name(tier);
     EXPECT_LT(norm_rel_err(r_gram, gram_nt(a)), 1e-13) << kern::tier_name(tier);
+    EXPECT_LT(norm_rel_err(r_gram_tn, gram_tn(at)), 1e-13)
+        << kern::tier_name(tier);
+    // The inverse amplifies the GEMMs' reassociation by about κ.
+    EXPECT_LT(norm_rel_err(r_inv, spd_inverse(spd)), 1e-10)
+        << kern::tier_name(tier);
   }
 }
 
@@ -288,15 +315,24 @@ TEST_F(KernelTiers, AlphaBetaHandledIdenticallyAcrossTiers) {
 TEST_F(KernelTiers, GramIsExactlySymmetricInEveryTier) {
   Rng rng(102);
   const Matrix a = testutil::random_matrix(rng, 53, 21);
+  const Matrix tri = lower_triangle(testutil::random_matrix(rng, 37, 37));
   for (const Tier tier : all_tiers()) {
     kern::set_tier(tier);
-    const Matrix g = gram_nt(a);
-    for (index_t i = 0; i < g.rows(); ++i)
-      for (index_t j = 0; j < i; ++j) {
-        const real_t lo = g(i, j), up = g(j, i);
-        EXPECT_EQ(std::memcmp(&lo, &up, sizeof(real_t)), 0)
-            << kern::tier_name(tier) << " (" << i << "," << j << ")";
-      }
+    const Matrix g_tn = gram_tn(a);
+    for (const Matrix& g : {gram_nt(a), g_tn})
+      for (index_t i = 0; i < g.rows(); ++i)
+        for (index_t j = 0; j < i; ++j) {
+          const real_t lo = g(i, j), up = g(j, i);
+          EXPECT_EQ(std::memcmp(&lo, &up, sizeof(real_t)), 0)
+              << kern::tier_name(tier) << " (" << i << "," << j << ")";
+        }
+    // One tile loop, two sets of pack accessors: AᵀA read through A's
+    // columns is AᵀA formed from an explicit transpose, bit for bit.
+    EXPECT_TRUE(bitwise_equal(g_tn, gram_nt(a.transposed())))
+        << kern::tier_name(tier);
+    // Skipping the zero triangle drops only exact zeros.
+    EXPECT_TRUE(bitwise_equal(gram_tn_tril(tri), gram_tn(tri)))
+        << kern::tier_name(tier);
   }
 }
 

@@ -1,7 +1,7 @@
-// Synthetic lint fixture: every rule violated once. The `lint_fixture`
-// ctest case runs lint_hylo.py --root over this tree and REQUIRES a
-// nonzero exit (WILL_FAIL) — if the linter ever stops catching these, CI
-// goes red. This file is never compiled.
+// Synthetic lint fixture: every rule violated once. The
+// `analyze_fixture_legacy` ctest case runs hylo_analyze --root over this
+// tree and REQUIRES a nonzero exit (WILL_FAIL) — if the analyzer ever stops
+// catching these, CI goes red. This file is never compiled.
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
