@@ -5,7 +5,7 @@
 //   ./examples/hylo_train --model resnet32 --optimizer HyLo --world 8
 //       --epochs 10 --batch 16 --lr 0.1 --damping 0.3 --freq 10
 //       --rank-ratio 0.1 --profiling --rank-analysis --grad-norm
-//       --checkpoint model.ckpt
+//       --checkpoint model.hysnp
 //   (one command line; wrapped here for readability)
 //
 // Flags (all optional; sensible defaults; numeric values are parsed whole,
@@ -33,7 +33,10 @@
 //   --profiling           (dump the comp/comm profiler at the end)
 //   --grad-norm           (print HyLo's Δ-norm history)
 //   --rank-analysis       (print the low rank used per refresh)
-//   --checkpoint PATH     (save final weights)
+//   --checkpoint PATH     (save the final weights, BatchNorm running stats
+//                          included, as a one-section run snapshot:
+//                          "network", read back with ckpt::SnapshotReader +
+//                          Network::deserialize_state)
 //   --checkpoint-dir DIR  (write crash-safe run snapshots under DIR; pairs
 //                          with --checkpoint-every; overrides HYLO_CKPT_*)
 //   --checkpoint-every N  (snapshot cadence in iterations; 0 disables)
@@ -252,9 +255,11 @@ int main(int argc, char** argv) {
     if (args.has("rank-analysis"))
       std::cout << "low rank at last refresh: " << hy->last_rank() << "\n";
   }
-  if (const std::string ckpt = args.get("checkpoint", ""); !ckpt.empty()) {
-    net.save_weights(ckpt);
-    std::cout << "weights saved to " << ckpt << "\n";
+  if (const std::string path = args.get("checkpoint", ""); !path.empty()) {
+    ckpt::SnapshotWriter snap;
+    net.serialize_state(snap.section("network"));
+    snap.write(path);
+    std::cout << "weights saved to " << path << "\n";
   }
   if (trainer.health().enabled()) {
     std::cout << trainer.alerts().summary() << "\n"

@@ -25,11 +25,10 @@ obs::RunLogConfig telemetry_config(const TrainConfig& cfg) {
   return rc;
 }
 
-/// Thrown by initiate_rollback to unwind run_epoch back to run_from, which
-/// owns the restore + ladder application. Never escapes run_from.
+/// Thrown by check_triggers to unwind the epoch back to run(), which owns
+/// the restore + ladder application. Never escapes run().
 struct RollbackSignal {
   RecoveryAction action;
-  std::string target;
 };
 
 /// A name-keyed map in a snapshot section: its size, then each name
@@ -72,6 +71,17 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
   health_ = obs::HealthMonitor(rc.health);
   alerts_ = obs::AlertEngine(rc.health.alerts);
   curv_ = dynamic_cast<CurvatureOptimizer*>(opt_);
+  blocks_ = net_->param_blocks();
+  for (auto* pb : blocks_) grad_scalars_ += pb->gw.size();
+  for (auto pp : net_->plain_params())
+    grad_scalars_ += static_cast<index_t>(pp.grad->size());
+  // Async timeline: each rank's simulated clock advances by *modeled*
+  // fwd/bwd compute (never measured wall time — replays stay bitwise), so
+  // curvature gathers issued at refresh t genuinely overlap the compute of
+  // iterations t+1..t+f-1.
+  if (comm_.async())
+    modeled_step_s_ = compute_seconds(
+        cfg_.compute, train_step_flops(net_->num_params(), cfg_.batch_size));
   if (rc.health.enabled) {
     health_.set_method(env::lower(opt_->name()));
     health_.attach(&comm_.profiler().registry(), &runlog_);
@@ -174,291 +184,329 @@ std::pair<real_t, real_t> Trainer::evaluate() {
           metric_sum / static_cast<real_t>(covered)};
 }
 
-void Trainer::run_epoch(index_t epoch, TrainResult& result) {
-  // A resumed epoch picks up mid-stream: the snapshot's in-progress
-  // accumulators seed the epoch sums and the loaders fast-forward past the
-  // already-consumed batches (the permutation is a pure function of
-  // seed + epoch, so skip() lands exactly on the interrupted cursor).
-  index_t start_iter = 0;
-  real_t loss_acc = 0.0, metric_acc = 0.0;
-  index_t rank_batches = 0;
-  if (resumed_ && epoch == start_epoch_) {
-    start_iter = start_iter_;
-    loss_acc = resume_loss_acc_;
-    metric_acc = resume_metric_acc_;
-    rank_batches = resume_rank_batches_;
-  }
-  for (auto& loader : loaders_) loader.start_epoch(epoch);
+void Trainer::begin_epoch() {
+  const bool decayed =
+      cursor_.epoch > 0 && cfg_.lr_schedule.decays_at(cursor_.epoch);
+  if (decayed) opt_->set_lr(opt_->lr() * cfg_.lr_schedule.gamma);
+  opt_->begin_epoch(cursor_.epoch, decayed);
+  cursor_.epoch_begun = true;
+  // Recovery needs a rollback target before the first cadenced snapshot
+  // lands: a fresh run pins its initial state (resume() pins the snapshot
+  // it resumed from).
+  if (recovery_.enabled() && global_iter_ == 0) pin_if_good(write_snapshot());
+}
+
+void Trainer::run_epoch(TrainResult& result) {
+  reset_loaders();
   index_t iters = loaders_.front().batches_per_epoch();
   if (cfg_.max_iters_per_epoch >= 0)
     iters = std::min(iters, cfg_.max_iters_per_epoch);
   HYLO_CHECK(iters > 0, "epoch with zero iterations — dataset too small for "
                         "world*batch");
-  HYLO_CHECK(start_iter <= iters,
-             "snapshot resumes at iteration " << start_iter
-                                              << " of an epoch with " << iters);
-  if (start_iter > 0)
-    for (auto& loader : loaders_) loader.skip(start_iter);
+  HYLO_CHECK(cursor_.iter <= iters, "snapshot resumes at iteration "
+                                        << cursor_.iter << " of an epoch with "
+                                        << iters);
+  while (cursor_.iter < iters) run_iteration();
 
-  auto blocks = net_->param_blocks();
-  const index_t layer_count = static_cast<index_t>(blocks.size());
-  index_t grad_scalars = 0;
-  for (auto* pb : blocks) grad_scalars += pb->gw.size();
-  for (auto pp : net_->plain_params())
-    grad_scalars += static_cast<index_t>(pp.grad->size());
-
-  Batch batch;
-  obs::TraceBuffer* trace = runlog_.enabled() ? &runlog_.trace() : nullptr;
-  auto* hy = dynamic_cast<HyloOptimizer*>(opt_);
-  // Hoisted flags: with no fault plan, no checkpoint cadence, and no health
-  // probes these stay false for the whole run and the loop takes no
-  // snapshot/elastic/probe work — such runs stay byte-identical to a build
-  // without any of the three subsystems.
-  const bool elastic = comm_.faults_active();
-  const bool snapshots = ckpt_.enabled();
-  const bool health_on = health_.enabled();
-  const bool recovering = recovery_.enabled();
-  // Async timeline: each rank's simulated clock advances by *modeled*
-  // fwd/bwd compute (never measured wall time — replays stay bitwise), so
-  // curvature gathers issued at refresh t genuinely overlap the compute of
-  // iterations t+1..t+f-1.
-  const bool async_mode = comm_.async();
-  const double modeled_step_s =
-      async_mode ? compute_seconds(cfg_.compute,
-                                   train_step_flops(net_->num_params(),
-                                                    cfg_.batch_size))
-                 : 0.0;
-
-  for (index_t it = start_iter; it < iters; ++it) {
-    const bool capture = opt_->needs_capture(global_iter_);
-    // A probe opportunity is a curvature refresh — or, for first-order
-    // methods (which never capture), every iteration; the monitor's cadence
-    // then thins these to actual probes.
-    if (health_on && (capture || curv_ == nullptr)) health_.begin_refresh();
-    const PassContext ctx{.training = true, .capture = capture};
-    net_->zero_grad();
-
-    CaptureSet cap;
-    if (capture) {
-      cap.a.resize(static_cast<std::size_t>(layer_count));
-      cap.g.resize(static_cast<std::size_t>(layer_count));
-    }
-
-    real_t iter_loss = 0.0, iter_metric = 0.0;
-    WallTimer fb_timer;
-    for (index_t rank = 0; rank < world_; ++rank) {
-      WallTimer rank_timer;
-      HYLO_CHECK(loaders_[static_cast<std::size_t>(rank)].next(batch),
-                 "loader exhausted mid-epoch");
-      const Tensor4& out = net_->forward(batch.images, ctx);
-      LossResult lr = segmentation_ ? dice_.compute(out, batch.masks)
-                                    : ce_.compute(out, batch.labels);
-      iter_loss += lr.loss;
-      iter_metric += lr.metric;
-      net_->backward(lr.grad, ctx);
-      if (capture) {
-        for (index_t l = 0; l < layer_count; ++l) {
-          cap.a[static_cast<std::size_t>(l)].push_back(
-              std::move(blocks[static_cast<std::size_t>(l)]->a_samples));
-          cap.g[static_cast<std::size_t>(l)].push_back(
-              std::move(blocks[static_cast<std::size_t>(l)]->g_samples));
-        }
-      }
-      if (trace != nullptr)
-        trace->add_span("fwd_bwd", "comp", static_cast<int>(rank),
-                        rank_timer.seconds(),
-                        obs::Json::object().set("iter", global_iter_));
-    }
-    loss_acc += iter_loss;
-    metric_acc += iter_metric;
-    rank_batches += world_;
-    // Non-finite-loss trigger, checked *before* the optimizer consumes this
-    // iteration's gradients: a NaN loss means the captures and gradients are
-    // poisoned too, and the curvature machinery would fail loudly (Cholesky
-    // escalation) on them rather than degrade. Unwind for a rollback first.
-    if (recovering && !std::isfinite(iter_loss))
-      initiate_rollback(epoch, it, "non_finite_loss");
-    // Average gradients over workers (the allreduce's arithmetic effect —
-    // each backward already used its local-batch mean). Weighted over the
-    // *surviving* ranks: after a world shrink the mean reweights itself.
-    const real_t inv_world = 1.0 / static_cast<real_t>(world_);
-    if (world_ > 1) {
-      for (auto* pb : blocks) pb->gw *= inv_world;
-      for (auto pp : net_->plain_params())
-        for (auto& g : *pp.grad) g *= inv_world;
-    }
-    comm_.profiler().add("comp/forward_backward", fb_timer.seconds());
-    if (async_mode)
-      for (index_t rank = 0; rank < world_; ++rank)
-        comm_.timeline()->advance(rank, modeled_step_s);
-    // The gradient allreduce must complete for the replicas to stay
-    // bit-identical: injected rank_down faults re-form and retry.
-    comm_.charge_allreduce(comm_.wire_bytes(grad_scalars),
-                           "comm/grad_allreduce",
-                           FailMode::kRetryUntilSuccess);
-    // Commit every curvature chain that completed while this iteration's
-    // compute ran — *before* a refresh would declare the stragglers stale.
-    if (async_mode && curv_ != nullptr) curv_->poll_async(comm_);
-
-    double step_s = 0.0;
-    try {
-      if (capture) opt_->update_curvature(blocks, cap, &comm_);
-
-      opt_->accumulate_gradient(blocks);
-      WallTimer step_timer;
-      opt_->step(*net_, global_iter_);
-      step_s = step_timer.seconds();
-    } catch (const Error&) {
-      // A numeric abort inside the optimizer (e.g. a Cholesky that stays
-      // indefinite after damping escalation, fed by corruption the sanity
-      // gates cannot see) is a critical trigger too: roll back instead of
-      // dying, and let the rung-2 first-order window route the re-run
-      // around the crashing refresh. Without recovery armed the abort
-      // stays loud, exactly as before.
-      if (!recovering) throw;
-      initiate_rollback(epoch, it, "optimizer_abort");
-    }
-    comm_.profiler().add("comp/step", step_s);
-    if (trace != nullptr)
-      for (index_t rank = 0; rank < world_; ++rank)
-        trace->add_span("step", "comp", static_cast<int>(rank), step_s);
-
-    if (runlog_.per_step()) {
-      obs::Json rec = obs::Json::object();
-      rec.set("epoch", epoch);
-      rec.set("iter", it);
-      rec.set("global_iter", global_iter_);
-      rec.set("loss", iter_loss / static_cast<real_t>(world_));
-      rec.set("metric", iter_metric / static_cast<real_t>(world_));
-      rec.set("lr", opt_->lr());
-      rec.set("capture", capture);
-      if (hy != nullptr) {
-        rec.set("mode", to_string(hy->mode()));
-        if (capture) rec.set("rank_r", hy->last_rank());
-      }
-      runlog_.record("step", std::move(rec));
-    }
-    if (health_on && health_.due()) {
-      // Trainer-side non-finite scan: live weights and the gradients the
-      // step just consumed (probes are observers — nothing is modified).
-      index_t nan_w = 0, nan_g = 0;
-      for (auto* pb : blocks) {
-        nan_w += obs::count_nonfinite(pb->w);
-        nan_g += obs::count_nonfinite(pb->gw);
-      }
-      for (auto pp : net_->plain_params()) {
-        nan_w += obs::count_nonfinite(*pp.value);
-        nan_g += obs::count_nonfinite(*pp.grad);
-      }
-      health_.report_nonfinite(nan_w, nan_g);
-      health_.flush(epoch, it, global_iter_);
-      alerts_.on_probe(epoch, global_iter_, health_.last_nonfinite(),
-                       health_.last_max_cond(),
-                       health_.last_max_staleness());
-    }
-    if (recovering) {
-      // Critical-alert trigger, checked before the iteration commits to a
-      // snapshot (the non-finite-loss trigger already fired above, before
-      // the step): a new critical health alert unwinds to run_from for a
-      // rollback — so any snapshot actually written below comes from an
-      // iteration that passed both checks.
-      const bool fresh_crit = alerts_.critical_count() > last_crit_seen_;
-      last_crit_seen_ = alerts_.critical_count();
-      if (fresh_crit) initiate_rollback(epoch, it, "critical_alert");
-    }
-    ++global_iter_;
-    // Rung-2 window: resume serving curvature once it expires.
-    if (first_order_left_ > 0 && --first_order_left_ == 0 && curv_ != nullptr)
-      curv_->set_first_order(false);
-    // Iteration boundary: permanent rank deaths recorded mid-iteration are
-    // committed here, so every collective of one iteration saw one world.
-    if (elastic && comm_.has_pending_shrinks()) apply_world_shrink(epoch, it + 1);
-    if (snapshots && global_iter_ % ckpt_.every == 0) {
-      const std::string path =
-          write_snapshot(epoch, it + 1, loss_acc, metric_acc, rank_batches);
-      // Verified-good pinning: the trigger checks above passed and the
-      // weights scan clean, so this snapshot is a safe rollback target.
-      if (recovering && weights_finite()) {
-        last_good_path_ = path;
-        recovery_.note_progress();
-      }
-    }
-  }
-  result.iterations += iters - start_iter;
-
-  // Simulated wall-time bookkeeping: convert profiler totals accumulated so
-  // far into the three contributions (delta since last epoch is implicit in
-  // recomputing from totals).
-  const auto& prof = comm_.profiler();
-  // Inversion is distributed layer-wise: its wall time is total/P until the
-  // largest single layer (the summed per-refresh critical path) dominates.
-  const double world = static_cast<double>(world_);
-  const double inv_wall =
-      std::max(prof.seconds("comp/inversion") / world,
-               prof.seconds("comp/inversion_critical"));
-  const double par = prof.seconds("comp/forward_backward") / world +
-                     prof.seconds("comp/factorization") / world + inv_wall;
-  const double rep = prof.seconds("comp/step");
-  double comm = 0.0;
-  for (const auto& [name, entry] : prof.sections())
-    if (name.rfind("comm/", 0) == 0) comm += entry.seconds;
-  comp_par_seconds_ = par;
-  comp_rep_seconds_ = rep;
-  comm_seconds_ = comm;
-  // Lockstep: compute and comm serialize, so wall is their sum. Async: the
-  // event timeline already interleaved them — wall is its horizon (the last
-  // clock or in-flight wire completion), which is what overlap buys.
-  wall_seconds_ = async_mode
-                      ? comm_.timeline()->horizon() + comp_rep_seconds_
-                      : comp_par_seconds_ + comp_rep_seconds_ + comm_seconds_;
-
+  const SimTime sim = sim_time();
   const auto [test_loss, test_metric] = evaluate();
   EpochStats stats;
-  stats.epoch = epoch;
-  // rank_batches counts the local batches actually consumed — iters * world
-  // while the world is static, and the exact mixed-world sum after an
-  // elastic shrink mid-epoch.
-  const real_t denom = static_cast<real_t>(rank_batches);
-  stats.train_loss = loss_acc / denom;
-  stats.train_metric = metric_acc / denom;
+  stats.epoch = cursor_.epoch;
+  const real_t denom = static_cast<real_t>(cursor_.rank_batches);
+  stats.train_loss = cursor_.loss_sum / denom;
+  stats.train_metric = cursor_.metric_sum / denom;
   stats.test_loss = test_loss;
   stats.test_metric = test_metric;
-  stats.wall_seconds = wall_seconds_;
+  stats.wall_seconds = sim.wall;
   // Uniform note: HyLo reports its per-epoch KID/KIS mode, every other
   // optimizer its name — so EpochStats carries the method tag regardless of
   // which optimizer ran.
+  auto* hy = dynamic_cast<HyloOptimizer*>(opt_);
   stats.note = hy != nullptr ? to_string(hy->mode()) : opt_->name();
   if (cfg_.verbose || runlog_.enabled()) {
     std::ostringstream line;
-    line << "[" << opt_->name() << "] epoch " << epoch << " loss "
+    line << "[" << opt_->name() << "] epoch " << stats.epoch << " loss "
          << stats.train_loss << " train " << stats.train_metric << " test "
          << stats.test_metric << " t=" << stats.wall_seconds << "s"
          << (stats.note == opt_->name() ? "" : " (" + stats.note + ")");
     runlog_.console(line.str());
   }
-  log_epoch(stats, epoch);
+  log_epoch(stats, sim);
   if (health_.enabled()) {
     const std::int64_t faults =
         comm_.profiler().registry().counter_value("comm/faults/injected");
-    alerts_.on_epoch(epoch, global_iter_, stats.train_loss, stats.note,
+    alerts_.on_epoch(stats.epoch, global_iter_, stats.train_loss, stats.note,
                      faults - last_alert_faults_);
     last_alert_faults_ = faults;
   }
   // Epoch-boundary triggers (loss_divergence fires here, and a non-finite
   // epoch mean catches blow-ups the per-iteration check may have missed on
   // the probe-free epochs of a resumed run).
-  if (recovery_.enabled()) {
-    const char* why = nullptr;
-    if (!std::isfinite(stats.train_loss)) {
-      why = "non_finite_loss";
-    } else if (alerts_.critical_count() > last_crit_seen_) {
-      why = "critical_alert";
-    }
-    last_crit_seen_ = alerts_.critical_count();
-    if (why != nullptr) initiate_rollback(epoch, iters, why);
-  }
+  check_triggers(stats.train_loss);
   if (hook_) hook_(stats, *net_);
   result.epochs.push_back(stats);
+  cursor_ = Cursor{.epoch = cursor_.epoch + 1};
+}
+
+void Trainer::run_iteration() {
+  const bool capture = opt_->needs_capture(global_iter_);
+  // A probe opportunity is a curvature refresh — or, for first-order
+  // methods (which never capture), every iteration; the monitor's cadence
+  // then thins these to actual probes.
+  if (health_.enabled() && (capture || curv_ == nullptr))
+    health_.begin_refresh();
+  CaptureSet cap;
+  const WallTimer fb_timer;
+  const auto [loss, metric] = forward_backward(capture, cap);
+  // Before the optimizer consumes this iteration's gradients: a NaN loss
+  // means the captures and gradients are poisoned too, and the curvature
+  // machinery would fail loudly (Cholesky escalation) on them rather than
+  // degrade (ChaosRecovery.NonFiniteLossRollsBackBeforeTheRefresh).
+  check_triggers(loss);
+  average_gradients(fb_timer);
+  // Before step() serves curvature: commit every chain that completed while
+  // this iteration's compute ran, before a refresh would declare the
+  // stragglers stale (AsyncTrainer.CompletedChainsCommitBeforeStep).
+  if (comm_.async() && curv_ != nullptr) curv_->poll_async(comm_);
+  optimizer_step(capture, cap, loss);
+  record_step(capture, loss, metric);
+  probe_health();
+  // A fresh critical alert rolls back before the iteration commits to a
+  // snapshot, so every snapshot comes from an iteration that passed every
+  // trigger.
+  check_triggers(loss);
+  end_iteration();
+}
+
+std::pair<real_t, real_t> Trainer::forward_backward(bool capture,
+                                                    CaptureSet& cap) {
+  const PassContext ctx{.training = true, .capture = capture};
+  net_->zero_grad();
+  if (capture) {
+    cap.a.resize(blocks_.size());
+    cap.g.resize(blocks_.size());
+  }
+  real_t loss = 0.0, metric = 0.0;
+  for (index_t rank = 0; rank < world_; ++rank) {
+    WallTimer rank_timer;
+    HYLO_CHECK(loaders_[static_cast<std::size_t>(rank)].next(batch_),
+               "loader exhausted mid-epoch");
+    const Tensor4& out = net_->forward(batch_.images, ctx);
+    LossResult lr = segmentation_ ? dice_.compute(out, batch_.masks)
+                                  : ce_.compute(out, batch_.labels);
+    loss += lr.loss;
+    metric += lr.metric;
+    net_->backward(lr.grad, ctx);
+    if (capture) {
+      for (std::size_t l = 0; l < blocks_.size(); ++l) {
+        cap.a[l].push_back(std::move(blocks_[l]->a_samples));
+        cap.g[l].push_back(std::move(blocks_[l]->g_samples));
+      }
+    }
+    if (runlog_.enabled())
+      runlog_.trace().add_span("fwd_bwd", "comp", static_cast<int>(rank),
+                               rank_timer.seconds(),
+                               obs::Json::object().set("iter", global_iter_));
+  }
+  cursor_.loss_sum += loss;
+  cursor_.metric_sum += metric;
+  cursor_.rank_batches += world_;
+  return {loss, metric};
+}
+
+void Trainer::average_gradients(const WallTimer& fb_timer) {
+  // Average gradients over workers (the allreduce's arithmetic effect —
+  // each backward already used its local-batch mean). Weighted over the
+  // *surviving* ranks: after a world shrink the mean reweights itself.
+  const real_t inv_world = 1.0 / static_cast<real_t>(world_);
+  if (world_ > 1) {
+    for (auto* pb : blocks_) pb->gw *= inv_world;
+    for (auto pp : net_->plain_params())
+      for (auto& g : *pp.grad) g *= inv_world;
+  }
+  comm_.profiler().add("comp/forward_backward", fb_timer.seconds());
+  if (comm_.async())
+    for (index_t rank = 0; rank < world_; ++rank)
+      comm_.timeline()->advance(rank, modeled_step_s_);
+  // The gradient allreduce must complete for the replicas to stay
+  // bit-identical: injected rank_down faults re-form and retry.
+  comm_.charge_allreduce(comm_.wire_bytes(grad_scalars_),
+                         "comm/grad_allreduce",
+                         FailMode::kRetryUntilSuccess);
+}
+
+void Trainer::optimizer_step(bool capture, const CaptureSet& cap,
+                             real_t loss) {
+  double step_s = 0.0;
+  try {
+    if (capture) opt_->update_curvature(blocks_, cap, &comm_);
+    opt_->accumulate_gradient(blocks_);
+    WallTimer step_timer;
+    opt_->step(*net_, global_iter_);
+    step_s = step_timer.seconds();
+  } catch (const Error&) {
+    // A numeric abort inside the optimizer (e.g. a Cholesky that stays
+    // indefinite after damping escalation, fed by corruption the sanity
+    // gates cannot see) is a critical trigger too: roll back instead of
+    // dying, and let the rung-2 first-order window route the re-run
+    // around the crashing refresh. Without recovery armed the abort
+    // stays loud.
+    if (!recovery_.enabled()) throw;
+    check_triggers(loss, "optimizer_abort");
+  }
+  comm_.profiler().add("comp/step", step_s);
+  if (runlog_.enabled())
+    for (index_t rank = 0; rank < world_; ++rank)
+      runlog_.trace().add_span("step", "comp", static_cast<int>(rank), step_s);
+}
+
+void Trainer::record_step(bool capture, real_t loss, real_t metric) {
+  if (!runlog_.per_step()) return;
+  obs::Json rec = obs::Json::object();
+  rec.set("epoch", cursor_.epoch);
+  rec.set("iter", cursor_.iter);
+  rec.set("global_iter", global_iter_);
+  rec.set("loss", loss / static_cast<real_t>(world_));
+  rec.set("metric", metric / static_cast<real_t>(world_));
+  rec.set("lr", opt_->lr());
+  rec.set("capture", capture);
+  if (auto* hy = dynamic_cast<HyloOptimizer*>(opt_); hy != nullptr) {
+    rec.set("mode", to_string(hy->mode()));
+    if (capture) rec.set("rank_r", hy->last_rank());
+  }
+  runlog_.record("step", std::move(rec));
+}
+
+void Trainer::probe_health() {
+  if (!health_.enabled() || !health_.due()) return;
+  // Trainer-side non-finite scan: live weights and the gradients the step
+  // just consumed (probes are observers — nothing is modified).
+  health_.report_nonfinite(nonfinite(/*grads=*/false),
+                           nonfinite(/*grads=*/true));
+  health_.flush(cursor_.epoch, cursor_.iter, global_iter_);
+  alerts_.on_probe(cursor_.epoch, global_iter_, health_.last_nonfinite(),
+                   health_.last_max_cond(), health_.last_max_staleness());
+}
+
+void Trainer::end_iteration() {
+  ++global_iter_;
+  ++cursor_.iter;
+  // Rung-2 window: resume serving curvature once it expires.
+  if (first_order_left_ > 0 && --first_order_left_ == 0 && curv_ != nullptr)
+    curv_->set_first_order(false);
+  // Rank deaths recorded mid-iteration commit at the boundary, so every
+  // collective of one iteration saw one world, and before the snapshot, so
+  // a snapshot holds the post-shrink world
+  // (ElasticWorld.ResumeRestoresShrunkenWorld).
+  if (comm_.has_pending_shrinks()) apply_world_shrink();
+  if (ckpt_.enabled() && global_iter_ % ckpt_.every == 0)
+    pin_if_good(write_snapshot());
+}
+
+void Trainer::check_triggers(real_t loss, const char* why) {
+  if (!recovery_.enabled()) return;
+  if (why == nullptr && !std::isfinite(loss)) why = "non_finite_loss";
+  if (why == nullptr && alerts_.critical_count() > last_crit_seen_)
+    why = "critical_alert";
+  last_crit_seen_ = alerts_.critical_count();
+  if (why == nullptr) return;
+  HYLO_CHECK(!last_good_path_.empty(),
+             "recovery triggered (" << why << ") at epoch " << cursor_.epoch
+                 << " iter " << cursor_.iter
+                 << " with no verified-good snapshot to roll back to — "
+                    "tighten the checkpoint cadence (checkpoint.every / "
+                    "HYLO_CKPT_EVERY)");
+  const RecoveryAction act = recovery_.on_trigger(last_good_path_);
+  obs::Json rec = obs::Json::object();  // the rollback or exhaustion record
+  rec.set("trigger", why);
+  rec.set("epoch", cursor_.epoch);
+  rec.set("iter", cursor_.iter);
+  rec.set("global_iter", global_iter_);
+  if (act.exhausted) {
+    // Loud failure with the recovery report on disk: never degrade a spent
+    // budget into a silent wrong result.
+    if (runlog_.enabled()) {
+      rec.set("rollbacks", recovery_.rollbacks());
+      rec.set("budget", recovery_.config().max_rollbacks);
+      rec.set("last_good", last_good_path_);
+      runlog_.record("recovery_exhausted", std::move(rec));
+      runlog_.finish();
+    }
+    HYLO_CHECK(false,
+               "recovery budget exhausted: "
+                   << recovery_.rollbacks() << "/"
+                   << recovery_.config().max_rollbacks
+                   << " rollbacks consumed and " << why
+                   << " fired again at epoch " << cursor_.epoch << " iter "
+                   << cursor_.iter
+                   << " — the run cannot self-heal; see the run log's "
+                      "rollback records for the incident timeline");
+  }
+  comm_.profiler().registry().counter("recover/rollbacks").inc();
+  if (runlog_.enabled()) {
+    rec.set("target", last_good_path_);
+    rec.set("rung", act.rung);
+    rec.set("first_order", act.first_order);
+    rec.set("reduce_lr", act.reduce_lr);
+    rec.set("rollbacks", recovery_.rollbacks());
+    rec.set("budget_left", recovery_.budget_left());
+    runlog_.record("rollback", std::move(rec));
+    obs::Json args = obs::Json::object();
+    args.set("trigger", why);
+    args.set("rung", act.rung);
+    runlog_.trace().add_instant("rollback", "recover",
+                                obs::TraceBuffer::kCommTrack, std::move(args));
+  }
+  runlog_.console("[recover] " + std::string(why) + " at epoch " +
+                  std::to_string(cursor_.epoch) + " iter " +
+                  std::to_string(cursor_.iter) + " — rolling back to " +
+                  last_good_path_ + " (rung " + std::to_string(act.rung) +
+                  ", " + std::to_string(recovery_.budget_left()) +
+                  " retries left)");
+  throw RollbackSignal{act};
+}
+
+void Trainer::roll_back(const RecoveryAction& act, TrainResult& result) {
+  WallTimer timer;
+  const index_t before = global_iter_;
+  // The meta section was written by this very trainer, so the structural
+  // checks are skipped; the container's per-section CRCs still verify the
+  // bytes. The run-log cursor is ignored: the live log keeps appending.
+  load_training_state(ckpt::SnapshotReader(last_good_path_));
+  comm_.profiler().add("ckpt/restore", timer.seconds());
+  comm_.profiler().registry().counter("recover/rerun_iters")
+      .inc(before - global_iter_);
+  // Apply the ladder *after* the restore — load_state just rewound the
+  // optimizer (including its lr) to the snapshot's values.
+  if (act.first_order && curv_ != nullptr) {
+    curv_->set_first_order(true);
+    first_order_left_ = recovery_.config().first_order_iters;
+  }
+  if (act.reduce_lr) opt_->set_lr(opt_->lr() * recovery_.config().lr_backoff);
+  // Drop stats from the window being re-run; the re-run re-records them.
+  while (!result.epochs.empty() &&
+         result.epochs.back().epoch >= cursor_.epoch)
+    result.epochs.pop_back();
+}
+
+Trainer::SimTime Trainer::sim_time() const {
+  const Profiler& prof = comm_.profiler();
+  const double world = static_cast<double>(world_);
+  SimTime t;
+  // Inversion is distributed layer-wise: its wall time is total/P until the
+  // largest single layer (the summed per-refresh critical path) dominates.
+  t.compute = prof.seconds("comp/forward_backward") / world +
+              prof.seconds("comp/factorization") / world +
+              std::max(prof.seconds("comp/inversion") / world,
+                       prof.seconds("comp/inversion_critical"));
+  t.replicated = prof.seconds("comp/step");
+  t.comm = comm_.comm_seconds();
+  // Lockstep: compute and comm serialize, so wall is their sum. Async: the
+  // event timeline already interleaved them — wall is its horizon (the last
+  // clock or in-flight wire completion), which is what overlap buys.
+  t.wall = comm_.async() ? comm_.timeline()->horizon() + t.replicated
+                         : t.compute + t.replicated + t.comm;
+  return t;
 }
 
 obs::Json Trainer::collective_deltas() {
@@ -498,10 +546,10 @@ obs::Json Trainer::fault_deltas(std::int64_t* stale) {
   return out;
 }
 
-void Trainer::log_epoch(const EpochStats& stats, index_t epoch) {
+void Trainer::log_epoch(const EpochStats& stats, const SimTime& sim) {
   if (!runlog_.enabled()) return;
   obs::Json rec = obs::Json::object();
-  rec.set("epoch", epoch);
+  rec.set("epoch", stats.epoch);
   rec.set("train_loss", stats.train_loss);
   rec.set("train_metric", stats.train_metric);
   rec.set("test_loss", stats.test_loss);
@@ -511,10 +559,10 @@ void Trainer::log_epoch(const EpochStats& stats, index_t epoch) {
   // Simulated-time breakdown: measured compute (under the parallelism
   // rule), measured replicated compute, and modeled wire seconds.
   obs::Json time = obs::Json::object();
-  time.set("wall", stats.wall_seconds);
-  time.set("compute_parallel", comp_par_seconds_);
-  time.set("replicated", comp_rep_seconds_);
-  time.set("comm_modeled", comm_seconds_);
+  time.set("wall", sim.wall);
+  time.set("compute_parallel", sim.compute);
+  time.set("replicated", sim.replicated);
+  time.set("comm_modeled", sim.comm);
   rec.set("time", std::move(time));
   rec.set("collectives", collective_deltas());
   // Degradation accounting, present only when fault injection is active so
@@ -538,77 +586,39 @@ void Trainer::log_epoch(const EpochStats& stats, index_t epoch) {
     rec.set("switching", std::move(sw));
     runlog_.trace().add_instant("mode:" + stats.note, "train",
                                 obs::TraceBuffer::kCommTrack,
-                                obs::Json::object().set("epoch", epoch));
+                                obs::Json::object().set("epoch", stats.epoch));
   }
   runlog_.record("epoch", std::move(rec));
 }
 
-TrainResult Trainer::run() { return run_from(); }
-
-TrainResult Trainer::resume(const std::string& path) {
-  HYLO_CHECK(!resumed_, "Trainer::resume may be called once per Trainer");
-  restore_snapshot(path);
-  return run_from();
-}
-
-TrainResult Trainer::run_from() {
+TrainResult Trainer::run() {
+  HYLO_CHECK(!ran_, "Trainer::run may be called once per Trainer — it "
+                    "continues from where the last run stopped; construct a "
+                    "fresh Trainer to train again");
+  ran_ = true;
   TrainResult result;
-  // A resumed run's result carries the cumulative iteration count so its
-  // final record matches the uninterrupted run's.
-  if (resumed_) result.iterations = global_iter_;
-  for (index_t epoch = resumed_ ? start_epoch_ : 0; epoch < cfg_.epochs;
-       ++epoch) {
-    // The resume epoch's lr decay and begin_epoch already ran before the
-    // snapshot was cut (snapshots land after >= 1 iteration of the epoch);
-    // the optimizer state section carries their effects.
-    if (!(resumed_ && epoch == start_epoch_)) {
-      const bool decayed = epoch > 0 && cfg_.lr_schedule.decays_at(epoch);
-      if (decayed) opt_->set_lr(opt_->lr() * cfg_.lr_schedule.gamma);
-      opt_->begin_epoch(epoch, decayed);
-    }
-    // Recovery needs a rollback target before the first cadenced snapshot
-    // lands: pin the freshly initialized state (written after
-    // begin_epoch(0), whose effects live in the optimizer section).
-    if (recovery_.enabled() && epoch == 0 && !resumed_ &&
-        last_good_path_.empty())
-      last_good_path_ = write_snapshot(0, 0, 0.0, 0.0, 0);
+  while (cursor_.epoch < cfg_.epochs) {
+    if (!cursor_.epoch_begun) begin_epoch();
     try {
-      run_epoch(epoch, result);
+      run_epoch(result);
     } catch (const RollbackSignal& rb) {
-      const index_t before = global_iter_;
-      rollback_restore(rb.target);
-      comm_.profiler().registry().counter("recover/rerun_iters")
-          .inc(before - global_iter_);
-      // Apply the ladder *after* the restore — load_state just rewound the
-      // optimizer (including its lr) to the snapshot's values.
-      if (rb.action.first_order && curv_ != nullptr) {
-        curv_->set_first_order(true);
-        first_order_left_ = recovery_.config().first_order_iters;
-      }
-      if (rb.action.reduce_lr)
-        opt_->set_lr(opt_->lr() * recovery_.config().lr_backoff);
-      // Drop stats from the window being re-run; the re-run re-records
-      // them. Iterations reset to the cumulative count as of the snapshot,
-      // exactly as a resume would.
-      while (!result.epochs.empty() &&
-             result.epochs.back().epoch >= start_epoch_)
-        result.epochs.pop_back();
-      result.iterations = global_iter_;
-      epoch = start_epoch_ - 1;  // loop increment re-enters at start_epoch_
+      roll_back(rb.action, result);
       continue;
     }
     const EpochStats& last = result.epochs.back();
-    if (cfg_.target_metric > 0.0 && !result.time_to_target &&
-        last.test_metric >= cfg_.target_metric) {
+    if (cfg_.target_metric > 0.0 && last.test_metric >= cfg_.target_metric) {
       result.time_to_target = last.wall_seconds;
-      result.epochs_to_target = epoch + 1;
+      result.epochs_to_target = last.epoch + 1;
       break;  // time-to-convergence experiments stop at target
     }
   }
-  result.total_seconds = wall_seconds_;
-  result.compute_seconds = comp_par_seconds_;
-  result.replicated_seconds = comp_rep_seconds_;
-  result.comm_seconds = comm_seconds_;
+  // Cumulative, so a resumed run's count matches the uninterrupted run's.
+  result.iterations = global_iter_;
+  const SimTime sim = sim_time();
+  result.total_seconds = sim.wall;
+  result.compute_seconds = sim.compute;
+  result.replicated_seconds = sim.replicated;
+  result.comm_seconds = sim.comm;
   result.alerts_fired = static_cast<index_t>(alerts_.fired().size());
   result.critical_alerts = alerts_.critical_count();
   result.rollbacks = recovery_.rollbacks();
@@ -681,9 +691,14 @@ TrainResult Trainer::run_from() {
   return result;
 }
 
-std::string Trainer::write_snapshot(index_t epoch, index_t next_iter,
-                                    real_t loss_acc, real_t metric_acc,
-                                    index_t rank_batches) {
+TrainResult Trainer::resume(const std::string& path) {
+  HYLO_CHECK(!ran_, "Trainer::resume needs a fresh Trainer: this one ran");
+  restore_snapshot(path);
+  pin_if_good(path);
+  return run();
+}
+
+std::string Trainer::write_snapshot() {
   WallTimer timer;
   ckpt::SnapshotWriter snap;
 
@@ -703,11 +718,11 @@ std::string Trainer::write_snapshot(index_t epoch, index_t next_iter,
   // resume needs to finish the interrupted epoch, and the run-log cursor.
   ckpt::ByteWriter& prog = snap.section("progress");
   prog.i64(global_iter_);
-  prog.i64(epoch);
-  prog.i64(next_iter);
-  prog.real(loss_acc);
-  prog.real(metric_acc);
-  prog.i64(rank_batches);
+  prog.i64(cursor_.epoch);
+  prog.i64(cursor_.iter);
+  prog.real(cursor_.loss_sum);
+  prog.real(cursor_.metric_sum);
+  prog.i64(cursor_.rank_batches);
   prog.i64(runlog_.records_written());
 
   // clock: every profiler timing section (measured comp/* as-of-snapshot,
@@ -764,8 +779,8 @@ std::string Trainer::write_snapshot(index_t epoch, index_t next_iter,
   if (runlog_.enabled()) {
     obs::Json rec = obs::Json::object();
     rec.set("path", path);
-    rec.set("epoch", epoch);
-    rec.set("iter", next_iter);
+    rec.set("epoch", cursor_.epoch);
+    rec.set("iter", cursor_.iter);
     rec.set("global_iter", global_iter_);
     runlog_.record("snapshot", std::move(rec));
   }
@@ -876,84 +891,31 @@ void Trainer::restore_snapshot(const std::string& path) {
     world_ = live_world;
   }
 
-  // Re-shard data for the restored world (no-op unless ranks were lost).
-  if (world_ != cfg_.world) reset_loaders();
-
-  resumed_ = true;
   comm_.profiler().add("ckpt/restore", timer.seconds());
   if (runlog_.enabled()) {
     runlog_.set_next_seq(seq);
     obs::Json rec = obs::Json::object();
     rec.set("path", snap.path());
-    rec.set("epoch", start_epoch_);
-    rec.set("iter", start_iter_);
+    rec.set("epoch", cursor_.epoch);
+    rec.set("iter", cursor_.iter);
     rec.set("global_iter", global_iter_);
     rec.set("world", world_);
     runlog_.record("resume", std::move(rec));
   }
 }
 
-bool Trainer::weights_finite() const {
-  for (auto* pb : net_->param_blocks())
-    if (obs::count_nonfinite(pb->w) > 0) return false;
-  for (auto pp : net_->plain_params())
-    if (obs::count_nonfinite(*pp.value) > 0) return false;
-  return true;
+void Trainer::pin_if_good(const std::string& path) {
+  if (!recovery_.enabled() || nonfinite(/*grads=*/false) > 0) return;
+  last_good_path_ = path;
+  recovery_.note_progress();
 }
 
-void Trainer::initiate_rollback(index_t epoch, index_t iter, const char* why) {
-  HYLO_CHECK(!last_good_path_.empty(),
-             "recovery triggered (" << why << ") at epoch " << epoch
-                 << " iter " << iter
-                 << " with no verified-good snapshot to roll back to — "
-                    "tighten the checkpoint cadence (checkpoint.every / "
-                    "HYLO_CKPT_EVERY)");
-  const RecoveryAction act = recovery_.on_trigger(last_good_path_);
-  obs::Json rec = obs::Json::object();  // the rollback or exhaustion record
-  rec.set("trigger", why);
-  rec.set("epoch", epoch);
-  rec.set("iter", iter);
-  rec.set("global_iter", global_iter_);
-  if (act.exhausted) {
-    // Loud failure with the recovery report on disk: never degrade a spent
-    // budget into a silent wrong result.
-    if (runlog_.enabled()) {
-      rec.set("rollbacks", recovery_.rollbacks());
-      rec.set("budget", recovery_.config().max_rollbacks);
-      rec.set("last_good", last_good_path_);
-      runlog_.record("recovery_exhausted", std::move(rec));
-      runlog_.finish();
-    }
-    HYLO_CHECK(false,
-               "recovery budget exhausted: "
-                   << recovery_.rollbacks() << "/"
-                   << recovery_.config().max_rollbacks
-                   << " rollbacks consumed and " << why
-                   << " fired again at epoch " << epoch << " iter " << iter
-                   << " — the run cannot self-heal; see the run log's "
-                      "rollback records for the incident timeline");
-  }
-  comm_.profiler().registry().counter("recover/rollbacks").inc();
-  if (runlog_.enabled()) {
-    rec.set("target", last_good_path_);
-    rec.set("rung", act.rung);
-    rec.set("first_order", act.first_order);
-    rec.set("reduce_lr", act.reduce_lr);
-    rec.set("rollbacks", recovery_.rollbacks());
-    rec.set("budget_left", recovery_.budget_left());
-    runlog_.record("rollback", std::move(rec));
-    obs::Json args = obs::Json::object();
-    args.set("trigger", why);
-    args.set("rung", act.rung);
-    runlog_.trace().add_instant("rollback", "recover",
-                                obs::TraceBuffer::kCommTrack, std::move(args));
-  }
-  runlog_.console("[recover] " + std::string(why) + " at epoch " +
-                  std::to_string(epoch) + " iter " + std::to_string(iter) +
-                  " — rolling back to " + last_good_path_ + " (rung " +
-                  std::to_string(act.rung) + ", " +
-                  std::to_string(recovery_.budget_left()) + " retries left)");
-  throw RollbackSignal{act, last_good_path_};
+index_t Trainer::nonfinite(bool grads) {
+  index_t n = 0;
+  for (auto* pb : blocks_) n += obs::count_nonfinite(grads ? pb->gw : pb->w);
+  for (auto pp : net_->plain_params())
+    n += obs::count_nonfinite(grads ? *pp.grad : *pp.value);
+  return n;
 }
 
 std::int64_t Trainer::load_training_state(const ckpt::SnapshotReader& snap) {
@@ -968,21 +930,22 @@ std::int64_t Trainer::load_training_state(const ckpt::SnapshotReader& snap) {
 
   ckpt::ByteReader prog = snap.open("progress");
   global_iter_ = static_cast<index_t>(prog.i64());
-  start_epoch_ = static_cast<index_t>(prog.i64());
-  start_iter_ = static_cast<index_t>(prog.i64());
-  resume_loss_acc_ = prog.real();
-  resume_metric_acc_ = prog.real();
-  resume_rank_batches_ = static_cast<index_t>(prog.i64());
+  cursor_.epoch = static_cast<index_t>(prog.i64());
+  cursor_.iter = static_cast<index_t>(prog.i64());
+  cursor_.loss_sum = prog.real();
+  cursor_.metric_sum = prog.real();
+  cursor_.rank_batches = static_cast<index_t>(prog.i64());
+  cursor_.epoch_begun = true;  // snapshots land after begin_epoch
   const std::int64_t seq = prog.i64();
   prog.expect_done();
   // iter 0 is legal: recovery pins an initial snapshot before the first
   // training iteration so a rollback target always exists.
-  HYLO_CHECK(global_iter_ >= 0 && start_iter_ >= 0 && start_epoch_ >= 0,
+  HYLO_CHECK(global_iter_ >= 0 && cursor_.iter >= 0 && cursor_.epoch >= 0,
              "snapshot progress cursor is corrupt (global_iter "
-                 << global_iter_ << ", epoch " << start_epoch_ << ", iter "
-                 << start_iter_ << ")");
-  HYLO_CHECK(start_epoch_ < cfg_.epochs,
-             "snapshot is at epoch " << start_epoch_
+                 << global_iter_ << ", epoch " << cursor_.epoch << ", iter "
+                 << cursor_.iter << ")");
+  HYLO_CHECK(cursor_.epoch < cfg_.epochs,
+             "snapshot is at epoch " << cursor_.epoch
                                      << " but the run ends at epoch "
                                      << cfg_.epochs << " — nothing to resume");
   return seq;
@@ -991,22 +954,17 @@ std::int64_t Trainer::load_training_state(const ckpt::SnapshotReader& snap) {
 void Trainer::reset_loaders() {
   loaders_.clear();
   loaders_.reserve(static_cast<std::size_t>(world_));
-  for (index_t r = 0; r < world_; ++r)
-    loaders_.emplace_back(data_->train, cfg_.batch_size, cfg_.data_seed, r,
-                          world_);
+  // The epoch permutation is a pure function of seed + epoch, so
+  // start_epoch + skip lands exactly on the cursor, at any world size.
+  for (index_t r = 0; r < world_; ++r) {
+    DataLoader& loader = loaders_.emplace_back(data_->train, cfg_.batch_size,
+                                               cfg_.data_seed, r, world_);
+    loader.start_epoch(cursor_.epoch);
+    loader.skip(cursor_.iter);
+  }
 }
 
-void Trainer::rollback_restore(const std::string& path) {
-  WallTimer timer;
-  // The meta section was written by this very trainer, so the structural
-  // checks are skipped; the container's per-section CRCs still verify the
-  // bytes. The run-log cursor is ignored: the live log keeps appending.
-  load_training_state(ckpt::SnapshotReader(path));
-  resumed_ = true;
-  comm_.profiler().add("ckpt/restore", timer.seconds());
-}
-
-void Trainer::apply_world_shrink(index_t epoch, index_t next_iter) {
+void Trainer::apply_world_shrink() {
   const index_t old_world = world_;
   const std::vector<index_t> dead = comm_.commit_shrinks();
   if (dead.empty()) return;
@@ -1017,8 +975,7 @@ void Trainer::apply_world_shrink(index_t epoch, index_t next_iter) {
 
   // Layer ownership moves with the round-robin assignment; count the layers
   // whose owner changed — the state a real elastic runtime would migrate.
-  const index_t layer_count =
-      static_cast<index_t>(net_->param_blocks().size());
+  const auto layer_count = static_cast<index_t>(blocks_.size());
   index_t migrations = 0;
   if (layer_count > 0) {
     const LayerAssignment before(layer_count, old_world);
@@ -1029,20 +986,15 @@ void Trainer::apply_world_shrink(index_t epoch, index_t next_iter) {
   comm_.profiler().registry().counter("dist/elastic/layer_migrations")
       .inc(migrations);
 
-  // Re-shard the epoch among the survivors: each re-draws the deterministic
-  // epoch permutation at the new world and fast-forwards to the boundary.
+  // Re-shard the epoch among the survivors, from the boundary on.
   reset_loaders();
-  for (auto& loader : loaders_) {
-    loader.start_epoch(epoch);
-    loader.skip(next_iter);
-  }
 
   if (runlog_.enabled()) {
     obs::Json lost = obs::Json::array();
     for (const auto r : dead) lost.push(r);
     obs::Json rec = obs::Json::object();
-    rec.set("epoch", epoch);
-    rec.set("iter", next_iter);
+    rec.set("epoch", cursor_.epoch);
+    rec.set("iter", cursor_.iter);
     rec.set("global_iter", global_iter_);
     rec.set("lost_ranks", std::move(lost));
     rec.set("world", world_);

@@ -5,7 +5,6 @@
 
 #include "hylo/common/env.hpp"
 #include "hylo/common/rng.hpp"
-#include "hylo/tensor/ops.hpp"
 
 namespace hylo {
 
@@ -45,68 +44,6 @@ void CommSim::set_mode(CommMode mode) {
   mode_ = mode;
   if (mode == CommMode::kAsync && timeline_ == nullptr)
     timeline_ = std::make_unique<EventTimeline>(world_);
-}
-
-void CommSim::allreduce_mean(std::vector<Matrix*> bufs,
-                             const std::string& section) {
-  HYLO_CHECK(static_cast<index_t>(bufs.size()) == world_,
-             "allreduce needs one buffer per rank");
-  // Rank 0's buffer is both accumulator and source: a null or duplicated
-  // pointer would silently double-count that rank's contribution.
-  for (std::size_t i = 0; i < bufs.size(); ++i)
-    HYLO_CHECK(bufs[i] != nullptr, "allreduce buffer for rank " << i
-                                   << " is null");
-  std::vector<Matrix*> sorted = bufs;
-  std::sort(sorted.begin(), sorted.end());
-  HYLO_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-             "allreduce buffers alias: the same Matrix* appears for two "
-             "ranks, which would sum a buffer into itself");
-  Matrix& first = *bufs[0];
-  for (index_t r = 1; r < world_; ++r) first += *bufs[static_cast<std::size_t>(r)];
-  first *= 1.0 / static_cast<real_t>(world_);
-  for (index_t r = 1; r < world_; ++r) *bufs[static_cast<std::size_t>(r)] = first;
-  // The shared-memory exchange above already completed, so injected faults
-  // can only cost time, never the data: retry-until-success. The one
-  // exception is an escaped silent_corrupt event, which flips bits in the
-  // reduced payload — every replica sees the same corrupted result, as a
-  // real in-ring flip would propagate.
-  charge_allreduce(wire_bytes(first.size()), section,
-                   FailMode::kRetryUntilSuccess);
-  if (const auto ticket = take_silent_corruption()) {
-    corrupt_values(first, *ticket);
-    for (index_t r = 1; r < world_; ++r)
-      *bufs[static_cast<std::size_t>(r)] = first;
-  }
-}
-
-Matrix CommSim::allgather_rows(const std::vector<const Matrix*>& locals,
-                               const std::string& section) {
-  HYLO_CHECK(static_cast<index_t>(locals.size()) == world_,
-             "allgather needs one block per rank");
-  std::vector<index_t> bytes_per_rank;
-  bytes_per_rank.reserve(locals.size());
-  HYLO_CHECK(locals.front() != nullptr, "allgather block is null");
-  const index_t cols = locals.front()->cols();
-  index_t rows = 0;
-  for (const auto* m : locals) {
-    HYLO_CHECK(m != nullptr, "allgather block is null");
-    HYLO_CHECK(m->cols() == cols, "allgather column mismatch");
-    rows += m->rows();
-    bytes_per_rank.push_back(wire_bytes(m->size()));
-  }
-  // Stack straight into the result — the seed path copied every block into
-  // a `parts` vector first and then vstack()ed that, moving each block
-  // twice.
-  Matrix out(rows, cols);
-  index_t r = 0;
-  for (const auto* m : locals) {
-    std::copy(m->data(), m->data() + m->size(), out.row_ptr(r));
-    r += m->rows();
-  }
-  charge_allgather(bytes_per_rank, section, FailMode::kRetryUntilSuccess);
-  if (const auto ticket = take_silent_corruption())
-    corrupt_values(out, *ticket);
-  return out;
 }
 
 void CommSim::configure_faults(const FaultConfig& cfg) {

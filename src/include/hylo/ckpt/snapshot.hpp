@@ -107,8 +107,8 @@ class ByteReader {
 /// Atomic file replacement: stream into `<path>.tmp`, then commit() flushes
 /// and renames over the final path. Destruction without commit removes the
 /// temporary, so a crash or exception mid-write never clobbers the previous
-/// file. Network::save_weights and the snapshot writer both route through
-/// this (the lint bans raw std::ofstream checkpoint writes elsewhere).
+/// file. The snapshot writer routes through this (the lint bans raw
+/// std::ofstream checkpoint writes elsewhere).
 class AtomicFile {
  public:
   explicit AtomicFile(std::string path);

@@ -4,13 +4,9 @@
 /// physical Network stands in for P bit-identical replicas (data-parallel
 /// replicas stay identical under identical updates); each iteration runs P
 /// local batches through it, averages gradients (allreduce), refreshes the
-/// optimizer's curvature on schedule, and applies the update.
-///
-/// Simulated wall time =
-///     measured parallel compute (fwd/bwd, factorization, inversion) / P
-///   + measured replicated compute (precondition + update)
-///   + modeled communication time (α-β cost model).
-/// This is the time axis of the Fig. 3/5/7/8/9 reproductions.
+/// optimizer's curvature on schedule, and applies the update. The simulated
+/// wall time, the time axis of the Fig. 3/5/7/8/9 reproductions, is
+/// Trainer::sim_time().
 
 #include <functional>
 #include <optional>
@@ -143,6 +139,8 @@ class Trainer {
   Trainer(Network& net, Optimizer& opt, const DataSplit& data,
           TrainConfig cfg);
 
+  /// Train to cfg.epochs. A Trainer runs once: a second run() or resume()
+  /// throws.
   TrainResult run();
 
   /// Restore a run snapshot written by this configuration and continue
@@ -150,7 +148,9 @@ class Trainer {
   /// structurally match the snapshotting run; the continuation is then
   /// bitwise-identical to the uninterrupted run in every modeled quantity
   /// (weights, losses, metrics, modeled comm seconds, fault schedule).
-  /// Measured comp/* timings restart from their as-of-snapshot totals.
+  /// Measured comp/* timings restart from their as-of-snapshot totals. With
+  /// recovery enabled, the snapshot is the first rollback target when its
+  /// weights scan finite.
   TrainResult resume(const std::string& path);
 
   /// Live world size: starts at cfg.world and shrinks as rank_lost faults
@@ -188,44 +188,87 @@ class Trainer {
   void set_epoch_hook(EpochHook hook) { hook_ = std::move(hook); }
 
  private:
-  /// The training loop shared by run() and resume(): epochs from the start
-  /// position (0, or the restored snapshot's) to cfg.epochs.
-  TrainResult run_from();
-  void run_epoch(index_t epoch, TrainResult& result);
-  /// Write a RunSnapshot after the iteration that left the run at
-  /// (epoch, next_iter); `loss_acc`/`metric_acc`/`rank_batches` are the
-  /// epoch-in-progress accumulators a resume needs to finish the epoch.
-  /// Returns the snapshot's path (for verified-good pinning).
-  std::string write_snapshot(index_t epoch, index_t next_iter, real_t loss_acc,
-                             real_t metric_acc, index_t rank_batches);
+  /// Where the run stands, as a snapshot's `progress` section stores it. A
+  /// fresh run starts from the default cursor; resume() and a rollback load
+  /// one, so all three then run the same loop.
+  struct Cursor {
+    index_t epoch = 0;
+    index_t iter = 0;  ///< next iteration of the epoch
+    real_t loss_sum = 0.0, metric_sum = 0.0;  ///< the epoch's, over ranks
+    /// Local batches consumed this epoch: iters * world while the world is
+    /// static, the exact mixed-world sum after a mid-epoch shrink.
+    index_t rank_batches = 0;
+    /// The epoch's lr decay and begin_epoch ran (a snapshot always lands
+    /// after them; the optimizer section carries their effects).
+    bool epoch_begun = false;
+  };
+
+  /// Simulated seconds so far, split as TrainResult reports them.
+  struct SimTime {
+    double wall = 0.0, compute = 0.0, replicated = 0.0, comm = 0.0;
+  };
+
+  void begin_epoch();
+  void run_epoch(TrainResult& result);
+  /// One iteration: the steps in order, each ordering rule at its call. A
+  /// step whose subsystem (faults, snapshots, health, recovery, telemetry)
+  /// is off does no work, so such runs stay byte-identical to a build
+  /// without that subsystem.
+  void run_iteration();
+  /// P local fwd/bwd passes; accumulates the loss into the cursor, moves
+  /// the layer captures into `cap` when `capture`, and returns the summed
+  /// {loss, metric} over ranks.
+  std::pair<real_t, real_t> forward_backward(bool capture, CaptureSet& cap);
+  /// Averages over the live ranks, books the fwd/bwd compute `fb_timer` has
+  /// measured and charges the gradient allreduce.
+  void average_gradients(const WallTimer& fb_timer);
+  void optimizer_step(bool capture, const CaptureSet& cap, real_t loss);
+  void record_step(bool capture, real_t loss, real_t metric);
+  void probe_health();
+  void end_iteration();
+  /// The recovery triggers, shared by every site that checks them: roll
+  /// back when `why` names one the caller saw (an optimizer abort), the
+  /// loss is non-finite, or a critical alert fired since the last check.
+  /// Consumes one unit of rollback budget and throws RollbackSignal (caught
+  /// by run()), or fails loudly once the budget is exhausted.
+  void check_triggers(real_t loss, const char* why = nullptr);
+  /// Restore the pinned snapshot's network, optimizer and cursor and apply
+  /// the recovery ladder. Monotonic quantities (profiler clock, counters,
+  /// fault draw cursor, async timeline) deliberately keep running — re-run
+  /// work costs real simulated time and the fault schedule never rewinds
+  /// (so a transient corruption does not repeat and the run stays a pure
+  /// function of the seed).
+  void roll_back(const RecoveryAction& act, TrainResult& result);
+  /// Simulated wall time =
+  ///   lockstep: (fwd/bwd + factorization) / P
+  ///             + max(inversion / P, summed per-refresh critical path)
+  ///             + replicated compute (precondition + update)
+  ///             + modeled communication (α-β cost model);
+  ///   async:    event-timeline horizon + replicated compute.
+  /// Every term but the modeled comm and the async horizon is measured.
+  SimTime sim_time() const;
+  /// Write a RunSnapshot of the run at the cursor; returns its path.
+  std::string write_snapshot();
+  /// Verified-good pinning: make `path`, a snapshot of the live state, the
+  /// rollback target when recovery is on and no live weight or bias holds a
+  /// non-finite value.
+  void pin_if_good(const std::string& path);
+  /// Non-finite values in the live weights and biases, or in their
+  /// gradients.
+  index_t nonfinite(bool grads);
   /// Parse + verify a snapshot and load every section into live state.
   void restore_snapshot(const std::string& path);
   /// Load the network, optimizer and progress sections (the state both a
-  /// resume and a rollback restore) and check the progress cursor. Returns
-  /// the run-log cursor stored with them.
+  /// resume and a rollback restore) and check the cursor. Returns the
+  /// run-log cursor stored with them.
   std::int64_t load_training_state(const ckpt::SnapshotReader& snap);
-  /// One data loader per live rank, sharding the training split world_ ways.
+  /// One data loader per live rank, sharding the training split world_ ways
+  /// and positioned at the cursor.
   void reset_loaders();
-  /// True when no live weight or bias holds a non-finite value — the
-  /// trainer-side verification gate for pinning a snapshot as the
-  /// verified-good rollback target.
-  bool weights_finite() const;
-  /// Decide and record the response to a critical trigger: consume one
-  /// unit of rollback budget and throw RollbackSignal (caught by
-  /// run_from), or fail loudly once the budget is exhausted.
-  [[noreturn]] void initiate_rollback(index_t epoch, index_t iter,
-                                      const char* why);
-  /// Partial restore for a rollback: network, optimizer, and progress
-  /// cursor only. Monotonic quantities (profiler clock, counters, fault
-  /// draw cursor, async timeline) deliberately keep running — re-run work
-  /// costs real simulated time and the fault schedule never rewinds (so a
-  /// transient corruption does not repeat and the run stays a pure
-  /// function of the seed).
-  void rollback_restore(const std::string& path);
-  /// Commit pending rank_lost deaths at an iteration boundary: shrink the
-  /// world, re-partition data shards and layer ownership, log the event.
-  void apply_world_shrink(index_t epoch, index_t next_iter);
-  void log_epoch(const EpochStats& stats, index_t epoch);
+  /// Commit pending rank_lost deaths: shrink the world, re-partition data
+  /// shards and layer ownership, log the event.
+  void apply_world_shrink();
+  void log_epoch(const EpochStats& stats, const SimTime& sim);
   /// Per-collective {calls, bytes, modeled seconds} accumulated since the
   /// previous call (per-epoch deltas for the run log).
   obs::Json collective_deltas();
@@ -243,11 +286,17 @@ class Trainer {
   obs::HealthMonitor health_;
   obs::AlertEngine alerts_;
   CurvatureOptimizer* curv_ = nullptr;  ///< non-null iff it has refreshes
+  std::vector<ParamBlock*> blocks_;     ///< the network's, in graph order
+  index_t grad_scalars_ = 0;            ///< allreduced per iteration
+  double modeled_step_s_ = 0.0;  ///< async: modeled fwd/bwd per iteration
   std::int64_t last_alert_faults_ = 0;  ///< fault-budget epoch delta base
   std::vector<DataLoader> loaders_;
+  Batch batch_;  ///< one local batch, its buffers reused across iterations
   SoftmaxCrossEntropy ce_;
   DiceBceLoss dice_;
   bool segmentation_;
+  bool ran_ = false;  ///< run() has started
+  Cursor cursor_;
   index_t global_iter_ = 0;
   index_t world_;            ///< live world (== cfg_.world until rank loss)
   ckpt::CkptConfig ckpt_;    ///< resolved snapshot cadence (config or env)
@@ -255,12 +304,6 @@ class Trainer {
   std::string last_good_path_;     ///< pinned verified-good rollback target
   index_t last_crit_seen_ = 0;     ///< critical-alert trigger watermark
   index_t first_order_left_ = 0;   ///< rung-2 window countdown
-  bool resumed_ = false;
-  index_t start_epoch_ = 0, start_iter_ = 0;  ///< restored resume position
-  real_t resume_loss_acc_ = 0.0, resume_metric_acc_ = 0.0;
-  index_t resume_rank_batches_ = 0;
-  double wall_seconds_ = 0.0;
-  double comp_par_seconds_ = 0.0, comp_rep_seconds_ = 0.0, comm_seconds_ = 0.0;
   std::map<std::string, double> last_comm_seconds_;
   std::map<std::string, std::int64_t> last_comm_counters_;
   std::map<std::string, std::int64_t> last_fault_counters_;

@@ -80,20 +80,6 @@ class CommSim {
   index_t world() const { return world_; }
   const InterconnectModel& model() const { return model_; }
 
-  /// Sum per-rank gradient buffers into their average (ring allreduce
-  /// semantics); charges allreduce time under `section`. Buffers must be
-  /// distinct non-null matrices: rank 0's buffer doubles as the accumulator,
-  /// so an aliased entry would be summed into itself. The data movement has
-  /// already happened in shared memory, so faults retry-until-success.
-  void allreduce_mean(std::vector<Matrix*> bufs, const std::string& section);
-
-  /// Gather per-rank row blocks into one stacked matrix on every rank
-  /// (allgather); charges ring time paced by the largest per-rank block and
-  /// ledgers the total wire traffic, (world-1)·Σ per-rank bytes
-  /// (retry-until-success — the stacked result is returned by value).
-  Matrix allgather_rows(const std::vector<const Matrix*>& locals,
-                        const std::string& section);
-
   /// Charge a broadcast of `bytes` from one root under `section` (the data
   /// is already visible in shared memory). With an active fault plan and
   /// mode kMayFail, throws CommFailure on an unrecoverable injected fault.
@@ -155,11 +141,10 @@ class CommSim {
   /// the collective "succeeds" — but the caller must then corrupt the
   /// payload it moved through shared memory: calling this after a charge
   /// returns-and-clears the bit-flip seed when the last charge escaped
-  /// (nullopt otherwise). allreduce_mean / allgather_rows consume their own
-  /// tickets; optimizers consume tickets for their charge_*/icharge_*
-  /// curvature collectives via apply_escaped_corruption. An unconsumed
-  /// ticket is cleared by the next charge — it never leaks across
-  /// collectives.
+  /// (nullopt otherwise). Optimizers consume tickets for their
+  /// charge_*/icharge_* curvature collectives via apply_escaped_corruption.
+  /// An unconsumed ticket is cleared by the next charge — it never leaks
+  /// across collectives.
   std::optional<std::uint64_t> take_silent_corruption() {
     auto t = pending_sdc_;
     pending_sdc_.reset();

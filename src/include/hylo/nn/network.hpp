@@ -66,20 +66,9 @@ class Network {
   index_t num_nodes() const { return static_cast<index_t>(nodes_.size()); }
   const Layer* layer(index_t node) const { return nodes_[static_cast<std::size_t>(node)].layer.get(); }
 
-  /// Save all weights, plain parameters and persistent layer state
-  /// (BatchNorm running stats) to a binary checkpoint. The write is atomic
-  /// (tmp + rename via ckpt::AtomicFile): a crash mid-save leaves the
-  /// previous checkpoint intact, never a torn file.
-  void save_weights(const std::string& path);
-
-  /// Load a checkpoint produced by save_weights() into a structurally
-  /// identical network. Throws hylo::Error on any shape mismatch, and
-  /// refuses `.tmp` paths (a torn in-progress write left by a crash).
-  void load_weights(const std::string& path);
-
-  /// Write / restore the same payload into a run-snapshot section
-  /// (hylo::ckpt): weights, plain params, and persistent layer state in
-  /// graph order. Restoring into a structurally different network throws.
+  /// Write / restore all weights, plain parameters and persistent layer
+  /// state (BatchNorm running stats) in graph order as a snapshot section
+  /// (hylo::ckpt). Restoring into a structurally different network throws.
   void serialize_state(ckpt::ByteWriter& w);
   void deserialize_state(ckpt::ByteReader& r);
 

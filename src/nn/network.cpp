@@ -1,8 +1,5 @@
 #include "hylo/nn/network.hpp"
 
-#include <cstdint>
-#include <fstream>
-
 #include "hylo/ckpt/snapshot.hpp"
 
 namespace hylo {
@@ -127,138 +124,6 @@ index_t Network::num_params() {
   for (auto* pb : param_blocks()) total += pb->weight_count();
   for (auto pp : plain_params()) total += static_cast<index_t>(pp.value->size());
   return total;
-}
-
-namespace {
-// Format v2: magic, then a header {block count, total scalar count}, then
-// per-block {uint64 count, raw real_t payload}. The header lets a loader
-// reject a structurally wrong file before touching any weights, and every
-// read checks gcount() so truncation anywhere fails loudly instead of
-// silently zero-filling the tail of the model.
-constexpr std::uint64_t kCheckpointMagic = 0x48794C6F43505432ULL;  // "HyLoCPT2"
-
-void write_raw(std::ostream& out, const void* data, std::size_t bytes,
-               const std::string& path) {
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  HYLO_CHECK(out.good(),
-             "checkpoint write failure on " << path << " (" << bytes
-                                            << " bytes)");
-}
-
-void read_raw(std::ifstream& in, void* data, std::size_t bytes,
-              const char* what) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(bytes));
-  HYLO_CHECK(in.gcount() == static_cast<std::streamsize>(bytes),
-             "truncated checkpoint while reading "
-                 << what << ": wanted " << bytes << " bytes, got "
-                 << in.gcount());
-}
-
-void write_block(std::ostream& out, const real_t* data, index_t count,
-                 const std::string& path) {
-  const std::uint64_t n = static_cast<std::uint64_t>(count);
-  write_raw(out, &n, sizeof(n), path);
-  write_raw(out, data, sizeof(real_t) * n, path);
-}
-
-void read_block(std::ifstream& in, real_t* data, index_t count,
-                const char* what) {
-  std::uint64_t n = 0;
-  read_raw(in, &n, sizeof(n), what);
-  HYLO_CHECK(n == static_cast<std::uint64_t>(count),
-             "checkpoint " << what << " size mismatch: file has " << n
-                           << ", network expects " << count);
-  read_raw(in, data, sizeof(real_t) * n, what);
-}
-}  // namespace
-
-void Network::save_weights(const std::string& path) {
-  // Walk the blocks once up front so the header can carry totals.
-  std::uint64_t blocks = 0, scalars = 0;
-  for (auto* pb : param_blocks()) {
-    ++blocks;
-    scalars += static_cast<std::uint64_t>(pb->w.size());
-  }
-  for (auto pp : plain_params()) {
-    ++blocks;
-    scalars += static_cast<std::uint64_t>(pp.value->size());
-  }
-  for (auto& n : nodes_)
-    if (n.layer != nullptr)
-      for (auto* state : n.layer->mutable_state()) {
-        ++blocks;
-        scalars += static_cast<std::uint64_t>(state->size());
-      }
-
-  // Crash safety: stream into <path>.tmp and rename on success, so an
-  // interrupted save never clobbers the previous checkpoint.
-  ckpt::AtomicFile file(path);
-  std::ostream& out = file.stream();
-  write_raw(out, &kCheckpointMagic, sizeof(kCheckpointMagic), path);
-  write_raw(out, &blocks, sizeof(blocks), path);
-  write_raw(out, &scalars, sizeof(scalars), path);
-  for (auto* pb : param_blocks())
-    write_block(out, pb->w.data(), pb->w.size(), path);
-  for (auto pp : plain_params())
-    write_block(out, pp.value->data(), static_cast<index_t>(pp.value->size()),
-                path);
-  for (auto& n : nodes_)
-    if (n.layer != nullptr)
-      for (auto* state : n.layer->mutable_state())
-        write_block(out, state->data(), static_cast<index_t>(state->size()),
-                    path);
-  file.commit();
-}
-
-void Network::load_weights(const std::string& path) {
-  std::uint64_t want_blocks = 0, want_scalars = 0;
-  for (auto* pb : param_blocks()) {
-    ++want_blocks;
-    want_scalars += static_cast<std::uint64_t>(pb->w.size());
-  }
-  for (auto pp : plain_params()) {
-    ++want_blocks;
-    want_scalars += static_cast<std::uint64_t>(pp.value->size());
-  }
-  for (auto& n : nodes_)
-    if (n.layer != nullptr)
-      for (auto* state : n.layer->mutable_state()) {
-        ++want_blocks;
-        want_scalars += static_cast<std::uint64_t>(state->size());
-      }
-
-  HYLO_CHECK(path.size() < 4 || path.compare(path.size() - 4, 4, ".tmp") != 0,
-             "refusing to load '" << path << "': a '.tmp' checkpoint is a "
-                                  << "torn in-progress write left by a crash");
-  std::ifstream in(path, std::ios::binary);
-  HYLO_CHECK(in.good(), "cannot open " << path);
-  std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  HYLO_CHECK(in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
-                 magic == kCheckpointMagic,
-             "not a hylo checkpoint: " << path);
-  std::uint64_t blocks = 0, scalars = 0;
-  read_raw(in, &blocks, sizeof(blocks), "header");
-  read_raw(in, &scalars, sizeof(scalars), "header");
-  HYLO_CHECK(blocks == want_blocks && scalars == want_scalars,
-             "checkpoint shape mismatch: file has "
-                 << blocks << " blocks / " << scalars
-                 << " scalars, network expects " << want_blocks << " / "
-                 << want_scalars);
-  for (auto* pb : param_blocks())
-    read_block(in, pb->w.data(), pb->w.size(), "weights");
-  for (auto pp : plain_params())
-    read_block(in, pp.value->data(), static_cast<index_t>(pp.value->size()),
-               "plain params");
-  for (auto& n : nodes_)
-    if (n.layer != nullptr)
-      for (auto* state : n.layer->mutable_state())
-        read_block(in, state->data(), static_cast<index_t>(state->size()),
-                   "layer state");
-  HYLO_CHECK(in.peek() == std::ifstream::traits_type::eof(),
-             "trailing bytes after checkpoint payload in " << path);
 }
 
 void Network::serialize_state(ckpt::ByteWriter& w) {

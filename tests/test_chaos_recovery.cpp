@@ -231,19 +231,21 @@ TEST(SilentCorrupt, DetectedCorruptionIsCaughtAndCharged) {
 }
 
 TEST(SilentCorrupt, EscapedCorruptionFlipsBitsInPayload) {
-  // escape=1: every event slips past the checksum and allreduce_mean's
-  // result must actually differ from the clean mean — on every replica
-  // identically (the lockstep invariant survives corruption).
+  // escape=1: every event slips past the checksum, so the collective hands
+  // its caller a ticket, and the payload the caller corrupts with it must
+  // actually differ from the clean one. A clean wire hands out no ticket.
   auto run = [](bool faulty) {
     CommSim comm(2, mist_v100());
     if (faulty) comm.configure_faults(silent_storm(23, 1.0, 1.0));
     Rng rng(9);
-    Matrix m0(4, 4), m1(4, 4);
-    for (index_t i = 0; i < m0.size(); ++i) m0[i] = rng.normal();
-    m1 = m0;
-    comm.allreduce_mean({&m0, &m1}, "comm/grad_allreduce");
-    for (index_t i = 0; i < m0.size(); ++i) EXPECT_EQ(m0[i], m1[i]);
-    return m0;
+    Matrix m(4, 4);
+    for (index_t i = 0; i < m.size(); ++i) m[i] = rng.normal();
+    comm.charge_allreduce(comm.wire_bytes(m.size()), "comm/grad_allreduce",
+                          FailMode::kRetryUntilSuccess);
+    const auto ticket = comm.take_silent_corruption();
+    EXPECT_EQ(ticket.has_value(), faulty);
+    if (ticket) corrupt_values(m, *ticket);
+    return m;
   };
   const Matrix clean = run(false), corrupted = run(true);
   bool differs = false;
@@ -407,6 +409,73 @@ TEST(ChaosRecovery, RollsBackToVerifiedGoodSnapshotAndCompletes) {
   // The re-run window replaced the poisoned epoch stats: one entry per
   // epoch, in order.
   for (index_t e = 0; e < 3; ++e) EXPECT_EQ(r.res.epochs[e].epoch, e);
+  fs::remove_all(dir);
+}
+
+TEST(ChaosRecovery, NonFiniteLossRollsBackBeforeTheRefresh) {
+  // The poisoned weights make epoch 1's first loss NaN, on a refresh
+  // iteration. The trigger fires before the optimizer consumes that
+  // iteration's captures, so no poisoned candidate reaches the guard gates:
+  // the rollback is the only trace the poison leaves.
+  for (const char* name : {"HyLo", "SNGD", "KFAC", "EKFAC", "KBFGS-L"}) {
+    const std::string dir = tmp_dir(std::string("nan_first_") + name);
+    TrainConfig tc = tiny_config(2);
+    tc.checkpoint.dir = dir;
+    tc.checkpoint.every = 2;
+    tc.recovery = RecoveryConfig::parse("3");
+    const TinyRun r =
+        train_tiny(name, 7, tc, tiny_optim(), poison_after_epoch(0));
+    ASSERT_FALSE(r.threw) << name;
+    EXPECT_EQ(r.res.rollbacks, 1) << name;
+    EXPECT_EQ(r.guard_rejects, 0) << name;
+    EXPECT_EQ(r.stale, 0) << name;
+    fs::remove_all(dir);
+  }
+}
+
+TEST(ChaosRecovery, ResumedRunRollsBackToTheSnapshotItResumedFrom) {
+  // The poison lands at the end of epoch 0, right after the snapshot at
+  // iteration 4. A run resumed from that snapshot must have it as its
+  // rollback target, and so heal exactly as the uninterrupted run does.
+  const std::string dir = tmp_dir("resume_target");
+  TrainConfig tc = tiny_config(3);
+  tc.checkpoint.dir = dir;
+  tc.checkpoint.every = 2;
+  tc.checkpoint.keep = 0;
+  tc.recovery = RecoveryConfig::parse("3");
+  const DataSplit data = make_spirals(512, 128, 2, 0.08, 11);
+  struct Out {
+    TrainResult res;
+    std::vector<real_t> weights;
+  };
+  auto train = [&](const std::string& resume_from) {
+    Network net = make_mlp({2, 1, 1}, {16, 16}, 2, 7);
+    auto opt = make_optimizer("SNGD", tiny_optim());
+    TrainConfig c = tc;
+    if (!resume_from.empty()) c.checkpoint.dir = dir + "/resumed";
+    Trainer trainer(net, *opt, data, c);
+    trainer.set_epoch_hook(poison_after_epoch(0));
+    Out out;
+    out.res = resume_from.empty() ? trainer.run() : trainer.resume(resume_from);
+    for (auto* pb : net.param_blocks())
+      out.weights.insert(out.weights.end(), pb->w.data(),
+                         pb->w.data() + pb->w.size());
+    for (auto pp : net.plain_params())
+      out.weights.insert(out.weights.end(), pp.value->begin(),
+                         pp.value->end());
+    return out;
+  };
+  const Out full = train("");
+  ASSERT_EQ(full.res.rollbacks, 1);
+  const Out resumed = train(dir + "/snapshot-00000004.hysnp");
+  EXPECT_EQ(resumed.res.rollbacks, 1);
+  ASSERT_EQ(resumed.res.epochs.size(), full.res.epochs.size());
+  for (std::size_t e = 0; e < full.res.epochs.size(); ++e)
+    EXPECT_EQ(resumed.res.epochs[e].train_loss, full.res.epochs[e].train_loss)
+        << "epoch " << e;
+  ASSERT_EQ(resumed.weights.size(), full.weights.size());
+  for (std::size_t i = 0; i < full.weights.size(); ++i)
+    ASSERT_EQ(resumed.weights[i], full.weights[i]) << "weight " << i;
   fs::remove_all(dir);
 }
 

@@ -1,6 +1,7 @@
 // hylo::ckpt — crash-safe run snapshots. Container-level corruption
-// rejection, bitwise interrupt/resume across models × optimizers × fault
-// specs, and the elastic world-shrink path on permanent rank loss.
+// rejection, weights-only snapshot round trips, bitwise interrupt/resume
+// across models × optimizers × fault specs, and the elastic world-shrink
+// path on permanent rank loss.
 //
 // Env-proofing: every Trainer here pins its fault schedule (an explicit
 // FaultConfig, possibly disabled) and its checkpoint cadence (a non-empty
@@ -270,6 +271,100 @@ TrainConfig base_config(index_t world) {
   tc.checkpoint.dir = "/tmp/unused";  // non-empty dir + every=0 pins
   tc.checkpoint.every = 0;            // snapshots *off* (env-proof)
   return tc;
+}
+
+// ---------------------------------------------------------------------------
+// Weights-only snapshots: what `hylo_train --checkpoint` writes, one
+// "network" section (weights, plain params and BatchNorm running stats). The
+// container cases above cover a damaged or uncommitted file.
+
+void save_weights(Network& net, const std::string& path) {
+  ckpt::SnapshotWriter snap;
+  net.serialize_state(snap.section("network"));
+  snap.write(path);
+}
+
+void load_weights(Network& net, const std::string& path) {
+  const ckpt::SnapshotReader snap(path);
+  ckpt::ByteReader r = snap.open("network");
+  net.deserialize_state(r);
+  r.expect_done();
+}
+
+Tensor4 random_batch(Rng& rng, index_t n, Shape s) {
+  Tensor4 x(n, s.c, s.h, s.w);
+  for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+  return x;
+}
+
+TEST(Checkpoint, RoundTripRestoresOutputs) {
+  const std::string dir = tmp_dir("weights_roundtrip");
+  const std::string path = dir + "/w.hysnp";
+  Network a = make_resnet({3, 8, 8}, 4, 1, 8, 5);
+  {  // train a little so BN running stats and weights are non-initial
+    const DataSplit data = make_texture_images(128, 32, 4, 3, 8, 8, 0.3, 1);
+    Sgd opt(OptimConfig{});
+    TrainConfig tc = base_config(1);
+    tc.epochs = 1;
+    tc.batch_size = 16;
+    tc.max_iters_per_epoch = -1;
+    Trainer(a, opt, data, tc).run();
+  }
+  save_weights(a, path);
+
+  Network b = make_resnet({3, 8, 8}, 4, 1, 8, 99);  // different init
+  load_weights(b, path);
+
+  Rng rng(7);
+  const Tensor4 x = random_batch(rng, 3, {3, 8, 8});
+  const PassContext eval{.training = false, .capture = false};
+  const Tensor4& ya = a.forward(x, eval);
+  const Tensor4& yb = b.forward(x, eval);
+  for (index_t i = 0; i < ya.size(); ++i) EXPECT_EQ(ya[i], yb[i]);
+  fs::remove_all(dir);
+}
+
+TEST(Checkpoint, CarriesBatchNormRunningStats) {
+  // Eval-mode output depends on running stats: loading must restore them
+  // even though they are not parameters.
+  const std::string dir = tmp_dir("weights_bn");
+  const std::string path = dir + "/w.hysnp";
+  Network a;
+  const int x = a.add_input({2, 4, 4});
+  a.add(std::make_unique<BatchNorm2d>(0.5), x);
+  Rng rng(4);
+  const Tensor4 in = random_batch(rng, 8, {2, 4, 4});
+  const PassContext train{.training = true, .capture = false};
+  for (int it = 0; it < 10; ++it) a.forward(in, train);
+  save_weights(a, path);
+
+  Network b;
+  b.add_input({2, 4, 4});
+  b.add(std::make_unique<BatchNorm2d>(0.5), 0);
+  load_weights(b, path);
+  const PassContext eval{.training = false, .capture = false};
+  const Tensor4& ya = a.forward(in, eval);
+  const Tensor4& yb = b.forward(in, eval);
+  for (index_t i = 0; i < ya.size(); ++i) EXPECT_EQ(ya[i], yb[i]);
+  fs::remove_all(dir);
+}
+
+TEST(Checkpoint, RejectsShapeMismatch) {
+  const std::string dir = tmp_dir("weights_shape");
+  Network a = make_mlp({2, 1, 1}, {8}, 2, 1);
+  save_weights(a, dir + "/w.hysnp");
+  Network b = make_mlp({2, 1, 1}, {16}, 2, 1);
+  EXPECT_THROW(load_weights(b, dir + "/w.hysnp"), Error);
+  fs::remove_all(dir);
+}
+
+TEST(Checkpoint, MissingFileThrows) {
+  // The one container case the corruption matrix above leaves out: the
+  // SnapshotReader must refuse a path with no file behind it.
+  const std::string dir = tmp_dir("weights_missing");
+  Network net = make_mlp({2, 1, 1}, {8}, 2, 1);
+  EXPECT_THROW(load_weights(net, dir + "/w.hysnp"), Error);
+  fs::remove_all(dir);
 }
 
 FaultConfig transient_faults() {

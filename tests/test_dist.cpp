@@ -1,7 +1,7 @@
-// Cost model and simulated collectives.
+// Cost model, simulated collectives and the modeled wire precision.
 #include <gtest/gtest.h>
 
-#include "hylo/dist/comm.hpp"
+#include "hylo/hylo.hpp"
 #include "test_util.hpp"
 
 namespace hylo {
@@ -110,41 +110,13 @@ TEST(CostModel, RetrySecondsShape) {
   EXPECT_THROW(retry_seconds(m, base, -1), Error);
 }
 
-TEST(CommSim, AllreduceMeanAveragesAndSyncs) {
-  CommSim comm(3, mist_v100());
-  Matrix a{{3.0}}, b{{6.0}}, c{{0.0}};
-  comm.allreduce_mean({&a, &b, &c}, "comm/grad_allreduce");
-  EXPECT_EQ(a(0, 0), 3.0);
-  EXPECT_EQ(b(0, 0), 3.0);
-  EXPECT_EQ(c(0, 0), 3.0);
-  EXPECT_GT(comm.comm_seconds(), 0.0);
-}
-
-TEST(CommSim, AllgatherStacksInRankOrder) {
-  CommSim comm(2, mist_v100());
-  Matrix r0{{1.0, 1.0}}, r1{{2.0, 2.0}};
-  const Matrix g = comm.allgather_rows({&r0, &r1}, "comm/gather");
-  EXPECT_EQ(g.rows(), 2);
-  EXPECT_EQ(g(0, 0), 1.0);
-  EXPECT_EQ(g(1, 0), 2.0);
-}
-
 TEST(CommSim, AllgatherMixedRowsStackAndHandComputedWireBytes) {
-  // Three ranks with different local-batch row counts. The stacked result
-  // must preserve rank order, and the wire ledger must count the ring
-  // total: every rank receives every *other* rank's block, so
-  // bytes = (world-1) * sum_r bytes_r — not one rank's payload.
+  // Three ranks with different local-batch row counts (1, 2 and 3 rows of
+  // 2 FP32 values). The wire ledger must count the ring total: every rank
+  // receives every *other* rank's block, so bytes = (world-1) * sum_r
+  // bytes_r — not one rank's payload.
   CommSim comm(3, mist_v100());
-  Matrix r0{{1.0, 2.0}};                            // 1x2 =  8 B at FP32
-  Matrix r1{{3.0, 4.0}, {5.0, 6.0}};                // 2x2 = 16 B
-  Matrix r2{{7.0, 8.0}, {9.0, 10.0}, {11.0, 12.0}}; // 3x2 = 24 B
-  const Matrix g = comm.allgather_rows({&r0, &r1, &r2}, "comm/gather");
-  ASSERT_EQ(g.rows(), 6);
-  ASSERT_EQ(g.cols(), 2);
-  EXPECT_EQ(g(0, 0), 1.0);
-  EXPECT_EQ(g(1, 0), 3.0);
-  EXPECT_EQ(g(3, 0), 7.0);
-  EXPECT_EQ(g(5, 1), 12.0);
+  comm.charge_allgather(std::vector<index_t>{8, 16, 24}, "comm/gather");
   // Hand-computed: (3-1) * (8+16+24) = 96 bytes, one message.
   const auto& reg = comm.profiler().registry();
   EXPECT_EQ(reg.counter_value("comm/gather.bytes"), 96);
@@ -180,20 +152,8 @@ TEST(CommSim, CommSecondsCountsOnlyCommSections) {
 
 TEST(CommSim, WorldValidation) {
   CommSim comm(2, loopback());
-  Matrix a(1, 1);
-  EXPECT_THROW(comm.allreduce_mean({&a}, "comm/x"), Error);
-}
-
-TEST(CommSim, AllreduceRejectsAliasedAndNullBuffers) {
-  // Rank 0's buffer doubles as the accumulator, so a duplicated pointer
-  // would silently sum a buffer into itself; a null would crash later.
-  CommSim comm(3, loopback());
-  Matrix a{{1.0}}, b{{2.0}};
-  EXPECT_THROW(comm.allreduce_mean({&a, &b, &a}, "comm/x"), Error);
-  EXPECT_THROW(comm.allreduce_mean({&a, &b, nullptr}, "comm/x"), Error);
-  // The aliased call must not have corrupted the data.
-  EXPECT_EQ(a(0, 0), 1.0);
-  EXPECT_EQ(b(0, 0), 2.0);
+  EXPECT_THROW(comm.charge_allgather(std::vector<index_t>{4}, "comm/x"),
+               Error);
 }
 
 TEST(CommSim, WireBytesRoundsToNearest) {
@@ -229,6 +189,38 @@ TEST(LayerAssignment, RoundRobin) {
   EXPECT_EQ(asg.owned_count(2), 2);
   EXPECT_EQ(asg.owned_count(3), 2);
   EXPECT_THROW(asg.owner(10), Error);
+}
+
+TEST(WirePrecision, HalvesModeledCommTime) {
+  // FP16 wire halves bandwidth-dominated comm relative to FP32. Run the
+  // same HyLo schedule at both precisions and compare modeled comm time.
+  const DataSplit data = make_spirals(512, 64, 2, 0.1, 9);
+  auto comm_seconds = [&](double wire_bytes) {
+    Network net = make_mlp({2, 1, 1}, {128, 128}, 2, 5);
+    OptimConfig oc;
+    oc.update_freq = 1;
+    auto opt = make_optimizer("SNGD", oc);  // big broadcasts
+    TrainConfig tc;
+    tc.epochs = 1;
+    tc.batch_size = 32;
+    tc.world = 4;
+    tc.max_iters_per_epoch = 2;
+    tc.interconnect = mist_v100();
+    tc.wire_scalar_bytes = wire_bytes;
+    Trainer trainer(net, *opt, data, tc);
+    return trainer.run().comm_seconds;
+  };
+  const double fp32 = comm_seconds(4.0);
+  const double fp16 = comm_seconds(2.0);
+  EXPECT_LT(fp16, fp32);
+  EXPECT_GT(fp16, 0.35 * fp32);  // not *below* half: latency floor remains
+}
+
+TEST(WirePrecision, Validation) {
+  CommSim comm(2, loopback());
+  EXPECT_THROW(comm.set_wire_scalar_bytes(0.0), Error);
+  comm.set_wire_scalar_bytes(2.625);  // the 21-bit format
+  EXPECT_EQ(comm.wire_bytes(1000), 2625);
 }
 
 }  // namespace

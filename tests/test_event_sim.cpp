@@ -222,6 +222,38 @@ TEST(AsyncTrainer, OverlapsRefreshGathersAndStillLearns) {
   EXPECT_EQ(opt.async_pending(), 0);
 }
 
+/// KFAC that records, at every step(), how many layers still have a
+/// refresh in flight.
+class PendingAtStep : public KFac {
+ public:
+  using KFac::KFac;
+  void step(Network& net, index_t iteration) override {
+    pending.push_back(async_pending());
+    KFac::step(net, iteration);
+  }
+  std::vector<index_t> pending;
+};
+
+TEST(AsyncTrainer, CompletedChainsCommitBeforeStep) {
+  // A refresh's chains overlap the next iteration's fwd/bwd and have landed
+  // once that iteration's gradient allreduce clears the FIFO wire. The
+  // trainer commits them before step() serves curvature, so only a refresh
+  // iteration's own step() sees chains in flight.
+  const DataSplit data = spiral_data();
+  Network net = make_mlp({2, 1, 1}, {16}, 2, 3);
+  OptimConfig oc;
+  oc.update_freq = 3;
+  PendingAtStep opt(oc);
+  TrainConfig tc = async_config(1, 4);
+  tc.max_iters_per_epoch = 6;
+  Trainer(net, opt, data, tc).run();
+  ASSERT_EQ(opt.pending.size(), 6u);
+  for (index_t it = 0; it < 6; ++it)
+    EXPECT_EQ(opt.pending[static_cast<std::size_t>(it)] > 0,
+              opt.needs_capture(it))
+        << "iteration " << it;
+}
+
 TEST(AsyncTrainer, DeterministicAcrossRuns) {
   // Losses, metrics, the modeled comm clock, and the timeline horizon are
   // all bitwise-reproducible. (Wall seconds are not compared: they fold in

@@ -1,6 +1,10 @@
 // Trainer integration: end-to-end convergence, determinism, simulated-time
 // accounting, distributed bookkeeping, early stop, segmentation path.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "hylo/hylo.hpp"
 #include "test_util.hpp"
@@ -204,6 +208,36 @@ TEST(Trainer, EvaluateRejectsEmptyTestSplit) {
   Trainer trainer(net, opt, data, quick_config(1));
   EXPECT_THROW(trainer.evaluate(), Error);
   EXPECT_THROW(trainer.run(), Error);
+}
+
+TEST(Trainer, RunsOnce) {
+  // A Trainer continues from its cursor, so a second run() would silently
+  // train nothing: any second run() or resume() must fail loudly instead.
+  const DataSplit data = spiral_data();
+  const std::string dir =
+      "/tmp/hylo_test_trainer_runs_once_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  auto make_trainer = [&](Network& net, Sgd& opt) {
+    TrainConfig tc = quick_config(1);
+    tc.max_iters_per_epoch = 2;
+    tc.checkpoint = {dir, 1, 0};
+    return Trainer(net, opt, data, tc);
+  };
+  OptimConfig oc;
+  Network net = make_mlp({2, 1, 1}, {16}, 2, 3);
+  Sgd opt(oc);
+  Trainer trainer = make_trainer(net, opt);
+  trainer.run();
+  EXPECT_THROW(trainer.run(), Error);
+  const std::string snap = dir + "/snapshot-00000001.hysnp";
+  EXPECT_THROW(trainer.resume(snap), Error);
+
+  Network net2 = make_mlp({2, 1, 1}, {16}, 2, 3);
+  Sgd opt2(oc);
+  Trainer resumed = make_trainer(net2, opt2);
+  resumed.resume(snap);
+  EXPECT_THROW(resumed.run(), Error);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MakeOptimizer, FactoryNames) {
