@@ -1,15 +1,16 @@
 // GEMM throughput across kernel tiers and hylo::par thread counts. For
 // every available tier (scalar + packed SIMD, DESIGN.md §13) this times the
 // kernels the optimizer pipeline leans on — gemm (C = AB), gemm_tn (AᵀB,
-// the factor-contraction shape), gram_nt (AAᵀ, the kernel-matrix shape) and
-// the fused-im2col conv forward — at 512³-equivalent work over thread
-// counts {1, 2, 4, hw}, checks every multithreaded result bitwise against
-// the same tier's single-thread reference (the per-tier determinism
-// contract), and writes BENCH_gemm.json with the per-tier numbers, the
-// seed's pre-packing baseline for before/after comparison, roofline-style
-// notes (arithmetic intensity, attained vs peak), and a perf note locking
-// the removal of the `aik == 0.0` inner-loop early-out. A final section
-// times gemm with the hylo::audit checked mode off vs on.
+// the factor-contraction shape), gram_nt (AAᵀ, the kernel-matrix shape),
+// the fused-im2col conv inference forward (conv_fused) and a conv training
+// pass, capture forward plus backward (conv_train) — at 512³-equivalent
+// work over thread counts {1, 2, 4, hw}, checks every multithreaded result
+// bitwise against the same tier's single-thread reference (the per-tier
+// determinism contract), and writes BENCH_gemm.json with the per-tier
+// numbers, the seed's pre-packing baseline for before/after comparison,
+// roofline-style notes (arithmetic intensity, attained vs peak), and a perf
+// note locking the removal of the `aik == 0.0` inner-loop early-out. A
+// final section times gemm with the hylo::audit checked mode off vs on.
 //
 // Geometry: HYLO_BENCH_SCALE=large doubles the edge to 1024.
 #include <cstring>
@@ -82,6 +83,32 @@ int main() {
                             static_cast<double>(conv_patch) *
                             static_cast<double>(conv_s);
   const PassContext cctx{.training = false, .capture = false};
+  // conv_train: the same layer's capture forward, then its backward (wgrad
+  // and dgrad) against a fixed output gradient. Credited flops: forward and
+  // dgrad 2·c_out·patch·s each, wgrad 2·c_out·(patch+1)·s, per sample.
+  Tensor4 cgout(cn, cout_shape.c, cout_shape.h, cout_shape.w);
+  for (index_t i = 0; i < cgout.size(); ++i) cgout[i] = rng.normal();
+  const PassContext tctx{.training = true, .capture = true};
+  ParamBlock& cpb = *conv.param_block();
+  const double conv_train_flops =
+      conv_flops * (3.0 * static_cast<double>(conv_patch) + 1.0) /
+      static_cast<double>(conv_patch);
+  struct ConvTrainOut {
+    Tensor4 out, gin;
+    Matrix gw, a_samples;
+  };
+  auto conv_train = [&](ConvTrainOut& r) {
+    cpb.gw.zero();
+    r.gin.resize(cn, cin.c, cin.h, cin.w);
+    conv.forward({&cx}, r.out, tctx);
+    conv.backward({&cx}, r.out, cgout, {&r.gin}, tctx);
+    r.gw = cpb.gw;
+    r.a_samples = cpb.a_samples;
+  };
+  auto conv_train_equal = [](const ConvTrainOut& x, const ConvTrainOut& y) {
+    return bitwise_equal(x.out, y.out) && bitwise_equal(x.gin, y.gin) &&
+           bitwise_equal(x.gw, y.gw) && bitwise_equal(x.a_samples, y.a_samples);
+  };
 
   // Thread counts to sweep: 1, 2, 4 and the hardware default, deduplicated.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -131,6 +158,8 @@ int main() {
     for (const auto& k : kernels) reference.push_back(k.run(a, b));
     Tensor4 conv_ref;
     conv.forward({&cx}, conv_ref, cctx);
+    ConvTrainOut train_ref;
+    conv_train(train_ref);
 
     obs::Json by_threads = obs::Json::array();
     for (const int t : counts) {
@@ -174,6 +203,24 @@ int main() {
         if (!bitwise) {
           std::cerr << "bitwise mismatch: conv at " << t << " threads, tier "
                     << kern::tier_name(tier) << "\n";
+          return 1;
+        }
+      }
+      {
+        ConvTrainOut r;
+        const double sec = time_best([&] { conv_train(r); }, reps);
+        const double gflops = conv_train_flops / sec * 1e-9;
+        const bool bitwise = conv_train_equal(r, train_ref);
+        obs::Json jk = obs::Json::object();
+        jk.set("seconds", sec);
+        jk.set("gflops", gflops);
+        jk.set("bitwise_identical", bitwise);
+        row.set("conv_train", std::move(jk));
+        std::cout << "    conv_train: " << gflops << " GFLOP/s"
+                  << (bitwise ? "" : "  [MISMATCH vs 1-thread]") << "\n";
+        if (!bitwise) {
+          std::cerr << "bitwise mismatch: conv_train at " << t
+                    << " threads, tier " << kern::tier_name(tier) << "\n";
           return 1;
         }
       }
@@ -273,8 +320,10 @@ int main() {
   doc.set("reps", reps);
   doc.set("hardware_concurrency", hw);
   doc.set("conv_workload",
-          "batch " + std::to_string(cn) + " x 16x28x28, conv 32c 3x3 s1 p1, "
-          "forward (fused im2col in SIMD tiers, materialized in scalar)");
+          "batch " + std::to_string(cn) + " x 16x28x28, conv 32c 3x3 s1 p1; "
+          "conv_fused: inference forward, conv_train: capture forward + "
+          "backward (wgrad, dgrad), checked bitwise on out, gw, a_samples "
+          "and gin (fused im2col in SIMD tiers, materialized in scalar)");
   doc.set("tiers", std::move(tiers_json));
   doc.set("seed_baseline", std::move(seed));
   doc.set("roofline", std::move(roofline));

@@ -53,8 +53,9 @@ class Conv2d : public Layer {
   ParamBlock params_;
   ConvGeometry geom_;
   // Per-sample im2col cache from forward — scalar kernel tier only. The
-  // SIMD tiers fuse im2col into the packed conv GEMM (gemm_packed.hpp) and
-  // keep this empty; backward regenerates patches from the layer input.
+  // SIMD tiers fuse im2col into the packed conv passes (gemm_packed.hpp),
+  // which read patches from a zero-padded copy of the layer input, and keep
+  // this empty; so a scalar-tier backward after a SIMD-tier forward throws.
   std::vector<Matrix> cols_;
 };
 

@@ -64,28 +64,40 @@ void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha);
 
 // ---- Tier-dispatched vector helpers -----------------------------------
 // These dispatch on kern::active() internally; the scalar tier runs the
-// plain ascending loop (bitwise identical to the seed kernels). vmul and
-// vscale are elementwise and therefore bitwise identical across tiers;
-// vdot uses lane-partial accumulators in SIMD tiers (fixed, deterministic
-// reduction order within a tier, reassociated relative to scalar).
+// plain ascending loop (bitwise identical to the seed kernels). vmul,
+// vscale and vadd_where_positive are elementwise and therefore bitwise
+// identical across tiers; vdot uses lane-partial accumulators in SIMD tiers
+// (fixed, deterministic reduction order within a tier, reassociated
+// relative to scalar).
 
 /// a[i] *= b[i].
 void vmul(real_t* a, const real_t* b, index_t n);
 /// dst[i] = s * src[i].
 void vscale(real_t* dst, const real_t* src, real_t s, index_t n);
+/// acc[i] += g[i] where x[i] > 0 (ReLU's backward); every other acc[i],
+/// NaN x included, keeps its bits.
+void vadd_where_positive(real_t* acc, const real_t* g, const real_t* x,
+                         index_t n);
 /// Dot product of two contiguous vectors.
 real_t vdot(const real_t* a, const real_t* b, index_t n);
 
 // ---- Fused-im2col convolution (SIMD tiers) ----------------------------
-// The conv GEMM consumes im2col patches straight from the NCHW sample:
-// pack_b generates each patch element on the fly, so no per-sample patch
-// matrix (the old Conv2d::cols_ cache) is ever materialized. These
-// functions are serial by design — Conv2d parallelizes over samples
-// (forward/dgrad) and output channels (wgrad) around them.
+// The conv GEMMs consume im2col patches straight from the NCHW sample, so
+// no per-sample patch matrix (the scalar tier's Conv2d::cols_) is ever
+// materialized. The forward and wgrad B packs first copy the sample into a
+// per-thread zero-padded scratch, C x (H+2·pad) x (W+2·pad); patch element
+// (j, p) is then xp[patch_off(j) + pos_off(p)], read through two offset
+// tables with no bounds test. That needs every window inside the padded
+// input, H + 2·pad >= kernel and W + 2·pad >= kernel, which
+// Conv2d::infer_shape checks. Every pass moves values and does no extra
+// arithmetic, so its bits equal the materialized GEMMs (test_kernel_tiers
+// FusedConvEqualsMaterializedGemmBitwise). These functions are serial by
+// design — Conv2d parallelizes over samples (forward/dgrad) and output
+// channels (wgrad) around them.
 
-/// Prepacked conv weight operand. `data` holds MR (A-side) or NR (B-side)
-/// interleaved panels of W_main per KC block; `bias` is w(:, patch)
-/// (forward packs only).
+/// Prepacked conv weight operand: MR-interleaved A-side panels per KC block
+/// of W_main (forward) or W_mainᵀ (dgrad); `bias` is w(:, patch) (forward
+/// packs only).
 struct PackedW {
   Tier tier = Tier::kScalar;
   index_t rows = 0;  ///< logical row count of the packed operand
@@ -98,13 +110,15 @@ struct PackedW {
 /// out_plane = W_main · colsᵀ; also captures the bias column.
 PackedW pack_conv_forward_w(const Matrix& w_aug);
 
-/// B-side pack of W_main (k = c_out, n = patch) for the data-gradient GEMM
-/// dcols = goutᵀ · W_main.
+/// A-side pack of W_mainᵀ (patch x c_out) for the data-gradient GEMM
+/// dcolsᵀ = W_mainᵀ · gout_plane.
 PackedW pack_conv_dgrad_w(const Matrix& w_aug);
 
 /// out_plane (c_out x s, NCHW plane of one sample) = W_main · cols(x)ᵀ +
 /// bias, patches fused. capture_row != nullptr receives the spatial-sum
-/// capture Σ_p cols(p, j) for j in [0, patch) (caller owns the bias slot).
+/// capture Σ_p cols(p, j) for j in [0, patch) (caller owns the bias slot),
+/// summed lane-ascending within each NR-wide block of positions, then
+/// block-ascending.
 void packed_conv_forward(const PackedW& pw, const real_t* x,
                          const ConvGeometry& g, real_t* out_plane,
                          real_t* capture_row);
@@ -115,8 +129,11 @@ void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
                        const ConvGeometry& g, Matrix& gw, index_t o0,
                        index_t o1);
 
-/// dcols (s x patch, pre-zeroed) += gout_planeᵀ · W_main for one sample.
-void packed_conv_dcols(const real_t* gout_plane, const PackedW& pw,
-                       const ConvGeometry& g, Matrix& dcols);
+/// gin_plane (one C x H x W sample) += col2im(gout_planeᵀ · W_main), fused:
+/// the GEMM runs transposed, dcolsᵀ = W_mainᵀ · gout_plane with gout's
+/// contiguous rows as the B panels, and col2im adds contiguous row runs of
+/// dcolsᵀ. Bitwise equal to col2im_add(goutᵀ · W_main) onto the same gin.
+void packed_conv_dgrad(const real_t* gout_plane, const PackedW& pw,
+                       const ConvGeometry& g, real_t* gin_plane);
 
 }  // namespace hylo::kern

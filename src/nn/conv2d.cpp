@@ -21,12 +21,16 @@ Conv2d::Conv2d(index_t out_channels, index_t kernel, index_t stride,
 
 Shape Conv2d::infer_shape(const std::vector<Shape>& in) {
   HYLO_CHECK(in.size() == 1, "Conv2d takes one input");
+  // Every window must lie inside the padded input: out_h()/out_w() truncate
+  // toward zero, so a kernel larger than in + 2·pad would still get one
+  // output position, with taps past the edge.
+  HYLO_CHECK(in[0].h + 2 * pad_ >= kernel_ && in[0].w + 2 * pad_ >= kernel_,
+             "Conv2d window hangs off the padded input: in "
+                 << in[0].h << "x" << in[0].w << " pad=" << pad_
+                 << " k=" << kernel_);
   geom_ = ConvGeometry{.in_c = in[0].c, .in_h = in[0].h, .in_w = in[0].w,
                        .kernel_h = kernel_, .kernel_w = kernel_,
                        .stride = stride_, .pad = pad_};
-  HYLO_CHECK(geom_.out_h() > 0 && geom_.out_w() > 0,
-             "Conv2d output collapses: in " << in[0].h << "x" << in[0].w
-                                            << " k=" << kernel_);
   const index_t patch = geom_.patch_size();
   params_.d_in = patch;
   params_.w.resize(out_channels_, patch + 1);
@@ -163,22 +167,26 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
           if (ctx.capture) ws.add_cols(params_.g_samples, o0, o1);
         }));
 
-    // Fused input gradient: dcols = gout_planeᵀ · W_main against a weight
-    // operand packed once per call, then col2im back into the sample plane.
+    // Fused input gradient: dcolsᵀ = W_mainᵀ · gout_plane against a weight
+    // operand packed once per call, added back into the sample plane.
     const kern::PackedW pwd = kern::pack_conv_dgrad_w(params_.w);
     par::parallel_for(
         0, n, 1,
         [&](index_t n0, index_t n1) {
-          Matrix dcols;
-          for (index_t i = n0; i < n1; ++i) {
-            dcols.resize(s, patch);  // resize zero-fills
-            kern::packed_conv_dcols(gout.sample_ptr(i), pwd, geom_, dcols);
-            col2im_add(dcols, geom_, gin.sample_ptr(i));
-          }
+          for (index_t i = n0; i < n1; ++i)
+            kern::packed_conv_dgrad(gout.sample_ptr(i), pwd, geom_,
+                                    gin.sample_ptr(i));
         },
         "nn/conv2d_dgrad", audit::sample_block(gin));
     return;
   }
+
+  HYLO_CHECK(static_cast<index_t>(cols_.size()) == n,
+             "Conv2d backward in the scalar kernel tier needs the im2col "
+             "cache of a scalar-tier forward over the same batch (it holds "
+                 << cols_.size() << " samples, backward got " << n
+                 << "); the kernel tier changed between forward and "
+                    "backward");
 
   // Weight/bias gradient, channel-parallel: each gw row belongs to exactly
   // one output channel, so partitioning over channels gives disjoint writes

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "hylo/nn/layers.hpp"
+#include "hylo/tensor/gemm_packed.hpp"
 
 namespace hylo {
 
@@ -24,9 +25,8 @@ void ReLU::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
                     const Tensor4& gout, const std::vector<Tensor4*>& grad_in,
                     const PassContext&) {
   const Tensor4& x = *in[0];
-  Tensor4& gin = *grad_in[0];
-  for (index_t i = 0; i < x.size(); ++i)
-    if (x[i] > 0.0) gin[i] += gout[i];
+  kern::vadd_where_positive(grad_in[0]->data(), gout.data(), x.data(),
+                            x.size());
 }
 
 // ----------------------------------------------------------- MaxPool2d ----

@@ -141,6 +141,39 @@ __attribute__((target("avx512f"))) void vscale_avx512(real_t* dst,
   for (; i < n; ++i) dst[i] = s * src[i];
 }
 
+// acc[i] += g[i] where x[i] > 0: the sum is blended in only on those lanes,
+// so the others keep their exact bits (-0.0 included). An ordered compare
+// leaves NaN lanes untouched, as the scalar `if` does.
+__attribute__((target("avx2"))) void vadd_where_positive_avx2(
+    real_t* acc, const real_t* g, const real_t* x, index_t n) {
+  const __m256d zero = _mm256_setzero_pd();
+  index_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_loadu_pd(acc + i);
+    const __m256d sum = _mm256_add_pd(a, _mm256_loadu_pd(g + i));
+    const __m256d mask =
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ);
+    _mm256_storeu_pd(acc + i, _mm256_blendv_pd(a, sum, mask));
+  }
+  for (; i < n; ++i)
+    if (x[i] > 0.0) acc[i] += g[i];
+}
+
+__attribute__((target("avx512f"))) void vadd_where_positive_avx512(
+    real_t* acc, const real_t* g, const real_t* x, index_t n) {
+  const __m512d zero = _mm512_setzero_pd();
+  index_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d a = _mm512_loadu_pd(acc + i);
+    const __mmask8 mask =
+        _mm512_cmp_pd_mask(_mm512_loadu_pd(x + i), zero, _CMP_GT_OQ);
+    _mm512_storeu_pd(acc + i,
+                     _mm512_mask_add_pd(a, mask, a, _mm512_loadu_pd(g + i)));
+  }
+  for (; i < n; ++i)
+    if (x[i] > 0.0) acc[i] += g[i];
+}
+
 // Lane-partial dot products: 4/8 running lane sums folded pairwise at the
 // end, plus a scalar tail — a fixed reduction tree, deterministic within
 // the tier (reassociated relative to the scalar ascending loop).
@@ -240,6 +273,19 @@ void vscale_neon(real_t* dst, const real_t* src, real_t s, index_t n) {
   for (; i < n; ++i) dst[i] = s * src[i];
 }
 
+void vadd_where_positive_neon(real_t* acc, const real_t* g, const real_t* x,
+                              index_t n) {
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  index_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t a = vld1q_f64(acc + i);
+    const uint64x2_t mask = vcgtq_f64(vld1q_f64(x + i), zero);
+    vst1q_f64(acc + i, vbslq_f64(mask, vaddq_f64(a, vld1q_f64(g + i)), a));
+  }
+  for (; i < n; ++i)
+    if (x[i] > 0.0) acc[i] += g[i];
+}
+
 real_t vdot_neon(const real_t* a, const real_t* b, index_t n) {
   float64x2_t acc = vdupq_n_f64(0.0);
   index_t i = 0;
@@ -280,10 +326,11 @@ TierCfg tier_cfg(Tier t) {
 
 /// Per-thread pack scratch, indexed so that buffers alive at the same time
 /// on one thread never alias: 0 = caller-side B pack, 1 = chunk-side A
-/// pack, 2/3 = fused-conv B/A packs (used inside conv's parallel chunks,
-/// which never run a packed_gemm_* of their own).
+/// pack; inside conv's parallel chunks, which never run a packed_gemm_* of
+/// their own, 2 = fused-conv B pack, 3 = wgrad's A pack or dgrad's dcolsᵀ,
+/// 4 = the zero-padded sample.
 std::vector<real_t>& tl_scratch(int which) {
-  static thread_local std::vector<real_t> bufs[4];
+  static thread_local std::vector<real_t> bufs[5];
   return bufs[which];
 }
 
@@ -517,91 +564,153 @@ void sym_tiles(Matrix& c, index_t off, index_t k, const SrcA& srcA,
 
 // ---- Fused im2col pack sources ----------------------------------------
 
+/// Copy one NCHW sample into the per-thread zero-padded scratch
+/// C x (H+2·pad) x (W+2·pad), writing each element once, so every patch
+/// element is an in-bounds read. With pad 0 the sample already is that
+/// layout and is returned as is.
+const real_t* pad_sample(const real_t* x, const ConvGeometry& g) {
+  if (g.pad == 0) return x;
+  const index_t pad = g.pad, wp = g.in_w + 2 * pad;
+  std::vector<real_t>& buf = tl_scratch(4);
+  buf.resize(static_cast<std::size_t>(g.in_c * (g.in_h + 2 * pad) * wp));
+  real_t* d = buf.data();
+  for (index_t c = 0; c < g.in_c; ++c) {
+    d = std::fill_n(d, pad * wp, 0.0);
+    for (index_t y = 0; y < g.in_h; ++y, x += g.in_w) {
+      d = std::fill_n(d, pad, 0.0);
+      d = std::copy_n(x, g.in_w, d);
+      d = std::fill_n(d, pad, 0.0);
+    }
+    d = std::fill_n(d, pad * wp, 0.0);
+  }
+  return buf.data();
+}
+
+/// Offsets into the padded sample: patch element (j, p) — patch coordinate
+/// j = (c, ky, kx), output position p = (oy, ox) — is xp[patch[j] + pos[p]].
+struct ConvOffsets {
+  std::vector<index_t> patch;  ///< c·Hp·Wp + ky·Wp + kx
+  std::vector<index_t> pos;    ///< (oy·Wp + ox)·stride
+};
+
+const ConvOffsets& conv_offsets(const ConvGeometry& g) {
+  static thread_local ConvOffsets o;
+  const index_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
+  o.patch.resize(static_cast<std::size_t>(g.patch_size()));
+  index_t* pj = o.patch.data();
+  for (index_t c = 0; c < g.in_c; ++c)
+    for (index_t ky = 0; ky < g.kernel_h; ++ky)
+      for (index_t kx = 0; kx < g.kernel_w; ++kx)
+        *pj++ = (c * hp + ky) * wp + kx;
+  const index_t oh = g.out_h(), ow = g.out_w();
+  o.pos.resize(static_cast<std::size_t>(oh * ow));
+  index_t* pp = o.pos.data();
+  for (index_t oy = 0; oy < oh; ++oy)
+    for (index_t ox = 0; ox < ow; ++ox) *pp++ = (oy * wp + ox) * g.stride;
+  return o;
+}
+
 /// Forward B pack: logical operand colsᵀ (k = patch coordinate, lane =
-/// output position), elements generated straight from the NCHW sample.
-/// `capture` accumulates the spatial sum Σ_p cols(p, j) per patch
-/// coordinate while the values stream through the pack (panel-major, lane
-/// ascending — deterministic at any thread count because the whole pack is
-/// per sample inside one chunk).
-void pack_b_conv_forward(real_t* dst, const real_t* x, const ConvGeometry& g,
-                         index_t k0, index_t kc, index_t s, index_t nr,
-                         real_t* capture) {
-  const index_t ow = g.out_w();
-  const index_t hw = g.in_h * g.in_w;
-  const index_t khw = g.kernel_h * g.kernel_w;
-  index_t oy[kMaxNR], ox[kMaxNR];
-  index_t off = 0;
-  for (index_t p0 = 0; p0 < s; p0 += nr) {
-    const index_t lanes = std::min(nr, s - p0);
-    for (index_t l = 0; l < lanes; ++l) {
-      oy[l] = (p0 + l) / ow;
-      ox[l] = (p0 + l) % ow;
-    }
+/// output position) read from the padded sample. `capture` accumulates the
+/// spatial sum Σ_p cols(p, j) per patch coordinate while the values stream
+/// through the pack: each packed row is summed lane-ascending (zero pad
+/// lanes included) and the row sums are added panel-ascending —
+/// deterministic at any thread count because the whole pack is per sample
+/// inside one chunk.
+template <int NR>
+void pack_b_conv_forward(real_t* dst, const real_t* xp, const ConvOffsets& o,
+                         index_t k0, index_t kc, real_t* capture) {
+  const index_t s = static_cast<index_t>(o.pos.size());
+  const index_t* patch_off = o.patch.data() + k0;
+  for (index_t p0 = 0; p0 < s; p0 += NR, dst += kc * NR) {
+    const index_t lanes = std::min<index_t>(NR, s - p0);
+    index_t pos[NR];
+    for (int l = 0; l < NR; ++l) pos[l] = l < lanes ? o.pos[p0 + l] : 0;
     for (index_t kk = 0; kk < kc; ++kk) {
-      const index_t j = k0 + kk;
-      const index_t ch = j / khw, rem = j % khw;
-      const index_t ky = rem / g.kernel_w, kx = rem % g.kernel_w;
-      const real_t* plane = x + ch * hw;
-      real_t* out = dst + off + kk * nr;
+      const real_t* base = xp + patch_off[kk];
+      real_t* out = dst + kk * NR;
       real_t acc = 0.0;
-      for (index_t l = 0; l < nr; ++l) {
-        real_t v = 0.0;
-        if (l < lanes) {
-          const index_t iy = oy[l] * g.stride + ky - g.pad;
-          const index_t ix = ox[l] * g.stride + kx - g.pad;
-          if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-            v = plane[iy * g.in_w + ix];
+      if (lanes == NR) {
+        for (int l = 0; l < NR; ++l) {
+          const real_t v = base[pos[l]];
+          out[l] = v;
+          acc += v;
         }
-        out[l] = v;
-        acc += v;
+      } else {
+        for (int l = 0; l < NR; ++l) {
+          const real_t v = l < lanes ? base[pos[l]] : 0.0;
+          out[l] = v;
+          acc += v;
+        }
       }
-      if (capture != nullptr) capture[j] += acc;
+      if (capture != nullptr) capture[k0 + kk] += acc;
     }
-    off += kc * nr;
   }
 }
 
 /// Weight-gradient B pack: logical operand [cols | 1] (k = output position,
-/// lane = patch coordinate; lane == patch is the augmented ones column).
-void pack_b_conv_t(real_t* dst, const real_t* x, const ConvGeometry& g,
-                   index_t k0, index_t kc, index_t naug, index_t nr) {
-  const index_t ow = g.out_w();
-  const index_t hw = g.in_h * g.in_w;
-  const index_t khw = g.kernel_h * g.kernel_w;
-  const index_t patch = naug - 1;
-  index_t ch[kMaxNR], ky[kMaxNR], kx[kMaxNR];
-  index_t off = 0;
-  for (index_t j0 = 0; j0 < naug; j0 += nr) {
-    const index_t lanes = std::min(nr, naug - j0);
-    for (index_t l = 0; l < lanes; ++l) {
-      const index_t j = j0 + l;
-      if (j == patch) continue;  // ones column, handled below
-      ch[l] = j / khw;
-      const index_t rem = j % khw;
-      ky[l] = rem / g.kernel_w;
-      kx[l] = rem % g.kernel_w;
-    }
-    for (index_t kk = 0; kk < kc; ++kk) {
-      const index_t p = k0 + kk;
-      const index_t oy = p / ow, ox = p % ow;
-      real_t* out = dst + off + kk * nr;
-      for (index_t l = 0; l < nr; ++l) {
-        real_t v = 0.0;
-        if (l < lanes) {
-          if (j0 + l == patch) {
-            v = 1.0;
-          } else {
-            const index_t iy = oy * g.stride + ky[l] - g.pad;
-            const index_t ix = ox * g.stride + kx[l] - g.pad;
-            if (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-              v = x[ch[l] * hw + iy * g.in_w + ix];
-          }
-        }
-        out[l] = v;
+/// lane = patch coordinate) read from the padded sample. The last panel
+/// holds the remaining patch lanes, then the ones column (lane == patch,
+/// the bias gradient), then zero pad lanes.
+template <int NR>
+void pack_b_conv_wgrad(real_t* dst, const real_t* xp, const ConvOffsets& o,
+                       index_t k0, index_t kc) {
+  const index_t patch = static_cast<index_t>(o.patch.size());
+  const index_t* pos = o.pos.data() + k0;
+  for (index_t j0 = 0; j0 <= patch; j0 += NR, dst += kc * NR) {
+    if (j0 + NR <= patch) {
+      index_t off[NR];
+      for (int l = 0; l < NR; ++l) off[l] = o.patch[j0 + l];
+      for (index_t kk = 0; kk < kc; ++kk) {
+        const real_t* base = xp + pos[kk];
+        real_t* out = dst + kk * NR;
+        for (int l = 0; l < NR; ++l) out[l] = base[off[l]];
+      }
+    } else {
+      const index_t real = patch - j0;
+      for (index_t kk = 0; kk < kc; ++kk) {
+        const real_t* base = xp + pos[kk];
+        real_t* out = dst + kk * NR;
+        for (index_t l = 0; l < real; ++l) out[l] = base[o.patch[j0 + l]];
+        out[real] = 1.0;
+        for (index_t l = real + 1; l < NR; ++l) out[l] = 0.0;
       }
     }
-    off += kc * nr;
   }
+}
+
+/// gin (one C x H x W sample) += col2im(dt), dt = dcolsᵀ (patch x s), as
+/// contiguous row runs in the order oy → c → ky → kx descending → ox
+/// ascending. For one input element the terms come from (oy, ky) with
+/// oy·stride + ky fixed and (ox, kx) with ox·stride + kx fixed, so this order
+/// adds them oy-ascending, then ox-ascending: col2im_add's per-position
+/// order, on top of whatever gin already holds.
+void col2im_rows(const real_t* dt, const ConvGeometry& g, real_t* gin) {
+  const index_t oh = g.out_h(), ow = g.out_w(), s = oh * ow;
+  const index_t st = g.stride, pad = g.pad;
+  // Tap kx lands inside the row for ox in [ox_lo[kx], ox_hi[kx]).
+  static thread_local std::vector<index_t> ox_lo, ox_hi;
+  ox_lo.resize(static_cast<std::size_t>(g.kernel_w));
+  ox_hi.resize(static_cast<std::size_t>(g.kernel_w));
+  for (index_t kx = 0; kx < g.kernel_w; ++kx) {
+    const index_t first = pad - kx, last = g.in_w - 1 + pad - kx;
+    ox_lo[kx] = first > 0 ? (first + st - 1) / st : 0;
+    ox_hi[kx] = last < 0 ? 0 : std::min(ow, last / st + 1);
+  }
+  for (index_t oy = 0; oy < oh; ++oy)
+    for (index_t c = 0; c < g.in_c; ++c)
+      for (index_t ky = 0; ky < g.kernel_h; ++ky) {
+        const index_t iy = oy * st + ky - pad;
+        if (iy < 0 || iy >= g.in_h) continue;
+        real_t* row = gin + (c * g.in_h + iy) * g.in_w;
+        const real_t* drow =
+            dt + ((c * g.kernel_h + ky) * g.kernel_w) * s + oy * ow;
+        for (index_t kx = g.kernel_w - 1; kx >= 0; --kx) {
+          const real_t* d = drow + kx * s;
+          for (index_t ox = ox_lo[kx]; ox < ox_hi[kx]; ++ox)
+            row[ox * st + kx - pad] += d[ox];
+        }
+      }
 }
 
 /// Serial tile sweep shared by the conv entry points: C rows [m0, m1)
@@ -625,6 +734,30 @@ void conv_tiles(const TierCfg& cfg, index_t kc, const real_t* ablk,
         micro_edge(cfg, kc, ap, bpan, crow + j0, ldc, rows, jw);
     }
   }
+}
+
+/// A-side pack of a rows x k operand, every KC block: block k0 starts at
+/// k0 · ⌈rows/MR⌉ · MR, as conv_tiles expects.
+template <typename SrcA>
+PackedW pack_a_all(const TierCfg& cfg, index_t rows, index_t k,
+                   const SrcA& src) {
+  const index_t npan = (rows + cfg.mr - 1) / cfg.mr;
+  PackedW pw;
+  pw.tier = active();
+  pw.rows = rows;
+  pw.cols = k;
+  pw.data.resize(static_cast<std::size_t>(k * npan * cfg.mr));
+  for (index_t k0 = 0; k0 < k; k0 += kKC)
+    pack_a(pw.data.data() + k0 * npan * cfg.mr, 0, rows, k0,
+           std::min(kKC, k - k0), cfg.mr, src);
+  return pw;
+}
+
+void check_packed_tier(const PackedW& pw) {
+  HYLO_CHECK(pw.tier == active(),
+             "conv weights packed for tier '" << tier_name(pw.tier)
+                                              << "' but active tier is '"
+                                              << tier_name(active()) << "'");
 }
 
 }  // namespace
@@ -756,6 +889,29 @@ void vscale(real_t* dst, const real_t* src, real_t s, index_t n) {
   for (index_t i = 0; i < n; ++i) dst[i] = s * src[i];
 }
 
+void vadd_where_positive(real_t* acc, const real_t* g, const real_t* x,
+                         index_t n) {
+  switch (active()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Tier::kAvx512:
+      vadd_where_positive_avx512(acc, g, x, n);
+      return;
+    case Tier::kAvx2:
+      vadd_where_positive_avx2(acc, g, x, n);
+      return;
+#endif
+#if defined(__aarch64__)
+    case Tier::kNeon:
+      vadd_where_positive_neon(acc, g, x, n);
+      return;
+#endif
+    default:
+      break;
+  }
+  for (index_t i = 0; i < n; ++i)
+    if (x[i] > 0.0) acc[i] += g[i];
+}
+
 real_t vdot(const real_t* a, const real_t* b, index_t n) {
   switch (active()) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -779,21 +935,12 @@ real_t vdot(const real_t* a, const real_t* b, index_t n) {
 // ---- Fused-im2col convolution ------------------------------------------
 
 PackedW pack_conv_forward_w(const Matrix& w_aug) {
-  const TierCfg cfg = tier_cfg(active());
   const index_t c_out = w_aug.rows(), patch = w_aug.cols() - 1;
-  const index_t npan = (c_out + cfg.mr - 1) / cfg.mr;
-  PackedW pw;
-  pw.tier = active();
-  pw.rows = c_out;
-  pw.cols = patch;
-  pw.data.resize(static_cast<std::size_t>(patch * npan * cfg.mr));
-  const real_t* pw_ = w_aug.data();
+  const real_t* w = w_aug.data();
   const index_t ldw = w_aug.cols();
-  for (index_t k0 = 0; k0 < patch; k0 += kKC) {
-    const index_t kc = std::min(kKC, patch - k0);
-    pack_a(pw.data.data() + k0 * npan * cfg.mr, 0, c_out, k0, kc, cfg.mr,
-           [pw_, ldw](index_t i, index_t kk) { return pw_[i * ldw + kk]; });
-  }
+  PackedW pw = pack_a_all(
+      tier_cfg(active()), c_out, patch,
+      [w, ldw](index_t o, index_t j) { return w[o * ldw + j]; });
   pw.bias.resize(static_cast<std::size_t>(c_out));
   for (index_t o = 0; o < c_out; ++o)
     pw.bias[static_cast<std::size_t>(o)] = w_aug(o, patch);
@@ -801,31 +948,17 @@ PackedW pack_conv_forward_w(const Matrix& w_aug) {
 }
 
 PackedW pack_conv_dgrad_w(const Matrix& w_aug) {
-  const TierCfg cfg = tier_cfg(active());
   const index_t c_out = w_aug.rows(), patch = w_aug.cols() - 1;
-  const index_t npan = (patch + cfg.nr - 1) / cfg.nr;
-  PackedW pw;
-  pw.tier = active();
-  pw.rows = c_out;
-  pw.cols = patch;
-  pw.data.resize(static_cast<std::size_t>(c_out * npan * cfg.nr));
-  const real_t* pw_ = w_aug.data();
+  const real_t* w = w_aug.data();
   const index_t ldw = w_aug.cols();
-  for (index_t k0 = 0; k0 < c_out; k0 += kKC) {
-    const index_t kc = std::min(kKC, c_out - k0);
-    pack_b(pw.data.data() + k0 * npan * cfg.nr, k0, kc, patch, cfg.nr,
-           [pw_, ldw](index_t kk, index_t j) { return pw_[kk * ldw + j]; });
-  }
-  return pw;
+  return pack_a_all(tier_cfg(active()), patch, c_out,
+                    [w, ldw](index_t j, index_t o) { return w[o * ldw + j]; });
 }
 
 void packed_conv_forward(const PackedW& pw, const real_t* x,
                          const ConvGeometry& g, real_t* out_plane,
                          real_t* capture_row) {
-  HYLO_CHECK(pw.tier == active(),
-             "conv weights packed for tier '" << tier_name(pw.tier)
-                                              << "' but active tier is '"
-                                              << tier_name(active()) << "'");
+  check_packed_tier(pw);
   const TierCfg cfg = tier_cfg(active());
   const index_t c_out = pw.rows, patch = pw.cols;
   const index_t s = g.out_h() * g.out_w();
@@ -837,11 +970,16 @@ void packed_conv_forward(const PackedW& pw, const real_t* x,
               pw.bias[static_cast<std::size_t>(o)]);
   if (capture_row != nullptr) std::fill(capture_row, capture_row + patch, 0.0);
 
+  const real_t* xp = pad_sample(x, g);
+  const ConvOffsets& offs = conv_offsets(g);
   std::vector<real_t>& bbuf = tl_scratch(2);
   bbuf.resize(static_cast<std::size_t>(std::min(kKC, patch) * npan_s * cfg.nr));
   for (index_t k0 = 0; k0 < patch; k0 += kKC) {
     const index_t kc = std::min(kKC, patch - k0);
-    pack_b_conv_forward(bbuf.data(), x, g, k0, kc, s, cfg.nr, capture_row);
+    if (cfg.nr == 8)
+      pack_b_conv_forward<8>(bbuf.data(), xp, offs, k0, kc, capture_row);
+    else
+      pack_b_conv_forward<4>(bbuf.data(), xp, offs, k0, kc, capture_row);
     const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
     conv_tiles(cfg, kc, ablk, bbuf.data(), out_plane, s, 0, c_out, s);
   }
@@ -855,6 +993,8 @@ void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
   const index_t s = g.out_h() * g.out_w();
   const index_t npan_n = (naug + cfg.nr - 1) / cfg.nr;
 
+  const real_t* xp = pad_sample(x, g);
+  const ConvOffsets& offs = conv_offsets(g);
   std::vector<real_t>& bbuf = tl_scratch(2);
   std::vector<real_t>& abuf = tl_scratch(3);
   bbuf.resize(static_cast<std::size_t>(std::min(kKC, s) * npan_n * cfg.nr));
@@ -864,7 +1004,10 @@ void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
 
   for (index_t k0 = 0; k0 < s; k0 += kKC) {
     const index_t kc = std::min(kKC, s - k0);
-    pack_b_conv_t(bbuf.data(), x, g, k0, kc, naug, cfg.nr);
+    if (cfg.nr == 8)
+      pack_b_conv_wgrad<8>(bbuf.data(), xp, offs, k0, kc);
+    else
+      pack_b_conv_wgrad<4>(bbuf.data(), xp, offs, k0, kc);
     pack_a(abuf.data(), o0, o1 - o0, k0, kc, cfg.mr,
            [gout_plane, s](index_t o, index_t kk) {
              return gout_plane[o * s + kk];
@@ -875,34 +1018,32 @@ void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
   }
 }
 
-void packed_conv_dcols(const real_t* gout_plane, const PackedW& pw,
-                       const ConvGeometry& g, Matrix& dcols) {
-  HYLO_CHECK(pw.tier == active(),
-             "conv weights packed for tier '" << tier_name(pw.tier)
-                                              << "' but active tier is '"
-                                              << tier_name(active()) << "'");
+void packed_conv_dgrad(const real_t* gout_plane, const PackedW& pw,
+                       const ConvGeometry& g, real_t* gin_plane) {
+  check_packed_tier(pw);
   const TierCfg cfg = tier_cfg(active());
-  const index_t c_out = pw.rows, patch = pw.cols;
+  const index_t patch = pw.rows, c_out = pw.cols;
   const index_t s = g.out_h() * g.out_w();
-  HYLO_CHECK(dcols.rows() == s && dcols.cols() == patch, "dcols shape");
-  const index_t npan_n = (patch + cfg.nr - 1) / cfg.nr;
+  const index_t npan_m = (patch + cfg.mr - 1) / cfg.mr;
+  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
 
-  std::vector<real_t>& abuf = tl_scratch(3);
+  // dcolsᵀ = W_mainᵀ · gout_plane. Element (j, p) is the o-ascending chain
+  // fma(W[o, j], gout[o, p], ·) from +0.0 — the same chain as dcols =
+  // goutᵀ · W_main, since fma(a, b, c) == fma(b, a, c).
+  std::vector<real_t>& dt = tl_scratch(3);
+  dt.assign(static_cast<std::size_t>(patch * s), 0.0);
+  std::vector<real_t>& bbuf = tl_scratch(2);
+  bbuf.resize(static_cast<std::size_t>(std::min(kKC, c_out) * npan_s * cfg.nr));
   for (index_t k0 = 0; k0 < c_out; k0 += kKC) {
     const index_t kc = std::min(kKC, c_out - k0);
-    const real_t* bblk = pw.data.data() + k0 * npan_n * cfg.nr;
-    for (index_t ic = 0; ic < s; ic += kMC) {
-      const index_t mc = std::min(kMC, s - ic);
-      abuf.resize(static_cast<std::size_t>(
-          ((mc + cfg.mr - 1) / cfg.mr) * cfg.mr * kc));
-      pack_a(abuf.data(), ic, mc, k0, kc, cfg.mr,
-             [gout_plane, s](index_t p, index_t kk) {
-               return gout_plane[kk * s + p];
-             });
-      conv_tiles(cfg, kc, abuf.data(), bblk, dcols.data(), patch, ic, ic + mc,
-                 patch);
-    }
+    pack_b(bbuf.data(), k0, kc, s, cfg.nr,
+           [gout_plane, s](index_t o, index_t p) {
+             return gout_plane[o * s + p];
+           });
+    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
+    conv_tiles(cfg, kc, ablk, bbuf.data(), dt.data(), s, 0, patch, s);
   }
+  col2im_rows(dt.data(), g, gin_plane);
 }
 
 }  // namespace hylo::kern

@@ -9,8 +9,11 @@
 // scalar materialized-im2col path to the same bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "hylo/common/check.hpp"
@@ -395,6 +398,139 @@ TEST_F(KernelTiers, FusedConvMatchesMaterializedIm2col) {
   }
 }
 
+// The fused conv passes pin their bits to the materialized GEMMs: the
+// forward to W_main·im2col(x)ᵀ on a bias-filled C, the wgrad to one
+// [cols | 1] GEMM per sample, the dgrad to col2im of goutᵀ·W_main onto the
+// values already in gin. The capture sums each NR-lane block of positions
+// lane-ascending (pad lanes are +0.0), then adds the block sums in order.
+// The sweep covers lane blocks that span output rows, patches deeper than
+// one KC block, s > KC with s % NR != 0, strides 2 and 3, pad 0 and 2, and
+// kernels 1, 2, 3 and 5.
+TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
+  if (simd_tiers().empty()) GTEST_SKIP() << "no SIMD tier on this host";
+  struct Case {
+    const char* name;
+    Shape in;
+    index_t c_out, kernel, stride, pad;
+  };
+  const Case cases[] = {
+      {"stem", {3, 16, 16}, 8, 3, 1, 1},
+      {"stride2_3x3", {8, 16, 16}, 16, 3, 2, 1},
+      {"downsample_1x1", {8, 16, 16}, 16, 1, 2, 0},
+      {"4x4_c32", {32, 4, 4}, 8, 3, 1, 1},
+      {"4x4_c48", {48, 4, 4}, 12, 3, 1, 1},
+      {"17x17", {2, 17, 17}, 5, 3, 1, 1},
+      {"20x20_pad0", {2, 20, 20}, 3, 3, 1, 0},
+      {"7x5_stride2", {3, 7, 5}, 4, 3, 2, 1},
+      {"k5_pad2", {2, 9, 9}, 3, 5, 1, 2},
+      {"pad0", {2, 9, 9}, 3, 3, 1, 0},
+      {"stride3", {2, 11, 10}, 3, 3, 3, 1},
+      {"k2", {3, 6, 7}, 4, 2, 1, 1},
+      {"2x2_map", {4, 2, 2}, 5, 3, 1, 1},
+  };
+  const index_t n = 3;
+  const PassContext ctx{.training = true, .capture = true};
+
+  for (const Tier tier : simd_tiers()) {
+    kern::set_tier(tier);
+    // Register-tile width of the B panels (gemm_packed.hpp): 8 on AVX-512,
+    // 4 on AVX2 and NEON.
+    const index_t nr = tier == Tier::kAvx512 ? 8 : 4;
+    for (const int threads : {1, 3}) {
+      par::set_num_threads(threads);
+      for (const Case& cs : cases) {
+        SCOPED_TRACE(std::string(kern::tier_name(tier)) + " @" +
+                     std::to_string(threads) + " " + cs.name);
+        Rng rng(321);
+        Conv2d conv(cs.c_out, cs.kernel, cs.stride, cs.pad, rng);
+        const Shape os = conv.infer_shape({cs.in});
+        const ConvGeometry g{.in_c = cs.in.c, .in_h = cs.in.h,
+                             .in_w = cs.in.w, .kernel_h = cs.kernel,
+                             .kernel_w = cs.kernel, .stride = cs.stride,
+                             .pad = cs.pad};
+        const index_t s = os.h * os.w, patch = g.patch_size();
+        ParamBlock& pb = *conv.param_block();
+        for (index_t o = 0; o < cs.c_out; ++o) pb.w(o, patch) = rng.normal();
+        Matrix w_main(cs.c_out, patch);
+        for (index_t o = 0; o < cs.c_out; ++o)
+          for (index_t j = 0; j < patch; ++j) w_main(o, j) = pb.w(o, j);
+
+        Tensor4 x(n, cs.in.c, cs.in.h, cs.in.w);
+        Tensor4 gout(n, os.c, os.h, os.w);
+        Tensor4 gin(n, cs.in.c, cs.in.h, cs.in.w);
+        for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+        for (index_t i = 0; i < gout.size(); ++i) gout[i] = rng.normal();
+        for (index_t i = 0; i < gin.size(); ++i) gin[i] = rng.normal();
+        Tensor4 gin_ref = gin;
+
+        Tensor4 out;
+        conv.forward({&x}, out, ctx);
+        conv.backward({&x}, out, gout, {&gin}, ctx);
+
+        Matrix gw_ref(cs.c_out, patch + 1);
+        bool out_ok = true, a_ok = true;
+        for (index_t i = 0; i < n; ++i) {
+          Matrix cols;
+          im2col(x.sample_ptr(i), g, cols);
+
+          Matrix y(cs.c_out, s);
+          for (index_t o = 0; o < cs.c_out; ++o)
+            for (index_t p = 0; p < s; ++p) y(o, p) = pb.w(o, patch);
+          kern::packed_gemm_nt(w_main, cols, y, 1.0);
+          out_ok = out_ok && std::memcmp(y.data(), out.sample_ptr(i),
+                                         sizeof(real_t) * y.size()) == 0;
+
+          Matrix a_row(1, patch + 1);
+          for (index_t j = 0; j < patch; ++j)
+            for (index_t p0 = 0; p0 < s; p0 += nr) {
+              real_t block = 0.0;
+              for (index_t l = 0; l < nr; ++l)
+                block += p0 + l < s ? cols(p0 + l, j) : 0.0;
+              a_row(0, j) += block;
+            }
+          a_row(0, patch) = static_cast<real_t>(s);
+          a_ok = a_ok && std::memcmp(a_row.data(), pb.a_samples.row_ptr(i),
+                                     sizeof(real_t) * a_row.size()) == 0;
+
+          Matrix g_i(cs.c_out, s), cols_aug(s, patch + 1);
+          std::copy(gout.sample_ptr(i), gout.sample_ptr(i) + g_i.size(),
+                    g_i.data());
+          for (index_t p = 0; p < s; ++p) {
+            for (index_t j = 0; j < patch; ++j) cols_aug(p, j) = cols(p, j);
+            cols_aug(p, patch) = 1.0;
+          }
+          kern::packed_gemm_nn(g_i, cols_aug, gw_ref, 1.0);
+
+          Matrix dcols(s, patch);
+          kern::packed_gemm_tn(g_i, nullptr, w_main, dcols, 1.0);
+          col2im_add(dcols, g, gin_ref.sample_ptr(i));
+        }
+        EXPECT_TRUE(out_ok) << "forward output";
+        EXPECT_TRUE(a_ok) << "a_samples capture";
+        EXPECT_TRUE(bitwise_equal(pb.gw, gw_ref)) << "weight gradient";
+        EXPECT_TRUE(bitwise_equal(gin, gin_ref)) << "input gradient";
+      }
+    }
+  }
+}
+
+// The SIMD forward keeps no im2col cache, so a scalar-tier backward after
+// it has nothing to read: it must fail loudly, not index an empty cache.
+TEST_F(KernelTiers, ScalarBackwardAfterSimdForwardIsRejected) {
+  if (simd_tiers().empty()) GTEST_SKIP() << "no SIMD tier on this host";
+  Rng rng(58);
+  Conv2d conv(3, 3, 1, 1, rng);
+  const Shape os = conv.infer_shape({Shape{2, 5, 5}});
+  Tensor4 x(2, 2, 5, 5), gout(2, os.c, os.h, os.w), gin(2, 2, 5, 5), out;
+  for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+  for (index_t i = 0; i < gout.size(); ++i) gout[i] = rng.normal();
+  const PassContext ctx{.training = true, .capture = false};
+  kern::set_tier(simd_tiers().back());
+  conv.forward({&x}, out, ctx);
+  kern::set_tier(Tier::kScalar);
+  EXPECT_THROW(conv.backward({&x}, out, gout, {&gin}, ctx), Error);
+}
+
 // ---- Vector helpers ----------------------------------------------------
 
 TEST_F(KernelTiers, ElementwiseHelpersBitwiseIdenticalAcrossTiers) {
@@ -402,22 +538,45 @@ TEST_F(KernelTiers, ElementwiseHelpersBitwiseIdenticalAcrossTiers) {
   std::vector<real_t> a0(131), b(131);
   for (auto& v : a0) v = rng.normal();
   for (auto& v : b) v = rng.normal();
+  // ReLU backward operands: x holds ±0, ±Inf, NaN and denormals among
+  // normals; every third accumulator is -0.0, which an unmasked
+  // `acc + (x > 0 ? g : 0)` would turn into +0.0.
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const real_t specials[] = {0.0,   -0.0, inf, -inf,
+                             std::numeric_limits<real_t>::quiet_NaN(),
+                             std::numeric_limits<real_t>::denorm_min(),
+                             -std::numeric_limits<real_t>::denorm_min(),
+                             1e-310};
+  std::vector<real_t> relu_x(a0.size()), relu_acc0(a0.size());
+  for (std::size_t i = 0; i < relu_x.size(); ++i) {
+    relu_x[i] = i % 2 == 0 ? specials[(i / 2) % std::size(specials)]
+                           : rng.normal();
+    relu_acc0[i] = i % 3 == 0 ? -0.0 : rng.normal();
+  }
+  const index_t n = static_cast<index_t>(a0.size());
 
   kern::set_tier(Tier::kScalar);
   std::vector<real_t> mul_ref = a0, scale_ref(a0.size());
-  kern::vmul(mul_ref.data(), b.data(), static_cast<index_t>(a0.size()));
-  kern::vscale(scale_ref.data(), a0.data(), 1.7,
-               static_cast<index_t>(a0.size()));
-  const real_t dot_scalar =
-      kern::vdot(a0.data(), b.data(), static_cast<index_t>(a0.size()));
+  kern::vmul(mul_ref.data(), b.data(), n);
+  kern::vscale(scale_ref.data(), a0.data(), 1.7, n);
+  const real_t dot_scalar = kern::vdot(a0.data(), b.data(), n);
+  std::vector<real_t> relu_ref = relu_acc0;
+  kern::vadd_where_positive(relu_ref.data(), b.data(), relu_x.data(), n);
+  for (std::size_t i = 0; i < relu_x.size(); ++i) {
+    if (!(relu_x[i] > 0.0)) {
+      EXPECT_EQ(std::memcmp(&relu_ref[i], &relu_acc0[i], sizeof(real_t)), 0)
+          << "masked-off accumulator " << i << " changed";
+    }
+  }
 
   for (const Tier tier : simd_tiers()) {
     kern::set_tier(tier);
-    std::vector<real_t> mul = a0, scale(a0.size());
-    kern::vmul(mul.data(), b.data(), static_cast<index_t>(a0.size()));
-    kern::vscale(scale.data(), a0.data(), 1.7,
-                 static_cast<index_t>(a0.size()));
-    // vmul/vscale are elementwise: bitwise identical across tiers.
+    std::vector<real_t> mul = a0, scale(a0.size()), relu = relu_acc0;
+    kern::vmul(mul.data(), b.data(), n);
+    kern::vscale(scale.data(), a0.data(), 1.7, n);
+    kern::vadd_where_positive(relu.data(), b.data(), relu_x.data(), n);
+    // vmul/vscale/vadd_where_positive are elementwise: bitwise identical
+    // across tiers.
     EXPECT_EQ(std::memcmp(mul.data(), mul_ref.data(),
                           sizeof(real_t) * mul.size()),
               0)
@@ -426,9 +585,12 @@ TEST_F(KernelTiers, ElementwiseHelpersBitwiseIdenticalAcrossTiers) {
                           sizeof(real_t) * scale.size()),
               0)
         << kern::tier_name(tier);
+    EXPECT_EQ(std::memcmp(relu.data(), relu_ref.data(),
+                          sizeof(real_t) * relu.size()),
+              0)
+        << kern::tier_name(tier);
     // vdot reassociates: bound, don't bit-compare.
-    const real_t d =
-        kern::vdot(a0.data(), b.data(), static_cast<index_t>(a0.size()));
+    const real_t d = kern::vdot(a0.data(), b.data(), n);
     EXPECT_NEAR(d, dot_scalar, 1e-12 * std::abs(dot_scalar) + 1e-12)
         << kern::tier_name(tier);
   }

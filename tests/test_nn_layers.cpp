@@ -302,5 +302,22 @@ TEST(Layers, ShapeInferenceErrors) {
   EXPECT_THROW(Conv2d(4, 5, 1, 0, wrng).infer_shape({Shape{1, 3, 3}}), Error);
 }
 
+// out_h()/out_w() truncate toward zero, so a 3x3 window at stride 2 over an
+// unpadded 2x2 input would get one output position whose taps run past the
+// edge. Every window must fit inside the padded input, in both dimensions.
+TEST(Layers, ConvRejectsWindowPastThePaddedInput) {
+  Rng wrng(21);
+  EXPECT_THROW(Conv2d(2, 3, 2, 0, wrng).infer_shape({Shape{1, 2, 2}}), Error);
+  EXPECT_THROW(Conv2d(2, 3, 1, 0, wrng).infer_shape({Shape{1, 2, 5}}), Error);
+  EXPECT_THROW(Conv2d(2, 3, 1, 0, wrng).infer_shape({Shape{1, 5, 2}}), Error);
+  // Padding that brings the input up to the kernel is enough.
+  const Shape s = Conv2d(2, 3, 2, 1, wrng).infer_shape({Shape{1, 1, 1}});
+  EXPECT_EQ(s.h, 1);
+  EXPECT_EQ(s.w, 1);
+  const Shape t = Conv2d(2, 3, 2, 0, wrng).infer_shape({Shape{1, 3, 4}});
+  EXPECT_EQ(t.h, 1);
+  EXPECT_EQ(t.w, 1);
+}
+
 }  // namespace
 }  // namespace hylo
