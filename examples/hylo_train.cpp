@@ -36,7 +36,7 @@
 //   --checkpoint PATH     (save the final weights, BatchNorm running stats
 //                          included, as a one-section run snapshot:
 //                          "network", read back with ckpt::SnapshotReader +
-//                          Network::deserialize_state)
+//                          Network::serialize_state over its ByteReader)
 //   --checkpoint-dir DIR  (write crash-safe run snapshots under DIR; pairs
 //                          with --checkpoint-every; overrides HYLO_CKPT_*)
 //   --checkpoint-every N  (snapshot cadence in iterations; 0 disables)

@@ -36,51 +36,23 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t crc) {
   return c ^ 0xFFFFFFFFU;
 }
 
-// ---------------------------------------------------------------- ByteWriter
+// ------------------------------------------------- ByteWriter, ByteReader
 
 void ByteWriter::raw(const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   buf_.insert(buf_.end(), p, p + len);
 }
 
-void ByteWriter::str(const std::string& s) {
-  u64(s.size());
-  raw(s.data(), s.size());
-}
-
-void ByteWriter::reals(const real_t* data, index_t count) {
-  HYLO_CHECK(count >= 0, "negative real block size");
-  u64(static_cast<std::uint64_t>(count));
-  raw(data, sizeof(real_t) * static_cast<std::size_t>(count));
-}
-
-void ByteWriter::real_vec(const std::vector<real_t>& v) {
-  reals(v.data(), static_cast<index_t>(v.size()));
-}
-
-void ByteWriter::index_vec(const std::vector<index_t>& v) {
-  u64(v.size());
-  raw(v.data(), sizeof(index_t) * v.size());
-}
-
-void ByteWriter::matrix(const Matrix& m) {
-  u64(static_cast<std::uint64_t>(m.rows()));
-  u64(static_cast<std::uint64_t>(m.cols()));
-  raw(m.data(), sizeof(real_t) * static_cast<std::size_t>(m.size()));
-}
-
-// ---------------------------------------------------------------- ByteReader
-
 ByteReader::ByteReader(const unsigned char* data, std::size_t len,
                        std::string what)
     : data_(data), len_(len), what_(std::move(what)) {}
 
 void ByteReader::take(void* dst, std::size_t len, const char* field) {
-  HYLO_CHECK(pos_ + len <= len_,
+  HYLO_CHECK(len <= remaining(),
              "snapshot section '" << what_ << "' truncated while reading "
                                   << field << ": wanted " << len
                                   << " bytes at offset " << pos_ << ", have "
-                                  << (len_ - pos_));
+                                  << remaining());
   // An empty matrix or vector reads into a null data(), and memcpy needs
   // valid pointers even for zero bytes.
   if (len == 0) return;
@@ -88,99 +60,79 @@ void ByteReader::take(void* dst, std::size_t len, const char* field) {
   pos_ += len;
 }
 
-std::uint8_t ByteReader::u8() {
-  std::uint8_t v = 0;
-  take(&v, sizeof(v), "u8");
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  std::uint32_t v = 0;
-  take(&v, sizeof(v), "u32");
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  std::uint64_t v = 0;
-  take(&v, sizeof(v), "u64");
-  return v;
-}
-
-std::int64_t ByteReader::i64() {
-  std::int64_t v = 0;
-  take(&v, sizeof(v), "i64");
-  return v;
-}
-
-double ByteReader::f64() {
-  double v = 0.0;
-  take(&v, sizeof(v), "f64");
-  return v;
-}
-
-real_t ByteReader::real() {
-  real_t v = 0.0;
-  take(&v, sizeof(v), "real");
-  return v;
-}
-
-std::string ByteReader::str() {
-  const std::uint64_t n = u64();
-  HYLO_CHECK(n <= remaining(),
-             "snapshot section '" << what_ << "': string length " << n
-                                  << " exceeds remaining payload");
-  std::string s(n, '\0');
-  take(s.data(), n, "string");
-  return s;
-}
-
-void ByteReader::raw_into(void* dst, std::size_t len, const char* field) {
-  take(dst, len, field);
-}
-
-void ByteReader::reals_into(real_t* dst, index_t count, const char* field) {
-  const std::uint64_t n = u64();
-  HYLO_CHECK(n == static_cast<std::uint64_t>(count),
-             "snapshot section '" << what_ << "': " << field << " holds " << n
-                                  << " scalars, expected " << count);
-  take(dst, sizeof(real_t) * n, field);
-}
-
-std::vector<real_t> ByteReader::real_vec() {
-  const std::uint64_t n = u64();
-  HYLO_CHECK(sizeof(real_t) * n <= remaining(),
-             "snapshot section '" << what_ << "': real vector of " << n
-                                  << " exceeds remaining payload");
-  std::vector<real_t> v(n);
-  take(v.data(), sizeof(real_t) * n, "real vector");
-  return v;
-}
-
-std::vector<index_t> ByteReader::index_vec() {
-  const std::uint64_t n = u64();
-  HYLO_CHECK(sizeof(index_t) * n <= remaining(),
-             "snapshot section '" << what_ << "': index vector of " << n
-                                  << " exceeds remaining payload");
-  std::vector<index_t> v(n);
-  take(v.data(), sizeof(index_t) * n, "index vector");
-  return v;
-}
-
-Matrix ByteReader::matrix() {
-  const std::uint64_t rows = u64();
-  const std::uint64_t cols = u64();
-  HYLO_CHECK(sizeof(real_t) * rows * cols <= remaining(),
-             "snapshot section '" << what_ << "': matrix " << rows << "x"
-                                  << cols << " exceeds remaining payload");
-  Matrix m(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  take(m.data(), sizeof(real_t) * rows * cols, "matrix payload");
-  return m;
-}
-
 void ByteReader::expect_done() const {
   HYLO_CHECK(pos_ == len_, "snapshot section '"
                                << what_ << "' has " << (len_ - pos_)
                                << " trailing bytes after its payload");
+}
+
+// ------------------------------------------------------------------ Archive
+
+void Archive::bytes(void* data, std::size_t len, const char* field) {
+  if (loading())
+    in_->take(data, len, field);
+  else
+    out_->raw(data, len);
+}
+
+std::size_t Archive::length(std::size_t n, std::size_t item_bytes,
+                            const char* field) {
+  std::uint64_t stored = n;
+  (*this)(stored, field);
+  if (loading())
+    require(stored <= in_->remaining() / item_bytes, field, "length ", stored,
+            " of ", item_bytes, "-byte items exceeds the ", in_->remaining(),
+            " bytes left");
+  return static_cast<std::size_t>(stored);
+}
+
+void Archive::fail(const char* field, const std::string& why) const {
+  throw Error("snapshot section '" + in_->what() + "', field '" + field +
+              "': " + why);
+}
+
+void Archive::operator()(std::string& s, const char* field) {
+  s.resize(length(s.size(), 1, field));
+  bytes(s.data(), s.size(), field);
+}
+
+void Archive::operator()(Matrix& m, const char* field) {
+  std::uint64_t rows = static_cast<std::uint64_t>(m.rows());
+  std::uint64_t cols = static_cast<std::uint64_t>(m.cols());
+  (*this)(rows, field);
+  (*this)(cols, field);
+  if (loading()) {
+    // The payload must fit; so must each dimension of an empty matrix, so
+    // that no loop over a row or column count outgrows the file.
+    const std::uint64_t left = in_->remaining();
+    require(std::max(rows, cols) <= left &&
+                (rows == 0 || cols <= left / sizeof(real_t) / rows),
+            field, "matrix ", rows, "x", cols, " exceeds the ", left,
+            " bytes left");
+    m = Matrix(static_cast<index_t>(rows), static_cast<index_t>(cols));
+  }
+  bytes(m.data(), sizeof(real_t) * static_cast<std::size_t>(m.size()), field);
+}
+
+void Archive::operator()(Rng& rng, const char* field) {
+  Rng::State st = rng.state();
+  for (std::uint64_t& word : st.s) (*this)(word, field);
+  (*this)(st.have_cached_normal, field);
+  (*this)(st.cached_normal, field);
+  // xoshiro256** never reaches the all-zero state, and from it every draw
+  // is zero: normal()'s rejection loop would never end.
+  require((st.s[0] | st.s[1] | st.s[2] | st.s[3]) != 0, field,
+          "generator state is all zero");
+  if (loading()) rng.set_state(st);
+}
+
+void Archive::reals(real_t* data, index_t count, const char* field) {
+  HYLO_CHECK(count >= 0, "negative real block size");
+  std::uint64_t n = static_cast<std::uint64_t>(count);
+  (*this)(n, field);
+  require(n == static_cast<std::uint64_t>(count), field, "holds ", n,
+          " reals, expected ", count);
+  bytes(data, sizeof(real_t) * static_cast<std::size_t>(count), field);
 }
 
 // ---------------------------------------------------------------- AtomicFile
@@ -219,13 +171,20 @@ ByteWriter& SnapshotWriter::section(const std::string& name) {
 
 void SnapshotWriter::write(const std::string& path) const {
   ByteWriter out;
-  out.u64(kSnapshotMagic);
-  out.u32(kSnapshotVersion);
-  out.u32(static_cast<std::uint32_t>(sections_.size()));
+  Archive ar(out);
+  std::uint64_t magic = kSnapshotMagic;
+  std::uint32_t version = kSnapshotVersion;
+  auto count = static_cast<std::uint32_t>(sections_.size());
+  ar(magic, "magic");
+  ar(version, "version");
+  ar(count, "section count");
   for (const auto& [name, w] : sections_) {
-    out.str(name);
-    out.u64(w.size());
-    out.u32(crc32(w.bytes().data(), w.size()));
+    std::string key = name;
+    std::uint64_t len = w.size();
+    std::uint32_t crc = crc32(w.bytes().data(), w.size());
+    ar(key, "section name");
+    ar(len, "payload length");
+    ar(crc, "crc");
     out.raw(w.bytes().data(), w.size());
   }
   AtomicFile file(path);
@@ -246,24 +205,31 @@ SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
   std::vector<unsigned char> bytes(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   ByteReader r(bytes.data(), bytes.size(), "container");
-
-  HYLO_CHECK(bytes.size() >= sizeof(std::uint64_t) && r.u64() == kSnapshotMagic,
+  Archive ar(r);
+  std::uint64_t magic = 0;
+  std::uint32_t count = 0;
+  HYLO_CHECK(bytes.size() >= sizeof(magic),
              "not a hylo run snapshot: " << path);
-  version_ = r.u32();
+  ar(magic, "magic");
+  HYLO_CHECK(magic == kSnapshotMagic, "not a hylo run snapshot: " << path);
+  ar(version_, "version");
   HYLO_CHECK(version_ == kSnapshotVersion,
              "snapshot " << path << " has version " << version_
                          << ", this build reads version " << kSnapshotVersion);
-  const std::uint32_t count = r.u32();
+  ar(count, "section count");
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string name = r.str();
-    const std::uint64_t len = r.u64();
-    const std::uint32_t want_crc = r.u32();
+    std::string name;
+    std::uint64_t len = 0;
+    std::uint32_t want_crc = 0;
+    ar(name, "section name");
+    ar(len, "payload length");
+    ar(want_crc, "crc");
     HYLO_CHECK(len <= r.remaining(),
                "snapshot " << path << ": section '" << name
                            << "' truncated (payload of " << len
                            << " bytes, file has " << r.remaining() << ")");
     std::vector<unsigned char> payload(len);
-    if (len > 0) r.raw_into(payload.data(), len, "section payload");
+    r.take(payload.data(), len, "section payload");
     const std::uint32_t got_crc = crc32(payload.data(), payload.size());
     HYLO_CHECK(got_crc == want_crc,
                "snapshot " << path << ": section '" << name
@@ -289,20 +255,6 @@ ByteReader SnapshotReader::open(const std::string& name) const {
   HYLO_CHECK(it != sections_.end(),
              "snapshot " << path_ << " has no section '" << name << "'");
   return ByteReader(it->second.data(), it->second.size(), name);
-}
-
-void write_rng_state(ByteWriter& w, const Rng::State& st) {
-  for (int i = 0; i < 4; ++i) w.u64(st.s[i]);
-  w.b(st.have_cached_normal);
-  w.real(st.cached_normal);
-}
-
-Rng::State read_rng_state(ByteReader& r) {
-  Rng::State st;
-  for (int i = 0; i < 4; ++i) st.s[i] = r.u64();
-  st.have_cached_normal = r.b();
-  st.cached_normal = r.real();
-  return st;
 }
 
 std::vector<std::string> list_snapshots(const std::string& dir) {

@@ -31,22 +31,6 @@ struct RollbackSignal {
   RecoveryAction action;
 };
 
-/// A name-keyed map in a snapshot section: its size, then each name
-/// followed by what `put` writes for its value.
-template <typename Map, typename Put>
-void save_named(ckpt::ByteWriter& w, const Map& map, Put put) {
-  w.u64(map.size());
-  for (const auto& [name, value] : map) {
-    w.str(name);
-    put(value);
-  }
-}
-
-/// Read back a save_named map: `take(name)` reads each entry's value.
-template <typename Take>
-void load_named(ckpt::ByteReader& r, Take take) {
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) take(r.str());
-}
 }  // namespace
 
 real_t TrainResult::best_metric() const {
@@ -472,11 +456,11 @@ void Trainer::roll_back(const RecoveryAction& act, TrainResult& result) {
   // The meta section was written by this very trainer, so the structural
   // checks are skipped; the container's per-section CRCs still verify the
   // bytes. The run-log cursor is ignored: the live log keeps appending.
-  load_training_state(ckpt::SnapshotReader(last_good_path_));
+  load_sections(ckpt::SnapshotReader(last_good_path_), /*rollback=*/true);
   comm_.profiler().add("ckpt/restore", timer.seconds());
   comm_.profiler().registry().counter("recover/rerun_iters")
       .inc(before - global_iter_);
-  // Apply the ladder *after* the restore — load_state just rewound the
+  // Apply the ladder *after* the restore — it just rewound the
   // optimizer (including its lr) to the snapshot's values.
   if (act.first_order && curv_ != nullptr) {
     curv_->set_first_order(true);
@@ -698,68 +682,113 @@ TrainResult Trainer::resume(const std::string& path) {
   return run();
 }
 
+std::vector<Trainer::Section> Trainer::sections() {
+  return {
+      // meta: enough to refuse a resume under a structurally different
+      // setup. The epoch count is informational: a resume may move the
+      // horizon.
+      {"meta", true, false,
+       [this](ckpt::Archive ar) {
+         ar.expect(opt_->name(), "optimizer");
+         ar.expect(cfg_.world, "world");
+         ar.expect(cfg_.batch_size, "batch_size");
+         index_t epochs = cfg_.epochs;
+         ar(epochs, "epochs");
+         ar.expect(cfg_.data_seed, "data_seed");
+         ar.expect(segmentation_, "segmentation");
+       }},
+      {"network", true, true,
+       [this](ckpt::Archive ar) { net_->serialize_state(ar); }},
+      // After the network: the optimizer's list walks the restored graph.
+      {"optimizer", true, true,
+       [this](ckpt::Archive ar) { opt_->serialize_state(*net_, ar); }},
+      // progress: the loop position plus the epoch-in-progress accumulators
+      // a resume needs to finish the interrupted epoch, and the run-log
+      // cursor.
+      {"progress", true, true,
+       [this](ckpt::Archive ar) {
+         if (!ar.loading()) cursor_.log_records = runlog_.records_written();
+         ar(global_iter_, "global_iter");
+         ar(cursor_.epoch, "epoch");
+         ar(cursor_.iter, "iter");
+         ar(cursor_.loss_sum, "loss_sum");
+         ar(cursor_.metric_sum, "metric_sum");
+         ar(cursor_.rank_batches, "rank_batches");
+         ar(cursor_.log_records, "log_records");
+         if (!ar.loading()) return;
+         cursor_.epoch_begun = true;  // snapshots land after begin_epoch
+         // iter 0 is legal: recovery pins an initial snapshot before the
+         // first training iteration so a rollback target always exists.
+         ar.require(global_iter_ >= 0 && cursor_.iter >= 0 &&
+                        cursor_.epoch >= 0,
+                    "global_iter", "cursor is corrupt (global_iter ",
+                    global_iter_, ", epoch ", cursor_.epoch, ", iter ",
+                    cursor_.iter, ")");
+         ar.require(cursor_.epoch < cfg_.epochs, "epoch",
+                    "snapshot is at epoch ", cursor_.epoch,
+                    " but the run ends at epoch ", cfg_.epochs,
+                    " — nothing to resume");
+       }},
+      // clock: every profiler timing section (measured comp/* as-of-snapshot,
+      // modeled comm/* exactly), all counters and gauges, and the trainer's
+      // per-epoch delta baselines. Histograms are summaries only and are not
+      // restored (DESIGN.md §11). The registry is copied out to save and
+      // applied through its setters on load.
+      {"clock", true, false,
+       [this](ckpt::Archive ar) {
+         auto& reg = comm_.profiler().registry();
+         std::map<std::string, std::pair<double, std::int64_t>> timings;
+         std::map<std::string, std::int64_t> counters;
+         std::map<std::string, double> gauges;
+         if (!ar.loading()) {
+           for (const auto& [name, e] : reg.timings())
+             timings[name] = {e.seconds, e.calls};
+           for (const auto& [name, c] : reg.counters())
+             counters[name] = c.value();
+           for (const auto& [name, g] : reg.gauges()) gauges[name] = g.value();
+         }
+         ar(timings, "timings");
+         ar(counters, "counters");
+         ar(gauges, "gauges");
+         ar(last_comm_seconds_, "last_comm_seconds");
+         ar(last_comm_counters_, "last_comm_counters");
+         ar(last_fault_counters_, "last_fault_counters");
+         if (!ar.loading()) return;
+         for (const auto& [name, t] : timings)
+           reg.set_timing(name, t.first, t.second);
+         for (const auto& [name, value] : counters) {
+           auto& c = reg.counter(name);
+           ar.require(value >= c.value(), "counters", "counter ", name,
+                      " is behind this trainer's — resume into a fresh "
+                      "Trainer");
+           c.inc(value - c.value());
+         }
+         for (const auto& [name, value] : gauges) reg.gauge(name).set(value);
+         // A baseline is a past counter value; the epoch deltas subtract it.
+         for (const auto& [name, value] : last_comm_counters_)
+           ar.require(value >= 0, "last_comm_counters", name, " is negative");
+         for (const auto& [name, value] : last_fault_counters_)
+           ar.require(value >= 0, "last_fault_counters", name, " is negative");
+       }},
+      // timeline: the async simulator's clocks / wire cursor / event
+      // sequence — resuming mid-overlap must replay the same completion
+      // order.
+      {"timeline", comm_.async(), false,
+       [this](ckpt::Archive ar) { comm_.timeline()->serialize(ar); }},
+      // faults: the plan's draw cursor and the elastic world.
+      {"faults", comm_.faults_active(), false,
+       [this](ckpt::Archive ar) {
+         comm_.serialize_faults(ar);
+         if (ar.loading()) world_ = comm_.world();
+       }},
+  };
+}
+
 std::string Trainer::write_snapshot() {
   WallTimer timer;
   ckpt::SnapshotWriter snap;
-
-  // meta: enough to refuse a resume under a structurally different setup.
-  ckpt::ByteWriter& meta = snap.section("meta");
-  meta.str(opt_->name());
-  meta.i64(cfg_.world);
-  meta.i64(cfg_.batch_size);
-  meta.i64(cfg_.epochs);  // informational: resume may extend the horizon
-  meta.u64(cfg_.data_seed);
-  meta.b(segmentation_);
-
-  net_->serialize_state(snap.section("network"));
-  opt_->save_state(*net_, snap.section("optimizer"));
-
-  // progress: the loop position plus the epoch-in-progress accumulators a
-  // resume needs to finish the interrupted epoch, and the run-log cursor.
-  ckpt::ByteWriter& prog = snap.section("progress");
-  prog.i64(global_iter_);
-  prog.i64(cursor_.epoch);
-  prog.i64(cursor_.iter);
-  prog.real(cursor_.loss_sum);
-  prog.real(cursor_.metric_sum);
-  prog.i64(cursor_.rank_batches);
-  prog.i64(runlog_.records_written());
-
-  // clock: every profiler timing section (measured comp/* as-of-snapshot,
-  // modeled comm/* exactly), all counters and gauges, and the trainer's
-  // per-epoch delta baselines. Histograms are summaries only and are not
-  // restored (DESIGN.md §11).
-  ckpt::ByteWriter& clock = snap.section("clock");
-  const auto& reg = comm_.profiler().registry();
-  const auto f64 = [&clock](double v) { clock.f64(v); };
-  const auto i64 = [&clock](std::int64_t v) { clock.i64(v); };
-  save_named(clock, reg.timings(), [&](const auto& e) {
-    clock.f64(e.seconds);
-    clock.i64(e.calls);
-  });
-  save_named(clock, reg.counters(), [&](const auto& c) { i64(c.value()); });
-  save_named(clock, reg.gauges(), [&](const auto& g) { f64(g.value()); });
-  save_named(clock, last_comm_seconds_, f64);
-  save_named(clock, last_comm_counters_, i64);
-  save_named(clock, last_fault_counters_, i64);
-
-  // timeline: the async simulator's clocks / wire cursor / event sequence,
-  // present exactly when async mode is active (presence checked on restore)
-  // — resuming mid-overlap must replay the same completion order.
-  if (comm_.async()) comm_.timeline()->save(snap.section("timeline"));
-
-  // faults: the plan's draw cursor and the elastic world, present only when
-  // fault injection is active (presence is itself checked on restore).
-  if (comm_.faults_active()) {
-    ckpt::ByteWriter& faults = snap.section("faults");
-    const FaultPlan& plan = *comm_.fault_plan();
-    faults.u64(plan.config().seed);
-    faults.f64(plan.config().rate);
-    ckpt::write_rng_state(faults, plan.rng_state());
-    faults.i64(plan.drawn());
-    faults.i64(world_);
-    faults.index_vec(comm_.lost_ranks());
-  }
+  for (const Section& s : sections())
+    if (s.present) s.fields(snap.section(s.name));
 
   namespace fs = std::filesystem;
   fs::create_directories(ckpt_.dir);
@@ -787,113 +816,34 @@ std::string Trainer::write_snapshot() {
   return path;
 }
 
+void Trainer::load_sections(const ckpt::SnapshotReader& snap, bool rollback) {
+  for (const Section& s : sections()) {
+    if (rollback && !s.rollback) continue;
+    // A section is present exactly when this run writes it: replaying an
+    // async run in lockstep, or a faulted run fault-free (or the reverse),
+    // would silently diverge from the interrupted schedule.
+    HYLO_CHECK(snap.has(s.name) == s.present,
+               "snapshot " << snap.path() << " has "
+                           << (s.present ? "no" : "a") << " '" << s.name
+                           << "' section but this run writes "
+                           << (s.present ? "one" : "none")
+                           << " (a run writes 'timeline' only under async "
+                              "comm and 'faults' only with an active fault "
+                              "plan)");
+    if (!s.present) continue;
+    ckpt::ByteReader r = snap.open(s.name);
+    s.fields(r);
+    r.expect_done();
+  }
+}
+
 void Trainer::restore_snapshot(const std::string& path) {
   WallTimer timer;
-  ckpt::SnapshotReader snap(path);
-
-  ckpt::ByteReader meta = snap.open("meta");
-  const auto same = [](const char* what, const auto& stored,
-                       const auto& configured) {
-    HYLO_CHECK(stored == configured, "snapshot " << what << " " << stored
-                                                 << " != configured "
-                                                 << configured);
-  };
-  same("optimizer", meta.str(), opt_->name());
-  same("world", meta.i64(), cfg_.world);
-  same("batch_size", meta.i64(), cfg_.batch_size);
-  meta.i64();  // epochs as of the snapshot; the horizon may move
-  same("data_seed", meta.u64(), cfg_.data_seed);
-  same("segmentation", meta.b(), segmentation_);
-  meta.expect_done();
-  const std::int64_t seq = load_training_state(snap);
-
-  ckpt::ByteReader clock = snap.open("clock");
-  auto& reg = comm_.profiler().registry();
-  load_named(clock, [&](const std::string& name) {
-    const double seconds = clock.f64();
-    reg.set_timing(name, seconds, clock.i64());
-  });
-  load_named(clock, [&](const std::string& name) {
-    const std::int64_t value = clock.i64();
-    auto& c = reg.counter(name);
-    HYLO_CHECK(value >= c.value(), "snapshot counter " << name
-                                       << " is behind this trainer's — "
-                                          "resume into a fresh Trainer");
-    c.inc(value - c.value());
-  });
-  load_named(clock, [&](const std::string& name) {
-    reg.gauge(name).set(clock.f64());
-  });
-  last_comm_seconds_.clear();
-  load_named(clock, [&](const std::string& name) {
-    last_comm_seconds_[name] = clock.f64();
-  });
-  for (auto* baseline : {&last_comm_counters_, &last_fault_counters_}) {
-    baseline->clear();
-    load_named(clock, [&](const std::string& name) {
-      (*baseline)[name] = clock.i64();
-    });
-  }
-  clock.expect_done();
-
-  // The timeline section must be present exactly when this trainer runs the
-  // async simulator: replaying an async run in lockstep (or vice versa)
-  // would silently diverge from the interrupted event order.
-  HYLO_CHECK(snap.has("timeline") == comm_.async(),
-             "snapshot " << path
-                 << (comm_.async()
-                         ? " has no event-timeline state but this trainer "
-                           "runs HYLO_COMM=async"
-                         : " carries event-timeline state but this trainer "
-                           "runs the lockstep simulator — configure the same "
-                           "HYLO_COMM mode"));
-  if (comm_.async()) {
-    ckpt::ByteReader t = snap.open("timeline");
-    comm_.timeline()->load(t);
-    t.expect_done();
-  }
-
-  // The fault section must be present exactly when this trainer has an
-  // active plan: replaying a faulted run fault-free (or vice versa) would
-  // silently diverge from the interrupted schedule.
-  HYLO_CHECK(snap.has("faults") == comm_.faults_active(),
-             "snapshot " << path
-                 << (comm_.faults_active()
-                         ? " has no fault state but this trainer has an "
-                           "active fault plan"
-                         : " carries fault state but this trainer has no "
-                           "fault plan — configure the same "
-                           "HYLO_FAULTS/TrainConfig::faults spec"));
-  if (comm_.faults_active()) {
-    ckpt::ByteReader f = snap.open("faults");
-    FaultPlan& plan = *comm_.fault_plan();
-    const std::uint64_t seed = f.u64();
-    const double rate = f.f64();
-    HYLO_CHECK(seed == plan.config().seed && rate == plan.config().rate,
-               "snapshot fault plan (seed " << seed << ", rate " << rate
-                   << ") does not match the configured plan (seed "
-                   << plan.config().seed << ", rate " << plan.config().rate
-                   << ")");
-    const Rng::State rng = ckpt::read_rng_state(f);
-    const std::int64_t drawn = f.i64();
-    const index_t live_world = static_cast<index_t>(f.i64());
-    std::vector<index_t> lost = f.index_vec();
-    f.expect_done();
-    HYLO_CHECK(live_world >= 1 &&
-                   live_world + static_cast<index_t>(lost.size()) ==
-                       cfg_.world,
-               "snapshot elastic world " << live_world << " + "
-                                         << lost.size()
-                                         << " lost ranks != configured world "
-                                         << cfg_.world);
-    plan.restore(rng, drawn);
-    comm_.restore_world(live_world, std::move(lost));
-    world_ = live_world;
-  }
-
+  const ckpt::SnapshotReader snap(path);
+  load_sections(snap, /*rollback=*/false);
   comm_.profiler().add("ckpt/restore", timer.seconds());
   if (runlog_.enabled()) {
-    runlog_.set_next_seq(seq);
+    runlog_.set_next_seq(cursor_.log_records);
     obs::Json rec = obs::Json::object();
     rec.set("path", snap.path());
     rec.set("epoch", cursor_.epoch);
@@ -916,39 +866,6 @@ index_t Trainer::nonfinite(bool grads) {
   for (auto pp : net_->plain_params())
     n += obs::count_nonfinite(grads ? *pp.grad : *pp.value);
   return n;
-}
-
-std::int64_t Trainer::load_training_state(const ckpt::SnapshotReader& snap) {
-  // Network before optimizer: load_state walks the (restored) graph in the
-  // same block order save_state did.
-  ckpt::ByteReader net = snap.open("network");
-  net_->deserialize_state(net);
-  net.expect_done();
-  ckpt::ByteReader optr = snap.open("optimizer");
-  opt_->load_state(*net_, optr);
-  optr.expect_done();
-
-  ckpt::ByteReader prog = snap.open("progress");
-  global_iter_ = static_cast<index_t>(prog.i64());
-  cursor_.epoch = static_cast<index_t>(prog.i64());
-  cursor_.iter = static_cast<index_t>(prog.i64());
-  cursor_.loss_sum = prog.real();
-  cursor_.metric_sum = prog.real();
-  cursor_.rank_batches = static_cast<index_t>(prog.i64());
-  cursor_.epoch_begun = true;  // snapshots land after begin_epoch
-  const std::int64_t seq = prog.i64();
-  prog.expect_done();
-  // iter 0 is legal: recovery pins an initial snapshot before the first
-  // training iteration so a rollback target always exists.
-  HYLO_CHECK(global_iter_ >= 0 && cursor_.iter >= 0 && cursor_.epoch >= 0,
-             "snapshot progress cursor is corrupt (global_iter "
-                 << global_iter_ << ", epoch " << cursor_.epoch << ", iter "
-                 << cursor_.iter << ")");
-  HYLO_CHECK(cursor_.epoch < cfg_.epochs,
-             "snapshot is at epoch " << cursor_.epoch
-                                     << " but the run ends at epoch "
-                                     << cfg_.epochs << " — nothing to resume");
-  return seq;
 }
 
 void Trainer::reset_loaders() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "hylo/ckpt/snapshot.hpp"
 #include "hylo/common/env.hpp"
 #include "hylo/common/rng.hpp"
 
@@ -182,10 +183,18 @@ std::vector<index_t> CommSim::commit_shrinks() {
   return committed;
 }
 
-void CommSim::restore_world(index_t world, std::vector<index_t> lost) {
-  HYLO_CHECK(world >= 1, "restored world must be >= 1");
-  world_ = world;
-  lost_ranks_ = std::move(lost);
+void CommSim::serialize_faults(ckpt::Archive ar) {
+  HYLO_CHECK(faults_active(), "faults section without an active fault plan");
+  fault_plan_->serialize(ar);
+  const index_t configured =
+      world_ + static_cast<index_t>(lost_ranks_.size());
+  ar(world_, "world");
+  ar(lost_ranks_, "lost_ranks");
+  if (!ar.loading()) return;
+  const auto lost = static_cast<index_t>(lost_ranks_.size());
+  ar.require(world_ >= 1 && world_ <= configured && lost == configured - world_,
+             "world", "elastic world ", world_, " + ", lost,
+             " lost ranks != configured world ", configured);
   pending_lost_.clear();
   if (timeline_ != nullptr) timeline_->set_world(world_);
 }

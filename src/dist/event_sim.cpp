@@ -66,21 +66,13 @@ double EventTimeline::horizon() const {
   return std::max(max_clock(), wire_busy_until_);
 }
 
-void EventTimeline::save(ckpt::ByteWriter& w) const {
-  w.u64(static_cast<std::uint64_t>(world_));
-  for (const double c : clocks_) w.f64(c);
-  w.f64(wire_busy_until_);
-  w.u64(next_seq_);
-}
-
-void EventTimeline::load(ckpt::ByteReader& r) {
-  const index_t world = static_cast<index_t>(r.u64());
-  HYLO_CHECK(world >= 1, "corrupt timeline section: world " << world);
-  world_ = world;
-  clocks_.assign(static_cast<std::size_t>(world), 0.0);
-  for (double& c : clocks_) c = r.f64();
-  wire_busy_until_ = r.f64();
-  next_seq_ = r.u64();
+void EventTimeline::serialize(ckpt::Archive ar) {
+  ar(clocks_, "clocks");  // one per rank: its length is the world
+  ar(wire_busy_until_, "wire_busy_until");
+  ar(next_seq_, "next_seq");
+  if (!ar.loading()) return;
+  world_ = static_cast<index_t>(clocks_.size());
+  ar.require(world_ >= 1, "clocks", "world ", world_);
   history_.clear();
 }
 

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <utility>
 
+#include "hylo/ckpt/snapshot.hpp"
 #include "hylo/common/env.hpp"
 
 namespace hylo {
@@ -136,6 +137,14 @@ FaultEvent FaultPlan::next(index_t world) {
       break;
   }
   return ev;
+}
+
+void FaultPlan::serialize(ckpt::Archive ar) {
+  ar.expect(cfg_.seed, "seed");
+  ar.expect(cfg_.rate, "rate");
+  ar(rng_, "rng");
+  ar(drawn_, "drawn");
+  ar.require(drawn_ >= 0, "drawn", "draw cursor ", drawn_, " is negative");
 }
 
 }  // namespace hylo

@@ -20,7 +20,10 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "hylo/common/check.hpp"
@@ -39,27 +42,10 @@ constexpr std::uint32_t kSnapshotVersion = 2;
 /// continuing from `crc` so payloads can be checksummed incrementally.
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t crc = 0);
 
-/// Little binary serializer: fixed-width scalars, length-prefixed strings
-/// and real arrays, and Matrix dims+payload. Both trainer state and every
-/// Optimizer::save_state write through this so the on-disk layout has one
-/// source of truth.
+/// Appending byte buffer: the write side of a section payload.
 class ByteWriter {
  public:
   void raw(const void* data, std::size_t len);
-  void u8(std::uint8_t v) { raw(&v, sizeof(v)); }
-  void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) { raw(&v, sizeof(v)); }
-  void real(real_t v) { raw(&v, sizeof(v)); }
-  void str(const std::string& s);
-  /// u64 count + raw payload; the reader checks the count against the
-  /// destination size so shape mismatches fail before any copy.
-  void reals(const real_t* data, index_t count);
-  void real_vec(const std::vector<real_t>& v);
-  void index_vec(const std::vector<index_t>& v);
-  void matrix(const Matrix& m);
 
   const std::vector<unsigned char>& bytes() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
@@ -68,28 +54,15 @@ class ByteWriter {
   std::vector<unsigned char> buf_;
 };
 
-/// Mirror of ByteWriter over a section payload. Every read bounds-checks
-/// against the payload end and throws hylo::Error naming the section, so a
-/// torn or mislabeled section never silently yields garbage state.
+/// Bounds-checked cursor over a section payload: the read side. take()
+/// throws hylo::Error naming the section and the field instead of reading
+/// past the end, so a torn or mislabeled section never yields garbage state.
 class ByteReader {
  public:
   ByteReader(const unsigned char* data, std::size_t len, std::string what);
 
-  std::uint8_t u8();
-  bool b() { return u8() != 0; }
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64();
-  double f64();
-  real_t real();
-  std::string str();
-  /// Reads a `reals` block written for exactly `count` scalars into `dst`.
-  void reals_into(real_t* dst, index_t count, const char* field);
-  /// Bounds-checked raw copy (container parsing).
-  void raw_into(void* dst, std::size_t len, const char* field);
-  std::vector<real_t> real_vec();
-  std::vector<index_t> index_vec();
-  Matrix matrix();
+  /// Copy the next `len` bytes into `dst`.
+  void take(void* dst, std::size_t len, const char* field);
 
   std::size_t remaining() const { return len_ - pos_; }
   /// Reject trailing bytes — a section must be consumed exactly.
@@ -97,11 +70,141 @@ class ByteReader {
   const std::string& what() const { return what_; }
 
  private:
-  void take(void* dst, std::size_t len, const char* field);
-
   const unsigned char* data_;
   std::size_t len_, pos_ = 0;
   std::string what_;
+};
+
+/// The snapshot codec (DESIGN.md §11). Every persisted state lists its
+/// fields once, as calls on an Archive, and that one list both saves and
+/// loads it: over a ByteWriter each call appends a field, over a ByteReader
+/// the same call reads the field back into the same variable. A load checks
+/// every count, length and matrix shape against the bytes left before it
+/// allocates, and every failure is a hylo::Error naming the section and the
+/// field.
+///
+/// Encoding: fixed-width scalars in host byte order, bool as one byte;
+/// strings and vectors as a u64 length and their payload; matrices as u64
+/// rows, u64 cols and the row-major reals.
+///
+/// An Archive is a handle on its buffer, passed by value. It converts
+/// implicitly from either buffer, so a field list takes a ByteWriter or a
+/// ByteReader directly.
+class Archive {
+ public:
+  Archive(ByteWriter& out) : out_(&out) {}
+  Archive(ByteReader& in) : in_(&in) {}
+
+  bool loading() const { return in_ != nullptr; }
+
+  /// A fixed-width field: bool, an integer or a double.
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void operator()(T& v, const char* field) {
+    if constexpr (std::is_same_v<T, bool>) {
+      // One byte; any non-zero byte loads as true.
+      std::uint8_t b = v ? 1 : 0;
+      (*this)(b, field);
+      v = b != 0;
+    } else {
+      bytes(&v, sizeof(v), field);
+    }
+  }
+  void operator()(std::string& s, const char* field);
+  /// A vector of reals or indices.
+  template <typename T>
+    requires std::is_arithmetic_v<T> && (!std::is_same_v<T, bool>)
+  void operator()(std::vector<T>& v, const char* field) {
+    v.resize(length(v.size(), sizeof(T), field));
+    bytes(v.data(), sizeof(T) * v.size(), field);
+  }
+  void operator()(Matrix& m, const char* field);
+  /// The xoshiro256** words and the Box-Muller cache, so a stream resumes
+  /// mid-sequence exactly.
+  void operator()(Rng& rng, const char* field);
+  template <typename A, typename B>
+  void operator()(std::pair<A, B>& p, const char* field) {
+    (*this)(p.first, field);
+    (*this)(p.second, field);
+  }
+  /// A name-keyed map: its size, then each name and its value.
+  template <typename V>
+  void operator()(std::map<std::string, V>& m, const char* field) {
+    const std::size_t n = length(m.size(), sizeof(std::uint64_t), field);
+    if (!loading()) {
+      for (auto& [name, value] : m) {
+        std::string key = name;
+        (*this)(key, field);
+        (*this)(value, field);
+      }
+      return;
+    }
+    m.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string key;
+      V value{};
+      (*this)(key, field);
+      (*this)(value, field);
+      m[key] = value;
+    }
+  }
+
+  /// `count` reals at `data`, a count the caller fixes (a parameter's
+  /// size): a load checks that the stored count equals it.
+  void reals(real_t* data, index_t count, const char* field);
+
+  /// An enum stored as a one-byte tag; a load checks it is at most `last`.
+  template <typename E>
+    requires std::is_enum_v<E>
+  void tag(E& e, E last, const char* field) {
+    auto t = static_cast<std::uint8_t>(e);
+    (*this)(t, field);
+    require(t <= static_cast<std::uint8_t>(last), field, "tag ",
+            static_cast<int>(t), " unknown");
+    e = static_cast<E>(t);
+  }
+
+  /// The length of a sequence whose items take at least `item_bytes` each.
+  /// A save writes seq.size(); a load bounds the stored length by the bytes
+  /// left, then clears `seq` and resizes it to that length, so the caller's
+  /// per-item field list fills fresh items.
+  template <typename Seq>
+  void count(Seq& seq, std::size_t item_bytes, const char* field) {
+    const std::size_t n = length(seq.size(), item_bytes, field);
+    if (!loading()) return;
+    seq.clear();
+    seq.resize(n);
+  }
+
+  /// A value this run fixes (a config value): a save writes it, a load
+  /// checks that the stored value equals it.
+  template <typename T>
+  void expect(const T& v, const char* field) {
+    T stored = v;
+    (*this)(stored, field);
+    require(stored == v, field, "snapshot has ", stored, ", this run has ", v);
+  }
+
+  /// Load-side validation: when loading and `ok` is false, throws a
+  /// hylo::Error naming the section and `field`, followed by `why...`.
+  template <typename... Why>
+  void require(bool ok, const char* field, const Why&... why) const {
+    if (ok || !loading()) return;
+    std::ostringstream os;
+    (os << ... << why);
+    fail(field, os.str());
+  }
+
+ private:
+  /// Append or take `len` raw bytes.
+  void bytes(void* data, std::size_t len, const char* field);
+  /// Write `n`, or read a length and check that that many items of
+  /// `item_bytes` each fit the bytes left (by division, so it cannot wrap).
+  std::size_t length(std::size_t n, std::size_t item_bytes, const char* field);
+  [[noreturn]] void fail(const char* field, const std::string& why) const;
+
+  ByteWriter* out_ = nullptr;
+  ByteReader* in_ = nullptr;
 };
 
 /// Atomic file replacement: stream into `<path>.tmp`, then commit() flushes
@@ -173,11 +276,6 @@ struct CkptConfig {
 
   bool enabled() const { return !dir.empty() && every > 0; }
 };
-
-/// Rng stream-position serialization: the four xoshiro256** words plus the
-/// Box-Muller cache, so every random stream resumes mid-sequence exactly.
-void write_rng_state(ByteWriter& w, const Rng::State& st);
-Rng::State read_rng_state(ByteReader& r);
 
 /// Snapshot paths under `dir` matching the trainer's naming scheme
 /// (snapshot-NNNNNNNN.hysnp), sorted oldest first.

@@ -201,6 +201,19 @@ class Trainer {
     /// The epoch's lr decay and begin_epoch ran (a snapshot always lands
     /// after them; the optimizer section carries their effects).
     bool epoch_begun = false;
+    /// Run-log records written as of the snapshot; a resume continues the
+    /// log's numbering from here, a rollback's live log keeps appending.
+    std::int64_t log_records = 0;
+  };
+
+  /// One snapshot section: its name, whether this run's snapshots carry it,
+  /// whether a rollback restores it, and the one field list that writes
+  /// and loads it (DESIGN.md §11).
+  struct Section {
+    const char* name;
+    bool present;
+    bool rollback;
+    std::function<void(ckpt::Archive)> fields;
   };
 
   /// Simulated seconds so far, split as TrainResult reports them.
@@ -247,6 +260,9 @@ class Trainer {
   ///   async:    event-timeline horizon + replicated compute.
   /// Every term but the modeled comm and the async horizon is measured.
   SimTime sim_time() const;
+  /// Every snapshot section in file order: write_snapshot, resume and
+  /// rollback all walk this one list.
+  std::vector<Section> sections();
   /// Write a RunSnapshot of the run at the cursor; returns its path.
   std::string write_snapshot();
   /// Verified-good pinning: make `path`, a snapshot of the live state, the
@@ -258,10 +274,10 @@ class Trainer {
   index_t nonfinite(bool grads);
   /// Parse + verify a snapshot and load every section into live state.
   void restore_snapshot(const std::string& path);
-  /// Load the network, optimizer and progress sections (the state both a
-  /// resume and a rollback restore) and check the cursor. Returns the
-  /// run-log cursor stored with them.
-  std::int64_t load_training_state(const ckpt::SnapshotReader& snap);
+  /// Load every section a resume restores or, with `rollback`, the ones a
+  /// rollback restores (network, optimizer and progress), checking that
+  /// the snapshot carries exactly the sections this run writes.
+  void load_sections(const ckpt::SnapshotReader& snap, bool rollback);
   /// One data loader per live rank, sharding the training split world_ ways
   /// and positioned at the cursor.
   void reset_loaders();

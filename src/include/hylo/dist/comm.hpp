@@ -172,9 +172,11 @@ class CommSim {
   /// Ranks lost over the whole run so far (committed), in death order.
   const std::vector<index_t>& lost_ranks() const { return lost_ranks_; }
 
-  /// Restore elastic state on resume: the surviving world size and the
-  /// already-committed loss history of the interrupted run.
-  void restore_world(index_t world, std::vector<index_t> lost);
+  /// The field list of a snapshot's `faults` section: the fault plan's draw
+  /// cursor, then the elastic state — the surviving world size and the
+  /// committed loss history. A load checks that survivors and losses add up
+  /// to this simulator's world. Requires an active fault plan.
+  void serialize_faults(ckpt::Archive ar);
 
   /// Modeled communication seconds accumulated so far (all comm sections).
   double comm_seconds() const;

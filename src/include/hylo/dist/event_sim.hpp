@@ -19,8 +19,7 @@
 #include "hylo/common/types.hpp"
 
 namespace hylo::ckpt {
-class ByteWriter;
-class ByteReader;
+class Archive;
 }  // namespace hylo::ckpt
 
 namespace hylo {
@@ -75,11 +74,11 @@ class EventTimeline {
   /// sorting on (ready_s, seq) — the queue ordering rule.
   const std::vector<TimelineEvent>& history() const { return history_; }
 
-  /// Serialize clocks, wire reservation, and the seq counter so a resumed
-  /// run continues the timeline bitwise. The event history itself is not
-  /// persisted — it is diagnostic, and a resumed run only ever appends.
-  void save(ckpt::ByteWriter& w) const;
-  void load(ckpt::ByteReader& r);
+  /// The field list of the clocks, wire reservation and seq counter, so a
+  /// resumed run continues the timeline bitwise. The event history itself
+  /// is not persisted — it is diagnostic, and a resumed run only ever
+  /// appends.
+  void serialize(ckpt::Archive ar);
 
  private:
   index_t world_;

@@ -69,6 +69,10 @@
 #include "hylo/common/rng.hpp"
 #include "hylo/common/types.hpp"
 
+namespace hylo::ckpt {
+class Archive;
+}  // namespace hylo::ckpt
+
 namespace hylo {
 
 /// Thrown by CommSim when an injected fault makes a degradable collective
@@ -152,15 +156,11 @@ class FaultPlan {
   /// Collectives consulted so far (drawn events, faulting or not).
   std::int64_t drawn() const { return drawn_; }
 
-  /// Draw-cursor snapshot/restore for hylo::ckpt: the plan is a pure
-  /// function of (config, rng state, drawn count), so restoring these two
-  /// replays the exact remaining schedule of the interrupted run.
-  Rng::State rng_state() const { return rng_.state(); }
-  void restore(const Rng::State& rng, std::int64_t drawn) {
-    HYLO_CHECK(drawn >= 0, "fault plan draw cursor must be non-negative");
-    rng_.set_state(rng);
-    drawn_ = drawn;
-  }
+  /// The draw cursor's field list (hylo::ckpt): the plan is a pure function
+  /// of (config, rng state, drawn count), so restoring the last two replays
+  /// the exact remaining schedule of the interrupted run. A load checks the
+  /// stored seed and rate against this plan's.
+  void serialize(ckpt::Archive ar);
 
  private:
   FaultConfig cfg_;

@@ -13,8 +13,7 @@
 namespace hylo {
 
 namespace ckpt {
-class ByteReader;
-class ByteWriter;
+class Archive;
 }  // namespace ckpt
 
 class Network {
@@ -66,11 +65,11 @@ class Network {
   index_t num_nodes() const { return static_cast<index_t>(nodes_.size()); }
   const Layer* layer(index_t node) const { return nodes_[static_cast<std::size_t>(node)].layer.get(); }
 
-  /// Write / restore all weights, plain parameters and persistent layer
-  /// state (BatchNorm running stats) in graph order as a snapshot section
-  /// (hylo::ckpt). Restoring into a structurally different network throws.
-  void serialize_state(ckpt::ByteWriter& w);
-  void deserialize_state(ckpt::ByteReader& r);
+  /// The field list of all weights, plain parameters and persistent layer
+  /// state (BatchNorm running stats) in graph order, as a snapshot section
+  /// (hylo::ckpt): pass a ckpt::ByteWriter to save, a ckpt::ByteReader to
+  /// restore. Restoring into a structurally different network throws.
+  void serialize_state(ckpt::Archive ar);
 
  private:
   struct Node {

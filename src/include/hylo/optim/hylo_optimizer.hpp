@@ -55,8 +55,7 @@ class HyloOptimizer : public CurvatureOptimizer {
   void begin_epoch(index_t epoch, bool lr_decayed) override;
   void accumulate_gradient(const std::vector<ParamBlock*>& blocks) override;
   index_t state_bytes() const override;  ///< adds the Δ_e accumulators
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
+  void serialize_state(Network& net, ckpt::Archive ar) override;
 
   void set_policy(Policy p) { policy_ = p; }
   HyloMode mode() const { return mode_; }
@@ -91,8 +90,7 @@ class HyloOptimizer : public CurvatureOptimizer {
     index_t scalars() const override {
       return a_s.size() + g_s.size() + kid_middle.lu.size() + kis_chol.size();
     }
-    void write(ckpt::ByteWriter& w) const override;
-    void read(ckpt::ByteReader& r) override;
+    void serialize(ckpt::Archive ar) override;
   };
 
   /// Algorithm 1 for every layer: compress each rank's factors (KID or

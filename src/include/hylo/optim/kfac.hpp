@@ -29,8 +29,7 @@ class KFac : public CurvatureOptimizer {
       return {&a_factor, &g_factor, &a_inv, &g_inv};
     }
     index_t scalars() const override;
-    void write(ckpt::ByteWriter& w) const override;
-    void read(ckpt::ByteReader& r) override;
+    void serialize(ckpt::Archive ar) override;
   };
 
   /// Running factors, then their π-corrected damped inverses; published by
@@ -61,8 +60,7 @@ class EKFac : public CurvatureOptimizer {
       return {&a_factor, &g_factor, &v_a, &v_g, &scaling};
     }
     index_t scalars() const override;
-    void write(ckpt::ByteWriter& w) const override;
-    void read(ckpt::ByteReader& r) override;
+    void serialize(ckpt::Archive ar) override;
   };
 
   /// Running factors, their eigenbases, and the capture's second moments in
@@ -95,8 +93,7 @@ class KBfgs : public CurvatureOptimizer {
       return {&a_factor, &g_factor, &a_inv};
     }
     index_t scalars() const override;
-    void write(ckpt::ByteWriter& w) const override;
-    void read(ckpt::ByteReader& r) override;
+    void serialize(ckpt::Archive ar) override;
   };
 
   /// Running factors, the input-side inverse and the BFGS pair update on top

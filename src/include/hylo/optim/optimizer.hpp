@@ -105,15 +105,14 @@ class Optimizer {
   /// curvature factors, gathered factors — not the weights themselves.
   virtual index_t state_bytes() const;
 
-  /// Serialize everything accumulated across steps — momentum here, Adam
-  /// moments / curvature factors / switch histories in the overrides — into
-  /// a run-snapshot section (hylo::ckpt). State buffers are keyed by
-  /// parameter address, so both directions walk `net` in graph order to fix
-  /// a stable on-disk order. Overrides must invoke the base first (momentum
-  /// prefix), then append their own payload; load_state mirrors exactly, so
-  /// a restored optimizer continues the run bitwise-identically.
-  virtual void save_state(Network& net, ckpt::ByteWriter& w) const;
-  virtual void load_state(Network& net, ckpt::ByteReader& r);
+  /// The field list of everything accumulated across steps — momentum
+  /// here, Adam moments / curvature factors / switch histories in the
+  /// overrides — as a run-snapshot section (hylo::ckpt): one list saves and
+  /// loads it. State buffers are keyed by parameter address, so the list
+  /// walks `net` in graph order to fix a stable on-disk order. Overrides
+  /// call the base first (the momentum prefix), then list their own fields,
+  /// so a restored optimizer continues the run bitwise-identically.
+  virtual void serialize_state(Network& net, ckpt::Archive ar);
 
   real_t lr() const { return cfg_.lr; }
   void set_lr(real_t lr) { cfg_.lr = lr; }
@@ -157,8 +156,7 @@ class Adam : public Optimizer {
   std::string name() const override { return "ADAM"; }
   void step(Network& net, index_t iteration) override;
   index_t state_bytes() const override;
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
+  void serialize_state(Network& net, ckpt::Archive ar) override;
 
  private:
   struct State {

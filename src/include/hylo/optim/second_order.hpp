@@ -38,8 +38,8 @@ class CurvatureOptimizer : public Optimizer {
     virtual std::vector<const Matrix*> guarded() const = 0;
     /// Scalars held (the state_bytes() footprint).
     virtual index_t scalars() const = 0;
-    virtual void write(ckpt::ByteWriter& w) const = 0;
-    virtual void read(ckpt::ByteReader& r) = 0;
+    /// The state's field list: one list saves and loads it (hylo::ckpt).
+    virtual void serialize(ckpt::Archive ar) = 0;
   };
 
   /// One collective of a layer's refresh. Allreduces and allgathers charge
@@ -100,8 +100,7 @@ class CurvatureOptimizer : public Optimizer {
 
   /// Served and in-flight layer state, so a snapshot taken with gathers on
   /// the wire resumes bitwise (DESIGN.md §15).
-  void save_state(Network& net, ckpt::ByteWriter& w) const override;
-  void load_state(Network& net, ckpt::ByteReader& r) override;
+  void serialize_state(Network& net, ckpt::Archive ar) override;
 
   /// Refresh age of the curvature served for `layer`: 0 when the last
   /// refresh landed, k when the last k refreshes lost their collectives and
@@ -139,7 +138,8 @@ class CurvatureOptimizer : public Optimizer {
   virtual std::vector<Candidate> build(const CaptureSet& capture,
                                        CommSim* comm) = 0;
 
-  /// An empty state of the method's type, for LayerState::read on resume.
+  /// An empty state of the method's type, for LayerState::serialize to
+  /// load into on resume.
   virtual std::unique_ptr<LayerState> make_state() const = 0;
 
   /// Replace pb.gw by the preconditioned gradient for a served `layer`.

@@ -31,8 +31,7 @@ class Sngd : public CurvatureOptimizer {
     index_t scalars() const override {
       return a_glob.size() + g_glob.size() + kernel_chol.size();
     }
-    void write(ckpt::ByteWriter& w) const override;
-    void read(ckpt::ByteReader& r) override;
+    void serialize(ckpt::Archive ar) override;
   };
 
   /// Stack every layer's global factors and invert its kernel; published by

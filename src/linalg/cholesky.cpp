@@ -89,6 +89,7 @@ Matrix cholesky(const Matrix& a) {
 
 void cholesky_solve_inplace(const Matrix& l, std::vector<real_t>& b) {
   const index_t n = l.rows();
+  HYLO_CHECK(l.cols() == n, "cholesky factor is " << n << "x" << l.cols());
   HYLO_CHECK(static_cast<index_t>(b.size()) == n, "rhs size");
   // Forward: L y = b.
   for (index_t i = 0; i < n; ++i) {
@@ -108,6 +109,7 @@ void cholesky_solve_inplace(const Matrix& l, std::vector<real_t>& b) {
 
 Matrix cholesky_solve(const Matrix& l, const Matrix& b) {
   const index_t n = l.rows(), k = b.cols();
+  HYLO_CHECK(l.cols() == n, "cholesky factor is " << n << "x" << l.cols());
   HYLO_CHECK(b.rows() == n, "rhs rows");
   Matrix x = b;
   // Forward substitution on all columns at once (row sweep keeps locality).

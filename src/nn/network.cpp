@@ -126,27 +126,17 @@ index_t Network::num_params() {
   return total;
 }
 
-void Network::serialize_state(ckpt::ByteWriter& w) {
-  for (auto* pb : param_blocks()) w.reals(pb->w.data(), pb->w.size());
-  for (auto pp : plain_params())
-    w.reals(pp.value->data(), static_cast<index_t>(pp.value->size()));
-  for (auto& n : nodes_)
-    if (n.layer != nullptr)
-      for (auto* state : n.layer->mutable_state())
-        w.reals(state->data(), static_cast<index_t>(state->size()));
-}
-
-void Network::deserialize_state(ckpt::ByteReader& r) {
+void Network::serialize_state(ckpt::Archive ar) {
   for (auto* pb : param_blocks())
-    r.reals_into(pb->w.data(), pb->w.size(), "weights");
+    ar.reals(pb->w.data(), pb->w.size(), "weights");
   for (auto pp : plain_params())
-    r.reals_into(pp.value->data(), static_cast<index_t>(pp.value->size()),
-                 "plain params");
+    ar.reals(pp.value->data(), static_cast<index_t>(pp.value->size()),
+             "plain params");
   for (auto& n : nodes_)
     if (n.layer != nullptr)
       for (auto* state : n.layer->mutable_state())
-        r.reals_into(state->data(), static_cast<index_t>(state->size()),
-                     "layer state");
+        ar.reals(state->data(), static_cast<index_t>(state->size()),
+                 "layer state");
 }
 
 }  // namespace hylo

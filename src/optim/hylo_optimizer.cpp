@@ -12,12 +12,6 @@
 namespace hylo {
 
 namespace {
-std::uint8_t mode_tag(HyloMode m) { return m == HyloMode::kKid ? 0 : 1; }
-HyloMode mode_from_tag(std::uint8_t t) {
-  HYLO_CHECK(t <= 1, "snapshot HyLo mode tag " << int(t) << " unknown");
-  return t == 0 ? HyloMode::kKid : HyloMode::kKis;
-}
-
 // The inversion of a layer's kernel runs on that layer's assigned owner
 // rank; place its measured span on the owner's trace track.
 void trace_inversion(CommSim& comm, index_t layer, int owner, double dur_s) {
@@ -428,73 +422,52 @@ index_t HyloOptimizer::state_bytes() const {
          scalars * static_cast<index_t>(sizeof(real_t));
 }
 
-void HyloOptimizer::State::write(ckpt::ByteWriter& w) const {
-  w.u8(mode_tag(mode));
-  w.matrix(a_s);
-  w.matrix(g_s);
-  w.matrix(kid_middle.lu);
-  w.index_vec(kid_middle.piv);
-  w.matrix(kis_chol);
-}
-
-void HyloOptimizer::State::read(ckpt::ByteReader& r) {
-  mode = mode_from_tag(r.u8());
-  a_s = r.matrix();
-  g_s = r.matrix();
-  kid_middle.lu = r.matrix();
-  kid_middle.piv = r.index_vec();
-  kis_chol = r.matrix();
-}
-
-void HyloOptimizer::save_state(Network& net, ckpt::ByteWriter& w) const {
-  CurvatureOptimizer::save_state(net, w);
-  w.u8(static_cast<std::uint8_t>(policy_));
-  w.u8(mode_tag(mode_));
-  w.u64(mode_history_.size());
-  for (const HyloMode m : mode_history_) w.u8(mode_tag(m));
-  w.u64(switch_history_.size());
-  for (const auto& d : switch_history_) {
-    w.i64(d.epoch);
-    w.real(d.ratio);
-    w.real(d.threshold);
-    w.b(d.lr_decayed);
-    w.b(d.critical);
-    w.u8(mode_tag(d.mode));
-    w.str(d.reason);
+void HyloOptimizer::State::serialize(ckpt::Archive ar) {
+  ar.tag(mode, HyloMode::kKis, "mode");
+  ar(a_s, "a_s");
+  ar(g_s, "g_s");
+  ar(kid_middle.lu, "kid_middle.lu");
+  ar(kid_middle.piv, "kid_middle.piv");
+  ar(kis_chol, "kis_chol");
+  if (!ar.loading()) return;
+  // lu_solve swaps row r with row piv[r]: hold the pivots to what
+  // lu_factor produces, r <= piv[r] < n, for a square LU.
+  const index_t n = kid_middle.lu.rows();
+  ar.require(kid_middle.lu.cols() == n &&
+                 static_cast<index_t>(kid_middle.piv.size()) == n,
+             "kid_middle.piv", "LU is ", n, "x", kid_middle.lu.cols(),
+             " with ", kid_middle.piv.size(), " pivots");
+  for (index_t r = 0; r < n; ++r) {
+    const index_t p = kid_middle.piv[static_cast<std::size_t>(r)];
+    ar.require(r <= p && p < n, "kid_middle.piv", "pivot ", p, " of row ", r,
+               " is outside [", r, ", ", n, ")");
   }
-  w.u64(delta_.size());
-  for (const auto& m : delta_) w.matrix(m);
-  w.b(delta_dirty_);
-  w.real_vec(delta_norms_);
-  w.i64(last_rank_);
-  ckpt::write_rng_state(w, rng_.state());
 }
 
-void HyloOptimizer::load_state(Network& net, ckpt::ByteReader& r) {
-  CurvatureOptimizer::load_state(net, r);
-  const std::uint8_t policy = r.u8();
-  HYLO_CHECK(policy <= static_cast<std::uint8_t>(Policy::kAlwaysKis),
-             "snapshot HyLo policy tag " << int(policy) << " unknown");
-  policy_ = static_cast<Policy>(policy);
-  mode_ = mode_from_tag(r.u8());
-  mode_history_.assign(r.u64(), HyloMode::kKid);
-  for (auto& m : mode_history_) m = mode_from_tag(r.u8());
-  switch_history_.assign(r.u64(), SwitchDecision{});
-  for (auto& d : switch_history_) {
-    d.epoch = r.i64();
-    d.ratio = r.real();
-    d.threshold = r.real();
-    d.lr_decayed = r.b();
-    d.critical = r.b();
-    d.mode = mode_from_tag(r.u8());
-    d.reason = r.str();
+void HyloOptimizer::serialize_state(Network& net, ckpt::Archive ar) {
+  CurvatureOptimizer::serialize_state(net, ar);
+  ar.tag(policy_, Policy::kAlwaysKis, "policy");
+  ar.tag(mode_, HyloMode::kKis, "mode");
+  ar.count(mode_history_, 1, "mode_history");
+  for (HyloMode& m : mode_history_) ar.tag(m, HyloMode::kKis, "mode_history");
+  // epoch, ratio, threshold (24 bytes) + three one-byte fields + reason
+  // length (8)
+  ar.count(switch_history_, 35, "switch_history");
+  for (SwitchDecision& d : switch_history_) {
+    ar(d.epoch, "switch.epoch");
+    ar(d.ratio, "switch.ratio");
+    ar(d.threshold, "switch.threshold");
+    ar(d.lr_decayed, "switch.lr_decayed");
+    ar(d.critical, "switch.critical");
+    ar.tag(d.mode, HyloMode::kKis, "switch.mode");
+    ar(d.reason, "switch.reason");
   }
-  delta_.assign(r.u64(), Matrix{});
-  for (auto& m : delta_) m = r.matrix();
-  delta_dirty_ = r.b();
-  delta_norms_ = r.real_vec();
-  last_rank_ = r.i64();
-  rng_.set_state(ckpt::read_rng_state(r));
+  ar.count(delta_, 16, "delta");  // matrix dims (16 bytes)
+  for (Matrix& m : delta_) ar(m, "delta");
+  ar(delta_dirty_, "delta_dirty");
+  ar(delta_norms_, "delta_norms");
+  ar(last_rank_, "last_rank");
+  ar(rng_, "rng");
 }
 
 }  // namespace hylo

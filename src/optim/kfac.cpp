@@ -121,18 +121,11 @@ index_t KFac::State::scalars() const {
   return sizes({&a_factor, &g_factor, &a_inv, &g_inv});
 }
 
-void KFac::State::write(ckpt::ByteWriter& w) const {
-  w.matrix(a_factor);
-  w.matrix(g_factor);
-  w.matrix(a_inv);
-  w.matrix(g_inv);
-}
-
-void KFac::State::read(ckpt::ByteReader& r) {
-  a_factor = r.matrix();
-  g_factor = r.matrix();
-  a_inv = r.matrix();
-  g_inv = r.matrix();
+void KFac::State::serialize(ckpt::Archive ar) {
+  ar(a_factor, "a_factor");
+  ar(g_factor, "g_factor");
+  ar(a_inv, "a_inv");
+  ar(g_inv, "g_inv");
 }
 
 // --------------------------------------------------------------- EKFac ----
@@ -195,6 +188,10 @@ void EKFac::precondition_block(ParamBlock& pb, index_t layer) {
   const State& st = served<State>(layer);
   // Project, rescale by the damped second moments, project back.
   Matrix t = matmul(matmul_tn(st.v_g, pb.gw), st.v_a);
+  HYLO_CHECK(st.scaling.rows() == t.rows() && st.scaling.cols() == t.cols(),
+             "EKFAC scaling is " << st.scaling.rows() << "x"
+                                 << st.scaling.cols() << ", gradient is "
+                                 << t.rows() << "x" << t.cols());
   for (index_t i = 0; i < t.rows(); ++i)
     for (index_t j = 0; j < t.cols(); ++j)
       t(i, j) /= st.scaling(i, j) + cfg_.damping;
@@ -221,20 +218,12 @@ index_t EKFac::State::scalars() const {
   return sizes({&a_factor, &g_factor, &v_a, &v_g, &scaling});
 }
 
-void EKFac::State::write(ckpt::ByteWriter& w) const {
-  w.matrix(a_factor);
-  w.matrix(g_factor);
-  w.matrix(v_a);
-  w.matrix(v_g);
-  w.matrix(scaling);
-}
-
-void EKFac::State::read(ckpt::ByteReader& r) {
-  a_factor = r.matrix();
-  g_factor = r.matrix();
-  v_a = r.matrix();
-  v_g = r.matrix();
-  scaling = r.matrix();
+void EKFac::State::serialize(ckpt::Archive ar) {
+  ar(a_factor, "a_factor");
+  ar(g_factor, "g_factor");
+  ar(v_a, "v_a");
+  ar(v_g, "v_g");
+  ar(scaling, "scaling");
 }
 
 // --------------------------------------------------------------- KBfgs ----
@@ -315,6 +304,11 @@ void KBfgs::probe_layer(index_t layer, const CaptureSet& /*capture*/,
 void KBfgs::apply_hg(const State& st, Matrix& m) const {
   const index_t n = m.rows(), cols = m.cols();
   const index_t k = static_cast<index_t>(st.sy_pairs.size());
+  for (const auto& [s, y] : st.sy_pairs)
+    HYLO_CHECK(static_cast<index_t>(s.size()) == n &&
+                   static_cast<index_t>(y.size()) == n,
+               "KBFGS pair of length " << s.size() << "/" << y.size()
+                                       << " for " << n << " gradient rows");
   std::vector<real_t> q(static_cast<std::size_t>(n));
   std::vector<real_t> alpha(static_cast<std::size_t>(k));
   for (index_t c = 0; c < cols; ++c) {
@@ -368,31 +362,17 @@ index_t KBfgs::State::scalars() const {
   return n;
 }
 
-void KBfgs::State::write(ckpt::ByteWriter& w) const {
-  w.matrix(a_factor);
-  w.matrix(a_inv);
-  w.matrix(g_factor);
-  w.matrix(g_mean_prev);
-  w.u64(sy_pairs.size());
-  for (const auto& [s, y] : sy_pairs) {
-    w.real_vec(s);
-    w.real_vec(y);
+void KBfgs::State::serialize(ckpt::Archive ar) {
+  ar(a_factor, "a_factor");
+  ar(a_inv, "a_inv");
+  ar(g_factor, "g_factor");
+  ar(g_mean_prev, "g_mean_prev");
+  ar.count(sy_pairs, 16, "sy_pairs");  // two vector lengths (8 bytes each)
+  for (auto& [s, y] : sy_pairs) {
+    ar(s, "sy_pairs.s");
+    ar(y, "sy_pairs.y");
   }
-  w.real(h0_scale);
-}
-
-void KBfgs::State::read(ckpt::ByteReader& r) {
-  a_factor = r.matrix();
-  a_inv = r.matrix();
-  g_factor = r.matrix();
-  g_mean_prev = r.matrix();
-  const std::uint64_t pairs = r.u64();
-  for (std::uint64_t k = 0; k < pairs; ++k) {
-    std::vector<real_t> s = r.real_vec();
-    std::vector<real_t> y = r.real_vec();
-    sy_pairs.emplace_back(std::move(s), std::move(y));
-  }
-  h0_scale = r.real();
+  ar(h0_scale, "h0_scale");
 }
 
 }  // namespace hylo

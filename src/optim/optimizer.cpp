@@ -11,46 +11,29 @@ namespace hylo {
 namespace {
 
 // Momentum-style buffers are lazily created on first step, so a snapshot
-// taken before a parameter ever stepped has no entry for it: each block gets
-// a presence flag. Shapes are verified against the parameter on load — a
-// snapshot from a structurally different model fails loudly, not subtly.
-void save_block_map(const std::unordered_map<const void*, Matrix>& bufs,
-                    const void* key, ckpt::ByteWriter& w) {
-  const auto it = bufs.find(key);
-  w.b(it != bufs.end());
-  if (it != bufs.end()) w.matrix(it->second);
+// taken before a parameter ever stepped has no entry for it: each buffer
+// gets a presence flag, then `fields` archives the entry.
+template <typename Map, typename Fields>
+void serialize_entry(ckpt::Archive ar, Map& bufs, const void* key,
+                     const char* field, Fields fields) {
+  bool present = bufs.find(key) != bufs.end();
+  ar(present, field);
+  if (present) fields(bufs[key]);
 }
 
-void load_block_map(std::unordered_map<const void*, Matrix>& bufs,
-                    const void* key, const Matrix& like, const char* what,
-                    ckpt::ByteReader& r) {
-  if (!r.b()) return;
-  Matrix m = r.matrix();
-  HYLO_CHECK(m.rows() == like.rows() && m.cols() == like.cols(),
-             "snapshot " << what << " buffer is " << m.rows() << "x"
-                         << m.cols() << ", parameter is " << like.rows()
-                         << "x" << like.cols());
-  bufs[key] = std::move(m);
+// A loaded buffer must match its parameter's shape: a snapshot from a
+// structurally different model fails loudly, not subtly.
+void require_shape(ckpt::Archive ar, const Matrix& m, const Matrix& like,
+                   const char* field) {
+  ar.require(m.rows() == like.rows() && m.cols() == like.cols(), field,
+             "buffer is ", m.rows(), "x", m.cols(), ", parameter is ",
+             like.rows(), "x", like.cols());
 }
 
-void save_plain_map(
-    const std::unordered_map<const void*, std::vector<real_t>>& bufs,
-    const void* key, ckpt::ByteWriter& w) {
-  const auto it = bufs.find(key);
-  w.b(it != bufs.end());
-  if (it != bufs.end()) w.real_vec(it->second);
-}
-
-void load_plain_map(
-    std::unordered_map<const void*, std::vector<real_t>>& bufs,
-    const void* key, std::size_t like_size, const char* what,
-    ckpt::ByteReader& r) {
-  if (!r.b()) return;
-  std::vector<real_t> v = r.real_vec();
-  HYLO_CHECK(v.size() == like_size,
-             "snapshot " << what << " buffer has " << v.size()
-                         << " scalars, parameter has " << like_size);
-  bufs[key] = std::move(v);
+void require_size(ckpt::Archive ar, const std::vector<real_t>& v,
+                  std::size_t like, const char* field) {
+  ar.require(v.size() == like, field, "buffer has ", v.size(),
+             " scalars, parameter has ", like);
 }
 
 }  // namespace
@@ -92,26 +75,24 @@ index_t Optimizer::momentum_bytes() const {
 
 index_t Optimizer::state_bytes() const { return momentum_bytes(); }
 
-void Optimizer::save_state(Network& net, ckpt::ByteWriter& w) const {
-  w.str(name());
-  w.real(cfg_.lr);
-  for (auto* pb : net.param_blocks()) save_block_map(momentum_w_, pb, w);
-  for (auto pp : net.plain_params())
-    save_plain_map(momentum_plain_, pp.value, w);
-}
-
-void Optimizer::load_state(Network& net, ckpt::ByteReader& r) {
-  const std::string saved = r.str();
-  HYLO_CHECK(saved == name(), "snapshot optimizer state is for "
-                                  << saved << ", this run uses " << name());
-  cfg_.lr = r.real();
-  momentum_w_.clear();
-  momentum_plain_.clear();
+void Optimizer::serialize_state(Network& net, ckpt::Archive ar) {
+  ar.expect(name(), "optimizer");
+  ar(cfg_.lr, "lr");
+  if (ar.loading()) {
+    momentum_w_.clear();
+    momentum_plain_.clear();
+  }
   for (auto* pb : net.param_blocks())
-    load_block_map(momentum_w_, pb, pb->w, "momentum", r);
+    serialize_entry(ar, momentum_w_, pb, "momentum", [&](Matrix& m) {
+      ar(m, "momentum");
+      require_shape(ar, m, pb->w, "momentum");
+    });
   for (auto pp : net.plain_params())
-    load_plain_map(momentum_plain_, pp.value, pp.value->size(),
-                   "plain momentum", r);
+    serialize_entry(ar, momentum_plain_, pp.value, "plain momentum",
+                    [&](std::vector<real_t>& v) {
+                      ar(v, "plain momentum");
+                      require_size(ar, v, pp.value->size(), "plain momentum");
+                    });
 }
 
 void Sgd::step(Network& net, index_t /*iteration*/) { apply_sgd_update(net); }
@@ -164,49 +145,24 @@ index_t Adam::state_bytes() const {
   return total * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
 }
 
-void Adam::save_state(Network& net, ckpt::ByteWriter& w) const {
-  Optimizer::save_state(net, w);
-  w.i64(t_);
-  for (auto* pb : net.param_blocks()) {
-    const auto it = state_.find(pb);
-    w.b(it != state_.end());
-    if (it != state_.end()) {
-      w.matrix(it->second.m);
-      w.matrix(it->second.v);
-    }
-  }
-  for (auto pp : net.plain_params()) {
-    const auto it = state_.find(pp.value);
-    w.b(it != state_.end());
-    if (it != state_.end()) {
-      w.real_vec(it->second.m_plain);
-      w.real_vec(it->second.v_plain);
-    }
-  }
-}
-
-void Adam::load_state(Network& net, ckpt::ByteReader& r) {
-  Optimizer::load_state(net, r);
-  t_ = r.i64();
-  state_.clear();
-  for (auto* pb : net.param_blocks()) {
-    if (!r.b()) continue;
-    State& st = state_[pb];
-    st.m = r.matrix();
-    st.v = r.matrix();
-    HYLO_CHECK(st.m.rows() == pb->w.rows() && st.m.cols() == pb->w.cols() &&
-                   st.v.rows() == pb->w.rows() && st.v.cols() == pb->w.cols(),
-               "snapshot Adam moments do not match parameter shape");
-  }
-  for (auto pp : net.plain_params()) {
-    if (!r.b()) continue;
-    State& st = state_[pp.value];
-    st.m_plain = r.real_vec();
-    st.v_plain = r.real_vec();
-    HYLO_CHECK(st.m_plain.size() == pp.value->size() &&
-                   st.v_plain.size() == pp.value->size(),
-               "snapshot Adam plain moments do not match parameter size");
-  }
+void Adam::serialize_state(Network& net, ckpt::Archive ar) {
+  Optimizer::serialize_state(net, ar);
+  ar(t_, "t");
+  if (ar.loading()) state_.clear();
+  for (auto* pb : net.param_blocks())
+    serialize_entry(ar, state_, pb, "moments", [&](State& st) {
+      ar(st.m, "m");
+      ar(st.v, "v");
+      require_shape(ar, st.m, pb->w, "m");
+      require_shape(ar, st.v, pb->w, "v");
+    });
+  for (auto pp : net.plain_params())
+    serialize_entry(ar, state_, pp.value, "plain moments", [&](State& st) {
+      ar(st.m_plain, "m_plain");
+      ar(st.v_plain, "v_plain");
+      require_size(ar, st.m_plain, pp.value->size(), "m_plain");
+      require_size(ar, st.v_plain, pp.value->size(), "v_plain");
+    });
 }
 
 std::int64_t optim_counter_sum(const obs::MetricsRegistry& reg,

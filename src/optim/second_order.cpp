@@ -314,49 +314,34 @@ index_t CurvatureOptimizer::state_bytes() const {
   return scalars * static_cast<index_t>(sizeof(real_t)) + momentum_bytes();
 }
 
-void CurvatureOptimizer::save_state(Network& net, ckpt::ByteWriter& w) const {
-  Optimizer::save_state(net, w);
-  w.u64(layers_.size());
+void CurvatureOptimizer::serialize_state(Network& net, ckpt::Archive ar) {
+  Optimizer::serialize_state(net, ar);
+  ar.count(layers_, 9, "layers");  // staleness (8 bytes) + ready flag (1)
+  staleness_.resize(layers_.size());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    w.i64(staleness_[l]);
-    w.b(layers_[l] != nullptr);
-    if (layers_[l] != nullptr) layers_[l]->write(w);
+    ar(staleness_[l], "staleness");
+    bool ready = layers_[l] != nullptr;
+    ar(ready, "ready");
+    if (!ready) continue;
+    if (ar.loading()) layers_[l] = make_state();
+    layers_[l]->serialize(ar);
   }
-  w.u64(in_flight_.size());
-  for (const InFlight& p : in_flight_) {
-    w.i64(p.layer);
-    w.u64(p.event.seq);
-    w.f64(p.event.start_s);
-    w.f64(p.event.ready_s);
-    w.b(p.event.failed);
-    p.state->write(w);
-  }
-}
-
-void CurvatureOptimizer::load_state(Network& net, ckpt::ByteReader& r) {
-  Optimizer::load_state(net, r);
-  const std::uint64_t layers = r.u64();
-  layers_.clear();
-  layers_.resize(layers);
-  staleness_.assign(layers, 0);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    staleness_[l] = r.i64();
-    if (!r.b()) continue;
-    layers_[l] = make_state();
-    layers_[l]->read(r);
-  }
-  in_flight_.clear();
-  const std::uint64_t in_flight = r.u64();
-  for (std::uint64_t k = 0; k < in_flight; ++k) {
-    InFlight p;
-    p.layer = r.i64();
-    p.event.seq = r.u64();
-    p.event.start_s = r.f64();
-    p.event.ready_s = r.f64();
-    p.event.failed = r.b();
-    p.state = make_state();
-    p.state->read(r);
-    in_flight_.push_back(std::move(p));
+  // layer (8 bytes) + event seq, start and ready (24) + failed flag (1)
+  ar.count(in_flight_, 33, "in_flight");
+  for (InFlight& p : in_flight_) {
+    ar(p.layer, "in_flight.layer");
+    ar.require(p.layer >= 0 && p.layer < static_cast<index_t>(layers_.size()),
+               "in_flight.layer", "layer ", p.layer, " of ", layers_.size());
+    ar(p.event.seq, "in_flight.seq");
+    ar(p.event.start_s, "in_flight.start_s");
+    ar(p.event.ready_s, "in_flight.ready_s");
+    // settle_in_flight sorts on ready_s: a NaN would break the ordering.
+    ar.require(std::isfinite(p.event.start_s) && std::isfinite(p.event.ready_s),
+               "in_flight.ready_s", "event times ", p.event.start_s, ", ",
+               p.event.ready_s, " are not finite");
+    ar(p.event.failed, "in_flight.failed");
+    if (ar.loading()) p.state = make_state();
+    p.state->serialize(ar);
   }
 }
 

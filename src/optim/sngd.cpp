@@ -85,16 +85,10 @@ void Sngd::precondition_block(ParamBlock& pb, index_t layer) {
   pb.gw = preconditioned(pb.gw, layer);
 }
 
-void Sngd::State::write(ckpt::ByteWriter& w) const {
-  w.matrix(a_glob);
-  w.matrix(g_glob);
-  w.matrix(kernel_chol);
-}
-
-void Sngd::State::read(ckpt::ByteReader& r) {
-  a_glob = r.matrix();
-  g_glob = r.matrix();
-  kernel_chol = r.matrix();
+void Sngd::State::serialize(ckpt::Archive ar) {
+  ar(a_glob, "a_glob");
+  ar(g_glob, "g_glob");
+  ar(kernel_chol, "kernel_chol");
 }
 
 }  // namespace hylo

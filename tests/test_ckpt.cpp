@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -56,15 +57,19 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
 
 std::string write_sample_snapshot(const std::string& dir) {
   ckpt::SnapshotWriter snap;
-  ckpt::ByteWriter& a = snap.section("alpha");
-  a.u64(42);
-  a.str("hello");
-  a.real(1.5);
+  ckpt::Archive a = snap.section("alpha");
+  std::uint64_t n = 42;
+  std::string s = "hello";
+  real_t x = 1.5;
+  a(n, "n");
+  a(s, "s");
+  a(x, "x");
   Matrix m(2, 3);
   for (index_t i = 0; i < m.size(); ++i) m.data()[i] = 0.25 * (i + 1);
-  ckpt::ByteWriter& b = snap.section("beta");
-  b.matrix(m);
-  b.b(true);
+  bool flag = true;
+  ckpt::Archive b = snap.section("beta");
+  b(m, "m");
+  b(flag, "flag");
   const std::string path = dir + "/snapshot-00000001.hysnp";
   snap.write(path);
   return path;
@@ -79,17 +84,28 @@ TEST(SnapshotContainer, RoundTrip) {
   ASSERT_EQ(snap.names(), (std::vector<std::string>{"alpha", "beta"}));
 
   ckpt::ByteReader a = snap.open("alpha");
-  EXPECT_EQ(a.u64(), 42u);
-  EXPECT_EQ(a.str(), "hello");
-  EXPECT_EQ(a.real(), 1.5);
+  std::uint64_t n = 0;
+  std::string s;
+  real_t x = 0.0;
+  ckpt::Archive ar = a;
+  ar(n, "n");
+  ar(s, "s");
+  ar(x, "x");
+  EXPECT_EQ(n, 42u);
+  EXPECT_EQ(s, "hello");
+  EXPECT_EQ(x, 1.5);
   a.expect_done();
 
   ckpt::ByteReader b = snap.open("beta");
-  const Matrix m = b.matrix();
+  Matrix m;
+  bool flag = false;
+  ckpt::Archive br = b;
+  br(m, "m");
+  br(flag, "flag");
   EXPECT_EQ(m.rows(), 2);
   EXPECT_EQ(m.cols(), 3);
   for (index_t i = 0; i < m.size(); ++i) EXPECT_EQ(m.data()[i], 0.25 * (i + 1));
-  EXPECT_TRUE(b.b());
+  EXPECT_TRUE(flag);
   b.expect_done();
 
   EXPECT_FALSE(snap.has("gamma"));
@@ -188,7 +204,9 @@ TEST(SnapshotContainer, ListAndRetain) {
   std::vector<std::string> written;
   for (const int it : {3, 1, 7, 5}) {
     ckpt::SnapshotWriter snap;
-    snap.section("meta").i64(it);
+    index_t iter = it;
+    ckpt::Archive ar = snap.section("meta");
+    ar(iter, "iter");
     char name[40];
     std::snprintf(name, sizeof(name), "snapshot-%08d.hysnp", it);
     written.push_back(dir + "/" + name);
@@ -287,7 +305,7 @@ void save_weights(Network& net, const std::string& path) {
 void load_weights(Network& net, const std::string& path) {
   const ckpt::SnapshotReader snap(path);
   ckpt::ByteReader r = snap.open("network");
-  net.deserialize_state(r);
+  net.serialize_state(r);
   r.expect_done();
 }
 
@@ -520,7 +538,7 @@ TEST(Resume, BitwiseConvNetUnderTransientFaults) {
 }
 
 TEST(Resume, EveryOptimizerRoundTrips) {
-  // The save_state/load_state chain covers momentum, Adam moments, KFAC /
+  // The serialize_state chain covers momentum, Adam moments, KFAC /
   // EKFAC / KBFGS factor state, SNGD kernels, and HyLo's full switching
   // state (KFAC and HyLo are exercised by the tests above).
   for (const std::string optname :
@@ -751,6 +769,413 @@ TEST(ElasticWorld, DisabledRankLostReplaysByteIdentically) {
   const RunOut b = run_reference("mlp", "SGD", fc, 4);
   expect_bitwise(a, b, "transient replay");
   EXPECT_EQ(a.world, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Adversarial input: every count, length, shape and pivot a snapshot
+// supplies is checked before it is used. Each payload below is crafted
+// field by field; the checks must throw hylo::Error naming the section and
+// the field, never allocate the claimed size or index out of range.
+
+ckpt::ByteReader reader_of(const ckpt::ByteWriter& w) {
+  return ckpt::ByteReader(w.bytes().data(), w.size(), "crafted");
+}
+
+// Loads `v` from `w`'s bytes; returns the error it raised ("" if none).
+template <typename T>
+std::string load_error(const ckpt::ByteWriter& w, T& v) {
+  ckpt::ByteReader r = reader_of(w);
+  ckpt::Archive ar = r;
+  try {
+    ar(v, "target");
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SnapshotArchive, MatrixShapeCannotWrap) {
+  // 8 * 2^61 * 8 wraps to 0 in u64: the shape check must not multiply. An
+  // empty matrix with a huge dimension is refused as well.
+  const std::uint64_t huge = std::uint64_t{1} << 61;
+  for (const auto& [rows, cols] :
+       {std::pair{huge, std::uint64_t{8}}, std::pair{huge, std::uint64_t{0}},
+        std::pair{std::uint64_t{0}, huge}}) {
+    ckpt::ByteWriter w;
+    ckpt::Archive ar = w;
+    std::uint64_t r = rows, c = cols, pad = 0;
+    ar(r, "rows");
+    ar(c, "cols");
+    ar(pad, "pad");
+    Matrix m;
+    const std::string err = load_error(w, m);
+    EXPECT_NE(err.find("'crafted'"), std::string::npos) << rows << "x" << cols;
+    EXPECT_NE(err.find("'target'"), std::string::npos) << err;
+  }
+}
+
+TEST(SnapshotArchive, VectorLengthsCannotWrap) {
+  // 8 * (2^61 + 1) wraps to 8: with 8 bytes left the old check passed and
+  // the allocation threw std::length_error.
+  ckpt::ByteWriter w;
+  ckpt::Archive ar = w;
+  std::uint64_t n = (std::uint64_t{1} << 61) + 1, pad = 0;
+  ar(n, "n");
+  ar(pad, "pad");
+  std::vector<real_t> reals;
+  std::vector<index_t> indices;
+  std::string str;
+  EXPECT_NE(load_error(w, reals), "");
+  EXPECT_NE(load_error(w, indices), "");
+  EXPECT_NE(load_error(w, str), "");
+}
+
+TEST(SnapshotArchive, OptimizerLayerCountIsBounded) {
+  // A KFAC section claiming 2^40 curvature layers: the old reader resized
+  // its layer table to that count (std::bad_alloc).
+  Network net = make_mlp({2, 1, 1}, {4}, 3, 1);
+  KFac fresh(OptimConfig{});
+  ckpt::ByteWriter w;
+  fresh.Optimizer::serialize_state(net, w);  // the momentum prefix
+  ckpt::Archive ar = w;
+  std::uint64_t layers = std::uint64_t{1} << 40, pad = 0;
+  ar(layers, "layers");
+  ar(pad, "pad");
+  KFac loaded(OptimConfig{});
+  ckpt::ByteReader r = reader_of(w);
+  try {
+    loaded.serialize_state(net, r);
+    FAIL() << "2^40 layers accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'layers'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotArchive, TimelineWorldIsBounded) {
+  ckpt::ByteWriter w;
+  ckpt::Archive ar = w;
+  std::uint64_t world = std::uint64_t{1} << 40, pad = 0;
+  ar(world, "world");
+  ar(pad, "pad");
+  EventTimeline tl(2);
+  ckpt::ByteReader r = reader_of(w);
+  EXPECT_THROW(tl.serialize(r), Error);
+  EXPECT_EQ(tl.world(), 2);  // refused before anything changed size
+}
+
+TEST(SnapshotArchive, HyloHistoryCountsAreBounded) {
+  // Mode, switch and Δ histories: each count in turn claims 2^40 entries
+  // after the ones before it hold zero.
+  Network net = make_mlp({2, 1, 1}, {4}, 3, 1);
+  for (int bad = 0; bad < 3; ++bad) {
+    HyloOptimizer fresh(OptimConfig{});
+    ckpt::ByteWriter w;
+    fresh.CurvatureOptimizer::serialize_state(net, w);
+    ckpt::Archive ar = w;
+    std::uint8_t policy = 0, mode = 0;
+    ar(policy, "policy");
+    ar(mode, "mode");
+    for (int k = 0; k <= bad; ++k) {
+      std::uint64_t count = k == bad ? std::uint64_t{1} << 40 : 0;
+      ar(count, "count");
+    }
+    std::uint64_t pad = 0;
+    ar(pad, "pad");
+    HyloOptimizer loaded(OptimConfig{});
+    ckpt::ByteReader r = reader_of(w);
+    EXPECT_THROW(loaded.serialize_state(net, r), Error) << "count " << bad;
+  }
+}
+
+// Exposes a method's layer state so a test can hand-build one.
+template <typename Method>
+struct Probe : Method {
+  using Method::Method;
+  using typename Method::State;
+};
+
+// An optimizer section in which a fresh `Method` on `net` serves `st` at
+// layer 0 with nothing in flight. The momentum prefix and the method's own
+// trailing fields (HyLo's switching state) come from the fresh optimizer.
+template <typename Method>
+ckpt::ByteWriter served_section(Network& net,
+                                CurvatureOptimizer::LayerState& st) {
+  Method fresh(OptimConfig{});
+  ckpt::ByteWriter momentum, curvature, full, w;
+  fresh.Optimizer::serialize_state(net, momentum);
+  fresh.CurvatureOptimizer::serialize_state(net, curvature);
+  fresh.serialize_state(net, full);
+  w.raw(momentum.bytes().data(), momentum.size());
+  ckpt::Archive ar = w;
+  std::uint64_t layers = 1, in_flight = 0;
+  index_t staleness = 0;
+  bool ready = true;
+  ar(layers, "layers");
+  ar(staleness, "staleness");
+  ar(ready, "ready");
+  st.serialize(w);
+  ar(in_flight, "in_flight");
+  w.raw(full.bytes().data() + curvature.size(), full.size() - curvature.size());
+  return w;
+}
+
+// A KID layer of a 2->3 linear head (w is 3x3) at rank 2 whose LU carries
+// `piv`.
+Probe<HyloOptimizer>::State kid_state(std::vector<index_t> piv) {
+  Probe<HyloOptimizer>::State st;
+  st.a_s = Matrix{{1, 0, 1}, {0, 1, 1}};
+  st.g_s = Matrix{{1, 0, 0}, {0, 1, 0}};
+  st.kid_middle.lu = Matrix{{2, 0}, {0, 2}};
+  st.kid_middle.piv = std::move(piv);
+  return st;
+}
+
+TEST(SnapshotArchive, HyloPivotsAreRangeChecked) {
+  // lu_solve swaps row r with row piv[r]; an unchecked pivot of 5 in a
+  // rank-2 LU made HyloOptimizer::preconditioned write out of bounds.
+  Network net = make_mlp({2, 1, 1}, {}, 3, 1);
+  const Matrix grad(3, 3, 1.0);
+  for (const std::vector<index_t>& piv :
+       {std::vector<index_t>{0, 5}, std::vector<index_t>{1, 0},
+        std::vector<index_t>{0, -1}, std::vector<index_t>{0}}) {
+    HyloOptimizer loaded(OptimConfig{});
+    auto st = kid_state(piv);
+    const ckpt::ByteWriter w = served_section<HyloOptimizer>(net, st);
+    ckpt::ByteReader r = reader_of(w);
+    try {
+      loaded.serialize_state(net, r);
+      FAIL() << "pivots accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'kid_middle.piv'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // What lu_factor produces loads and preconditions.
+  HyloOptimizer loaded(OptimConfig{});
+  auto st = kid_state({1, 1});
+  const ckpt::ByteWriter w = served_section<HyloOptimizer>(net, st);
+  ckpt::ByteReader r = reader_of(w);
+  loaded.serialize_state(net, r);
+  r.expect_done();
+  EXPECT_EQ(loaded.preconditioned(grad, 0).rows(), 3);
+}
+
+// Loads `st` as the served state of a fresh `Method` on a 2->3 linear head
+// and runs one step: it must throw hylo::Error, not index out of bounds.
+template <typename Method>
+void expect_step_rejects(CurvatureOptimizer::LayerState& st) {
+  Network net = make_mlp({2, 1, 1}, {}, 3, 1);
+  const ckpt::ByteWriter w = served_section<Method>(net, st);
+  ckpt::ByteReader r = reader_of(w);
+  Method loaded(OptimConfig{});
+  loaded.serialize_state(net, r);
+  r.expect_done();
+  net.param_blocks().front()->gw = Matrix(3, 3, 1.0);
+  EXPECT_THROW(loaded.step(net, 0), Error) << loaded.name();
+}
+
+TEST(SnapshotArchive, ServedShapesAreCheckedBeforeUse) {
+  // Shapes that agree with the payload but not with each other or the
+  // layer: the kernels that index by them must refuse them.
+  Probe<EKFac>::State ekfac;  // scaling disagrees with the eigenbases
+  ekfac.a_factor = ekfac.v_a = Matrix(3, 3, 1.0);
+  ekfac.g_factor = ekfac.v_g = Matrix(3, 3, 1.0);
+  ekfac.scaling = Matrix(1, 1, 1.0);
+  expect_step_rejects<EKFac>(ekfac);
+
+  Probe<KBfgs>::State kbfgs;  // (s, y) pairs shorter than the gradient
+  kbfgs.a_factor = kbfgs.a_inv = kbfgs.g_factor = Matrix(3, 3, 1.0);
+  kbfgs.g_mean_prev = Matrix(3, 1, 1.0);
+  kbfgs.sy_pairs.emplace_back(std::vector<real_t>{1.0},
+                              std::vector<real_t>{1.0});
+  expect_step_rejects<KBfgs>(kbfgs);
+
+  Probe<Sngd>::State sngd;  // a non-square Cholesky factor
+  sngd.a_glob = sngd.g_glob = Matrix(2, 3, 1.0);
+  sngd.kernel_chol = Matrix(2, 1, 1.0);
+  expect_step_rejects<Sngd>(sngd);
+
+  Probe<HyloOptimizer>::State kis;  // the same for HyLo's KIS factor
+  kis.mode = HyloMode::kKis;
+  kis.a_s = kis.g_s = Matrix(2, 3, 1.0);
+  kis.kis_chol = Matrix(2, 1, 1.0);
+  expect_step_rejects<HyloOptimizer>(kis);
+}
+
+// A snapshot's sections in file order, as raw payloads, so a test can
+// damage one and write the file back with every CRC recomputed.
+struct RawSnapshot {
+  std::vector<std::string> names;
+  std::vector<std::vector<unsigned char>> payloads;
+};
+
+RawSnapshot read_raw(const std::string& path) {
+  const ckpt::SnapshotReader snap(path);
+  RawSnapshot raw;
+  for (const std::string& name : snap.names()) {
+    ckpt::ByteReader r = snap.open(name);
+    std::vector<unsigned char> payload(r.remaining());
+    r.take(payload.data(), payload.size(), "payload");
+    raw.names.push_back(name);
+    raw.payloads.push_back(std::move(payload));
+  }
+  return raw;
+}
+
+void write_raw(const RawSnapshot& raw, const std::string& path) {
+  ckpt::SnapshotWriter snap;
+  for (std::size_t i = 0; i < raw.names.size(); ++i)
+    snap.section(raw.names[i]).raw(raw.payloads[i].data(),
+                                   raw.payloads[i].size());
+  snap.write(path);
+}
+
+std::size_t section_index(const RawSnapshot& raw, const std::string& name) {
+  for (std::size_t i = 0; i < raw.names.size(); ++i)
+    if (raw.names[i] == name) return i;
+  ADD_FAILURE() << "no section " << name;
+  return 0;
+}
+
+// A tiny MLP run with every environment-overridable setting pinned, so
+// ckpt_env_suite's ambient HYLO_FAULTS / HYLO_CKPT_* change nothing.
+TrainConfig pinned_config(CommMode mode, const FaultConfig& faults) {
+  TrainConfig tc = base_config(2);
+  tc.comm_mode = mode;
+  tc.faults = faults;
+  tc.health = obs::HealthConfig{};
+  tc.recovery = RecoveryConfig{};
+  return tc;
+}
+
+TEST(Resume, RejectsCraftedOversizedTimeline) {
+  // A CRC-valid snapshot whose timeline claims 2^40 ranks: the old reader
+  // allocated that many clocks and Trainer::resume threw std::bad_alloc.
+  const std::string dir = tmp_dir("crafted");
+  {
+    Rig s = make_rig("mlp", "KFAC");
+    TrainConfig tc = pinned_config(CommMode::kAsync, FaultConfig{});
+    tc.checkpoint.dir = dir;
+    tc.checkpoint.every = 3;
+    tc.checkpoint.keep = 0;
+    Trainer(s.net, *s.opt, s.data, tc).run();
+  }
+  const auto snaps = ckpt::list_snapshots(dir);
+  ASSERT_FALSE(snaps.empty());
+  RawSnapshot raw = read_raw(snaps.front());
+  auto& timeline = raw.payloads[section_index(raw, "timeline")];
+  const std::uint64_t world = std::uint64_t{1} << 40;
+  std::memcpy(timeline.data(), &world, sizeof(world));
+  const std::string crafted = dir + "/crafted.hysnp";
+  write_raw(raw, crafted);
+
+  Rig s = make_rig("mlp", "KFAC");
+  Trainer t(s.net, *s.opt, s.data,
+            pinned_config(CommMode::kAsync, FaultConfig{}));
+  try {
+    t.resume(crafted);
+    FAIL() << "crafted timeline accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'timeline'"), std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
+// Seeded snapshot mutation fuzz. Real snapshots of a tiny MLP run, for
+// every optimizer in lockstep and on the async timeline under transient
+// faults (a snapshot every iteration, so timeline and faults sections and
+// in-flight chains are present), are damaged one section at a time and
+// written back with that section's CRC recomputed, so the section parser
+// sees the damage. Each mutation is a bit flip, an adversarial u64 at an
+// 8-aligned offset, or a truncation. Trainer::resume must return or throw
+// hylo::Error; a crash, a sanitizer report or any other exception fails.
+TEST(SnapshotFuzz, MutatedSnapshotsResumeOrThrowHyloError) {
+  const std::uint64_t adversarial[] = {0,
+                                       1,
+                                       std::uint64_t{1} << 31,
+                                       std::uint64_t{1} << 40,
+                                       (std::uint64_t{1} << 61) + 1,
+                                       std::uint64_t{1} << 63,
+                                       ~std::uint64_t{0}};
+  const std::string dir = tmp_dir("fuzz");
+  Rng rng(2024);
+  int errors = 0, resumed = 0;
+  bool saw_in_flight = false;
+  for (const std::string optname :
+       {"SGD", "ADAM", "KFAC", "EKFAC", "KBFGS-L", "SNGD", "HyLo"}) {
+    for (const bool async : {false, true}) {
+      const TrainConfig tc = pinned_config(
+          async ? CommMode::kAsync : CommMode::kLockstep,
+          async ? transient_faults() : FaultConfig{});
+      const std::string snap_dir = dir + "/" + optname + (async ? "_a" : "_l");
+      {
+        Rig s = make_rig("mlp", optname);
+        TrainConfig snap_cfg = tc;
+        snap_cfg.checkpoint.dir = snap_dir;
+        snap_cfg.checkpoint.every = 1;
+        snap_cfg.checkpoint.keep = 0;
+        Trainer(s.net, *s.opt, s.data, snap_cfg).run();
+      }
+      const auto snaps = ckpt::list_snapshots(snap_dir);
+      ASSERT_FALSE(snaps.empty()) << optname;
+      for (const auto& path : snaps) {
+        Rig s = make_rig("mlp", optname);
+        const ckpt::SnapshotReader snap(path);
+        ckpt::ByteReader r = snap.open("optimizer");
+        s.opt->serialize_state(s.net, r);
+        if (auto* curv = dynamic_cast<CurvatureOptimizer*>(s.opt.get()))
+          saw_in_flight = saw_in_flight || curv->async_pending() > 0;
+      }
+      for (int k = 0; k < 40; ++k) {
+        const auto& path =
+            snaps[static_cast<std::size_t>(rng.uniform_int(
+                static_cast<index_t>(snaps.size())))];
+        RawSnapshot raw = read_raw(path);
+        const std::size_t sec = static_cast<std::size_t>(
+            rng.uniform_int(static_cast<index_t>(raw.names.size())));
+        auto& payload = raw.payloads[sec];
+        std::string what = raw.names[sec];
+        const index_t kind = rng.uniform_int(3);
+        if (payload.empty() || kind == 2) {
+          payload.resize(static_cast<std::size_t>(
+              rng.uniform_int(static_cast<index_t>(payload.size()) + 1)));
+          what += " truncated to " + std::to_string(payload.size());
+        } else if (kind == 0) {
+          const auto bit = static_cast<std::size_t>(
+              rng.uniform_int(static_cast<index_t>(payload.size() * 8)));
+          payload[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+          what += " bit " + std::to_string(bit);
+        } else if (payload.size() >= 8) {
+          const auto at = 8 * static_cast<std::size_t>(rng.uniform_int(
+                                  static_cast<index_t>(payload.size() / 8)));
+          const std::uint64_t v = adversarial[rng.uniform_int(7)];
+          std::memcpy(payload.data() + at, &v, sizeof(v));
+          what += " u64 " + std::to_string(v) + " at " + std::to_string(at);
+        }
+        const std::string mutated = snap_dir + "/mutated.hysnp";
+        write_raw(raw, mutated);
+        Rig s = make_rig("mlp", optname);
+        Trainer t(s.net, *s.opt, s.data, tc);
+        try {
+          t.resume(mutated);
+          ++resumed;
+        } catch (const Error&) {
+          ++errors;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << optname << " " << path << " " << what
+                        << ": non-hylo exception " << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_in_flight);
+  // Both outcomes occur: the mutations reach the checks and get past them.
+  EXPECT_GT(errors, 0);
+  EXPECT_GT(resumed, 0);
+  fs::remove_all(dir);
 }
 
 }  // namespace

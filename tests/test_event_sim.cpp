@@ -112,10 +112,10 @@ TEST(EventTimeline, SaveLoadContinuesBitwise) {
   a.issue("comm/gather", 0.5, 1.5, false);
 
   ckpt::ByteWriter w;
-  a.save(w);
+  a.serialize(w);
   EventTimeline b(1);  // wrong world on purpose: load must restore it
   ckpt::ByteReader r(w.bytes().data(), w.size(), "timeline");
-  b.load(r);
+  b.serialize(r);
   r.expect_done();
 
   EXPECT_EQ(b.world(), 3);
@@ -382,7 +382,7 @@ TEST(AsyncTrainer, SnapshotResumeIsBitwise) {
       Network probe_net = make_net();
       auto probe = make_optimizer(name, oc);
       ckpt::ByteReader r = snap.open("optimizer");
-      probe->load_state(probe_net, r);
+      probe->serialize_state(probe_net, r);
       EXPECT_GT(dynamic_cast<CurvatureOptimizer&>(*probe).async_pending(), 0);
     }
 

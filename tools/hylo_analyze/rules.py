@@ -71,8 +71,10 @@ RULES: dict[str, tuple[str, str]] = {
     "det_pointer_key": (
         "pointer-keyed container contents serialized",
         "Iterating a pointer-keyed map writes address-ordered bytes into a "
-        "snapshot or run log; addresses change across runs under ASLR. Key "
-        "the serialization on a stable id (param-block index) instead."),
+        "snapshot or run log; addresses change across runs under ASLR. A "
+        "loop body counts as a sink when it calls a write/save/serialize-"
+        "style name, streams with <<, or uses a ckpt::Archive. Key the "
+        "serialization on a stable id (param-block index) instead."),
     "commit_after_charge": (
         "committed state mutated outside a commit region",
         "Inside an optimizer's marked scratch region "
@@ -126,6 +128,10 @@ class TreeContext:
     unordered_locals: dict[str, set[str]] = \
         dataclasses.field(default_factory=dict)
     ptrkey_locals: dict[str, set[str]] = \
+        dataclasses.field(default_factory=dict)
+    # per-file names declared as a ckpt::Archive (parameters included):
+    # rel -> set[str]
+    archive_locals: dict[str, set[str]] = \
         dataclasses.field(default_factory=dict)
     probe_catalogue: frozenset[str] = frozenset()
     alert_catalogue: frozenset[str] = frozenset()
@@ -195,6 +201,23 @@ def _container_decls(ctx: engine.FileContext, tree: TreeContext) -> None:
                 tree.ptrkey_locals.setdefault(ctx.rel, set()).add(name)
 
 
+def _archive_decls(ctx: engine.FileContext, tree: TreeContext) -> None:
+    """Collect names declared with the snapshot codec type `Archive`
+    (`ckpt::Archive ar`, `Archive& ar`, parameters included): every field
+    an archive touches lands in a snapshot, so a loop body using one is a
+    serialization sink."""
+    toks = ctx.lex.tokens
+    for i, t in enumerate(toks):
+        if t.kind != "id" or t.text != "Archive":
+            continue
+        j = i + 1
+        while j < len(toks) and toks[j].kind == "punct" \
+                and toks[j].text in {"&", "*", "&&"}:
+            j += 1
+        if j < len(toks) and toks[j].kind == "id":
+            tree.archive_locals.setdefault(ctx.rel, set()).add(toks[j].text)
+
+
 def build_tree_context(root: pathlib.Path,
                        contexts: list[engine.FileContext]) -> TreeContext:
     tree = TreeContext(root)
@@ -204,6 +227,7 @@ def build_tree_context(root: pathlib.Path,
         obs_inc / "alerts.hpp", "alert") | frozenset({"fired", "critical"})
     for ctx in contexts:
         _container_decls(ctx, tree)
+        _archive_decls(ctx, tree)
     return tree
 
 
@@ -455,6 +479,7 @@ def check_det_iteration(ctx: engine.FileContext, tree: TreeContext,
     ptrkey = tree.ptrkey_members | tree.ptrkey_locals.get(ctx.rel, set())
     if not unordered and not ptrkey:
         return
+    archives = tree.archive_locals.get(ctx.rel, set())
     toks = ctx.lex.tokens
     for line, expr, body_lo, body_hi in _range_for_loops(ctx):
         names = {t.text for t in expr if t.kind == "id"}
@@ -469,7 +494,8 @@ def check_det_iteration(ctx: engine.FileContext, tree: TreeContext,
         if names & ptrkey:
             body = toks[body_lo:body_hi + 1]
             sink = any(
-                (t.kind == "id" and t.text in _SERIAL_SINK_IDS)
+                (t.kind == "id" and (t.text in _SERIAL_SINK_IDS
+                                     or t.text in archives))
                 or (t.kind == "punct" and t.text == "<<")
                 for t in body)
             if sink:

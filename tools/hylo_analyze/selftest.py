@@ -10,7 +10,10 @@ fixture corpus cannot express as plain pass/fail runs:
     partialFingerprints and physicalLocation regions;
   * baseline semantics — write-baseline silences existing findings, the
     fingerprints survive line-number shifts, and a genuinely new finding
-    still fails the run.
+    still fails the run;
+  * per-rule fixtures — every file under tools/lint_fixtures/<rule>/bad is
+    flagged by its rule on its own (the per-rule ctest only sees that the
+    directory fails, which one flagged file is enough for).
 
 Exits 0 when every assertion holds; prints the first failure otherwise.
 """
@@ -123,6 +126,16 @@ def main() -> int:
         fresh = [ln for ln in proc.stdout.splitlines()
                  if "] " in ln and "baselined" not in ln]
         assert len(fresh) == 1 and "[float_compare]" in fresh[0], proc.stdout
+
+    fixtures = TOOLS_DIR / "lint_fixtures"
+    for bad in sorted(fixtures.glob("*/bad")):
+        rule = bad.parent.name
+        proc = run(bad, "--rules", rule)
+        for path in sorted(bad.rglob("*.[ch]pp")):
+            rel = path.relative_to(bad).as_posix()
+            assert any(ln.startswith(rel + ":") and f"[{rule}]" in ln
+                       for ln in proc.stdout.splitlines()), \
+                f"{rule} fixture {rel} not flagged:\n{proc.stdout}"
 
     print("hylo_analyze selftest: OK")
     return 0
