@@ -2,7 +2,7 @@
 // every available tier (scalar + packed SIMD, DESIGN.md §13) this times the
 // kernels the optimizer pipeline leans on — gemm (C = AB), gemm_tn (AᵀB,
 // the factor-contraction shape), gram_nt (AAᵀ, the kernel-matrix shape),
-// the fused-im2col conv inference forward (conv_fused) and a conv training
+// the conv inference forward (conv_fused) and a conv training
 // pass, capture forward plus backward (conv_train) — at 512³-equivalent
 // work over thread counts {1, 2, 4, hw}, checks every multithreaded result
 // bitwise against the same tier's single-thread reference (the per-tier
@@ -65,8 +65,9 @@ int main() {
       b(i, j) = rng.normal();
     }
 
-  // Fused-conv workload: batch of NCHW samples through a Conv2d layer (the
-  // SIMD tiers run the fused-im2col packed GEMM, the scalar tier the
+  // Conv workload: batch of NCHW samples through a Conv2d layer (the x86
+  // SIMD tiers run the direct stride-1 passes, 28 = 3·8 + 4 columns so the
+  // AVX-512 rows end in a partial lane block; the scalar tier runs the
   // materialized per-sample patch matrices — the before/after pair).
   const index_t cn = large_scale() ? 32 : 16;
   Rng wrng(7);
@@ -323,7 +324,8 @@ int main() {
           "batch " + std::to_string(cn) + " x 16x28x28, conv 32c 3x3 s1 p1; "
           "conv_fused: inference forward, conv_train: capture forward + "
           "backward (wgrad, dgrad), checked bitwise on out, gw, a_samples "
-          "and gin (fused im2col in SIMD tiers, materialized in scalar)");
+          "and gin (direct in-place passes in the x86 SIMD tiers, packed "
+          "im2col on NEON, materialized in scalar)");
   doc.set("tiers", std::move(tiers_json));
   doc.set("seed_baseline", std::move(seed));
   doc.set("roofline", std::move(roofline));

@@ -75,7 +75,10 @@ class Layer {
 
   /// Backward pass: `gout` is dLoss/d(out); accumulate dLoss/d(in_k) into
   /// grad_in[k] (already zero-initialized by the Network) and parameter
-  /// gradients into this layer's state.
+  /// gradients into this layer's state. A null grad_in[k] means nothing
+  /// reads that input's gradient (the Network passes null for its input
+  /// node): the layer skips it but still accumulates its parameter
+  /// gradients, with the same bits as with a real grad_in[k].
   virtual void backward(const std::vector<const Tensor4*>& in,
                         const Tensor4& out, const Tensor4& gout,
                         const std::vector<Tensor4*>& grad_in,

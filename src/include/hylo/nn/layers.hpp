@@ -53,9 +53,9 @@ class Conv2d : public Layer {
   ParamBlock params_;
   ConvGeometry geom_;
   // Per-sample im2col cache from forward — scalar kernel tier only. The
-  // SIMD tiers fuse im2col into the packed conv passes (gemm_packed.hpp),
-  // which read patches from a zero-padded copy of the layer input, and keep
-  // this empty; so a scalar-tier backward after a SIMD-tier forward throws.
+  // SIMD tiers' conv passes (gemm_packed.hpp) read patches from a
+  // zero-padded copy of the layer input, and keep this empty; so a
+  // scalar-tier backward after a SIMD-tier forward throws.
   std::vector<Matrix> cols_;
 };
 
@@ -85,9 +85,10 @@ class BatchNorm2d : public Layer {
   index_t channels_ = 0;
   std::vector<real_t> gamma_, beta_, grad_gamma_, grad_beta_;
   std::vector<real_t> running_mean_, running_var_;
-  // Saved statistics from the last training forward (for backward).
+  // Statistics of the last forward (batch or running), from which backward
+  // recomputes x̂ = (x − mean)·inv_std rather than keep an activation-sized
+  // copy of it.
   std::vector<real_t> saved_mean_, saved_inv_std_;
-  Tensor4 x_hat_;
 };
 
 /// Elementwise max(x, 0).

@@ -2,7 +2,7 @@
 /// \file gemm_packed.hpp
 /// Packed, cache-blocked GEMM with explicit SIMD microkernels — the
 /// DESIGN.md §13 fast path behind hylo::gemm, the Gram products, the
-/// Cholesky trailing update and the fused-im2col convolution. Layout
+/// Cholesky trailing update and the convolution passes. Layout
 /// (BLIS-style):
 ///
 ///   * B is packed once per call into KC-deep blocks of NR-wide column
@@ -10,7 +10,10 @@
 ///     MR-tall row panels (`apack[p][kk*MR + r]`), alpha folded into A.
 ///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x8 AVX-512 /
 ///     8x4 NEON, selected by hylo::kern::active()) accumulates
-///     C-tile += Apanel · Bpanel with the k loop innermost.
+///     C-tile += Apanel · Bpanel with the k loop innermost. On x86 the fma
+///     chain is one template per tier whose A and B sources are parameters:
+///     the GEMMs read packed panels, the direct conv passes read the sample
+///     and gout in place.
 ///   * Edge tiles (m % MR, n % NR, and the symmetric kernels' diagonal
 ///     straddle) run the same microkernel on a copy-in/copy-out scratch
 ///     tile, so every element sees the identical fma chain regardless of
@@ -81,23 +84,31 @@ void vadd_where_positive(real_t* acc, const real_t* g, const real_t* x,
 /// Dot product of two contiguous vectors.
 real_t vdot(const real_t* a, const real_t* b, index_t n);
 
-// ---- Fused-im2col convolution (SIMD tiers) ----------------------------
-// The conv GEMMs consume im2col patches straight from the NCHW sample, so
+// ---- Convolution (SIMD tiers) ------------------------------------------
+// The conv passes consume im2col patches straight from the NCHW sample, so
 // no per-sample patch matrix (the scalar tier's Conv2d::cols_) is ever
-// materialized. The forward and wgrad B packs first copy the sample into a
-// per-thread zero-padded scratch, C x (H+2·pad) x (W+2·pad); patch element
-// (j, p) is then xp[patch_off(j) + pos_off(p)], read through two offset
-// tables with no bounds test. That needs every window inside the padded
-// input, H + 2·pad >= kernel and W + 2·pad >= kernel, which
-// Conv2d::infer_shape checks. Every pass moves values and does no extra
-// arithmetic, so its bits equal the materialized GEMMs (test_kernel_tiers
-// FusedConvEqualsMaterializedGemmBitwise). These functions are serial by
-// design — Conv2d parallelizes over samples (forward/dgrad) and output
-// channels (wgrad) around them.
+// materialized. Each entry point picks one of two paths from the geometry
+// and the tier alone (conv_direct):
+//
+//   * Direct (stride 1, output rows at least NR wide, AVX2/AVX-512): no
+//     pack of the sample at all. The forward's B rows and the wgrad's A
+//     broadcasts are read in place from a zero-padded copy of the sample,
+//     and the dgrad adds per-tap register tiles straight into gin.
+//   * Packed (every other geometry, and every NEON conv): the forward and
+//     wgrad pack im2col panels from the padded sample through two offset
+//     tables, and the dgrad runs dcolsᵀ = W_mainᵀ·gout, then col2im.
+//
+// Either way every pass moves values in the order the materialized GEMMs
+// use and does no extra arithmetic, so its bits equal them
+// (test_kernel_tiers FusedConvEqualsMaterializedGemmBitwise). Reading the
+// padded sample through offsets needs every window inside the padded input,
+// H + 2·pad >= kernel and W + 2·pad >= kernel, which Conv2d::infer_shape
+// checks. These functions are serial by design — Conv2d parallelizes over
+// samples (forward/dgrad) and output channels (wgrad) around them.
 
 /// Prepacked conv weight operand: MR-interleaved A-side panels per KC block
-/// of W_main (forward) or W_mainᵀ (dgrad); `bias` is w(:, patch) (forward
-/// packs only).
+/// of W_main (forward), of W_mainᵀ (packed dgrad), or per (channel block,
+/// tap) over o (direct dgrad); `bias` is w(:, patch) (forward packs only).
 struct PackedW {
   Tier tier = Tier::kScalar;
   index_t rows = 0;  ///< logical row count of the packed operand
@@ -106,34 +117,40 @@ struct PackedW {
   std::vector<real_t> bias;
 };
 
+/// True when the conv passes of geometry `g` take the direct path in the
+/// active tier: stride 1, out_w() >= NR, and a tier with direct kernels
+/// (AVX2, AVX-512). Narrower rows waste most of each lane block, so they
+/// stay packed with strided and NEON convs.
+bool conv_direct(const ConvGeometry& g);
+
 /// A-side pack of W_main (c_out x patch) for the forward GEMM
 /// out_plane = W_main · colsᵀ; also captures the bias column.
 PackedW pack_conv_forward_w(const Matrix& w_aug);
 
-/// A-side pack of W_mainᵀ (patch x c_out) for the data-gradient GEMM
-/// dcolsᵀ = W_mainᵀ · gout_plane.
-PackedW pack_conv_dgrad_w(const Matrix& w_aug);
+/// Weight operand of conv_dgrad for geometry `g`: W_mainᵀ (patch x c_out)
+/// packed A-side for the packed path, or per channel block and tap for the
+/// direct one.
+PackedW pack_conv_dgrad_w(const Matrix& w_aug, const ConvGeometry& g);
 
 /// out_plane (c_out x s, NCHW plane of one sample) = W_main · cols(x)ᵀ +
-/// bias, patches fused. capture_row != nullptr receives the spatial-sum
-/// capture Σ_p cols(p, j) for j in [0, patch) (caller owns the bias slot),
-/// summed lane-ascending within each NR-wide block of positions, then
+/// bias, each element the bias then a k-ascending fma chain. capture_row !=
+/// nullptr receives the spatial-sum capture Σ_p cols(p, j) for j in
+/// [0, patch) (caller owns the bias slot), summed lane-ascending within each
+/// NR-wide block of flat positions, zero pad lanes included, then
 /// block-ascending.
-void packed_conv_forward(const PackedW& pw, const real_t* x,
-                         const ConvGeometry& g, real_t* out_plane,
-                         real_t* capture_row);
+void conv_forward(const PackedW& pw, const real_t* x, const ConvGeometry& g,
+                  real_t* out_plane, real_t* capture_row);
 
-/// gw rows [o0, o1) += gout_plane[o0:o1, :] · [cols(x) | 1] for one sample
-/// (the augmented ones column accumulates the bias gradient).
-void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
-                       const ConvGeometry& g, Matrix& gw, index_t o0,
-                       index_t o1);
+/// gw rows [o0, o1) += Σ_i gout_i[o0:o1, :] · [cols(x_i) | 1] over every
+/// sample (the augmented ones column accumulates the bias gradient), each
+/// element sample-ascending then position-ascending.
+void conv_wgrad(const Tensor4& gout, const Tensor4& x, const ConvGeometry& g,
+                Matrix& gw, index_t o0, index_t o1);
 
-/// gin_plane (one C x H x W sample) += col2im(gout_planeᵀ · W_main), fused:
-/// the GEMM runs transposed, dcolsᵀ = W_mainᵀ · gout_plane with gout's
-/// contiguous rows as the B panels, and col2im adds contiguous row runs of
-/// dcolsᵀ. Bitwise equal to col2im_add(goutᵀ · W_main) onto the same gin.
-void packed_conv_dgrad(const real_t* gout_plane, const PackedW& pw,
-                       const ConvGeometry& g, real_t* gin_plane);
+/// gin_plane (one C x H x W sample) += col2im(gout_planeᵀ · W_main), bitwise
+/// equal to col2im_add of that GEMM onto the same gin: each term is the
+/// o-ascending chain from +0.0, added oy-ascending then ox-ascending.
+void conv_dgrad(const real_t* gout_plane, const PackedW& pw,
+                const ConvGeometry& g, real_t* gin_plane);
 
 }  // namespace hylo::kern

@@ -52,9 +52,9 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
   }
 
   if (kern::active() != kern::Tier::kScalar) {
-    // Fused-im2col path (DESIGN.md §13): the conv GEMM consumes patches
-    // straight from the NCHW sample, so no per-sample patch matrix is ever
-    // materialized — backward re-fuses from in[0] instead of a cols_ cache.
+    // SIMD path (DESIGN.md §13): the conv passes read patches straight from
+    // the NCHW sample, so no per-sample patch matrix is ever materialized —
+    // backward reads in[0] again instead of a cols_ cache.
     cols_.clear();
     cols_.shrink_to_fit();
     const kern::PackedW pw = kern::pack_conv_forward_w(params_.w);
@@ -64,8 +64,8 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
           for (index_t i = n0; i < n1; ++i) {
             real_t* capture =
                 ctx.capture ? params_.a_samples.row_ptr(i) : nullptr;
-            kern::packed_conv_forward(pw, x.sample_ptr(i), geom_,
-                                      out.sample_ptr(i), capture);
+            kern::conv_forward(pw, x.sample_ptr(i), geom_, out.sample_ptr(i),
+                               capture);
             if (capture != nullptr) capture[patch] = static_cast<real_t>(s);
           }
         },
@@ -133,24 +133,22 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
                       const PassContext& ctx) {
   const index_t n = gout.n(), oh = geom_.out_h(), ow = geom_.out_w();
   const index_t s = oh * ow, patch = geom_.patch_size();
-  Tensor4& gin = *grad_in[0];
+  Tensor4* gin = grad_in[0];  // null: nothing reads this input's gradient
   if (ctx.capture) params_.g_samples.resize(n, out_channels_);
 
   if (kern::active() != kern::Tier::kScalar) {
     const Tensor4& x = *in[0];
-    // Fused weight gradient: gw rows [o0, o1) accumulate
-    // gout[i][o0:o1, :] · [cols(x_i) | 1] per sample through the packed
-    // microkernel, patches regenerated on the fly. Grain 8 keeps chunk
-    // boundaries aligned with the MR=8 row panels. Per gw element the
-    // accumulation is sample-ascending then position-ascending regardless
-    // of the channel partition — bitwise identical at any thread count
-    // within the tier.
+    // Weight gradient: gw rows [o0, o1) accumulate
+    // gout[i][o0:o1, :] · [cols(x_i) | 1] over the samples, patches read
+    // from x_i on the fly. Grain 8 keeps chunk boundaries on whole register
+    // tiles: the packed pass's MR=8 row panels, the direct pass's NR-wide
+    // gwᵀ columns. Per gw element the accumulation is sample-ascending then
+    // position-ascending regardless of the channel partition — bitwise
+    // identical at any thread count within the tier.
     par::parallel_for(
         0, out_channels_, 8,
         [&](index_t o0, index_t o1) {
-          for (index_t i = 0; i < n; ++i)
-            kern::packed_conv_wgrad(gout.sample_ptr(i), x.sample_ptr(i),
-                                    geom_, params_.gw, o0, o1);
+          kern::conv_wgrad(gout, x, geom_, params_.gw, o0, o1);
           if (ctx.capture) {
             for (index_t o = o0; o < o1; ++o)
               for (index_t i = 0; i < n; ++i) {
@@ -167,17 +165,18 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
           if (ctx.capture) ws.add_cols(params_.g_samples, o0, o1);
         }));
 
-    // Fused input gradient: dcolsᵀ = W_mainᵀ · gout_plane against a weight
-    // operand packed once per call, added back into the sample plane.
-    const kern::PackedW pwd = kern::pack_conv_dgrad_w(params_.w);
+    // Input gradient against a weight operand packed once per call, added
+    // into each sample's gin plane.
+    if (gin == nullptr) return;
+    const kern::PackedW pwd = kern::pack_conv_dgrad_w(params_.w, geom_);
     par::parallel_for(
         0, n, 1,
         [&](index_t n0, index_t n1) {
           for (index_t i = n0; i < n1; ++i)
-            kern::packed_conv_dgrad(gout.sample_ptr(i), pwd, geom_,
-                                    gin.sample_ptr(i));
+            kern::conv_dgrad(gout.sample_ptr(i), pwd, geom_,
+                             gin->sample_ptr(i));
         },
-        "nn/conv2d_dgrad", audit::sample_block(gin));
+        "nn/conv2d_dgrad", audit::sample_block(*gin));
     return;
   }
 
@@ -224,6 +223,7 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
 
   // Input gradient, batch-parallel: dcols = gy · W_main per sample, scattered
   // back with col2im into that sample's disjoint gin plane.
+  if (gin == nullptr) return;
   par::parallel_for(
       0, n, 1,
       [&](index_t n0, index_t n1) {
@@ -240,11 +240,10 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
               for (index_t j = 0; j < patch; ++j) dp[j] += g * wo[j];
             }
           }
-          col2im_add(dcols, geom_, gin.sample_ptr(i));
+          col2im_add(dcols, geom_, gin->sample_ptr(i));
         }
       },
-      "nn/conv2d_dgrad", audit::sample_block(gin));
-  (void)in;
+      "nn/conv2d_dgrad", audit::sample_block(*gin));
 }
 
 }  // namespace hylo

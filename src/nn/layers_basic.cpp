@@ -24,6 +24,7 @@ void ReLU::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
 void ReLU::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
                     const Tensor4& gout, const std::vector<Tensor4*>& grad_in,
                     const PassContext&) {
+  if (grad_in[0] == nullptr) return;
   const Tensor4& x = *in[0];
   kern::vadd_where_positive(grad_in[0]->data(), gout.data(), x.data(),
                             x.size());
@@ -80,6 +81,7 @@ void MaxPool2d::backward(const std::vector<const Tensor4*>&, const Tensor4&,
                          const Tensor4& gout,
                          const std::vector<Tensor4*>& grad_in,
                          const PassContext&) {
+  if (grad_in[0] == nullptr) return;
   Tensor4& gin = *grad_in[0];
   for (index_t o = 0; o < gout.size(); ++o)
     gin[argmax_[static_cast<std::size_t>(o)]] += gout[o];
@@ -120,6 +122,7 @@ void AvgPool2d::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
                          const Tensor4& gout,
                          const std::vector<Tensor4*>& grad_in,
                          const PassContext&) {
+  if (grad_in[0] == nullptr) return;
   const Tensor4& x = *in[0];
   Tensor4& gin = *grad_in[0];
   const index_t oh = x.h() / kernel_, ow = x.w() / kernel_;
@@ -161,6 +164,7 @@ void GlobalAvgPool::backward(const std::vector<const Tensor4*>& in,
                              const Tensor4&, const Tensor4& gout,
                              const std::vector<Tensor4*>& grad_in,
                              const PassContext&) {
+  if (grad_in[0] == nullptr) return;
   const Tensor4& x = *in[0];
   Tensor4& gin = *grad_in[0];
   const index_t hw = x.h() * x.w();
@@ -200,6 +204,7 @@ void Upsample2x::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
                           const Tensor4& gout,
                           const std::vector<Tensor4*>& grad_in,
                           const PassContext&) {
+  if (grad_in[0] == nullptr) return;
   const Tensor4& x = *in[0];
   Tensor4& gin = *grad_in[0];
   for (index_t i = 0; i < x.n(); ++i)
@@ -256,8 +261,10 @@ void Concat::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
     index_t off = 0;
     for (std::size_t k = 0; k < in.size(); ++k) {
       const index_t ck = split_[k];
-      real_t* dst = grad_in[k]->sample_ptr(i);
-      for (index_t j = 0; j < ck * hw; ++j) dst[j] += src[off * hw + j];
+      if (grad_in[k] != nullptr) {
+        real_t* dst = grad_in[k]->sample_ptr(i);
+        for (index_t j = 0; j < ck * hw; ++j) dst[j] += src[off * hw + j];
+      }
       off += ck;
     }
   }
@@ -283,7 +290,8 @@ void Add::backward(const std::vector<const Tensor4*>&, const Tensor4&,
                    const Tensor4& gout, const std::vector<Tensor4*>& grad_in,
                    const PassContext&) {
   for (auto* g : grad_in)
-    for (index_t i = 0; i < gout.size(); ++i) (*g)[i] += gout[i];
+    if (g != nullptr)
+      for (index_t i = 0; i < gout.size(); ++i) (*g)[i] += gout[i];
 }
 
 }  // namespace hylo

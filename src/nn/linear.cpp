@@ -47,20 +47,21 @@ void Linear::backward(const std::vector<const Tensor4*>& in,
   const Matrix gy = gout.as_matrix();  // n x d_out
   // Parameter gradient (accumulated): dW_aug += gyᵀ x_aug.
   gemm_tn(gy, x_aug_, params_.gw, 1.0, 1.0);
-  // Input gradient: dX = gy · W (drop the bias column).
-  Matrix dx_aug;
-  gemm(gy, params_.w, dx_aug);  // n x (d_in + 1)
-  Tensor4& gin = *grad_in[0];
-  const index_t d_in = params_.d_in;
-  for (index_t i = 0; i < n; ++i) {
-    const real_t* src = dx_aug.row_ptr(i);
-    real_t* dst = gin.sample_ptr(i);
-    for (index_t j = 0; j < d_in; ++j) dst[j] += src[j];
-  }
   if (ctx.capture) {
     // Per-sample gradients of the *sum* loss: the incoming gout carries the
     // mean-loss gradient, so scale by the batch size.
     params_.g_samples = gy * static_cast<real_t>(n);
+  }
+  Tensor4* gin = grad_in[0];
+  if (gin == nullptr) return;
+  // Input gradient: dX = gy · W (drop the bias column).
+  Matrix dx_aug;
+  gemm(gy, params_.w, dx_aug);  // n x (d_in + 1)
+  const index_t d_in = params_.d_in;
+  for (index_t i = 0; i < n; ++i) {
+    const real_t* src = dx_aug.row_ptr(i);
+    real_t* dst = gin->sample_ptr(i);
+    for (index_t j = 0; j < d_in; ++j) dst[j] += src[j];
   }
   (void)in;
 }

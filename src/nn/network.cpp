@@ -58,8 +58,11 @@ void Network::backward(const Tensor4& grad_out, const PassContext& ctx) {
   HYLO_CHECK(ran_forward_, "backward before forward");
   HYLO_CHECK(grad_out.same_shape(nodes_.back().out),
              "grad_out shape mismatch");
-  // (Re)size and zero all activation gradients for this batch.
-  for (auto& n : nodes_) {
+  // (Re)size and zero the activation gradients of the hidden nodes for this
+  // batch. Nothing reads the input node's gradient, so layers get null for
+  // it and skip it; the output node's is overwritten by grad_out.
+  for (std::size_t k = 1; k + 1 < nodes_.size(); ++k) {
+    Node& n = nodes_[k];
     if (n.out.same_shape(n.grad))
       n.grad.zero();
     else
@@ -75,7 +78,8 @@ void Network::backward(const Tensor4& grad_out, const PassContext& ctx) {
     gin_ptrs.clear();
     for (const int id : n.inputs) {
       in_ptrs.push_back(&nodes_[static_cast<std::size_t>(id)].out);
-      gin_ptrs.push_back(&nodes_[static_cast<std::size_t>(id)].grad);
+      gin_ptrs.push_back(
+          id == 0 ? nullptr : &nodes_[static_cast<std::size_t>(id)].grad);
     }
     n.layer->backward(in_ptrs, n.out, n.grad, gin_ptrs, ctx);
   }

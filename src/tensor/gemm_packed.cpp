@@ -1,6 +1,7 @@
 #include "hylo/tensor/gemm_packed.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "hylo/common/check.hpp"
@@ -32,73 +33,188 @@ constexpr index_t kMaxNR = 8;
 using MicroFn = void (*)(index_t kc, const real_t* ap, const real_t* bp,
                          real_t* c, index_t ldc);
 
+// ---- Microkernel operand sources ---------------------------------------
+// Each tier has one fma chain, fma_chain_<tier>: for k ascending it loads the
+// NR-wide B row b(k), broadcasts a(k, r) for the MR rows and fmas them into
+// the MR accumulators. The sources only say where those operands live, so
+// every instantiation gives each C element the same chain.
+
+/// A from an MR-interleaved packed panel: a(k, r) = ap[k·MR + r].
+struct PanelA {
+  const real_t* ap;
+  real_t operator()(index_t k, int r) const { return ap[k * kMaxMR + r]; }
+};
+
+/// A read in place from a padded sample (direct wgrad, k = output position,
+/// r = patch coordinate): a(k, r) = xp[pos[k] + joff[r]].
+struct SampleA {
+  const real_t* xp;
+  const index_t* pos;
+  const index_t* joff;
+  real_t operator()(index_t k, int r) const { return xp[pos[k] + joff[r]]; }
+};
+
+/// B row k at p + k·ld (a packed panel has ld = NR).
+struct RowsB {
+  const real_t* p;
+  index_t ld;
+  const real_t* operator()(index_t k) const { return p + k * ld; }
+};
+
+/// B row k at row + off[k] (direct forward: NR consecutive output columns of
+/// patch coordinate k, read in place from the padded sample).
+struct OffsetB {
+  const real_t* row;
+  const index_t* off;
+  const real_t* operator()(index_t k) const { return row + off[k]; }
+};
+
+/// One tap of a direct dgrad tile: ap holds W[o, c0 + r, ky, kx] as an
+/// MR-interleaved panel over o, b is gout's zero-margined row at the tap's
+/// shift (row o at b + o·ostride), and `mask` has bit l set when lane l's
+/// (oy, ox) lies inside gout.
+struct DgradTap {
+  const real_t* ap;
+  const real_t* b;
+  unsigned mask;
+};
+
+/// Direct conv kernels of one tier (DESIGN.md §13): C (MR x NR at ldc) +=
+/// the chain over kc steps with the named sources, and the dgrad tile, which
+/// adds each tap's chain from +0.0 into the gin tile under the tap's mask.
+using ConvFwdFn = void (*)(index_t kc, const real_t* ap, const real_t* row,
+                           const index_t* off, real_t* c, index_t ldc);
+using ConvWgradFn = void (*)(index_t kc, const real_t* xp, const index_t* pos,
+                             const index_t* joff, const real_t* bp,
+                             index_t ldb, real_t* c, index_t ldc);
+using ConvDgradFn = void (*)(index_t c_out, index_t ostride,
+                             const DgradTap* taps, index_t ntaps, real_t* gin,
+                             index_t ldg);
+
 #if defined(__x86_64__) || defined(__i386__)
+
+template <typename ASrc, typename BSrc>
+__attribute__((target("avx2,fma"), always_inline)) inline void fma_chain_avx2(
+    index_t kc, const ASrc& a, const BSrc& b, __m256d (&c)[8]) {
+  for (index_t k = 0; k < kc; ++k) {
+    const __m256d bv = _mm256_loadu_pd(b(k));
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r)
+      c[r] = _mm256_fmadd_pd(_mm256_set1_pd(a(k, r)), bv, c[r]);
+  }
+}
+
+template <typename ASrc, typename BSrc>
+__attribute__((target("avx2,fma"), always_inline)) inline void tile_avx2(
+    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc) {
+  __m256d acc[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) acc[r] = _mm256_loadu_pd(c + r * ldc);
+  fma_chain_avx2(kc, a, b, acc);
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) _mm256_storeu_pd(c + r * ldc, acc[r]);
+}
 
 __attribute__((target("avx2,fma"))) void micro_avx2_8x4(index_t kc,
                                                         const real_t* ap,
                                                         const real_t* bp,
                                                         real_t* c,
                                                         index_t ldc) {
-  __m256d c0 = _mm256_loadu_pd(c + 0 * ldc);
-  __m256d c1 = _mm256_loadu_pd(c + 1 * ldc);
-  __m256d c2 = _mm256_loadu_pd(c + 2 * ldc);
-  __m256d c3 = _mm256_loadu_pd(c + 3 * ldc);
-  __m256d c4 = _mm256_loadu_pd(c + 4 * ldc);
-  __m256d c5 = _mm256_loadu_pd(c + 5 * ldc);
-  __m256d c6 = _mm256_loadu_pd(c + 6 * ldc);
-  __m256d c7 = _mm256_loadu_pd(c + 7 * ldc);
-  for (index_t k = 0; k < kc; ++k) {
-    const __m256d b = _mm256_loadu_pd(bp + k * 4);
-    const real_t* a = ap + k * 8;
-    c0 = _mm256_fmadd_pd(_mm256_set1_pd(a[0]), b, c0);
-    c1 = _mm256_fmadd_pd(_mm256_set1_pd(a[1]), b, c1);
-    c2 = _mm256_fmadd_pd(_mm256_set1_pd(a[2]), b, c2);
-    c3 = _mm256_fmadd_pd(_mm256_set1_pd(a[3]), b, c3);
-    c4 = _mm256_fmadd_pd(_mm256_set1_pd(a[4]), b, c4);
-    c5 = _mm256_fmadd_pd(_mm256_set1_pd(a[5]), b, c5);
-    c6 = _mm256_fmadd_pd(_mm256_set1_pd(a[6]), b, c6);
-    c7 = _mm256_fmadd_pd(_mm256_set1_pd(a[7]), b, c7);
+  tile_avx2(kc, PanelA{ap}, RowsB{bp, 4}, c, ldc);
+}
+
+__attribute__((target("avx2,fma"))) void conv_fwd_avx2(
+    index_t kc, const real_t* ap, const real_t* row, const index_t* off,
+    real_t* c, index_t ldc) {
+  tile_avx2(kc, PanelA{ap}, OffsetB{row, off}, c, ldc);
+}
+
+__attribute__((target("avx2,fma"))) void conv_wgrad_avx2(
+    index_t kc, const real_t* xp, const index_t* pos, const index_t* joff,
+    const real_t* bp, index_t ldb, real_t* c, index_t ldc) {
+  tile_avx2(kc, SampleA{xp, pos, joff}, RowsB{bp, ldb}, c, ldc);
+}
+
+__attribute__((target("avx2,fma"))) void conv_dgrad_avx2(
+    index_t c_out, index_t ostride, const DgradTap* taps, index_t ntaps,
+    real_t* gin, index_t ldg) {
+  const __m256i bits = _mm256_setr_epi64x(1, 2, 4, 8);
+  __m256d g[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) g[r] = _mm256_loadu_pd(gin + r * ldg);
+  for (index_t t = 0; t < ntaps; ++t) {
+    __m256d d[8];
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) d[r] = _mm256_setzero_pd();
+    fma_chain_avx2(c_out, PanelA{taps[t].ap}, RowsB{taps[t].b, ostride}, d);
+    const __m256i m = _mm256_and_si256(
+        _mm256_set1_epi64x(static_cast<long long>(taps[t].mask)), bits);
+    const __m256d lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(m, bits));
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r)
+      g[r] = _mm256_blendv_pd(g[r], _mm256_add_pd(g[r], d[r]), lanes);
   }
-  _mm256_storeu_pd(c + 0 * ldc, c0);
-  _mm256_storeu_pd(c + 1 * ldc, c1);
-  _mm256_storeu_pd(c + 2 * ldc, c2);
-  _mm256_storeu_pd(c + 3 * ldc, c3);
-  _mm256_storeu_pd(c + 4 * ldc, c4);
-  _mm256_storeu_pd(c + 5 * ldc, c5);
-  _mm256_storeu_pd(c + 6 * ldc, c6);
-  _mm256_storeu_pd(c + 7 * ldc, c7);
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) _mm256_storeu_pd(gin + r * ldg, g[r]);
+}
+
+template <typename ASrc, typename BSrc>
+__attribute__((target("avx512f"), always_inline)) inline void fma_chain_avx512(
+    index_t kc, const ASrc& a, const BSrc& b, __m512d (&c)[8]) {
+  for (index_t k = 0; k < kc; ++k) {
+    const __m512d bv = _mm512_loadu_pd(b(k));
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r)
+      c[r] = _mm512_fmadd_pd(_mm512_set1_pd(a(k, r)), bv, c[r]);
+  }
+}
+
+template <typename ASrc, typename BSrc>
+__attribute__((target("avx512f"), always_inline)) inline void tile_avx512(
+    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc) {
+  __m512d acc[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) acc[r] = _mm512_loadu_pd(c + r * ldc);
+  fma_chain_avx512(kc, a, b, acc);
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) _mm512_storeu_pd(c + r * ldc, acc[r]);
 }
 
 __attribute__((target("avx512f,avx512dq"))) void micro_avx512_8x8(
     index_t kc, const real_t* ap, const real_t* bp, real_t* c, index_t ldc) {
-  __m512d c0 = _mm512_loadu_pd(c + 0 * ldc);
-  __m512d c1 = _mm512_loadu_pd(c + 1 * ldc);
-  __m512d c2 = _mm512_loadu_pd(c + 2 * ldc);
-  __m512d c3 = _mm512_loadu_pd(c + 3 * ldc);
-  __m512d c4 = _mm512_loadu_pd(c + 4 * ldc);
-  __m512d c5 = _mm512_loadu_pd(c + 5 * ldc);
-  __m512d c6 = _mm512_loadu_pd(c + 6 * ldc);
-  __m512d c7 = _mm512_loadu_pd(c + 7 * ldc);
-  for (index_t k = 0; k < kc; ++k) {
-    const __m512d b = _mm512_loadu_pd(bp + k * 8);
-    const real_t* a = ap + k * 8;
-    c0 = _mm512_fmadd_pd(_mm512_set1_pd(a[0]), b, c0);
-    c1 = _mm512_fmadd_pd(_mm512_set1_pd(a[1]), b, c1);
-    c2 = _mm512_fmadd_pd(_mm512_set1_pd(a[2]), b, c2);
-    c3 = _mm512_fmadd_pd(_mm512_set1_pd(a[3]), b, c3);
-    c4 = _mm512_fmadd_pd(_mm512_set1_pd(a[4]), b, c4);
-    c5 = _mm512_fmadd_pd(_mm512_set1_pd(a[5]), b, c5);
-    c6 = _mm512_fmadd_pd(_mm512_set1_pd(a[6]), b, c6);
-    c7 = _mm512_fmadd_pd(_mm512_set1_pd(a[7]), b, c7);
+  tile_avx512(kc, PanelA{ap}, RowsB{bp, 8}, c, ldc);
+}
+
+__attribute__((target("avx512f,avx512dq"))) void conv_fwd_avx512(
+    index_t kc, const real_t* ap, const real_t* row, const index_t* off,
+    real_t* c, index_t ldc) {
+  tile_avx512(kc, PanelA{ap}, OffsetB{row, off}, c, ldc);
+}
+
+__attribute__((target("avx512f,avx512dq"))) void conv_wgrad_avx512(
+    index_t kc, const real_t* xp, const index_t* pos, const index_t* joff,
+    const real_t* bp, index_t ldb, real_t* c, index_t ldc) {
+  tile_avx512(kc, SampleA{xp, pos, joff}, RowsB{bp, ldb}, c, ldc);
+}
+
+__attribute__((target("avx512f,avx512dq"))) void conv_dgrad_avx512(
+    index_t c_out, index_t ostride, const DgradTap* taps, index_t ntaps,
+    real_t* gin, index_t ldg) {
+  __m512d g[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) g[r] = _mm512_loadu_pd(gin + r * ldg);
+  for (index_t t = 0; t < ntaps; ++t) {
+    __m512d d[8];
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) d[r] = _mm512_setzero_pd();
+    fma_chain_avx512(c_out, PanelA{taps[t].ap}, RowsB{taps[t].b, ostride},
+                     d);
+    const __mmask8 m = static_cast<__mmask8>(taps[t].mask);
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) g[r] = _mm512_mask_add_pd(g[r], m, g[r], d[r]);
   }
-  _mm512_storeu_pd(c + 0 * ldc, c0);
-  _mm512_storeu_pd(c + 1 * ldc, c1);
-  _mm512_storeu_pd(c + 2 * ldc, c2);
-  _mm512_storeu_pd(c + 3 * ldc, c3);
-  _mm512_storeu_pd(c + 4 * ldc, c4);
-  _mm512_storeu_pd(c + 5 * ldc, c5);
-  _mm512_storeu_pd(c + 6 * ldc, c6);
-  _mm512_storeu_pd(c + 7 * ldc, c7);
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) _mm512_storeu_pd(gin + r * ldg, g[r]);
 }
 
 __attribute__((target("avx2"))) void vmul_avx2(real_t* a, const real_t* b,
@@ -302,15 +418,22 @@ struct TierCfg {
   index_t mr = 0;
   index_t nr = 0;
   MicroFn micro = nullptr;
+  // Direct stride-1 conv kernels; null where the tier has none (NEON), which
+  // keeps every conv on the packed passes.
+  ConvFwdFn conv_fwd = nullptr;
+  ConvWgradFn conv_wgrad = nullptr;
+  ConvDgradFn conv_dgrad = nullptr;
 };
 
 TierCfg tier_cfg(Tier t) {
   switch (t) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx2:
-      return {8, 4, micro_avx2_8x4};
+      return {8, 4, micro_avx2_8x4, conv_fwd_avx2, conv_wgrad_avx2,
+              conv_dgrad_avx2};
     case Tier::kAvx512:
-      return {8, 8, micro_avx512_8x8};
+      return {8, 8, micro_avx512_8x8, conv_fwd_avx512, conv_wgrad_avx512,
+              conv_dgrad_avx512};
 #endif
 #if defined(__aarch64__)
     case Tier::kNeon:
@@ -327,8 +450,9 @@ TierCfg tier_cfg(Tier t) {
 /// Per-thread pack scratch, indexed so that buffers alive at the same time
 /// on one thread never alias: 0 = caller-side B pack, 1 = chunk-side A
 /// pack; inside conv's parallel chunks, which never run a packed_gemm_* of
-/// their own, 2 = fused-conv B pack, 3 = wgrad's A pack or dgrad's dcolsᵀ,
-/// 4 = the zero-padded sample.
+/// their own, 2 = packed conv's B pack, direct wgrad's goutᵀ or direct
+/// dgrad's zero-margined gout, 3 = packed wgrad's A pack, packed dgrad's
+/// dcolsᵀ or direct wgrad's gwᵀ, 4 = the zero-padded sample.
 std::vector<real_t>& tl_scratch(int which) {
   static thread_local std::vector<real_t> bufs[5];
   return bufs[which];
@@ -373,19 +497,27 @@ void pack_b(real_t* dst, index_t k0, index_t kc, index_t n, index_t nr,
   }
 }
 
-/// Edge tile: run the microkernel on a copy-in/copy-out scratch tile so the
-/// per-element fma chain is identical to the direct path, then write back
+/// Edge tile: run `kernel(tile, ld)` on a copy-in/copy-out scratch tile so
+/// the per-element fma chain is identical to a full tile's, then write back
 /// only the `rows` x `cols` valid region.
-void micro_edge(const TierCfg& cfg, index_t kc, const real_t* ap,
-                const real_t* bp, real_t* c, index_t ldc, index_t rows,
-                index_t cols) {
+template <typename Kernel>
+void edge_tile(const TierCfg& cfg, real_t* c, index_t ldc, index_t rows,
+               index_t cols, const Kernel& kernel) {
   real_t tmp[kMaxMR * kMaxNR];
   std::fill(tmp, tmp + cfg.mr * cfg.nr, 0.0);
   for (index_t r = 0; r < rows; ++r)
     for (index_t l = 0; l < cols; ++l) tmp[r * cfg.nr + l] = c[r * ldc + l];
-  cfg.micro(kc, ap, bp, tmp, cfg.nr);
+  kernel(tmp, cfg.nr);
   for (index_t r = 0; r < rows; ++r)
     for (index_t l = 0; l < cols; ++l) c[r * ldc + l] = tmp[r * cfg.nr + l];
+}
+
+void micro_edge(const TierCfg& cfg, index_t kc, const real_t* ap,
+                const real_t* bp, real_t* c, index_t ldc, index_t rows,
+                index_t cols) {
+  edge_tile(cfg, c, ldc, rows, cols, [&](real_t* t, index_t ld) {
+    cfg.micro(kc, ap, bp, t, ld);
+  });
 }
 
 /// Which triangle a symmetric tile sweep (sym_tiles) writes: the upper one,
@@ -565,14 +697,17 @@ void sym_tiles(Matrix& c, index_t off, index_t k, const SrcA& srcA,
 // ---- Fused im2col pack sources ----------------------------------------
 
 /// Copy one NCHW sample into the per-thread zero-padded scratch
-/// C x (H+2·pad) x (W+2·pad), writing each element once, so every patch
-/// element is an in-bounds read. With pad 0 the sample already is that
-/// layout and is returned as is.
-const real_t* pad_sample(const real_t* x, const ConvGeometry& g) {
-  if (g.pad == 0) return x;
+/// C x (H+2·pad) x (W+2·pad), writing each element once, then `slack` zeros,
+/// so every patch element is an in-bounds read, and so is each lane a direct
+/// forward edge tile reads past the end of a row. With pad 0 and no slack the
+/// sample already is that layout and is returned as is.
+const real_t* pad_sample(const real_t* x, const ConvGeometry& g,
+                         index_t slack) {
+  if (g.pad == 0 && slack == 0) return x;
   const index_t pad = g.pad, wp = g.in_w + 2 * pad;
   std::vector<real_t>& buf = tl_scratch(4);
-  buf.resize(static_cast<std::size_t>(g.in_c * (g.in_h + 2 * pad) * wp));
+  buf.resize(
+      static_cast<std::size_t>(g.in_c * (g.in_h + 2 * pad) * wp + slack));
   real_t* d = buf.data();
   for (index_t c = 0; c < g.in_c; ++c) {
     d = std::fill_n(d, pad * wp, 0.0);
@@ -583,11 +718,14 @@ const real_t* pad_sample(const real_t* x, const ConvGeometry& g) {
     }
     d = std::fill_n(d, pad * wp, 0.0);
   }
+  std::fill_n(d, slack, 0.0);
   return buf.data();
 }
 
 /// Offsets into the padded sample: patch element (j, p) — patch coordinate
 /// j = (c, ky, kx), output position p = (oy, ox) — is xp[patch[j] + pos[p]].
+/// `patch` runs on to a whole number of MR with offset 0, so a direct wgrad
+/// tile's pad rows read a valid element.
 struct ConvOffsets {
   std::vector<index_t> patch;  ///< c·Hp·Wp + ky·Wp + kx
   std::vector<index_t> pos;    ///< (oy·Wp + ox)·stride
@@ -596,7 +734,10 @@ struct ConvOffsets {
 const ConvOffsets& conv_offsets(const ConvGeometry& g) {
   static thread_local ConvOffsets o;
   const index_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
-  o.patch.resize(static_cast<std::size_t>(g.patch_size()));
+  const index_t patch = g.patch_size();
+  o.patch.assign(static_cast<std::size_t>((patch + kMaxMR - 1) / kMaxMR *
+                                          kMaxMR),
+                 0);
   index_t* pj = o.patch.data();
   for (index_t c = 0; c < g.in_c; ++c)
     for (index_t ky = 0; ky < g.kernel_h; ++ky)
@@ -654,8 +795,7 @@ void pack_b_conv_forward(real_t* dst, const real_t* xp, const ConvOffsets& o,
 /// the bias gradient), then zero pad lanes.
 template <int NR>
 void pack_b_conv_wgrad(real_t* dst, const real_t* xp, const ConvOffsets& o,
-                       index_t k0, index_t kc) {
-  const index_t patch = static_cast<index_t>(o.patch.size());
+                       index_t patch, index_t k0, index_t kc) {
   const index_t* pos = o.pos.data() + k0;
   for (index_t j0 = 0; j0 <= patch; j0 += NR, dst += kc * NR) {
     if (j0 + NR <= patch) {
@@ -758,6 +898,320 @@ void check_packed_tier(const PackedW& pw) {
              "conv weights packed for tier '" << tier_name(pw.tier)
                                               << "' but active tier is '"
                                               << tier_name(active()) << "'");
+}
+
+// ---- Packed conv passes (any stride) ------------------------------------
+
+/// out_plane (bias-filled) += W_main · colsᵀ for one sample through the B
+/// pack, which also sums each packed row into the capture.
+void packed_forward(const TierCfg& cfg, const PackedW& pw, const real_t* x,
+                    const ConvGeometry& g, real_t* out_plane,
+                    real_t* capture_row) {
+  const index_t c_out = pw.rows, patch = pw.cols;
+  const index_t s = g.out_h() * g.out_w();
+  const index_t npan_m = (c_out + cfg.mr - 1) / cfg.mr;
+  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
+  if (capture_row != nullptr) std::fill(capture_row, capture_row + patch, 0.0);
+
+  const real_t* xp = pad_sample(x, g, 0);
+  const ConvOffsets& offs = conv_offsets(g);
+  std::vector<real_t>& bbuf = tl_scratch(2);
+  bbuf.resize(static_cast<std::size_t>(std::min(kKC, patch) * npan_s * cfg.nr));
+  for (index_t k0 = 0; k0 < patch; k0 += kKC) {
+    const index_t kc = std::min(kKC, patch - k0);
+    if (cfg.nr == 8)
+      pack_b_conv_forward<8>(bbuf.data(), xp, offs, k0, kc, capture_row);
+    else
+      pack_b_conv_forward<4>(bbuf.data(), xp, offs, k0, kc, capture_row);
+    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
+    conv_tiles(cfg, kc, ablk, bbuf.data(), out_plane, s, 0, c_out, s);
+  }
+}
+
+/// gw rows [o0, o1) += gout_plane[o0:o1, :] · [cols(x) | 1] for one sample.
+void packed_wgrad(const TierCfg& cfg, const real_t* gout_plane,
+                  const real_t* x, const ConvGeometry& g, Matrix& gw,
+                  index_t o0, index_t o1) {
+  const index_t naug = gw.cols();
+  const index_t s = g.out_h() * g.out_w();
+  const index_t npan_n = (naug + cfg.nr - 1) / cfg.nr;
+
+  const real_t* xp = pad_sample(x, g, 0);
+  const ConvOffsets& offs = conv_offsets(g);
+  std::vector<real_t>& bbuf = tl_scratch(2);
+  std::vector<real_t>& abuf = tl_scratch(3);
+  bbuf.resize(static_cast<std::size_t>(std::min(kKC, s) * npan_n * cfg.nr));
+  const index_t mc_max =
+      ((o1 - o0 + cfg.mr - 1) / cfg.mr) * cfg.mr;  // padded panel rows
+  abuf.resize(static_cast<std::size_t>(std::min(kKC, s) * mc_max));
+
+  for (index_t k0 = 0; k0 < s; k0 += kKC) {
+    const index_t kc = std::min(kKC, s - k0);
+    if (cfg.nr == 8)
+      pack_b_conv_wgrad<8>(bbuf.data(), xp, offs, naug - 1, k0, kc);
+    else
+      pack_b_conv_wgrad<4>(bbuf.data(), xp, offs, naug - 1, k0, kc);
+    pack_a(abuf.data(), o0, o1 - o0, k0, kc, cfg.mr,
+           [gout_plane, s](index_t o, index_t kk) {
+             return gout_plane[o * s + kk];
+           });
+    // conv_tiles indexes C rows absolutely from its base pointer.
+    conv_tiles(cfg, kc, abuf.data(), bbuf.data(), gw.data(), naug, o0, o1,
+               naug);
+  }
+}
+
+/// gin_plane += col2im(dcolsᵀ) for one sample, dcolsᵀ = W_mainᵀ · gout_plane.
+void packed_dgrad(const TierCfg& cfg, const real_t* gout_plane,
+                  const PackedW& pw, const ConvGeometry& g,
+                  real_t* gin_plane) {
+  const index_t patch = pw.rows, c_out = pw.cols;
+  const index_t s = g.out_h() * g.out_w();
+  const index_t npan_m = (patch + cfg.mr - 1) / cfg.mr;
+  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
+
+  // dcolsᵀ = W_mainᵀ · gout_plane. Element (j, p) is the o-ascending chain
+  // fma(W[o, j], gout[o, p], ·) from +0.0 — the same chain as dcols =
+  // goutᵀ · W_main, since fma(a, b, c) == fma(b, a, c).
+  std::vector<real_t>& dt = tl_scratch(3);
+  dt.assign(static_cast<std::size_t>(patch * s), 0.0);
+  std::vector<real_t>& bbuf = tl_scratch(2);
+  bbuf.resize(static_cast<std::size_t>(std::min(kKC, c_out) * npan_s * cfg.nr));
+  for (index_t k0 = 0; k0 < c_out; k0 += kKC) {
+    const index_t kc = std::min(kKC, c_out - k0);
+    pack_b(bbuf.data(), k0, kc, s, cfg.nr,
+           [gout_plane, s](index_t o, index_t p) {
+             return gout_plane[o * s + p];
+           });
+    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
+    conv_tiles(cfg, kc, ablk, bbuf.data(), dt.data(), s, 0, patch, s);
+  }
+  col2im_rows(dt.data(), g, gin_plane);
+}
+
+// ---- Direct stride-1 conv passes ----------------------------------------
+
+/// Sec. IV capture of a direct forward, a pass of its own with the packed
+/// forward's association: each NR-block of flat output positions is summed
+/// lane-ascending, zero pad lanes included, and the block sums are added
+/// block-ascending. The patch coordinates (c, ky, kx .. kx+3) sit at
+/// consecutive offsets, so four of them run as the lanes of one vector add,
+/// which keeps each coordinate's chain; lanes past the kernel read on into
+/// the row (at worst into the scratch's slack) and are dropped. Four blocks'
+/// chains run interleaved, their sums still added in block order.
+void direct_capture(const real_t* xp, const ConvOffsets& o,
+                    const ConvGeometry& g, index_t nr, real_t* capture_row) {
+  constexpr index_t kLanes = 4;
+  using Vec = real_t __attribute__((vector_size(kLanes * sizeof(real_t))));
+  const index_t s = static_cast<index_t>(o.pos.size());
+  const index_t* pos = o.pos.data();
+  const index_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
+  for (index_t c = 0; c < g.in_c; ++c)
+    for (index_t ky = 0; ky < g.kernel_h; ++ky)
+      for (index_t kx = 0; kx < g.kernel_w; kx += kLanes) {
+        const real_t* base = xp + (c * hp + ky) * wp + kx;
+        // acc += the four lanes at output position p.
+        const auto add = [base, pos](Vec& acc, index_t p) {
+          Vec v;
+          std::memcpy(&v, base + pos[p], sizeof v);
+          acc += v;
+        };
+        Vec sum = {};
+        index_t p0 = 0;
+        for (; p0 + 4 * nr <= s; p0 += 4 * nr) {
+          Vec b0 = {}, b1 = {}, b2 = {}, b3 = {};
+          for (index_t l = 0; l < nr; ++l) {
+            add(b0, p0 + l);
+            add(b1, p0 + nr + l);
+            add(b2, p0 + 2 * nr + l);
+            add(b3, p0 + 3 * nr + l);
+          }
+          sum += b0;
+          sum += b1;
+          sum += b2;
+          sum += b3;
+        }
+        for (; p0 < s; p0 += nr) {
+          const index_t lanes = std::min(nr, s - p0);
+          Vec block = {};
+          for (index_t l = 0; l < lanes; ++l) add(block, p0 + l);
+          for (index_t l = lanes; l < nr; ++l) block += Vec{};
+          sum += block;
+        }
+        real_t* dst = capture_row + (c * g.kernel_h + ky) * g.kernel_w + kx;
+        for (index_t t = 0; t < std::min(kLanes, g.kernel_w - kx); ++t)
+          dst[t] = sum[t];
+      }
+}
+
+/// Direct forward: a tile is MR output channels x NR consecutive output
+/// columns of one output row, B row k read in place at xp + patch_off[k] +
+/// oy·Wp + ox0. A partial last lane block runs as an edge tile whose extra
+/// lanes read on past the row (at worst into the scratch's slack) and are
+/// dropped.
+void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
+                    const ConvOffsets& o, const ConvGeometry& g,
+                    real_t* out_plane) {
+  const index_t c_out = pw.rows, patch = pw.cols, mr = cfg.mr, nr = cfg.nr;
+  const index_t oh = g.out_h(), ow = g.out_w(), s = oh * ow;
+  const index_t wp = g.in_w + 2 * g.pad;
+  const index_t npan_m = (c_out + mr - 1) / mr;
+  for (index_t k0 = 0; k0 < patch; k0 += kKC) {
+    const index_t kc = std::min(kKC, patch - k0);
+    const real_t* ablk = pw.data.data() + k0 * npan_m * mr;
+    const index_t* off = o.patch.data() + k0;
+    for (index_t oy = 0; oy < oh; ++oy)
+      for (index_t ox0 = 0; ox0 < ow; ox0 += nr) {
+        const index_t lanes = std::min(nr, ow - ox0);
+        const real_t* row = xp + oy * wp + ox0;
+        for (index_t p = 0; p < c_out; p += mr) {
+          const real_t* ap = ablk + (p / mr) * kc * mr;
+          const index_t rows = std::min(mr, c_out - p);
+          real_t* c = out_plane + p * s + oy * ow + ox0;
+          if (rows == mr && lanes == nr)
+            cfg.conv_fwd(kc, ap, row, off, c, s);
+          else
+            edge_tile(cfg, c, s, rows, lanes, [&](real_t* t, index_t ld) {
+              cfg.conv_fwd(kc, ap, row, off, t, ld);
+            });
+        }
+      }
+  }
+}
+
+/// Direct weight gradient over every sample for gw rows [o0, o1): gwᵀ tiles
+/// of MR patch coordinates x NR output channels accumulate over k = output
+/// position, A broadcast in place from the padded sample and B from goutᵀ,
+/// the only pack. The chunk's gw rows sit transposed in a per-thread scratch
+/// from before the first sample to after the last, so each element keeps its
+/// sample-ascending, position-ascending chain. The bias row adds goutᵀ rows:
+/// fma(g, 1.0, c) == g + c exactly.
+void direct_wgrad(const TierCfg& cfg, const Tensor4& gout, const Tensor4& x,
+                  const ConvGeometry& g, Matrix& gw, index_t o0, index_t o1) {
+  const index_t mr = cfg.mr, nr = cfg.nr, patch = g.patch_size();
+  const index_t s = g.out_h() * g.out_w();
+  const index_t ld = (o1 - o0 + nr - 1) / nr * nr;
+  const index_t rows = (patch + mr - 1) / mr * mr;
+  // gwᵀ: rows [0, patch) the kernel, row `rows` the bias. Pad rows and
+  // columns accumulate values that are never written back.
+  std::vector<real_t>& acc = tl_scratch(3);
+  acc.assign(static_cast<std::size_t>((rows + 1) * ld), 0.0);
+  real_t* gwt = acc.data();
+  real_t* bias = gwt + rows * ld;
+  for (index_t o = o0; o < o1; ++o) {
+    const real_t* w = gw.row_ptr(o);
+    for (index_t j = 0; j < patch; ++j) gwt[j * ld + (o - o0)] = w[j];
+    bias[o - o0] = w[patch];
+  }
+  std::vector<real_t>& gt_buf = tl_scratch(2);
+  gt_buf.assign(static_cast<std::size_t>(s * ld), 0.0);
+  real_t* gt = gt_buf.data();
+  const ConvOffsets& offs = conv_offsets(g);
+  for (index_t i = 0; i < x.n(); ++i) {
+    const real_t* xp = pad_sample(x.sample_ptr(i), g, 0);
+    const real_t* go = gout.sample_ptr(i);
+    for (index_t o = o0; o < o1; ++o)
+      for (index_t p = 0; p < s; ++p) gt[p * ld + (o - o0)] = go[o * s + p];
+    for (index_t p = 0; p < s; ++p)
+      for (index_t l = 0; l < ld; ++l) bias[l] += gt[p * ld + l];
+    for (index_t j0 = 0; j0 < rows; j0 += mr)
+      for (index_t q = 0; q < ld; q += nr)
+        cfg.conv_wgrad(s, xp, offs.pos.data(), offs.patch.data() + j0,
+                       gt + q, ld, gwt + j0 * ld + q, ld);
+  }
+  for (index_t o = o0; o < o1; ++o) {
+    real_t* w = gw.row_ptr(o);
+    for (index_t j = 0; j < patch; ++j) w[j] = gwt[j * ld + (o - o0)];
+    w[patch] = bias[o - o0];
+  }
+}
+
+/// Direct-dgrad weight pack, [c-block][ky][kx][o][MR]: W[o, c0 + r, ky, kx],
+/// zero where c0 + r >= in_c.
+PackedW pack_direct_dgrad_w(const TierCfg& cfg, const Matrix& w_aug,
+                            const ConvGeometry& g) {
+  const index_t c_out = w_aug.rows(), mr = cfg.mr;
+  const index_t taps = g.kernel_h * g.kernel_w;
+  PackedW pw;
+  pw.tier = active();
+  pw.rows = g.patch_size();
+  pw.cols = c_out;
+  pw.data.assign(static_cast<std::size_t>((g.in_c + mr - 1) / mr * mr *
+                                          taps * c_out),
+                 0.0);
+  real_t* d = pw.data.data();
+  for (index_t c0 = 0; c0 < g.in_c; c0 += mr) {
+    const index_t rows = std::min(mr, g.in_c - c0);
+    for (index_t t = 0; t < taps; ++t)
+      for (index_t o = 0; o < c_out; ++o, d += mr)
+        for (index_t r = 0; r < rows; ++r) d[r] = w_aug(o, (c0 + r) * taps + t);
+  }
+  return pw;
+}
+
+/// Direct data gradient for one sample: a tile is MR input channels x NR
+/// consecutive columns of one gin row. Its taps run (ky, kx)-descending; each
+/// computes D = Σ_o W[o, c, ky, kx]·gout[o, iy + pad − ky, ix + pad − kx] as
+/// an o-ascending fma chain from +0.0 and adds it to the tile on the lanes
+/// whose (oy, ox) lies inside gout. Per gin element that is col2im_add's
+/// order (oy, then ox ascending) and each term is dcolsᵀ's chain. gout is
+/// read from a per-thread copy with zero margins, so every load is in bounds.
+void direct_dgrad(const TierCfg& cfg, const real_t* gout_plane,
+                  const PackedW& pw, const ConvGeometry& g,
+                  real_t* gin_plane) {
+  const index_t mr = cfg.mr, nr = cfg.nr, c_out = pw.cols;
+  const index_t kh = g.kernel_h, kw = g.kernel_w, pad = g.pad;
+  const index_t oh = g.out_h(), ow = g.out_w();
+  // Row oy of channel o starts at gp + (o·oh + oy)·wg, between lm zeros and
+  // wg − lm − ow zeros: a tap's lanes start at most kw − 1 − pad columns
+  // left of the row and end less than kw + nr columns past it.
+  const index_t lm = std::max<index_t>(0, kw - 1 - pad);
+  const index_t wg = lm + ow + kw + nr;
+  std::vector<real_t>& gbuf = tl_scratch(2);
+  gbuf.resize(static_cast<std::size_t>(c_out * oh * wg));
+  real_t* d = gbuf.data();
+  for (const real_t* src = gout_plane; src < gout_plane + c_out * oh * ow;
+       src += ow) {
+    d = std::fill_n(d, lm, 0.0);
+    d = std::copy_n(src, ow, d);
+    d = std::fill_n(d, wg - lm - ow, 0.0);
+  }
+  const real_t* gp = gbuf.data() + lm;
+  const index_t ostride = oh * wg, ldg = g.in_h * g.in_w;
+  const index_t tap_panel = c_out * mr;
+  static thread_local std::vector<DgradTap> taps;
+  taps.resize(static_cast<std::size_t>(kh * kw));
+  for (index_t c0 = 0; c0 < g.in_c; c0 += mr) {
+    const index_t rows = std::min(mr, g.in_c - c0);
+    const real_t* wc = pw.data.data() + (c0 / mr) * kh * kw * tap_panel;
+    for (index_t iy = 0; iy < g.in_h; ++iy)
+      for (index_t ix0 = 0; ix0 < g.in_w; ix0 += nr) {
+        const index_t lanes = std::min(nr, g.in_w - ix0);
+        index_t nt = 0;
+        for (index_t ky = kh - 1; ky >= 0; --ky) {
+          const index_t oy = iy + pad - ky;
+          if (oy < 0 || oy >= oh) continue;
+          for (index_t kx = kw - 1; kx >= 0; --kx) {
+            // Lane l reads ox = shift + l; it has a term iff 0 <= ox < ow.
+            const index_t shift = ix0 + pad - kx;
+            const index_t lo = std::max<index_t>(0, -shift);
+            const index_t hi = std::min(lanes, ow - shift);
+            if (lo >= hi) continue;
+            taps[static_cast<std::size_t>(nt++)] = {
+                wc + (ky * kw + kx) * tap_panel, gp + oy * wg + shift,
+                ((1u << hi) - 1) & ~((1u << lo) - 1)};
+          }
+        }
+        if (nt == 0) continue;
+        real_t* c = gin_plane + (c0 * g.in_h + iy) * g.in_w + ix0;
+        if (rows == mr && lanes == nr)
+          cfg.conv_dgrad(c_out, ostride, taps.data(), nt, c, ldg);
+        else
+          edge_tile(cfg, c, ldg, rows, lanes, [&](real_t* t, index_t ld) {
+            cfg.conv_dgrad(c_out, ostride, taps.data(), nt, t, ld);
+          });
+      }
+  }
 }
 
 }  // namespace
@@ -932,7 +1386,13 @@ real_t vdot(const real_t* a, const real_t* b, index_t n) {
   return acc;
 }
 
-// ---- Fused-im2col convolution ------------------------------------------
+// ---- Convolution ----------------------------------------------------------
+
+bool conv_direct(const ConvGeometry& g) {
+  if (active() == Tier::kScalar) return false;
+  const TierCfg cfg = tier_cfg(active());
+  return cfg.conv_fwd != nullptr && g.stride == 1 && g.out_w() >= cfg.nr;
+}
 
 PackedW pack_conv_forward_w(const Matrix& w_aug) {
   const index_t c_out = w_aug.rows(), patch = w_aug.cols() - 1;
@@ -947,103 +1407,54 @@ PackedW pack_conv_forward_w(const Matrix& w_aug) {
   return pw;
 }
 
-PackedW pack_conv_dgrad_w(const Matrix& w_aug) {
+PackedW pack_conv_dgrad_w(const Matrix& w_aug, const ConvGeometry& g) {
+  const TierCfg cfg = tier_cfg(active());
+  if (conv_direct(g)) return pack_direct_dgrad_w(cfg, w_aug, g);
   const index_t c_out = w_aug.rows(), patch = w_aug.cols() - 1;
   const real_t* w = w_aug.data();
   const index_t ldw = w_aug.cols();
-  return pack_a_all(tier_cfg(active()), patch, c_out,
+  return pack_a_all(cfg, patch, c_out,
                     [w, ldw](index_t j, index_t o) { return w[o * ldw + j]; });
 }
 
-void packed_conv_forward(const PackedW& pw, const real_t* x,
-                         const ConvGeometry& g, real_t* out_plane,
-                         real_t* capture_row) {
+void conv_forward(const PackedW& pw, const real_t* x, const ConvGeometry& g,
+                  real_t* out_plane, real_t* capture_row) {
   check_packed_tier(pw);
   const TierCfg cfg = tier_cfg(active());
-  const index_t c_out = pw.rows, patch = pw.cols;
   const index_t s = g.out_h() * g.out_w();
-  const index_t npan_m = (c_out + cfg.mr - 1) / cfg.mr;
-  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
-
-  for (index_t o = 0; o < c_out; ++o)
+  for (index_t o = 0; o < pw.rows; ++o)
     std::fill(out_plane + o * s, out_plane + (o + 1) * s,
               pw.bias[static_cast<std::size_t>(o)]);
-  if (capture_row != nullptr) std::fill(capture_row, capture_row + patch, 0.0);
-
-  const real_t* xp = pad_sample(x, g);
-  const ConvOffsets& offs = conv_offsets(g);
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  bbuf.resize(static_cast<std::size_t>(std::min(kKC, patch) * npan_s * cfg.nr));
-  for (index_t k0 = 0; k0 < patch; k0 += kKC) {
-    const index_t kc = std::min(kKC, patch - k0);
-    if (cfg.nr == 8)
-      pack_b_conv_forward<8>(bbuf.data(), xp, offs, k0, kc, capture_row);
-    else
-      pack_b_conv_forward<4>(bbuf.data(), xp, offs, k0, kc, capture_row);
-    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
-    conv_tiles(cfg, kc, ablk, bbuf.data(), out_plane, s, 0, c_out, s);
+  if (!conv_direct(g)) {
+    packed_forward(cfg, pw, x, g, out_plane, capture_row);
+    return;
   }
+  const real_t* xp = pad_sample(x, g, cfg.nr);
+  const ConvOffsets& offs = conv_offsets(g);
+  direct_forward(cfg, pw, xp, offs, g, out_plane);
+  if (capture_row != nullptr)
+    direct_capture(xp, offs, g, cfg.nr, capture_row);
 }
 
-void packed_conv_wgrad(const real_t* gout_plane, const real_t* x,
-                       const ConvGeometry& g, Matrix& gw, index_t o0,
-                       index_t o1) {
+void conv_wgrad(const Tensor4& gout, const Tensor4& x, const ConvGeometry& g,
+                Matrix& gw, index_t o0, index_t o1) {
   const TierCfg cfg = tier_cfg(active());
-  const index_t naug = gw.cols();
-  const index_t s = g.out_h() * g.out_w();
-  const index_t npan_n = (naug + cfg.nr - 1) / cfg.nr;
-
-  const real_t* xp = pad_sample(x, g);
-  const ConvOffsets& offs = conv_offsets(g);
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  std::vector<real_t>& abuf = tl_scratch(3);
-  bbuf.resize(static_cast<std::size_t>(std::min(kKC, s) * npan_n * cfg.nr));
-  const index_t mc_max =
-      ((o1 - o0 + cfg.mr - 1) / cfg.mr) * cfg.mr;  // padded panel rows
-  abuf.resize(static_cast<std::size_t>(std::min(kKC, s) * mc_max));
-
-  for (index_t k0 = 0; k0 < s; k0 += kKC) {
-    const index_t kc = std::min(kKC, s - k0);
-    if (cfg.nr == 8)
-      pack_b_conv_wgrad<8>(bbuf.data(), xp, offs, k0, kc);
-    else
-      pack_b_conv_wgrad<4>(bbuf.data(), xp, offs, k0, kc);
-    pack_a(abuf.data(), o0, o1 - o0, k0, kc, cfg.mr,
-           [gout_plane, s](index_t o, index_t kk) {
-             return gout_plane[o * s + kk];
-           });
-    // conv_tiles indexes C rows absolutely from its base pointer.
-    conv_tiles(cfg, kc, abuf.data(), bbuf.data(), gw.data(), naug, o0, o1,
-               naug);
+  if (conv_direct(g)) {
+    direct_wgrad(cfg, gout, x, g, gw, o0, o1);
+    return;
   }
+  for (index_t i = 0; i < x.n(); ++i)
+    packed_wgrad(cfg, gout.sample_ptr(i), x.sample_ptr(i), g, gw, o0, o1);
 }
 
-void packed_conv_dgrad(const real_t* gout_plane, const PackedW& pw,
-                       const ConvGeometry& g, real_t* gin_plane) {
+void conv_dgrad(const real_t* gout_plane, const PackedW& pw,
+                const ConvGeometry& g, real_t* gin_plane) {
   check_packed_tier(pw);
   const TierCfg cfg = tier_cfg(active());
-  const index_t patch = pw.rows, c_out = pw.cols;
-  const index_t s = g.out_h() * g.out_w();
-  const index_t npan_m = (patch + cfg.mr - 1) / cfg.mr;
-  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
-
-  // dcolsᵀ = W_mainᵀ · gout_plane. Element (j, p) is the o-ascending chain
-  // fma(W[o, j], gout[o, p], ·) from +0.0 — the same chain as dcols =
-  // goutᵀ · W_main, since fma(a, b, c) == fma(b, a, c).
-  std::vector<real_t>& dt = tl_scratch(3);
-  dt.assign(static_cast<std::size_t>(patch * s), 0.0);
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  bbuf.resize(static_cast<std::size_t>(std::min(kKC, c_out) * npan_s * cfg.nr));
-  for (index_t k0 = 0; k0 < c_out; k0 += kKC) {
-    const index_t kc = std::min(kKC, c_out - k0);
-    pack_b(bbuf.data(), k0, kc, s, cfg.nr,
-           [gout_plane, s](index_t o, index_t p) {
-             return gout_plane[o * s + p];
-           });
-    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
-    conv_tiles(cfg, kc, ablk, bbuf.data(), dt.data(), s, 0, patch, s);
-  }
-  col2im_rows(dt.data(), g, gin_plane);
+  if (conv_direct(g))
+    direct_dgrad(cfg, gout_plane, pw, g, gin_plane);
+  else
+    packed_dgrad(cfg, gout_plane, pw, g, gin_plane);
 }
 
 }  // namespace hylo::kern

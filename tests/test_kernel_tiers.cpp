@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -405,7 +407,11 @@ TEST_F(KernelTiers, FusedConvMatchesMaterializedIm2col) {
 // lane-ascending (pad lanes are +0.0), then adds the block sums in order.
 // The sweep covers lane blocks that span output rows, patches deeper than
 // one KC block, s > KC with s % NR != 0, strides 2 and 3, pad 0 and 2, and
-// kernels 1, 2, 3 and 5.
+// kernels 1, 2, 3 and 5; it runs with the capture off and on, and in each
+// tier it reaches both the direct and the packed path (kern::conv_direct):
+// the ResNet proxy's 16x16 and 8x8 layers, c_out % MR != 0, a 4x4 map
+// (packed at NR = 8, direct at NR = 4), a partial last lane block, a
+// direct forward with patch > KC and a dgrad o-chain longer than KC.
 TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
   if (simd_tiers().empty()) GTEST_SKIP() << "no SIMD tier on this host";
   struct Case {
@@ -427,89 +433,195 @@ TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
       {"stride3", {2, 11, 10}, 3, 3, 3, 1},
       {"k2", {3, 6, 7}, 4, 2, 1, 1},
       {"2x2_map", {4, 2, 2}, 5, 3, 1, 1},
+      {"resnet_16x16", {8, 16, 16}, 8, 3, 1, 1},
+      {"resnet_8x8", {16, 8, 8}, 16, 3, 1, 1},
+      {"cout12", {12, 16, 16}, 12, 3, 1, 1},
+      {"4x4_c32_to_32", {32, 4, 4}, 32, 3, 1, 1},
+      {"28x28_partial_lanes", {3, 28, 28}, 8, 3, 1, 1},
+      {"patch_over_kc", {32, 8, 8}, 8, 3, 1, 1},
+      {"cout_over_kc", {2, 8, 8}, 264, 3, 1, 1},
   };
   const index_t n = 3;
-  const PassContext ctx{.training = true, .capture = true};
 
   for (const Tier tier : simd_tiers()) {
     kern::set_tier(tier);
     // Register-tile width of the B panels (gemm_packed.hpp): 8 on AVX-512,
     // 4 on AVX2 and NEON.
     const index_t nr = tier == Tier::kAvx512 ? 8 : 4;
+    int direct = 0, packed = 0;
     for (const int threads : {1, 3}) {
       par::set_num_threads(threads);
-      for (const Case& cs : cases) {
-        SCOPED_TRACE(std::string(kern::tier_name(tier)) + " @" +
-                     std::to_string(threads) + " " + cs.name);
-        Rng rng(321);
-        Conv2d conv(cs.c_out, cs.kernel, cs.stride, cs.pad, rng);
-        const Shape os = conv.infer_shape({cs.in});
-        const ConvGeometry g{.in_c = cs.in.c, .in_h = cs.in.h,
-                             .in_w = cs.in.w, .kernel_h = cs.kernel,
-                             .kernel_w = cs.kernel, .stride = cs.stride,
-                             .pad = cs.pad};
-        const index_t s = os.h * os.w, patch = g.patch_size();
-        ParamBlock& pb = *conv.param_block();
-        for (index_t o = 0; o < cs.c_out; ++o) pb.w(o, patch) = rng.normal();
-        Matrix w_main(cs.c_out, patch);
-        for (index_t o = 0; o < cs.c_out; ++o)
-          for (index_t j = 0; j < patch; ++j) w_main(o, j) = pb.w(o, j);
-
-        Tensor4 x(n, cs.in.c, cs.in.h, cs.in.w);
-        Tensor4 gout(n, os.c, os.h, os.w);
-        Tensor4 gin(n, cs.in.c, cs.in.h, cs.in.w);
-        for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
-        for (index_t i = 0; i < gout.size(); ++i) gout[i] = rng.normal();
-        for (index_t i = 0; i < gin.size(); ++i) gin[i] = rng.normal();
-        Tensor4 gin_ref = gin;
-
-        Tensor4 out;
-        conv.forward({&x}, out, ctx);
-        conv.backward({&x}, out, gout, {&gin}, ctx);
-
-        Matrix gw_ref(cs.c_out, patch + 1);
-        bool out_ok = true, a_ok = true;
-        for (index_t i = 0; i < n; ++i) {
-          Matrix cols;
-          im2col(x.sample_ptr(i), g, cols);
-
-          Matrix y(cs.c_out, s);
+      for (const bool capture : {false, true}) {
+        const PassContext ctx{.training = true, .capture = capture};
+        for (const Case& cs : cases) {
+          SCOPED_TRACE(std::string(kern::tier_name(tier)) + " @" +
+                       std::to_string(threads) +
+                       (capture ? " capture " : " ") + cs.name);
+          Rng rng(321);
+          Conv2d conv(cs.c_out, cs.kernel, cs.stride, cs.pad, rng);
+          const Shape os = conv.infer_shape({cs.in});
+          const ConvGeometry g{.in_c = cs.in.c, .in_h = cs.in.h,
+                               .in_w = cs.in.w, .kernel_h = cs.kernel,
+                               .kernel_w = cs.kernel, .stride = cs.stride,
+                               .pad = cs.pad};
+          ++(kern::conv_direct(g) ? direct : packed);
+          const index_t s = os.h * os.w, patch = g.patch_size();
+          ParamBlock& pb = *conv.param_block();
           for (index_t o = 0; o < cs.c_out; ++o)
-            for (index_t p = 0; p < s; ++p) y(o, p) = pb.w(o, patch);
-          kern::packed_gemm_nt(w_main, cols, y, 1.0);
-          out_ok = out_ok && std::memcmp(y.data(), out.sample_ptr(i),
-                                         sizeof(real_t) * y.size()) == 0;
+            pb.w(o, patch) = rng.normal();
+          Matrix w_main(cs.c_out, patch);
+          for (index_t o = 0; o < cs.c_out; ++o)
+            for (index_t j = 0; j < patch; ++j) w_main(o, j) = pb.w(o, j);
 
-          Matrix a_row(1, patch + 1);
-          for (index_t j = 0; j < patch; ++j)
-            for (index_t p0 = 0; p0 < s; p0 += nr) {
-              real_t block = 0.0;
-              for (index_t l = 0; l < nr; ++l)
-                block += p0 + l < s ? cols(p0 + l, j) : 0.0;
-              a_row(0, j) += block;
+          Tensor4 x(n, cs.in.c, cs.in.h, cs.in.w);
+          Tensor4 gout(n, os.c, os.h, os.w);
+          Tensor4 gin(n, cs.in.c, cs.in.h, cs.in.w);
+          for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+          for (index_t i = 0; i < gout.size(); ++i) gout[i] = rng.normal();
+          for (index_t i = 0; i < gin.size(); ++i) gin[i] = rng.normal();
+          Tensor4 gin_ref = gin;
+
+          Tensor4 out;
+          conv.forward({&x}, out, ctx);
+          conv.backward({&x}, out, gout, {&gin}, ctx);
+
+          Matrix gw_ref(cs.c_out, patch + 1);
+          bool out_ok = true, a_ok = true;
+          for (index_t i = 0; i < n; ++i) {
+            Matrix cols;
+            im2col(x.sample_ptr(i), g, cols);
+
+            Matrix y(cs.c_out, s);
+            for (index_t o = 0; o < cs.c_out; ++o)
+              for (index_t p = 0; p < s; ++p) y(o, p) = pb.w(o, patch);
+            kern::packed_gemm_nt(w_main, cols, y, 1.0);
+            out_ok = out_ok && std::memcmp(y.data(), out.sample_ptr(i),
+                                           sizeof(real_t) * y.size()) == 0;
+
+            if (capture) {
+              Matrix a_row(1, patch + 1);
+              for (index_t j = 0; j < patch; ++j)
+                for (index_t p0 = 0; p0 < s; p0 += nr) {
+                  real_t block = 0.0;
+                  for (index_t l = 0; l < nr; ++l)
+                    block += p0 + l < s ? cols(p0 + l, j) : 0.0;
+                  a_row(0, j) += block;
+                }
+              a_row(0, patch) = static_cast<real_t>(s);
+              a_ok = a_ok &&
+                     std::memcmp(a_row.data(), pb.a_samples.row_ptr(i),
+                                 sizeof(real_t) * a_row.size()) == 0;
             }
-          a_row(0, patch) = static_cast<real_t>(s);
-          a_ok = a_ok && std::memcmp(a_row.data(), pb.a_samples.row_ptr(i),
-                                     sizeof(real_t) * a_row.size()) == 0;
 
-          Matrix g_i(cs.c_out, s), cols_aug(s, patch + 1);
-          std::copy(gout.sample_ptr(i), gout.sample_ptr(i) + g_i.size(),
-                    g_i.data());
-          for (index_t p = 0; p < s; ++p) {
-            for (index_t j = 0; j < patch; ++j) cols_aug(p, j) = cols(p, j);
-            cols_aug(p, patch) = 1.0;
+            Matrix g_i(cs.c_out, s), cols_aug(s, patch + 1);
+            std::copy(gout.sample_ptr(i), gout.sample_ptr(i) + g_i.size(),
+                      g_i.data());
+            for (index_t p = 0; p < s; ++p) {
+              for (index_t j = 0; j < patch; ++j) cols_aug(p, j) = cols(p, j);
+              cols_aug(p, patch) = 1.0;
+            }
+            kern::packed_gemm_nn(g_i, cols_aug, gw_ref, 1.0);
+
+            Matrix dcols(s, patch);
+            kern::packed_gemm_tn(g_i, nullptr, w_main, dcols, 1.0);
+            col2im_add(dcols, g, gin_ref.sample_ptr(i));
           }
-          kern::packed_gemm_nn(g_i, cols_aug, gw_ref, 1.0);
-
-          Matrix dcols(s, patch);
-          kern::packed_gemm_tn(g_i, nullptr, w_main, dcols, 1.0);
-          col2im_add(dcols, g, gin_ref.sample_ptr(i));
+          EXPECT_TRUE(out_ok) << "forward output";
+          EXPECT_TRUE(a_ok) << "a_samples capture";
+          EXPECT_TRUE(bitwise_equal(pb.gw, gw_ref)) << "weight gradient";
+          EXPECT_TRUE(bitwise_equal(gin, gin_ref)) << "input gradient";
         }
-        EXPECT_TRUE(out_ok) << "forward output";
-        EXPECT_TRUE(a_ok) << "a_samples capture";
-        EXPECT_TRUE(bitwise_equal(pb.gw, gw_ref)) << "weight gradient";
-        EXPECT_TRUE(bitwise_equal(gin, gin_ref)) << "input gradient";
       }
+    }
+    const bool has_direct = tier == Tier::kAvx2 || tier == Tier::kAvx512;
+    EXPECT_EQ(direct > 0, has_direct) << kern::tier_name(tier);
+    EXPECT_GT(packed, 0) << kern::tier_name(tier);
+  }
+}
+
+// A null grad_in entry — the Network passes one for its input node — skips
+// that input's gradient and nothing else: every layer type that can come
+// first keeps its parameter gradients, its capture and its other inputs'
+// gradients bit for bit, in every kernel tier (Conv2d on both its direct
+// and its packed path).
+TEST_F(KernelTiers, NullGradInKeepsParameterGradientsBitwise) {
+  using Make = std::function<std::unique_ptr<Layer>(Rng&)>;
+  struct Case {
+    const char* name;
+    std::vector<Shape> in;
+    Make make;
+  };
+  const std::vector<Case> cases = {
+      {"Linear", {{3, 4, 4}},
+       [](Rng& r) { return std::make_unique<Linear>(5, r); }},
+      {"Conv2d", {{3, 8, 8}},
+       [](Rng& r) { return std::make_unique<Conv2d>(4, 3, 1, 1, r); }},
+      {"Conv2d_stride2", {{3, 8, 8}},
+       [](Rng& r) { return std::make_unique<Conv2d>(4, 3, 2, 1, r); }},
+      {"BatchNorm2d", {{3, 4, 4}},
+       [](Rng&) { return std::make_unique<BatchNorm2d>(); }},
+      {"ReLU", {{3, 4, 4}}, [](Rng&) { return std::make_unique<ReLU>(); }},
+      {"MaxPool2d", {{2, 4, 4}},
+       [](Rng&) { return std::make_unique<MaxPool2d>(2, 2); }},
+      {"AvgPool2d", {{2, 4, 4}},
+       [](Rng&) { return std::make_unique<AvgPool2d>(2); }},
+      {"GlobalAvgPool", {{2, 4, 4}},
+       [](Rng&) { return std::make_unique<GlobalAvgPool>(); }},
+      {"Upsample2x", {{2, 3, 3}},
+       [](Rng&) { return std::make_unique<Upsample2x>(); }},
+      {"Concat", {{2, 4, 4}, {3, 4, 4}},
+       [](Rng&) { return std::make_unique<Concat>(); }},
+      {"Add", {{2, 4, 4}, {2, 4, 4}},
+       [](Rng&) { return std::make_unique<Add>(); }},
+  };
+  const PassContext ctx{.training = true, .capture = true};
+  // Backward with input 0's gradient null or real; returns the parameter
+  // state and the gradients of the other inputs.
+  auto run = [&](const Case& cs, bool null_first) {
+    Rng rng(77);
+    std::unique_ptr<Layer> layer = cs.make(rng);
+    const Shape os = layer->infer_shape(cs.in);
+    std::vector<Tensor4> xs, gins;
+    std::vector<const Tensor4*> in_ptrs;
+    std::vector<Tensor4*> gin_ptrs;
+    for (const Shape& sh : cs.in) {
+      xs.emplace_back(3, sh.c, sh.h, sh.w);
+      gins.emplace_back(3, sh.c, sh.h, sh.w);
+      Tensor4& x = xs.back();
+      for (index_t i = 0; i < x.size(); ++i) x[i] = rng.normal();
+    }
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      in_ptrs.push_back(&xs[k]);
+      gin_ptrs.push_back(null_first && k == 0 ? nullptr : &gins[k]);
+    }
+    Tensor4 out, gout(3, os.c, os.h, os.w);
+    for (index_t i = 0; i < gout.size(); ++i) gout[i] = rng.normal();
+    layer->forward(in_ptrs, out, ctx);
+    layer->backward(in_ptrs, out, gout, gin_ptrs, ctx);
+    std::vector<Matrix> state;
+    if (ParamBlock* pb = layer->param_block()) {
+      state.push_back(pb->gw);
+      state.push_back(pb->a_samples);
+      state.push_back(pb->g_samples);
+    }
+    for (const auto& pp : layer->plain_params()) {
+      Matrix g(1, static_cast<index_t>(pp.grad->size()));
+      std::copy(pp.grad->begin(), pp.grad->end(), g.data());
+      state.push_back(g);
+    }
+    for (std::size_t k = 1; k < gins.size(); ++k)
+      state.push_back(gins[k].as_matrix());
+    return state;
+  };
+  for (const Tier tier : all_tiers()) {
+    kern::set_tier(tier);
+    for (const Case& cs : cases) {
+      SCOPED_TRACE(std::string(kern::tier_name(tier)) + " " + cs.name);
+      const std::vector<Matrix> full = run(cs, false);
+      const std::vector<Matrix> skipped = run(cs, true);
+      ASSERT_EQ(full.size(), skipped.size());
+      for (std::size_t i = 0; i < full.size(); ++i)
+        EXPECT_TRUE(bitwise_equal(full[i], skipped[i])) << "state " << i;
     }
   }
 }

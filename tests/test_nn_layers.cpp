@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "hylo/nn/layers.hpp"
 #include "hylo/nn/loss.hpp"
@@ -209,6 +211,147 @@ TEST(BatchNorm, EvalUsesRunningStats) {
   for (index_t i = 0; i < out.size(); ++i)
     diff = std::max(diff, std::abs(out[i] - tout[i]));
   EXPECT_LT(diff, 0.05);
+}
+
+// BatchNorm2d with x̂ materialized in forward and read back in backward —
+// the layout the layer had before it recomputed x̂ from the saved
+// statistics. Same expressions, so the same roundings.
+struct StoredXHatBatchNorm {
+  real_t momentum = 0.1, eps = 1e-5;
+  std::vector<real_t> gamma, beta, grad_gamma, grad_beta;
+  std::vector<real_t> running_mean, running_var, saved_inv_std;
+  Tensor4 x_hat;
+
+  void forward(const Tensor4& x, Tensor4& out, bool training) {
+    const index_t n = x.n(), c = x.c(), hw = x.h() * x.w();
+    out.resize(n, c, x.h(), x.w());
+    x_hat.resize(n, c, x.h(), x.w());
+    saved_inv_std.assign(static_cast<std::size_t>(c), 0.0);
+    const real_t count = static_cast<real_t>(n * hw);
+    for (index_t ch = 0; ch < c; ++ch) {
+      const auto k = static_cast<std::size_t>(ch);
+      real_t mean, var;
+      if (training) {
+        real_t sum = 0.0, sumsq = 0.0;
+        for (index_t i = 0; i < n; ++i) {
+          const real_t* p = x.sample_ptr(i) + ch * hw;
+          for (index_t j = 0; j < hw; ++j) {
+            sum += p[j];
+            sumsq += p[j] * p[j];
+          }
+        }
+        mean = sum / count;
+        var = sumsq / count - mean * mean;
+        if (var < 0.0) var = 0.0;
+        running_mean[k] = (1.0 - momentum) * running_mean[k] + momentum * mean;
+        running_var[k] = (1.0 - momentum) * running_var[k] + momentum * var;
+      } else {
+        mean = running_mean[k];
+        var = running_var[k];
+      }
+      const real_t inv_std = 1.0 / std::sqrt(var + eps);
+      saved_inv_std[k] = inv_std;
+      for (index_t i = 0; i < n; ++i) {
+        const real_t* px = x.sample_ptr(i) + ch * hw;
+        real_t* ph = x_hat.sample_ptr(i) + ch * hw;
+        real_t* po = out.sample_ptr(i) + ch * hw;
+        for (index_t j = 0; j < hw; ++j) {
+          const real_t xh = (px[j] - mean) * inv_std;
+          ph[j] = xh;
+          po[j] = gamma[k] * xh + beta[k];
+        }
+      }
+    }
+  }
+
+  void backward(const Tensor4& gout, Tensor4& gin, bool training) {
+    const index_t n = gout.n(), c = gout.c(), hw = gout.h() * gout.w();
+    const real_t count = static_cast<real_t>(n * hw);
+    for (index_t ch = 0; ch < c; ++ch) {
+      const auto kc = static_cast<std::size_t>(ch);
+      const real_t inv_std = saved_inv_std[kc];
+      real_t sum_dy = 0.0, sum_dy_xh = 0.0;
+      for (index_t i = 0; i < n; ++i) {
+        const real_t* pg = gout.sample_ptr(i) + ch * hw;
+        const real_t* ph = x_hat.sample_ptr(i) + ch * hw;
+        for (index_t j = 0; j < hw; ++j) {
+          sum_dy += pg[j];
+          sum_dy_xh += pg[j] * ph[j];
+        }
+      }
+      grad_beta[kc] += sum_dy;
+      grad_gamma[kc] += sum_dy_xh;
+      if (training) {
+        const real_t k = gamma[kc] * inv_std / count;
+        for (index_t i = 0; i < n; ++i) {
+          const real_t* pg = gout.sample_ptr(i) + ch * hw;
+          const real_t* ph = x_hat.sample_ptr(i) + ch * hw;
+          real_t* pi = gin.sample_ptr(i) + ch * hw;
+          for (index_t j = 0; j < hw; ++j)
+            pi[j] += k * (count * pg[j] - sum_dy - ph[j] * sum_dy_xh);
+        }
+      } else {
+        const real_t k = gamma[kc] * inv_std;
+        for (index_t i = 0; i < n; ++i) {
+          const real_t* pg = gout.sample_ptr(i) + ch * hw;
+          real_t* pi = gin.sample_ptr(i) + ch * hw;
+          for (index_t j = 0; j < hw; ++j) pi[j] += k * pg[j];
+        }
+      }
+    }
+  }
+};
+
+bool same_bits(const Tensor4& a, const Tensor4& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(real_t) * static_cast<std::size_t>(a.size())) == 0;
+}
+
+bool same_bits(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(real_t) * a.size()) == 0;
+}
+
+// BatchNorm2d keeps no x̂: backward recomputes it from x and the saved
+// statistics. Output, input gradient, scale/shift gradients and running
+// statistics must equal the stored-x̂ layout bit for bit, over training
+// steps and an eval pass (whose grad_gamma uses the running statistics).
+TEST(BatchNorm, RecomputedXHatEqualsStoredXHatBitwise) {
+  Rng rng(24);
+  const Shape s{3, 5, 4};
+  BatchNorm2d bn;
+  bn.infer_shape({s});
+  StoredXHatBatchNorm ref;
+  const auto params = bn.plain_params();
+  for (auto& v : *params[0].value) v = rng.normal();
+  for (auto& v : *params[1].value) v = rng.normal();
+  ref.gamma = *params[0].value;
+  ref.beta = *params[1].value;
+  ref.grad_gamma = *params[0].grad;
+  ref.grad_beta = *params[1].grad;
+  ref.running_mean = *bn.mutable_state()[0];
+  ref.running_var = *bn.mutable_state()[1];
+
+  for (const bool training : {true, true, false}) {
+    SCOPED_TRACE(training ? "train" : "eval");
+    const Tensor4 x = random_batch(rng, 6, s, 2.0);
+    const Tensor4 gout = random_batch(rng, 6, s);
+    Tensor4 gin = random_batch(rng, 6, s);
+    Tensor4 gin_ref = gin;
+    Tensor4 out, out_ref;
+    const PassContext ctx{.training = training, .capture = false};
+    bn.forward({&x}, out, ctx);
+    bn.backward({&x}, out, gout, {&gin}, ctx);
+    ref.forward(x, out_ref, training);
+    ref.backward(gout, gin_ref, training);
+    EXPECT_TRUE(same_bits(out, out_ref)) << "output";
+    EXPECT_TRUE(same_bits(gin, gin_ref)) << "input gradient";
+    EXPECT_TRUE(same_bits(*params[0].grad, ref.grad_gamma)) << "grad_gamma";
+    EXPECT_TRUE(same_bits(*params[1].grad, ref.grad_beta)) << "grad_beta";
+    EXPECT_TRUE(same_bits(*bn.mutable_state()[0], ref.running_mean));
+    EXPECT_TRUE(same_bits(*bn.mutable_state()[1], ref.running_var));
+  }
 }
 
 TEST(Capture, LinearGradientIdentity) {
