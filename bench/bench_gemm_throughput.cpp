@@ -2,8 +2,9 @@
 // every available tier (scalar + packed SIMD, DESIGN.md §13) this times the
 // kernels the optimizer pipeline leans on — gemm (C = AB), gemm_tn (AᵀB,
 // the factor-contraction shape), gram_nt (AAᵀ, the kernel-matrix shape),
-// the conv inference forward (conv_fused) and a conv training
-// pass, capture forward plus backward (conv_train) — at 512³-equivalent
+// the conv inference forward (conv_fused), a conv training pass, capture
+// forward plus backward (conv_train), and the forward, wgrad and dgrad of
+// five small ResNet-proxy conv layers (conv_layers) — at 512³-equivalent
 // work over thread counts {1, 2, 4, hw}, checks every multithreaded result
 // bitwise against the same tier's single-thread reference (the per-tier
 // determinism contract), and writes BENCH_gemm.json with the per-tier
@@ -16,10 +17,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "hylo/tensor/gemm_packed.hpp"
 #include "hylo/tensor/kernel_dispatch.hpp"
 
 using namespace hylo;
@@ -111,6 +114,76 @@ int main() {
            bitwise_equal(x.gw, y.gw) && bitwise_equal(x.a_samples, y.a_samples);
   };
 
+  // conv_layers (SIMD tiers): the ResNet-32 proxy's (width 8) layers that ran
+  // fused im2col packs before every zoo conv went direct, the stride-2 3x3
+  // and 1x1 downsamples from 16x16 and from 8x8 and the 4x4 stage, each pass
+  // timed on its own at batch cn: the inference forward, the wgrad
+  // (Conv2d::backward without an input gradient) and the dgrad (the calls
+  // Conv2d::backward makes: one weight pack, then the per-sample pass).
+  struct ConvLayer {
+    const char* name;
+    Shape in;
+    index_t c_out, kernel, stride, pad;
+  };
+  const ConvLayer conv_layer_shapes[] = {
+      {"3x3_s2_16x16", {8, 16, 16}, 16, 3, 2, 1},
+      {"3x3_s2_8x8", {16, 8, 8}, 32, 3, 2, 1},
+      {"1x1_s2_16x16", {8, 16, 16}, 16, 1, 2, 0},
+      {"1x1_s2_8x8", {16, 8, 8}, 32, 1, 2, 0},
+      {"3x3_4x4", {32, 4, 4}, 32, 3, 1, 1},
+  };
+  struct LayerBench {
+    const ConvLayer& shape;
+    Conv2d conv;
+    ConvGeometry g;
+    Tensor4 x, gout;
+    double flops;  // forward and dgrad; wgrad credits patch + 1 columns
+    Tensor4 out, gin;
+  };
+  std::vector<std::unique_ptr<LayerBench>> layer_bench;
+  for (const ConvLayer& cl : conv_layer_shapes) {
+    auto lb = std::unique_ptr<LayerBench>(new LayerBench{
+        cl, Conv2d(cl.c_out, cl.kernel, cl.stride, cl.pad, wrng, cl.name),
+        ConvGeometry{.in_c = cl.in.c, .in_h = cl.in.h, .in_w = cl.in.w,
+                     .kernel_h = cl.kernel, .kernel_w = cl.kernel,
+                     .stride = cl.stride, .pad = cl.pad},
+        Tensor4(cn, cl.in.c, cl.in.h, cl.in.w), Tensor4(), 0.0, Tensor4(),
+        Tensor4()});
+    const Shape os = lb->conv.infer_shape({cl.in});
+    lb->gout.resize(cn, os.c, os.h, os.w);
+    for (index_t i = 0; i < lb->x.size(); ++i) lb->x[i] = rng.normal();
+    for (index_t i = 0; i < lb->gout.size(); ++i) lb->gout[i] = rng.normal();
+    lb->flops = 2.0 * static_cast<double>(cn * os.c * os.h * os.w *
+                                          lb->g.patch_size());
+    layer_bench.push_back(std::move(lb));
+  }
+  const PassContext wctx{.training = true, .capture = false};
+  const char* const pass_names[] = {"forward", "wgrad", "dgrad"};
+  // One pass of a layer; its result is lb.out, the layer's gw or lb.gin.
+  auto run_pass = [&](LayerBench& lb, int pass) {
+    ParamBlock& pb = *lb.conv.param_block();
+    if (pass == 0) {
+      lb.conv.forward({&lb.x}, lb.out, cctx);
+    } else if (pass == 1) {
+      pb.gw.zero();
+      lb.conv.backward({&lb.x}, lb.gout, lb.gout, {nullptr}, wctx);
+    } else {
+      lb.gin.resize(cn, lb.g.in_c, lb.g.in_h, lb.g.in_w);
+      const kern::PackedW pwd = kern::pack_conv_dgrad_w(pb.w, lb.g);
+      par::parallel_for(0, cn, 1, [&](index_t n0, index_t n1) {
+        for (index_t i = n0; i < n1; ++i)
+          kern::conv_dgrad(lb.gout.sample_ptr(i), pwd, lb.g,
+                           lb.gin.sample_ptr(i));
+      });
+    }
+  };
+  auto pass_result = [](LayerBench& lb, int pass) {
+    return pass == 0   ? lb.out.as_matrix()
+           : pass == 1 ? lb.conv.param_block()->gw
+                       : lb.gin.as_matrix();
+  };
+  const int conv_reps = 20;
+
   // Thread counts to sweep: 1, 2, 4 and the hardware default, deduplicated.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::vector<int> counts{1, 2, 4};
@@ -161,6 +234,13 @@ int main() {
     conv.forward({&cx}, conv_ref, cctx);
     ConvTrainOut train_ref;
     conv_train(train_ref);
+    const bool simd = tier != kern::Tier::kScalar;
+    std::vector<Matrix> layer_ref;
+    for (auto& lb : layer_bench)
+      for (int pass = 0; pass < 3 && simd; ++pass) {
+        run_pass(*lb, pass);
+        layer_ref.push_back(pass_result(*lb, pass));
+      }
 
     obs::Json by_threads = obs::Json::array();
     for (const int t : counts) {
@@ -224,6 +304,40 @@ int main() {
                     << " threads, tier " << kern::tier_name(tier) << "\n";
           return 1;
         }
+      }
+      if (simd) {
+        obs::Json layers = obs::Json::object();
+        std::size_t ri = 0;
+        for (auto& lb : layer_bench) {
+          obs::Json jl = obs::Json::object();
+          bool bitwise = true;
+          std::cout << "    conv " << lb->shape.name << ":";
+          for (int pass = 0; pass < 3; ++pass) {
+            const double sec =
+                time_best([&] { run_pass(*lb, pass); }, conv_reps);
+            const Matrix& ref = layer_ref[ri++];
+            bitwise = bitwise && bitwise_equal(pass_result(*lb, pass), ref);
+            const double flops =
+                pass == 1 ? lb->flops * static_cast<double>(ref.cols()) /
+                                static_cast<double>(ref.cols() - 1)
+                          : lb->flops;
+            obs::Json jp = obs::Json::object();
+            jp.set("seconds", sec);
+            jp.set("gflops", flops / sec * 1e-9);
+            jl.set(pass_names[pass], std::move(jp));
+            std::cout << " " << pass_names[pass] << " " << sec * 1e6 << " us";
+          }
+          jl.set("bitwise_identical", bitwise);
+          layers.set(lb->shape.name, std::move(jl));
+          std::cout << (bitwise ? "" : "  [MISMATCH vs 1-thread]") << "\n";
+          if (!bitwise) {
+            std::cerr << "bitwise mismatch: conv " << lb->shape.name << " at "
+                      << t << " threads, tier " << kern::tier_name(tier)
+                      << "\n";
+            return 1;
+          }
+        }
+        row.set("conv_layers", std::move(layers));
       }
       by_threads.push(std::move(row));
     }
@@ -315,6 +429,45 @@ int main() {
            "the upper triangle through the microkernel and mirrors once "
            "per row block, so its dense-equivalent gflops now beat gemm");
 
+  // The conv_layers rows before these layers went direct: this bench's
+  // source built against commit 98e1777, where they ran fused im2col packs
+  // (the 4x4 layer already ran direct on AVX2), median microseconds of 9
+  // runs alternated with the direct build's, 1 thread, on the machine that
+  // wrote the checked-in BENCH_gemm.json.
+  struct LayerBefore {
+    const char* tier;
+    const char* layer;
+    double forward_us, wgrad_us, dgrad_us;
+  };
+  const LayerBefore before[] = {
+      {"avx2", "3x3_s2_16x16", 296.8, 257.7, 255.8},
+      {"avx2", "3x3_s2_8x8", 205.0, 216.4, 190.6},
+      {"avx2", "1x1_s2_16x16", 49.5, 53.1, 61.2},
+      {"avx2", "1x1_s2_8x8", 28.7, 36.0, 38.1},
+      {"avx2", "3x3_4x4", 286.2, 320.6, 181.4},
+      {"avx512", "3x3_s2_16x16", 188.5, 172.0, 179.6},
+      {"avx512", "3x3_s2_8x8", 139.4, 137.4, 135.3},
+      {"avx512", "1x1_s2_16x16", 31.1, 44.7, 48.7},
+      {"avx512", "1x1_s2_8x8", 20.9, 28.3, 30.5},
+      {"avx512", "3x3_4x4", 260.0, 282.7, 252.9},
+  };
+  obs::Json before_rows = obs::Json::array();
+  for (const LayerBefore& b : before) {
+    obs::Json row = obs::Json::object();
+    row.set("tier", b.tier);
+    row.set("layer", b.layer);
+    row.set("forward_us", b.forward_us);
+    row.set("wgrad_us", b.wgrad_us);
+    row.set("dgrad_us", b.dgrad_us);
+    before_rows.push(std::move(row));
+  }
+  obs::Json conv_before = obs::Json::object();
+  conv_before.set("commit", "98e1777");
+  conv_before.set("note",
+                  "conv_layers with fused im2col packs, same bench source, "
+                  "median of 9 runs alternated with this build's, 1 thread");
+  conv_before.set("rows", std::move(before_rows));
+
   obs::Json doc = obs::Json::object();
   doc.set("bench", "gemm_throughput");
   doc.set("n", static_cast<std::int64_t>(n));
@@ -324,10 +477,17 @@ int main() {
           "batch " + std::to_string(cn) + " x 16x28x28, conv 32c 3x3 s1 p1; "
           "conv_fused: inference forward, conv_train: capture forward + "
           "backward (wgrad, dgrad), checked bitwise on out, gw, a_samples "
-          "and gin (direct in-place passes in the x86 SIMD tiers, packed "
-          "im2col on NEON, materialized in scalar)");
+          "and gin (direct passes in the x86 SIMD tiers, im2col + the "
+          "tier's packed GEMMs on NEON, per-sample patch matrices in "
+          "scalar); conv_layers (SIMD tiers): best-of-" +
+              std::to_string(conv_reps) +
+              " seconds per pass (forward, wgrad, dgrad) of the width-8 "
+              "ResNet proxy's stride-2 3x3 and 1x1 convs from 16x16 and "
+              "8x8 and its 4x4 3x3 conv, batch " +
+              std::to_string(cn) + ", each checked bitwise");
   doc.set("tiers", std::move(tiers_json));
   doc.set("seed_baseline", std::move(seed));
+  doc.set("conv_layers_parent", std::move(conv_before));
   doc.set("roofline", std::move(roofline));
   doc.set("notes", std::move(early_out));
   doc.set("audit_overhead", std::move(audit_row));

@@ -13,6 +13,7 @@
 #include "hylo/optim/kfac.hpp"
 #include "hylo/optim/sngd.hpp"
 #include "hylo/par/thread_pool.hpp"
+#include "hylo/tensor/kernel_dispatch.hpp"
 #include "hylo/tensor/ops.hpp"
 
 namespace hylo {
@@ -94,6 +95,7 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
       start.set("compute_model", cfg_.compute.name);
     }
     start.set("params", net_->num_params());
+    start.set("kernel_tier", kern::tier_name(kern::active()));
     start.set("segmentation", segmentation_);
     if (comm_.faults_active()) {
       const FaultConfig& fc = comm_.fault_plan()->config();

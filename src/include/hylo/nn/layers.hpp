@@ -53,9 +53,9 @@ class Conv2d : public Layer {
   ParamBlock params_;
   ConvGeometry geom_;
   // Per-sample im2col cache from forward — scalar kernel tier only. The
-  // SIMD tiers' conv passes (gemm_packed.hpp) read patches from a
-  // zero-padded copy of the layer input, and keep this empty; so a
-  // scalar-tier backward after a SIMD-tier forward throws.
+  // SIMD tiers' conv passes (gemm_packed.hpp) read the layer input again in
+  // every pass and keep this empty; so a scalar-tier backward after a
+  // SIMD-tier forward throws.
   std::vector<Matrix> cols_;
 };
 

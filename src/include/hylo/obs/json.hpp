@@ -114,8 +114,12 @@ class Json {
   void dump(std::ostream& os) const;
   std::string dump() const;
 
+  /// Deepest nesting of arrays and objects that parse accepts, far above
+  /// the few levels the library's own records use.
+  static constexpr int kMaxDepth = 512;
+
   /// Strict parse of a complete JSON document; throws hylo::Error with the
-  /// offending offset on malformed input.
+  /// offending offset on malformed input, nesting past kMaxDepth included.
   static Json parse(const std::string& text);
 
  private:

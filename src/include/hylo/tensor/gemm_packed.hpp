@@ -12,8 +12,8 @@
 ///     8x4 NEON, selected by hylo::kern::active()) accumulates
 ///     C-tile += Apanel · Bpanel with the k loop innermost. On x86 the fma
 ///     chain is one template per tier whose A and B sources are parameters:
-///     the GEMMs read packed panels, the direct conv passes read the sample
-///     and gout in place.
+///     the GEMMs read packed panels, the direct conv passes read the phase
+///     planes and gout in place, a B row whole or as two half-rows.
 ///   * Edge tiles (m % MR, n % NR, and the symmetric kernels' diagonal
 ///     straddle) run the same microkernel on a copy-in/copy-out scratch
 ///     tile, so every element sees the identical fma chain regardless of
@@ -85,51 +85,50 @@ void vadd_where_positive(real_t* acc, const real_t* g, const real_t* x,
 real_t vdot(const real_t* a, const real_t* b, index_t n);
 
 // ---- Convolution (SIMD tiers) ------------------------------------------
-// The conv passes consume im2col patches straight from the NCHW sample, so
-// no per-sample patch matrix (the scalar tier's Conv2d::cols_) is ever
-// materialized. Each entry point picks one of two paths from the geometry
-// and the tier alone (conv_direct):
+// Each conv pass takes one of two routes, picked from the geometry and the
+// tier alone (conv_direct), the same for all three passes of a layer:
 //
-//   * Direct (stride 1, output rows at least NR wide, AVX2/AVX-512): no
-//     pack of the sample at all. The forward's B rows and the wgrad's A
-//     broadcasts are read in place from a zero-padded copy of the sample,
-//     and the dgrad adds per-tap register tiles straight into gin.
-//   * Packed (every other geometry, and every NEON conv): the forward and
-//     wgrad pack im2col panels from the padded sample through two offset
-//     tables, and the dgrad runs dcolsᵀ = W_mainᵀ·gout, then col2im.
+//   * Direct (AVX2, AVX-512; every conv the model zoo builds): no im2col.
+//     The forward reads its B rows in place from the sample's stride² phase
+//     planes, the wgrad its A broadcasts from the zero-padded sample, and
+//     the dgrad adds per-tap register tiles into each gin stride phase.
+//     Rows narrower than NR run as two-row tiles, NR/2 lanes from each.
+//   * Materialized (NEON, and x86 rows under NR/2 after the phase split):
+//     im2col per sample, then the tier's packed GEMMs, run inline inside
+//     Conv2d's parallel chunks.
 //
 // Either way every pass moves values in the order the materialized GEMMs
 // use and does no extra arithmetic, so its bits equal them
 // (test_kernel_tiers FusedConvEqualsMaterializedGemmBitwise). Reading the
-// padded sample through offsets needs every window inside the padded input,
+// planes through offsets needs every window inside the padded input,
 // H + 2·pad >= kernel and W + 2·pad >= kernel, which Conv2d::infer_shape
 // checks. These functions are serial by design — Conv2d parallelizes over
 // samples (forward/dgrad) and output channels (wgrad) around them.
 
 /// Prepacked conv weight operand: MR-interleaved A-side panels per KC block
-/// of W_main (forward), of W_mainᵀ (packed dgrad), or per (channel block,
-/// tap) over o (direct dgrad); `bias` is w(:, patch) (forward packs only).
+/// of W_main (direct forward) or per (channel block, tap) over o (direct
+/// dgrad), or W_main itself (materialized route); `bias` is w(:, patch)
+/// (forward packs only).
 struct PackedW {
   Tier tier = Tier::kScalar;
   index_t rows = 0;  ///< logical row count of the packed operand
   index_t cols = 0;  ///< logical column count of the packed operand
   std::vector<real_t> data;
   std::vector<real_t> bias;
+  Matrix main;  ///< W_main (c_out x patch), materialized route only
 };
 
 /// True when the conv passes of geometry `g` take the direct path in the
-/// active tier: stride 1, out_w() >= NR, and a tier with direct kernels
-/// (AVX2, AVX-512). Narrower rows waste most of each lane block, so they
-/// stay packed with strided and NEON convs.
+/// active tier: a tier with direct kernels (AVX2, AVX-512) and tile rows at
+/// least NR/2 wide, the output rows and those of each gin stride phase.
 bool conv_direct(const ConvGeometry& g);
 
-/// A-side pack of W_main (c_out x patch) for the forward GEMM
-/// out_plane = W_main · colsᵀ; also captures the bias column.
-PackedW pack_conv_forward_w(const Matrix& w_aug);
+/// Weight operand of conv_forward for geometry `g`: W_main (c_out x patch),
+/// A-side packed for the direct path; also captures the bias column.
+PackedW pack_conv_forward_w(const Matrix& w_aug, const ConvGeometry& g);
 
-/// Weight operand of conv_dgrad for geometry `g`: W_mainᵀ (patch x c_out)
-/// packed A-side for the packed path, or per channel block and tap for the
-/// direct one.
+/// Weight operand of conv_dgrad for geometry `g`: packed per channel block
+/// and tap for the direct path, or W_main.
 PackedW pack_conv_dgrad_w(const Matrix& w_aug, const ConvGeometry& g);
 
 /// out_plane (c_out x s, NCHW plane of one sample) = W_main · cols(x)ᵀ +

@@ -91,6 +91,8 @@ struct ConvGeometry {
   index_t out_w() const { return (in_w + 2 * pad - kernel_w) / stride + 1; }
   /// im2col row length = C * kh * kw.
   index_t patch_size() const { return in_c * kernel_h * kernel_w; }
+
+  bool operator==(const ConvGeometry&) const = default;
 };
 
 /// im2col for one sample: returns (out_h*out_w) x (C*kh*kw); row p holds the

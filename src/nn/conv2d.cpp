@@ -52,12 +52,12 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
   }
 
   if (kern::active() != kern::Tier::kScalar) {
-    // SIMD path (DESIGN.md §13): the conv passes read patches straight from
-    // the NCHW sample, so no per-sample patch matrix is ever materialized —
-    // backward reads in[0] again instead of a cols_ cache.
+    // SIMD path (DESIGN.md §13): the conv passes read patches from the NCHW
+    // sample, so no per-sample patch matrix outlives a pass — backward
+    // reads in[0] again instead of a cols_ cache.
     cols_.clear();
     cols_.shrink_to_fit();
-    const kern::PackedW pw = kern::pack_conv_forward_w(params_.w);
+    const kern::PackedW pw = kern::pack_conv_forward_w(params_.w, geom_);
     par::parallel_for(
         0, n, 1,
         [&](index_t n0, index_t n1) {
@@ -141,8 +141,8 @@ void Conv2d::backward(const std::vector<const Tensor4*>& in,
     // Weight gradient: gw rows [o0, o1) accumulate
     // gout[i][o0:o1, :] · [cols(x_i) | 1] over the samples, patches read
     // from x_i on the fly. Grain 8 keeps chunk boundaries on whole register
-    // tiles: the packed pass's MR=8 row panels, the direct pass's NR-wide
-    // gwᵀ columns. Per gw element the accumulation is sample-ascending then
+    // tiles: the direct pass's NR-wide gwᵀ columns, the materialized GEMM's
+    // MR=8 row panels. Per gw element the accumulation is sample-ascending then
     // position-ascending regardless of the channel partition — bitwise
     // identical at any thread count within the tier.
     par::parallel_for(

@@ -65,14 +65,26 @@ class Parser {
     skip_ws();
     HYLO_CHECK(pos_ < text_.size(), "unexpected end of JSON");
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested(&Parser::parse_object);
+      case '[': return nested(&Parser::parse_array);
       case '"': return Json(parse_string());
       case 't': expect("true"); return Json(true);
       case 'f': expect("false"); return Json(false);
       case 'n': expect("null"); return Json();
       default: return parse_number();
     }
+  }
+
+  // One more array or object level, refused past Json::kMaxDepth so that
+  // hostile input cannot exhaust the stack.
+  Json nested(Json (Parser::*parse)()) {
+    HYLO_CHECK(++depth_ <= Json::kMaxDepth,
+               "JSON nesting depth " << depth_ << " is past the limit "
+                                     << Json::kMaxDepth << " at offset "
+                                     << pos_);
+    Json v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   Json parse_object() {
@@ -200,6 +212,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

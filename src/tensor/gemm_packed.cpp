@@ -62,28 +62,46 @@ struct RowsB {
 };
 
 /// B row k at row + off[k] (direct forward: NR consecutive output columns of
-/// patch coordinate k, read in place from the padded sample).
+/// patch coordinate k, read in place from the phase planes).
 struct OffsetB {
   const real_t* row;
   const index_t* off;
   const real_t* operator()(index_t k) const { return row + off[k]; }
 };
 
+/// A B row as two half-rows: lanes [0, NR/2) at lo, lanes [NR/2, NR) at hi.
+struct Halves {
+  const real_t* lo;
+  const real_t* hi;
+};
+
+/// A two-row tile's B source: NR/2 lanes of source `one`'s row k, then NR/2
+/// lanes `gap` further on (the next output or gin row).
+template <typename B>
+struct TwoRows {
+  B one;
+  index_t gap;
+  Halves operator()(index_t k) const { return {one(k), one(k) + gap}; }
+};
+
 /// One tap of a direct dgrad tile: ap holds W[o, c0 + r, ky, kx] as an
-/// MR-interleaved panel over o, b is gout's zero-margined row at the tap's
-/// shift (row o at b + o·ostride), and `mask` has bit l set when lane l's
-/// (oy, ox) lies inside gout.
+/// MR-interleaved panel over o, b is gout's row at the tap's shift (row o at
+/// b + o·ostride; a two-row tile's second half `gap` further on), and
+/// `mask` has bit l set when lane l's (oy, ox) lies inside gout.
 struct DgradTap {
   const real_t* ap;
   const real_t* b;
+  index_t gap;
   unsigned mask;
 };
 
 /// Direct conv kernels of one tier (DESIGN.md §13): C (MR x NR at ldc) +=
-/// the chain over kc steps with the named sources, and the dgrad tile, which
+/// the chain over kc steps with the named sources (the forward's C starts
+/// from bias[r] instead when bias != nullptr), and the dgrad tile, which
 /// adds each tap's chain from +0.0 into the gin tile under the tap's mask.
 using ConvFwdFn = void (*)(index_t kc, const real_t* ap, const real_t* row,
-                           const index_t* off, real_t* c, index_t ldc);
+                           index_t gap, const index_t* off, real_t* c,
+                           index_t ldc, const real_t* bias);
 using ConvWgradFn = void (*)(index_t kc, const real_t* xp, const index_t* pos,
                              const index_t* joff, const real_t* bp,
                              index_t ldb, real_t* c, index_t ldc);
@@ -93,23 +111,49 @@ using ConvDgradFn = void (*)(index_t c_out, index_t ostride,
 
 #if defined(__x86_64__) || defined(__i386__)
 
+// B loads: a pointer is one full-width row, Halves two half-width ones.
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d load_avx2(
+    const real_t* p) {
+  return _mm256_loadu_pd(p);
+}
+
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d load_avx2(
+    Halves h) {
+  return _mm256_loadu2_m128d(h.hi, h.lo);
+}
+
+__attribute__((target("avx512f"), always_inline)) inline __m512d load_avx512(
+    const real_t* p) {
+  return _mm512_loadu_pd(p);
+}
+
+__attribute__((target("avx512f"), always_inline)) inline __m512d load_avx512(
+    Halves h) {
+  // The masked form: GCC 12's unmasked insert warns on its undefined source.
+  const __m512d lo = _mm512_castpd256_pd512(_mm256_loadu_pd(h.lo));
+  return _mm512_mask_insertf64x4(lo, 0xF0, lo, _mm256_loadu_pd(h.hi), 1);
+}
+
 template <typename ASrc, typename BSrc>
 __attribute__((target("avx2,fma"), always_inline)) inline void fma_chain_avx2(
     index_t kc, const ASrc& a, const BSrc& b, __m256d (&c)[8]) {
   for (index_t k = 0; k < kc; ++k) {
-    const __m256d bv = _mm256_loadu_pd(b(k));
+    const __m256d bv = load_avx2(b(k));
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r)
       c[r] = _mm256_fmadd_pd(_mm256_set1_pd(a(k, r)), bv, c[r]);
   }
 }
 
+// C-tile (MR x NR at ldc) += the chain; with `init`, C = init[r] + the chain.
 template <typename ASrc, typename BSrc>
 __attribute__((target("avx2,fma"), always_inline)) inline void tile_avx2(
-    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc) {
+    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc,
+    const real_t* init = nullptr) {
   __m256d acc[8];
 #pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) acc[r] = _mm256_loadu_pd(c + r * ldc);
+  for (int r = 0; r < 8; ++r)
+    acc[r] = init ? _mm256_set1_pd(init[r]) : _mm256_loadu_pd(c + r * ldc);
   fma_chain_avx2(kc, a, b, acc);
 #pragma GCC unroll 8
   for (int r = 0; r < 8; ++r) _mm256_storeu_pd(c + r * ldc, acc[r]);
@@ -123,10 +167,14 @@ __attribute__((target("avx2,fma"))) void micro_avx2_8x4(index_t kc,
   tile_avx2(kc, PanelA{ap}, RowsB{bp, 4}, c, ldc);
 }
 
+template <int Rows>
 __attribute__((target("avx2,fma"))) void conv_fwd_avx2(
-    index_t kc, const real_t* ap, const real_t* row, const index_t* off,
-    real_t* c, index_t ldc) {
-  tile_avx2(kc, PanelA{ap}, OffsetB{row, off}, c, ldc);
+    index_t kc, const real_t* ap, const real_t* row, index_t gap,
+    const index_t* off, real_t* c, index_t ldc, const real_t* bias) {
+  if constexpr (Rows == 1)
+    tile_avx2(kc, PanelA{ap}, OffsetB{row, off}, c, ldc, bias);
+  else
+    tile_avx2(kc, PanelA{ap}, TwoRows<OffsetB>{{row, off}, gap}, c, ldc, bias);
 }
 
 __attribute__((target("avx2,fma"))) void conv_wgrad_avx2(
@@ -135,6 +183,7 @@ __attribute__((target("avx2,fma"))) void conv_wgrad_avx2(
   tile_avx2(kc, SampleA{xp, pos, joff}, RowsB{bp, ldb}, c, ldc);
 }
 
+template <int Rows>
 __attribute__((target("avx2,fma"))) void conv_dgrad_avx2(
     index_t c_out, index_t ostride, const DgradTap* taps, index_t ntaps,
     real_t* gin, index_t ldg) {
@@ -146,7 +195,12 @@ __attribute__((target("avx2,fma"))) void conv_dgrad_avx2(
     __m256d d[8];
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r) d[r] = _mm256_setzero_pd();
-    fma_chain_avx2(c_out, PanelA{taps[t].ap}, RowsB{taps[t].b, ostride}, d);
+    const RowsB b{taps[t].b, ostride};
+    if constexpr (Rows == 1)
+      fma_chain_avx2(c_out, PanelA{taps[t].ap}, b, d);
+    else
+      fma_chain_avx2(c_out, PanelA{taps[t].ap}, TwoRows<RowsB>{b, taps[t].gap},
+                     d);
     const __m256i m = _mm256_and_si256(
         _mm256_set1_epi64x(static_cast<long long>(taps[t].mask)), bits);
     const __m256d lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(m, bits));
@@ -162,7 +216,7 @@ template <typename ASrc, typename BSrc>
 __attribute__((target("avx512f"), always_inline)) inline void fma_chain_avx512(
     index_t kc, const ASrc& a, const BSrc& b, __m512d (&c)[8]) {
   for (index_t k = 0; k < kc; ++k) {
-    const __m512d bv = _mm512_loadu_pd(b(k));
+    const __m512d bv = load_avx512(b(k));
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r)
       c[r] = _mm512_fmadd_pd(_mm512_set1_pd(a(k, r)), bv, c[r]);
@@ -171,10 +225,12 @@ __attribute__((target("avx512f"), always_inline)) inline void fma_chain_avx512(
 
 template <typename ASrc, typename BSrc>
 __attribute__((target("avx512f"), always_inline)) inline void tile_avx512(
-    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc) {
+    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc,
+    const real_t* init = nullptr) {
   __m512d acc[8];
 #pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) acc[r] = _mm512_loadu_pd(c + r * ldc);
+  for (int r = 0; r < 8; ++r)
+    acc[r] = init ? _mm512_set1_pd(init[r]) : _mm512_loadu_pd(c + r * ldc);
   fma_chain_avx512(kc, a, b, acc);
 #pragma GCC unroll 8
   for (int r = 0; r < 8; ++r) _mm512_storeu_pd(c + r * ldc, acc[r]);
@@ -185,10 +241,15 @@ __attribute__((target("avx512f,avx512dq"))) void micro_avx512_8x8(
   tile_avx512(kc, PanelA{ap}, RowsB{bp, 8}, c, ldc);
 }
 
+template <int Rows>
 __attribute__((target("avx512f,avx512dq"))) void conv_fwd_avx512(
-    index_t kc, const real_t* ap, const real_t* row, const index_t* off,
-    real_t* c, index_t ldc) {
-  tile_avx512(kc, PanelA{ap}, OffsetB{row, off}, c, ldc);
+    index_t kc, const real_t* ap, const real_t* row, index_t gap,
+    const index_t* off, real_t* c, index_t ldc, const real_t* bias) {
+  if constexpr (Rows == 1)
+    tile_avx512(kc, PanelA{ap}, OffsetB{row, off}, c, ldc, bias);
+  else
+    tile_avx512(kc, PanelA{ap}, TwoRows<OffsetB>{{row, off}, gap}, c, ldc,
+                bias);
 }
 
 __attribute__((target("avx512f,avx512dq"))) void conv_wgrad_avx512(
@@ -197,6 +258,7 @@ __attribute__((target("avx512f,avx512dq"))) void conv_wgrad_avx512(
   tile_avx512(kc, SampleA{xp, pos, joff}, RowsB{bp, ldb}, c, ldc);
 }
 
+template <int Rows>
 __attribute__((target("avx512f,avx512dq"))) void conv_dgrad_avx512(
     index_t c_out, index_t ostride, const DgradTap* taps, index_t ntaps,
     real_t* gin, index_t ldg) {
@@ -207,8 +269,12 @@ __attribute__((target("avx512f,avx512dq"))) void conv_dgrad_avx512(
     __m512d d[8];
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r) d[r] = _mm512_setzero_pd();
-    fma_chain_avx512(c_out, PanelA{taps[t].ap}, RowsB{taps[t].b, ostride},
-                     d);
+    const RowsB b{taps[t].b, ostride};
+    if constexpr (Rows == 1)
+      fma_chain_avx512(c_out, PanelA{taps[t].ap}, b, d);
+    else
+      fma_chain_avx512(c_out, PanelA{taps[t].ap},
+                       TwoRows<RowsB>{b, taps[t].gap}, d);
     const __mmask8 m = static_cast<__mmask8>(taps[t].mask);
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r) g[r] = _mm512_mask_add_pd(g[r], m, g[r], d[r]);
@@ -418,22 +484,23 @@ struct TierCfg {
   index_t mr = 0;
   index_t nr = 0;
   MicroFn micro = nullptr;
-  // Direct stride-1 conv kernels; null where the tier has none (NEON), which
-  // keeps every conv on the packed passes.
-  ConvFwdFn conv_fwd = nullptr;
+  // Direct conv kernels, the forward and dgrad indexed by a tile's rows − 1;
+  // null where the tier has none (NEON), whose convs all take the
+  // materialized route.
+  ConvFwdFn conv_fwd[2] = {};
   ConvWgradFn conv_wgrad = nullptr;
-  ConvDgradFn conv_dgrad = nullptr;
+  ConvDgradFn conv_dgrad[2] = {};
 };
 
 TierCfg tier_cfg(Tier t) {
   switch (t) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx2:
-      return {8, 4, micro_avx2_8x4, conv_fwd_avx2, conv_wgrad_avx2,
-              conv_dgrad_avx2};
+      return {8, 4, micro_avx2_8x4, {conv_fwd_avx2<1>, conv_fwd_avx2<2>},
+              conv_wgrad_avx2, {conv_dgrad_avx2<1>, conv_dgrad_avx2<2>}};
     case Tier::kAvx512:
-      return {8, 8, micro_avx512_8x8, conv_fwd_avx512, conv_wgrad_avx512,
-              conv_dgrad_avx512};
+      return {8, 8, micro_avx512_8x8, {conv_fwd_avx512<1>, conv_fwd_avx512<2>},
+              conv_wgrad_avx512, {conv_dgrad_avx512<1>, conv_dgrad_avx512<2>}};
 #endif
 #if defined(__aarch64__)
     case Tier::kNeon:
@@ -447,12 +514,11 @@ TierCfg tier_cfg(Tier t) {
   return {};  // unreachable
 }
 
-/// Per-thread pack scratch, indexed so that buffers alive at the same time
-/// on one thread never alias: 0 = caller-side B pack, 1 = chunk-side A
-/// pack; inside conv's parallel chunks, which never run a packed_gemm_* of
-/// their own, 2 = packed conv's B pack, direct wgrad's goutᵀ or direct
-/// dgrad's zero-margined gout, 3 = packed wgrad's A pack, packed dgrad's
-/// dcolsᵀ or direct wgrad's gwᵀ, 4 = the zero-padded sample.
+/// Per-thread scratch, indexed so that buffers alive at the same time on one
+/// thread never alias: 0 = a GEMM's B pack, 1 = its A pack (conv's
+/// materialized route runs GEMMs inline but keeps its own matrices), 2 =
+/// direct wgrad's goutᵀ or dgrad's gout copy, 3 = direct wgrad's gwᵀ or
+/// dgrad's gin phase, 4 = a sample's planes.
 std::vector<real_t>& tl_scratch(int which) {
   static thread_local std::vector<real_t> bufs[5];
   return bufs[which];
@@ -497,27 +563,32 @@ void pack_b(real_t* dst, index_t k0, index_t kc, index_t n, index_t nr,
   }
 }
 
+/// The lanes of a register tile that land in C: lanes [0, n0) at c[l] and,
+/// for a two-row tile, lanes [NR/2, NR/2 + n1) at c[gap + l − NR/2]; full()
+/// when every lane lands, contiguously.
+struct TileLanes {
+  index_t n0, n1 = 0, gap = 0;
+  bool full(index_t nr) const { return n0 + n1 == nr && (!n1 || gap == n0); }
+};
+
 /// Edge tile: run `kernel(tile, ld)` on a copy-in/copy-out scratch tile so
 /// the per-element fma chain is identical to a full tile's, then write back
-/// only the `rows` x `cols` valid region.
+/// only the `rows` x `lanes` valid region.
 template <typename Kernel>
 void edge_tile(const TierCfg& cfg, real_t* c, index_t ldc, index_t rows,
-               index_t cols, const Kernel& kernel) {
+               TileLanes lanes, const Kernel& kernel) {
   real_t tmp[kMaxMR * kMaxNR];
   std::fill(tmp, tmp + cfg.mr * cfg.nr, 0.0);
-  for (index_t r = 0; r < rows; ++r)
-    for (index_t l = 0; l < cols; ++l) tmp[r * cfg.nr + l] = c[r * ldc + l];
+  real_t* const hi = tmp + cfg.nr / 2;
+  for (index_t r = 0; r < rows; ++r) {
+    std::copy_n(c + r * ldc, lanes.n0, tmp + r * cfg.nr);
+    std::copy_n(c + r * ldc + lanes.gap, lanes.n1, hi + r * cfg.nr);
+  }
   kernel(tmp, cfg.nr);
-  for (index_t r = 0; r < rows; ++r)
-    for (index_t l = 0; l < cols; ++l) c[r * ldc + l] = tmp[r * cfg.nr + l];
-}
-
-void micro_edge(const TierCfg& cfg, index_t kc, const real_t* ap,
-                const real_t* bp, real_t* c, index_t ldc, index_t rows,
-                index_t cols) {
-  edge_tile(cfg, c, ldc, rows, cols, [&](real_t* t, index_t ld) {
-    cfg.micro(kc, ap, bp, t, ld);
-  });
+  for (index_t r = 0; r < rows; ++r) {
+    std::copy_n(tmp + r * cfg.nr, lanes.n0, c + r * ldc);
+    std::copy_n(hi + r * cfg.nr, lanes.n1, c + r * ldc + lanes.gap);
+  }
 }
 
 /// Which triangle a symmetric tile sweep (sym_tiles) writes: the upper one,
@@ -531,7 +602,7 @@ bool in_tri(Tri tri, index_t i, index_t j) {
   return tri == Tri::kLower ? j <= i : j >= i;
 }
 
-/// Diagonal-straddling tiles of a symmetric sweep: like micro_edge, but only
+/// Diagonal-straddling tiles of a symmetric sweep: like edge_tile, but only
 /// elements of the swept triangle (the declared footprint) are copied in and
 /// written back.
 void micro_edge_tri(const TierCfg& cfg, index_t kc, const real_t* ap,
@@ -594,7 +665,10 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
                 if (rows == mr && jw == nr)
                   cfg.micro(kc, ap, bpan, crow + j0, ldc);
                 else
-                  micro_edge(cfg, kc, ap, bpan, crow + j0, ldc, rows, jw);
+                  edge_tile(cfg, crow + j0, ldc, rows, {jw},
+                            [&](real_t* t, index_t ld) {
+                              cfg.micro(kc, ap, bpan, t, ld);
+                            });
               }
             }
           }
@@ -694,203 +768,114 @@ void sym_tiles(Matrix& c, index_t off, index_t k, const SrcA& srcA,
       }));
 }
 
-// ---- Fused im2col pack sources ----------------------------------------
+// ---- Conv input layout ----------------------------------------------------
 
-/// Copy one NCHW sample into the per-thread zero-padded scratch
-/// C x (H+2·pad) x (W+2·pad), writing each element once, then `slack` zeros,
-/// so every patch element is an in-bounds read, and so is each lane a direct
-/// forward edge tile reads past the end of a row. With pad 0 and no slack the
-/// sample already is that layout and is returned as is.
-const real_t* pad_sample(const real_t* x, const ConvGeometry& g,
-                         index_t slack) {
-  if (g.pad == 0 && slack == 0) return x;
-  const index_t pad = g.pad, wp = g.in_w + 2 * pad;
-  std::vector<real_t>& buf = tl_scratch(4);
-  buf.resize(
-      static_cast<std::size_t>(g.in_c * (g.in_h + 2 * pad) * wp + slack));
-  real_t* d = buf.data();
-  for (index_t c = 0; c < g.in_c; ++c) {
-    d = std::fill_n(d, pad * wp, 0.0);
-    for (index_t y = 0; y < g.in_h; ++y, x += g.in_w) {
-      d = std::fill_n(d, pad, 0.0);
-      d = std::copy_n(x, g.in_w, d);
-      d = std::fill_n(d, pad, 0.0);
-    }
-    d = std::fill_n(d, pad * wp, 0.0);
-  }
-  std::fill_n(d, slack, 0.0);
-  return buf.data();
-}
-
-/// Offsets into the padded sample: patch element (j, p) — patch coordinate
-/// j = (c, ky, kx), output position p = (oy, ox) — is xp[patch[j] + pos[p]].
-/// `patch` runs on to a whole number of MR with offset 0, so a direct wgrad
-/// tile's pad rows read a valid element.
-struct ConvOffsets {
-  std::vector<index_t> patch;  ///< c·Hp·Wp + ky·Wp + kx
-  std::vector<index_t> pos;    ///< (oy·Wp + ox)·stride
+/// One axis of stride phase r: the input indices i0, i0 + s, … (n of them)
+/// at padded index ≡ r (mod s), phase-plane index b onwards; tap
+/// k = q·s + r takes the t-th of them to output index t + b − q.
+struct Phase {
+  index_t r, i0, n, b;
 };
 
-const ConvOffsets& conv_offsets(const ConvGeometry& g) {
+Phase conv_phase(index_t r, index_t in, index_t pad, index_t st) {
+  const index_t i0 = ((r - pad) % st + st) % st;
+  return {r, i0, i0 < in ? (in - i0 + st - 1) / st : 0, (i0 + pad - r) / st};
+}
+
+/// A conv input as phase planes of the padded sample: plane (ry, rx) holds
+/// its rows ry, ry + ps, … and columns rx, rx + ps, …, a C x hq x wq grid.
+/// Split (ps = s), tap (qy·s + ry, qx·s + rx) of output (oy, ox) is element
+/// (c, oy + qy, ox + qx) of plane (ry, rx), so each patch row is a
+/// contiguous run; only planes some tap reads exist. Unsplit (ps = 1) the
+/// one plane is the zero-padded sample, read at stride s. Patch element
+/// (j, p) — patch coordinate j = (c, ky, kx), output position p = (oy, ox)
+/// — is planes[patch[j] + pos[p]]. `patch` runs on to a whole number of MR
+/// with offset 0, so a direct wgrad tile's pad rows read a valid element.
+struct ConvOffsets {
+  ConvGeometry g;              ///< the geometry these offsets are for
+  index_t ps = 0;              ///< phase stride: s split, 1 unsplit
+  index_t hq = 0, wq = 0;      ///< ⌈Hp/ps⌉, ⌈Wp/ps⌉
+  std::vector<index_t> patch;  ///< plane(ky%ps, kx%ps) + (c·hq + ky/ps)·wq…
+  std::vector<index_t> pos;    ///< (oy·wq + ox)·s/ps
+  std::vector<Phase> rows, cols;  ///< the phases that have taps
+};
+
+/// The offsets of geometry g, kept per thread until g or the split changes.
+const ConvOffsets& conv_offsets(const ConvGeometry& g, bool split) {
   static thread_local ConvOffsets o;
-  const index_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
-  const index_t patch = g.patch_size();
-  o.patch.assign(static_cast<std::size_t>((patch + kMaxMR - 1) / kMaxMR *
-                                          kMaxMR),
-                 0);
-  index_t* pj = o.patch.data();
-  for (index_t c = 0; c < g.in_c; ++c)
-    for (index_t ky = 0; ky < g.kernel_h; ++ky)
-      for (index_t kx = 0; kx < g.kernel_w; ++kx)
-        *pj++ = (c * hp + ky) * wp + kx;
+  const index_t st = g.stride, ps = split ? st : 1;
+  if (o.g == g && o.ps == ps) return o;
+  o.g = g;
+  o.ps = ps;
   const index_t oh = g.out_h(), ow = g.out_w();
+  const index_t kh = g.kernel_h, kw = g.kernel_w;
+  o.rows.resize(static_cast<std::size_t>(std::min(ps, kh)));
+  o.cols.resize(static_cast<std::size_t>(std::min(ps, kw)));
+  for (std::size_t r = 0; r < o.rows.size(); ++r)
+    o.rows[r] = conv_phase(static_cast<index_t>(r), g.in_h, g.pad, ps);
+  for (std::size_t r = 0; r < o.cols.size(); ++r)
+    o.cols[r] = conv_phase(static_cast<index_t>(r), g.in_w, g.pad, ps);
+  const index_t nrx = static_cast<index_t>(o.cols.size());
+  o.hq = (g.in_h + 2 * g.pad + ps - 1) / ps;
+  o.wq = (g.in_w + 2 * g.pad + ps - 1) / ps;
+  const index_t plane = g.in_c * o.hq * o.wq;
+  o.patch.assign(static_cast<std::size_t>((g.patch_size() + kMaxMR - 1) /
+                                          kMaxMR * kMaxMR),
+                 0);
+  // Channel 0's taps, then each channel's at c·hq·wq past them.
+  for (index_t t = 0; t < kh * kw; ++t) {
+    const index_t ky = t / kw, kx = t % kw;
+    o.patch[static_cast<std::size_t>(t)] =
+        ((ky % ps) * nrx + kx % ps) * plane + ky / ps * o.wq + kx / ps;
+  }
+  for (index_t j = kh * kw; j < g.patch_size(); ++j)
+    o.patch[static_cast<std::size_t>(j)] =
+        o.patch[static_cast<std::size_t>(j - kh * kw)] + o.hq * o.wq;
   o.pos.resize(static_cast<std::size_t>(oh * ow));
   index_t* pp = o.pos.data();
   for (index_t oy = 0; oy < oh; ++oy)
-    for (index_t ox = 0; ox < ow; ++ox) *pp++ = (oy * wp + ox) * g.stride;
+    for (index_t ox = 0; ox < ow; ++ox) *pp++ = (oy * o.wq + ox) * (st / ps);
   return o;
 }
 
-/// Forward B pack: logical operand colsᵀ (k = patch coordinate, lane =
-/// output position) read from the padded sample. `capture` accumulates the
-/// spatial sum Σ_p cols(p, j) per patch coordinate while the values stream
-/// through the pack: each packed row is summed lane-ascending (zero pad
-/// lanes included) and the row sums are added panel-ascending —
-/// deterministic at any thread count because the whole pack is per sample
-/// inside one chunk.
-template <int NR>
-void pack_b_conv_forward(real_t* dst, const real_t* xp, const ConvOffsets& o,
-                         index_t k0, index_t kc, real_t* capture) {
-  const index_t s = static_cast<index_t>(o.pos.size());
-  const index_t* patch_off = o.patch.data() + k0;
-  for (index_t p0 = 0; p0 < s; p0 += NR, dst += kc * NR) {
-    const index_t lanes = std::min<index_t>(NR, s - p0);
-    index_t pos[NR];
-    for (int l = 0; l < NR; ++l) pos[l] = l < lanes ? o.pos[p0 + l] : 0;
-    for (index_t kk = 0; kk < kc; ++kk) {
-      const real_t* base = xp + patch_off[kk];
-      real_t* out = dst + kk * NR;
-      real_t acc = 0.0;
-      if (lanes == NR) {
-        for (int l = 0; l < NR; ++l) {
-          const real_t v = base[pos[l]];
-          out[l] = v;
-          acc += v;
+/// Copy one NCHW sample into its planes in per-thread scratch, each element
+/// once, then `slack` zeros for the lanes a forward or capture reads past a
+/// row's end. Unsplit with pad 0 and no slack, x already is that layout.
+const real_t* phase_planes(const real_t* x, const ConvGeometry& g,
+                           const ConvOffsets& o, index_t slack) {
+  const index_t ps = o.ps, pad = g.pad, wq = o.wq;
+  if (ps == 1 && pad == 0 && slack == 0) return x;
+  std::vector<real_t>& buf = tl_scratch(4);
+  buf.resize(o.rows.size() * o.cols.size() *
+                 static_cast<std::size_t>(g.in_c * o.hq * wq) +
+             static_cast<std::size_t>(slack));
+  real_t* d = buf.data();
+  for (const Phase& py : o.rows)
+    for (const Phase& px : o.cols) {
+      // Plane rows [py.b, py.b + py.n) hold sample rows py.i0, py.i0 + ps, …
+      // and columns likewise; the rest is padding.
+      for (index_t c = 0; c < g.in_c; ++c)
+        for (index_t y = 0; y < o.hq; ++y) {
+          const index_t t = y - py.b;
+          if (t < 0 || t >= py.n) {
+            d = std::fill_n(d, wq, 0.0);
+            continue;
+          }
+          const real_t* src =
+              x + (c * g.in_h + py.i0 + t * ps) * g.in_w + px.i0;
+          // The pad fills are guarded: most are empty at stride 2, and each
+          // fill is a library call.
+          if (px.b > 0) d = std::fill_n(d, px.b, 0.0);
+          if (ps == 1) {
+            d = std::copy_n(src, px.n, d);
+          } else {
+            for (index_t xq = 0; xq < px.n; ++xq, src += ps) *d++ = *src;
+          }
+          if (wq > px.b + px.n) d = std::fill_n(d, wq - px.b - px.n, 0.0);
         }
-      } else {
-        for (int l = 0; l < NR; ++l) {
-          const real_t v = l < lanes ? base[pos[l]] : 0.0;
-          out[l] = v;
-          acc += v;
-        }
-      }
-      if (capture != nullptr) capture[k0 + kk] += acc;
     }
-  }
-}
-
-/// Weight-gradient B pack: logical operand [cols | 1] (k = output position,
-/// lane = patch coordinate) read from the padded sample. The last panel
-/// holds the remaining patch lanes, then the ones column (lane == patch,
-/// the bias gradient), then zero pad lanes.
-template <int NR>
-void pack_b_conv_wgrad(real_t* dst, const real_t* xp, const ConvOffsets& o,
-                       index_t patch, index_t k0, index_t kc) {
-  const index_t* pos = o.pos.data() + k0;
-  for (index_t j0 = 0; j0 <= patch; j0 += NR, dst += kc * NR) {
-    if (j0 + NR <= patch) {
-      index_t off[NR];
-      for (int l = 0; l < NR; ++l) off[l] = o.patch[j0 + l];
-      for (index_t kk = 0; kk < kc; ++kk) {
-        const real_t* base = xp + pos[kk];
-        real_t* out = dst + kk * NR;
-        for (int l = 0; l < NR; ++l) out[l] = base[off[l]];
-      }
-    } else {
-      const index_t real = patch - j0;
-      for (index_t kk = 0; kk < kc; ++kk) {
-        const real_t* base = xp + pos[kk];
-        real_t* out = dst + kk * NR;
-        for (index_t l = 0; l < real; ++l) out[l] = base[o.patch[j0 + l]];
-        out[real] = 1.0;
-        for (index_t l = real + 1; l < NR; ++l) out[l] = 0.0;
-      }
-    }
-  }
-}
-
-/// gin (one C x H x W sample) += col2im(dt), dt = dcolsᵀ (patch x s), as
-/// contiguous row runs in the order oy → c → ky → kx descending → ox
-/// ascending. For one input element the terms come from (oy, ky) with
-/// oy·stride + ky fixed and (ox, kx) with ox·stride + kx fixed, so this order
-/// adds them oy-ascending, then ox-ascending: col2im_add's per-position
-/// order, on top of whatever gin already holds.
-void col2im_rows(const real_t* dt, const ConvGeometry& g, real_t* gin) {
-  const index_t oh = g.out_h(), ow = g.out_w(), s = oh * ow;
-  const index_t st = g.stride, pad = g.pad;
-  // Tap kx lands inside the row for ox in [ox_lo[kx], ox_hi[kx]).
-  static thread_local std::vector<index_t> ox_lo, ox_hi;
-  ox_lo.resize(static_cast<std::size_t>(g.kernel_w));
-  ox_hi.resize(static_cast<std::size_t>(g.kernel_w));
-  for (index_t kx = 0; kx < g.kernel_w; ++kx) {
-    const index_t first = pad - kx, last = g.in_w - 1 + pad - kx;
-    ox_lo[kx] = first > 0 ? (first + st - 1) / st : 0;
-    ox_hi[kx] = last < 0 ? 0 : std::min(ow, last / st + 1);
-  }
-  for (index_t oy = 0; oy < oh; ++oy)
-    for (index_t c = 0; c < g.in_c; ++c)
-      for (index_t ky = 0; ky < g.kernel_h; ++ky) {
-        const index_t iy = oy * st + ky - pad;
-        if (iy < 0 || iy >= g.in_h) continue;
-        real_t* row = gin + (c * g.in_h + iy) * g.in_w;
-        const real_t* drow =
-            dt + ((c * g.kernel_h + ky) * g.kernel_w) * s + oy * ow;
-        for (index_t kx = g.kernel_w - 1; kx >= 0; --kx) {
-          const real_t* d = drow + kx * s;
-          for (index_t ox = ox_lo[kx]; ox < ox_hi[kx]; ++ox)
-            row[ox * st + kx - pad] += d[ox];
-        }
-      }
-}
-
-/// Serial tile sweep shared by the conv entry points: C rows [m0, m1)
-/// (ldc-strided) += packed A block · packed B block for one KC slice.
-void conv_tiles(const TierCfg& cfg, index_t kc, const real_t* ablk,
-                const real_t* bblk, real_t* cbase, index_t ldc, index_t m0,
-                index_t m1, index_t n) {
-  const index_t mr = cfg.mr, nr = cfg.nr;
-  const index_t npanels = (n + nr - 1) / nr;
-  for (index_t p = m0; p < m1; p += mr) {
-    const real_t* ap = ablk + ((p - m0) / mr) * kc * mr;
-    const index_t rows = std::min(mr, m1 - p);
-    real_t* crow = cbase + p * ldc;
-    for (index_t q = 0; q < npanels; ++q) {
-      const real_t* bpan = bblk + q * kc * nr;
-      const index_t j0 = q * nr;
-      const index_t jw = std::min(nr, n - j0);
-      if (rows == mr && jw == nr)
-        cfg.micro(kc, ap, bpan, crow + j0, ldc);
-      else
-        micro_edge(cfg, kc, ap, bpan, crow + j0, ldc, rows, jw);
-    }
-  }
-}
-
-/// A-side pack of a rows x k operand, every KC block: block k0 starts at
-/// k0 · ⌈rows/MR⌉ · MR, as conv_tiles expects.
-template <typename SrcA>
-PackedW pack_a_all(const TierCfg& cfg, index_t rows, index_t k,
-                   const SrcA& src) {
-  const index_t npan = (rows + cfg.mr - 1) / cfg.mr;
-  PackedW pw;
-  pw.tier = active();
-  pw.rows = rows;
-  pw.cols = k;
-  pw.data.resize(static_cast<std::size_t>(k * npan * cfg.mr));
-  for (index_t k0 = 0; k0 < k; k0 += kKC)
-    pack_a(pw.data.data() + k0 * npan * cfg.mr, 0, rows, k0,
-           std::min(kKC, k - k0), cfg.mr, src);
-  return pw;
+  std::fill_n(d, slack, 0.0);
+  return buf.data();
 }
 
 void check_packed_tier(const PackedW& pw) {
@@ -900,116 +885,26 @@ void check_packed_tier(const PackedW& pw) {
                                               << tier_name(active()) << "'");
 }
 
-// ---- Packed conv passes (any stride) ------------------------------------
+// ---- Direct conv passes -------------------------------------------------
 
-/// out_plane (bias-filled) += W_main · colsᵀ for one sample through the B
-/// pack, which also sums each packed row into the capture.
-void packed_forward(const TierCfg& cfg, const PackedW& pw, const real_t* x,
-                    const ConvGeometry& g, real_t* out_plane,
-                    real_t* capture_row) {
-  const index_t c_out = pw.rows, patch = pw.cols;
-  const index_t s = g.out_h() * g.out_w();
-  const index_t npan_m = (c_out + cfg.mr - 1) / cfg.mr;
-  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
-  if (capture_row != nullptr) std::fill(capture_row, capture_row + patch, 0.0);
-
-  const real_t* xp = pad_sample(x, g, 0);
-  const ConvOffsets& offs = conv_offsets(g);
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  bbuf.resize(static_cast<std::size_t>(std::min(kKC, patch) * npan_s * cfg.nr));
-  for (index_t k0 = 0; k0 < patch; k0 += kKC) {
-    const index_t kc = std::min(kKC, patch - k0);
-    if (cfg.nr == 8)
-      pack_b_conv_forward<8>(bbuf.data(), xp, offs, k0, kc, capture_row);
-    else
-      pack_b_conv_forward<4>(bbuf.data(), xp, offs, k0, kc, capture_row);
-    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
-    conv_tiles(cfg, kc, ablk, bbuf.data(), out_plane, s, 0, c_out, s);
-  }
-}
-
-/// gw rows [o0, o1) += gout_plane[o0:o1, :] · [cols(x) | 1] for one sample.
-void packed_wgrad(const TierCfg& cfg, const real_t* gout_plane,
-                  const real_t* x, const ConvGeometry& g, Matrix& gw,
-                  index_t o0, index_t o1) {
-  const index_t naug = gw.cols();
-  const index_t s = g.out_h() * g.out_w();
-  const index_t npan_n = (naug + cfg.nr - 1) / cfg.nr;
-
-  const real_t* xp = pad_sample(x, g, 0);
-  const ConvOffsets& offs = conv_offsets(g);
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  std::vector<real_t>& abuf = tl_scratch(3);
-  bbuf.resize(static_cast<std::size_t>(std::min(kKC, s) * npan_n * cfg.nr));
-  const index_t mc_max =
-      ((o1 - o0 + cfg.mr - 1) / cfg.mr) * cfg.mr;  // padded panel rows
-  abuf.resize(static_cast<std::size_t>(std::min(kKC, s) * mc_max));
-
-  for (index_t k0 = 0; k0 < s; k0 += kKC) {
-    const index_t kc = std::min(kKC, s - k0);
-    if (cfg.nr == 8)
-      pack_b_conv_wgrad<8>(bbuf.data(), xp, offs, naug - 1, k0, kc);
-    else
-      pack_b_conv_wgrad<4>(bbuf.data(), xp, offs, naug - 1, k0, kc);
-    pack_a(abuf.data(), o0, o1 - o0, k0, kc, cfg.mr,
-           [gout_plane, s](index_t o, index_t kk) {
-             return gout_plane[o * s + kk];
-           });
-    // conv_tiles indexes C rows absolutely from its base pointer.
-    conv_tiles(cfg, kc, abuf.data(), bbuf.data(), gw.data(), naug, o0, o1,
-               naug);
-  }
-}
-
-/// gin_plane += col2im(dcolsᵀ) for one sample, dcolsᵀ = W_mainᵀ · gout_plane.
-void packed_dgrad(const TierCfg& cfg, const real_t* gout_plane,
-                  const PackedW& pw, const ConvGeometry& g,
-                  real_t* gin_plane) {
-  const index_t patch = pw.rows, c_out = pw.cols;
-  const index_t s = g.out_h() * g.out_w();
-  const index_t npan_m = (patch + cfg.mr - 1) / cfg.mr;
-  const index_t npan_s = (s + cfg.nr - 1) / cfg.nr;
-
-  // dcolsᵀ = W_mainᵀ · gout_plane. Element (j, p) is the o-ascending chain
-  // fma(W[o, j], gout[o, p], ·) from +0.0 — the same chain as dcols =
-  // goutᵀ · W_main, since fma(a, b, c) == fma(b, a, c).
-  std::vector<real_t>& dt = tl_scratch(3);
-  dt.assign(static_cast<std::size_t>(patch * s), 0.0);
-  std::vector<real_t>& bbuf = tl_scratch(2);
-  bbuf.resize(static_cast<std::size_t>(std::min(kKC, c_out) * npan_s * cfg.nr));
-  for (index_t k0 = 0; k0 < c_out; k0 += kKC) {
-    const index_t kc = std::min(kKC, c_out - k0);
-    pack_b(bbuf.data(), k0, kc, s, cfg.nr,
-           [gout_plane, s](index_t o, index_t p) {
-             return gout_plane[o * s + p];
-           });
-    const real_t* ablk = pw.data.data() + k0 * npan_m * cfg.mr;
-    conv_tiles(cfg, kc, ablk, bbuf.data(), dt.data(), s, 0, patch, s);
-  }
-  col2im_rows(dt.data(), g, gin_plane);
-}
-
-// ---- Direct stride-1 conv passes ----------------------------------------
-
-/// Sec. IV capture of a direct forward, a pass of its own with the packed
-/// forward's association: each NR-block of flat output positions is summed
+/// Sec. IV capture of a forward, either route, a pass of its own over the
+/// phase planes: each NR-block of flat output positions is summed
 /// lane-ascending, zero pad lanes included, and the block sums are added
-/// block-ascending. The patch coordinates (c, ky, kx .. kx+3) sit at
-/// consecutive offsets, so four of them run as the lanes of one vector add,
-/// which keeps each coordinate's chain; lanes past the kernel read on into
-/// the row (at worst into the scratch's slack) and are dropped. Four blocks'
+/// block-ascending. Patch coordinates (c, ky, kx), (c, ky, kx + s), … are
+/// consecutive in one plane, so four run as the lanes of one vector add,
+/// each keeping its chain; lanes past the kernel are dropped. Four blocks'
 /// chains run interleaved, their sums still added in block order.
-void direct_capture(const real_t* xp, const ConvOffsets& o,
-                    const ConvGeometry& g, index_t nr, real_t* capture_row) {
+void conv_capture(const real_t* xp, const ConvOffsets& o,
+                  const ConvGeometry& g, index_t nr, real_t* capture_row) {
   constexpr index_t kLanes = 4;
   using Vec = real_t __attribute__((vector_size(kLanes * sizeof(real_t))));
   const index_t s = static_cast<index_t>(o.pos.size());
   const index_t* pos = o.pos.data();
-  const index_t hp = g.in_h + 2 * g.pad, wp = g.in_w + 2 * g.pad;
-  for (index_t c = 0; c < g.in_c; ++c)
-    for (index_t ky = 0; ky < g.kernel_h; ++ky)
-      for (index_t kx = 0; kx < g.kernel_w; kx += kLanes) {
-        const real_t* base = xp + (c * hp + ky) * wp + kx;
+  const index_t st = o.ps, kw = g.kernel_w;
+  for (index_t j0 = 0; j0 < g.patch_size(); j0 += kw)  // each (c, ky)
+    for (const Phase& px : o.cols)
+      for (index_t kx = px.r; kx < kw; kx += kLanes * st) {
+        const real_t* base = xp + o.patch[static_cast<std::size_t>(j0 + kx)];
         // acc += the four lanes at output position p.
         const auto add = [base, pos](Vec& acc, index_t p) {
           Vec v;
@@ -1038,41 +933,46 @@ void direct_capture(const real_t* xp, const ConvOffsets& o,
           for (index_t l = lanes; l < nr; ++l) block += Vec{};
           sum += block;
         }
-        real_t* dst = capture_row + (c * g.kernel_h + ky) * g.kernel_w + kx;
-        for (index_t t = 0; t < std::min(kLanes, g.kernel_w - kx); ++t)
-          dst[t] = sum[t];
+        for (index_t t = 0; t < kLanes && kx + t * st < kw; ++t)
+          capture_row[j0 + kx + t * st] = sum[t];
       }
 }
 
-/// Direct forward: a tile is MR output channels x NR consecutive output
-/// columns of one output row, B row k read in place at xp + patch_off[k] +
-/// oy·Wp + ox0. A partial last lane block runs as an edge tile whose extra
-/// lanes read on past the row (at worst into the scratch's slack) and are
-/// dropped.
+/// Direct forward, out_plane = bias + the chains: a tile is MR output
+/// channels x NR output positions, its first KC block started from the bias,
+/// B row k read in place at xp + patch[k] + oy·wq + ox0: NR consecutive
+/// columns of output row oy or, for rows narrower than NR, NR/2 columns of
+/// each of rows oy and oy + 1 (a two-row tile). Lanes past the output (a
+/// partial lane block, the row under an odd last row) run as an edge tile
+/// and are dropped; they read on into the planes, at worst into the slack.
 void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
                     const ConvOffsets& o, const ConvGeometry& g,
                     real_t* out_plane) {
   const index_t c_out = pw.rows, patch = pw.cols, mr = cfg.mr, nr = cfg.nr;
   const index_t oh = g.out_h(), ow = g.out_w(), s = oh * ow;
-  const index_t wp = g.in_w + 2 * g.pad;
+  const int two = ow < nr;
+  const index_t lw = nr >> two;  // lanes per output row
   const index_t npan_m = (c_out + mr - 1) / mr;
   for (index_t k0 = 0; k0 < patch; k0 += kKC) {
     const index_t kc = std::min(kKC, patch - k0);
     const real_t* ablk = pw.data.data() + k0 * npan_m * mr;
     const index_t* off = o.patch.data() + k0;
-    for (index_t oy = 0; oy < oh; ++oy)
-      for (index_t ox0 = 0; ox0 < ow; ox0 += nr) {
-        const index_t lanes = std::min(nr, ow - ox0);
-        const real_t* row = xp + oy * wp + ox0;
+    for (index_t oy = 0; oy < oh; oy += 1 + two)
+      for (index_t ox0 = 0; ox0 < ow; ox0 += lw) {
+        const index_t n0 = std::min(lw, ow - ox0);
+        const TileLanes lanes{n0, two && oy + 1 < oh ? n0 : 0, ow};
+        const real_t* row = xp + oy * o.wq + ox0;
+        const index_t gap = lanes.n1 > 0 ? o.wq : 0;
         for (index_t p = 0; p < c_out; p += mr) {
           const real_t* ap = ablk + (p / mr) * kc * mr;
           const index_t rows = std::min(mr, c_out - p);
           real_t* c = out_plane + p * s + oy * ow + ox0;
-          if (rows == mr && lanes == nr)
-            cfg.conv_fwd(kc, ap, row, off, c, s);
+          const real_t* bias = k0 == 0 ? pw.bias.data() + p : nullptr;
+          if (rows == mr && lanes.full(nr))
+            cfg.conv_fwd[two](kc, ap, row, gap, off, c, s, bias);
           else
             edge_tile(cfg, c, s, rows, lanes, [&](real_t* t, index_t ld) {
-              cfg.conv_fwd(kc, ap, row, off, t, ld);
+              cfg.conv_fwd[two](kc, ap, row, gap, off, t, ld, bias);
             });
         }
       }
@@ -1081,11 +981,11 @@ void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
 
 /// Direct weight gradient over every sample for gw rows [o0, o1): gwᵀ tiles
 /// of MR patch coordinates x NR output channels accumulate over k = output
-/// position, A broadcast in place from the padded sample and B from goutᵀ,
-/// the only pack. The chunk's gw rows sit transposed in a per-thread scratch
-/// from before the first sample to after the last, so each element keeps its
-/// sample-ascending, position-ascending chain. The bias row adds goutᵀ rows:
-/// fma(g, 1.0, c) == g + c exactly.
+/// position, A broadcast in place from the padded sample (unsplit planes)
+/// and B from goutᵀ, the only pack. The chunk's gw rows sit transposed in a
+/// per-thread scratch from before the first sample to after the last, so
+/// each element keeps its sample-ascending, position-ascending chain. The
+/// bias row adds goutᵀ rows: fma(g, 1.0, c) == g + c exactly.
 void direct_wgrad(const TierCfg& cfg, const Tensor4& gout, const Tensor4& x,
                   const ConvGeometry& g, Matrix& gw, index_t o0, index_t o1) {
   const index_t mr = cfg.mr, nr = cfg.nr, patch = g.patch_size();
@@ -1106,9 +1006,9 @@ void direct_wgrad(const TierCfg& cfg, const Tensor4& gout, const Tensor4& x,
   std::vector<real_t>& gt_buf = tl_scratch(2);
   gt_buf.assign(static_cast<std::size_t>(s * ld), 0.0);
   real_t* gt = gt_buf.data();
-  const ConvOffsets& offs = conv_offsets(g);
+  const ConvOffsets& offs = conv_offsets(g, false);
   for (index_t i = 0; i < x.n(); ++i) {
-    const real_t* xp = pad_sample(x.sample_ptr(i), g, 0);
+    const real_t* xp = phase_planes(x.sample_ptr(i), g, offs, 0);
     const real_t* go = gout.sample_ptr(i);
     for (index_t o = o0; o < o1; ++o)
       for (index_t p = 0; p < s; ++p) gt[p * ld + (o - o0)] = go[o * s + p];
@@ -1132,10 +1032,7 @@ PackedW pack_direct_dgrad_w(const TierCfg& cfg, const Matrix& w_aug,
                             const ConvGeometry& g) {
   const index_t c_out = w_aug.rows(), mr = cfg.mr;
   const index_t taps = g.kernel_h * g.kernel_w;
-  PackedW pw;
-  pw.tier = active();
-  pw.rows = g.patch_size();
-  pw.cols = c_out;
+  PackedW pw{active(), g.patch_size(), c_out, {}, {}, {}};
   pw.data.assign(static_cast<std::size_t>((g.in_c + mr - 1) / mr * mr *
                                           taps * c_out),
                  0.0);
@@ -1149,69 +1046,146 @@ PackedW pack_direct_dgrad_w(const TierCfg& cfg, const Matrix& w_aug,
   return pw;
 }
 
-/// Direct data gradient for one sample: a tile is MR input channels x NR
-/// consecutive columns of one gin row. Its taps run (ky, kx)-descending; each
-/// computes D = Σ_o W[o, c, ky, kx]·gout[o, iy + pad − ky, ix + pad − kx] as
-/// an o-ascending fma chain from +0.0 and adds it to the tile on the lanes
-/// whose (oy, ox) lies inside gout. Per gin element that is col2im_add's
-/// order (oy, then ox ascending) and each term is dcolsᵀ's chain. gout is
-/// read from a per-thread copy with zero margins, so every load is in bounds.
+/// Direct data gradient for one sample, one gin stride phase at a time.
+/// Phase (py, px) holds the gin elements whose taps are ky ≡ py, kx ≡ px
+/// (mod s); it is gathered into a per-thread grid (at stride 1 the one phase
+/// is gin itself, added into in place) and scattered back. A tile is MR input
+/// channels x NR columns of one grid row or, for rows narrower than NR, NR/2
+/// columns of each of two rows. Its taps run (ky, kx)-descending; each
+/// computes D = Σ_o W[o, c, ky, kx]·gout[o, oy, ox] as an o-ascending fma
+/// chain from +0.0 and adds it on the lanes whose (oy, ox) lies inside gout,
+/// each half of a two-row tile masked by its own row. Per gin element that is
+/// col2im_add's order (oy, then ox ascending) restricted to the taps that
+/// reach it, and each term is dcolsᵀ's chain.
 void direct_dgrad(const TierCfg& cfg, const real_t* gout_plane,
                   const PackedW& pw, const ConvGeometry& g,
                   real_t* gin_plane) {
   const index_t mr = cfg.mr, nr = cfg.nr, c_out = pw.cols;
-  const index_t kh = g.kernel_h, kw = g.kernel_w, pad = g.pad;
+  const index_t kh = g.kernel_h, kw = g.kernel_w, st = g.stride;
   const index_t oh = g.out_h(), ow = g.out_w();
-  // Row oy of channel o starts at gp + (o·oh + oy)·wg, between lm zeros and
-  // wg − lm − ow zeros: a tap's lanes start at most kw − 1 − pad columns
-  // left of the row and end less than kw + nr columns past it.
-  const index_t lm = std::max<index_t>(0, kw - 1 - pad);
-  const index_t wg = lm + ow + kw + nr;
+  const ConvOffsets& o = conv_offsets(g, true);  // gin's stride phases
+  // gout is read from a per-thread copy, row oy of channel o at gp +
+  // (o·oh + oy)·ow, between kw zeros and kw + nr zeros: a tap's lanes start
+  // less than kw columns left of a row and end less than kw + nr columns
+  // past it. Masked lanes may read a neighbouring row, in bounds.
   std::vector<real_t>& gbuf = tl_scratch(2);
-  gbuf.resize(static_cast<std::size_t>(c_out * oh * wg));
-  real_t* d = gbuf.data();
-  for (const real_t* src = gout_plane; src < gout_plane + c_out * oh * ow;
-       src += ow) {
-    d = std::fill_n(d, lm, 0.0);
-    d = std::copy_n(src, ow, d);
-    d = std::fill_n(d, wg - lm - ow, 0.0);
-  }
-  const real_t* gp = gbuf.data() + lm;
-  const index_t ostride = oh * wg, ldg = g.in_h * g.in_w;
-  const index_t tap_panel = c_out * mr;
+  gbuf.assign(static_cast<std::size_t>(c_out * oh * ow + 2 * kw + nr), 0.0);
+  std::copy_n(gout_plane, c_out * oh * ow, gbuf.begin() + kw);
+  const real_t* gp = gbuf.data() + kw;
+  const index_t ostride = oh * ow, tap_panel = c_out * mr;
   static thread_local std::vector<DgradTap> taps;
   taps.resize(static_cast<std::size_t>(kh * kw));
-  for (index_t c0 = 0; c0 < g.in_c; c0 += mr) {
-    const index_t rows = std::min(mr, g.in_c - c0);
-    const real_t* wc = pw.data.data() + (c0 / mr) * kh * kw * tap_panel;
-    for (index_t iy = 0; iy < g.in_h; ++iy)
-      for (index_t ix0 = 0; ix0 < g.in_w; ix0 += nr) {
-        const index_t lanes = std::min(nr, g.in_w - ix0);
-        index_t nt = 0;
-        for (index_t ky = kh - 1; ky >= 0; --ky) {
-          const index_t oy = iy + pad - ky;
-          if (oy < 0 || oy >= oh) continue;
-          for (index_t kx = kw - 1; kx >= 0; --kx) {
-            // Lane l reads ox = shift + l; it has a term iff 0 <= ox < ow.
-            const index_t shift = ix0 + pad - kx;
-            const index_t lo = std::max<index_t>(0, -shift);
-            const index_t hi = std::min(lanes, ow - shift);
-            if (lo >= hi) continue;
-            taps[static_cast<std::size_t>(nt++)] = {
-                wc + (ky * kw + kx) * tap_panel, gp + oy * wg + shift,
-                ((1u << hi) - 1) & ~((1u << lo) - 1)};
+  for (const Phase& py : o.rows)
+    for (const Phase& px : o.cols) {
+      const index_t ny = py.n, nx = px.n, plane = ny * nx;
+      // gin (c, py.i0 + Y·s, px.i0 + X·s) is grid[(c·ny + Y)·nx + X];
+      // move(f) runs f(grid element, gin element) over the phase.
+      real_t* grid = gin_plane;
+      const auto move = [&](auto f) {
+        for (index_t c = 0; c < g.in_c; ++c)
+          for (index_t y = 0; y < ny; ++y) {
+            real_t* in = gin_plane + (c * g.in_h + py.i0 + y * st) * g.in_w +
+                         px.i0;
+            real_t* gr = grid + (c * ny + y) * nx;
+            for (index_t xq = 0; xq < nx; ++xq) f(gr[xq], in[xq * st]);
           }
-        }
-        if (nt == 0) continue;
-        real_t* c = gin_plane + (c0 * g.in_h + iy) * g.in_w + ix0;
-        if (rows == mr && lanes == nr)
-          cfg.conv_dgrad(c_out, ostride, taps.data(), nt, c, ldg);
-        else
-          edge_tile(cfg, c, ldg, rows, lanes, [&](real_t* t, index_t ld) {
-            cfg.conv_dgrad(c_out, ostride, taps.data(), nt, t, ld);
-          });
+      };
+      if (st > 1) {
+        tl_scratch(3).resize(static_cast<std::size_t>(g.in_c * plane));
+        grid = tl_scratch(3).data();
+        move([](real_t& gr, real_t& in) { gr = in; });
       }
+      const int two = nx < nr;
+      const index_t lw = nr >> two;  // lanes per grid row
+      const index_t qy_top = (kh - 1 - py.r) / st;
+      const index_t qx_top = (kw - 1 - px.r) / st;
+      for (index_t c0 = 0; c0 < g.in_c; c0 += mr) {
+        const index_t rows = std::min(mr, g.in_c - c0);
+        const real_t* wc = pw.data.data() + (c0 / mr) * kh * kw * tap_panel;
+        for (index_t y = 0; y < ny; y += 1 + two)
+          for (index_t x0 = 0; x0 < nx; x0 += lw) {
+            const index_t n0 = std::min(lw, nx - x0);
+            const TileLanes lanes{n0, two && y + 1 < ny ? n0 : 0, nx};
+            index_t nt = 0;
+            for (index_t qy = qy_top; qy >= 0; --qy) {
+              // Lanes [0, lw) read gout row oy, the second row's oy + 1.
+              const index_t oy = y + py.b - qy;
+              const bool in0 = oy >= 0 && oy < oh;
+              const bool in1 = lanes.n1 > 0 && oy + 1 >= 0 && oy + 1 < oh;
+              if (!in0 && !in1) continue;
+              for (index_t qx = qx_top; qx >= 0; --qx) {
+                // Lane l reads ox = shift + l; it has a term iff 0 <= ox < ow.
+                const index_t shift = x0 + px.b - qx;
+                const index_t lo = std::max<index_t>(0, -shift);
+                const index_t hi = std::min(n0, ow - shift);
+                if (lo >= hi) continue;
+                const unsigned bits = ((1u << hi) - 1) & ~((1u << lo) - 1);
+                taps[static_cast<std::size_t>(nt++)] = {
+                    wc + ((qy * st + py.r) * kw + qx * st + px.r) * tap_panel,
+                    gp + (in0 ? oy : oy + 1) * ow + shift, in0 && in1 ? ow : 0,
+                    (in0 ? bits : 0u) | (in1 ? bits << lw : 0u)};
+              }
+            }
+            if (nt == 0) continue;
+            real_t* c = grid + (c0 * ny + y) * nx + x0;
+            if (rows == mr && lanes.full(nr))
+              cfg.conv_dgrad[two](c_out, ostride, taps.data(), nt, c, plane);
+            else
+              edge_tile(cfg, c, plane, rows, lanes, [&](real_t* t, index_t ld) {
+                cfg.conv_dgrad[two](c_out, ostride, taps.data(), nt, t, ld);
+              });
+          }
+      }
+      if (st > 1) move([](real_t& gr, real_t& in) { in = gr; });
+    }
+}
+
+// ---- Materialized conv passes -------------------------------------------
+// The GEMMs that define the conv passes, run as such for NEON and for the
+// geometries conv_direct leaves out: cols = im2col(x) per sample, then the
+// tier's packed GEMMs, which run inline inside Conv2d's parallel chunks.
+
+/// out_plane = bias + W_main · colsᵀ.
+void im2col_forward(const PackedW& pw, const real_t* x, const ConvGeometry& g,
+                    real_t* out_plane) {
+  Matrix cols;
+  im2col(x, g, cols);
+  Matrix y(pw.rows, cols.rows());
+  for (index_t o = 0; o < pw.rows; ++o)
+    std::fill_n(y.row_ptr(o), y.cols(), pw.bias[static_cast<std::size_t>(o)]);
+  packed_gemm_nt(pw.main, cols, y, 1.0);
+  std::copy_n(y.data(), y.size(), out_plane);
+}
+
+/// gw rows [o0, o1) += Σ_i gout_i[o0:o1, :] · [cols(x_i) | 1].
+void im2col_wgrad(const Tensor4& gout, const Tensor4& x, const ConvGeometry& g,
+                  Matrix& gw, index_t o0, index_t o1) {
+  const index_t s = g.out_h() * g.out_w();
+  Matrix acc = gw.rows_range(o0, o1), go(o1 - o0, s), cols;
+  for (index_t i = 0; i < x.n(); ++i) {
+    im2col(x.sample_ptr(i), g, cols);
+    std::copy_n(gout.sample_ptr(i) + o0 * s, go.size(), go.data());
+    packed_gemm_nn(go, cols.with_ones_column(), acc, 1.0);
   }
+  std::copy_n(acc.data(), acc.size(), gw.row_ptr(o0));
+}
+
+/// gin_plane += col2im(gout_planeᵀ · W_main).
+void im2col_dgrad(const real_t* gout_plane, const PackedW& pw,
+                  const ConvGeometry& g, real_t* gin_plane) {
+  Matrix go(pw.rows, g.out_h() * g.out_w()), dcols(go.cols(), pw.cols);
+  std::copy_n(gout_plane, go.size(), go.data());
+  packed_gemm_tn(go, nullptr, pw.main, dcols, 1.0);
+  col2im_add(dcols, g, gin_plane);
+}
+
+/// The materialized route's weight operand: W_main (c_out x patch) itself.
+PackedW materialized_w(const Matrix& w_aug) {
+  PackedW pw{active(), w_aug.rows(), w_aug.cols() - 1, {}, {}, {}};
+  pw.main.resize(pw.rows, pw.cols);
+  for (index_t o = 0; o < pw.rows; ++o)
+    std::copy_n(w_aug.row_ptr(o), pw.cols, pw.main.row_ptr(o));
+  return pw;
 }
 
 }  // namespace
@@ -1389,72 +1363,76 @@ real_t vdot(const real_t* a, const real_t* b, index_t n) {
 // ---- Convolution ----------------------------------------------------------
 
 bool conv_direct(const ConvGeometry& g) {
-  if (active() == Tier::kScalar) return false;
-  const TierCfg cfg = tier_cfg(active());
-  return cfg.conv_fwd != nullptr && g.stride == 1 && g.out_w() >= cfg.nr;
+  if (active() == Tier::kScalar || !tier_cfg(active()).conv_wgrad)
+    return false;
+  // Every tile row at least half a vector wide: the output rows, and the
+  // rows of each gin phase the dgrad tiles.
+  index_t narrowest = g.out_w();
+  for (const Phase& px : conv_offsets(g, true).cols)
+    narrowest = std::min(narrowest, px.n);
+  return 2 * narrowest >= tier_cfg(active()).nr;
 }
 
-PackedW pack_conv_forward_w(const Matrix& w_aug) {
+PackedW pack_conv_forward_w(const Matrix& w_aug, const ConvGeometry& g) {
   const index_t c_out = w_aug.rows(), patch = w_aug.cols() - 1;
-  const real_t* w = w_aug.data();
-  const index_t ldw = w_aug.cols();
-  PackedW pw = pack_a_all(
-      tier_cfg(active()), c_out, patch,
-      [w, ldw](index_t o, index_t j) { return w[o * ldw + j]; });
-  pw.bias.resize(static_cast<std::size_t>(c_out));
+  PackedW pw{active(), c_out, patch, {}, {}, {}};
+  if (conv_direct(g)) {
+    // MR-interleaved panels of W_main, block k0 at k0 · ⌈c_out/MR⌉ · MR.
+    const index_t mr = tier_cfg(active()).mr, npan = (c_out + mr - 1) / mr;
+    pw.data.resize(static_cast<std::size_t>(patch * npan * mr));
+    for (index_t k0 = 0; k0 < patch; k0 += kKC)
+      pack_a(pw.data.data() + k0 * npan * mr, 0, c_out, k0,
+             std::min(kKC, patch - k0), mr,
+             [&w_aug](index_t o, index_t j) { return w_aug(o, j); });
+  } else {
+    pw = materialized_w(w_aug);
+  }
+  // Zero past c_out to a whole number of MR: an edge tile's pad rows start
+  // from there.
+  pw.bias.assign(static_cast<std::size_t>((c_out + kMaxMR - 1) / kMaxMR *
+                                          kMaxMR),
+                 0.0);
   for (index_t o = 0; o < c_out; ++o)
     pw.bias[static_cast<std::size_t>(o)] = w_aug(o, patch);
   return pw;
 }
 
 PackedW pack_conv_dgrad_w(const Matrix& w_aug, const ConvGeometry& g) {
-  const TierCfg cfg = tier_cfg(active());
-  if (conv_direct(g)) return pack_direct_dgrad_w(cfg, w_aug, g);
-  const index_t c_out = w_aug.rows(), patch = w_aug.cols() - 1;
-  const real_t* w = w_aug.data();
-  const index_t ldw = w_aug.cols();
-  return pack_a_all(cfg, patch, c_out,
-                    [w, ldw](index_t j, index_t o) { return w[o * ldw + j]; });
+  return conv_direct(g) ? pack_direct_dgrad_w(tier_cfg(active()), w_aug, g)
+                        : materialized_w(w_aug);
 }
 
 void conv_forward(const PackedW& pw, const real_t* x, const ConvGeometry& g,
                   real_t* out_plane, real_t* capture_row) {
   check_packed_tier(pw);
   const TierCfg cfg = tier_cfg(active());
-  const index_t s = g.out_h() * g.out_w();
-  for (index_t o = 0; o < pw.rows; ++o)
-    std::fill(out_plane + o * s, out_plane + (o + 1) * s,
-              pw.bias[static_cast<std::size_t>(o)]);
-  if (!conv_direct(g)) {
-    packed_forward(cfg, pw, x, g, out_plane, capture_row);
-    return;
-  }
-  const real_t* xp = pad_sample(x, g, cfg.nr);
-  const ConvOffsets& offs = conv_offsets(g);
-  direct_forward(cfg, pw, xp, offs, g, out_plane);
-  if (capture_row != nullptr)
-    direct_capture(xp, offs, g, cfg.nr, capture_row);
+  const bool direct = pw.main.empty();  // the route conv_direct(g) packed for
+  const ConvOffsets& offs = conv_offsets(g, true);
+  const real_t* xp = direct || capture_row != nullptr
+                         ? phase_planes(x, g, offs, cfg.nr)
+                         : nullptr;
+  if (direct)
+    direct_forward(cfg, pw, xp, offs, g, out_plane);
+  else
+    im2col_forward(pw, x, g, out_plane);
+  if (capture_row != nullptr) conv_capture(xp, offs, g, cfg.nr, capture_row);
 }
 
 void conv_wgrad(const Tensor4& gout, const Tensor4& x, const ConvGeometry& g,
                 Matrix& gw, index_t o0, index_t o1) {
-  const TierCfg cfg = tier_cfg(active());
-  if (conv_direct(g)) {
-    direct_wgrad(cfg, gout, x, g, gw, o0, o1);
-    return;
-  }
-  for (index_t i = 0; i < x.n(); ++i)
-    packed_wgrad(cfg, gout.sample_ptr(i), x.sample_ptr(i), g, gw, o0, o1);
+  if (conv_direct(g))
+    direct_wgrad(tier_cfg(active()), gout, x, g, gw, o0, o1);
+  else
+    im2col_wgrad(gout, x, g, gw, o0, o1);
 }
 
 void conv_dgrad(const real_t* gout_plane, const PackedW& pw,
                 const ConvGeometry& g, real_t* gin_plane) {
   check_packed_tier(pw);
-  const TierCfg cfg = tier_cfg(active());
-  if (conv_direct(g))
-    direct_dgrad(cfg, gout_plane, pw, g, gin_plane);
+  if (pw.main.empty())  // the route conv_direct(g) packed for
+    direct_dgrad(tier_cfg(active()), gout_plane, pw, g, gin_plane);
   else
-    packed_dgrad(cfg, gout_plane, pw, g, gin_plane);
+    im2col_dgrad(gout_plane, pw, g, gin_plane);
 }
 
 }  // namespace hylo::kern

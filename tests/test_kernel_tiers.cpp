@@ -5,8 +5,8 @@
 // identical at 1/2/7 threads *within* each available tier; (3) cross-tier
 // accuracy — SIMD tiers reassociate the k-accumulation, so scalar-vs-SIMD
 // drift is bounded with norm-relative tolerances on random and adversarial
-// (large exponent spread) inputs, and the fused-im2col conv matches the
-// scalar materialized-im2col path to the same bounds.
+// (large exponent spread) inputs, and the SIMD conv passes match the
+// scalar tier's per-sample patch matrices to the same bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -375,9 +375,9 @@ TEST_F(KernelTiers, FusedConvMatchesMaterializedIm2col) {
     }
   };
 
-  // Scalar tier materializes per-sample im2col patch matrices; the SIMD
-  // tiers generate patches inside the packed GEMM. Same math, different
-  // association — norm-relative agreement is the contract.
+  // The scalar tier's loops and the SIMD tiers' fma chains compute the same
+  // math in a different association — norm-relative agreement is the
+  // contract.
   kern::set_tier(Tier::kScalar);
   Tensor4 out_ref;
   std::vector<Matrix> s_ref;
@@ -400,29 +400,36 @@ TEST_F(KernelTiers, FusedConvMatchesMaterializedIm2col) {
   }
 }
 
-// The fused conv passes pin their bits to the materialized GEMMs: the
-// forward to W_main·im2col(x)ᵀ on a bias-filled C, the wgrad to one
-// [cols | 1] GEMM per sample, the dgrad to col2im of goutᵀ·W_main onto the
-// values already in gin. The capture sums each NR-lane block of positions
-// lane-ascending (pad lanes are +0.0), then adds the block sums in order.
-// The sweep covers lane blocks that span output rows, patches deeper than
-// one KC block, s > KC with s % NR != 0, strides 2 and 3, pad 0 and 2, and
-// kernels 1, 2, 3 and 5; it runs with the capture off and on, and in each
-// tier it reaches both the direct and the packed path (kern::conv_direct):
-// the ResNet proxy's 16x16 and 8x8 layers, c_out % MR != 0, a 4x4 map
-// (packed at NR = 8, direct at NR = 4), a partial last lane block, a
-// direct forward with patch > KC and a dgrad o-chain longer than KC.
+// Both conv routes pin their bits to the materialized GEMMs: the forward to
+// W_main·im2col(x)ᵀ on a bias-filled C, the wgrad to one [cols | 1] GEMM
+// per sample, the dgrad to col2im of goutᵀ·W_main onto the values already
+// in gin. The capture sums each NR-lane block of positions lane-ascending
+// (pad lanes are +0.0), then adds the block sums in order. The sweep covers
+// lane blocks that span output rows, patches deeper than one KC block,
+// s > KC with s % NR != 0, strides 2 and 3, pad 0 and 2, kernels 1, 2, 3
+// and 5, and a gin row phase with no rows; it runs with the capture off and
+// on. Cases flagged `zoo` are the
+// geometries make_resnet (widths 8 and 12), make_c3f1, make_densenet and
+// make_unet build at the bench shapes, and each must take the direct path
+// (kern::conv_direct) in both x86 tiers: stride-2 3x3 and 1x1 convs through
+// the phase planes, the 4x4 maps through two-row tiles at NR = 8, c_out %
+// MR != 0, a 1-channel stem and a 1-channel head. Every tier must also reach
+// the materialized route (rows under NR/2: a 2x2 map and 7x5 stride 2 at
+// NR = 8, 1-wide rows at NR = 4), and each x86 tier the direct path, with
+// a partial last lane block, a direct forward with patch > KC and a dgrad
+// o-chain longer than KC.
 TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
   if (simd_tiers().empty()) GTEST_SKIP() << "no SIMD tier on this host";
   struct Case {
     const char* name;
     Shape in;
     index_t c_out, kernel, stride, pad;
+    bool zoo = false;
   };
   const Case cases[] = {
-      {"stem", {3, 16, 16}, 8, 3, 1, 1},
-      {"stride2_3x3", {8, 16, 16}, 16, 3, 2, 1},
-      {"downsample_1x1", {8, 16, 16}, 16, 1, 2, 0},
+      {"stem", {3, 16, 16}, 8, 3, 1, 1, true},
+      {"stride2_3x3", {8, 16, 16}, 16, 3, 2, 1, true},
+      {"downsample_1x1", {8, 16, 16}, 16, 1, 2, 0, true},
       {"4x4_c32", {32, 4, 4}, 8, 3, 1, 1},
       {"4x4_c48", {48, 4, 4}, 12, 3, 1, 1},
       {"17x17", {2, 17, 17}, 5, 3, 1, 1},
@@ -433,10 +440,23 @@ TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
       {"stride3", {2, 11, 10}, 3, 3, 3, 1},
       {"k2", {3, 6, 7}, 4, 2, 1, 1},
       {"2x2_map", {4, 2, 2}, 5, 3, 1, 1},
-      {"resnet_16x16", {8, 16, 16}, 8, 3, 1, 1},
-      {"resnet_8x8", {16, 8, 8}, 16, 3, 1, 1},
-      {"cout12", {12, 16, 16}, 12, 3, 1, 1},
-      {"4x4_c32_to_32", {32, 4, 4}, 32, 3, 1, 1},
+      {"1wide", {3, 6, 1}, 4, 3, 1, 1},
+      {"1row_stride2", {2, 1, 16}, 3, 3, 2, 1},
+      {"resnet_16x16", {8, 16, 16}, 8, 3, 1, 1, true},
+      {"resnet_8x8", {16, 8, 8}, 16, 3, 1, 1, true},
+      {"cout12", {12, 16, 16}, 12, 3, 1, 1, true},
+      {"4x4_c32_to_32", {32, 4, 4}, 32, 3, 1, 1, true},
+      {"stride2_3x3_8x8", {16, 8, 8}, 32, 3, 2, 1, true},
+      {"downsample_1x1_8x8", {16, 8, 8}, 32, 1, 2, 0, true},
+      {"w12_stride2_3x3", {12, 16, 16}, 24, 3, 2, 1, true},
+      {"w12_downsample_1x1", {12, 16, 16}, 24, 1, 2, 0, true},
+      {"w12_8x8", {24, 8, 8}, 24, 3, 1, 1, true},
+      {"w12_stride2_3x3_8x8", {24, 8, 8}, 48, 3, 2, 1, true},
+      {"w12_downsample_1x1_8x8", {24, 8, 8}, 48, 1, 2, 0, true},
+      {"w12_4x4", {48, 4, 4}, 48, 3, 1, 1, true},
+      {"c3f1_stem", {1, 16, 16}, 8, 3, 1, 1, true},
+      {"densenet_transition", {48, 16, 16}, 24, 1, 1, 0, true},
+      {"unet_head", {8, 16, 16}, 1, 1, 1, 0, true},
       {"28x28_partial_lanes", {3, 28, 28}, 8, 3, 1, 1},
       {"patch_over_kc", {32, 8, 8}, 8, 3, 1, 1},
       {"cout_over_kc", {2, 8, 8}, 264, 3, 1, 1},
@@ -448,7 +468,8 @@ TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
     // Register-tile width of the B panels (gemm_packed.hpp): 8 on AVX-512,
     // 4 on AVX2 and NEON.
     const index_t nr = tier == Tier::kAvx512 ? 8 : 4;
-    int direct = 0, packed = 0;
+    const bool has_direct = tier == Tier::kAvx2 || tier == Tier::kAvx512;
+    int direct = 0, materialized = 0;
     for (const int threads : {1, 3}) {
       par::set_num_threads(threads);
       for (const bool capture : {false, true}) {
@@ -464,7 +485,10 @@ TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
                                .in_w = cs.in.w, .kernel_h = cs.kernel,
                                .kernel_w = cs.kernel, .stride = cs.stride,
                                .pad = cs.pad};
-          ++(kern::conv_direct(g) ? direct : packed);
+          ++(kern::conv_direct(g) ? direct : materialized);
+          if (cs.zoo && has_direct) {
+            EXPECT_TRUE(kern::conv_direct(g)) << "zoo geometry not direct";
+          }
           const index_t s = os.h * os.w, patch = g.patch_size();
           ParamBlock& pb = *conv.param_block();
           for (index_t o = 0; o < cs.c_out; ++o)
@@ -533,17 +557,16 @@ TEST_F(KernelTiers, FusedConvEqualsMaterializedGemmBitwise) {
         }
       }
     }
-    const bool has_direct = tier == Tier::kAvx2 || tier == Tier::kAvx512;
     EXPECT_EQ(direct > 0, has_direct) << kern::tier_name(tier);
-    EXPECT_GT(packed, 0) << kern::tier_name(tier);
+    EXPECT_GT(materialized, 0) << kern::tier_name(tier);
   }
 }
 
 // A null grad_in entry — the Network passes one for its input node — skips
 // that input's gradient and nothing else: every layer type that can come
 // first keeps its parameter gradients, its capture and its other inputs'
-// gradients bit for bit, in every kernel tier (Conv2d on both its direct
-// and its packed path).
+// gradients bit for bit, in every kernel tier (Conv2d on its direct path,
+// stride 1 and 2, and on its materialized route, a 1-wide map).
 TEST_F(KernelTiers, NullGradInKeepsParameterGradientsBitwise) {
   using Make = std::function<std::unique_ptr<Layer>(Rng&)>;
   struct Case {
@@ -558,6 +581,8 @@ TEST_F(KernelTiers, NullGradInKeepsParameterGradientsBitwise) {
        [](Rng& r) { return std::make_unique<Conv2d>(4, 3, 1, 1, r); }},
       {"Conv2d_stride2", {{3, 8, 8}},
        [](Rng& r) { return std::make_unique<Conv2d>(4, 3, 2, 1, r); }},
+      {"Conv2d_narrow", {{3, 5, 1}},
+       [](Rng& r) { return std::make_unique<Conv2d>(4, 3, 1, 1, r); }},
       {"BatchNorm2d", {{3, 4, 4}},
        [](Rng&) { return std::make_unique<BatchNorm2d>(); }},
       {"ReLU", {{3, 4, 4}}, [](Rng&) { return std::make_unique<ReLU>(); }},

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "hylo/hylo.hpp"
+#include "hylo/tensor/kernel_dispatch.hpp"
 
 namespace hylo {
 namespace {
@@ -78,6 +79,35 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), Error);
   EXPECT_THROW(Json::parse("'single'"), Error);
   EXPECT_THROW(Json::parse("{\"a\" 1}"), Error);
+}
+
+// Nesting is bounded: hostile lines of 100,000 open arrays or objects (a
+// 200 KB run-log line) throw instead of overflowing the stack, naming the
+// depth and the offset, while a document exactly at the limit parses.
+TEST(Json, ParseRefusesNestingPastTheLimit) {
+  const std::string arrays(100000, '[');
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"k\":";
+  for (const std::string& hostile : {arrays, objects}) {
+    try {
+      Json::parse(hostile);
+      ADD_FAILURE() << "hostile nesting parsed";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("depth " + std::to_string(Json::kMaxDepth + 1)),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
+    }
+  }
+  const std::size_t d = Json::kMaxDepth;
+  const Json at_limit =
+      Json::parse(std::string(d, '[') + "7" + std::string(d, ']'));
+  const Json* inner = &at_limit;
+  for (std::size_t i = 1; i < d; ++i) inner = &inner->items().at(0);
+  EXPECT_DOUBLE_EQ(inner->items().at(0).number(), 7.0);
+  EXPECT_THROW(Json::parse(std::string(d + 1, '[') + std::string(d + 1, ']')),
+               Error);
 }
 
 TEST(Json, FindAndAt) {
@@ -490,6 +520,9 @@ TEST(Telemetry, TrainerWritesRunLogAndTrace) {
   EXPECT_EQ(records.front().at("type").str(), "run_start");
   EXPECT_EQ(records.front().at("optimizer").str(), "HyLo");
   EXPECT_DOUBLE_EQ(records.front().at("world").number(), 2.0);
+  // The tier fixes every conv and GEMM bit and each conv's route.
+  EXPECT_EQ(records.front().at("kernel_tier").str(),
+            kern::tier_name(kern::active()));
 
   std::vector<const Json*> epochs;
   std::vector<const Json*> steps;
