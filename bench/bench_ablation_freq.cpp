@@ -26,6 +26,7 @@ int main() {
     tc.batch_size = 8;
     tc.world = 4;
     tc.interconnect = mist_v100();
+    tc.compute = bench_compute();
     tc.max_iters_per_epoch = large_scale() ? -1 : 10;
     tc.lr_schedule = {{epochs * 2 / 3}, 0.1};
     apply_env_telemetry(tc, "ablation_freq/f" + std::to_string(freq));

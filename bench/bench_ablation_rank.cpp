@@ -17,7 +17,7 @@ int main() {
   std::cout << "Ablation — HyLo rank ratio on " << w.paper_name
             << " (P=4)\n\n";
   CsvWriter table({"rank_ratio", "best_acc", "sim_seconds",
-                   "curvature_ms_per_refresh"});
+                   "curvature_measured_ms_per_refresh"});
   for (const real_t ratio : {0.05, 0.1, 0.25, 0.5}) {
     Network net = w.make_model();
     OptimConfig oc = method_config("HyLo");
@@ -29,6 +29,7 @@ int main() {
     tc.batch_size = 8;
     tc.world = 4;
     tc.interconnect = mist_v100();
+    tc.compute = bench_compute();
     tc.max_iters_per_epoch = large_scale() ? -1 : 10;
     tc.lr_schedule = {{epochs * 2 / 3}, 0.1};
     apply_env_telemetry(tc, "ablation_rank/r" + std::to_string(ratio));

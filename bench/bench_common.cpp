@@ -60,6 +60,13 @@ Workload make_workload(const std::string& name) {
   return w;
 }
 
+ComputeModel bench_compute() {
+  // hylo-resnet32-p8's modeled fwd/bwd FLOPs per rank pass over its traced
+  // nn.forward_ms + nn.backward_ms (EXPERIMENTS.md): the figures keep the
+  // compute/comm balance of the CPU they were first drawn on.
+  return {.name = "cpu-calibrated", .flops_per_s = 13e9};
+}
+
 OptimConfig method_config(const std::string& optimizer) {
   OptimConfig oc;
   oc.momentum = 0.9;

@@ -54,6 +54,11 @@ struct Workload {
 /// "resnet32", "unet", "densenet", "c3f1"}.
 Workload make_workload(const std::string& name);
 
+/// The compute model every figure bench charges modeled FLOPs through, so a
+/// figure's time columns are the same numbers on any machine
+/// (EXPERIMENTS.md states the rate and how it was calibrated).
+ComputeModel bench_compute();
+
 /// Per-method hyperparameters tuned for the proxy workloads (the paper
 /// likewise tunes lr/damping per method, Sec. V-A).
 OptimConfig method_config(const std::string& optimizer);

@@ -40,6 +40,7 @@ int main() {
       tc.batch_size = 8;
       tc.world = setup.world;
       tc.interconnect = mist_v100();
+      tc.compute = bench_compute();
       tc.lr_schedule = {{setup.epochs * 2 / 3}, 0.1};
       tc.target_metric = w.target_metric;
       tc.max_iters_per_epoch = big ? -1 : 12;

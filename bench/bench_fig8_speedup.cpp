@@ -1,6 +1,6 @@
 // Fig. 8 reproduction: projected end-to-end training speedup of HyLo over
 // SGD as the worker count grows, for r = 10%, 20% and 40% of the global
-// batch. Following the paper's protocol: measure the average time-per-epoch
+// batch. Following the paper's protocol: take the modeled time-per-epoch
 // of each method over a few epochs, project to the full training length
 // (SGD needs more epochs than HyLo — 90 vs 50 for ResNet-50, 200 vs 100 for
 // ResNet-32, 50 vs 30 for U-Net), and report the ratio. The curvature
@@ -29,6 +29,7 @@ double epoch_seconds(const Workload& w, const std::string& method,
   tc.batch_size = batch;
   tc.world = world;
   tc.interconnect = mist_v100();
+  tc.compute = bench_compute();
   // Sample a few iterations and project to a full epoch over the dataset
   // (the paper likewise measures 3 epochs and projects the whole training).
   tc.max_iters_per_epoch =

@@ -26,6 +26,7 @@ double epoch_seconds(const Workload& w, index_t world) {
   tc.batch_size = batch;
   tc.world = world;
   tc.interconnect = mist_v100();
+  tc.compute = bench_compute();
   tc.max_iters_per_epoch = std::max<index_t>(2, 48 / world);
   apply_env_telemetry(tc, "fig9/" + w.paper_name + "/P" + std::to_string(world));
   Trainer trainer(net, *opt, w.data, tc);

@@ -30,6 +30,7 @@ Outcome run(const Workload& w, HyloOptimizer::Policy policy, index_t world,
   tc.batch_size = 8;
   tc.world = world;
   tc.interconnect = mist_v100();
+  tc.compute = bench_compute();
   tc.max_iters_per_epoch = large_scale() ? -1 : 8;
   tc.lr_schedule = {{epochs * 2 / 3}, 0.1};
   apply_env_telemetry(

@@ -53,15 +53,15 @@ int main() {
             << " (" << 100.0 * oc.rank_ratio << "% of the global batch)\n";
   std::cout << "Optimizer state: " << opt.state_bytes() / 1024 << " KiB\n";
 
-  std::cout << "\nSimulated time decomposition:\n"
-            << "  parallel compute (fwd/bwd + factor + invert): "
-            << res.compute_seconds << "s\n"
-            << "  replicated compute (precondition + update):   "
-            << res.replicated_seconds << "s\n"
-            << "  modeled communication:                        "
+  std::cout << "\nModeled wall " << res.total_seconds
+            << "s (the event-timeline horizon):\n"
+            << "  compute on the critical path (FLOPs at "
+            << tc.compute.name << "): " << res.compute_seconds << "s\n"
+            << "  communication on the wire (alpha-beta model): "
             << res.comm_seconds << "s\n";
 
-  std::cout << "\nProfiler sections (comp/* measured, comm/* modeled):\n";
+  std::cout << "\nProfiler sections (comp/* measured CPU seconds; model/* "
+               "and comm/* modeled, summed over ranks):\n";
   for (const auto& [name, entry] : trainer.profiler().sections())
     std::cout << "  " << std::left << std::setw(28) << name << " "
               << std::setw(12) << entry.seconds << "s  x" << entry.calls

@@ -194,10 +194,10 @@ int main(int argc, char** argv) {
   const TrainResult res =
       resume_path.empty() ? trainer.run() : trainer.resume(resume_path);
 
-  std::cout << "\nbest metric " << res.best_metric() << ", simulated time "
-            << res.total_seconds << "s (" << res.compute_seconds
-            << " parallel-compute + " << res.replicated_seconds
-            << " replicated + " << res.comm_seconds << " comm)\n";
+  std::cout << "\nbest metric " << res.best_metric() << ", modeled wall "
+            << res.total_seconds << "s (critical-path compute "
+            << res.compute_seconds << "s, wire " << res.comm_seconds
+            << "s; " << to_string(trainer.comm().mode()) << ")\n";
   if (res.time_to_target)
     std::cout << "reached target in " << *res.time_to_target << "s / "
               << *res.epochs_to_target << " epochs\n";

@@ -43,7 +43,8 @@ real_t TrainResult::best_metric() const {
 Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
                  TrainConfig cfg)
     : net_(&net), opt_(&opt), data_(&data), cfg_(cfg),
-      comm_(cfg.world, cfg.interconnect), runlog_(telemetry_config(cfg)),
+      comm_(cfg.world, cfg.interconnect, cfg.compute),
+      runlog_(telemetry_config(cfg)),
       segmentation_(data.train.is_segmentation()), world_(cfg.world) {
   HYLO_CHECK(cfg_.world >= 1 && cfg_.epochs >= 1 && cfg_.batch_size >= 1,
              "bad train config");
@@ -57,16 +58,13 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
   alerts_ = obs::AlertEngine(rc.health.alerts);
   curv_ = dynamic_cast<CurvatureOptimizer*>(opt_);
   blocks_ = net_->param_blocks();
-  for (auto* pb : blocks_) grad_scalars_ += pb->gw.size();
+  for (auto* pb : blocks_) {
+    grad_scalars_ += pb->gw.size();
+    fwd_bwd_flops_ += flops::forward_backward(cfg_.batch_size, pb->positions,
+                                              pb->d_in, pb->d_out);
+  }
   for (auto pp : net_->plain_params())
     grad_scalars_ += static_cast<index_t>(pp.grad->size());
-  // Async timeline: each rank's simulated clock advances by *modeled*
-  // fwd/bwd compute (never measured wall time — replays stay bitwise), so
-  // curvature gathers issued at refresh t genuinely overlap the compute of
-  // iterations t+1..t+f-1.
-  if (comm_.async())
-    modeled_step_s_ = compute_seconds(
-        cfg_.compute, train_step_flops(net_->num_params(), cfg_.batch_size));
   if (rc.health.enabled) {
     health_.set_method(env::lower(opt_->name()));
     health_.attach(&comm_.profiler().registry(), &runlog_);
@@ -90,10 +88,8 @@ Trainer::Trainer(Network& net, Optimizer& opt, const DataSplit& data,
     start.set("lr", opt_->lr());
     start.set("wire_scalar_bytes", cfg_.wire_scalar_bytes);
     start.set("interconnect", cfg_.interconnect.name);
-    if (comm_.async()) {
-      start.set("comm_mode", "async");
-      start.set("compute_model", cfg_.compute.name);
-    }
+    start.set("comm_mode", to_string(comm_.mode()));
+    start.set("compute_model", cfg_.compute.name);
     start.set("params", net_->num_params());
     start.set("kernel_tier", kern::tier_name(kern::active()));
     start.set("segmentation", segmentation_);
@@ -194,7 +190,6 @@ void Trainer::run_epoch(TrainResult& result) {
                                         << iters);
   while (cursor_.iter < iters) run_iteration();
 
-  const SimTime sim = sim_time();
   const auto [test_loss, test_metric] = evaluate();
   EpochStats stats;
   stats.epoch = cursor_.epoch;
@@ -203,7 +198,7 @@ void Trainer::run_epoch(TrainResult& result) {
   stats.train_metric = cursor_.metric_sum / denom;
   stats.test_loss = test_loss;
   stats.test_metric = test_metric;
-  stats.wall_seconds = sim.wall;
+  stats.wall_seconds = comm_.timeline()->horizon();
   // Uniform note: HyLo reports its per-epoch KID/KIS mode, every other
   // optimizer its name — so EpochStats carries the method tag regardless of
   // which optimizer ran.
@@ -217,7 +212,7 @@ void Trainer::run_epoch(TrainResult& result) {
          << (stats.note == opt_->name() ? "" : " (" + stats.note + ")");
     runlog_.console(line.str());
   }
-  log_epoch(stats, sim);
+  log_epoch(stats);
   if (health_.enabled()) {
     const std::int64_t faults =
         comm_.profiler().registry().counter_value("comm/faults/injected");
@@ -289,10 +284,10 @@ std::pair<real_t, real_t> Trainer::forward_backward(bool capture,
         cap.g[l].push_back(std::move(blocks_[l]->g_samples));
       }
     }
-    if (runlog_.enabled())
-      runlog_.trace().add_span("fwd_bwd", "comp", static_cast<int>(rank),
-                               rank_timer.seconds(),
-                               obs::Json::object().set("iter", global_iter_));
+    comm_.compute(rank, fwd_bwd_flops_, "forward_backward",
+                  obs::Json::object()
+                      .set("iter", global_iter_)
+                      .set("measured_s", rank_timer.seconds()));
   }
   cursor_.loss_sum += loss;
   cursor_.metric_sum += metric;
@@ -311,9 +306,6 @@ void Trainer::average_gradients(const WallTimer& fb_timer) {
       for (auto& g : *pp.grad) g *= inv_world;
   }
   comm_.profiler().add("comp/forward_backward", fb_timer.seconds());
-  if (comm_.async())
-    for (index_t rank = 0; rank < world_; ++rank)
-      comm_.timeline()->advance(rank, modeled_step_s_);
   // The gradient allreduce must complete for the replicas to stay
   // bit-identical: injected rank_down faults re-form and retry.
   comm_.charge_allreduce(comm_.wire_bytes(grad_scalars_),
@@ -341,9 +333,11 @@ void Trainer::optimizer_step(bool capture, const CaptureSet& cap,
     check_triggers(loss, "optimizer_abort");
   }
   comm_.profiler().add("comp/step", step_s);
-  if (runlog_.enabled())
-    for (index_t rank = 0; rank < world_; ++rank)
-      runlog_.trace().add_span("step", "comp", static_cast<int>(rank), step_s);
+  const double step_flops =
+      opt_->precondition_flops() + flops::update(grad_scalars_);
+  for (index_t rank = 0; rank < world_; ++rank)
+    comm_.compute(rank, step_flops, "step",
+                  obs::Json::object().set("measured_s", step_s));
 }
 
 void Trainer::record_step(bool capture, real_t loss, real_t metric) {
@@ -440,8 +434,7 @@ void Trainer::check_triggers(real_t loss, const char* why) {
     obs::Json args = obs::Json::object();
     args.set("trigger", why);
     args.set("rung", act.rung);
-    runlog_.trace().add_instant("rollback", "recover",
-                                obs::TraceBuffer::kCommTrack, std::move(args));
+    comm_.trace_instant("rollback", "recover", std::move(args));
   }
   runlog_.console("[recover] " + std::string(why) + " at epoch " +
                   std::to_string(cursor_.epoch) + " iter " +
@@ -475,24 +468,13 @@ void Trainer::roll_back(const RecoveryAction& act, TrainResult& result) {
     result.epochs.pop_back();
 }
 
-Trainer::SimTime Trainer::sim_time() const {
+obs::Json Trainer::measured_seconds() const {
   const Profiler& prof = comm_.profiler();
-  const double world = static_cast<double>(world_);
-  SimTime t;
-  // Inversion is distributed layer-wise: its wall time is total/P until the
-  // largest single layer (the summed per-refresh critical path) dominates.
-  t.compute = prof.seconds("comp/forward_backward") / world +
-              prof.seconds("comp/factorization") / world +
-              std::max(prof.seconds("comp/inversion") / world,
-                       prof.seconds("comp/inversion_critical"));
-  t.replicated = prof.seconds("comp/step");
-  t.comm = comm_.comm_seconds();
-  // Lockstep: compute and comm serialize, so wall is their sum. Async: the
-  // event timeline already interleaved them — wall is its horizon (the last
-  // clock or in-flight wire completion), which is what overlap buys.
-  t.wall = comm_.async() ? comm_.timeline()->horizon() + t.replicated
-                         : t.compute + t.replicated + t.comm;
-  return t;
+  obs::Json out = obs::Json::object();
+  for (const char* stage : {"forward_backward", "factorization", "inversion",
+                            "step"})
+    out.set(stage, prof.seconds(std::string("comp/") + stage));
+  return out;
 }
 
 obs::Json Trainer::collective_deltas() {
@@ -532,7 +514,7 @@ obs::Json Trainer::fault_deltas(std::int64_t* stale) {
   return out;
 }
 
-void Trainer::log_epoch(const EpochStats& stats, const SimTime& sim) {
+void Trainer::log_epoch(const EpochStats& stats) {
   if (!runlog_.enabled()) return;
   obs::Json rec = obs::Json::object();
   rec.set("epoch", stats.epoch);
@@ -542,13 +524,13 @@ void Trainer::log_epoch(const EpochStats& stats, const SimTime& sim) {
   rec.set("test_metric", stats.test_metric);
   rec.set("lr", opt_->lr());
   rec.set("mode", stats.note);
-  // Simulated-time breakdown: measured compute (under the parallelism
-  // rule), measured replicated compute, and modeled wire seconds.
+  // Cumulative seconds: the modeled wall with its critical-path compute and
+  // wire ledger, and the measured CPU seconds beside them, never summed in.
   obs::Json time = obs::Json::object();
-  time.set("wall", sim.wall);
-  time.set("compute_parallel", sim.compute);
-  time.set("replicated", sim.replicated);
-  time.set("comm_modeled", sim.comm);
+  time.set("wall", stats.wall_seconds);
+  time.set("compute", comm_.timeline()->compute_seconds());
+  time.set("comm", comm_.comm_seconds());
+  time.set("measured", measured_seconds());
   rec.set("time", std::move(time));
   rec.set("collectives", collective_deltas());
   // Degradation accounting, present only when fault injection is active so
@@ -570,9 +552,8 @@ void Trainer::log_epoch(const EpochStats& stats, const SimTime& sim) {
     sw.set("critical", dec.critical);
     sw.set("reason", dec.reason);
     rec.set("switching", std::move(sw));
-    runlog_.trace().add_instant("mode:" + stats.note, "train",
-                                obs::TraceBuffer::kCommTrack,
-                                obs::Json::object().set("epoch", stats.epoch));
+    comm_.trace_instant("mode:" + stats.note, "train",
+                        obs::Json::object().set("epoch", stats.epoch));
   }
   runlog_.record("epoch", std::move(rec));
 }
@@ -600,11 +581,9 @@ TrainResult Trainer::run() {
   }
   // Cumulative, so a resumed run's count matches the uninterrupted run's.
   result.iterations = global_iter_;
-  const SimTime sim = sim_time();
-  result.total_seconds = sim.wall;
-  result.compute_seconds = sim.compute;
-  result.replicated_seconds = sim.replicated;
-  result.comm_seconds = sim.comm;
+  result.total_seconds = comm_.timeline()->horizon();
+  result.compute_seconds = comm_.timeline()->compute_seconds();
+  result.comm_seconds = comm_.comm_seconds();
   result.alerts_fired = static_cast<index_t>(alerts_.fired().size());
   result.critical_alerts = alerts_.critical_count();
   result.rollbacks = recovery_.rollbacks();
@@ -654,8 +633,8 @@ TrainResult Trainer::run() {
     rec.set("best_metric", result.best_metric());
     rec.set("total_seconds", result.total_seconds);
     rec.set("compute_seconds", result.compute_seconds);
-    rec.set("replicated_seconds", result.replicated_seconds);
     rec.set("comm_seconds", result.comm_seconds);
+    rec.set("measured_seconds", measured_seconds());
     rec.set("total_wire_bytes", comm_.total_wire_bytes());
     rec.set("total_messages", comm_.total_messages());
     if (comm_.faults_active()) {
@@ -687,11 +666,13 @@ TrainResult Trainer::resume(const std::string& path) {
 std::vector<Trainer::Section> Trainer::sections() {
   return {
       // meta: enough to refuse a resume under a structurally different
-      // setup. The epoch count is informational: a resume may move the
-      // horizon.
+      // setup — a lockstep snapshot replayed async, or the reverse, would
+      // silently diverge from the interrupted schedule. The epoch count is
+      // informational: a resume may move the horizon.
       {"meta", true, false,
        [this](ckpt::Archive ar) {
          ar.expect(opt_->name(), "optimizer");
+         ar.expect(std::string(to_string(comm_.mode())), "comm_mode");
          ar.expect(cfg_.world, "world");
          ar.expect(cfg_.batch_size, "batch_size");
          index_t epochs = cfg_.epochs;
@@ -732,10 +713,10 @@ std::vector<Trainer::Section> Trainer::sections() {
                     " — nothing to resume");
        }},
       // clock: every profiler timing section (measured comp/* as-of-snapshot,
-      // modeled comm/* exactly), all counters and gauges, and the trainer's
-      // per-epoch delta baselines. Histograms are summaries only and are not
-      // restored (DESIGN.md §11). The registry is copied out to save and
-      // applied through its setters on load.
+      // modeled model/* and comm/* exactly), all counters and gauges, and
+      // the trainer's per-epoch delta baselines. Histograms are summaries
+      // only and are not restored (DESIGN.md §11). The registry is copied
+      // out to save and applied through its setters on load.
       {"clock", true, false,
        [this](ckpt::Archive ar) {
          auto& reg = comm_.profiler().registry();
@@ -772,10 +753,10 @@ std::vector<Trainer::Section> Trainer::sections() {
          for (const auto& [name, value] : last_fault_counters_)
            ar.require(value >= 0, "last_fault_counters", name, " is negative");
        }},
-      // timeline: the async simulator's clocks / wire cursor / event
-      // sequence — resuming mid-overlap must replay the same completion
-      // order.
-      {"timeline", comm_.async(), false,
+      // timeline: the simulated clock — rank clocks, wire cursor, event
+      // sequence — so the wall and a mid-overlap completion order resume
+      // bitwise. A rollback keeps it running, like the comm ledger.
+      {"timeline", true, false,
        [this](ckpt::Archive ar) { comm_.timeline()->serialize(ar); }},
       // faults: the plan's draw cursor and the elastic world.
       {"faults", comm_.faults_active(), false,
@@ -803,8 +784,7 @@ std::string Trainer::write_snapshot() {
   // it to retain_last would leave a triggered recovery with nothing to
   // restore (it unpins naturally once a newer snapshot is verified good).
   ckpt::retain_last(ckpt_.dir, ckpt_.keep, last_good_path_);
-  // Neither comp/* nor comm/*: snapshot cost never enters the simulated
-  // wall-time recompute.
+  // Measured, under its own section: it never reaches the simulated clock.
   comm_.profiler().add("ckpt/write", timer.seconds());
   comm_.profiler().registry().counter("ckpt/snapshots").inc();
   if (runlog_.enabled()) {
@@ -821,17 +801,16 @@ std::string Trainer::write_snapshot() {
 void Trainer::load_sections(const ckpt::SnapshotReader& snap, bool rollback) {
   for (const Section& s : sections()) {
     if (rollback && !s.rollback) continue;
-    // A section is present exactly when this run writes it: replaying an
-    // async run in lockstep, or a faulted run fault-free (or the reverse),
-    // would silently diverge from the interrupted schedule.
+    // A section is present exactly when this run writes it: replaying a
+    // faulted run fault-free (or the reverse) would silently diverge from
+    // the interrupted schedule.
     HYLO_CHECK(snap.has(s.name) == s.present,
                "snapshot " << snap.path() << " has "
                            << (s.present ? "no" : "a") << " '" << s.name
                            << "' section but this run writes "
                            << (s.present ? "one" : "none")
-                           << " (a run writes 'timeline' only under async "
-                              "comm and 'faults' only with an active fault "
-                              "plan)");
+                           << " (a run writes 'faults' only with an active "
+                              "fault plan)");
     if (!s.present) continue;
     ckpt::ByteReader r = snap.open(s.name);
     s.fields(r);

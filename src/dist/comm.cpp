@@ -41,45 +41,52 @@ void corrupt_values(Matrix& m, std::uint64_t seed) {
   }
 }
 
-void CommSim::set_mode(CommMode mode) {
-  mode_ = mode;
-  if (mode == CommMode::kAsync && timeline_ == nullptr)
-    timeline_ = std::make_unique<EventTimeline>(world_);
-}
-
 void CommSim::configure_faults(const FaultConfig& cfg) {
   fault_plan_ = cfg.enabled() ? std::make_unique<FaultPlan>(cfg) : nullptr;
 }
 
-double CommSim::apply_fault(const char* kind, const FaultEvent& ev,
-                            index_t bytes, const std::string& section,
-                            double seconds, FailMode mode) {
+void CommSim::compute(index_t rank, double flops, const std::string& stage,
+                      obs::Json args) {
+  if (flops == 0.0) return;
+  const double seconds = compute_seconds(compute_, flops);
+  const double start = timeline_.rank_clock(rank);
+  timeline_.advance(rank, seconds);
+  profiler_.add("model/" + stage, seconds);
+  if (trace_ != nullptr)
+    trace_->add_span(stage, "model", static_cast<int>(rank), start, seconds,
+                     std::move(args));
+}
+
+void CommSim::trace_instant(const std::string& name, const std::string& cat,
+                            obs::Json args) {
+  if (trace_ != nullptr)
+    trace_->add_instant(name, cat, obs::TraceBuffer::kCommTrack,
+                        timeline_.max_clock(), std::move(args));
+}
+
+CommSim::FaultOutcome CommSim::apply_fault(const FaultEvent& ev, index_t bytes,
+                                           double seconds, FailMode mode) {
   auto& reg = profiler_.registry();
   reg.counter("comm/faults/injected").inc();
   reg.counter(std::string("comm/faults/") + to_string(ev.kind)).inc();
-  if (trace_ != nullptr) {
-    obs::Json args = obs::Json::object();
-    args.set("collective", kind);
-    args.set("section", section);
-    args.set("kind", to_string(ev.kind));
-    args.set("rank", static_cast<std::int64_t>(ev.rank));
-    if (ev.kind == FaultKind::kStraggler) args.set("slowdown", ev.slowdown);
-    if (ev.retries > 0)
-      args.set("retries", static_cast<std::int64_t>(ev.retries));
-    if (ev.kind == FaultKind::kSilentCorrupt)
-      args.set("escaped", static_cast<std::int64_t>(ev.detected ? 0 : 1));
-    trace_->add_instant(std::string("fault:") + to_string(ev.kind), "comm",
-                        obs::TraceBuffer::kCommTrack, std::move(args));
-  }
 
-  double extra = 0.0;
+  FaultOutcome out;
+  // The attempts were made (and their wire time passed) before the failure
+  // was declared: book them, and let the caller degrade.
+  auto lose = [&](double wasted) {
+    profiler_.add("comm/faults/wasted", wasted);
+    reg.counter("comm/faults/unrecoverable").inc();
+    out.lost = true;
+    out.extra_s = wasted;
+    return out;
+  };
   switch (ev.kind) {
     case FaultKind::kStraggler:
-      extra = seconds * (ev.slowdown - 1.0);
+      out.extra_s = seconds * (ev.slowdown - 1.0);
       break;
     case FaultKind::kTimeout:
     case FaultKind::kCorruptPayload:
-      extra = retry_seconds(model_, seconds, ev.retries);
+      out.extra_s = retry_seconds(model_, seconds, ev.retries);
       reg.counter("comm/faults/retries").inc(ev.retries);
       reg.counter("comm/faults/retry_bytes").inc(bytes * ev.retries);
       break;
@@ -87,19 +94,11 @@ double CommSim::apply_fault(const char* kind, const FaultEvent& ev,
       const double wasted = retry_seconds(model_, seconds, ev.retries);
       reg.counter("comm/faults/retries").inc(ev.retries);
       reg.counter("comm/faults/retry_bytes").inc(bytes * ev.retries);
-      if (mode == FailMode::kMayFail) {
-        // The attempts were made (and their wall time passed) before the
-        // failure was declared: charge them, then let the caller degrade.
-        profiler_.add("comm/faults/wasted", wasted);
-        reg.counter("comm/faults/unrecoverable").inc();
-        throw CommFailure("collective " + std::string(kind) + " under '" +
-                          section + "' lost rank " + std::to_string(ev.rank) +
-                          " and could not complete");
-      }
+      if (mode == FailMode::kMayFail) return lose(wasted);
       // Must-complete collective: re-form the ring without the dead rank
       // (one extra full-cost round) and finish.
       reg.counter("comm/faults/forced_recovery").inc();
-      extra = wasted + retry_seconds(model_, seconds, 1);
+      out.extra_s = wasted + retry_seconds(model_, seconds, 1);
       break;
     }
     case FaultKind::kRankLost: {
@@ -113,7 +112,7 @@ double CommSim::apply_fault(const char* kind, const FaultEvent& ev,
       reg.counter("comm/faults/retries").inc(ev.retries);
       reg.counter("comm/faults/retry_bytes").inc(bytes * ev.retries);
       reg.counter("comm/faults/forced_recovery").inc();
-      extra = wasted + retry_seconds(model_, seconds, 1);
+      out.extra_s = wasted + retry_seconds(model_, seconds, 1);
       const bool already_dying =
           std::find(pending_lost_.begin(), pending_lost_.end(), ev.rank) !=
           pending_lost_.end();
@@ -134,31 +133,24 @@ double CommSim::apply_fault(const char* kind, const FaultEvent& ev,
         reg.counter("comm/faults/sdc_detected").inc();
         reg.counter("comm/faults/retries").inc(ev.retries);
         reg.counter("comm/faults/retry_bytes").inc(bytes * ev.retries);
-        if (mode == FailMode::kMayFail) {
-          profiler_.add("comm/faults/wasted",
-                        crc + retry_seconds(model_, seconds, ev.retries));
-          reg.counter("comm/faults/unrecoverable").inc();
-          throw CommFailure("collective " + std::string(kind) + " under '" +
-                            section +
-                            "' failed its payload check (silent corruption "
-                            "caught) and was dropped");
-        }
+        if (mode == FailMode::kMayFail)
+          return lose(crc + retry_seconds(model_, seconds, ev.retries));
         reg.counter("comm/faults/forced_recovery").inc();
-        extra = crc + retry_seconds(model_, seconds, ev.retries);
+        out.extra_s = crc + retry_seconds(model_, seconds, ev.retries);
       } else {
         // Escaped: the collective "succeeds" and the caller must corrupt
         // the payload it just moved (take_silent_corruption ticket).
         reg.counter("comm/faults/sdc_escaped").inc();
         pending_sdc_ = ev.payload_seed;
-        extra = crc;
+        out.extra_s = crc;
       }
       break;
     }
     case FaultKind::kNone:
       break;
   }
-  reg.histogram("comm/faults/extra_seconds").observe(extra);
-  return extra;
+  reg.histogram("comm/faults/extra_seconds").observe(out.extra_s);
+  return out;
 }
 
 std::vector<index_t> CommSim::commit_shrinks() {
@@ -175,11 +167,10 @@ std::vector<index_t> CommSim::commit_shrinks() {
       obs::Json args = obs::Json::object();
       args.set("lost_rank", static_cast<std::int64_t>(rank));
       args.set("world", static_cast<std::int64_t>(world_));
-      trace_->add_instant("world_shrink", "comm", obs::TraceBuffer::kCommTrack,
-                          std::move(args));
+      trace_instant("world_shrink", "comm", std::move(args));
     }
   }
-  if (timeline_ != nullptr && !committed.empty()) timeline_->set_world(world_);
+  if (!committed.empty()) timeline_.set_world(world_);
   return committed;
 }
 
@@ -196,93 +187,59 @@ void CommSim::serialize_faults(ckpt::Archive ar) {
              "world", "elastic world ", world_, " + ", lost,
              " lost ranks != configured world ", configured);
   pending_lost_.clear();
-  if (timeline_ != nullptr) timeline_->set_world(world_);
 }
 
-void CommSim::charge(const char* kind, index_t bytes,
-                     const std::string& section, double seconds,
-                     FailMode mode) {
-  // A corruption ticket belongs to exactly one collective: drop any that the
-  // previous charge's caller declined to consume.
-  pending_sdc_.reset();
-  if (async()) {
-    // Blocking collective on the event timeline: it starts once the slowest
-    // rank has arrived and every rank then waits out its completion.
-    const CommEvent ev =
-        icharge(kind, bytes, section, seconds, timeline_->max_clock(), mode);
-    timeline_->barrier_at(ev.failed ? ev.start_s : ev.ready_s);
-    if (ev.failed)
-      throw CommFailure("collective " + std::string(kind) + " under '" +
-                        section + "' lost a rank and could not complete");
-    return;
-  }
-  FaultEvent ev;
-  double extra = 0.0;
-  if (faults_active()) {
-    ev = fault_plan_->next(world_);
-    if (ev.kind != FaultKind::kNone)
-      extra = apply_fault(kind, ev, bytes, section, seconds, mode);
-  }
-  profiler_.add(section, seconds + extra);
-  auto& reg = profiler_.registry();
-  reg.counter(section + ".bytes").inc(bytes);
-  reg.counter(section + ".msgs").inc();
-  if (trace_ != nullptr) {
-    obs::Json args = obs::Json::object();
-    args.set("kind", kind);
-    args.set("bytes", static_cast<std::int64_t>(bytes));
-    args.set("world", static_cast<std::int64_t>(world_));
-    if (ev.kind != FaultKind::kNone) {
-      args.set("fault", to_string(ev.kind));
-      args.set("fault_extra_s", extra);
-    }
-    trace_->add_collective(section, seconds + extra, std::move(args));
-  }
+void CommSim::block(const CommEvent& ev, const std::string& section) {
+  wait(ev);
+  if (ev.failed)
+    throw CommFailure("collective under '" + section +
+                      "' was lost to an injected fault and could not "
+                      "complete");
 }
 
 CommEvent CommSim::icharge(const char* kind, index_t ledger_bytes,
                            const std::string& section, double seconds,
                            double earliest_start_s, FailMode mode) {
-  HYLO_CHECK(async() && timeline_ != nullptr,
-             "icharge requires async comm mode");
+  // A corruption ticket belongs to exactly one collective: drop any that the
+  // previous charge's caller declined to consume.
   pending_sdc_.reset();
   FaultEvent fev;
-  double extra = 0.0;
-  bool failed = false;
+  FaultOutcome out;
   if (faults_active()) {
     fev = fault_plan_->next(world_);
-    if (fev.kind != FaultKind::kNone) {
-      try {
-        extra = apply_fault(kind, fev, ledger_bytes, section, seconds, mode);
-      } catch (const CommFailure&) {
-        // Event-based failure reporting: the wasted attempts were charged
-        // by apply_fault; the handle carries the loss to the caller.
-        failed = true;
-      }
-    }
+    if (fev.kind != FaultKind::kNone)
+      out = apply_fault(fev, ledger_bytes, seconds, mode);
   }
-  const TimelineEvent tev = timeline_->issue(
-      section, earliest_start_s, failed ? 0.0 : seconds + extra, failed);
-  if (!failed) {
-    profiler_.add(section, seconds + extra);
+  // A lost collective holds the wire for its wasted attempts.
+  const double wire_s = out.lost ? out.extra_s : seconds + out.extra_s;
+  const TimelineEvent tev =
+      timeline_.issue(section, earliest_start_s, wire_s, out.lost);
+  if (!out.lost) {
+    profiler_.add(section, wire_s);
     auto& reg = profiler_.registry();
     reg.counter(section + ".bytes").inc(ledger_bytes);
     reg.counter(section + ".msgs").inc();
-    if (trace_ != nullptr) {
-      obs::Json args = obs::Json::object();
-      args.set("kind", kind);
-      args.set("bytes", static_cast<std::int64_t>(ledger_bytes));
-      args.set("world", static_cast<std::int64_t>(world_));
-      args.set("seq", static_cast<std::int64_t>(tev.seq));
-      if (fev.kind != FaultKind::kNone) {
-        args.set("fault", to_string(fev.kind));
-        args.set("fault_extra_s", extra);
-      }
-      trace_->add_span_at(section, "comm", obs::TraceBuffer::kCommTrack,
-                          tev.start_s, seconds + extra, std::move(args));
-    }
   }
-  return CommEvent{tev.seq, tev.start_s, tev.ready_s, failed};
+  if (trace_ != nullptr) {
+    obs::Json args = obs::Json::object();
+    args.set("kind", kind);
+    args.set("bytes", static_cast<std::int64_t>(ledger_bytes));
+    args.set("world", static_cast<std::int64_t>(world_));
+    args.set("seq", static_cast<std::int64_t>(tev.seq));
+    if (fev.kind != FaultKind::kNone) {
+      args.set("fault", to_string(fev.kind));
+      args.set("fault_rank", static_cast<std::int64_t>(fev.rank));
+      if (fev.kind == FaultKind::kStraggler) args.set("slowdown", fev.slowdown);
+      if (fev.retries > 0)
+        args.set("retries", static_cast<std::int64_t>(fev.retries));
+      if (fev.kind == FaultKind::kSilentCorrupt)
+        args.set("escaped", static_cast<std::int64_t>(fev.detected ? 0 : 1));
+      args.set(out.lost ? "wasted_s" : "fault_extra_s", out.extra_s);
+    }
+    trace_->add_span(section, "comm", obs::TraceBuffer::kCommTrack,
+                     tev.start_s, wire_s, std::move(args));
+  }
+  return CommEvent{tev.seq, tev.start_s, tev.ready_s, out.lost};
 }
 
 namespace {
@@ -295,35 +252,27 @@ index_t allgather_ledger_bytes(index_t world, index_t sum_bytes) {
 
 void CommSim::charge_broadcast(index_t bytes, const std::string& section,
                                FailMode mode) {
-  charge("broadcast", bytes, section, broadcast_seconds(model_, world_, bytes),
-         mode);
+  block(icharge_broadcast(bytes, section, timeline_.max_clock(), mode),
+        section);
 }
 
 void CommSim::charge_allgather(index_t bytes_per_rank,
                                const std::string& section, FailMode mode) {
-  charge("allgather",
-         allgather_ledger_bytes(world_, world_ * bytes_per_rank), section,
-         allgather_seconds(model_, world_, bytes_per_rank), mode);
+  charge_allgather(
+      std::vector<index_t>(static_cast<std::size_t>(world_), bytes_per_rank),
+      section, mode);
 }
 
 void CommSim::charge_allgather(const std::vector<index_t>& bytes_per_rank,
                                const std::string& section, FailMode mode) {
-  HYLO_CHECK(static_cast<index_t>(bytes_per_rank.size()) == world_,
-             "allgather needs one payload size per rank");
-  index_t sum = 0, mx = 0;
-  for (const index_t b : bytes_per_rank) {
-    HYLO_CHECK(b >= 0, "negative allgather payload");
-    sum += b;
-    mx = std::max(mx, b);
-  }
-  charge("allgather", allgather_ledger_bytes(world_, sum), section,
-         allgather_seconds(model_, world_, mx), mode);
+  block(icharge_allgather(bytes_per_rank, section, timeline_.max_clock(), mode),
+        section);
 }
 
 void CommSim::charge_allreduce(index_t bytes, const std::string& section,
                                FailMode mode) {
-  charge("allreduce", bytes, section, allreduce_seconds(model_, world_, bytes),
-         mode);
+  block(icharge_allreduce(bytes, section, timeline_.max_clock(), mode),
+        section);
 }
 
 CommEvent CommSim::icharge_allgather(const std::vector<index_t>& bytes_per_rank,

@@ -1,5 +1,6 @@
 #include "hylo/dist/cost_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hylo/common/check.hpp"
@@ -90,19 +91,52 @@ ComputeModel v100_fp32() {
   return {.name = "v100-fp32", .flops_per_s = 14e12};
 }
 
-ComputeModel k80_fp32() {
-  // ~4 TFLOP/s sustained per GK210 die.
-  return {.name = "k80-fp32", .flops_per_s = 4e12};
-}
-
 double compute_seconds(const ComputeModel& m, double flops) {
   HYLO_CHECK(flops >= 0.0 && m.flops_per_s > 0.0, "bad compute args");
   return flops / m.flops_per_s;
 }
 
-double train_step_flops(index_t params, index_t local_batch) {
-  HYLO_CHECK(params >= 0 && local_batch >= 0, "bad step-flop args");
-  return 6.0 * static_cast<double>(params) * static_cast<double>(local_batch);
+namespace flops {
+namespace {
+double d(index_t v) { return static_cast<double>(v); }
+}  // namespace
+
+double gemm(index_t m, index_t n, index_t k) {
+  return 2.0 * d(m) * d(n) * d(k);
 }
+
+double gram(index_t n, index_t k) { return d(n) * d(n + 1) * d(k); }
+
+double cholesky(index_t n) { return d(n) * d(n) * d(n) / 3.0; }
+
+double cholesky_inverse(index_t n) { return 4.0 * d(n) * d(n) * d(n) / 3.0; }
+
+double lu(index_t n) { return 2.0 * d(n) * d(n) * d(n) / 3.0; }
+
+double eigh(index_t n) { return 9.0 * d(n) * d(n) * d(n); }
+
+double id(index_t m, index_t n, index_t r) {
+  return 4.0 * d(m) * d(n) * d(r) +
+         d(r) * d(r) * d(std::max<index_t>(m - r, 0));
+}
+
+double kernel(index_t m, index_t da, index_t dg) {
+  return gram(m, da) + gram(m, dg) + d(m) * d(m);
+}
+
+double sample_space_precondition(index_t r, index_t da, index_t dg) {
+  return gemm(r, da, dg) + 2.0 * d(r) * d(da) + 2.0 * d(r) * d(r) +
+         gemm(dg, da, r) + 2.0 * d(dg) * d(da);
+}
+
+double forward_backward(index_t batch, index_t positions, index_t d_in,
+                        index_t d_out) {
+  HYLO_CHECK(batch >= 0 && positions >= 0 && d_in >= 0 && d_out >= 0,
+             "bad fwd/bwd FLOP args");
+  return 6.0 * d(batch) * d(positions) * d(d_out) * d(d_in + 1);
+}
+
+double update(index_t params) { return 4.0 * d(params); }
+}  // namespace flops
 
 }  // namespace hylo

@@ -1,6 +1,7 @@
 #include "hylo/dist/event_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "hylo/ckpt/snapshot.hpp"
 
@@ -14,8 +15,11 @@ EventTimeline::EventTimeline(index_t world) : world_(world) {
 void EventTimeline::set_world(index_t world) {
   HYLO_CHECK(world >= 1, "timeline world must be >= 1");
   const double now = max_clock();
+  // Close the stretch before a lost clock can take its advance with it.
+  compute_s_ += now - synced_s_;
   world_ = world;
   clocks_.resize(static_cast<std::size_t>(world), now);
+  synced_s_ = max_clock();
 }
 
 double EventTimeline::rank_clock(index_t rank) const {
@@ -36,7 +40,13 @@ double EventTimeline::max_clock() const {
 }
 
 void EventTimeline::barrier_at(double t) {
+  compute_s_ += max_clock() - synced_s_;
   for (double& c : clocks_) c = std::max(c, t);
+  synced_s_ = max_clock();
+}
+
+double EventTimeline::compute_seconds() const {
+  return compute_s_ + (max_clock() - synced_s_);
 }
 
 TimelineEvent EventTimeline::issue(const std::string& section,
@@ -48,16 +58,9 @@ TimelineEvent EventTimeline::issue(const std::string& section,
   ev.seq = next_seq_++;
   ev.failed = failed;
   ev.section = section;
-  if (failed) {
-    // Lost collectives never occupied the wire: the handle carries the
-    // would-have-started time so callers can still order degradations.
-    ev.start_s = earliest_start_s;
-    ev.ready_s = earliest_start_s;
-  } else {
-    ev.start_s = std::max(earliest_start_s, wire_busy_until_);
-    ev.ready_s = ev.start_s + duration_s;
-    wire_busy_until_ = ev.ready_s;
-  }
+  ev.start_s = std::max(earliest_start_s, wire_busy_until_);
+  ev.ready_s = ev.start_s + duration_s;
+  wire_busy_until_ = ev.ready_s;
   history_.push_back(ev);
   return ev;
 }
@@ -70,9 +73,15 @@ void EventTimeline::serialize(ckpt::Archive ar) {
   ar(clocks_, "clocks");  // one per rank: its length is the world
   ar(wire_busy_until_, "wire_busy_until");
   ar(next_seq_, "next_seq");
+  ar(compute_s_, "compute");
+  ar(synced_s_, "synced");
   if (!ar.loading()) return;
   world_ = static_cast<index_t>(clocks_.size());
   ar.require(world_ >= 1, "clocks", "world ", world_);
+  ar.require(std::isfinite(compute_s_) && std::isfinite(synced_s_) &&
+                 synced_s_ <= max_clock(),
+             "synced", "critical-path compute ", compute_s_, " synced at ",
+             synced_s_, " past the clocks");
   history_.clear();
 }
 

@@ -34,9 +34,9 @@
 namespace hylo::ckpt {
 
 constexpr std::uint64_t kSnapshotMagic = 0x48794C6F534E5031ULL;  // "HyLoSNP1"
-/// Version 2: curvature optimizers serialize served and in-flight layer
-/// state through one CurvatureOptimizer layout.
-constexpr std::uint32_t kSnapshotVersion = 2;
+/// Version 3: every run writes the timeline (with its critical-path
+/// compute), and meta records the comm mode.
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `len` bytes,
 /// continuing from `crc` so payloads can be checksummed incrementally.

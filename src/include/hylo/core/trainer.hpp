@@ -5,8 +5,11 @@
 /// replicas stay identical under identical updates); each iteration runs P
 /// local batches through it, averages gradients (allreduce), refreshes the
 /// optimizer's curvature on schedule, and applies the update. The simulated
-/// wall time, the time axis of the Fig. 3/5/7/8/9 reproductions, is
-/// Trainer::sim_time().
+/// wall time, the time axis of the Fig. 3/5/7/8/9 reproductions, is the
+/// horizon of the communicator's event timeline: rank clocks advance only
+/// by modeled compute (FLOPs through TrainConfig::compute) and the wire by
+/// modeled collectives, in both comm modes. Measured seconds stay in the
+/// comp/* sections and are never added to it.
 
 #include <functional>
 #include <optional>
@@ -54,9 +57,8 @@ struct TrainConfig {
   double wire_scalar_bytes = 4.0;
   /// Comm execution mode (DESIGN.md §15); lockstep by default.
   std::optional<CommMode> comm_mode;
-  /// Modeled device throughput driving the async timeline's per-rank
-  /// compute advance (never measured wall time, so replays are bitwise).
-  /// Ignored in lockstep mode.
+  /// Modeled device throughput: every rank clock advances by FLOPs through
+  /// it (never measured wall time, so replays are bitwise).
   ComputeModel compute = v100_fp32();
   LrSchedule lr_schedule;
   std::uint64_t data_seed = 1;
@@ -107,16 +109,15 @@ struct EpochStats {
   index_t epoch = 0;
   real_t train_loss = 0.0, train_metric = 0.0;
   real_t test_loss = 0.0, test_metric = 0.0;
-  double wall_seconds = 0.0;  ///< cumulative simulated time after this epoch
+  double wall_seconds = 0.0;  ///< timeline horizon after this epoch
   std::string note;           ///< e.g. HyLo mode tag
 };
 
 struct TrainResult {
   std::vector<EpochStats> epochs;
-  double total_seconds = 0.0;        ///< simulated
-  double compute_seconds = 0.0;      ///< parallel-compute contribution
-  double replicated_seconds = 0.0;   ///< precondition/update contribution
-  double comm_seconds = 0.0;         ///< modeled wire contribution
+  double total_seconds = 0.0;    ///< simulated wall: the timeline horizon
+  double compute_seconds = 0.0;  ///< modeled compute on the critical path
+  double comm_seconds = 0.0;     ///< modeled wire seconds (comm/* ledger)
   index_t iterations = 0;
   /// First simulated time at which test_metric >= target (if reached).
   std::optional<double> time_to_target;
@@ -147,8 +148,9 @@ class Trainer {
   /// training to cfg.epochs. The network, optimizer, and config must
   /// structurally match the snapshotting run; the continuation is then
   /// bitwise-identical to the uninterrupted run in every modeled quantity
-  /// (weights, losses, metrics, modeled comm seconds, fault schedule).
-  /// Measured comp/* timings restart from their as-of-snapshot totals. With
+  /// (weights, losses, metrics, the wall, modeled comm seconds, fault
+  /// schedule). Measured comp/* timings restart from their as-of-snapshot
+  /// totals. With
   /// recovery enabled, the snapshot is the first rollback target when its
   /// weights scan finite.
   TrainResult resume(const std::string& path);
@@ -163,7 +165,7 @@ class Trainer {
   /// Evaluate on the test split (no gradient, eval-mode BN).
   std::pair<real_t, real_t> evaluate();
 
-  /// Profiler with comp/* (measured) and comm/* (modeled) sections.
+  /// Profiler with comp/* (measured) and model/*, comm/* (modeled) sections.
   const Profiler& profiler() const { return comm_.profiler(); }
   CommSim& comm() { return comm_; }
 
@@ -216,11 +218,6 @@ class Trainer {
     std::function<void(ckpt::Archive)> fields;
   };
 
-  /// Simulated seconds so far, split as TrainResult reports them.
-  struct SimTime {
-    double wall = 0.0, compute = 0.0, replicated = 0.0, comm = 0.0;
-  };
-
   void begin_epoch();
   void run_epoch(TrainResult& result);
   /// One iteration: the steps in order, each ordering rule at its call. A
@@ -247,19 +244,14 @@ class Trainer {
   void check_triggers(real_t loss, const char* why = nullptr);
   /// Restore the pinned snapshot's network, optimizer and cursor and apply
   /// the recovery ladder. Monotonic quantities (profiler clock, counters,
-  /// fault draw cursor, async timeline) deliberately keep running — re-run
+  /// fault draw cursor, the timeline) deliberately keep running — re-run
   /// work costs real simulated time and the fault schedule never rewinds
   /// (so a transient corruption does not repeat and the run stays a pure
   /// function of the seed).
   void roll_back(const RecoveryAction& act, TrainResult& result);
-  /// Simulated wall time =
-  ///   lockstep: (fwd/bwd + factorization) / P
-  ///             + max(inversion / P, summed per-refresh critical path)
-  ///             + replicated compute (precondition + update)
-  ///             + modeled communication (α-β cost model);
-  ///   async:    event-timeline horizon + replicated compute.
-  /// Every term but the modeled comm and the async horizon is measured.
-  SimTime sim_time() const;
+  /// The measured comp/* seconds so far, by stage, as the run log labels
+  /// them.
+  obs::Json measured_seconds() const;
   /// Every snapshot section in file order: write_snapshot, resume and
   /// rollback all walk this one list.
   std::vector<Section> sections();
@@ -284,7 +276,7 @@ class Trainer {
   /// Commit pending rank_lost deaths: shrink the world, re-partition data
   /// shards and layer ownership, log the event.
   void apply_world_shrink();
-  void log_epoch(const EpochStats& stats, const SimTime& sim);
+  void log_epoch(const EpochStats& stats);
   /// Per-collective {calls, bytes, modeled seconds} accumulated since the
   /// previous call (per-epoch deltas for the run log).
   obs::Json collective_deltas();
@@ -304,7 +296,7 @@ class Trainer {
   CurvatureOptimizer* curv_ = nullptr;  ///< non-null iff it has refreshes
   std::vector<ParamBlock*> blocks_;     ///< the network's, in graph order
   index_t grad_scalars_ = 0;            ///< allreduced per iteration
-  double modeled_step_s_ = 0.0;  ///< async: modeled fwd/bwd per iteration
+  double fwd_bwd_flops_ = 0.0;          ///< one rank's modeled fwd/bwd
   std::int64_t last_alert_faults_ = 0;  ///< fault-budget epoch delta base
   std::vector<DataLoader> loaders_;
   Batch batch_;  ///< one local batch, its buffers reused across iterations

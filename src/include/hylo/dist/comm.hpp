@@ -1,19 +1,14 @@
 #pragma once
 /// \file comm.hpp
-/// Simulated communicator. Data movement between the P simulated ranks
-/// happens in shared memory (the runner executes ranks sequentially,
-/// bit-exactly), while each collective charges its modeled wire time to a
-/// profiler section. Compute sections are measured and attributed separately
-/// so benches can report the paper's computation/communication breakdowns.
-///
-/// Two execution modes (DESIGN.md §15):
-///  - kLockstep (default): every collective is a barrier; its modeled
-///    seconds accumulate in the profiler and the epoch wall is recomposed
-///    analytically. This is the seed behavior, bit for bit.
-///  - kAsync: collectives issued through icharge_* become events on a
-///    per-rank EventTimeline with a FIFO wire; completion is a (time, seq)
-///    handle the caller polls, which is what lets curvature-factor gathers
-///    overlap the next iteration's forward/backward.
+/// Simulated communicator and the run's one simulated clock. Data movement
+/// between the P simulated ranks happens in shared memory (the runner
+/// executes ranks sequentially, bit-exactly), while every collective is an
+/// event on the EventTimeline's FIFO wire and rank clocks advance only by
+/// modeled compute (compute()). The wall is the timeline's horizon in both
+/// modes (DESIGN.md §15): kLockstep (default) waits out every collective;
+/// kAsync leaves curvature chains in flight as (time, seq) handles the
+/// caller polls, so factor gathers overlap the next iterations' compute.
+/// Measured compute (comp/* sections) never reaches a clock.
 ///
 /// Wire-byte ledger semantics (`<section>.bytes` counters): every charge
 /// records the **total bytes crossing the wire**, summed over ranks and
@@ -72,17 +67,28 @@ struct CommEvent {
 
 class CommSim {
  public:
-  CommSim(index_t world, InterconnectModel model)
-      : world_(world), model_(std::move(model)) {
+  CommSim(index_t world, InterconnectModel model,
+          ComputeModel compute = v100_fp32())
+      : world_(world), model_(std::move(model)),
+        compute_(std::move(compute)), timeline_(world) {
     HYLO_CHECK(world >= 1, "world must be >= 1");
   }
 
   index_t world() const { return world_; }
   const InterconnectModel& model() const { return model_; }
 
-  /// Charge a broadcast of `bytes` from one root under `section` (the data
-  /// is already visible in shared memory). With an active fault plan and
-  /// mode kMayFail, throws CommFailure on an unrecoverable injected fault.
+  /// Advance `rank`'s clock by the modeled seconds of `flops` on the compute
+  /// model, book them under model/<stage> and draw the span on the rank's
+  /// trace track (with `args`); zero FLOPs do nothing. The only way compute
+  /// time reaches a clock.
+  void compute(index_t rank, double flops, const std::string& stage,
+               obs::Json args = obs::Json::object());
+
+  /// Blocking collectives: issued at the latest rank clock, then every clock
+  /// waits for the completion, in both modes. Charge a broadcast of `bytes`
+  /// from one root under `section` (the data is already visible in shared
+  /// memory). With an active fault plan and mode kMayFail, throws
+  /// CommFailure on an unrecoverable injected fault.
   void charge_broadcast(index_t bytes, const std::string& section,
                         FailMode mode = FailMode::kMayFail);
 
@@ -103,23 +109,25 @@ class CommSim {
   void charge_allreduce(index_t bytes, const std::string& section,
                         FailMode mode = FailMode::kMayFail);
 
-  /// --- Async (event-timeline) mode -------------------------------------
-
-  /// Switch modes. kAsync creates the EventTimeline on first use; switching
-  /// is only meaningful before any collective has been charged.
-  void set_mode(CommMode mode);
+  /// Whether curvature chains wait out each collective (lockstep) or stay in
+  /// flight (async). Only meaningful before any collective is charged.
+  void set_mode(CommMode mode) { mode_ = mode; }
   CommMode mode() const { return mode_; }
   bool async() const { return mode_ == CommMode::kAsync; }
 
-  /// The event timeline (non-null iff async mode is active).
-  EventTimeline* timeline() { return timeline_.get(); }
-  const EventTimeline* timeline() const { return timeline_.get(); }
+  /// The run's simulated clock (never null).
+  EventTimeline* timeline() { return &timeline_; }
+  const EventTimeline* timeline() const { return &timeline_; }
 
-  /// Nonblocking collectives (async mode only). The operation is charged
-  /// now (profiler seconds, wire-byte ledger, fault-plan draw) and placed
-  /// on the wire no earlier than `earliest_start_s`; the returned handle
-  /// carries its modeled completion. Unlike the blocking forms, a kMayFail
-  /// fault does not throw — it comes back as event.failed.
+  /// Every rank waits until `ev` completes (a lost collective completes at
+  /// the end of its wasted attempts).
+  void wait(const CommEvent& ev) { timeline_.barrier_at(ev.ready_s); }
+
+  /// Nonblocking collectives. The operation is charged now (profiler
+  /// seconds, wire-byte ledger, fault-plan draw) and placed on the wire no
+  /// earlier than `earliest_start_s`; the returned handle carries its
+  /// modeled completion. Unlike the blocking forms, a kMayFail fault does
+  /// not throw — it comes back as event.failed.
   CommEvent icharge_allgather(const std::vector<index_t>& bytes_per_rank,
                               const std::string& section,
                               double earliest_start_s,
@@ -209,10 +217,15 @@ class CommSim {
     return profiler_.registry().counter_value("comm/faults/retry_bytes");
   }
 
-  /// Attach a trace buffer: every charged collective is then also recorded
-  /// as a barrier span on the simulated timeline. Not owned; may be null.
+  /// Attach a trace buffer: every collective and compute advance is then
+  /// also drawn at its timeline position. Not owned; may be null.
   void set_trace(obs::TraceBuffer* trace) { trace_ = trace; }
   obs::TraceBuffer* trace() { return trace_; }
+
+  /// Trace instant on the interconnect track at the latest rank clock (no-op
+  /// without a trace).
+  void trace_instant(const std::string& name, const std::string& cat,
+                     obs::Json args = obs::Json::object());
 
   /// Default bytes per scalar on the wire: FP32, as KAISA communicates.
   static constexpr index_t kWireScalarBytes = 4;
@@ -235,35 +248,38 @@ class CommSim {
   }
 
  private:
-  /// Shared bookkeeping behind every charge_*: fault-plan consultation,
-  /// profiler seconds, byte and message counters, and (when attached) the
-  /// trace barrier span. In async mode this routes through icharge() and
-  /// barriers every rank clock at the completion time (blocking-collective
-  /// semantics on the event timeline).
-  void charge(const char* kind, index_t bytes, const std::string& section,
-              double seconds, FailMode mode);
+  /// What an injected fault does to one collective: the seconds it adds to
+  /// a delivered one or, when `lost`, the wasted seconds that replace it.
+  struct FaultOutcome {
+    double extra_s = 0.0;
+    bool lost = false;
+  };
 
-  /// Async core behind icharge_* and async-mode charge(): draws the fault
-  /// plan, reserves the wire, and books seconds/bytes/msgs plus an
-  /// absolute-time trace span for completed operations.
+  /// The end of a blocking charge_*: every clock waits for `ev`; a lost
+  /// collective throws CommFailure.
+  void block(const CommEvent& ev, const std::string& section);
+
+  /// The core behind every collective: draws the fault plan, reserves the
+  /// wire (a lost collective for its wasted attempts), and books
+  /// seconds/bytes/msgs plus a trace span at its wire position.
   CommEvent icharge(const char* kind, index_t ledger_bytes,
                     const std::string& section, double seconds,
                     double earliest_start_s, FailMode mode);
 
-  /// Account an injected event (counters + trace instant) and return its
-  /// extra modeled seconds; throws CommFailure for an unrecoverable event
-  /// under kMayFail after charging the wasted attempts.
-  double apply_fault(const char* kind, const FaultEvent& ev, index_t bytes,
-                     const std::string& section, double seconds,
-                     FailMode mode);
+  /// Account an injected event's counters and ledgers and return what it
+  /// does to the collective; an unrecoverable event under kMayFail books
+  /// its wasted attempts and comes back `lost`.
+  FaultOutcome apply_fault(const FaultEvent& ev, index_t bytes, double seconds,
+                           FailMode mode);
 
   index_t world_;
   InterconnectModel model_;
+  ComputeModel compute_;
   Profiler profiler_;
   obs::TraceBuffer* trace_ = nullptr;
   double wire_scalar_bytes_ = kWireScalarBytes;
   CommMode mode_ = CommMode::kLockstep;
-  std::unique_ptr<EventTimeline> timeline_;
+  EventTimeline timeline_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::vector<index_t> pending_lost_;  ///< deaths awaiting commit_shrinks()
   std::vector<index_t> lost_ranks_;    ///< committed deaths, run lifetime

@@ -64,10 +64,10 @@ double retry_seconds(const InterconnectModel& m, double base_seconds,
 /// silent_corrupt event, detected or escaped — the check runs either way.
 double checksum_seconds(const InterconnectModel& m, index_t bytes);
 
-/// Per-rank compute throughput. The event-timeline simulator (DESIGN.md §15)
-/// advances each rank's clock by *modeled* compute time — never measured wall
-/// time, which would break bitwise replay — so the same flop count always
-/// advances a clock by the same amount.
+/// Per-rank compute throughput. Every rank clock of the event timeline
+/// (DESIGN.md §15) advances by *modeled* compute — a FLOP count through this
+/// model, never measured wall time, which would break bitwise replay — so
+/// the same FLOP count always advances a clock by the same amount.
 struct ComputeModel {
   std::string name;
   double flops_per_s = 14e12;  ///< sustained dense-GEMM throughput
@@ -76,15 +76,33 @@ struct ComputeModel {
 /// V100 sustained FP32 GEMM throughput (pairs with mist_v100()).
 ComputeModel v100_fp32();
 
-/// K80 sustained FP32 GEMM throughput (pairs with aws_p2_k80()).
-ComputeModel k80_fp32();
-
 /// Seconds to execute `flops` floating-point operations on one rank.
 double compute_seconds(const ComputeModel& m, double flops);
 
-/// Flop estimate for one training step (forward + backward) of a dense
-/// network: the standard 6·params·batch rule (2 for forward, 4 for the two
-/// backward GEMMs).
-double train_step_flops(index_t params, index_t local_batch);
+/// FLOP counts of the kernels the compute model charges: the one place each
+/// rule is written (DESIGN.md §15). Cubic terms keep their leading term.
+namespace flops {
+double gemm(index_t m, index_t n, index_t k);  ///< (m x k)·(k x n): 2mnk
+/// Gram of n vectors of length k, symmetric half: n(n+1)k.
+double gram(index_t n, index_t k);
+double cholesky(index_t n);          ///< n³/3
+double cholesky_inverse(index_t n);  ///< SPD inverse from its factor: 4n³/3
+double lu(index_t n);                ///< 2n³/3
+double eigh(index_t n);              ///< with eigenvectors: about 9n³
+/// Rank-r row ID of an m x n matrix: pivoted QR of its transpose to r steps
+/// (4mnr) plus the r x (m-r) coefficient solve (r²(m-r)).
+double id(index_t m, index_t n, index_t r);
+/// Kernel (AAᵀ)∘(GGᵀ) of m samples of widths da and dg.
+double kernel(index_t m, index_t da, index_t dg);
+/// SNGD/HyLo preconditioning of a dg x da gradient through r samples:
+/// Jacobian product, r x r solve, transposed product, residual scale.
+double sample_space_precondition(index_t r, index_t da, index_t dg);
+/// Forward + backward of one weight layer over `batch` samples of
+/// `positions` output positions: 2 FLOPs per multiply-add forward, 4 for
+/// the two backward GEMMs, over the bias-augmented d_out x (d_in+1) weight.
+double forward_backward(index_t batch, index_t positions, index_t d_in,
+                        index_t d_out);
+double update(index_t params);  ///< momentum SGD: 4 per parameter
+}  // namespace flops
 
 }  // namespace hylo

@@ -1,10 +1,10 @@
 #pragma once
 /// \file event_sim.hpp
-/// Event-timeline simulator behind CommSim's async mode (DESIGN.md §15).
-/// Each simulated rank carries its own clock, advanced by *modeled* compute
-/// seconds (dist/cost_model ComputeModel — never measured wall time, so
-/// replays are bitwise). Collectives issued through icharge_* reserve the
-/// shared interconnect as a FIFO resource: an operation starts at
+/// Event-timeline simulator: the one simulated clock of a run, in both comm
+/// modes (DESIGN.md §15). Each simulated rank carries its own clock,
+/// advanced only by *modeled* compute seconds (CommSim::compute — never
+/// measured wall time, so replays are bitwise). Every collective reserves
+/// the shared interconnect as a FIFO resource: an operation starts at
 /// max(its dependency time, the time the wire frees up) and occupies the
 /// wire for its modeled duration. Every operation gets a monotonically
 /// increasing sequence number at issue; all completion processing is ordered
@@ -25,9 +25,9 @@ class Archive;
 namespace hylo {
 
 /// One modeled operation on the shared interconnect. `failed` marks a
-/// kMayFail collective lost to an injected rank_down: it never occupied the
-/// wire (its wasted attempts were charged to comm/faults/wasted) and its
-/// handle reports failure instead of a completion time.
+/// kMayFail collective lost to an injected fault: it occupied the wire for
+/// its wasted attempts (charged to comm/faults/wasted), and its handle
+/// reports failure at the end of them instead of a delivery.
 struct TimelineEvent {
   std::uint64_t seq = 0;  ///< issue order; total-order tie-break
   double start_s = 0.0;   ///< when the wire picked the operation up
@@ -57,10 +57,14 @@ class EventTimeline {
   /// Blocking-collective semantics: every rank waits until `t`.
   void barrier_at(double t);
 
+  /// Modeled compute on the critical path so far: per stretch between
+  /// barriers (all clocks equal after one), the slowest rank's advance.
+  double compute_seconds() const;
+
   /// Reserve the wire for an operation that may start no earlier than
-  /// `earliest_start_s` and runs `duration_s`. Failed operations are
-  /// recorded in the history but do not occupy the wire. Returns the event
-  /// (also appended to the issue-ordered history).
+  /// `earliest_start_s` and occupies it for `duration_s` — a failed one for
+  /// its wasted attempts. Returns the event (also appended to the
+  /// issue-ordered history).
   TimelineEvent issue(const std::string& section, double earliest_start_s,
                       double duration_s, bool failed);
 
@@ -74,8 +78,9 @@ class EventTimeline {
   /// sorting on (ready_s, seq) — the queue ordering rule.
   const std::vector<TimelineEvent>& history() const { return history_; }
 
-  /// The field list of the clocks, wire reservation and seq counter, so a
-  /// resumed run continues the timeline bitwise. The event history itself
+  /// The field list of the clocks, wire reservation, seq counter and
+  /// critical-path compute, so a resumed run continues the timeline
+  /// bitwise. The event history itself
   /// is not persisted — it is diagnostic, and a resumed run only ever
   /// appends.
   void serialize(ckpt::Archive ar);
@@ -85,6 +90,8 @@ class EventTimeline {
   std::vector<double> clocks_;
   double wire_busy_until_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  double compute_s_ = 0.0;  ///< critical-path compute up to synced_s_
+  double synced_s_ = 0.0;   ///< when the clocks were last all equal
   std::vector<TimelineEvent> history_;
 };
 

@@ -44,6 +44,10 @@ struct ParamBlock {
   ParamKind kind = ParamKind::kLinear;
   index_t d_in = 0;   ///< un-augmented input dimension (patch size for conv)
   index_t d_out = 0;  ///< output dimension (channels for conv)
+  /// Output positions per sample: out_h·out_w for conv (fixed at
+  /// infer_shape), 1 for linear. The compute model's fwd/bwd FLOPs scale
+  /// with it.
+  index_t positions = 1;
 
   Matrix w;   ///< d_out x (d_in + 1)
   Matrix gw;  ///< gradient of the mean-batch loss, same shape

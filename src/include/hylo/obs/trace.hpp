@@ -1,13 +1,14 @@
 #pragma once
 /// \file trace.hpp
-/// Trace spans on the *simulated* timeline. The lockstep runner executes the
-/// P ranks sequentially, but the quantity of interest is the modeled
-/// parallel schedule: each rank owns a track with its own time cursor,
-/// measured compute spans advance only their rank's cursor, and modeled
-/// collectives act as barriers — they start once every known track has
-/// arrived and advance all cursors past their modeled wire time. Events land
-/// in a bounded ring buffer (oldest dropped first) and export as Chrome
-/// trace format JSON, loadable in chrome://tracing or https://ui.perfetto.dev.
+/// Trace events on the *simulated* timeline. The runner executes the P
+/// ranks sequentially, but the quantity of interest is the modeled parallel
+/// schedule, so every span and instant arrives with its position on the
+/// event timeline (hylo::EventTimeline) and the buffer only records it: a
+/// rank track per simulated rank carries its modeled compute, the
+/// interconnect track the wire events (DESIGN.md §7). A measured duration
+/// travels only as a span arg named as measured. Events land in a bounded
+/// ring buffer (oldest dropped first) and export as Chrome trace format
+/// JSON, loadable in chrome://tracing or https://ui.perfetto.dev.
 ///
 /// TraceBuffer is internally synchronized: every public method takes the
 /// buffer mutex, so spans recorded from concurrent hylo::par workers are
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "hylo/common/thread_annotations.hpp"
-#include "hylo/common/timer.hpp"
 #include "hylo/common/types.hpp"
 #include "hylo/obs/json.hpp"
 
@@ -29,7 +29,7 @@ namespace hylo::obs {
 
 struct TraceEvent {
   std::string name;
-  std::string cat;      ///< "comp", "comm", "train", ...
+  std::string cat;      ///< "model", "comm", "optim", "train", ...
   char ph = 'X';        ///< Chrome phase: 'X' complete span, 'i' instant
   int tid = 0;          ///< track id: simulated rank, or kCommTrack
   double ts_us = 0.0;   ///< start, microseconds on the simulated timeline
@@ -44,36 +44,17 @@ class TraceBuffer {
 
   explicit TraceBuffer(std::size_t capacity = 1 << 16);
 
-  /// Simulated-clock position of a track (µs); 0 for unseen tracks.
-  double track_now_us(int tid) const;
-
-  /// Measured compute span on `tid`'s track: placed at that track's cursor,
-  /// advances it by `dur_s`.
+  /// Span of `dur_s` starting at `start_s` on the simulated timeline.
   void add_span(const std::string& name, const std::string& cat, int tid,
-                double dur_s, Json args = Json::object());
+                double start_s, double dur_s, Json args = Json::object());
 
-  /// Modeled collective (barrier semantics): starts at the max cursor over
-  /// all known tracks, occupies the kCommTrack lane for `dur_s`, then
-  /// advances every known track to its end.
-  void add_collective(const std::string& name, double dur_s,
-                      Json args = Json::object());
-
-  /// Span at an absolute position on the simulated timeline, no barrier:
-  /// used by the async event simulator, whose operations carry their own
-  /// modeled start times (comm overlapping compute would be misrendered by
-  /// cursor placement). Advances `tid`'s cursor to the span end if the span
-  /// ends beyond it, and no other cursor.
-  void add_span_at(const std::string& name, const std::string& cat, int tid,
-                   double start_s, double dur_s, Json args = Json::object());
-
-  /// Instant event at `tid`'s cursor.
+  /// Instant event at `at_s` on the simulated timeline.
   void add_instant(const std::string& name, const std::string& cat, int tid,
-                   Json args = Json::object());
+                   double at_s, Json args = Json::object());
 
   /// Label a track in the exported trace ("rank 0", "interconnect", ...).
   void set_track_name(int tid, std::string name);
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t size() const {
     MutexLock lk(mu_);
     return ring_.size();
@@ -92,8 +73,6 @@ class TraceBuffer {
   void write_chrome_trace(std::ostream& os) const;
   void write_chrome_trace(const std::string& path) const;
 
-  void clear();
-
  private:
   void record(TraceEvent e) HYLO_REQUIRES(mu_);
 
@@ -102,36 +81,7 @@ class TraceBuffer {
   std::vector<TraceEvent> ring_ HYLO_GUARDED_BY(mu_);  ///< circular once full
   std::size_t head_ HYLO_GUARDED_BY(mu_) = 0;  ///< next write slot when full
   std::int64_t dropped_ HYLO_GUARDED_BY(mu_) = 0;
-  std::map<int, double> cursor_us_ HYLO_GUARDED_BY(mu_);
   std::map<int, std::string> track_names_ HYLO_GUARDED_BY(mu_);
-};
-
-/// RAII measured span: wall-times its own lifetime and records it on the
-/// given track at destruction. Null buffer makes it a no-op, so call sites
-/// can stay unconditional.
-class TraceSpan {
- public:
-  TraceSpan(TraceBuffer* buf, std::string name, std::string cat, int tid)
-      : buf_(buf), name_(std::move(name)), cat_(std::move(cat)), tid_(tid) {}
-  ~TraceSpan() {
-    if (buf_ != nullptr)
-      buf_->add_span(name_, cat_, tid_, timer_.seconds(), std::move(args_));
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  /// Attach an argument shown in the trace viewer's detail pane.
-  void arg(const std::string& key, Json v) {
-    if (buf_ != nullptr) args_.set(key, std::move(v));
-  }
-
- private:
-  TraceBuffer* buf_;
-  std::string name_, cat_;
-  int tid_;
-  Json args_ = Json::object();
-  WallTimer timer_;
 };
 
 }  // namespace hylo::obs

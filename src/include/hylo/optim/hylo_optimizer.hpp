@@ -90,6 +90,10 @@ class HyloOptimizer : public CurvatureOptimizer {
     index_t scalars() const override {
       return a_s.size() + g_s.size() + kid_middle.lu.size() + kis_chol.size();
     }
+    double precondition_flops() const override {
+      return flops::sample_space_precondition(a_s.rows(), a_s.cols(),
+                                              g_s.cols());
+    }
     void serialize(ckpt::Archive ar) override;
   };
 

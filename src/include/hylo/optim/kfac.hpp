@@ -29,6 +29,7 @@ class KFac : public CurvatureOptimizer {
       return {&a_factor, &g_factor, &a_inv, &g_inv};
     }
     index_t scalars() const override;
+    double precondition_flops() const override;
     void serialize(ckpt::Archive ar) override;
   };
 
@@ -60,6 +61,7 @@ class EKFac : public CurvatureOptimizer {
       return {&a_factor, &g_factor, &v_a, &v_g, &scaling};
     }
     index_t scalars() const override;
+    double precondition_flops() const override;
     void serialize(ckpt::Archive ar) override;
   };
 
@@ -93,6 +95,7 @@ class KBfgs : public CurvatureOptimizer {
       return {&a_factor, &g_factor, &a_inv};
     }
     index_t scalars() const override;
+    double precondition_flops() const override;
     void serialize(ckpt::Archive ar) override;
   };
 

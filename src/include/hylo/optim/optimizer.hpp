@@ -94,6 +94,10 @@ class Optimizer {
   /// Precondition + apply the parameter update. Consumes `gw`/plain grads.
   virtual void step(Network& net, index_t iteration) = 0;
 
+  /// FLOPs of step()'s preconditioning products (none for first-order
+  /// methods), which the compute model charges with the update.
+  virtual double precondition_flops() const { return 0.0; }
+
   /// Epoch boundary hook (HyLo switching; `lr_decayed` mirrors Alg. 1's
   /// "learning rate decays" criticality trigger).
   virtual void begin_epoch(index_t /*epoch*/, bool /*lr_decayed*/) {}

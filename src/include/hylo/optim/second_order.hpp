@@ -38,6 +38,8 @@ class CurvatureOptimizer : public Optimizer {
     virtual std::vector<const Matrix*> guarded() const = 0;
     /// Scalars held (the state_bytes() footprint).
     virtual index_t scalars() const = 0;
+    /// FLOPs of precondition_block's products on this state.
+    virtual double precondition_flops() const = 0;
     /// The state's field list: one list saves and loads it (hylo::ckpt).
     virtual void serialize(ckpt::Archive ar) = 0;
   };
@@ -65,11 +67,13 @@ class CurvatureOptimizer : public Optimizer {
                                 std::vector<Matrix*> carries);
   };
 
-  /// One layer's built refresh: the candidate and, in issue order, the
-  /// collectives that publish it.
+  /// One layer's built refresh: the candidate, the collectives that publish
+  /// it in issue order, and its kernels' FLOPs (every rank's, the owner's).
   struct Candidate {
     std::unique_ptr<LayerState> state;
     std::vector<Collective> collectives;
+    double local_flops = 0.0;
+    double owner_flops = 0.0;
   };
 
   /// `method` keys the optim/<method>/* metrics, e.g. "kfac".
@@ -80,20 +84,24 @@ class CurvatureOptimizer : public Optimizer {
     return cfg_.update_freq <= 1 || iteration % cfg_.update_freq == 0;
   }
 
-  /// The refresh pipeline. build() makes every layer's candidate; then each
-  /// layer's collectives go out in order, and every collective's escaped
-  /// silent corruption lands in the candidate matrices it carries. A layer
-  /// whose collectives all landed and whose candidate passes the numeric
-  /// commit gate serves that candidate (moved in whole, never half-new);
-  /// otherwise it keeps serving its previous refresh, one refresh staler.
-  /// Lockstep comm charges blocking collectives, stops at a layer's first
-  /// lost one and settles the layer at once. Async comm issues the chain on
-  /// the event timeline and settles it at poll_async() or, at the latest,
-  /// at the next refresh. Without a communicator every candidate commits.
+  /// The refresh pipeline. build() makes every layer's candidate; the clocks
+  /// advance by its FLOPs under the owner-clock rule (DESIGN.md §5); then
+  /// each layer's chain of collectives goes out from the latest clock,
+  /// stopping at its first lost link, and every collective's escaped silent
+  /// corruption lands in the candidate matrices it carries. A layer whose
+  /// collectives all landed and whose candidate passes the numeric commit
+  /// gate serves that candidate (moved in whole, never half-new); otherwise
+  /// it keeps serving its previous refresh, one refresh staler. Lockstep
+  /// waits out every link and settles the layer at once; async settles it at
+  /// poll_async() or, at the latest, at the next refresh. Without a
+  /// communicator every candidate commits.
   void update_curvature(const std::vector<ParamBlock*>& blocks,
                         const CaptureSet& capture, CommSim* comm) final;
 
   void step(Network& net, index_t iteration) override;
+
+  /// Σ over served layers of their precondition FLOPs (0 while first-order).
+  double precondition_flops() const override;
 
   /// Served curvature state plus momentum (Table IV).
   index_t state_bytes() const override;
@@ -167,11 +175,9 @@ class CurvatureOptimizer : public Optimizer {
     return layer_ready(layer) ? &served<S>(layer) : nullptr;
   }
 
-  /// Book one refresh's per-layer inversion seconds: each as an
+  /// Book one refresh's measured per-layer inversion seconds: each as an
   /// optim/<method>/inversion_seconds sample, their sum under
-  /// comp/inversion (the cluster-wide work) and their max under
-  /// comp/inversion_critical (the critical path when P exceeds the layer
-  /// count). No-op without a communicator.
+  /// comp/inversion. No-op without a communicator.
   void book_inversions(CommSim* comm, const std::vector<double>& seconds) const;
 
  private:

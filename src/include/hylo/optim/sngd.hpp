@@ -31,6 +31,10 @@ class Sngd : public CurvatureOptimizer {
     index_t scalars() const override {
       return a_glob.size() + g_glob.size() + kernel_chol.size();
     }
+    double precondition_flops() const override {
+      return flops::sample_space_precondition(a_glob.rows(), a_glob.cols(),
+                                              g_glob.cols());
+    }
     void serialize(ckpt::Archive ar) override;
   };
 

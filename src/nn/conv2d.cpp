@@ -33,6 +33,7 @@ Shape Conv2d::infer_shape(const std::vector<Shape>& in) {
                        .stride = stride_, .pad = pad_};
   const index_t patch = geom_.patch_size();
   params_.d_in = patch;
+  params_.positions = geom_.out_h() * geom_.out_w();
   params_.w.resize(out_channels_, patch + 1);
   params_.gw.resize(out_channels_, patch + 1);
   const real_t std = std::sqrt(2.0 / static_cast<real_t>(patch));

@@ -10,12 +10,6 @@ TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {
   ring_.reserve(std::min<std::size_t>(capacity_, 4096));
 }
 
-double TraceBuffer::track_now_us(int tid) const {
-  MutexLock lk(mu_);
-  const auto it = cursor_us_.find(tid);
-  return it == cursor_us_.end() ? 0.0 : it->second;
-}
-
 void TraceBuffer::record(TraceEvent e) {
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(e));
@@ -33,44 +27,7 @@ const TraceEvent& TraceBuffer::event(std::size_t i) const {
 }
 
 void TraceBuffer::add_span(const std::string& name, const std::string& cat,
-                           int tid, double dur_s, Json args) {
-  MutexLock lk(mu_);
-  double& cursor = cursor_us_[tid];
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'X';
-  e.tid = tid;
-  e.ts_us = cursor;
-  e.dur_us = dur_s * 1e6;
-  e.args = std::move(args);
-  cursor += e.dur_us;
-  record(std::move(e));
-}
-
-void TraceBuffer::add_collective(const std::string& name, double dur_s,
-                                 Json args) {
-  MutexLock lk(mu_);
-  // Barrier: the wire transfer starts once the latest track arrives...
-  double start = cursor_us_[kCommTrack];
-  for (const auto& kv : cursor_us_) start = std::max(start, kv.second);
-  TraceEvent e;
-  e.name = name;
-  e.cat = "comm";
-  e.ph = 'X';
-  e.tid = kCommTrack;
-  e.ts_us = start;
-  e.dur_us = dur_s * 1e6;
-  e.args = std::move(args);
-  // ...and every participant resumes only after it completes.
-  const double end = start + e.dur_us;
-  for (auto& kv : cursor_us_) kv.second = end;
-  record(std::move(e));
-}
-
-void TraceBuffer::add_span_at(const std::string& name, const std::string& cat,
-                              int tid, double start_s, double dur_s,
-                              Json args) {
+                           int tid, double start_s, double dur_s, Json args) {
   MutexLock lk(mu_);
   TraceEvent e;
   e.name = name;
@@ -80,21 +37,18 @@ void TraceBuffer::add_span_at(const std::string& name, const std::string& cat,
   e.ts_us = start_s * 1e6;
   e.dur_us = dur_s * 1e6;
   e.args = std::move(args);
-  double& cursor = cursor_us_[tid];
-  cursor = std::max(cursor, e.ts_us + e.dur_us);
   record(std::move(e));
 }
 
 void TraceBuffer::add_instant(const std::string& name, const std::string& cat,
-                              int tid, Json args) {
+                              int tid, double at_s, Json args) {
   MutexLock lk(mu_);
   TraceEvent e;
   e.name = name;
   e.cat = cat;
   e.ph = 'i';
   e.tid = tid;
-  const auto it = cursor_us_.find(tid);
-  e.ts_us = it == cursor_us_.end() ? 0.0 : it->second;
+  e.ts_us = at_s * 1e6;
   e.args = std::move(args);
   record(std::move(e));
 }
@@ -144,14 +98,6 @@ void TraceBuffer::write_chrome_trace(const std::string& path) const {
   std::ofstream out(path);
   HYLO_CHECK(out.good(), "cannot open " << path);
   write_chrome_trace(out);
-}
-
-void TraceBuffer::clear() {
-  MutexLock lk(mu_);
-  ring_.clear();
-  head_ = 0;
-  dropped_ = 0;
-  cursor_us_.clear();
 }
 
 }  // namespace hylo::obs

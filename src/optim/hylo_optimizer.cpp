@@ -12,16 +12,6 @@
 namespace hylo {
 
 namespace {
-// The inversion of a layer's kernel runs on that layer's assigned owner
-// rank; place its measured span on the owner's trace track.
-void trace_inversion(CommSim& comm, index_t layer, int owner, double dur_s) {
-  obs::TraceBuffer* trace = comm.trace();
-  if (trace == nullptr) return;
-  obs::Json args = obs::Json::object();
-  args.set("layer", layer);
-  trace->add_span("inversion", "comp", owner, dur_s, std::move(args));
-}
-
 // LU factorization with escalating diagonal damping (the KID middle matrix
 // is non-symmetric, so Cholesky retries do not apply). Bounded at `attempts`
 // factorizations total; each escalation bumps *escalations, and the last
@@ -62,6 +52,7 @@ struct LayerScratch {
   int escalations = 0;    ///< damping escalations spent in damped_lu
   double factor_s = 0.0;  ///< measured local-factorization wall time
   double inv_s = 0.0;     ///< measured inversion wall time
+  double local_flops = 0.0, owner_flops = 0.0;  ///< the candidate's
 };
 
 // Algorithm 2 lines 1-4 for every simulated rank of one layer. Pure
@@ -78,6 +69,13 @@ void factorize_kid(LayerScratch& sc, const std::vector<Matrix>& a_ranks,
     const Matrix& g = g_ranks[static_cast<std::size_t>(rank)];
     const index_t rk = std::min(r_local, a.rows());
 
+    // The largest rank's lines 1-4 pace the others.
+    const index_t m = a.rows();
+    sc.local_flops = std::max(
+        sc.local_flops, flops::kernel(m, a.cols(), g.cols()) +
+                            flops::id(m, m, rk) + flops::gemm(m, m, rk) +
+                            flops::lu(m) + flops::gemm(m, rk, m) +
+                            flops::gemm(rk, rk, m));
     // Line 1: local Gram matrix Q = (AAᵀ)∘(GGᵀ).
     const Matrix q = kernel_matrix(a, g);
     // Line 2: [P, S] = ID(Q, r).
@@ -103,8 +101,13 @@ void factorize_kis(LayerScratch& sc, const std::vector<Matrix>& a_ranks,
   for (index_t rank = 0; rank < world; ++rank) {
     const auto& picked = sc.picked[static_cast<std::size_t>(rank)];
     const auto& scale = sc.scale[static_cast<std::size_t>(rank)];
-    Matrix as = a_ranks[static_cast<std::size_t>(rank)].select_rows(picked);
-    Matrix gs = g_ranks[static_cast<std::size_t>(rank)].select_rows(picked);
+    const Matrix& a = a_ranks[static_cast<std::size_t>(rank)];
+    const Matrix& g = g_ranks[static_cast<std::size_t>(rank)];
+    // The sampling scores: a row-norm pass over both factors.
+    sc.local_flops =
+        std::max(sc.local_flops, flops::gemm(a.rows(), 1, a.cols() + g.cols()));
+    Matrix as = a.select_rows(picked);
+    Matrix gs = g.select_rows(picked);
     for (index_t i = 0; i < static_cast<index_t>(picked.size()); ++i) {
       const real_t s = scale[static_cast<std::size_t>(i)];
       real_t* ar = as.row_ptr(i);
@@ -206,7 +209,6 @@ std::vector<CurvatureOptimizer::Candidate> HyloOptimizer::build(
   index_t r_local = std::max<index_t>(1, r / world);
   last_rank_ = r_local * world;
 
-  const LayerAssignment assignment(layers, world);
   std::vector<LayerScratch> scratch(static_cast<std::size_t>(layers));
 
   // --- Stage 1 (serial): draw the KIS sampling decisions -----------------
@@ -290,6 +292,11 @@ std::vector<CurvatureOptimizer::Candidate> HyloOptimizer::build(
           sc.a_s = vstack(sc.a_parts);
           sc.g_s = vstack(sc.g_parts);
 
+          const index_t r = sc.a_s.rows();
+          sc.owner_flops = flops::kernel(r, sc.a_s.cols(), sc.g_s.cols()) +
+                           (mode_ == HyloMode::kKid
+                                ? 2.0 * flops::lu(r) + flops::gemm(r, r, r)
+                                : flops::cholesky(r));
           WallTimer invert_timer;
           if (mode_ == HyloMode::kKid) {
             // Alg. 1 line 10, Eq. 8: LU of K̂ + Y⁻¹.
@@ -312,25 +319,20 @@ std::vector<CurvatureOptimizer::Candidate> HyloOptimizer::build(
       }));
 
   // --- Stage 3 (serial, layer order): bookkeeping + candidates ----------
-  // Books the measured compute of every layer — including the inversion
-  // span on its owner's trace track — in exact layer order, so traces and
+  // Books the measured compute of every layer in exact layer order, so
   // call counts are unchanged by threading; then hands each candidate to
-  // the pipeline with the collectives that publish it.
-  double inv_max = 0.0;
+  // the pipeline with the collectives and FLOPs that publish and build it.
   int escalations = 0;
   std::vector<Candidate> out;
   out.reserve(static_cast<std::size_t>(layers));
   for (index_t l = 0; l < layers; ++l) {
     LayerScratch& sc = scratch[static_cast<std::size_t>(l)];
     escalations += sc.escalations;
-    inv_max = std::max(inv_max, sc.inv_s);
     if (comm != nullptr) {
       comm->profiler().add("comp/factorization", sc.factor_s);
       comm->profiler().add("comp/inversion", sc.inv_s);
       comm->profiler().registry().histogram("optim/hylo/inversion_seconds")
           .observe(sc.inv_s);
-      trace_inversion(*comm, l, static_cast<int>(assignment.owner(l)),
-                      sc.inv_s);
     }
     auto st = std::make_unique<State>();
     st->mode = mode_;
@@ -339,6 +341,8 @@ std::vector<CurvatureOptimizer::Candidate> HyloOptimizer::build(
     st->kid_middle = std::move(sc.kid_middle);
     st->kis_chol = std::move(sc.kis_chol);
     Candidate c;
+    c.local_flops = sc.local_flops;
+    c.owner_flops = sc.owner_flops;
     // Alg. 1 lines 7/18: gathers of the compressed factors (and the KID
     // residual projections, which land in the middle matrix).
     c.collectives.push_back(Collective::allgather(sc.a_parts, {&st->a_s}));
@@ -354,7 +358,6 @@ std::vector<CurvatureOptimizer::Candidate> HyloOptimizer::build(
     out.push_back(std::move(c));
   }
   if (comm != nullptr) {
-    comm->profiler().add("comp/inversion_critical", inv_max);
     auto& reg = comm->profiler().registry();
     reg.counter("optim/hylo/refreshes").inc();
     if (escalations > 0)

@@ -56,6 +56,25 @@ std::pair<Matrix, Matrix> running_factors(const CaptureSet& capture, index_t l,
   return {blend(prev->a_factor, a, decay), blend(prev->g_factor, g, decay)};
 }
 
+// Every rank's local share of a Kronecker refresh: the factor Grams of its
+// capture (the largest rank's, which paces the others).
+double factor_gram_flops(const CaptureSet& capture, index_t l) {
+  const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
+  const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
+  double most = 0.0;
+  for (std::size_t r = 0; r < a_ranks.size(); ++r) {
+    const Matrix &a = a_ranks[r], &g = g_ranks[r];
+    most = std::max(most, flops::gram(a.cols(), a.rows()) +
+                              flops::gram(g.cols(), g.rows()));
+  }
+  return most;
+}
+
+// damped_spd_inverse of an n x n factor.
+double spd_inverse_flops(index_t n) {
+  return flops::cholesky(n) + flops::cholesky_inverse(n);
+}
+
 // Scalars held by the given matrices (payload sizes, state footprint).
 index_t sizes(std::initializer_list<const Matrix*> ms) {
   index_t n = 0;
@@ -82,7 +101,8 @@ std::vector<CurvatureOptimizer::Candidate> KFac::build(
 
   std::vector<double> inv_s;
   std::vector<Candidate> out;
-  for (auto& st : cand) {
+  for (index_t l = 0; l < layers; ++l) {
+    auto& st = cand[static_cast<std::size_t>(l)];
     WallTimer timer;
     const real_t pi = pi_correction(st->a_factor, st->g_factor);
     const real_t root = std::sqrt(cfg_.damping);
@@ -95,6 +115,9 @@ std::vector<CurvatureOptimizer::Candidate> KFac::build(
                               {&st->a_factor, &st->g_factor}),
         Collective::broadcast(sizes({&st->a_inv, &st->g_inv}),
                               {&st->a_inv, &st->g_inv})};
+    c.local_flops = factor_gram_flops(capture, l);
+    c.owner_flops = spd_inverse_flops(st->a_factor.rows()) +
+                    spd_inverse_flops(st->g_factor.rows());
     c.state = std::move(st);
     out.push_back(std::move(c));
   }
@@ -119,6 +142,11 @@ void KFac::probe_layer(index_t layer, const CaptureSet& /*capture*/,
 
 index_t KFac::State::scalars() const {
   return sizes({&a_factor, &g_factor, &a_inv, &g_inv});
+}
+
+double KFac::State::precondition_flops() const {
+  const index_t da = a_inv.rows(), dg = g_inv.rows();
+  return flops::gemm(dg, da, da) + flops::gemm(dg, da, dg);
 }
 
 void KFac::State::serialize(ckpt::Archive ar) {
@@ -155,9 +183,16 @@ std::vector<CurvatureOptimizer::Candidate> EKFac::build(
     // s_{oj} = E_i[(V_gᵀ g_i)_o² (a_iᵀ V_a)_j²].
     const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
     const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
+    const index_t da = st->v_a.rows(), dg = st->v_g.rows();
+    Candidate c;
+    c.local_flops = factor_gram_flops(capture, l);
+    c.owner_flops = flops::eigh(da) + flops::eigh(dg);
     Matrix s_new(st->v_g.cols(), st->v_a.cols());
     index_t m_total = 0;
     for (std::size_t r = 0; r < a_ranks.size(); ++r) {
+      const index_t m = a_ranks[r].rows();
+      c.owner_flops += flops::gemm(m, da, da) + flops::gemm(m, dg, dg) +
+                       flops::gemm(dg, da, m);
       Matrix pa = matmul(a_ranks[r], st->v_a);  // m x (d_in+1)
       Matrix pg = matmul(g_ranks[r], st->v_g);  // m x d_out
       hadamard_inplace(pa, pa);
@@ -171,7 +206,6 @@ std::vector<CurvatureOptimizer::Candidate> EKFac::build(
                       ? std::move(s_new)
                       : blend(prev->scaling, s_new, cfg_.stat_decay);
     inv_s.push_back(timer.seconds());
-    Candidate c;
     c.collectives = {
         Collective::allreduce(sizes({&st->a_factor, &st->g_factor}),
                               {&st->a_factor, &st->g_factor}),
@@ -218,6 +252,12 @@ index_t EKFac::State::scalars() const {
   return sizes({&a_factor, &g_factor, &v_a, &v_g, &scaling});
 }
 
+double EKFac::State::precondition_flops() const {
+  const index_t da = v_a.rows(), dg = v_g.rows();
+  return 2.0 * (flops::gemm(dg, da, dg) + flops::gemm(dg, da, da)) +
+         static_cast<double>(dg * da);
+}
+
 void EKFac::State::serialize(ckpt::Archive ar) {
   ar(a_factor, "a_factor");
   ar(g_factor, "g_factor");
@@ -232,13 +272,16 @@ std::vector<CurvatureOptimizer::Candidate> KBfgs::build(
     const CaptureSet& capture, CommSim* comm) {
   const index_t layers = capture.layers();
   WallTimer factor_timer;
+  std::vector<double> inv_s;
   std::vector<Candidate> out;
   for (index_t l = 0; l < layers; ++l) {
     const State* prev = served_if<State>(l);
     auto st = std::make_unique<State>();
     std::tie(st->a_factor, st->g_factor) =
         running_factors(capture, l, prev, cfg_.stat_decay);
+    WallTimer timer;
     st->a_inv = damped_spd_inverse(st->a_factor, cfg_.damping);
+    inv_s.push_back(timer.seconds());
 
     // Mean per-sample gradient over the global batch.
     const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
@@ -283,11 +326,20 @@ std::vector<CurvatureOptimizer::Candidate> KBfgs::build(
         Collective::allreduce(sizes({&st->a_factor, &st->g_factor}),
                               {&st->a_factor, &st->g_factor}),
         Collective::broadcast(st->a_inv.size(), {&st->a_inv})};
+    const index_t dg = st->g_factor.rows();
+    c.local_flops = factor_gram_flops(capture, l);
+    c.owner_flops =
+        spd_inverse_flops(st->a_factor.rows()) + flops::gemm(dg, 1, dg);
     c.state = std::move(st);
     out.push_back(std::move(c));
   }
+  // The A-side inverses are inversion, as KFAC books its own.
+  double inverting = 0.0;
+  for (const double s : inv_s) inverting += s;
   if (comm != nullptr)
-    comm->profiler().add("comp/factorization", factor_timer.seconds());
+    comm->profiler().add("comp/factorization",
+                         factor_timer.seconds() - inverting);
+  book_inversions(comm, inv_s);
   return out;
 }
 
@@ -353,6 +405,12 @@ void KBfgs::precondition_block(ParamBlock& pb, index_t layer) {
   }
   apply_hg(st, g);
   pb.gw = matmul(g, st.a_inv);
+}
+
+double KBfgs::State::precondition_flops() const {
+  const index_t da = a_inv.rows(), dg = g_factor.rows();
+  const double pairs = static_cast<double>(sy_pairs.size());
+  return 12.0 * pairs * static_cast<double>(dg * da) + flops::gemm(dg, da, da);
 }
 
 index_t KBfgs::State::scalars() const {

@@ -14,9 +14,8 @@ namespace {
 
 using Collective = CurvatureOptimizer::Collective;
 
-// Issue one collective: a blocking charge in lockstep (throws CommFailure
-// when an injected fault loses it), a nonblocking one on the event timeline
-// in async (a loss comes back as event.failed).
+// Issue one collective on the event timeline; a loss comes back as
+// event.failed.
 CommEvent issue(CommSim& comm, const Collective& c, double earliest_s) {
   const char* section =
       c.kind == Collective::Kind::kBroadcast ? "comm/broadcast" : "comm/gather";
@@ -24,19 +23,12 @@ CommEvent issue(CommSim& comm, const Collective& c, double earliest_s) {
     std::vector<index_t> bytes;
     bytes.reserve(c.scalars.size());
     for (const index_t s : c.scalars) bytes.push_back(comm.wire_bytes(s));
-    if (comm.async()) return comm.icharge_allgather(bytes, section, earliest_s);
-    comm.charge_allgather(bytes, section);
-    return {};
+    return comm.icharge_allgather(bytes, section, earliest_s);
   }
   const index_t bytes = comm.wire_bytes(c.scalars.front());
-  if (c.kind == Collective::Kind::kAllreduce) {
-    if (comm.async()) return comm.icharge_allreduce(bytes, section, earliest_s);
-    comm.charge_allreduce(bytes, section);
-  } else {
-    if (comm.async()) return comm.icharge_broadcast(bytes, section, earliest_s);
-    comm.charge_broadcast(bytes, section);
-  }
-  return {};
+  if (c.kind == Collective::Kind::kAllreduce)
+    return comm.icharge_allreduce(bytes, section, earliest_s);
+  return comm.icharge_broadcast(bytes, section, earliest_s);
 }
 
 // Consume the escaped-corruption ticket the collective just issued may have
@@ -50,30 +42,22 @@ void apply_escaped_corruption(CommSim& comm,
   if (victim != nullptr) corrupt_values(*victim, *ticket);
 }
 
-// Issue a layer's collectives in order. Lockstep stops at the first one
-// lost; async chains them on the timeline, each starting once its
-// predecessor completes. The returned handle starts with the first link,
-// completes with the last and fails if any link failed (a lockstep handle
-// carries only `failed`).
+// Issue a layer's collectives in order, each starting once its predecessor
+// completes, and stop at the first one lost. Lockstep waits out every link.
+// The returned handle starts with the first link, completes with the last
+// one issued and fails if that one was lost.
 CommEvent publish(CommSim& comm, const std::vector<Collective>& chain,
                   double now) {
   CommEvent ev;
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    CommEvent link;
-    try {
-      link = issue(comm, chain[i], i == 0 ? now : ev.ready_s);
-    } catch (const CommFailure&) {
-      ev.failed = true;
-      return ev;
-    }
+    const CommEvent link = issue(comm, chain[i], i == 0 ? now : ev.ready_s);
+    if (!comm.async()) comm.wait(link);
+    if (i == 0) ev.start_s = link.start_s;
+    ev.seq = link.seq;
+    ev.ready_s = link.ready_s;
+    ev.failed = link.failed;
+    if (link.failed) break;
     apply_escaped_corruption(comm, chain[i].carries);
-    if (i == 0) {
-      ev = link;
-    } else {
-      ev.seq = link.seq;
-      ev.ready_s = link.ready_s;
-      ev.failed = ev.failed || link.failed;
-    }
   }
   return ev;
 }
@@ -88,13 +72,12 @@ void note_stale_refresh(CommSim& comm, const char* method, index_t layer,
       .registry()
       .counter(std::string("optim/") + method + "/stale_refreshes")
       .inc();
-  if (obs::TraceBuffer* trace = comm.trace()) {
+  if (comm.trace() != nullptr) {
     obs::Json args = obs::Json::object();
     args.set("optimizer", method);
     args.set("layer", static_cast<std::int64_t>(layer));
     args.set("fallback", has_previous ? "stale_factors" : "sgd_direction");
-    trace->add_instant("stale_refresh", "optim", obs::TraceBuffer::kCommTrack,
-                       std::move(args));
+    comm.trace_instant("stale_refresh", "optim", std::move(args));
   }
 }
 
@@ -140,13 +123,12 @@ bool guard_commit(CommSim& comm, const char* method, index_t layer,
       .registry()
       .counter(std::string("optim/") + method + "/guard_rejects")
       .inc();
-  if (obs::TraceBuffer* trace = comm.trace()) {
+  if (comm.trace() != nullptr) {
     obs::Json args = obs::Json::object();
     args.set("optimizer", method);
     args.set("layer", static_cast<std::int64_t>(layer));
     args.set("reason", reason);
-    trace->add_instant("guard_reject", "optim", obs::TraceBuffer::kCommTrack,
-                       std::move(args));
+    comm.trace_instant("guard_reject", "optim", std::move(args));
   }
   return false;
 }
@@ -183,7 +165,18 @@ void CurvatureOptimizer::update_curvature(
   HYLO_CHECK(static_cast<index_t>(built.size()) == layers,
              "" << name() << " built " << built.size() << " candidates for "
                     << layers << " layers");
-  const double now = async ? comm->timeline()->max_clock() : 0.0;
+  double now = 0.0;
+  if (comm != nullptr) {
+    const LayerAssignment owners(layers, comm->world());
+    for (index_t l = 0; l < layers; ++l) {
+      const Candidate& c = built[static_cast<std::size_t>(l)];
+      const obs::Json args = obs::Json::object().set("layer", l);
+      for (index_t rank = 0; rank < comm->world(); ++rank)
+        comm->compute(rank, c.local_flops, "factorization", args);
+      comm->compute(owners.owner(l), c.owner_flops, "inversion", args);
+    }
+    now = comm->timeline()->max_clock();
+  }
   for (index_t l = 0; l < layers; ++l) {
     Candidate& c = built[static_cast<std::size_t>(l)];
     const CommEvent ev =
@@ -307,6 +300,14 @@ void CurvatureOptimizer::step(Network& net, index_t /*iteration*/) {
   apply_sgd_update(net, nu);
 }
 
+double CurvatureOptimizer::precondition_flops() const {
+  double total = 0.0;
+  if (first_order_) return total;
+  for (const auto& st : layers_)
+    if (st != nullptr) total += st->precondition_flops();
+  return total;
+}
+
 index_t CurvatureOptimizer::state_bytes() const {
   index_t scalars = 0;
   for (const auto& st : layers_)
@@ -350,14 +351,12 @@ void CurvatureOptimizer::book_inversions(
   if (comm == nullptr) return;
   obs::Histogram& hist = comm->profiler().registry().histogram(
       std::string("optim/") + method_ + "/inversion_seconds");
-  double total = 0.0, critical = 0.0;
+  double total = 0.0;
   for (const double s : seconds) {
     hist.observe(s);
     total += s;
-    critical = std::max(critical, s);
   }
   comm->profiler().add("comp/inversion", total);
-  comm->profiler().add("comp/inversion_critical", critical);
 }
 
 Matrix damped_cholesky(const Matrix& c, real_t damping, int attempts) {

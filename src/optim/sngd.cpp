@@ -45,6 +45,9 @@ std::vector<CurvatureOptimizer::Candidate> Sngd::build(
     auto st =
         std::make_unique<State>(std::move(cand[static_cast<std::size_t>(l)]));
     Candidate c;
+    const index_t m = st->a_glob.rows();
+    c.owner_flops = flops::kernel(m, st->a_glob.cols(), st->g_glob.cols()) +
+                    flops::cholesky(m);
     c.collectives = {
         Collective::allgather(capture.a[static_cast<std::size_t>(l)],
                               {&st->a_glob}),

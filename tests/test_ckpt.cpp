@@ -456,9 +456,10 @@ void expect_bitwise(const RunOut& ref, const RunOut& got,
   ASSERT_EQ(ref.weights.size(), got.weights.size()) << label;
   for (std::size_t i = 0; i < ref.weights.size(); ++i)
     ASSERT_EQ(ref.weights[i], got.weights[i]) << label << " weight " << i;
-  // Modeled quantities are part of the bitwise contract (measured comp/*
-  // wall timings are not).
+  // Modeled quantities, the wall among them, are part of the bitwise
+  // contract.
   EXPECT_EQ(ref.result.comm_seconds, got.result.comm_seconds) << label;
+  EXPECT_EQ(ref.result.total_seconds, got.result.total_seconds) << label;
   EXPECT_EQ(ref.world, got.world) << label;
   // The resumed result covers the tail of the reference's epochs.
   ASSERT_LE(got.result.epochs.size(), ref.result.epochs.size()) << label;
@@ -471,6 +472,7 @@ void expect_bitwise(const RunOut& ref, const RunOut& got,
     EXPECT_EQ(a.train_metric, b.train_metric) << label << " epoch " << a.epoch;
     EXPECT_EQ(a.test_loss, b.test_loss) << label << " epoch " << a.epoch;
     EXPECT_EQ(a.test_metric, b.test_metric) << label << " epoch " << a.epoch;
+    EXPECT_EQ(a.wall_seconds, b.wall_seconds) << label << " epoch " << a.epoch;
   }
   EXPECT_EQ(ref.result.iterations, got.result.iterations) << label;
 }

@@ -1,7 +1,9 @@
 // Event-timeline simulator (DESIGN.md §15): FIFO wire reservation, the
 // (ready time, seq) completion-order rule, bitwise-deterministic replay,
-// snapshot round-trips, and the async trainer path (overlapped curvature
-// gathers committing through the bounded-staleness deadline). Every trainer
+// snapshot round-trips, the async trainer path (overlapped curvature
+// gathers committing through the bounded-staleness deadline), and the
+// lockstep path on the same timeline (a barrier after every collective, a
+// wall that is modeled compute plus wire time and no machine's speed). Every trainer
 // test pins cfg.comm_mode and cfg.faults explicitly so ambient HYLO_COMM /
 // HYLO_FAULTS environments (the env-suite ctest lanes) cannot perturb the
 // assertions — except the EnvResolution test, which checks the precedence
@@ -13,6 +15,7 @@
 #include <filesystem>
 
 #include "hylo/hylo.hpp"
+#include "hylo/tensor/kernel_dispatch.hpp"
 #include "test_util.hpp"
 
 namespace hylo {
@@ -48,14 +51,18 @@ TEST(EventTimeline, WireIsAFifoResource) {
   EXPECT_EQ(tl.history().size(), 3u);
 }
 
-TEST(EventTimeline, FailedEventsDoNotOccupyWire) {
+TEST(EventTimeline, FailedEventsOccupyTheWireForTheirWaste) {
   EventTimeline tl(2);
+  // A lost collective's wasted attempts ran on the wire before the loss was
+  // declared: its failure is reported at their end.
   const TimelineEvent dead = tl.issue("comm/gather", 1.0, 5.0, true);
   EXPECT_TRUE(dead.failed);
-  // The wire never saw the failed operation: the next op starts on time.
+  EXPECT_EQ(dead.start_s, 1.0);
+  EXPECT_EQ(dead.ready_s, 6.0);
+  // The next op queues behind them.
   const TimelineEvent live = tl.issue("comm/gather", 2.0, 1.0, false);
-  EXPECT_EQ(live.start_s, 2.0);
-  EXPECT_EQ(live.ready_s, 3.0);
+  EXPECT_EQ(live.start_s, 6.0);
+  EXPECT_EQ(live.ready_s, 7.0);
 }
 
 TEST(EventTimeline, CompletionOrderIsReadyTimeThenSeq) {
@@ -211,11 +218,10 @@ TEST(AsyncTrainer, OverlapsRefreshGathersAndStillLearns) {
   Trainer trainer(net, opt, data, async_config(16, 4));
   const TrainResult res = trainer.run();
   EXPECT_GT(res.best_metric(), 0.8);
-  // Refresh gathers went through the timeline and the wall clock is the
-  // timeline horizon (plus replicated compute), not the lockstep sum.
+  // Refresh gathers went through the timeline and the wall is its horizon.
   EXPECT_GT(trainer.profiler().seconds("comm/gather"), 0.0);
-  ASSERT_NE(trainer.comm().timeline(), nullptr);
   EXPECT_GT(trainer.comm().timeline()->horizon(), 0.0);
+  EXPECT_EQ(res.total_seconds, trainer.comm().timeline()->horizon());
   EXPECT_FALSE(trainer.comm().timeline()->history().empty());
   // Every overlapped refresh eventually committed or degraded: nothing is
   // left pending once training ends.
@@ -255,9 +261,8 @@ TEST(AsyncTrainer, CompletedChainsCommitBeforeStep) {
 }
 
 TEST(AsyncTrainer, DeterministicAcrossRuns) {
-  // Losses, metrics, the modeled comm clock, and the timeline horizon are
-  // all bitwise-reproducible. (Wall seconds are not compared: they fold in
-  // *measured* replicated compute, which is real time by design.)
+  // Losses, metrics, the modeled comm clock, the timeline horizon and the
+  // wall are all bitwise-reproducible.
   const DataSplit data = spiral_data();
   struct Out {
     TrainResult res;
@@ -284,25 +289,54 @@ TEST(AsyncTrainer, DeterministicAcrossRuns) {
   for (std::size_t e = 0; e < a.res.epochs.size(); ++e) {
     EXPECT_EQ(a.res.epochs[e].train_loss, b.res.epochs[e].train_loss);
     EXPECT_EQ(a.res.epochs[e].test_metric, b.res.epochs[e].test_metric);
+    EXPECT_EQ(a.res.epochs[e].wall_seconds, b.res.epochs[e].wall_seconds);
   }
+  EXPECT_EQ(a.res.total_seconds, b.res.total_seconds);
   EXPECT_EQ(a.horizon, b.horizon);
   EXPECT_EQ(a.comm_s, b.comm_s);
 }
 
+/// KFAC that records, at every step(), the spread of the rank clocks and
+/// the chains still in flight.
+class ClockSpreadAtStep : public KFac {
+ public:
+  using KFac::KFac;
+  void step(Network& net, index_t iteration) override {
+    const EventTimeline& tl = *comm->timeline();
+    double lo = tl.rank_clock(0);
+    for (index_t r = 1; r < tl.world(); ++r)
+      lo = std::min(lo, tl.rank_clock(r));
+    spread.push_back(tl.max_clock() - lo);
+    pending.push_back(async_pending());
+    KFac::step(net, iteration);
+  }
+  const CommSim* comm = nullptr;
+  std::vector<double> spread;
+  std::vector<index_t> pending;
+};
+
 TEST(AsyncTrainer, LockstepDefaultIsUntouchedByAsyncMachinery) {
-  // With comm_mode pinned to lockstep the trainer must not create a
-  // timeline at all — the default path stays bitwise what it was before
-  // the async subsystem existed.
+  // Lockstep runs on the same timeline, but nothing stays in flight: every
+  // curvature collective is waited out, so the ranks meet after each one —
+  // even after a refresh whose owners computed unequal shares — and every
+  // step() serves chains that have already settled.
   const DataSplit data = spiral_data();
   Network net = make_mlp({2, 1, 1}, {16}, 2, 3);
   OptimConfig oc;
-  Sgd opt(oc);
+  oc.update_freq = 2;
+  ClockSpreadAtStep opt(oc);
   TrainConfig tc = async_config(2, 2);
   tc.comm_mode = CommMode::kLockstep;
+  tc.max_iters_per_epoch = 4;
   Trainer trainer(net, opt, data, tc);
+  opt.comm = &trainer.comm();
   trainer.run();
-  EXPECT_EQ(trainer.comm().timeline(), nullptr);
   EXPECT_FALSE(trainer.comm().async());
+  ASSERT_EQ(opt.spread.size(), 8u);
+  for (std::size_t i = 0; i < opt.spread.size(); ++i) {
+    EXPECT_EQ(opt.spread[i], 0.0) << "step " << i;
+    EXPECT_EQ(opt.pending[i], 0) << "step " << i;
+  }
 }
 
 TEST(AsyncTrainer, ConfigPinBeatsEnvironment) {
@@ -337,10 +371,9 @@ TEST(AsyncTrainer, SnapshotResumeIsBitwise) {
   // curvature optimizer: weights, losses, and metrics must match the
   // uninterrupted run bitwise. The earliest snapshot catches refresh chains
   // still in flight, so the resume replays serialized pending state too.
-  // The timeline section rides in the snapshot exactly when async mode is
-  // active, so the resumed event queue continues from the same clocks and
-  // wire cursor. (Wall seconds fold in measured replicated compute, which
-  // the resume contract documents as restarting — not compared.)
+  // The timeline section rides in every snapshot, so the resumed event
+  // queue continues from the same clocks and wire cursor, and the wall
+  // with them.
   const DataSplit data = spiral_data();
   auto make_net = [] { return make_mlp({2, 1, 1}, {16}, 2, 3); };
   auto make_cfg = [&] {
@@ -396,7 +429,10 @@ TEST(AsyncTrainer, SnapshotResumeIsBitwise) {
     for (std::size_t e = 0; e < ref_res.epochs.size(); ++e) {
       EXPECT_EQ(ref_res.epochs[e].train_loss, res_res.epochs[e].train_loss);
       EXPECT_EQ(ref_res.epochs[e].test_metric, res_res.epochs[e].test_metric);
+      EXPECT_EQ(ref_res.epochs[e].wall_seconds,
+                res_res.epochs[e].wall_seconds);
     }
+    EXPECT_EQ(ref_res.total_seconds, res_res.total_seconds);
     // The modeled timeline itself continues bitwise.
     EXPECT_EQ(ref.comm().timeline()->horizon(),
               resumer.comm().timeline()->horizon());
@@ -411,6 +447,123 @@ TEST(AsyncTrainer, SnapshotResumeIsBitwise) {
     ASSERT_EQ(wa.size(), wb.size());
     for (std::size_t i = 0; i < wa.size(); ++i) EXPECT_EQ(wa[i], wb[i]);
     std::filesystem::remove_all(dir);
+  }
+}
+
+TrainConfig lockstep_config(index_t world, std::optional<FaultConfig> faults) {
+  TrainConfig tc = async_config(2, world);
+  tc.comm_mode = CommMode::kLockstep;
+  tc.faults = std::move(faults);
+  tc.max_iters_per_epoch = 6;
+  return tc;
+}
+
+TEST(LockstepTimeline, WallIsComputePlusComm) {
+  // Every lockstep collective is a barrier, so the horizon is the modeled
+  // compute on the critical path plus every second on the comm/* ledger —
+  // lost collectives included: their wasted attempts hold the wire as long
+  // as the ledger charges them.
+  const DataSplit data = spiral_data();
+  const FaultConfig storm =
+      FaultConfig::parse("7:0.4:rank_down=4,straggler=1,timeout=1");
+  for (const FaultConfig& fc : {FaultConfig{}, storm}) {
+    SCOPED_TRACE(fc.enabled() ? "storm" : "clean");
+    Network net = make_mlp({2, 1, 1}, {16, 16}, 2, 3);
+    OptimConfig oc;
+    oc.damping = 0.3;
+    oc.update_freq = 2;
+    HyloOptimizer opt(oc);
+    Trainer trainer(net, opt, data, lockstep_config(4, fc));
+    const TrainResult res = trainer.run();
+    const auto& reg = trainer.profiler().registry();
+    if (fc.enabled()) {
+      EXPECT_GT(reg.counter_value("comm/faults/unrecoverable"), 0);
+      EXPECT_GT(trainer.profiler().seconds("comm/faults/wasted"), 0.0);
+    }
+    EXPECT_GT(res.compute_seconds, 0.0);
+    EXPECT_EQ(res.total_seconds, trainer.comm().timeline()->horizon());
+    EXPECT_EQ(res.comm_seconds, trainer.comm().comm_seconds());
+    EXPECT_NEAR(res.total_seconds, res.compute_seconds + res.comm_seconds,
+                1e-12 * res.total_seconds);
+  }
+}
+
+TEST(LockstepTimeline, WallIsMachineIndependent) {
+  // The wall is modeled FLOPs and wire bytes, never a measured second: a
+  // lockstep KAISA and a lockstep HyLo run give the same wall at any pool
+  // thread count, and KAISA in every kernel tier (HyLo's KID/KIS switching
+  // follows the tier's gradient bits, so its wall may not).
+  const DataSplit data = spiral_data();
+  auto walls = [&](const char* method) {
+    Network net = make_mlp({2, 1, 1}, {16, 16}, 2, 3);
+    OptimConfig oc;
+    oc.damping = 0.3;
+    oc.update_freq = 2;
+    auto opt = make_optimizer(method, oc);
+    const TrainResult res =
+        Trainer(net, *opt, data, lockstep_config(4, FaultConfig{})).run();
+    std::vector<double> out;
+    for (const EpochStats& e : res.epochs) out.push_back(e.wall_seconds);
+    out.push_back(res.total_seconds);
+    return out;
+  };
+  const int threads = par::num_threads();
+  const kern::Tier tier = kern::active();
+  std::vector<double> kaisa[2], hylo[2];
+  for (const int t : {1, 3}) {
+    par::set_num_threads(t);
+    kaisa[t == 3] = walls("KFAC");
+    hylo[t == 3] = walls("HyLo");
+  }
+  par::set_num_threads(threads);
+  kern::set_tier(kern::Tier::kScalar);
+  const std::vector<double> kaisa_scalar = walls("KFAC");
+  kern::set_tier(kern::best());
+  const std::vector<double> kaisa_native = walls("KFAC");
+  kern::set_tier(tier);
+  ASSERT_EQ(kaisa[0].size(), 3u);
+  EXPECT_GT(kaisa[0].back(), kaisa[0].front());
+  EXPECT_EQ(kaisa[0], kaisa[1]);
+  EXPECT_EQ(kaisa[0], kaisa_scalar);
+  EXPECT_EQ(kaisa[0], kaisa_native);
+  EXPECT_EQ(hylo[0], hylo[1]);
+}
+
+TEST(RefreshPipeline, EveryOptimizerBooksMeasuredAndModeledInversion) {
+  // One refresh of each curvature optimizer books its measured inversion
+  // under comp/inversion and the owner share the timeline charged under
+  // model/inversion, which lands on the layer owner's clock alone.
+  Rng rng(17);
+  const index_t world = 2;
+  CaptureSet cap;
+  cap.a.resize(3);
+  cap.g.resize(3);
+  for (std::size_t l = 0; l < 3; ++l)
+    for (index_t r = 0; r < world; ++r) {
+      cap.a[l].push_back(testutil::random_matrix(rng, 8, 6));
+      cap.g[l].push_back(testutil::random_matrix(rng, 8, 5));
+    }
+  for (const char* name : {"KFAC", "EKFAC", "KBFGS-L", "SNGD", "HyLo"}) {
+    SCOPED_TRACE(name);
+    OptimConfig oc;
+    oc.damping = 0.3;
+    auto opt = make_optimizer(name, oc);
+    if (auto* hy = dynamic_cast<HyloOptimizer*>(opt.get()))
+      hy->begin_epoch(0, false);
+    std::vector<ParamBlock> blocks(3);
+    std::vector<ParamBlock*> pbs;
+    for (auto& b : blocks) pbs.push_back(&b);
+    CommSim comm(world, mist_v100());
+    opt->update_curvature(pbs, cap, &comm);
+    EXPECT_GE(comm.profiler().calls("comp/inversion"), 1);
+    EXPECT_GT(comm.profiler().seconds("comp/inversion"), 0.0);
+    EXPECT_EQ(comm.profiler().calls("model/inversion"), 3);
+    EXPECT_GT(comm.profiler().seconds("model/inversion"), 0.0);
+    // Layers 0 and 2 belong to rank 0: it computed two owner shares to
+    // rank 1's one before the chains left, and the lockstep chains then
+    // met every rank at their end.
+    EXPECT_EQ(comm.timeline()->rank_clock(0), comm.timeline()->rank_clock(1));
+    EXPECT_GT(comm.timeline()->compute_seconds(), 0.0);
   }
 }
 

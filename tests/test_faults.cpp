@@ -418,11 +418,12 @@ void expect_lost_refresh_mode_parity(const char* method,
 TEST(OptimizerDegradation, LostRefreshCommitsIdenticallyInBothModes) {
   // A refresh whose first collective lands and whose second is lost commits
   // nothing in either comm mode: the next preconditioned gradients and
-  // staleness ages are bitwise equal in lockstep and async. KFAC/EKFAC book
-  // comp/inversion once per refresh, HyLo once per layer (one layer here).
+  // staleness ages are bitwise equal in lockstep and async. KFAC, EKFAC
+  // and KBFGS-L book comp/inversion once per refresh, HyLo once per layer
+  // (one layer here).
   expect_lost_refresh_mode_parity<KFac>("kfac", 3, 3);
   expect_lost_refresh_mode_parity<EKFac>("ekfac", 3, 3);
-  expect_lost_refresh_mode_parity<KBfgs>("kbfgs", 0, 0);
+  expect_lost_refresh_mode_parity<KBfgs>("kbfgs", 3, 3);
   expect_lost_refresh_mode_parity<Sngd>("sngd", 3, 3);
   expect_lost_refresh_mode_parity<HyloOptimizer>("hylo", 3, 3);
 }
@@ -491,11 +492,10 @@ TEST(TrainerFaults, SameSeedRunsAreIdentical) {
   };
   const Snapshot a = run_once(), b = run_once();
   ASSERT_EQ(a.res.epochs.size(), b.res.epochs.size());
-  // wall_seconds mixes in *measured* compute time and is never run-to-run
-  // identical; the determinism contract covers the modeled quantities.
   for (std::size_t e = 0; e < a.res.epochs.size(); ++e) {
     EXPECT_EQ(a.res.epochs[e].train_loss, b.res.epochs[e].train_loss);
     EXPECT_EQ(a.res.epochs[e].test_metric, b.res.epochs[e].test_metric);
+    EXPECT_EQ(a.res.epochs[e].wall_seconds, b.res.epochs[e].wall_seconds);
   }
   EXPECT_EQ(a.res.comm_seconds, b.res.comm_seconds);
   EXPECT_EQ(a.wire_bytes, b.wire_bytes);

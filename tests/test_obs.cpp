@@ -25,7 +25,6 @@ using obs::MetricsRegistry;
 using obs::RunLogConfig;
 using obs::RunLogger;
 using obs::TraceBuffer;
-using obs::TraceSpan;
 
 // ---------------------------------------------------------------- Json ----
 
@@ -289,64 +288,62 @@ TEST(Profiler, ScopedTimerMeasuresScope) {
 // --------------------------------------------------------------- trace ----
 
 TEST(Trace, SpansAdvanceTheirOwnTrack) {
+  // Modeled compute draws its span at the rank's own clock and advances
+  // only that rank.
   TraceBuffer buf;
-  buf.add_span("a", "comp", 0, 1e-3);
-  buf.add_span("b", "comp", 1, 2e-3);
-  buf.add_span("c", "comp", 0, 1e-3);
-  EXPECT_DOUBLE_EQ(buf.track_now_us(0), 2000.0);
-  EXPECT_DOUBLE_EQ(buf.track_now_us(1), 2000.0);
+  CommSim comm(2, mist_v100(), ComputeModel{"unit", 1e6});
+  comm.set_trace(&buf);
+  comm.compute(0, 1e3, "forward_backward");  // 1 ms on rank 0
+  comm.compute(1, 2e3, "forward_backward");  // 2 ms on rank 1
+  comm.compute(0, 1e3, "step", Json::object().set("measured_s", 0.5));
+  EXPECT_DOUBLE_EQ(comm.timeline()->rank_clock(0), 2e-3);
+  EXPECT_DOUBLE_EQ(comm.timeline()->rank_clock(1), 2e-3);
+  EXPECT_DOUBLE_EQ(comm.profiler().seconds("model/forward_backward"), 3e-3);
   ASSERT_EQ(buf.size(), 3u);
-  EXPECT_DOUBLE_EQ(buf.event(2).ts_us, 1000.0);  // "c" after "a" on track 0
+  EXPECT_EQ(buf.event(2).tid, 0);
+  EXPECT_EQ(buf.event(2).cat, "model");
+  EXPECT_DOUBLE_EQ(buf.event(2).ts_us, 1000.0);  // "step" after rank 0's pass
+  EXPECT_DOUBLE_EQ(buf.event(2).dur_us, 1000.0);
+  // A measured duration rides along as an arg, never as the span's length.
+  EXPECT_DOUBLE_EQ(buf.event(2).args.at("measured_s").number(), 0.5);
 }
 
 TEST(Trace, CollectiveIsABarrier) {
   TraceBuffer buf;
-  buf.add_span("fast", "comp", 0, 1e-3);   // track 0 at 1000 µs
-  buf.add_span("slow", "comp", 1, 3e-3);   // track 1 at 3000 µs
-  buf.add_collective("allreduce", 2e-3);   // starts at max cursor
+  CommSim comm(2, mist_v100(), ComputeModel{"unit", 1e6});
+  comm.set_trace(&buf);
+  comm.compute(0, 1e3, "forward_backward");  // rank 0 at 1000 µs
+  comm.compute(1, 3e3, "forward_backward");  // rank 1 at 3000 µs
+  comm.charge_allreduce(1 << 20, "comm/grad_allreduce");
   const obs::TraceEvent& coll = buf.event(2);
   EXPECT_EQ(coll.tid, TraceBuffer::kCommTrack);
   EXPECT_EQ(coll.cat, "comm");
-  EXPECT_DOUBLE_EQ(coll.ts_us, 3000.0);
-  EXPECT_DOUBLE_EQ(coll.dur_us, 2000.0);
-  // Every rank track resumes after the barrier.
-  EXPECT_DOUBLE_EQ(buf.track_now_us(0), 5000.0);
-  EXPECT_DOUBLE_EQ(buf.track_now_us(1), 5000.0);
+  EXPECT_DOUBLE_EQ(coll.ts_us, 3000.0);  // starts once the latest rank arrives
+  const double end_s = 3e-3 + comm.comm_seconds();
+  EXPECT_DOUBLE_EQ(coll.ts_us + coll.dur_us, end_s * 1e6);
+  // Every rank resumes after it.
+  EXPECT_DOUBLE_EQ(comm.timeline()->rank_clock(0), end_s);
+  EXPECT_DOUBLE_EQ(comm.timeline()->rank_clock(1), end_s);
 }
 
 TEST(Trace, RingEvictsOldest) {
   TraceBuffer buf(4);
   for (int i = 0; i < 6; ++i)
-    buf.add_span("s" + std::to_string(i), "comp", 0, 1e-6);
+    buf.add_span("s" + std::to_string(i), "comp", 0, i * 1e-6, 1e-6);
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.dropped(), 2);
   EXPECT_EQ(buf.event(0).name, "s2");  // oldest-first
   EXPECT_EQ(buf.event(3).name, "s5");
 }
 
-TEST(Trace, TraceSpanRaiiAndNullBuffer) {
-  TraceBuffer buf;
-  {
-    TraceSpan span(&buf, "work", "comp", 0);
-    span.arg("layer", 3);
-    EXPECT_EQ(buf.size(), 0u);  // recorded only at destruction
-  }
-  ASSERT_EQ(buf.size(), 1u);
-  EXPECT_EQ(buf.event(0).name, "work");
-  EXPECT_DOUBLE_EQ(buf.event(0).args.at("layer").number(), 3.0);
-  // Null buffer: the span is a silent no-op.
-  TraceSpan noop(nullptr, "x", "comp", 0);
-  noop.arg("k", 1);
-}
-
 TEST(Trace, ChromeTraceExportParsesBack) {
   TraceBuffer buf;
   buf.set_track_name(0, "rank 0");
   buf.set_track_name(TraceBuffer::kCommTrack, "interconnect");
-  buf.add_span("fwd", "comp", 0, 1e-3, Json::object().set("iter", 0));
-  buf.add_collective("broadcast", 5e-4,
-                     Json::object().set("bytes", 1024));
-  buf.add_instant("mode:KID", "train", TraceBuffer::kCommTrack);
+  buf.add_span("fwd", "model", 0, 0.0, 1e-3, Json::object().set("iter", 0));
+  buf.add_span("broadcast", "comm", TraceBuffer::kCommTrack, 1e-3, 5e-4,
+               Json::object().set("bytes", 1024));
+  buf.add_instant("mode:KID", "train", TraceBuffer::kCommTrack, 1.5e-3);
   std::ostringstream os;
   buf.write_chrome_trace(os);
 
@@ -380,9 +377,9 @@ TEST(Trace, HostileLabelsSurviveChromeExport) {
   const std::string hostile = "span \"q\" back\\slash\nnewline\ttab";
   TraceBuffer buf;
   buf.set_track_name(0, "rank \"0\"\n(primary)");
-  buf.add_span(hostile, "comp\\cat", 0, 1e-3,
+  buf.add_span(hostile, "comp\\cat", 0, 0.0, 1e-3,
                Json::object().set("path", "C:\\tmp\n\"x\""));
-  buf.add_instant("mode:\nKID", "train", 0);
+  buf.add_instant("mode:\nKID", "train", 0, 1e-3);
   std::ostringstream os;
   buf.write_chrome_trace(os);
 
@@ -434,7 +431,7 @@ TEST(RunLog, WritesSequencedJsonlAndTrace) {
     cfg.dir = dir.string();
     RunLogger log(cfg);
     log.attach_metrics(&reg);
-    log.trace().add_span("fwd", "comp", 0, 1e-3);
+    log.trace().add_span("fwd", "model", 0, 0.0, 1e-3);
     log.record("step", Json::object().set("loss", 0.5));
     log.record("epoch", Json::object().set("epoch", 0));
     log.console("epoch 0 done");
@@ -523,6 +520,10 @@ TEST(Telemetry, TrainerWritesRunLogAndTrace) {
   // The tier fixes every conv and GEMM bit and each conv's route.
   EXPECT_EQ(records.front().at("kernel_tier").str(),
             kern::tier_name(kern::active()));
+  // Every run says which clock rules its seconds follow.
+  EXPECT_EQ(records.front().at("comm_mode").str(),
+            to_string(trainer.comm().mode()));
+  EXPECT_EQ(records.front().at("compute_model").str(), tc.compute.name);
 
   std::vector<const Json*> epochs;
   std::vector<const Json*> steps;
@@ -548,7 +549,16 @@ TEST(Telemetry, TrainerWritesRunLogAndTrace) {
     for (const auto& [name, v] : coll.members())
       if (v.at("bytes").number() > 0.0) saw_bytes = true;
     EXPECT_TRUE(saw_bytes) << "epoch record without wire bytes";
-    EXPECT_GT(e->at("time").at("wall").number(), 0.0);
+    // Modeled seconds, and the measured ones beside them, labelled.
+    const Json& time = e->at("time");
+    EXPECT_GT(time.at("wall").number(), 0.0);
+    EXPECT_GT(time.at("compute").number(), 0.0);
+    EXPECT_GT(time.at("comm").number(), 0.0);
+    EXPECT_LE(time.at("compute").number(), time.at("wall").number());
+    for (const char* stage :
+         {"forward_backward", "factorization", "inversion", "step"})
+      EXPECT_GE(time.at("measured").at(stage).number(), 0.0) << stage;
+    EXPECT_GT(time.at("measured").at("forward_backward").number(), 0.0);
   }
   ASSERT_NE(result, nullptr);
   EXPECT_GT(result->at("total_wire_bytes").number(), 0.0);
@@ -563,16 +573,21 @@ TEST(Telemetry, TrainerWritesRunLogAndTrace) {
   ss << tin.rdbuf();
   const Json trace = Json::parse(ss.str());
   int rank_tracks = 0;
-  bool comm_span = false;
+  bool comm_span = false, inversion_span = false;
   for (const Json& e : trace.at("traceEvents").items()) {
     if (e.at("ph").str() == "M" &&
         e.at("args").at("name").str().rfind("rank ", 0) == 0)
       ++rank_tracks;
     if (e.at("ph").str() == "X" && e.at("cat").str() == "comm")
       comm_span = true;
+    // The refresh pipeline draws each layer's owner compute on its rank.
+    if (e.at("ph").str() == "X" && e.at("name").str() == "inversion" &&
+        e.at("cat").str() == "model" && e.at("tid").number() < 2.0)
+      inversion_span = true;
   }
   EXPECT_EQ(rank_tracks, 2);
   EXPECT_TRUE(comm_span);
+  EXPECT_TRUE(inversion_span);
 
   // Wire counters exposed through CommSim match the registry totals.
   EXPECT_GT(trainer.comm().total_wire_bytes(), 0);

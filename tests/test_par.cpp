@@ -369,7 +369,8 @@ TEST_F(Par, SngdBitwiseIdenticalAcrossThreadCounts) {
 
 TEST_F(Par, ProfilerCallCountsUnchangedByThreading) {
   // The staged refresh must preserve the serial bookkeeping: one
-  // comp/factorization and one comp/inversion charge per layer.
+  // comp/factorization and one comp/inversion charge per layer, and the
+  // pipeline's one modeled owner share per layer.
   const CaptureSet cap = make_capture(3, 2, 12, 9, 6);
   for (const int t : {1, 7}) {
     par::set_num_threads(t);
@@ -386,7 +387,7 @@ TEST_F(Par, ProfilerCallCountsUnchangedByThreading) {
     opt.update_curvature(pbs, cap, &comm);
     EXPECT_EQ(comm.profiler().calls("comp/factorization"), 3) << t;
     EXPECT_EQ(comm.profiler().calls("comp/inversion"), 3) << t;
-    EXPECT_EQ(comm.profiler().calls("comp/inversion_critical"), 1) << t;
+    EXPECT_EQ(comm.profiler().calls("model/inversion"), 3) << t;
   }
 }
 

@@ -187,6 +187,9 @@ void section_header(std::ostream& os, const RunData& run) {
        << fmt(num(rs, "params", 0), 12) << " |";
     // Which settings came from TrainConfig, HYLO_* or the default; logs
     // written before the field existed have no such line.
+    if (rs.find("compute_model") != nullptr)
+      os << "\n\nclock: " << str(rs, "comm_mode") << " comm, compute model "
+         << str(rs, "compute_model");
     if (const Json* src = rs.find("config_source");
         src != nullptr && src->is_object()) {
       os << "\n\nconfig source:";
@@ -203,12 +206,26 @@ void section_summary(std::ostream& os, const RunData& run) {
   os << "## Run summary\n\n"
      << "- epochs run: " << fmt(num(r, "epochs_run", 0), 6) << ", iterations: "
      << fmt(num(r, "iterations", 0), 9) << "\n"
-     << "- best metric: " << fmt(num(r, "best_metric", NAN)) << "\n"
-     << "- simulated time: " << fmt(num(r, "total_seconds", NAN)) << "s ("
-     << fmt(num(r, "compute_seconds", NAN)) << " parallel-compute + "
-     << fmt(num(r, "replicated_seconds", NAN)) << " replicated + "
-     << fmt(num(r, "comm_seconds", NAN)) << " comm)\n"
-     << "- wire: " << fmt(num(r, "total_wire_bytes", 0), 12) << " bytes over "
+     << "- best metric: " << fmt(num(r, "best_metric", NAN)) << "\n";
+  if (const Json* measured = r.find("measured_seconds");
+      measured != nullptr && measured->is_object()) {
+    os << "- modeled wall: " << fmt(num(r, "total_seconds", NAN))
+       << "s (critical-path compute " << fmt(num(r, "compute_seconds", NAN))
+       << "s, wire " << fmt(num(r, "comm_seconds", NAN)) << "s)\n"
+       << "- measured CPU, not in the wall:";
+    for (const auto& [stage, seconds] : measured->members())
+      os << " " << stage << " " << fmt(num(*measured, stage, NAN)) << "s";
+    os << "\n";
+  } else {
+    // Logs from before the one time base summed measured compute with
+    // modeled wire seconds.
+    os << "- simulated time (measured compute + modeled comm): "
+       << fmt(num(r, "total_seconds", NAN)) << "s ("
+       << fmt(num(r, "compute_seconds", NAN)) << " parallel-compute + "
+       << fmt(num(r, "replicated_seconds", NAN)) << " replicated + "
+       << fmt(num(r, "comm_seconds", NAN)) << " comm)\n";
+  }
+  os << "- wire: " << fmt(num(r, "total_wire_bytes", 0), 12) << " bytes over "
      << fmt(num(r, "total_messages", 0), 9) << " collectives\n";
   if (r.find("time_to_target") != nullptr)
     os << "- reached target in " << fmt(num(r, "time_to_target", NAN))
