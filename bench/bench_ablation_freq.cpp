@@ -32,7 +32,11 @@ int main() {
     apply_env_telemetry(tc, "ablation_freq/f" + std::to_string(freq));
     Trainer trainer(net, opt, w.data, tc);
     const TrainResult res = trainer.run();
-    table.add(freq, trainer.profiler().calls("comp/inversion"),
+    // One count per refresh iteration (`comp/inversion` books one call per
+    // layer).
+    table.add(freq,
+              trainer.profiler().registry().counter_value(
+                  "optim/hylo/refreshes"),
               res.best_metric(), res.total_seconds);
   }
   table.print_table();

@@ -36,8 +36,9 @@ int main() {
     Trainer trainer(net, opt, w.data, tc);
     const TrainResult res = trainer.run();
     const auto& prof = trainer.profiler();
-    const double refreshes =
-        static_cast<double>(std::max<std::int64_t>(1, prof.calls("comp/inversion")));
+    // Refresh iterations, not `comp/inversion` calls (one per layer).
+    const double refreshes = static_cast<double>(std::max<std::int64_t>(
+        1, prof.registry().counter_value("optim/hylo/refreshes")));
     const double curv_ms = (prof.seconds("comp/factorization") +
                             prof.seconds("comp/inversion")) /
                            refreshes * 1e3;

@@ -10,8 +10,11 @@
 // determinism contract), and writes BENCH_gemm.json with the per-tier
 // numbers, the seed's pre-packing baseline for before/after comparison,
 // roofline-style notes (arithmetic intensity, attained vs peak), and a perf
-// note locking the removal of the `aik == 0.0` inner-loop early-out. A
-// final section times gemm with the hylo::audit checked mode off vs on.
+// note locking the removal of the `aik == 0.0` inner-loop early-out. The
+// elementwise section times BatchNorm2d, BatchNorm2d + ReLU and Add + ReLU
+// per tier, each checked bitwise against the scalar tier, beside the layer
+// pairs they replaced. A final section times gemm with the hylo::audit
+// checked mode off vs on.
 //
 // Geometry: HYLO_BENCH_SCALE=large doubles the edge to 1024.
 #include <cstring>
@@ -52,6 +55,170 @@ bool bitwise_equal(const Tensor4& x, const Tensor4& y) {
   return x.size() == y.size() &&
          std::memcmp(x.data(), y.data(),
                      sizeof(real_t) * static_cast<std::size_t>(x.size())) == 0;
+}
+
+// ---- Elementwise passes --------------------------------------------------
+// The per-element passes around the convs at the width-8 ResNet proxy's
+// BatchNorm shapes (batch 16) and one 12-channel shape of the width-12 proxy
+// (KAISA): BatchNorm2d's training forward and backward alone, each with its
+// ReLU consumer fused (PassContext::fused_relu), and Add fused with its ReLU.
+// Best-of-20 seconds per pass at 1 thread; every tier's outputs and
+// gradients are checked bitwise against the scalar tier's.
+
+struct EwShape {
+  const char* name;
+  index_t n, c, h, w;
+};
+constexpr EwShape kEwShapes[] = {{"16x8x16x16", 16, 8, 16, 16},
+                                 {"16x16x8x8", 16, 16, 8, 8},
+                                 {"16x32x4x4", 16, 32, 4, 4},
+                                 {"16x12x16x16", 16, 12, 16, 16}};
+constexpr const char* kEwPasses[] = {"bn_forward",       "bn_backward",
+                                     "bn_relu_forward",  "bn_relu_backward",
+                                     "add_relu_forward", "add_relu_backward"};
+
+/// One shape's layers and tensors; pass(k) runs kEwPasses[k] once.
+struct EwBench {
+  BatchNorm2d bn;
+  Add add;
+  Tensor4 x, a, b, g, out, gin, ga, gb;
+
+  explicit EwBench(const EwShape& sh) {
+    const Shape s{sh.c, sh.h, sh.w};
+    bn.infer_shape({s});
+    add.infer_shape({s, s});
+    Rng rng(31);
+    for (auto pp : bn.plain_params())
+      for (auto& v : *pp.value) v = rng.normal();
+    for (Tensor4* t : {&x, &a, &b, &g, &gin, &ga, &gb}) {
+      *t = Tensor4(sh.n, sh.c, sh.h, sh.w);
+      for (index_t i = 0; i < t->size(); ++i) (*t)[i] = rng.normal();
+    }
+  }
+
+  void pass(int k) {
+    const PassContext ctx{.training = true, .capture = false,
+                          .fused_relu = k >= 2};
+    switch (k) {
+      case 0:
+      case 2:
+        bn.forward({&x}, out, ctx);
+        break;
+      case 1:
+      case 3:
+        bn.backward({&x}, out, g, {&gin}, ctx);
+        break;
+      case 4:
+        add.forward({&a, &b}, out, ctx);
+        break;
+      default:
+        add.backward({&a, &b}, out, g, {&ga, &gb}, ctx);
+        break;
+    }
+  }
+
+  /// Every value the passes wrote, after one run of each in order.
+  std::vector<real_t> signature() {
+    std::vector<real_t> sig;
+    const auto take = [&sig](const real_t* p, index_t n) {
+      sig.insert(sig.end(), p, p + n);
+    };
+    for (int k = 0; k < static_cast<int>(std::size(kEwPasses)); ++k) {
+      pass(k);
+      take(out.data(), out.size());
+    }
+    for (const Tensor4* t : {&gin, &ga, &gb}) take(t->data(), t->size());
+    for (auto pp : bn.plain_params())
+      take(pp.grad->data(), static_cast<index_t>(pp.grad->size()));
+    for (auto* st : bn.mutable_state())
+      take(st->data(), static_cast<index_t>(st->size()));
+    return sig;
+  }
+};
+
+/// Per tier, per shape: each pass's best-of-20 microseconds, and whether
+/// the tier's signature equals the scalar tier's. Empty on a mismatch.
+obs::Json elementwise_rows(const std::vector<kern::Tier>& tiers, bool& ok) {
+  std::vector<std::vector<real_t>> reference;
+  kern::set_tier(kern::Tier::kScalar);
+  for (const EwShape& sh : kEwShapes)
+    reference.push_back(EwBench(sh).signature());
+  obs::Json rows = obs::Json::array();
+  for (const kern::Tier tier : tiers) {
+    kern::set_tier(tier);
+    obs::Json by_shape = obs::Json::object();
+    std::cout << "elementwise tier=" << kern::tier_name(tier) << "\n";
+    for (std::size_t si = 0; si < std::size(kEwShapes); ++si) {
+      const EwShape& sh = kEwShapes[si];
+      const std::vector<real_t> sig = EwBench(sh).signature();
+      const bool bitwise =
+          sig.size() == reference[si].size() &&
+          std::memcmp(sig.data(), reference[si].data(),
+                      sizeof(real_t) * sig.size()) == 0;
+      ok = ok && bitwise;
+      EwBench eb(sh);
+      obs::Json js = obs::Json::object();
+      std::cout << "  " << sh.name << ":";
+      for (int k = 0; k < static_cast<int>(std::size(kEwPasses)); ++k) {
+        if (k % 2 == 1) eb.pass(k - 1);  // a backward reads its forward
+        const double sec = time_best([&] { eb.pass(k); }, 20);
+        js.set(std::string(kEwPasses[k]) + "_us", sec * 1e6);
+        std::cout << " " << kEwPasses[k] << " " << sec * 1e6 << " us";
+      }
+      js.set("bitwise_identical", bitwise);
+      std::cout << (bitwise ? "" : "  [MISMATCH vs scalar]") << "\n";
+      by_shape.set(sh.name, std::move(js));
+    }
+    obs::Json tj = obs::Json::object();
+    tj.set("tier", kern::tier_name(tier));
+    tj.set("shapes", std::move(by_shape));
+    rows.push(std::move(tj));
+  }
+  return rows;
+}
+
+/// The same rows before this section's passes existed: this harness built
+/// against commit c8482e4, where BatchNorm2d ran its scalar loops in every
+/// tier and each ReLU was a layer of its own. The fused rows there are the
+/// layer pairs: BatchNorm2d or Add, then ReLU forward; the backward fills
+/// the producer's gradient with zeros (as Network::backward does), runs
+/// ReLU backward into it, then the producer's backward. Median microseconds
+/// of 5 runs alternated with this build's, 1 thread, on the machine that
+/// wrote the checked-in BENCH_gemm.json.
+obs::Json elementwise_parent() {
+  struct Before {
+    const char* tier;
+    const char* shape;
+    double us[std::size(kEwPasses)];
+  };
+  const Before before[] = {
+      {"avx2", "16x8x16x16", {76.4, 89.1, 117.8, 113.0, 60.0, 65.7}},
+      {"avx2", "16x16x8x8", {45.1, 45.6, 58.8, 56.5, 28.2, 32.5}},
+      {"avx2", "16x32x4x4", {22.8, 24.2, 29.2, 28.5, 13.7, 15.9}},
+      {"avx2", "16x12x16x16", {124.6, 134.0, 172.9, 175.9, 93.8, 106.4}},
+      {"avx512", "16x8x16x16", {80.7, 91.1, 114.9, 112.5, 58.3, 64.3}},
+      {"avx512", "16x16x8x8", {40.0, 42.5, 54.9, 54.5, 29.6, 37.6}},
+      {"avx512", "16x32x4x4", {22.6, 24.2, 29.9, 28.8, 14.2, 14.8}},
+      {"avx512", "16x12x16x16", {123.7, 135.1, 176.9, 173.5, 93.4, 103.3}},
+  };
+  obs::Json rows = obs::Json::array();
+  for (const Before& b : before) {
+    obs::Json row = obs::Json::object();
+    row.set("tier", b.tier);
+    row.set("shape", b.shape);
+    for (std::size_t k = 0; k < std::size(kEwPasses); ++k)
+      row.set(std::string(kEwPasses[k]) + "_us", b.us[k]);
+    rows.push(std::move(row));
+  }
+  obs::Json doc = obs::Json::object();
+  doc.set("commit", "c8482e4");
+  doc.set("note",
+          "elementwise rows as layer pairs (BatchNorm2d or Add, then a ReLU "
+          "layer; the backward zero-fills the producer's gradient first), "
+          "same harness, median of 5 runs alternated with this build's, "
+          "1 thread");
+  doc.set("rows", std::move(rows));
+  return doc;
 }
 
 }  // namespace
@@ -347,6 +514,14 @@ int main() {
     tiers_json.push(std::move(tj));
   }
 
+  par::set_num_threads(1);
+  bool ew_ok = true;
+  obs::Json elementwise = elementwise_rows(tiers, ew_ok);
+  if (!ew_ok) {
+    std::cerr << "bitwise mismatch: elementwise passes vs the scalar tier\n";
+    return 1;
+  }
+
   // Early-out perf note (locked here): the seed kernels skipped
   // `aik == 0.0` terms inside the innermost GEMM loop. The branch is gone —
   // a 90%-sparse A must now cost the same as a dense one in the scalar
@@ -488,6 +663,8 @@ int main() {
   doc.set("tiers", std::move(tiers_json));
   doc.set("seed_baseline", std::move(seed));
   doc.set("conv_layers_parent", std::move(conv_before));
+  doc.set("elementwise", std::move(elementwise));
+  doc.set("elementwise_parent", elementwise_parent());
   doc.set("roofline", std::move(roofline));
   doc.set("notes", std::move(early_out));
   doc.set("audit_overhead", std::move(audit_row));

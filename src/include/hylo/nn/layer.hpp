@@ -32,6 +32,11 @@ struct PassContext {
   bool training = true;
   /// When true, Linear/Conv layers record per-sample A and G this pass.
   bool capture = false;
+  /// Set only by Network, on a BatchNorm2d or Add whose sole consumer is a
+  /// ReLU: the layer runs that ReLU as well. Its forward writes max(y, 0)
+  /// into `out`, the ReLU node's output, and its backward gets the ReLU
+  /// node's output and gradient as `out` and `gout`.
+  bool fused_relu = false;
 };
 
 /// How a preconditionable layer interprets its weight matrix.

@@ -61,7 +61,9 @@ class Conv2d : public Layer {
 
 /// Per-channel batch normalization (NCHW). Scale/shift are first-order
 /// parameters (excluded from preconditioning, as in distributed KFAC
-/// implementations); running statistics are used in eval mode.
+/// implementations); running statistics are used in eval mode. The
+/// per-element passes are kern::bn_* (elementwise.hpp); with
+/// PassContext::fused_relu the layer also runs the ReLU that consumes it.
 class BatchNorm2d : public Layer {
  public:
   explicit BatchNorm2d(real_t momentum = 0.1, real_t eps = 1e-5);
@@ -89,6 +91,9 @@ class BatchNorm2d : public Layer {
   // recomputes x̂ = (x − mean)·inv_std rather than keep an activation-sized
   // copy of it.
   std::vector<real_t> saved_mean_, saved_inv_std_;
+  // Per-channel scratch of one pass: Σx and Σx², or Σdy, Σdy·x̂ and the dx
+  // scale.
+  std::vector<real_t> sum_, sum2_, k_;
 };
 
 /// Elementwise max(x, 0).
@@ -176,7 +181,8 @@ class Concat : public Layer {
   std::vector<index_t> split_;  // channel counts per input
 };
 
-/// Elementwise sum of two equal-shape inputs (residual connections).
+/// Elementwise sum of two equal-shape inputs (residual connections); with
+/// PassContext::fused_relu, also the ReLU that consumes it.
 class Add : public Layer {
  public:
   Shape infer_shape(const std::vector<Shape>& in) override;

@@ -3,6 +3,13 @@
 /// Static computation graph. Layers are appended with explicit input edges
 /// (which must reference earlier nodes), so insertion order is already a
 /// topological order; forward walks it, backward walks it in reverse.
+///
+/// A ReLU whose only input is a BatchNorm2d or Add node, and which is that
+/// node's only consumer, runs inside it (PassContext::fused_relu): the
+/// producer writes the ReLU node's output and backpropagates from its
+/// gradient, and the producer's own activation and gradient tensors stay
+/// empty. The rule reads only the graph and is re-derived on every add();
+/// node ids, layer() and the parameter order do not change.
 
 #include <memory>
 #include <string>
@@ -78,7 +85,12 @@ class Network {
     Shape shape;
     Tensor4 out;
     Tensor4 grad;
+    int relu = -1;       // the ReLU node this node's layer also runs
+    bool fused = false;  // a ReLU that runs inside its producer
   };
+
+  /// Re-derive Node::relu and Node::fused from the graph.
+  void plan_fusion();
 
   std::string name_;
   std::vector<Node> nodes_;

@@ -67,20 +67,16 @@ void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha);
 
 // ---- Tier-dispatched vector helpers -----------------------------------
 // These dispatch on kern::active() internally; the scalar tier runs the
-// plain ascending loop (bitwise identical to the seed kernels). vmul,
-// vscale and vadd_where_positive are elementwise and therefore bitwise
-// identical across tiers; vdot uses lane-partial accumulators in SIMD tiers
-// (fixed, deterministic reduction order within a tier, reassociated
-// relative to scalar).
+// plain ascending loop (bitwise identical to the seed kernels). vmul and
+// vscale are elementwise and therefore bitwise identical across tiers; vdot
+// uses lane-partial accumulators in SIMD tiers (fixed, deterministic
+// reduction order within a tier, reassociated relative to scalar). The nn
+// layers' elementwise passes are in elementwise.hpp.
 
 /// a[i] *= b[i].
 void vmul(real_t* a, const real_t* b, index_t n);
 /// dst[i] = s * src[i].
 void vscale(real_t* dst, const real_t* src, real_t s, index_t n);
-/// acc[i] += g[i] where x[i] > 0 (ReLU's backward); every other acc[i],
-/// NaN x included, keeps its bits.
-void vadd_where_positive(real_t* acc, const real_t* g, const real_t* x,
-                         index_t n);
 /// Dot product of two contiguous vectors.
 real_t vdot(const real_t* a, const real_t* b, index_t n);
 

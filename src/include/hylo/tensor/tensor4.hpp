@@ -65,6 +65,17 @@ class Tensor4 {
     data_.assign(static_cast<std::size_t>(n * c * h * w), 0.0);
   }
 
+  /// resize() without the zero fill, for an output whose every element the
+  /// caller overwrites: the contents are unspecified (the old ones while
+  /// the element count is unchanged, zeros past the old end).
+  void resize_for_overwrite(index_t n, index_t c, index_t h, index_t w) {
+    n_ = n;
+    c_ = c;
+    h_ = h;
+    w_ = w;
+    data_.resize(static_cast<std::size_t>(n * c * h * w));
+  }
+
   bool same_shape(const Tensor4& o) const {
     return n_ == o.n_ && c_ == o.c_ && h_ == o.h_ && w_ == o.w_;
   }

@@ -1,6 +1,7 @@
 #include <cmath>
 
 #include "hylo/nn/layers.hpp"
+#include "hylo/tensor/elementwise.hpp"
 
 namespace hylo {
 
@@ -23,100 +24,76 @@ void BatchNorm2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
                           const PassContext& ctx) {
   const Tensor4& x = *in[0];
   const index_t n = x.n(), c = x.c(), hw = x.h() * x.w();
-  out.resize(n, c, x.h(), x.w());
-  saved_mean_.assign(static_cast<std::size_t>(c), 0.0);
-  saved_inv_std_.assign(static_cast<std::size_t>(c), 0.0);
+  const auto cs = static_cast<std::size_t>(c);
+  out.resize_for_overwrite(n, c, x.h(), x.w());
+  saved_mean_.resize(cs);
+  saved_inv_std_.resize(cs);
   const real_t count = static_cast<real_t>(n * hw);
+  const kern::BnOperands op{.n = n, .c = c, .hw = hw, .x = x.data(),
+                            .mean = saved_mean_.data(),
+                            .inv_std = saved_inv_std_.data()};
+  if (ctx.training) {
+    sum_.resize(cs);
+    sum2_.resize(cs);
+    kern::bn_stats(op, sum_.data(), sum2_.data());
+  }
 
-  for (index_t ch = 0; ch < c; ++ch) {
+  for (std::size_t ch = 0; ch < cs; ++ch) {
     real_t mean, var;
     if (ctx.training) {
-      real_t sum = 0.0, sumsq = 0.0;
-      for (index_t i = 0; i < n; ++i) {
-        const real_t* p = x.sample_ptr(i) + ch * hw;
-        for (index_t j = 0; j < hw; ++j) {
-          sum += p[j];
-          sumsq += p[j] * p[j];
-        }
-      }
-      mean = sum / count;
-      var = sumsq / count - mean * mean;
+      mean = sum_[ch] / count;
+      var = sum2_[ch] / count - mean * mean;
       if (var < 0.0) var = 0.0;
-      auto& rm = running_mean_[static_cast<std::size_t>(ch)];
-      auto& rv = running_var_[static_cast<std::size_t>(ch)];
-      rm = (1.0 - momentum_) * rm + momentum_ * mean;
-      rv = (1.0 - momentum_) * rv + momentum_ * var;
+      running_mean_[ch] =
+          (1.0 - momentum_) * running_mean_[ch] + momentum_ * mean;
+      running_var_[ch] = (1.0 - momentum_) * running_var_[ch] + momentum_ * var;
     } else {
-      mean = running_mean_[static_cast<std::size_t>(ch)];
-      var = running_var_[static_cast<std::size_t>(ch)];
+      mean = running_mean_[ch];
+      var = running_var_[ch];
     }
-    const real_t inv_std = 1.0 / std::sqrt(var + eps_);
-    saved_mean_[static_cast<std::size_t>(ch)] = mean;
-    saved_inv_std_[static_cast<std::size_t>(ch)] = inv_std;
-    const real_t g = gamma_[static_cast<std::size_t>(ch)];
-    const real_t b = beta_[static_cast<std::size_t>(ch)];
-    for (index_t i = 0; i < n; ++i) {
-      const real_t* px = x.sample_ptr(i) + ch * hw;
-      real_t* po = out.sample_ptr(i) + ch * hw;
-      for (index_t j = 0; j < hw; ++j) {
-        const real_t xh = (px[j] - mean) * inv_std;
-        po[j] = g * xh + b;
-      }
-    }
+    saved_mean_[ch] = mean;
+    saved_inv_std_[ch] = 1.0 / std::sqrt(var + eps_);
   }
+  kern::bn_normalize(op, gamma_.data(), beta_.data(), ctx.fused_relu,
+                     out.data());
 }
 
 void BatchNorm2d::backward(const std::vector<const Tensor4*>& in,
-                           const Tensor4& /*out*/, const Tensor4& gout,
+                           const Tensor4& out, const Tensor4& gout,
                            const std::vector<Tensor4*>& grad_in,
                            const PassContext& ctx) {
   const Tensor4& x = *in[0];
   Tensor4* gin = grad_in[0];  // null: nothing reads this input's gradient
   const index_t n = x.n(), c = x.c(), hw = x.h() * x.w();
+  const auto cs = static_cast<std::size_t>(c);
   const real_t count = static_cast<real_t>(n * hw);
+  // x̂ is recomputed with the forward's expression from its saved
+  // statistics, so it has the bits forward used.
+  const kern::BnOperands op{
+      .n = n, .c = c, .hw = hw, .x = x.data(), .mean = saved_mean_.data(),
+      .inv_std = saved_inv_std_.data(), .g = gout.data(),
+      .relu_out = ctx.fused_relu ? out.data() : nullptr};
+  sum_.resize(cs);
+  sum2_.resize(cs);
+  kern::bn_grad_stats(op, sum_.data(), sum2_.data());
+  for (std::size_t ch = 0; ch < cs; ++ch) {
+    grad_beta_[ch] += sum_[ch];
+    grad_gamma_[ch] += sum2_[ch];
+  }
+  if (gin == nullptr) return;
 
-  for (index_t ch = 0; ch < c; ++ch) {
-    const real_t g = gamma_[static_cast<std::size_t>(ch)];
-    const real_t mean = saved_mean_[static_cast<std::size_t>(ch)];
-    const real_t inv_std = saved_inv_std_[static_cast<std::size_t>(ch)];
-    // Accumulate Σ dy, Σ dy·x̂ for this channel. x̂ is recomputed with the
-    // forward's expression from its saved statistics, so it has the bits
-    // forward used.
-    real_t sum_dy = 0.0, sum_dy_xh = 0.0;
-    for (index_t i = 0; i < n; ++i) {
-      const real_t* pg = gout.sample_ptr(i) + ch * hw;
-      const real_t* px = x.sample_ptr(i) + ch * hw;
-      for (index_t j = 0; j < hw; ++j) {
-        const real_t xh = (px[j] - mean) * inv_std;
-        sum_dy += pg[j];
-        sum_dy_xh += pg[j] * xh;
-      }
-    }
-    grad_beta_[static_cast<std::size_t>(ch)] += sum_dy;
-    grad_gamma_[static_cast<std::size_t>(ch)] += sum_dy_xh;
-
-    if (gin == nullptr) continue;
-    if (ctx.training) {
-      // dx = (γ·inv_std/M) (M·dy − Σdy − x̂ Σ(dy·x̂))
-      const real_t k = g * inv_std / count;
-      for (index_t i = 0; i < n; ++i) {
-        const real_t* pg = gout.sample_ptr(i) + ch * hw;
-        const real_t* px = x.sample_ptr(i) + ch * hw;
-        real_t* pi = gin->sample_ptr(i) + ch * hw;
-        for (index_t j = 0; j < hw; ++j) {
-          const real_t xh = (px[j] - mean) * inv_std;
-          pi[j] += k * (count * pg[j] - sum_dy - xh * sum_dy_xh);
-        }
-      }
-    } else {
-      // Eval statistics are constants: dx = γ · inv_std · dy.
-      const real_t k = g * inv_std;
-      for (index_t i = 0; i < n; ++i) {
-        const real_t* pg = gout.sample_ptr(i) + ch * hw;
-        real_t* pi = gin->sample_ptr(i) + ch * hw;
-        for (index_t j = 0; j < hw; ++j) pi[j] += k * pg[j];
-      }
-    }
+  k_.resize(cs);
+  if (ctx.training) {
+    // dx = (γ·inv_std/M) (M·dy − Σdy − x̂ Σ(dy·x̂))
+    for (std::size_t ch = 0; ch < cs; ++ch)
+      k_[ch] = gamma_[ch] * saved_inv_std_[ch] / count;
+    kern::bn_dx_train(op, k_.data(), count, sum_.data(), sum2_.data(),
+                      gin->data());
+  } else {
+    // Eval statistics are constants: dx = γ · inv_std · dy.
+    for (std::size_t ch = 0; ch < cs; ++ch)
+      k_[ch] = gamma_[ch] * saved_inv_std_[ch];
+    kern::bn_dx_eval(op, k_.data(), gin->data());
   }
 }
 

@@ -47,7 +47,7 @@ void Conv2d::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
   const Tensor4& x = *in[0];
   const index_t n = x.n(), oh = geom_.out_h(), ow = geom_.out_w();
   const index_t s = oh * ow, patch = geom_.patch_size();
-  out.resize(n, out_channels_, oh, ow);
+  out.resize_for_overwrite(n, out_channels_, oh, ow);
   if (ctx.capture) {
     params_.a_samples.resize(n, patch + 1);
   }

@@ -3,7 +3,7 @@
 #include <limits>
 
 #include "hylo/nn/layers.hpp"
-#include "hylo/tensor/gemm_packed.hpp"
+#include "hylo/tensor/elementwise.hpp"
 
 namespace hylo {
 
@@ -17,8 +17,8 @@ Shape ReLU::infer_shape(const std::vector<Shape>& in) {
 void ReLU::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
                    const PassContext&) {
   const Tensor4& x = *in[0];
-  out.resize(x.n(), x.c(), x.h(), x.w());
-  for (index_t i = 0; i < x.size(); ++i) out[i] = x[i] > 0.0 ? x[i] : 0.0;
+  out.resize_for_overwrite(x.n(), x.c(), x.h(), x.w());
+  kern::relu_forward(out.data(), x.data(), x.size());
 }
 
 void ReLU::backward(const std::vector<const Tensor4*>& in, const Tensor4&,
@@ -279,19 +279,19 @@ Shape Add::infer_shape(const std::vector<Shape>& in) {
 }
 
 void Add::forward(const std::vector<const Tensor4*>& in, Tensor4& out,
-                  const PassContext&) {
+                  const PassContext& ctx) {
   const Tensor4& a = *in[0];
   const Tensor4& b = *in[1];
-  out.resize(a.n(), a.c(), a.h(), a.w());
-  for (index_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
+  out.resize_for_overwrite(a.n(), a.c(), a.h(), a.w());
+  kern::add_forward(out.data(), a.data(), b.data(), a.size(), ctx.fused_relu);
 }
 
-void Add::backward(const std::vector<const Tensor4*>&, const Tensor4&,
+void Add::backward(const std::vector<const Tensor4*>&, const Tensor4& out,
                    const Tensor4& gout, const std::vector<Tensor4*>& grad_in,
-                   const PassContext&) {
-  for (auto* g : grad_in)
-    if (g != nullptr)
-      for (index_t i = 0; i < gout.size(); ++i) (*g)[i] += gout[i];
+                   const PassContext& ctx) {
+  const auto data = [](Tensor4* t) { return t ? t->data() : nullptr; };
+  kern::add_backward(data(grad_in[0]), data(grad_in[1]), gout.data(),
+                     ctx.fused_relu ? out.data() : nullptr, gout.size());
 }
 
 }  // namespace hylo

@@ -1,6 +1,7 @@
 #include "hylo/nn/network.hpp"
 
 #include "hylo/ckpt/snapshot.hpp"
+#include "hylo/nn/layers.hpp"
 
 namespace hylo {
 
@@ -29,7 +30,30 @@ int Network::add(std::unique_ptr<Layer> layer, std::vector<int> inputs) {
   n.layer = std::move(layer);
   n.inputs = std::move(inputs);
   nodes_.push_back(std::move(n));
+  plan_fusion();
   return static_cast<int>(nodes_.size()) - 1;
+}
+
+void Network::plan_fusion() {
+  std::vector<int> consumers(nodes_.size(), 0);
+  for (Node& n : nodes_) {
+    n.relu = -1;
+    n.fused = false;
+    for (const int id : n.inputs) ++consumers[static_cast<std::size_t>(id)];
+  }
+  for (std::size_t k = 1; k < nodes_.size(); ++k) {
+    Node& n = nodes_[k];
+    if (n.inputs.size() != 1 || dynamic_cast<ReLU*>(n.layer.get()) == nullptr)
+      continue;
+    const auto p = static_cast<std::size_t>(n.inputs[0]);
+    const Layer* producer = nodes_[p].layer.get();
+    if (consumers[p] == 1 &&
+        (dynamic_cast<const BatchNorm2d*>(producer) != nullptr ||
+         dynamic_cast<const Add*>(producer) != nullptr)) {
+      nodes_[p].relu = static_cast<int>(k);
+      n.fused = true;
+    }
+  }
 }
 
 const Tensor4& Network::forward(const Tensor4& x, const PassContext& ctx) {
@@ -40,14 +64,19 @@ const Tensor4& Network::forward(const Tensor4& x, const PassContext& ctx) {
                                           << x.w());
   nodes_[0].out = x;
   std::vector<const Tensor4*> in_ptrs;
+  PassContext node_ctx = ctx;
   for (std::size_t k = 1; k < nodes_.size(); ++k) {
     Node& n = nodes_[k];
+    if (n.fused) continue;
     in_ptrs.clear();
     for (const int id : n.inputs)
       in_ptrs.push_back(&nodes_[static_cast<std::size_t>(id)].out);
-    n.layer->forward(in_ptrs, n.out, ctx);
-    HYLO_DCHECK(n.out.c() == n.shape.c && n.out.h() == n.shape.h &&
-                    n.out.w() == n.shape.w,
+    Tensor4& out =
+        n.relu < 0 ? n.out : nodes_[static_cast<std::size_t>(n.relu)].out;
+    node_ctx.fused_relu = n.relu >= 0;
+    n.layer->forward(in_ptrs, out, node_ctx);
+    HYLO_DCHECK(out.c() == n.shape.c && out.h() == n.shape.h &&
+                    out.w() == n.shape.w,
                 "layer " << n.layer->kind() << " produced wrong shape");
   }
   ran_forward_ = true;
@@ -60,9 +89,12 @@ void Network::backward(const Tensor4& grad_out, const PassContext& ctx) {
              "grad_out shape mismatch");
   // (Re)size and zero the activation gradients of the hidden nodes for this
   // batch. Nothing reads the input node's gradient, so layers get null for
-  // it and skip it; the output node's is overwritten by grad_out.
+  // it and skip it; the output node's is overwritten by grad_out. A node
+  // that runs its ReLU consumer backpropagates from that ReLU's gradient
+  // and has none of its own.
   for (std::size_t k = 1; k + 1 < nodes_.size(); ++k) {
     Node& n = nodes_[k];
+    if (n.relu >= 0) continue;
     if (n.out.same_shape(n.grad))
       n.grad.zero();
     else
@@ -70,10 +102,14 @@ void Network::backward(const Tensor4& grad_out, const PassContext& ctx) {
   }
   nodes_.back().grad = grad_out;
 
+  // A fused pair runs at its producer's place, after every consumer of the
+  // ReLU: nothing between the two reads or writes the producer's gradient.
   std::vector<const Tensor4*> in_ptrs;
   std::vector<Tensor4*> gin_ptrs;
+  PassContext node_ctx = ctx;
   for (std::size_t k = nodes_.size(); k-- > 1;) {
     Node& n = nodes_[k];
+    if (n.fused) continue;
     in_ptrs.clear();
     gin_ptrs.clear();
     for (const int id : n.inputs) {
@@ -81,7 +117,9 @@ void Network::backward(const Tensor4& grad_out, const PassContext& ctx) {
       gin_ptrs.push_back(
           id == 0 ? nullptr : &nodes_[static_cast<std::size_t>(id)].grad);
     }
-    n.layer->backward(in_ptrs, n.out, n.grad, gin_ptrs, ctx);
+    const Node& top = n.relu < 0 ? n : nodes_[static_cast<std::size_t>(n.relu)];
+    node_ctx.fused_relu = n.relu >= 0;
+    n.layer->backward(in_ptrs, top.out, top.grad, gin_ptrs, node_ctx);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "hylo/common/check.hpp"
 #include "hylo/par/thread_pool.hpp"
+#include "hylo/tensor/elementwise.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -108,6 +109,17 @@ using ConvWgradFn = void (*)(index_t kc, const real_t* xp, const index_t* pos,
 using ConvDgradFn = void (*)(index_t c_out, index_t ostride,
                              const DgradTap* taps, index_t ntaps, real_t* gin,
                              index_t ldg);
+
+/// One row of a phase plane (phase_planes): d[l] = src[(l − b)·ps] for l in
+/// [b, b + n) and +0.0 for the rest of [0, w); src is not read when n = 0.
+using PlaneRowFn = void (*)(real_t* d, index_t w, const real_t* src,
+                            index_t b, index_t n, index_t ps);
+
+void plane_row_scalar(real_t* d, index_t w, const real_t* src, index_t b,
+                      index_t n, index_t ps) {
+  for (index_t l = 0; l < w; ++l)
+    d[l] = l >= b && l < b + n ? src[(l - b) * ps] : 0.0;
+}
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -283,6 +295,63 @@ __attribute__((target("avx512f,avx512dq"))) void conv_dgrad_avx512(
   for (int r = 0; r < 8; ++r) _mm512_storeu_pd(gin + r * ldg, g[r]);
 }
 
+// Phase-plane rows, a vector of lanes [l0, l0 + NR) at a time: the lanes
+// [lo, hi) that hold sample elements are loaded, the rest are +0.0. Stride 1
+// expands contiguous elements into those lanes (AVX-512) or loads a full
+// vector; other strides and edge vectors gather, reading only those lanes.
+__attribute__((target("avx2,fma"))) void plane_row_avx2(
+    real_t* d, index_t w, const real_t* src, index_t b, index_t n,
+    index_t ps) {
+  const __m256i iota = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m256i step = _mm256_setr_epi64x(0, ps, 2 * ps, 3 * ps);
+  for (index_t l0 = 0; l0 < w; l0 += 4) {
+    const index_t lanes = std::min<index_t>(4, w - l0);
+    const index_t lo = std::clamp<index_t>(b - l0, 0, lanes);
+    const index_t hi = std::clamp<index_t>(b + n - l0, lo, lanes);
+    __m256d v;
+    if (ps == 1 && lo == 0 && hi == 4) {
+      v = _mm256_loadu_pd(src + (l0 - b));
+    } else {
+      const __m256i m = _mm256_andnot_si256(
+          _mm256_cmpgt_epi64(_mm256_set1_epi64x(lo), iota),
+          _mm256_cmpgt_epi64(_mm256_set1_epi64x(hi), iota));
+      v = _mm256_mask_i64gather_pd(
+          _mm256_setzero_pd(), src,
+          _mm256_add_epi64(_mm256_set1_epi64x((l0 - b) * ps), step),
+          _mm256_castsi256_pd(m), 8);
+    }
+    if (lanes == 4)
+      _mm256_storeu_pd(d + l0, v);
+    else
+      _mm256_maskstore_pd(
+          d + l0, _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes), iota), v);
+  }
+}
+
+__attribute__((target("avx512f"))) void plane_row_avx512(
+    real_t* d, index_t w, const real_t* src, index_t b, index_t n,
+    index_t ps) {
+  const auto first = [](index_t k) {
+    return static_cast<__mmask8>((1u << k) - 1u);
+  };
+  const __m512i step = _mm512_setr_epi64(0, ps, 2 * ps, 3 * ps, 4 * ps,
+                                         5 * ps, 6 * ps, 7 * ps);
+  for (index_t l0 = 0; l0 < w; l0 += 8) {
+    const index_t lanes = std::min<index_t>(8, w - l0);
+    const index_t lo = std::clamp<index_t>(b - l0, 0, lanes);
+    const index_t hi = std::clamp<index_t>(b + n - l0, lo, lanes);
+    const auto m = static_cast<__mmask8>(first(hi) & ~first(lo));
+    const __m512d v =
+        ps == 1
+            ? _mm512_maskz_expandloadu_pd(m, src + (l0 + lo - b))
+            : _mm512_mask_i64gather_pd(
+                  _mm512_setzero_pd(), m,
+                  _mm512_add_epi64(_mm512_set1_epi64((l0 - b) * ps), step),
+                  src, 8);
+    _mm512_mask_storeu_pd(d + l0, first(lanes), v);
+  }
+}
+
 __attribute__((target("avx2"))) void vmul_avx2(real_t* a, const real_t* b,
                                                index_t n) {
   index_t i = 0;
@@ -321,39 +390,6 @@ __attribute__((target("avx512f"))) void vscale_avx512(real_t* dst,
   for (; i + 8 <= n; i += 8)
     _mm512_storeu_pd(dst + i, _mm512_mul_pd(sv, _mm512_loadu_pd(src + i)));
   for (; i < n; ++i) dst[i] = s * src[i];
-}
-
-// acc[i] += g[i] where x[i] > 0: the sum is blended in only on those lanes,
-// so the others keep their exact bits (-0.0 included). An ordered compare
-// leaves NaN lanes untouched, as the scalar `if` does.
-__attribute__((target("avx2"))) void vadd_where_positive_avx2(
-    real_t* acc, const real_t* g, const real_t* x, index_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(acc + i);
-    const __m256d sum = _mm256_add_pd(a, _mm256_loadu_pd(g + i));
-    const __m256d mask =
-        _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_GT_OQ);
-    _mm256_storeu_pd(acc + i, _mm256_blendv_pd(a, sum, mask));
-  }
-  for (; i < n; ++i)
-    if (x[i] > 0.0) acc[i] += g[i];
-}
-
-__attribute__((target("avx512f"))) void vadd_where_positive_avx512(
-    real_t* acc, const real_t* g, const real_t* x, index_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d a = _mm512_loadu_pd(acc + i);
-    const __mmask8 mask =
-        _mm512_cmp_pd_mask(_mm512_loadu_pd(x + i), zero, _CMP_GT_OQ);
-    _mm512_storeu_pd(acc + i,
-                     _mm512_mask_add_pd(a, mask, a, _mm512_loadu_pd(g + i)));
-  }
-  for (; i < n; ++i)
-    if (x[i] > 0.0) acc[i] += g[i];
 }
 
 // Lane-partial dot products: 4/8 running lane sums folded pairwise at the
@@ -455,19 +491,6 @@ void vscale_neon(real_t* dst, const real_t* src, real_t s, index_t n) {
   for (; i < n; ++i) dst[i] = s * src[i];
 }
 
-void vadd_where_positive_neon(real_t* acc, const real_t* g, const real_t* x,
-                              index_t n) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  index_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t a = vld1q_f64(acc + i);
-    const uint64x2_t mask = vcgtq_f64(vld1q_f64(x + i), zero);
-    vst1q_f64(acc + i, vbslq_f64(mask, vaddq_f64(a, vld1q_f64(g + i)), a));
-  }
-  for (; i < n; ++i)
-    if (x[i] > 0.0) acc[i] += g[i];
-}
-
 real_t vdot_neon(const real_t* a, const real_t* b, index_t n) {
   float64x2_t acc = vdupq_n_f64(0.0);
   index_t i = 0;
@@ -490,6 +513,7 @@ struct TierCfg {
   ConvFwdFn conv_fwd[2] = {};
   ConvWgradFn conv_wgrad = nullptr;
   ConvDgradFn conv_dgrad[2] = {};
+  PlaneRowFn plane_row = plane_row_scalar;
 };
 
 TierCfg tier_cfg(Tier t) {
@@ -497,10 +521,12 @@ TierCfg tier_cfg(Tier t) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx2:
       return {8, 4, micro_avx2_8x4, {conv_fwd_avx2<1>, conv_fwd_avx2<2>},
-              conv_wgrad_avx2, {conv_dgrad_avx2<1>, conv_dgrad_avx2<2>}};
+              conv_wgrad_avx2, {conv_dgrad_avx2<1>, conv_dgrad_avx2<2>},
+              plane_row_avx2};
     case Tier::kAvx512:
       return {8, 8, micro_avx512_8x8, {conv_fwd_avx512<1>, conv_fwd_avx512<2>},
-              conv_wgrad_avx512, {conv_dgrad_avx512<1>, conv_dgrad_avx512<2>}};
+              conv_wgrad_avx512, {conv_dgrad_avx512<1>, conv_dgrad_avx512<2>},
+              plane_row_avx512};
 #endif
 #if defined(__aarch64__)
     case Tier::kNeon:
@@ -839,10 +865,12 @@ const ConvOffsets& conv_offsets(const ConvGeometry& g, bool split) {
 }
 
 /// Copy one NCHW sample into its planes in per-thread scratch, each element
-/// once, then `slack` zeros for the lanes a forward or capture reads past a
-/// row's end. Unsplit with pad 0 and no slack, x already is that layout.
-const real_t* phase_planes(const real_t* x, const ConvGeometry& g,
-                           const ConvOffsets& o, index_t slack) {
+/// once and a plane row at a time (the tier's plane_row), then `slack` zeros
+/// for the lanes a forward or capture reads past a row's end. Unsplit with
+/// pad 0 and no slack, x already is that layout.
+const real_t* phase_planes(const TierCfg& cfg, const real_t* x,
+                           const ConvGeometry& g, const ConvOffsets& o,
+                           index_t slack) {
   const index_t ps = o.ps, pad = g.pad, wq = o.wq;
   if (ps == 1 && pad == 0 && slack == 0) return x;
   std::vector<real_t>& buf = tl_scratch(4);
@@ -851,29 +879,19 @@ const real_t* phase_planes(const real_t* x, const ConvGeometry& g,
              static_cast<std::size_t>(slack));
   real_t* d = buf.data();
   for (const Phase& py : o.rows)
-    for (const Phase& px : o.cols) {
+    for (const Phase& px : o.cols)
       // Plane rows [py.b, py.b + py.n) hold sample rows py.i0, py.i0 + ps, …
       // and columns likewise; the rest is padding.
       for (index_t c = 0; c < g.in_c; ++c)
-        for (index_t y = 0; y < o.hq; ++y) {
+        for (index_t y = 0; y < o.hq; ++y, d += wq) {
           const index_t t = y - py.b;
-          if (t < 0 || t >= py.n) {
-            d = std::fill_n(d, wq, 0.0);
-            continue;
-          }
-          const real_t* src =
-              x + (c * g.in_h + py.i0 + t * ps) * g.in_w + px.i0;
-          // The pad fills are guarded: most are empty at stride 2, and each
-          // fill is a library call.
-          if (px.b > 0) d = std::fill_n(d, px.b, 0.0);
-          if (ps == 1) {
-            d = std::copy_n(src, px.n, d);
-          } else {
-            for (index_t xq = 0; xq < px.n; ++xq, src += ps) *d++ = *src;
-          }
-          if (wq > px.b + px.n) d = std::fill_n(d, wq - px.b - px.n, 0.0);
+          if (t < 0 || t >= py.n)
+            cfg.plane_row(d, wq, x, 0, 0, ps);
+          else
+            cfg.plane_row(d, wq,
+                          x + (c * g.in_h + py.i0 + t * ps) * g.in_w + px.i0,
+                          px.b, px.n, ps);
         }
-    }
   std::fill_n(d, slack, 0.0);
   return buf.data();
 }
@@ -985,7 +1003,8 @@ void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
 /// and B from goutᵀ, the only pack. The chunk's gw rows sit transposed in a
 /// per-thread scratch from before the first sample to after the last, so
 /// each element keeps its sample-ascending, position-ascending chain. The
-/// bias row adds goutᵀ rows: fma(g, 1.0, c) == g + c exactly.
+/// bias row sums each gout row as it is transposed, output channels across
+/// the lanes: fma(g, 1.0, c) == g + c exactly.
 void direct_wgrad(const TierCfg& cfg, const Tensor4& gout, const Tensor4& x,
                   const ConvGeometry& g, Matrix& gw, index_t o0, index_t o1) {
   const index_t mr = cfg.mr, nr = cfg.nr, patch = g.patch_size();
@@ -998,32 +1017,22 @@ void direct_wgrad(const TierCfg& cfg, const Tensor4& gout, const Tensor4& x,
   acc.assign(static_cast<std::size_t>((rows + 1) * ld), 0.0);
   real_t* gwt = acc.data();
   real_t* bias = gwt + rows * ld;
-  for (index_t o = o0; o < o1; ++o) {
-    const real_t* w = gw.row_ptr(o);
-    for (index_t j = 0; j < patch; ++j) gwt[j * ld + (o - o0)] = w[j];
-    bias[o - o0] = w[patch];
-  }
+  transpose(gw.row_ptr(o0), o1 - o0, patch, gw.cols(), gwt, ld, nullptr);
+  for (index_t o = o0; o < o1; ++o) bias[o - o0] = gw(o, patch);
   std::vector<real_t>& gt_buf = tl_scratch(2);
   gt_buf.assign(static_cast<std::size_t>(s * ld), 0.0);
   real_t* gt = gt_buf.data();
   const ConvOffsets& offs = conv_offsets(g, false);
   for (index_t i = 0; i < x.n(); ++i) {
-    const real_t* xp = phase_planes(x.sample_ptr(i), g, offs, 0);
-    const real_t* go = gout.sample_ptr(i);
-    for (index_t o = o0; o < o1; ++o)
-      for (index_t p = 0; p < s; ++p) gt[p * ld + (o - o0)] = go[o * s + p];
-    for (index_t p = 0; p < s; ++p)
-      for (index_t l = 0; l < ld; ++l) bias[l] += gt[p * ld + l];
+    const real_t* xp = phase_planes(cfg, x.sample_ptr(i), g, offs, 0);
+    transpose(gout.sample_ptr(i) + o0 * s, o1 - o0, s, s, gt, ld, bias);
     for (index_t j0 = 0; j0 < rows; j0 += mr)
       for (index_t q = 0; q < ld; q += nr)
         cfg.conv_wgrad(s, xp, offs.pos.data(), offs.patch.data() + j0,
                        gt + q, ld, gwt + j0 * ld + q, ld);
   }
-  for (index_t o = o0; o < o1; ++o) {
-    real_t* w = gw.row_ptr(o);
-    for (index_t j = 0; j < patch; ++j) w[j] = gwt[j * ld + (o - o0)];
-    w[patch] = bias[o - o0];
-  }
+  transpose(gwt, patch, o1 - o0, ld, gw.row_ptr(o0), gw.cols(), nullptr);
+  for (index_t o = o0; o < o1; ++o) gw(o, patch) = bias[o - o0];
 }
 
 /// Direct-dgrad weight pack, [c-block][ky][kx][o][MR]: W[o, c0 + r, ky, kx],
@@ -1068,9 +1077,12 @@ void direct_dgrad(const TierCfg& cfg, const real_t* gout_plane,
   // (o·oh + oy)·ow, between kw zeros and kw + nr zeros: a tap's lanes start
   // less than kw columns left of a row and end less than kw + nr columns
   // past it. Masked lanes may read a neighbouring row, in bounds.
+  const index_t go_size = c_out * oh * ow;
   std::vector<real_t>& gbuf = tl_scratch(2);
-  gbuf.assign(static_cast<std::size_t>(c_out * oh * ow + 2 * kw + nr), 0.0);
-  std::copy_n(gout_plane, c_out * oh * ow, gbuf.begin() + kw);
+  gbuf.resize(static_cast<std::size_t>(go_size + 2 * kw + nr));
+  std::fill_n(gbuf.begin(), kw, 0.0);
+  std::copy_n(gout_plane, go_size, gbuf.begin() + kw);
+  std::fill(gbuf.begin() + kw + go_size, gbuf.end(), 0.0);
   const real_t* gp = gbuf.data() + kw;
   const index_t ostride = oh * ow, tap_panel = c_out * mr;
   static thread_local std::vector<DgradTap> taps;
@@ -1317,29 +1329,6 @@ void vscale(real_t* dst, const real_t* src, real_t s, index_t n) {
   for (index_t i = 0; i < n; ++i) dst[i] = s * src[i];
 }
 
-void vadd_where_positive(real_t* acc, const real_t* g, const real_t* x,
-                         index_t n) {
-  switch (active()) {
-#if defined(__x86_64__) || defined(__i386__)
-    case Tier::kAvx512:
-      vadd_where_positive_avx512(acc, g, x, n);
-      return;
-    case Tier::kAvx2:
-      vadd_where_positive_avx2(acc, g, x, n);
-      return;
-#endif
-#if defined(__aarch64__)
-    case Tier::kNeon:
-      vadd_where_positive_neon(acc, g, x, n);
-      return;
-#endif
-    default:
-      break;
-  }
-  for (index_t i = 0; i < n; ++i)
-    if (x[i] > 0.0) acc[i] += g[i];
-}
-
 real_t vdot(const real_t* a, const real_t* b, index_t n) {
   switch (active()) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -1409,7 +1398,7 @@ void conv_forward(const PackedW& pw, const real_t* x, const ConvGeometry& g,
   const bool direct = pw.main.empty();  // the route conv_direct(g) packed for
   const ConvOffsets& offs = conv_offsets(g, true);
   const real_t* xp = direct || capture_row != nullptr
-                         ? phase_planes(x, g, offs, cfg.nr)
+                         ? phase_planes(cfg, x, g, offs, cfg.nr)
                          : nullptr;
   if (direct)
     direct_forward(cfg, pw, xp, offs, g, out_plane);

@@ -25,6 +25,7 @@
 #include "hylo/nn/loss.hpp"
 #include "hylo/nn/network.hpp"
 #include "hylo/par/thread_pool.hpp"
+#include "hylo/tensor/elementwise.hpp"
 #include "hylo/tensor/gemm_packed.hpp"
 #include "hylo/tensor/kernel_dispatch.hpp"
 #include "hylo/tensor/ops.hpp"

@@ -5,12 +5,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hylo/nn/layers.hpp"
 #include "hylo/nn/loss.hpp"
 #include "hylo/nn/network.hpp"
+#include "hylo/tensor/kernel_dispatch.hpp"
 #include "test_util.hpp"
 
 namespace hylo {
@@ -215,7 +219,9 @@ TEST(BatchNorm, EvalUsesRunningStats) {
 
 // BatchNorm2d with x̂ materialized in forward and read back in backward —
 // the layout the layer had before it recomputed x̂ from the saved
-// statistics. Same expressions, so the same roundings.
+// statistics. Same expressions, so the same roundings: std::fma wherever a
+// product feeds a sum, as in the layer's kernels (elementwise.hpp), so the
+// two agree under any -ffp-contract or -march.
 struct StoredXHatBatchNorm {
   real_t momentum = 0.1, eps = 1e-5;
   std::vector<real_t> gamma, beta, grad_gamma, grad_beta;
@@ -237,7 +243,7 @@ struct StoredXHatBatchNorm {
           const real_t* p = x.sample_ptr(i) + ch * hw;
           for (index_t j = 0; j < hw; ++j) {
             sum += p[j];
-            sumsq += p[j] * p[j];
+            sumsq = std::fma(p[j], p[j], sumsq);
           }
         }
         mean = sum / count;
@@ -258,7 +264,7 @@ struct StoredXHatBatchNorm {
         for (index_t j = 0; j < hw; ++j) {
           const real_t xh = (px[j] - mean) * inv_std;
           ph[j] = xh;
-          po[j] = gamma[k] * xh + beta[k];
+          po[j] = std::fma(gamma[k], xh, beta[k]);
         }
       }
     }
@@ -276,7 +282,7 @@ struct StoredXHatBatchNorm {
         const real_t* ph = x_hat.sample_ptr(i) + ch * hw;
         for (index_t j = 0; j < hw; ++j) {
           sum_dy += pg[j];
-          sum_dy_xh += pg[j] * ph[j];
+          sum_dy_xh = std::fma(pg[j], ph[j], sum_dy_xh);
         }
       }
       grad_beta[kc] += sum_dy;
@@ -287,15 +293,18 @@ struct StoredXHatBatchNorm {
           const real_t* pg = gout.sample_ptr(i) + ch * hw;
           const real_t* ph = x_hat.sample_ptr(i) + ch * hw;
           real_t* pi = gin.sample_ptr(i) + ch * hw;
-          for (index_t j = 0; j < hw; ++j)
-            pi[j] += k * (count * pg[j] - sum_dy - ph[j] * sum_dy_xh);
+          for (index_t j = 0; j < hw; ++j) {
+            const real_t t = std::fma(-ph[j], sum_dy_xh,
+                                      std::fma(count, pg[j], -sum_dy));
+            pi[j] = std::fma(k, t, pi[j]);
+          }
         }
       } else {
         const real_t k = gamma[kc] * inv_std;
         for (index_t i = 0; i < n; ++i) {
           const real_t* pg = gout.sample_ptr(i) + ch * hw;
           real_t* pi = gin.sample_ptr(i) + ch * hw;
-          for (index_t j = 0; j < hw; ++j) pi[j] += k * pg[j];
+          for (index_t j = 0; j < hw; ++j) pi[j] = std::fma(k, pg[j], pi[j]);
         }
       }
     }
@@ -460,6 +469,403 @@ TEST(Layers, ConvRejectsWindowPastThePaddedInput) {
   const Shape t = Conv2d(2, 3, 2, 0, wrng).infer_shape({Shape{1, 3, 4}});
   EXPECT_EQ(t.h, 1);
   EXPECT_EQ(t.w, 1);
+}
+
+// ---- Elementwise passes: every kernel tier against the scalar reference ----
+
+const real_t kNaN = std::numeric_limits<real_t>::quiet_NaN();
+
+/// The same bits in every entry, except that a NaN matches any NaN. IEEE 754
+/// leaves the sign and payload of a NaN result open, and they do differ: a
+/// vector fmsub or fnmadd passes a NaN operand through as it is, while
+/// std::fma on a negated operand (a libm call in a build without hardware
+/// fma, such as the sanitizer lane) passes on the flipped sign. Every other
+/// value, ±0.0 included, is compared bit for bit.
+bool same_values(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!(std::isnan(a[i]) && std::isnan(b[i])) &&
+        std::memcmp(&a[i], &b[i], sizeof(real_t)) != 0)
+      return false;
+  return true;
+}
+
+/// Restores the ambient kernel tier on scope exit.
+class TierScope {
+ public:
+  TierScope() : saved_(kern::active()) {}
+  ~TierScope() { kern::set_tier(saved_); }
+  TierScope(const TierScope&) = delete;
+  TierScope& operator=(const TierScope&) = delete;
+
+ private:
+  kern::Tier saved_;
+};
+
+std::vector<kern::Tier> cpu_tiers() {
+  std::vector<kern::Tier> out;
+  for (const kern::Tier t : {kern::Tier::kScalar, kern::Tier::kNeon,
+                             kern::Tier::kAvx2, kern::Tier::kAvx512})
+    if (kern::available(t)) out.push_back(t);
+  return out;
+}
+
+/// Replace one in `every` entries of x by the next of `specials`, in the
+/// channels ch with ch % period == period − 1 only: with period 3 the other
+/// channels' BatchNorm statistics stay finite, so their chains are compared
+/// bit for bit at every shape.
+void sprinkle(Rng& rng, Tensor4& x, const std::vector<real_t>& specials,
+              index_t every, index_t period) {
+  const index_t hw = x.h() * x.w();
+  std::size_t next = 0;
+  for (index_t i = 0; i < x.size(); ++i)
+    if ((i / hw) % x.c() % period == period - 1 &&
+        rng.uniform_int(static_cast<std::uint64_t>(every)) == 0)
+      x[i] = specials[next++ % specials.size()];
+}
+
+std::vector<real_t> values(const Tensor4& t) {
+  return {t.data(), t.data() + t.size()};
+}
+
+/// Named results of one run, compared part by part.
+using Results = std::vector<std::pair<std::string, std::vector<real_t>>>;
+
+/// same_values of every part; on a mismatch, one failure naming the first
+/// part.
+void expect_same(const Results& got, const Results& want,
+                 const std::string& where, int& failures) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k)
+    if (!same_values(got[k].second, want[k].second)) {
+      if (failures++ < 5) ADD_FAILURE() << where << ": " << got[k].first;
+      return;
+    }
+}
+
+/// The operands of one sweep case.
+struct BnCase {
+  Shape s;
+  Tensor4 x, g, gin0, x_eval, g_eval;
+  std::vector<real_t> gamma, beta;
+};
+
+BnCase bn_case(Rng& rng, index_t n, Shape s) {
+  BnCase c{s, random_batch(rng, n, s, 2.0), random_batch(rng, n, s),
+           random_batch(rng, n, s), random_batch(rng, n, s, 2.0),
+           random_batch(rng, n, s), {}, {}};
+  for (Tensor4* x : {&c.x, &c.x_eval}) {
+    sprinkle(rng, *x, {0.0, -0.0}, 11, 1);
+    sprinkle(rng, *x, {kNaN, INFINITY, -INFINITY}, 97, 3);
+  }
+  for (Tensor4* g : {&c.g, &c.g_eval}) {
+    sprinkle(rng, *g, {-0.0, 0.0}, 7, 1);
+    sprinkle(rng, *g, {kNaN}, 97, 3);
+  }
+  sprinkle(rng, c.gin0, {-0.0}, 5, 1);
+  for (index_t ch = 0; ch < s.c; ++ch) {
+    c.gamma.push_back(rng.normal());
+    c.beta.push_back(ch % 4 == 0 ? -0.0 : rng.normal());
+  }
+  return c;
+}
+
+/// One BatchNorm2d, a training pass then an eval pass, each a forward and a
+/// backward into a prefilled gin. With `relu` the layer's ReLU consumer
+/// runs too: inside the layer when `fused`, else as a ReLU layer whose
+/// gradient buffer starts zeroed, as Network's does.
+Results run_bn(const BnCase& c, bool relu, bool fused) {
+  BatchNorm2d bn;
+  bn.infer_shape({c.s});
+  *bn.plain_params()[0].value = c.gamma;
+  *bn.plain_params()[1].value = c.beta;
+  ReLU act;
+  Results r;
+  for (const bool training : {true, false}) {
+    const Tensor4& x = training ? c.x : c.x_eval;
+    const Tensor4& g = training ? c.g : c.g_eval;
+    const PassContext ctx{.training = training, .capture = false,
+                          .fused_relu = relu && fused};
+    Tensor4 y, out, gy(x.n(), x.c(), x.h(), x.w()), gin = c.gin0;
+    if (relu && !fused) {
+      bn.forward({&x}, y, ctx);
+      act.forward({&y}, out, ctx);
+      act.backward({&y}, out, g, {&gy}, ctx);
+      bn.backward({&x}, y, gy, {&gin}, ctx);
+    } else {
+      bn.forward({&x}, out, ctx);
+      bn.backward({&x}, out, g, {&gin}, ctx);
+    }
+    const std::string pass = training ? "train " : "eval ";
+    r.emplace_back(pass + "output", values(out));
+    r.emplace_back(pass + "gin", values(gin));
+  }
+  r.emplace_back("grad_gamma", *bn.plain_params()[0].grad);
+  r.emplace_back("grad_beta", *bn.plain_params()[1].grad);
+  r.emplace_back("running_mean", *bn.mutable_state()[0]);
+  r.emplace_back("running_var", *bn.mutable_state()[1]);
+  return r;
+}
+
+/// Add, then its ReLU consumer when `relu` (fused or as a layer), forward
+/// and backward into two prefilled input gradients.
+Results run_add(const BnCase& c, bool relu, bool fused) {
+  Add add;
+  add.infer_shape({c.s, c.s});
+  ReLU act;
+  const PassContext ctx{.training = true, .capture = false,
+                        .fused_relu = relu && fused};
+  const Tensor4& a = c.x;
+  const Tensor4& b = c.x_eval;
+  Tensor4 y, out, gy(a.n(), a.c(), a.h(), a.w()), ga = c.gin0, gb = c.g_eval;
+  if (relu && !fused) {
+    add.forward({&a, &b}, y, ctx);
+    act.forward({&y}, out, ctx);
+    act.backward({&y}, out, c.g, {&gy}, ctx);
+    add.backward({&a, &b}, y, gy, {&ga, &gb}, ctx);
+  } else {
+    add.forward({&a, &b}, out, ctx);
+    add.backward({&a, &b}, out, c.g, {&ga, &gb}, ctx);
+  }
+  return {{"output", values(out)},
+          {"gin a", values(ga)},
+          {"gin b", values(gb)}};
+}
+
+/// ReLU alone, forward and backward into a prefilled gradient.
+Results run_relu(const BnCase& c) {
+  ReLU act;
+  const PassContext ctx{.training = true, .capture = false};
+  Tensor4 out, gin = c.gin0;
+  act.forward({&c.x}, out, ctx);
+  act.backward({&c.x}, out, c.g, {&gin}, ctx);
+  return {{"output", values(out)}, {"gin", values(gin)}};
+}
+
+// The per-element passes of BatchNorm2d (training and eval), Add and ReLU
+// give every tier the scalar tier's bits (same_values): channel counts
+// around and off the lane widths (1, 3, 8, 12, 17, 48), spatial extents with
+// and without position tails (1x1 to 16x16), batches 1, 6 and 16, inputs
+// with NaN, ±Inf and ±0.0, gradients with −0.0. A BatchNorm2d or Add running
+// its ReLU (PassContext::fused_relu) equals the layer pair, in every tier.
+TEST(ElementwiseTiers, EveryTierMatchesTheScalarReferenceBitwise) {
+  TierScope scope;
+  Rng rng(2026);
+  int failures = 0;
+  for (const index_t c : {1, 3, 8, 12, 17, 48})
+    for (const auto& [h, w] : {std::pair<index_t, index_t>{1, 1},
+                               {4, 4}, {5, 4}, {7, 7}, {16, 16}})
+      for (const index_t n : {1, 6, 16}) {
+        const BnCase cs = bn_case(rng, n, Shape{c, h, w});
+        kern::set_tier(kern::Tier::kScalar);
+        const Results bn_ref = run_bn(cs, false, false);
+        const Results bn_relu_ref = run_bn(cs, true, false);
+        const Results add_ref = run_add(cs, false, false);
+        const Results add_relu_ref = run_add(cs, true, false);
+        const Results relu_ref = run_relu(cs);
+        for (const kern::Tier t : cpu_tiers()) {
+          kern::set_tier(t);
+          const std::string where = std::string(kern::tier_name(t)) + " " +
+                                    std::to_string(n) + "x" +
+                                    std::to_string(c) + "x" +
+                                    std::to_string(h) + "x" + std::to_string(w);
+          expect_same(run_bn(cs, false, false), bn_ref, where + " bn",
+                      failures);
+          expect_same(run_bn(cs, true, false), bn_relu_ref,
+                      where + " bn+relu", failures);
+          expect_same(run_bn(cs, true, true), bn_relu_ref,
+                      where + " bn+relu fused", failures);
+          expect_same(run_add(cs, false, false), add_ref, where + " add",
+                      failures);
+          expect_same(run_add(cs, true, false), add_relu_ref,
+                      where + " add+relu", failures);
+          expect_same(run_add(cs, true, true), add_relu_ref,
+                      where + " add+relu fused", failures);
+          expect_same(run_relu(cs), relu_ref, where + " relu", failures);
+        }
+      }
+  EXPECT_EQ(failures, 0);
+}
+
+// The fused ReLU gradient rule at the edges: a positive output passes
+// 0.0 + g (−0.0 becomes +0.0), anything else, NaN included, gives +0.0, and
+// Add adds that value into a −0.0 accumulator rather than skip it.
+TEST(ElementwiseTiers, FusedReluGradientIsZeroPlusG) {
+  TierScope scope;
+  const Shape s{1, 1, 4};
+  Tensor4 a(1, 1, 1, 4), b(1, 1, 1, 4), g(1, 1, 1, 4);
+  const real_t av[] = {1.0, -1.0, kNaN, 0.0};
+  const real_t gv[] = {-0.0, 2.0, 3.0, 4.0};
+  for (index_t i = 0; i < 4; ++i) {
+    a[i] = av[i];
+    g[i] = gv[i];
+  }
+  for (const kern::Tier t : cpu_tiers()) {
+    kern::set_tier(t);
+    Add add;
+    add.infer_shape({s, s});
+    const PassContext ctx{.training = true, .capture = false,
+                          .fused_relu = true};
+    Tensor4 out, ga(1, 1, 1, 4), gb(1, 1, 1, 4);
+    for (index_t i = 0; i < 4; ++i) ga[i] = -0.0;
+    add.forward({&a, &b}, out, ctx);
+    add.backward({&a, &b}, out, g, {&ga, &gb}, ctx);
+    for (index_t i = 0; i < 4; ++i) {
+      SCOPED_TRACE(std::string(kern::tier_name(t)) + " lane " +
+                   std::to_string(i));
+      EXPECT_FALSE(std::signbit(out[i]));
+      EXPECT_EQ(out[i], i == 0 ? 1.0 : 0.0);
+      EXPECT_FALSE(std::signbit(ga[i]));
+      EXPECT_EQ(ga[i], 0.0);
+    }
+  }
+}
+
+// ---- ReLU fusion in Network ---------------------------------------------
+
+/// A layer's weight gradient, plain-parameter gradients and persistent state.
+void append_state(Layer& l, Results& r) {
+  if (ParamBlock* pb = l.param_block())
+    r.emplace_back("gw", std::vector<real_t>(pb->gw.data(),
+                                             pb->gw.data() + pb->gw.size()));
+  for (auto pp : l.plain_params()) r.emplace_back("plain grad", *pp.grad);
+  for (auto* st : l.mutable_state()) r.emplace_back("layer state", *st);
+}
+
+/// The same graph as a Network, and as a layer list that a plain
+/// layer-by-layer executor runs with no fusion: the reference.
+struct Graph {
+  std::vector<std::pair<std::unique_ptr<Layer>, std::vector<int>>> layers;
+  int add(std::unique_ptr<Layer> layer, std::vector<int> inputs) {
+    layers.emplace_back(std::move(layer), std::move(inputs));
+    return static_cast<int>(layers.size());
+  }
+};
+
+struct LayerByLayer {
+  Graph graph;
+  std::vector<Tensor4> out, grad;
+
+  explicit LayerByLayer(Graph g, Shape in) : graph(std::move(g)) {
+    std::vector<Shape> shapes{in};
+    for (auto& [layer, inputs] : graph.layers) {
+      std::vector<Shape> s;
+      for (const int id : inputs)
+        s.push_back(shapes[static_cast<std::size_t>(id)]);
+      shapes.push_back(layer->infer_shape(s));
+    }
+  }
+
+  const Tensor4& forward(const Tensor4& x, const PassContext& ctx) {
+    out.assign(graph.layers.size() + 1, Tensor4());
+    out[0] = x;
+    for (std::size_t k = 1; k < out.size(); ++k) {
+      auto& [layer, inputs] = graph.layers[k - 1];
+      std::vector<const Tensor4*> in;
+      for (const int id : inputs)
+        in.push_back(&out[static_cast<std::size_t>(id)]);
+      layer->forward(in, out[k], ctx);
+    }
+    return out.back();
+  }
+
+  void backward(const Tensor4& g, const PassContext& ctx) {
+    grad.assign(out.size(), Tensor4());
+    for (std::size_t k = 1; k + 1 < out.size(); ++k)
+      grad[k] = Tensor4(out[k].n(), out[k].c(), out[k].h(), out[k].w());
+    grad.back() = g;
+    for (std::size_t k = out.size(); k-- > 1;) {
+      auto& [layer, inputs] = graph.layers[k - 1];
+      std::vector<const Tensor4*> in;
+      std::vector<Tensor4*> gin;
+      for (const int id : inputs) {
+        in.push_back(&out[static_cast<std::size_t>(id)]);
+        gin.push_back(id == 0 ? nullptr : &grad[static_cast<std::size_t>(id)]);
+      }
+      layer->backward(in, out[k], grad[k], gin, ctx);
+    }
+  }
+
+  Results state() {
+    Results r;
+    for (auto& entry : graph.layers) append_state(*entry.first, r);
+    return r;
+  }
+};
+
+Results network_state(Network& net) {
+  Results r;
+  for (index_t k = 1; k < net.num_nodes(); ++k)
+    append_state(const_cast<Layer&>(*net.layer(k)), r);
+  return r;
+}
+
+/// A training and an eval step of `make`'s graph through Network equal the
+/// layer-by-layer executor's: logits, every parameter gradient (summed over
+/// both steps), BatchNorm's running statistics.
+void expect_network_matches_layer_by_layer(Graph (*make)(Rng&), Shape in) {
+  Rng wa(41), wb(41), rng(42);
+  Graph ga = make(wa);
+  Network net("fusion");
+  net.add_input(in);
+  for (auto& [layer, inputs] : ga.layers) net.add(std::move(layer), inputs);
+  LayerByLayer ref(make(wb), in);
+  int failures = 0;
+  for (const bool training : {true, false}) {
+    const PassContext ctx{.training = training, .capture = false};
+    const Tensor4 x = random_batch(rng, 6, in, 2.0);
+    const auto labels = random_labels(rng, 6, 3);
+    const Tensor4 logits = net.forward(x, ctx);
+    const LossResult lr = SoftmaxCrossEntropy().compute(logits, labels);
+    net.backward(lr.grad, ctx);
+    const Tensor4 ref_logits = ref.forward(x, ctx);
+    ref.backward(lr.grad, ctx);
+    const std::string where = training ? "train" : "eval";
+    EXPECT_TRUE(same_bits(logits, ref_logits)) << where << ": logits";
+    expect_same(network_state(net), ref.state(), where, failures);
+  }
+  EXPECT_EQ(failures, 0);
+}
+
+// conv → BN → ReLU → add(ReLU, BN) → ReLU → pool → linear: the BN has two
+// consumers, so its ReLU runs as a layer and the Add reads the BN's own
+// output; the Add's ReLU fuses.
+Graph shared_bn_graph(Rng& wrng) {
+  Graph g;
+  const int conv = g.add(std::make_unique<Conv2d>(4, 3, 1, 1, wrng), {0});
+  const int bn = g.add(std::make_unique<BatchNorm2d>(), {conv});
+  const int relu = g.add(std::make_unique<ReLU>(), {bn});
+  const int add = g.add(std::make_unique<Add>(), {relu, bn});
+  const int relu2 = g.add(std::make_unique<ReLU>(), {add});
+  const int pool = g.add(std::make_unique<GlobalAvgPool>(), {relu2});
+  g.add(std::make_unique<Linear>(3, wrng), {pool});
+  return g;
+}
+
+// A residual block: each BN → ReLU and the Add → ReLU fuse; the second BN
+// feeds the Add, not a ReLU, and a ReLU after a conv stays a layer.
+Graph residual_graph(Rng& wrng) {
+  Graph g;
+  const int conv = g.add(std::make_unique<Conv2d>(4, 3, 1, 1, wrng), {0});
+  const int bn = g.add(std::make_unique<BatchNorm2d>(), {conv});
+  const int relu = g.add(std::make_unique<ReLU>(), {bn});
+  const int conv2 = g.add(std::make_unique<Conv2d>(4, 3, 1, 1, wrng), {relu});
+  const int bn2 = g.add(std::make_unique<BatchNorm2d>(), {conv2});
+  const int add = g.add(std::make_unique<Add>(), {relu, bn2});
+  const int relu2 = g.add(std::make_unique<ReLU>(), {add});
+  const int conv3 = g.add(std::make_unique<Conv2d>(3, 1, 1, 0, wrng), {relu2});
+  const int relu3 = g.add(std::make_unique<ReLU>(), {conv3});
+  const int pool = g.add(std::make_unique<GlobalAvgPool>(), {relu3});
+  g.add(std::make_unique<Linear>(3, wrng), {pool});
+  return g;
+}
+
+TEST(NetworkFusion, BatchNormWithASecondConsumerIsNotFused) {
+  expect_network_matches_layer_by_layer(shared_bn_graph, Shape{2, 5, 5});
+}
+
+TEST(NetworkFusion, FusedResidualBlockEqualsLayerByLayer) {
+  expect_network_matches_layer_by_layer(residual_graph, Shape{2, 5, 5});
 }
 
 }  // namespace
