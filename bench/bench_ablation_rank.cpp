@@ -1,7 +1,8 @@
 // Ablation: HyLo's rank budget r (as a fraction of the global batch).
-// Sweeps rank_ratio and reports accuracy, gradient error vs exact SNGD, and
-// per-refresh curvature cost — the accuracy/cost trade-off behind the
-// paper's choice of r = 10% (Sec. V-A) and the Fig. 8 r-sweep.
+// Sweeps rank_ratio and reports the rank it gave, accuracy, simulated time
+// and per-refresh curvature cost — the accuracy/cost trade-off behind the
+// paper's choice of r = 10% (Sec. V-A) and the Fig. 8 r-sweep. The local
+// batch is 32, the smallest at P = 4 where the four ratios give four ranks.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,9 +17,11 @@ int main() {
 
   std::cout << "Ablation — HyLo rank ratio on " << w.paper_name
             << " (P=4)\n\n";
-  CsvWriter table({"rank_ratio", "best_acc", "sim_seconds",
+  const std::vector<real_t> ratios = {0.05, 0.1, 0.25, 0.5};
+  CsvWriter table({"rank_ratio", "rank_r", "best_acc", "sim_seconds",
                    "curvature_measured_ms_per_refresh"});
-  for (const real_t ratio : {0.05, 0.1, 0.25, 0.5}) {
+  std::vector<index_t> ranks;
+  for (const real_t ratio : ratios) {
     Network net = w.make_model();
     OptimConfig oc = method_config("HyLo");
     oc.rank_ratio = ratio;
@@ -26,7 +29,7 @@ int main() {
     HyloOptimizer opt(oc);
     TrainConfig tc;
     tc.epochs = epochs;
-    tc.batch_size = 8;
+    tc.batch_size = 32;
     tc.world = 4;
     tc.interconnect = mist_v100();
     tc.compute = bench_compute();
@@ -42,8 +45,11 @@ int main() {
     const double curv_ms = (prof.seconds("comp/factorization") +
                             prof.seconds("comp/inversion")) /
                            refreshes * 1e3;
-    table.add(ratio, res.best_metric(), res.total_seconds, curv_ms);
+    ranks.push_back(hylo_rank(trainer));
+    table.add(ratio, ranks.back(), res.best_metric(), res.total_seconds,
+              curv_ms);
   }
+  check_distinct_ranks(ratios, ranks, "ablation_rank");
   table.print_table();
   table.write_file("ablation_rank.csv");
   std::cout << "\nExpected: curvature cost grows with r; accuracy saturates "

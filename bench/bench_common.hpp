@@ -90,6 +90,28 @@ inline real_t loglog_slope(const std::vector<real_t>& x,
   return denom == 0.0 ? 0.0 : (static_cast<real_t>(n) * sxy - sx * sy) / denom;
 }
 
+/// The rank HyLo used at its last refresh, r_local·P (the `optim/hylo/rank`
+/// gauge); 0 before any refresh.
+inline index_t hylo_rank(const Trainer& trainer) {
+  const auto& gauges = trainer.profiler().registry().gauges();
+  const auto it = gauges.find("optim/hylo/rank");
+  return it == gauges.end() ? 0 : static_cast<index_t>(it->second.value());
+}
+
+/// A rank sweep measures nothing between two ratios that round to the same
+/// r, so it stops with the ratios' ranks instead of writing such a table.
+inline void check_distinct_ranks(const std::vector<real_t>& ratios,
+                                 const std::vector<index_t>& ranks,
+                                 const std::string& sweep) {
+  for (std::size_t i = 0; i < ranks.size(); ++i)
+    for (std::size_t j = i + 1; j < ranks.size(); ++j)
+      HYLO_CHECK(ranks[i] != ranks[j],
+                 "rank ratios " << ratios[i] << " and " << ratios[j]
+                                << " both give r = " << ranks[i] << " in "
+                                << sweep
+                                << "; use a local batch where they differ");
+}
+
 /// Random per-layer capture for kernel-level benches (no training needed):
 /// world ranks of m samples each with the given layer dims and latent rank.
 CaptureSet synth_capture(Rng& rng, index_t layers, index_t world, index_t m,

@@ -5,7 +5,9 @@
 // (SGD needs more epochs than HyLo — 90 vs 50 for ResNet-50, 200 vs 100 for
 // ResNet-32, 50 vs 30 for U-Net), and report the ratio. The curvature
 // update frequency is scaled inversely with P (as the paper does) to keep
-// updates-per-sample constant.
+// updates-per-sample constant. The local batch is 16, where the three ratios
+// give 1, 3 and 6 rows per rank at every P; the rank_r columns hold the
+// global r each HyLo run used.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -15,7 +17,12 @@ using namespace hylo::bench;
 
 namespace {
 
-double epoch_seconds(const Workload& w, const std::string& method,
+struct EpochCost {
+  double seconds;  ///< modeled time per epoch
+  index_t rank;    ///< HyLo's r (0 for SGD)
+};
+
+EpochCost epoch_cost(const Workload& w, const std::string& method,
                      index_t world, real_t rank_ratio, index_t freq_base) {
   Network net = w.make_model();
   OptimConfig oc = method_config(method);
@@ -23,7 +30,7 @@ double epoch_seconds(const Workload& w, const std::string& method,
   // Keep second-order updates per training sample constant across P.
   oc.update_freq = std::max<index_t>(1, freq_base / world);
   auto opt = make_optimizer(method, oc);
-  const index_t batch = 8;
+  const index_t batch = 16;
   TrainConfig tc;
   tc.epochs = 1;
   tc.batch_size = batch;
@@ -42,7 +49,7 @@ double epoch_seconds(const Workload& w, const std::string& method,
       res.total_seconds / static_cast<double>(res.iterations);
   const double iters_per_epoch = static_cast<double>(w.data.train.size()) /
                                  static_cast<double>(world * batch);
-  return per_iter * iters_per_epoch;
+  return {per_iter * iters_per_epoch, hylo_rank(trainer)};
 }
 
 }  // namespace
@@ -63,16 +70,22 @@ int main() {
     std::cout << "\nFig. 8 — projected end-to-end speedup of HyLo over SGD, "
               << w.paper_name << " (SGD " << setup.sgd_epochs
               << " epochs vs HyLo " << setup.hylo_epochs << ")\n\n";
-    CsvWriter table({"P", "r=10%", "r=20%", "r=40%"});
+    const std::vector<real_t> ratios = {0.1, 0.2, 0.4};
+    CsvWriter table({"P", "r=10%", "r=20%", "r=40%", "rank_r=10%",
+                     "rank_r=20%", "rank_r=40%"});
     for (const index_t p : setup.worlds) {
       const double sgd =
-          epoch_seconds(w, "SGD", p, 0.1, 160) * setup.sgd_epochs;
+          epoch_cost(w, "SGD", p, 0.1, 160).seconds * setup.sgd_epochs;
       std::vector<std::string> row = {std::to_string(p)};
-      for (const real_t ratio : {0.1, 0.2, 0.4}) {
-        const double hylo =
-            epoch_seconds(w, "HyLo", p, ratio, 160) * setup.hylo_epochs;
-        row.push_back(std::to_string(sgd / hylo));
+      std::vector<index_t> ranks;
+      for (const real_t ratio : ratios) {
+        const EpochCost hylo = epoch_cost(w, "HyLo", p, ratio, 160);
+        row.push_back(std::to_string(sgd / (hylo.seconds * setup.hylo_epochs)));
+        ranks.push_back(hylo.rank);
       }
+      check_distinct_ranks(
+          ratios, ranks, "fig8 " + setup.workload + " P=" + std::to_string(p));
+      for (const index_t r : ranks) row.push_back(std::to_string(r));
       table.add_row(std::move(row));
     }
     table.print_table();

@@ -11,9 +11,11 @@
 ///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x8 AVX-512 /
 ///     8x4 NEON, selected by hylo::kern::active()) accumulates
 ///     C-tile += Apanel · Bpanel with the k loop innermost. On x86 the fma
-///     chain is one template per tier whose A and B sources are parameters:
-///     the GEMMs read packed panels, the direct conv passes read the phase
-///     planes and gout in place, a B row whole or as two half-rows.
+///     chain is written once (tensor/gemm_x86.inc, compiled per tier over
+///     the vector ops of tensor/x86_vec.hpp) as a template whose A and B
+///     sources are parameters: the GEMMs read packed panels, the direct conv
+///     passes read the phase planes and gout in place, a B row whole or as
+///     two half-rows.
 ///   * Edge tiles (m % MR, n % NR, and the symmetric kernels' diagonal
 ///     straddle) run the same microkernel on a copy-in/copy-out scratch
 ///     tile, so every element sees the identical fma chain regardless of
@@ -69,9 +71,10 @@ void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha);
 // These dispatch on kern::active() internally; the scalar tier runs the
 // plain ascending loop (bitwise identical to the seed kernels). vmul and
 // vscale are elementwise and therefore bitwise identical across tiers; vdot
-// uses lane-partial accumulators in SIMD tiers (fixed, deterministic
-// reduction order within a tier, reassociated relative to scalar). The nn
-// layers' elementwise passes are in elementwise.hpp.
+// uses lane-partial accumulators in SIMD tiers, folded pairwise (fixed,
+// deterministic reduction order within a tier, reassociated relative to
+// scalar; on x86 one fma per tail element). The nn layers' elementwise
+// passes are in elementwise.hpp.
 
 /// a[i] *= b[i].
 void vmul(real_t* a, const real_t* b, index_t n);

@@ -1,16 +1,15 @@
 #include "hylo/tensor/gemm_packed.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "hylo/common/check.hpp"
 #include "hylo/par/thread_pool.hpp"
 #include "hylo/tensor/elementwise.hpp"
+#include "x86_vec.hpp"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
 #if defined(__aarch64__)
 #include <arm_neon.h>
 #endif
@@ -35,10 +34,9 @@ using MicroFn = void (*)(index_t kc, const real_t* ap, const real_t* bp,
                          real_t* c, index_t ldc);
 
 // ---- Microkernel operand sources ---------------------------------------
-// Each tier has one fma chain, fma_chain_<tier>: for k ascending it loads the
-// NR-wide B row b(k), broadcasts a(k, r) for the MR rows and fmas them into
-// the MR accumulators. The sources only say where those operands live, so
-// every instantiation gives each C element the same chain.
+// The x86 fma chain (gemm_x86.inc) reads a(k, r) and B row b(k) through
+// these. They only say where the operands live, so every instantiation
+// gives each C element the same chain.
 
 /// A from an MR-interleaved packed panel: a(k, r) = ap[k·MR + r].
 struct PanelA {
@@ -121,310 +119,31 @@ void plane_row_scalar(real_t* d, index_t w, const real_t* src, index_t b,
     d[l] = l >= b && l < b + n ? src[(l - b) * ps] : 0.0;
 }
 
+}  // namespace
+
+// ---- x86 tiers -------------------------------------------------------------
+// gemm_x86.inc holds each body once; every tier compiles it over its vector
+// ops (x86_vec.hpp).
+
 #if defined(__x86_64__) || defined(__i386__)
+namespace avx512 {
+namespace {
+#define HYLO_TARGET HYLO_AVX512_TARGET
+#include "gemm_x86.inc"
+#undef HYLO_TARGET
+}  // namespace
+}  // namespace avx512
 
-// B loads: a pointer is one full-width row, Halves two half-width ones.
-__attribute__((target("avx2,fma"), always_inline)) inline __m256d load_avx2(
-    const real_t* p) {
-  return _mm256_loadu_pd(p);
-}
-
-__attribute__((target("avx2,fma"), always_inline)) inline __m256d load_avx2(
-    Halves h) {
-  return _mm256_loadu2_m128d(h.hi, h.lo);
-}
-
-__attribute__((target("avx512f"), always_inline)) inline __m512d load_avx512(
-    const real_t* p) {
-  return _mm512_loadu_pd(p);
-}
-
-__attribute__((target("avx512f"), always_inline)) inline __m512d load_avx512(
-    Halves h) {
-  // The masked form: GCC 12's unmasked insert warns on its undefined source.
-  const __m512d lo = _mm512_castpd256_pd512(_mm256_loadu_pd(h.lo));
-  return _mm512_mask_insertf64x4(lo, 0xF0, lo, _mm256_loadu_pd(h.hi), 1);
-}
-
-template <typename ASrc, typename BSrc>
-__attribute__((target("avx2,fma"), always_inline)) inline void fma_chain_avx2(
-    index_t kc, const ASrc& a, const BSrc& b, __m256d (&c)[8]) {
-  for (index_t k = 0; k < kc; ++k) {
-    const __m256d bv = load_avx2(b(k));
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r)
-      c[r] = _mm256_fmadd_pd(_mm256_set1_pd(a(k, r)), bv, c[r]);
-  }
-}
-
-// C-tile (MR x NR at ldc) += the chain; with `init`, C = init[r] + the chain.
-template <typename ASrc, typename BSrc>
-__attribute__((target("avx2,fma"), always_inline)) inline void tile_avx2(
-    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc,
-    const real_t* init = nullptr) {
-  __m256d acc[8];
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r)
-    acc[r] = init ? _mm256_set1_pd(init[r]) : _mm256_loadu_pd(c + r * ldc);
-  fma_chain_avx2(kc, a, b, acc);
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) _mm256_storeu_pd(c + r * ldc, acc[r]);
-}
-
-__attribute__((target("avx2,fma"))) void micro_avx2_8x4(index_t kc,
-                                                        const real_t* ap,
-                                                        const real_t* bp,
-                                                        real_t* c,
-                                                        index_t ldc) {
-  tile_avx2(kc, PanelA{ap}, RowsB{bp, 4}, c, ldc);
-}
-
-template <int Rows>
-__attribute__((target("avx2,fma"))) void conv_fwd_avx2(
-    index_t kc, const real_t* ap, const real_t* row, index_t gap,
-    const index_t* off, real_t* c, index_t ldc, const real_t* bias) {
-  if constexpr (Rows == 1)
-    tile_avx2(kc, PanelA{ap}, OffsetB{row, off}, c, ldc, bias);
-  else
-    tile_avx2(kc, PanelA{ap}, TwoRows<OffsetB>{{row, off}, gap}, c, ldc, bias);
-}
-
-__attribute__((target("avx2,fma"))) void conv_wgrad_avx2(
-    index_t kc, const real_t* xp, const index_t* pos, const index_t* joff,
-    const real_t* bp, index_t ldb, real_t* c, index_t ldc) {
-  tile_avx2(kc, SampleA{xp, pos, joff}, RowsB{bp, ldb}, c, ldc);
-}
-
-template <int Rows>
-__attribute__((target("avx2,fma"))) void conv_dgrad_avx2(
-    index_t c_out, index_t ostride, const DgradTap* taps, index_t ntaps,
-    real_t* gin, index_t ldg) {
-  const __m256i bits = _mm256_setr_epi64x(1, 2, 4, 8);
-  __m256d g[8];
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) g[r] = _mm256_loadu_pd(gin + r * ldg);
-  for (index_t t = 0; t < ntaps; ++t) {
-    __m256d d[8];
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r) d[r] = _mm256_setzero_pd();
-    const RowsB b{taps[t].b, ostride};
-    if constexpr (Rows == 1)
-      fma_chain_avx2(c_out, PanelA{taps[t].ap}, b, d);
-    else
-      fma_chain_avx2(c_out, PanelA{taps[t].ap}, TwoRows<RowsB>{b, taps[t].gap},
-                     d);
-    const __m256i m = _mm256_and_si256(
-        _mm256_set1_epi64x(static_cast<long long>(taps[t].mask)), bits);
-    const __m256d lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(m, bits));
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r)
-      g[r] = _mm256_blendv_pd(g[r], _mm256_add_pd(g[r], d[r]), lanes);
-  }
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) _mm256_storeu_pd(gin + r * ldg, g[r]);
-}
-
-template <typename ASrc, typename BSrc>
-__attribute__((target("avx512f"), always_inline)) inline void fma_chain_avx512(
-    index_t kc, const ASrc& a, const BSrc& b, __m512d (&c)[8]) {
-  for (index_t k = 0; k < kc; ++k) {
-    const __m512d bv = load_avx512(b(k));
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r)
-      c[r] = _mm512_fmadd_pd(_mm512_set1_pd(a(k, r)), bv, c[r]);
-  }
-}
-
-template <typename ASrc, typename BSrc>
-__attribute__((target("avx512f"), always_inline)) inline void tile_avx512(
-    index_t kc, const ASrc& a, const BSrc& b, real_t* c, index_t ldc,
-    const real_t* init = nullptr) {
-  __m512d acc[8];
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r)
-    acc[r] = init ? _mm512_set1_pd(init[r]) : _mm512_loadu_pd(c + r * ldc);
-  fma_chain_avx512(kc, a, b, acc);
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) _mm512_storeu_pd(c + r * ldc, acc[r]);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void micro_avx512_8x8(
-    index_t kc, const real_t* ap, const real_t* bp, real_t* c, index_t ldc) {
-  tile_avx512(kc, PanelA{ap}, RowsB{bp, 8}, c, ldc);
-}
-
-template <int Rows>
-__attribute__((target("avx512f,avx512dq"))) void conv_fwd_avx512(
-    index_t kc, const real_t* ap, const real_t* row, index_t gap,
-    const index_t* off, real_t* c, index_t ldc, const real_t* bias) {
-  if constexpr (Rows == 1)
-    tile_avx512(kc, PanelA{ap}, OffsetB{row, off}, c, ldc, bias);
-  else
-    tile_avx512(kc, PanelA{ap}, TwoRows<OffsetB>{{row, off}, gap}, c, ldc,
-                bias);
-}
-
-__attribute__((target("avx512f,avx512dq"))) void conv_wgrad_avx512(
-    index_t kc, const real_t* xp, const index_t* pos, const index_t* joff,
-    const real_t* bp, index_t ldb, real_t* c, index_t ldc) {
-  tile_avx512(kc, SampleA{xp, pos, joff}, RowsB{bp, ldb}, c, ldc);
-}
-
-template <int Rows>
-__attribute__((target("avx512f,avx512dq"))) void conv_dgrad_avx512(
-    index_t c_out, index_t ostride, const DgradTap* taps, index_t ntaps,
-    real_t* gin, index_t ldg) {
-  __m512d g[8];
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) g[r] = _mm512_loadu_pd(gin + r * ldg);
-  for (index_t t = 0; t < ntaps; ++t) {
-    __m512d d[8];
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r) d[r] = _mm512_setzero_pd();
-    const RowsB b{taps[t].b, ostride};
-    if constexpr (Rows == 1)
-      fma_chain_avx512(c_out, PanelA{taps[t].ap}, b, d);
-    else
-      fma_chain_avx512(c_out, PanelA{taps[t].ap},
-                       TwoRows<RowsB>{b, taps[t].gap}, d);
-    const __mmask8 m = static_cast<__mmask8>(taps[t].mask);
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r) g[r] = _mm512_mask_add_pd(g[r], m, g[r], d[r]);
-  }
-#pragma GCC unroll 8
-  for (int r = 0; r < 8; ++r) _mm512_storeu_pd(gin + r * ldg, g[r]);
-}
-
-// Phase-plane rows, a vector of lanes [l0, l0 + NR) at a time: the lanes
-// [lo, hi) that hold sample elements are loaded, the rest are +0.0. Stride 1
-// expands contiguous elements into those lanes (AVX-512) or loads a full
-// vector; other strides and edge vectors gather, reading only those lanes.
-__attribute__((target("avx2,fma"))) void plane_row_avx2(
-    real_t* d, index_t w, const real_t* src, index_t b, index_t n,
-    index_t ps) {
-  const __m256i iota = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i step = _mm256_setr_epi64x(0, ps, 2 * ps, 3 * ps);
-  for (index_t l0 = 0; l0 < w; l0 += 4) {
-    const index_t lanes = std::min<index_t>(4, w - l0);
-    const index_t lo = std::clamp<index_t>(b - l0, 0, lanes);
-    const index_t hi = std::clamp<index_t>(b + n - l0, lo, lanes);
-    __m256d v;
-    if (ps == 1 && lo == 0 && hi == 4) {
-      v = _mm256_loadu_pd(src + (l0 - b));
-    } else {
-      const __m256i m = _mm256_andnot_si256(
-          _mm256_cmpgt_epi64(_mm256_set1_epi64x(lo), iota),
-          _mm256_cmpgt_epi64(_mm256_set1_epi64x(hi), iota));
-      v = _mm256_mask_i64gather_pd(
-          _mm256_setzero_pd(), src,
-          _mm256_add_epi64(_mm256_set1_epi64x((l0 - b) * ps), step),
-          _mm256_castsi256_pd(m), 8);
-    }
-    if (lanes == 4)
-      _mm256_storeu_pd(d + l0, v);
-    else
-      _mm256_maskstore_pd(
-          d + l0, _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes), iota), v);
-  }
-}
-
-__attribute__((target("avx512f"))) void plane_row_avx512(
-    real_t* d, index_t w, const real_t* src, index_t b, index_t n,
-    index_t ps) {
-  const auto first = [](index_t k) {
-    return static_cast<__mmask8>((1u << k) - 1u);
-  };
-  const __m512i step = _mm512_setr_epi64(0, ps, 2 * ps, 3 * ps, 4 * ps,
-                                         5 * ps, 6 * ps, 7 * ps);
-  for (index_t l0 = 0; l0 < w; l0 += 8) {
-    const index_t lanes = std::min<index_t>(8, w - l0);
-    const index_t lo = std::clamp<index_t>(b - l0, 0, lanes);
-    const index_t hi = std::clamp<index_t>(b + n - l0, lo, lanes);
-    const auto m = static_cast<__mmask8>(first(hi) & ~first(lo));
-    const __m512d v =
-        ps == 1
-            ? _mm512_maskz_expandloadu_pd(m, src + (l0 + lo - b))
-            : _mm512_mask_i64gather_pd(
-                  _mm512_setzero_pd(), m,
-                  _mm512_add_epi64(_mm512_set1_epi64((l0 - b) * ps), step),
-                  src, 8);
-    _mm512_mask_storeu_pd(d + l0, first(lanes), v);
-  }
-}
-
-__attribute__((target("avx2"))) void vmul_avx2(real_t* a, const real_t* b,
-                                               index_t n) {
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(a + i,
-                     _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                   _mm256_loadu_pd(b + i)));
-  for (; i < n; ++i) a[i] *= b[i];
-}
-
-__attribute__((target("avx512f"))) void vmul_avx512(real_t* a, const real_t* b,
-                                                    index_t n) {
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm512_storeu_pd(a + i,
-                     _mm512_mul_pd(_mm512_loadu_pd(a + i),
-                                   _mm512_loadu_pd(b + i)));
-  for (; i < n; ++i) a[i] *= b[i];
-}
-
-__attribute__((target("avx2"))) void vscale_avx2(real_t* dst,
-                                                 const real_t* src, real_t s,
-                                                 index_t n) {
-  const __m256d sv = _mm256_set1_pd(s);
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(sv, _mm256_loadu_pd(src + i)));
-  for (; i < n; ++i) dst[i] = s * src[i];
-}
-
-__attribute__((target("avx512f"))) void vscale_avx512(real_t* dst,
-                                                      const real_t* src,
-                                                      real_t s, index_t n) {
-  const __m512d sv = _mm512_set1_pd(s);
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm512_storeu_pd(dst + i, _mm512_mul_pd(sv, _mm512_loadu_pd(src + i)));
-  for (; i < n; ++i) dst[i] = s * src[i];
-}
-
-// Lane-partial dot products: 4/8 running lane sums folded pairwise at the
-// end, plus a scalar tail — a fixed reduction tree, deterministic within
-// the tier (reassociated relative to the scalar ascending loop).
-__attribute__((target("avx2,fma"))) real_t vdot_avx2(const real_t* a,
-                                                     const real_t* b,
-                                                     index_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  index_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc);
-  alignas(32) real_t lanes[4];
-  _mm256_storeu_pd(lanes, acc);
-  real_t out = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
-}
-
-__attribute__((target("avx512f"))) real_t vdot_avx512(const real_t* a,
-                                                      const real_t* b,
-                                                      index_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    acc = _mm512_fmadd_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i), acc);
-  alignas(64) real_t lanes[8];
-  _mm512_storeu_pd(lanes, acc);
-  real_t out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-               ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
-}
-
+namespace avx2 {
+namespace {
+#define HYLO_TARGET HYLO_AVX2_TARGET
+#include "gemm_x86.inc"
+#undef HYLO_TARGET
+}  // namespace
+}  // namespace avx2
 #endif  // x86
+
+namespace {
 
 #if defined(__aarch64__)
 
@@ -520,13 +239,14 @@ TierCfg tier_cfg(Tier t) {
   switch (t) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx2:
-      return {8, 4, micro_avx2_8x4, {conv_fwd_avx2<1>, conv_fwd_avx2<2>},
-              conv_wgrad_avx2, {conv_dgrad_avx2<1>, conv_dgrad_avx2<2>},
-              plane_row_avx2};
+      return {8, avx2::kW, avx2::micro,
+              {avx2::conv_fwd<1>, avx2::conv_fwd<2>}, avx2::conv_wgrad,
+              {avx2::conv_dgrad<1>, avx2::conv_dgrad<2>}, avx2::plane_row};
     case Tier::kAvx512:
-      return {8, 8, micro_avx512_8x8, {conv_fwd_avx512<1>, conv_fwd_avx512<2>},
-              conv_wgrad_avx512, {conv_dgrad_avx512<1>, conv_dgrad_avx512<2>},
-              plane_row_avx512};
+      return {8, avx512::kW, avx512::micro,
+              {avx512::conv_fwd<1>, avx512::conv_fwd<2>}, avx512::conv_wgrad,
+              {avx512::conv_dgrad<1>, avx512::conv_dgrad<2>},
+              avx512::plane_row};
 #endif
 #if defined(__aarch64__)
     case Tier::kNeon:
@@ -1291,10 +1011,10 @@ void vmul(real_t* a, const real_t* b, index_t n) {
   switch (active()) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx512:
-      vmul_avx512(a, b, n);
+      avx512::vmul(a, b, n);
       return;
     case Tier::kAvx2:
-      vmul_avx2(a, b, n);
+      avx2::vmul(a, b, n);
       return;
 #endif
 #if defined(__aarch64__)
@@ -1312,10 +1032,10 @@ void vscale(real_t* dst, const real_t* src, real_t s, index_t n) {
   switch (active()) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx512:
-      vscale_avx512(dst, src, s, n);
+      avx512::vscale(dst, src, s, n);
       return;
     case Tier::kAvx2:
-      vscale_avx2(dst, src, s, n);
+      avx2::vscale(dst, src, s, n);
       return;
 #endif
 #if defined(__aarch64__)
@@ -1333,9 +1053,9 @@ real_t vdot(const real_t* a, const real_t* b, index_t n) {
   switch (active()) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx512:
-      return vdot_avx512(a, b, n);
+      return avx512::vdot(a, b, n);
     case Tier::kAvx2:
-      return vdot_avx2(a, b, n);
+      return avx2::vdot(a, b, n);
 #endif
 #if defined(__aarch64__)
     case Tier::kNeon:

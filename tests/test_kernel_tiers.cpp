@@ -6,7 +6,8 @@
 // accuracy — SIMD tiers reassociate the k-accumulation, so scalar-vs-SIMD
 // drift is bounded with norm-relative tolerances on random and adversarial
 // (large exponent spread) inputs, and the SIMD conv passes match the
-// scalar tier's per-sample patch matrices to the same bounds.
+// scalar tier's per-sample patch matrices to the same bounds. The x86 tiers'
+// fma chain is also pinned bit for bit against an explicit std::fma chain.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -667,6 +668,167 @@ TEST_F(KernelTiers, ScalarBackwardAfterSimdForwardIsRejected) {
   conv.forward({&x}, out, ctx);
   kern::set_tier(Tier::kScalar);
   EXPECT_THROW(conv.backward({&x}, out, gout, {&gin}, ctx), Error);
+}
+
+// ---- The x86 fma chain, bit for bit ------------------------------------
+// gemm_packed.hpp's chain, written out with std::fma: each C element starts
+// from C's value and takes one fma per k, k ascending across KC blocks, with
+// alpha (and the diag s, as (alpha·s_k)·a) folded into the A operand first.
+// The Grams run the upper triangle's chains from +0.0 and mirror them. vdot
+// keeps one sum per vector lane, folds them pairwise, ((l0 + l1) + (l2 + l3))
+// + …, then takes one fma per tail element. The x86 tiers must give these
+// bits exactly, whatever the tiling, packing and edge handling.
+
+std::vector<Tier> x86_tiers() {
+  std::vector<Tier> out;
+  for (const Tier t : {Tier::kAvx2, Tier::kAvx512})
+    if (kern::available(t)) out.push_back(t);
+  return out;
+}
+
+/// C(i, j) = the chain of fma(a(i, k), b(k, j), ·) over k ascending, from C.
+template <typename A, typename B>
+Matrix fma_chain(Matrix c, index_t k, const A& a, const B& b) {
+  for (index_t i = 0; i < c.rows(); ++i)
+    for (index_t j = 0; j < c.cols(); ++j) {
+      real_t acc = c(i, j);
+      for (index_t kk = 0; kk < k; ++kk)
+        acc = std::fma(a(i, kk), b(kk, j), acc);
+      c(i, j) = acc;
+    }
+  return c;
+}
+
+/// The m x m Gram of rows a(i, ·): upper-triangle chains from +0.0, mirrored.
+template <typename A>
+Matrix gram_chain(index_t m, index_t k, const A& a) {
+  Matrix c(m, m);
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = i; j < m; ++j) {
+      real_t acc = 0.0;
+      for (index_t kk = 0; kk < k; ++kk)
+        acc = std::fma(a(i, kk), a(j, kk), acc);
+      c(i, j) = acc;
+      c(j, i) = acc;
+    }
+  return c;
+}
+
+real_t vdot_chain(const std::vector<real_t>& a, const std::vector<real_t>& b,
+                  index_t lanes) {
+  const index_t n = static_cast<index_t>(a.size()), body = n / lanes * lanes;
+  std::vector<real_t> sum(static_cast<std::size_t>(lanes), 0.0);
+  for (index_t i = 0; i < body; ++i) {
+    real_t& s = sum[static_cast<std::size_t>(i % lanes)];
+    s = std::fma(a[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)],
+                 s);
+  }
+  for (index_t h = 1; h < lanes; h *= 2)
+    for (index_t l = 0; l < lanes; l += 2 * h)
+      sum[static_cast<std::size_t>(l)] += sum[static_cast<std::size_t>(l + h)];
+  real_t out = sum[0];
+  for (index_t i = body; i < n; ++i)
+    out = std::fma(a[static_cast<std::size_t>(i)],
+                   b[static_cast<std::size_t>(i)], out);
+  return out;
+}
+
+TEST_F(KernelTiers, X86KernelsFollowTheDocumentedFmaChainBitwise) {
+  if (x86_tiers().empty()) GTEST_SKIP() << "no x86 SIMD tier on this CPU";
+  struct Shape {
+    index_t m, n, k;
+  };
+  // MR = 8, NR = 4 (AVX2) or 8 (AVX-512), KC = 256, MC = 64: partial row
+  // panels and column panels, k just past one and two KC blocks, m past MC.
+  const Shape shapes[] = {
+      {1, 1, 1}, {8, 8, 256}, {13, 11, 300}, {17, 5, 257}, {130, 70, 513}};
+  Rng rng(105);
+  for (const Shape& sh : shapes) {
+    const index_t m = sh.m, n = sh.n, k = sh.k;
+    const Matrix a = testutil::random_matrix(rng, m, k);
+    const Matrix at = testutil::random_matrix(rng, k, m);
+    const Matrix b = testutil::random_matrix(rng, k, n);
+    const Matrix bt = testutil::random_matrix(rng, n, k);
+    const Matrix c0 = testutil::random_matrix(rng, m, n);
+    const Matrix tri = lower_triangle(testutil::random_matrix(rng, m, m));
+    std::vector<real_t> s(static_cast<std::size_t>(k));
+    for (real_t& v : s) v = rng.normal();
+    const auto b_nn = [&b](index_t kk, index_t j) { return b(kk, j); };
+    const auto b_nt = [&bt](index_t kk, index_t j) { return bt(j, kk); };
+    const std::string dims = std::to_string(m) + "x" + std::to_string(n) +
+                                 "x" + std::to_string(k);
+
+    for (const real_t alpha : {1.0, 0.37}) {
+      const auto a_nn = [&a, alpha](index_t i, index_t kk) {
+        return alpha * a(i, kk);
+      };
+      const auto a_tn = [&at, alpha](index_t i, index_t kk) {
+        return alpha * at(kk, i);
+      };
+      const auto a_tn_s = [&at, &s, alpha](index_t i, index_t kk) {
+        return (alpha * s[static_cast<std::size_t>(kk)]) * at(kk, i);
+      };
+      const Matrix ref_nn = fma_chain(c0, k, a_nn, b_nn);
+      const Matrix ref_nt = fma_chain(c0, k, a_nn, b_nt);
+      const Matrix ref_tn = fma_chain(c0, k, a_tn, b_nn);
+      const Matrix ref_tn_s = fma_chain(c0, k, a_tn_s, b_nn);
+      for (const Tier tier : x86_tiers()) {
+        kern::set_tier(tier);
+        const std::string where = std::string(kern::tier_name(tier)) + " " +
+                                  dims + " alpha " + std::to_string(alpha);
+        Matrix c = c0;
+        kern::packed_gemm_nn(a, b, c, alpha);
+        EXPECT_TRUE(bitwise_equal(c, ref_nn)) << "gemm_nn " << where;
+        c = c0;
+        kern::packed_gemm_nt(a, bt, c, alpha);
+        EXPECT_TRUE(bitwise_equal(c, ref_nt)) << "gemm_nt " << where;
+        c = c0;
+        kern::packed_gemm_tn(at, nullptr, b, c, alpha);
+        EXPECT_TRUE(bitwise_equal(c, ref_tn)) << "gemm_tn " << where;
+        c = c0;
+        kern::packed_gemm_tn(at, s.data(), b, c, alpha);
+        EXPECT_TRUE(bitwise_equal(c, ref_tn_s)) << "gemm_tn diag " << where;
+      }
+    }
+
+    // The skipped zero rows of a lower-triangular operand are exact zeros
+    // added to +0.0, so gram_tn's tril sweep has the full chain's bits.
+    const Matrix ref_gram_nt = gram_chain(
+        m, k, [&a](index_t i, index_t kk) { return a(i, kk); });
+    const Matrix ref_gram_tn = gram_chain(
+        m, k, [&at](index_t i, index_t kk) { return at(kk, i); });
+    const Matrix ref_tril = gram_chain(
+        m, m, [&tri](index_t i, index_t kk) { return tri(kk, i); });
+    for (const Tier tier : x86_tiers()) {
+      kern::set_tier(tier);
+      const std::string where =
+          std::string(kern::tier_name(tier)) + " " + dims;
+      Matrix g(m, m);
+      kern::packed_gram_nt(a, g);
+      EXPECT_TRUE(bitwise_equal(g, ref_gram_nt)) << "gram_nt " << where;
+      g = Matrix(m, m);
+      kern::packed_gram_tn(at, g, false);
+      EXPECT_TRUE(bitwise_equal(g, ref_gram_tn)) << "gram_tn " << where;
+      g = Matrix(m, m);
+      kern::packed_gram_tn(tri, g, true);
+      EXPECT_TRUE(bitwise_equal(g, ref_tril)) << "gram_tn tril " << where;
+    }
+  }
+
+  for (const index_t n : {0, 1, 3, 4, 7, 8, 9, 16, 1003}) {
+    std::vector<real_t> a(static_cast<std::size_t>(n)),
+        b(static_cast<std::size_t>(n));
+    for (real_t& v : a) v = rng.normal();
+    for (real_t& v : b) v = rng.normal();
+    for (const Tier tier : x86_tiers()) {
+      kern::set_tier(tier);
+      const real_t got = kern::vdot(a.data(), b.data(), n);
+      const real_t want = vdot_chain(a, b, tier == Tier::kAvx512 ? 8 : 4);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(real_t)), 0)
+          << "vdot " << kern::tier_name(tier) << " n " << n << ": " << got
+          << " vs " << want;
+    }
+  }
 }
 
 // ---- Vector helpers ----------------------------------------------------

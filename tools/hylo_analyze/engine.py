@@ -34,7 +34,9 @@ from collections import Counter
 from . import lexer
 
 HEADER_EXT = {".hpp", ".h"}
-SOURCE_EXT = {".cpp", ".cc", ".cxx"} | HEADER_EXT
+# `.inc` is a body included more than once (one x86 kernel body per SIMD
+# tier), so it has no include guard: scanned as source, not as a header.
+SOURCE_EXT = {".cpp", ".cc", ".cxx", ".inc"} | HEADER_EXT
 
 _ALLOW_RE = re.compile(
     r"hylo-lint:\s*allow(?P<form>-begin|-end)?\s*"

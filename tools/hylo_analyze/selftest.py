@@ -11,6 +11,7 @@ fixture corpus cannot express as plain pass/fail runs:
   * baseline semantics — write-baseline silences existing findings, the
     fingerprints survive line-number shifts, and a genuinely new finding
     still fails the run;
+  * `.inc` bodies — a re-included file is scanned like a source file;
   * per-rule fixtures — every file under tools/lint_fixtures/<rule>/bad is
     flagged by its rule on its own (the per-rule ctest only sees that the
     directory fails, which one flagged file is enough for).
@@ -126,6 +127,19 @@ def main() -> int:
         fresh = [ln for ln in proc.stdout.splitlines()
                  if "] " in ln and "baselined" not in ln]
         assert len(fresh) == 1 and "[float_compare]" in fresh[0], proc.stdout
+
+        # --- a re-included kernel body (.inc, no include guard) is scanned
+        # as a source: its findings are reported, and no pragma_once one.
+        inc_root = pathlib.Path(td) / "inc"
+        inc_root.mkdir()
+        (inc_root / "body.inc").write_text(
+            "bool half(double x) { return x == 0.5; }\n", encoding="utf-8")
+        proc = run(inc_root)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        lines = [ln for ln in proc.stdout.splitlines() if "] " in ln]
+        assert len(lines) == 1, proc.stdout
+        assert lines[0].startswith("body.inc:1:") \
+            and "[float_compare]" in lines[0], proc.stdout
 
     fixtures = TOOLS_DIR / "lint_fixtures"
     for bad in sorted(fixtures.glob("*/bad")):
