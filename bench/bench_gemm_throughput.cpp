@@ -13,7 +13,9 @@
 // note locking the removal of the `aik == 0.0` inner-loop early-out. The
 // elementwise section times BatchNorm2d, BatchNorm2d + ReLU and Add + ReLU
 // per tier, each checked bitwise against the scalar tier, beside the layer
-// pairs they replaced. A final section times gemm with the hylo::audit
+// pairs they replaced; `tile_change` holds the GEMM and BatchNorm backward
+// rows from before the two-vector AVX-512 GEMM tile and the paired-row
+// BatchNorm gradient sums, beside this build's. A final section times gemm with the hylo::audit
 // checked mode off vs on.
 //
 // Geometry: HYLO_BENCH_SCALE=large doubles the edge to 1024.
@@ -218,6 +220,100 @@ obs::Json elementwise_parent() {
           "same harness, median of 5 runs alternated with this build's, "
           "1 thread");
   doc.set("rows", std::move(rows));
+  return doc;
+}
+
+/// The GEMM rows and the BatchNorm backward rows at commit 0989f07, before
+/// the AVX-512 GEMM tile was two vectors wide, pack_a looped over k outside
+/// and BatchNorm backward's gradient sums loaded rows in pairs, beside this
+/// build's: this harness built against each, runs alternated on the
+/// machine that wrote the checked-in BENCH_gemm.json (a shared VM whose
+/// speed drifts between runs; compare the two sides of a row, not a row
+/// with the file's own single run). Medians of 10 runs each for the GEMMs,
+/// 5 for BatchNorm.
+obs::Json tile_change() {
+  struct Gflops {
+    double gemm, gemm_tn, gram_nt;  // gram_nt dense-equivalent
+  };
+  struct Gemm {
+    const char* tier;
+    std::int64_t threads;
+    Gflops parent, now;
+  };
+  const Gemm gemms[] = {
+      {"scalar", 1, {4.1, 2.8, 3.4}, {3.9, 4.1, 3.4}},
+      {"scalar", 2, {5.9, 4.3, 4.2}, {5.8, 6.5, 4.6}},
+      {"scalar", 4, {11.8, 7.3, 7.2}, {10.4, 11.5, 7.5}},
+      {"avx2", 1, {30.5, 31.5, 51.8}, {28.5, 29.3, 54.6}},
+      {"avx2", 2, {51.4, 54.9, 71.2}, {42.3, 42.0, 68.1}},
+      {"avx2", 4, {82.6, 84.7, 103.8}, {75.2, 77.7, 110.8}},
+      {"avx512", 1, {36.0, 34.8, 57.9}, {57.4, 56.5, 94.9}},
+      {"avx512", 2, {58.1, 57.0, 84.1}, {69.7, 73.1, 107.8}},
+      {"avx512", 4, {101.4, 106.4, 114.6}, {116.1, 119.2, 148.3}},
+  };
+  struct Us {
+    double bn_backward, bn_relu_backward;
+  };
+  struct Bn {
+    const char* tier;
+    const char* shape;
+    Us parent, now;
+  };
+  const Bn bns[] = {
+      {"scalar", "16x8x16x16", {93.5, 127.1}, {97.6, 129.5}},
+      {"scalar", "16x16x8x8", {58.6, 63.1}, {43.4, 59.5}},
+      {"scalar", "16x32x4x4", {24.8, 33.4}, {26.5, 34.7}},
+      {"scalar", "16x12x16x16", {142.3, 190.3}, {162.5, 197.9}},
+      {"avx2", "16x8x16x16", {28.3, 32.4}, {38.0, 42.4}},
+      {"avx2", "16x16x8x8", {14.0, 17.0}, {20.0, 22.7}},
+      {"avx2", "16x32x4x4", {8.1, 12.2}, {9.9, 10.9}},
+      {"avx2", "16x12x16x16", {45.7, 58.5}, {51.6, 64.8}},
+      {"avx512", "16x8x16x16", {28.7, 37.8}, {22.7, 30.3}},
+      {"avx512", "16x16x8x8", {12.7, 15.0}, {11.4, 13.7}},
+      {"avx512", "16x32x4x4", {7.5, 9.2}, {7.8, 8.6}},
+      {"avx512", "16x12x16x16", {48.9, 64.8}, {55.2, 76.6}},
+  };
+  const auto gflops = [](const Gflops& g) {
+    obs::Json o = obs::Json::object();
+    o.set("gemm", g.gemm);
+    o.set("gemm_tn", g.gemm_tn);
+    o.set("gram_nt", g.gram_nt);
+    return o;
+  };
+  const auto us = [](const Us& u) {
+    obs::Json o = obs::Json::object();
+    o.set("bn_backward", u.bn_backward);
+    o.set("bn_relu_backward", u.bn_relu_backward);
+    return o;
+  };
+  obs::Json gemm_rows = obs::Json::array();
+  for (const Gemm& g : gemms) {
+    obs::Json row = obs::Json::object();
+    row.set("tier", g.tier);
+    row.set("threads", g.threads);
+    row.set("parent_gflops", gflops(g.parent));
+    row.set("gflops", gflops(g.now));
+    gemm_rows.push(std::move(row));
+  }
+  obs::Json bn_rows = obs::Json::array();
+  for (const Bn& b : bns) {
+    obs::Json row = obs::Json::object();
+    row.set("tier", b.tier);
+    row.set("shape", b.shape);
+    row.set("parent_us", us(b.parent));
+    row.set("us", us(b.now));
+    bn_rows.push(std::move(row));
+  }
+  obs::Json doc = obs::Json::object();
+  doc.set("parent_commit", "0989f07");
+  doc.set("note",
+          "parent: 8x8 GEMM tile on AVX-512, pack_a looping over rows "
+          "outside, BatchNorm backward's gradient sums transposing whole 8x8 "
+          "dy and x blocks (spilling on AVX-512); same harness, runs "
+          "alternated with this build's, 1 to 4 threads as in the tiers "
+          "rows; medians of 10 runs (GEMM) and 5 (BatchNorm)");
+  doc.set("gemm", std::move(gemm_rows));
+  doc.set("bn_backward", std::move(bn_rows));
   return doc;
 }
 
@@ -665,6 +761,7 @@ int main() {
   doc.set("conv_layers_parent", std::move(conv_before));
   doc.set("elementwise", std::move(elementwise));
   doc.set("elementwise_parent", elementwise_parent());
+  doc.set("tile_change", tile_change());
   doc.set("roofline", std::move(roofline));
   doc.set("notes", std::move(early_out));
   doc.set("audit_overhead", std::move(audit_row));

@@ -472,7 +472,7 @@ obs::Json Trainer::measured_seconds() const {
   const Profiler& prof = comm_.profiler();
   obs::Json out = obs::Json::object();
   for (const char* stage : {"forward_backward", "factorization", "inversion",
-                            "step"})
+                            "commit_gate", "step"})
     out.set(stage, prof.seconds(std::string("comp/") + stage));
   return out;
 }

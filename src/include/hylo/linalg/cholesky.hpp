@@ -31,8 +31,10 @@ Matrix cholesky(const Matrix& a);
 /// Attempt factorization; returns false instead of throwing on a
 /// non-positive or non-finite pivot (caller typically increases damping and
 /// retries). Reads only the lower triangle of A; the upper triangle of L is
-/// exactly zero. Factors in place in `l`, with no other n x n buffer.
-bool try_cholesky(const Matrix& a, Matrix& l);
+/// exactly zero. Factors in place in `l`, with no other n x n buffer. With
+/// `diag`, its n values stand in for A's diagonal (a damped factor without a
+/// damped copy of A).
+bool try_cholesky(const Matrix& a, Matrix& l, const real_t* diag = nullptr);
 
 /// Solve L Lᵀ x = b in place for one right-hand side (b.size() == n).
 void cholesky_solve_inplace(const Matrix& l, std::vector<real_t>& b);
@@ -41,11 +43,12 @@ void cholesky_solve_inplace(const Matrix& l, std::vector<real_t>& b);
 Matrix cholesky_solve(const Matrix& l, const Matrix& b);
 
 /// A⁻¹ = L⁻ᵀL⁻¹ from the Cholesky factor L of A: a blocked triangular
-/// inverse whose off-diagonal blocks run on the GEMM tiers, then
-/// gram_tn_tril(L⁻¹). About 4n³/3 flops (against ~2.3n³ for
-/// cholesky_solve(L, I)); the result is exactly symmetric and the same bits
-/// at any thread count within a kernel tier.
-Matrix cholesky_inverse(const Matrix& l);
+/// inverse, in place in L (pass an rvalue to spare the copy), whose
+/// off-diagonal blocks run on the GEMM tiers, then gram_tn_tril(L⁻¹). About
+/// 4n³/3 flops (against ~2.3n³ for cholesky_solve(L, I)); the result is
+/// exactly symmetric and the same bits at any thread count within a kernel
+/// tier.
+Matrix cholesky_inverse(Matrix l);
 
 /// Inverse of an SPD matrix: cholesky_inverse(cholesky(a)).
 Matrix spd_inverse(const Matrix& a);

@@ -42,6 +42,11 @@ class CurvatureOptimizer : public Optimizer {
     virtual double precondition_flops() const = 0;
     /// The state's field list: one list saves and loads it (hylo::ckpt).
     virtual void serialize(ckpt::Archive ar) = 0;
+
+    /// Frobenius norms of guarded(), as the commit gate measured them when
+    /// this state passed it; empty if it never did (committed without a
+    /// gate, or restored from a snapshot). Not part of the snapshot.
+    std::vector<real_t> gate_norms;
   };
 
   /// One collective of a layer's refresh. Allreduces and allgathers charge

@@ -8,9 +8,10 @@
 ///   * B is packed once per call into KC-deep blocks of NR-wide column
 ///     panels (`bpack[q][kk*NR + c]`), A is packed per (MC, KC) block into
 ///     MR-tall row panels (`apack[p][kk*MR + r]`), alpha folded into A.
-///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x8 AVX-512 /
-///     8x4 NEON, selected by hylo::kern::active()) accumulates
-///     C-tile += Apanel · Bpanel with the k loop innermost. On x86 the fma
+///   * An MRxNR register-tiled microkernel (8x4 AVX2 / 8x16 AVX-512, two
+///     vectors per row / 8x4 NEON, selected by hylo::kern::active())
+///     accumulates C-tile += Apanel · Bpanel with the k loop innermost, each
+///     C element the same fma chain whatever the tile width. On x86 the fma
 ///     chain is written once (tensor/gemm_x86.inc, compiled per tier over
 ///     the vector ops of tensor/x86_vec.hpp) as a template whose A and B
 ///     sources are parameters: the GEMMs read packed panels, the direct conv
@@ -49,6 +50,14 @@ void packed_gemm_tn(const Matrix& a, const real_t* s, const Matrix& b,
 /// C += alpha * A·Bᵀ (A: m x k, B: n x k).
 void packed_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha);
 
+/// C += alpha * A·B on strided row-major blocks (hylo::gemm_strided): A is
+/// m x k at a (row stride lda), B k x n at b, C m x n at c; C overlaps
+/// neither. With `b_lower`, B is lower triangular and C is +0.0 on entry:
+/// each tile of C starts its k loop at its first column.
+void packed_gemm_strided(index_t m, index_t n, index_t k, const real_t* a,
+                         index_t lda, const real_t* b, index_t ldb, real_t* c,
+                         index_t ldc, real_t alpha, bool b_lower);
+
 /// C = A·Aᵀ, exact-symmetric: the upper triangle is computed through the
 /// packed kernel (tiles fully below the diagonal are skipped, straddling
 /// tiles write only j >= i) and mirrored once per row block, so
@@ -66,6 +75,28 @@ void packed_gram_tn(const Matrix& a, Matrix& c, bool tril);
 /// and P = c[k1:n, k0:k1] (c square, n x n). Every element accumulates one
 /// FMA per k, ascending.
 void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha);
+
+/// hylo::running_factor on an x86 tier (AVX2, AVX-512; the other tiers run
+/// its reference loops): out (n x n) = Σ_r A_rᵀA_r · inv_m,
+/// blended as fma(1 − decay, ·, old·decay) when old != nullptr, in one pass
+/// over 8 x NR tiles of the upper triangle, each mirrored once.
+void packed_running_factor(const std::vector<Matrix>& ranks, real_t inv_m,
+                           const Matrix* old, real_t decay, Matrix& out);
+
+/// Column c of a Cholesky panel held transposed (hylo::try_cholesky): panel
+/// column u at t + u·ld, one entry per row. Rows [r0, r1) become
+/// (t[c·ld + r] − Σ_{u<c} t[u·ld + r]·t[u·ld + c])·inv, one fma per u,
+/// ascending; the rows run as vector lanes in the SIMD tiers.
+void chol_column(real_t* t, index_t ld, index_t c, index_t r0, index_t r1,
+                 real_t inv);
+
+/// One pass over p[0, n): the sum of squares (vdot's reduction in the SIMD
+/// tiers, the ascending loop in scalar) and whether every value is finite.
+struct NormScan {
+  real_t sumsq = 0.0;
+  bool finite = true;
+};
+NormScan norm_scan(const real_t* p, index_t n);
 
 // ---- Tier-dispatched vector helpers -----------------------------------
 // These dispatch on kern::active() internally; the scalar tier runs the

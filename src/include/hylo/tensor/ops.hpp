@@ -37,6 +37,17 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha = 1.0,
 void gemm_tn_diag(const Matrix& a, const Matrix& s, const Matrix& b, Matrix& c,
                   real_t alpha = 1.0, real_t beta = 0.0);
 
+/// C += alpha * A * B on strided row-major blocks, e.g. sub-blocks of one
+/// matrix: A is m x k at a (row stride lda), B k x n at b, C m x n at c; C
+/// overlaps neither. Per element one multiply-add per k, ascending, from C's
+/// value — gemm's chain. With `b_lower`, B is lower triangular and C is +0.0
+/// on entry, and the products B's zero triangle contributes ahead of each
+/// element's first nonzero term are skipped: exact zeros added to +0.0, so
+/// the bits equal the full product on finite operands.
+void gemm_strided(index_t m, index_t n, index_t k, const real_t* a,
+                  index_t lda, const real_t* b, index_t ldb, real_t* c,
+                  index_t ldc, real_t alpha, bool b_lower);
+
 /// Allocating forms.
 Matrix matmul(const Matrix& a, const Matrix& b);
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
@@ -55,6 +66,17 @@ Matrix gram_tn(const Matrix& a);
 /// n³ — and, the skipped terms being exact zeros, equals gram_tn(X) bit for
 /// bit on any finite X.
 Matrix gram_tn_tril(const Matrix& x);
+
+/// The stat_decay running Kronecker factor E[aaᵀ] of one layer from its
+/// per-rank captures A_r (m_r x n each, m = Σ m_r > 0):
+///   fresh = (Σ_r A_rᵀA_r) · (1/m),   out = fma(1 − decay, fresh, old·decay)
+/// (out = fresh when old is null). Each rank's Gram is gram_tn's chain and
+/// the ranks are added in rank order, so the result is bitwise equal to
+/// gram_tn per rank, +=, *= 1/m and that std::fma blend. On x86 tiers it is
+/// one pass over the upper triangle's tiles with no n x n temporary; other
+/// tiers run exactly those loops. Exactly symmetric.
+Matrix running_factor(const std::vector<Matrix>& ranks, const Matrix* old,
+                      real_t decay);
 
 /// Symmetric rank-k update of a trailing block, in place:
 ///   c(i, j) += alpha * Σ_{k0 <= k < k1} c(i, k) * c(j, k)   for k1 <= j <= i,

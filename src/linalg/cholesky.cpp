@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hylo/tensor/gemm_packed.hpp"
 #include "hylo/tensor/ops.hpp"
 
 namespace hylo {
@@ -12,9 +13,14 @@ namespace {
 // Inverts the lower-triangular diagonal block x[r0:r1, r0:r1] in place. A
 // block of at most kCholeskyPanel rows runs the unblocked column sweep;
 // a larger one splits in two, inverts both halves, and forms the
-// off-diagonal block X₂₁ = −X₂₂·L₂₁·X₁₁ with two GEMMs (packed in the SIMD
-// tiers, so the result is bitwise the same at any thread count).
-void invert_lower(Matrix& x, index_t r0, index_t r1) {
+// off-diagonal block X₂₁ = −X₂₂·(L₂₁·X₁₁) with two GEMMs on x's own
+// sub-blocks (packed in the SIMD tiers, so the result is bitwise the same at
+// any thread count). L₂₁·X₁₁ goes to `t`, which holds (n − n/2)·(n/2)
+// values; X₂₁ overwrites L₂₁. The first product skips X₁₁'s zero triangle
+// (leading terms, still added to +0.0); the second runs X₂₂ whole, since
+// its zero terms trail a nonzero sum and adding one can flip an exact
+// zero's sign.
+void invert_lower(Matrix& x, index_t r0, index_t r1, real_t* t) {
   const index_t n = r1 - r0;
   if (n <= kCholeskyPanel) {
     for (index_t j = r0; j < r1; ++j) {
@@ -28,52 +34,61 @@ void invert_lower(Matrix& x, index_t r0, index_t r1) {
     }
     return;
   }
-  const index_t mid = r0 + n / 2;
-  invert_lower(x, r0, mid);
-  invert_lower(x, mid, r1);
-  auto block = [&x](index_t i0, index_t i1, index_t j0, index_t j1) {
-    Matrix b(i1 - i0, j1 - j0);
-    for (index_t i = i0; i < i1; ++i)
-      std::copy(x.row_ptr(i) + j0, x.row_ptr(i) + j1, b.row_ptr(i - i0));
-    return b;
-  };
-  const Matrix t = matmul(block(mid, r1, r0, mid), block(r0, mid, r0, mid));
-  Matrix x21;
-  gemm(block(mid, r1, mid, r1), t, x21, -1.0);
-  for (index_t i = mid; i < r1; ++i)
-    std::copy(x21.row_ptr(i - mid), x21.row_ptr(i - mid) + (mid - r0),
-              x.row_ptr(i) + r0);
+  const index_t mid = r0 + n / 2, h1 = mid - r0, h2 = r1 - mid;
+  const index_t ld = x.cols();
+  invert_lower(x, r0, mid, t);
+  invert_lower(x, mid, r1, t);
+  real_t* x21 = x.row_ptr(mid) + r0;
+  std::fill_n(t, h2 * h1, 0.0);
+  gemm_strided(h2, h1, h1, x21, ld, x.row_ptr(r0) + r0, ld, t, h1, 1.0,
+               /*b_lower=*/true);
+  for (index_t i = 0; i < h2; ++i) std::fill_n(x21 + i * ld, h1, 0.0);
+  gemm_strided(h2, h1, h2, x.row_ptr(mid) + mid, ld, t, h1, x21, ld, -1.0,
+               /*b_lower=*/false);
 }
 
 }  // namespace
 
-bool try_cholesky(const Matrix& a, Matrix& l) {
+bool try_cholesky(const Matrix& a, Matrix& l, const real_t* diag) {
   HYLO_CHECK(a.rows() == a.cols(), "cholesky needs square");
   const index_t n = a.rows();
   l.resize(n, n);
-  for (index_t i = 0; i < n; ++i)
+  for (index_t i = 0; i < n; ++i) {
     std::copy(a.row_ptr(i), a.row_ptr(i) + i + 1, l.row_ptr(i));
+    if (diag != nullptr) l(i, i) = diag[i];
+  }
   // Right-looking, kCholeskyPanel columns at a time, in place in the lower
   // triangle of l. Entering a panel, the columns left of it have already
   // been subtracted (syrk_trailing), so each element's chain is
   // a(i, j) − Σ_k l(i, k)·l(j, k) with one FMA per k, ascending: the
-  // unblocked dot form's chain, hence its bits.
+  // unblocked dot form's chain, hence its bits. The panel runs transposed
+  // in pt (panel column u, rows p0.., at pt + u·h), so the rows of a column
+  // are the vector lanes of kern::chol_column.
+  std::vector<real_t> pt(static_cast<std::size_t>(kCholeskyPanel * n));
   for (index_t p0 = 0; p0 < n; p0 += kCholeskyPanel) {
     const index_t p1 = std::min(p0 + kCholeskyPanel, n);
-    for (index_t j = p0; j < p1; ++j) {
-      real_t* lj = l.row_ptr(j);
-      real_t diag = lj[j];
-      for (index_t k = p0; k < j; ++k) diag = std::fma(-lj[k], lj[k], diag);
-      if (!(diag > 0.0) || !std::isfinite(diag)) return false;
-      const real_t ljj = std::sqrt(diag);
-      lj[j] = ljj;
-      const real_t inv = 1.0 / ljj;
-      for (index_t i = j + 1; i < n; ++i) {
-        real_t* li = l.row_ptr(i);
-        real_t v = li[j];
-        for (index_t k = p0; k < j; ++k) v = std::fma(-li[k], lj[k], v);
-        li[j] = v * inv;
+    const index_t w = p1 - p0, h = n - p0;
+    for (index_t r = 0; r < h; ++r) {
+      const real_t* lr = l.row_ptr(p0 + r) + p0;
+      for (index_t u = 0; u < w; ++u)
+        pt[static_cast<std::size_t>(u * h + r)] = lr[u];
+    }
+    for (index_t c = 0; c < w; ++c) {
+      real_t* tc = pt.data() + c * h;
+      real_t d = tc[c];
+      for (index_t u = 0; u < c; ++u) {
+        const real_t ljk = pt[static_cast<std::size_t>(u * h + c)];
+        d = std::fma(-ljk, ljk, d);
       }
+      if (!(d > 0.0) || !std::isfinite(d)) return false;
+      const real_t ljj = std::sqrt(d);
+      tc[c] = ljj;
+      kern::chol_column(pt.data(), h, c, c + 1, h, 1.0 / ljj);
+    }
+    for (index_t r = 0; r < h; ++r) {
+      real_t* lr = l.row_ptr(p0 + r) + p0;
+      for (index_t u = 0; u < std::min(w, r + 1); ++u)
+        lr[u] = pt[static_cast<std::size_t>(u * h + r)];
     }
     syrk_trailing(l, p0, p1, -1.0);
   }
@@ -140,11 +155,12 @@ Matrix cholesky_solve(const Matrix& l, const Matrix& b) {
   return x;
 }
 
-Matrix cholesky_inverse(const Matrix& l) {
+Matrix cholesky_inverse(Matrix l) {
   HYLO_CHECK(l.rows() == l.cols(), "cholesky_inverse needs square");
-  Matrix x = l;
-  invert_lower(x, 0, x.rows());
-  return gram_tn_tril(x);
+  const index_t n = l.rows();
+  std::vector<real_t> t(static_cast<std::size_t>((n - n / 2) * (n / 2)));
+  invert_lower(l, 0, n, t.data());
+  return gram_tn_tril(l);
 }
 
 Matrix spd_inverse(const Matrix& a) { return cholesky_inverse(cholesky(a)); }

@@ -31,29 +31,15 @@ Matrix blend(const Matrix& old, const Matrix& fresh, real_t decay) {
 
 // Running Kronecker factors E[aaᵀ], E[ggᵀ] of layer `l`, shared by KFAC,
 // EKFAC and KBFGS: the capture's per-rank Gram sums over the global batch,
-// blended into the factors `prev` serves (null on the layer's first refresh).
+// blended into the factors `prev` serves (null on the layer's first
+// refresh), one running_factor pass each.
 template <typename S>
 std::pair<Matrix, Matrix> running_factors(const CaptureSet& capture, index_t l,
                                           const S* prev, real_t decay) {
   const auto& a_ranks = capture.a[static_cast<std::size_t>(l)];
   const auto& g_ranks = capture.g[static_cast<std::size_t>(l)];
-  index_t m_total = 0;
-  Matrix a, g;
-  for (std::size_t r = 0; r < a_ranks.size(); ++r) {
-    m_total += a_ranks[r].rows();
-    if (r == 0) {
-      a = gram_tn(a_ranks[r]);
-      g = gram_tn(g_ranks[r]);
-    } else {
-      a += gram_tn(a_ranks[r]);
-      g += gram_tn(g_ranks[r]);
-    }
-  }
-  HYLO_CHECK(m_total > 0, "empty capture for layer " << l);
-  a *= 1.0 / static_cast<real_t>(m_total);
-  g *= 1.0 / static_cast<real_t>(m_total);
-  if (prev == nullptr) return {std::move(a), std::move(g)};
-  return {blend(prev->a_factor, a, decay), blend(prev->g_factor, g, decay)};
+  return {running_factor(a_ranks, prev ? &prev->a_factor : nullptr, decay),
+          running_factor(g_ranks, prev ? &prev->g_factor : nullptr, decay)};
 }
 
 // Every rank's local share of a Kronecker refresh: the factor Grams of its

@@ -4,8 +4,10 @@
 #include <cmath>
 
 #include "hylo/ckpt/snapshot.hpp"
+#include "hylo/common/timer.hpp"
 #include "hylo/linalg/cholesky.hpp"
 #include "hylo/obs/health.hpp"
+#include "hylo/tensor/gemm_packed.hpp"
 #include "hylo/tensor/ops.hpp"
 
 namespace hylo {
@@ -84,11 +86,13 @@ void note_stale_refresh(CommSim& comm, const char* method, index_t layer,
 // Numeric commit gate (DESIGN.md §16): a candidate is rejected when a
 // matrix holds non-finite values or an absurd magnitude, or when its norm
 // explodes relative to the position-matched served predecessor (an empty or
-// missing predecessor skips that ratio check). A rejection books
-// optim/<method>/guard_rejects (+ a trace instant) and the layer degrades
-// exactly as for a lost collective.
+// missing predecessor skips that ratio check). Each matrix is read once
+// (kern::norm_scan: finiteness and a lane-partial sum of squares); a
+// candidate that passes keeps its norms, so as the served predecessor it is
+// not scanned again. A rejection books optim/<method>/guard_rejects (+ a
+// trace instant) and the layer degrades exactly as for a lost collective.
 bool guard_commit(CommSim& comm, const char* method, index_t layer,
-                  const CurvatureOptimizer::LayerState& cand,
+                  CurvatureOptimizer::LayerState& cand,
                   const CurvatureOptimizer::LayerState* served) {
   // Bounds chosen far outside anything a healthy refresh produces: a clean
   // run never trips them, so default-on gates stay bitwise-invisible.
@@ -97,28 +101,39 @@ bool guard_commit(CommSim& comm, const char* method, index_t layer,
   const std::vector<const Matrix*> next = cand.guarded();
   const std::vector<const Matrix*> prev =
       served != nullptr ? served->guarded() : std::vector<const Matrix*>{};
+  // A served state restored from a snapshot, or committed ungated, has no
+  // norms yet.
+  const auto prev_norm = [&](std::size_t i) {
+    if (served->gate_norms.size() == prev.size()) return served->gate_norms[i];
+    return std::sqrt(kern::norm_scan(prev[i]->data(), prev[i]->size()).sumsq);
+  };
+  std::vector<real_t> norms(next.size(), 0.0);
   const char* reason = nullptr;
   for (std::size_t i = 0; i < next.size(); ++i) {
     const Matrix* m = next[i];
     if (m == nullptr || m->size() == 0) continue;
-    if (obs::count_nonfinite(*m) > 0) {
+    const kern::NormScan scan = kern::norm_scan(m->data(), m->size());
+    if (!scan.finite) {
       reason = "non_finite";
       break;
     }
-    const real_t norm = frobenius_norm(*m);
+    const real_t norm = norms[i] = std::sqrt(scan.sumsq);
     if (norm > kAbsNormBound) {
       reason = "abs_norm";
       break;
     }
     if (i < prev.size() && prev[i] != nullptr && prev[i]->size() > 0) {
-      const real_t prev_norm = frobenius_norm(*prev[i]);
-      if (prev_norm > 0.0 && norm > kRatioBound * prev_norm) {
+      const real_t before = prev_norm(i);
+      if (before > 0.0 && norm > kRatioBound * before) {
         reason = "norm_ratio";
         break;
       }
     }
   }
-  if (reason == nullptr) return true;
+  if (reason == nullptr) {
+    cand.gate_norms = std::move(norms);
+    return true;
+  }
   comm.profiler()
       .registry()
       .counter(std::string("optim/") + method + "/guard_rejects")
@@ -199,9 +214,12 @@ void CurvatureOptimizer::settle(CommSim* comm, index_t layer,
   // hylo-scratch-begin(settle)
   auto& slot = layers_[static_cast<std::size_t>(layer)];
   auto& age = staleness_[static_cast<std::size_t>(layer)];
-  const bool commit =
-      landed && (comm == nullptr || !cfg_.guard_gates ||
-                 guard_commit(*comm, method_, layer, *cand, slot.get()));
+  bool commit = landed && (comm == nullptr || !cfg_.guard_gates);
+  if (landed && !commit) {
+    const WallTimer timer;
+    commit = guard_commit(*comm, method_, layer, *cand, slot.get());
+    comm->profiler().add("comp/commit_gate", timer.seconds());
+  }
   if (!commit && comm != nullptr)
     note_stale_refresh(*comm, method_, layer, slot != nullptr);
   // hylo-commit-begin(settle)
@@ -360,18 +378,22 @@ void CurvatureOptimizer::book_inversions(
 }
 
 Matrix damped_cholesky(const Matrix& c, real_t damping, int attempts) {
-  Matrix work = c;
   // Escalation floor scaled to the matrix magnitude, so retries make real
   // progress even when the caller passed a denormal damping.
   const real_t scale =
       1e-8 * (std::abs(trace(c)) / static_cast<real_t>(c.rows()) + 1.0);
+  // The damped diagonal, which try_cholesky places into its own copy of c's
+  // lower triangle: no damped copy of c.
+  std::vector<real_t> diag(static_cast<std::size_t>(c.rows()));
+  for (index_t i = 0; i < c.rows(); ++i)
+    diag[static_cast<std::size_t>(i)] = c(i, i);
   real_t added = 0.0;
   real_t next = damping;
   Matrix l;
   for (int k = 0; k < attempts; ++k) {
-    add_diagonal(work, next - added);
+    for (real_t& d : diag) d += next - added;
     added = next;
-    if (try_cholesky(work, l)) return l;
+    if (try_cholesky(c, l, diag.data())) return l;
     next = std::max(next * 10.0, scale);
   }
   HYLO_CHECK(false, "matrix stayed indefinite after damping escalation (n="

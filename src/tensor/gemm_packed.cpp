@@ -24,7 +24,7 @@ namespace {
 constexpr index_t kKC = 256;
 constexpr index_t kMC = 64;
 constexpr index_t kMaxMR = 8;
-constexpr index_t kMaxNR = 8;
+constexpr index_t kMaxNR = 16;  // AVX-512's two-vector GEMM tile
 
 /// C-tile (MR x NR at stride ldc) += Apanel · Bpanel over kc steps.
 /// Apanel is MR-interleaved (ap[kk*MR + r]), Bpanel NR-interleaved
@@ -83,6 +83,15 @@ struct TwoRows {
   Halves operator()(index_t k) const { return {one(k), one(k) + gap}; }
 };
 
+/// One rank's packed Gram operands in the running-factor pass: Aᵀ's
+/// MR-interleaved panels at a (panel p at a + p·k·MR) and A's one-vector-wide
+/// column panels at b (panel q at b + q·k·lanes), over its k rows.
+struct GramPanels {
+  const real_t* a;
+  const real_t* b;
+  index_t k;
+};
+
 /// One tap of a direct dgrad tile: ap holds W[o, c0 + r, ky, kx] as an
 /// MR-interleaved panel over o, b is gout's row at the tap's shift (row o at
 /// b + o·ostride; a two-row tile's second half `gap` further on), and
@@ -107,6 +116,13 @@ using ConvWgradFn = void (*)(index_t kc, const real_t* xp, const index_t* pos,
 using ConvDgradFn = void (*)(index_t c_out, index_t ostride,
                              const DgradTap* taps, index_t ntaps, real_t* gin,
                              index_t ldg);
+
+/// One MR x lanes tile of the running-factor pass (factor_tile in
+/// gemm_x86.inc).
+using FactorTileFn = void (*)(const GramPanels* ranks, index_t nranks,
+                              index_t p, index_t q, real_t inv_m,
+                              const real_t* old, index_t ldo, real_t decay,
+                              real_t* c, index_t ldc);
 
 /// One row of a phase plane (phase_planes): d[l] = src[(l − b)·ps] for l in
 /// [b, b + n) and +0.0 for the rest of [0, w); src is not read when n = 0.
@@ -224,7 +240,8 @@ real_t vdot_neon(const real_t* a, const real_t* b, index_t n) {
 
 struct TierCfg {
   index_t mr = 0;
-  index_t nr = 0;
+  index_t nr = 0;     ///< the packed GEMM tile's width
+  index_t lanes = 0;  ///< one vector: the conv and running-factor tiles' width
   MicroFn micro = nullptr;
   // Direct conv kernels, the forward and dgrad indexed by a tile's rows − 1;
   // null where the tier has none (NEON), whose convs all take the
@@ -233,24 +250,36 @@ struct TierCfg {
   ConvWgradFn conv_wgrad = nullptr;
   ConvDgradFn conv_dgrad[2] = {};
   PlaneRowFn plane_row = plane_row_scalar;
+  FactorTileFn factor_tile = nullptr;
 };
 
 TierCfg tier_cfg(Tier t) {
   switch (t) {
 #if defined(__x86_64__) || defined(__i386__)
     case Tier::kAvx2:
-      return {8, avx2::kW, avx2::micro,
-              {avx2::conv_fwd<1>, avx2::conv_fwd<2>}, avx2::conv_wgrad,
-              {avx2::conv_dgrad<1>, avx2::conv_dgrad<2>}, avx2::plane_row};
+      return {8,
+              avx2::kTileNR,
+              avx2::kW,
+              avx2::micro,
+              {avx2::conv_fwd<1>, avx2::conv_fwd<2>},
+              avx2::conv_wgrad,
+              {avx2::conv_dgrad<1>, avx2::conv_dgrad<2>},
+              avx2::plane_row,
+              avx2::factor_tile};
     case Tier::kAvx512:
-      return {8, avx512::kW, avx512::micro,
-              {avx512::conv_fwd<1>, avx512::conv_fwd<2>}, avx512::conv_wgrad,
+      return {8,
+              avx512::kTileNR,
+              avx512::kW,
+              avx512::micro,
+              {avx512::conv_fwd<1>, avx512::conv_fwd<2>},
+              avx512::conv_wgrad,
               {avx512::conv_dgrad<1>, avx512::conv_dgrad<2>},
-              avx512::plane_row};
+              avx512::plane_row,
+              avx512::factor_tile};
 #endif
 #if defined(__aarch64__)
     case Tier::kNeon:
-      return {8, 4, micro_neon_8x4};
+      return {8, 4, 4, micro_neon_8x4};
 #endif
     default:
       break;
@@ -264,31 +293,28 @@ TierCfg tier_cfg(Tier t) {
 /// thread never alias: 0 = a GEMM's B pack, 1 = its A pack (conv's
 /// materialized route runs GEMMs inline but keeps its own matrices), 2 =
 /// direct wgrad's goutᵀ or dgrad's gout copy, 3 = direct wgrad's gwᵀ or
-/// dgrad's gin phase, 4 = a sample's planes.
+/// dgrad's gin phase, 4 = a sample's planes, 5 = the running-factor pass's
+/// Gram panels.
 std::vector<real_t>& tl_scratch(int which) {
-  static thread_local std::vector<real_t> bufs[5];
+  static thread_local std::vector<real_t> bufs[6];
   return bufs[which];
 }
 
 /// Pack rows [i0, i0+mc) x [k0, k0+kc) of a logical operand into MR-tall
 /// panels: dst[panel][kk*mr + r]. Rows past the operand (padding to MR) are
-/// zero-filled so the microkernel can always run full-height.
+/// zero-filled so the microkernel can always run full-height. k is the outer
+/// loop, so a transposed source (gram_tn, gemm_tn) reads one cache line per
+/// k, not one per element.
 template <typename SrcA>
 void pack_a(real_t* dst, index_t i0, index_t mc, index_t k0, index_t kc,
             index_t mr, const SrcA& src) {
-  index_t off = 0;
-  for (index_t p = 0; p < mc; p += mr) {
+  for (index_t p = 0; p < mc; p += mr, dst += kc * mr) {
     const index_t rows = std::min(mr, mc - p);
-    for (index_t r = 0; r < mr; ++r) {
-      real_t* out = dst + off + r;
-      if (r < rows) {
-        const index_t i = i0 + p + r;
-        for (index_t kk = 0; kk < kc; ++kk) out[kk * mr] = src(i, k0 + kk);
-      } else {
-        for (index_t kk = 0; kk < kc; ++kk) out[kk * mr] = 0.0;
-      }
+    for (index_t kk = 0; kk < kc; ++kk) {
+      real_t* out = dst + kk * mr;
+      for (index_t r = 0; r < rows; ++r) out[r] = src(i0 + p + r, k0 + kk);
+      for (index_t r = rows; r < mr; ++r) out[r] = 0.0;
     }
-    off += kc * mr;
   }
 }
 
@@ -317,23 +343,23 @@ struct TileLanes {
   bool full(index_t nr) const { return n0 + n1 == nr && (!n1 || gap == n0); }
 };
 
-/// Edge tile: run `kernel(tile, ld)` on a copy-in/copy-out scratch tile so
-/// the per-element fma chain is identical to a full tile's, then write back
-/// only the `rows` x `lanes` valid region.
+/// Edge tile: run `kernel(tile, ld)` on a copy-in/copy-out scratch tile of
+/// MR x nr (the kernel's width) so the per-element fma chain is identical to
+/// a full tile's, then write back only the `rows` x `lanes` valid region.
 template <typename Kernel>
-void edge_tile(const TierCfg& cfg, real_t* c, index_t ldc, index_t rows,
+void edge_tile(index_t nr, real_t* c, index_t ldc, index_t rows,
                TileLanes lanes, const Kernel& kernel) {
   real_t tmp[kMaxMR * kMaxNR];
-  std::fill(tmp, tmp + cfg.mr * cfg.nr, 0.0);
-  real_t* const hi = tmp + cfg.nr / 2;
+  std::fill(tmp, tmp + kMaxMR * nr, 0.0);
+  real_t* const hi = tmp + nr / 2;
   for (index_t r = 0; r < rows; ++r) {
-    std::copy_n(c + r * ldc, lanes.n0, tmp + r * cfg.nr);
-    std::copy_n(c + r * ldc + lanes.gap, lanes.n1, hi + r * cfg.nr);
+    std::copy_n(c + r * ldc, lanes.n0, tmp + r * nr);
+    std::copy_n(c + r * ldc + lanes.gap, lanes.n1, hi + r * nr);
   }
-  kernel(tmp, cfg.nr);
+  kernel(tmp, nr);
   for (index_t r = 0; r < rows; ++r) {
-    std::copy_n(tmp + r * cfg.nr, lanes.n0, c + r * ldc);
-    std::copy_n(hi + r * cfg.nr, lanes.n1, c + r * ldc + lanes.gap);
+    std::copy_n(tmp + r * nr, lanes.n0, c + r * ldc);
+    std::copy_n(hi + r * nr, lanes.n1, c + r * ldc + lanes.gap);
   }
 }
 
@@ -342,35 +368,55 @@ void edge_tile(const TierCfg& cfg, real_t* c, index_t ldc, index_t rows,
 /// one alone, in place (the Cholesky trailing update).
 enum class Tri { kUpperMirrored, kLower };
 
-/// Whether global element (i, j) lies in the swept triangle, diagonal
-/// included.
-bool in_tri(Tri tri, index_t i, index_t j) {
-  return tri == Tri::kLower ? j <= i : j >= i;
-}
-
 /// Diagonal-straddling tiles of a symmetric sweep: like edge_tile, but only
 /// elements of the swept triangle (the declared footprint) are copied in and
-/// written back.
+/// written back — in each tile row the run of columns [l0, l1) that lies in
+/// it, diagonal included.
 void micro_edge_tri(const TierCfg& cfg, index_t kc, const real_t* ap,
                     const real_t* bp, real_t* c, index_t ldc, index_t rows,
                     index_t cols, index_t i, index_t j0, Tri tri) {
   real_t tmp[kMaxMR * kMaxNR];
   std::fill(tmp, tmp + cfg.mr * cfg.nr, 0.0);
-  for (index_t r = 0; r < rows; ++r)
-    for (index_t l = 0; l < cols; ++l)
-      if (in_tri(tri, i + r, j0 + l)) tmp[r * cfg.nr + l] = c[r * ldc + l];
+  const bool lower = tri == Tri::kLower;
+  const auto run = [&](index_t r) {
+    // Tile row r meets the diagonal at column i + r − j0.
+    const index_t d = std::clamp<index_t>(i + r - j0 + lower, 0, cols);
+    return lower ? std::pair<index_t, index_t>{0, d}
+                 : std::pair<index_t, index_t>{d, cols};
+  };
+  for (index_t r = 0; r < rows; ++r) {
+    const auto [l0, l1] = run(r);
+    std::copy(c + r * ldc + l0, c + r * ldc + l1, tmp + r * cfg.nr + l0);
+  }
   cfg.micro(kc, ap, bp, tmp, cfg.nr);
-  for (index_t r = 0; r < rows; ++r)
-    for (index_t l = 0; l < cols; ++l)
-      if (in_tri(tri, i + r, j0 + l)) c[r * ldc + l] = tmp[r * cfg.nr + l];
+  for (index_t r = 0; r < rows; ++r) {
+    const auto [l0, l1] = run(r);
+    std::copy(tmp + r * cfg.nr + l0, tmp + r * cfg.nr + l1, c + r * ldc + l0);
+  }
 }
 
-/// Shared driver: C += srcA · srcB with C m x n, inner dimension k. B is
-/// packed once on the calling thread; rows of C are partitioned through
-/// hylo::par with an MR-aligned grain, each chunk packing its own A blocks.
+/// Mirror the upper triangle of rows [i0, i1) of the m x m block at cp into
+/// their column tails, C(j, i) = C(i, j) for j > i, one 8 x 8 block at a
+/// time: the same doubles, so symmetry is exact.
+void mirror_rows(real_t* cp, index_t ldc, index_t m, index_t i0, index_t i1) {
+  for (index_t ib = i0; ib < i1; ib += kMaxMR)
+    for (index_t jb = ib; jb < m; jb += kMaxMR)
+      for (index_t j = std::max(jb, ib + 1); j < std::min(jb + kMaxMR, m); ++j)
+        for (index_t i = ib; i < std::min({ib + kMaxMR, i1, j}); ++i)
+          cp[j * ldc + i] = cp[i * ldc + j];
+}
+
+/// Shared driver: C += srcA · srcB with C m x n at cp (row stride ldc),
+/// inner dimension k. B is packed once on the calling thread; rows of C are
+/// partitioned through hylo::par with an MR-aligned grain, each chunk
+/// packing its own A blocks. With `b_lower` the B operand is lower
+/// triangular and C starts at +0.0, so a tile starting at column j0 starts
+/// its k loop at j0: the skipped products are exact zeros added to a +0
+/// accumulator, so the bits equal the full sweep on any finite operand.
 template <typename SrcA, typename SrcB>
 void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
-                 const SrcB& srcB, Matrix& c, const char* label) {
+                 const SrcB& srcB, real_t* cp, index_t ldc, bool b_lower,
+                 const char* label) {
   if (m == 0 || n == 0 || k == 0) return;
   const TierCfg cfg = tier_cfg(active());
   const index_t mr = cfg.mr, nr = cfg.nr;
@@ -383,8 +429,6 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
     pack_b(bpack.data() + k0 * npanels * nr, k0, kc, n, nr, srcB);
   }
   const real_t* bp_all = bpack.data();
-  const index_t ldc = c.cols();
-  real_t* cp = c.data();
 
   par::parallel_for(
       0, m, mr,
@@ -405,22 +449,32 @@ void gemm_driver(index_t m, index_t n, index_t k, const SrcA& srcA,
               const index_t rows = std::min(mr, mc - p);
               real_t* crow = cp + (ic + p) * ldc;
               for (index_t q = 0; q < npanels; ++q) {
-                const real_t* bpan = bblk + q * kc * nr;
                 const index_t j0 = q * nr;
                 const index_t jw = std::min(nr, n - j0);
+                const index_t skip =
+                    b_lower ? std::clamp<index_t>(j0 - k0, 0, kc) : 0;
+                if (skip == kc) continue;
+                const real_t* a_k = ap + skip * mr;
+                const real_t* b_k = bblk + q * kc * nr + skip * nr;
                 if (rows == mr && jw == nr)
-                  cfg.micro(kc, ap, bpan, crow + j0, ldc);
+                  cfg.micro(kc - skip, a_k, b_k, crow + j0, ldc);
                 else
-                  edge_tile(cfg, crow + j0, ldc, rows, {jw},
+                  edge_tile(nr, crow + j0, ldc, rows, {jw},
                             [&](real_t* t, index_t ld) {
-                              cfg.micro(kc, ap, bpan, t, ld);
+                              cfg.micro(kc - skip, a_k, b_k, t, ld);
                             });
               }
             }
           }
         }
       },
-      label, audit::row_block(c));
+      label,
+      audit::Footprint([cp, ldc, m, n](index_t i0, index_t i1,
+                                       audit::WriteSet& ws) {
+        ws.track(cp, sizeof(real_t) *
+                         static_cast<std::size_t>((m - 1) * ldc + n));
+        for (index_t i = i0; i < i1; ++i) ws.add_range(cp + i * ldc, 0, n);
+      }));
 }
 
 /// The triangle tile loop shared by gram_nt, gram_tn and the trailing
@@ -493,14 +547,9 @@ void sym_tiles(Matrix& c, index_t off, index_t k, const SrcA& srcA,
             }
           }
         }
-        if (tri != Tri::kUpperMirrored) return;
-        // Mirror the chunk's rows into the column tail once, after every
-        // KC block has accumulated: C(j, i) = C(i, j) — the same double, so
-        // symmetry is exact.
-        for (index_t i = i0; i < i1; ++i) {
-          const real_t* ri = cp + i * ldc;
-          for (index_t j = i + 1; j < m; ++j) cp[j * ldc + i] = ri[j];
-        }
+        // Mirror the chunk's rows once, after every KC block has
+        // accumulated.
+        if (tri == Tri::kUpperMirrored) mirror_rows(cp, ldc, m, i0, i1);
       },
       label,
       audit::Footprint([&c, off, tri](index_t i0, index_t i1,
@@ -686,7 +735,7 @@ void conv_capture(const real_t* xp, const ConvOffsets& o,
 void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
                     const ConvOffsets& o, const ConvGeometry& g,
                     real_t* out_plane) {
-  const index_t c_out = pw.rows, patch = pw.cols, mr = cfg.mr, nr = cfg.nr;
+  const index_t c_out = pw.rows, patch = pw.cols, mr = cfg.mr, nr = cfg.lanes;
   const index_t oh = g.out_h(), ow = g.out_w(), s = oh * ow;
   const int two = ow < nr;
   const index_t lw = nr >> two;  // lanes per output row
@@ -709,7 +758,7 @@ void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
           if (rows == mr && lanes.full(nr))
             cfg.conv_fwd[two](kc, ap, row, gap, off, c, s, bias);
           else
-            edge_tile(cfg, c, s, rows, lanes, [&](real_t* t, index_t ld) {
+            edge_tile(nr, c, s, rows, lanes, [&](real_t* t, index_t ld) {
               cfg.conv_fwd[two](kc, ap, row, gap, off, t, ld, bias);
             });
         }
@@ -727,7 +776,7 @@ void direct_forward(const TierCfg& cfg, const PackedW& pw, const real_t* xp,
 /// the lanes: fma(g, 1.0, c) == g + c exactly.
 void direct_wgrad(const TierCfg& cfg, const Tensor4& gout, const Tensor4& x,
                   const ConvGeometry& g, Matrix& gw, index_t o0, index_t o1) {
-  const index_t mr = cfg.mr, nr = cfg.nr, patch = g.patch_size();
+  const index_t mr = cfg.mr, nr = cfg.lanes, patch = g.patch_size();
   const index_t s = g.out_h() * g.out_w();
   const index_t ld = (o1 - o0 + nr - 1) / nr * nr;
   const index_t rows = (patch + mr - 1) / mr * mr;
@@ -789,7 +838,7 @@ PackedW pack_direct_dgrad_w(const TierCfg& cfg, const Matrix& w_aug,
 void direct_dgrad(const TierCfg& cfg, const real_t* gout_plane,
                   const PackedW& pw, const ConvGeometry& g,
                   real_t* gin_plane) {
-  const index_t mr = cfg.mr, nr = cfg.nr, c_out = pw.cols;
+  const index_t mr = cfg.mr, nr = cfg.lanes, c_out = pw.cols;
   const index_t kh = g.kernel_h, kw = g.kernel_w, st = g.stride;
   const index_t oh = g.out_h(), ow = g.out_w();
   const ConvOffsets& o = conv_offsets(g, true);  // gin's stride phases
@@ -863,7 +912,7 @@ void direct_dgrad(const TierCfg& cfg, const real_t* gout_plane,
             if (rows == mr && lanes.full(nr))
               cfg.conv_dgrad[two](c_out, ostride, taps.data(), nt, c, plane);
             else
-              edge_tile(cfg, c, plane, rows, lanes, [&](real_t* t, index_t ld) {
+              edge_tile(nr, c, plane, rows, lanes, [&](real_t* t, index_t ld) {
                 cfg.conv_dgrad[two](c_out, ostride, taps.data(), nt, t, ld);
               });
           }
@@ -931,8 +980,8 @@ void packed_gemm_nn(const Matrix& a, const Matrix& b, Matrix& c,
   gemm_driver(
       m, n, k,
       [pa, lda, alpha](index_t i, index_t kk) { return alpha * pa[i * lda + kk]; },
-      [pb, ldb](index_t kk, index_t j) { return pb[kk * ldb + j]; }, c,
-      "tensor/gemm");
+      [pb, ldb](index_t kk, index_t j) { return pb[kk * ldb + j]; },
+      c.data(), c.cols(), false, "tensor/gemm");
 }
 
 void packed_gemm_tn(const Matrix& a, const real_t* s, const Matrix& b,
@@ -947,8 +996,8 @@ void packed_gemm_tn(const Matrix& a, const real_t* s, const Matrix& b,
         [pa, lda, alpha](index_t i, index_t kk) {
           return alpha * pa[kk * lda + i];
         },
-        [pb, ldb](index_t kk, index_t j) { return pb[kk * ldb + j]; }, c,
-        "tensor/gemm_tn");
+        [pb, ldb](index_t kk, index_t j) { return pb[kk * ldb + j]; },
+        c.data(), c.cols(), false, "tensor/gemm_tn");
   } else {
     // Fold the diagonal into the A pack with the same association as the
     // scalar kernel: (alpha * s_k) * a_ki.
@@ -957,8 +1006,8 @@ void packed_gemm_tn(const Matrix& a, const real_t* s, const Matrix& b,
         [pa, lda, alpha, s](index_t i, index_t kk) {
           return (alpha * s[kk]) * pa[kk * lda + i];
         },
-        [pb, ldb](index_t kk, index_t j) { return pb[kk * ldb + j]; }, c,
-        "tensor/gemm_tn");
+        [pb, ldb](index_t kk, index_t j) { return pb[kk * ldb + j]; },
+        c.data(), c.cols(), false, "tensor/gemm_tn");
   }
 }
 
@@ -971,8 +1020,18 @@ void packed_gemm_nt(const Matrix& a, const Matrix& b, Matrix& c,
   gemm_driver(
       m, n, k,
       [pa, lda, alpha](index_t i, index_t kk) { return alpha * pa[i * lda + kk]; },
-      [pb, ldb](index_t kk, index_t j) { return pb[j * ldb + kk]; }, c,
-      "tensor/gemm_nt");
+      [pb, ldb](index_t kk, index_t j) { return pb[j * ldb + kk]; },
+      c.data(), c.cols(), false, "tensor/gemm_nt");
+}
+
+void packed_gemm_strided(index_t m, index_t n, index_t k, const real_t* a,
+                         index_t lda, const real_t* b, index_t ldb, real_t* c,
+                         index_t ldc, real_t alpha, bool b_lower) {
+  gemm_driver(
+      m, n, k,
+      [a, lda, alpha](index_t i, index_t kk) { return alpha * a[i * lda + kk]; },
+      [b, ldb](index_t kk, index_t j) { return b[kk * ldb + j]; }, c, ldc,
+      b_lower, "tensor/gemm_strided");
 }
 
 void packed_gram_nt(const Matrix& a, Matrix& c) {
@@ -1003,6 +1062,74 @@ void packed_syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha) {
       [p, n, alpha](index_t i, index_t kk) { return alpha * p[i * n + kk]; },
       [p, n](index_t kk, index_t j) { return p[j * n + kk]; }, Tri::kLower,
       false, "tensor/syrk_trailing");
+}
+
+void packed_running_factor(const std::vector<Matrix>& ranks, real_t inv_m,
+                           const Matrix* old, real_t decay, Matrix& out) {
+  const index_t n = out.rows(), nranks = static_cast<index_t>(ranks.size());
+  const TierCfg cfg = tier_cfg(active());
+  HYLO_CHECK(cfg.factor_tile != nullptr,
+             "running factor pass needs an x86 tier (active: "
+                 << tier_name(active()) << ")");
+  const index_t mr = cfg.mr, nr = cfg.lanes;
+  const index_t npan_a = (n + mr - 1) / mr, npan_b = (n + nr - 1) / nr;
+  // Every rank's Gram operands, packed once over all its rows: Aᵀ as MR-tall
+  // panels (A's columns, read a row of A at a time) and A as NR-wide ones.
+  index_t total = 0;
+  for (const Matrix& a : ranks) total += a.rows() * (npan_a * mr + npan_b * nr);
+  std::vector<real_t>& buf = tl_scratch(5);
+  buf.resize(static_cast<std::size_t>(total));
+  std::vector<GramPanels> panels;
+  panels.reserve(ranks.size());
+  real_t* dst = buf.data();
+  for (const Matrix& a : ranks) {
+    HYLO_CHECK(a.cols() == n, "rank capture has " << a.cols()
+                                                  << " columns, factor " << n);
+    const index_t k = a.rows();
+    const real_t* pa = a.data();
+    const auto src = [pa, n](index_t kk, index_t j) { return pa[kk * n + j]; };
+    pack_a(dst, 0, n, 0, k, mr,
+           [&src](index_t i, index_t kk) { return src(kk, i); });
+    pack_b(dst + k * npan_a * mr, 0, k, n, nr, src);
+    panels.push_back({dst, dst + k * npan_a * mr, k});
+    dst += k * (npan_a * mr + npan_b * nr);
+  }
+  real_t* cp = out.data();
+  const real_t* op = old != nullptr ? old->data() : nullptr;
+  par::parallel_for(
+      0, n, mr,
+      [&](index_t i0, index_t i1) {
+        for (index_t i = i0; i < i1; i += mr) {
+          const index_t rows = std::min(mr, n - i);
+          // Tiles from the one holding the diagonal rightwards. A diagonal
+          // tile's lower elements are overwritten by the mirror below.
+          for (index_t q = i / nr; q < npan_b; ++q) {
+            const index_t j0 = q * nr, jw = std::min(nr, n - j0);
+            real_t* c = cp + i * n + j0;
+            const real_t* o = op != nullptr ? op + i * n + j0 : nullptr;
+            if (rows == mr && jw == nr) {
+              cfg.factor_tile(panels.data(), nranks, i / mr, q, inv_m, o, n,
+                              decay, c, n);
+              continue;
+            }
+            real_t prev[kMaxMR * kMaxNR] = {};
+            if (o != nullptr)
+              for (index_t r = 0; r < rows; ++r)
+                std::copy_n(o + r * n, jw, prev + r * nr);
+            edge_tile(nr, c, n, rows, {jw}, [&](real_t* t, index_t ld) {
+              cfg.factor_tile(panels.data(), nranks, i / mr, q, inv_m,
+                              o != nullptr ? prev : nullptr, nr, decay, t,
+                              ld);
+            });
+          }
+        }
+        mirror_rows(cp, n, n, i0, i1);
+      },
+      "tensor/running_factor",
+      audit::Footprint([&out](index_t i0, index_t i1, audit::WriteSet& ws) {
+        ws.add_row_tail(out, i0, i1);
+        ws.add_col_tail(out, i0, i1);
+      }));
 }
 
 // ---- Vector helpers ----------------------------------------------------
@@ -1069,6 +1196,48 @@ real_t vdot(const real_t* a, const real_t* b, index_t n) {
   return acc;
 }
 
+void chol_column(real_t* t, index_t ld, index_t c, index_t r0, index_t r1,
+                 real_t inv) {
+  switch (active()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Tier::kAvx512:
+      avx512::chol_column(t, ld, c, r0, r1, inv);
+      return;
+    case Tier::kAvx2:
+      avx2::chol_column(t, ld, c, r0, r1, inv);
+      return;
+#endif
+    default:
+      break;
+  }
+  real_t* col = t + c * ld;
+  for (index_t r = r0; r < r1; ++r) {
+    real_t v = col[r];
+    for (index_t u = 0; u < c; ++u)
+      v = std::fma(-t[u * ld + r], t[u * ld + c], v);
+    col[r] = v * inv;
+  }
+}
+
+NormScan norm_scan(const real_t* p, index_t n) {
+  switch (active()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Tier::kAvx512:
+      return avx512::norm_scan(p, n);
+    case Tier::kAvx2:
+      return avx2::norm_scan(p, n);
+#endif
+    default:
+      break;
+  }
+  real_t sumsq = 0.0, flag = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    sumsq += p[i] * p[i];
+    flag += p[i] - p[i];
+  }
+  return {sumsq, !std::isnan(flag)};
+}
+
 // ---- Convolution ----------------------------------------------------------
 
 bool conv_direct(const ConvGeometry& g) {
@@ -1079,7 +1248,7 @@ bool conv_direct(const ConvGeometry& g) {
   index_t narrowest = g.out_w();
   for (const Phase& px : conv_offsets(g, true).cols)
     narrowest = std::min(narrowest, px.n);
-  return 2 * narrowest >= tier_cfg(active()).nr;
+  return 2 * narrowest >= tier_cfg(active()).lanes;
 }
 
 PackedW pack_conv_forward_w(const Matrix& w_aug, const ConvGeometry& g) {
@@ -1118,13 +1287,13 @@ void conv_forward(const PackedW& pw, const real_t* x, const ConvGeometry& g,
   const bool direct = pw.main.empty();  // the route conv_direct(g) packed for
   const ConvOffsets& offs = conv_offsets(g, true);
   const real_t* xp = direct || capture_row != nullptr
-                         ? phase_planes(cfg, x, g, offs, cfg.nr)
+                         ? phase_planes(cfg, x, g, offs, cfg.lanes)
                          : nullptr;
   if (direct)
     direct_forward(cfg, pw, xp, offs, g, out_plane);
   else
     im2col_forward(pw, x, g, out_plane);
-  if (capture_row != nullptr) conv_capture(xp, offs, g, cfg.nr, capture_row);
+  if (capture_row != nullptr) conv_capture(xp, offs, g, cfg.lanes, capture_row);
 }
 
 void conv_wgrad(const Tensor4& gout, const Tensor4& x, const ConvGeometry& g,

@@ -155,6 +155,38 @@ void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c, real_t alpha,
       "tensor/gemm_nt", audit::row_block(c));
 }
 
+void gemm_strided(index_t m, index_t n, index_t k, const real_t* a,
+                  index_t lda, const real_t* b, index_t ldb, real_t* c,
+                  index_t ldc, real_t alpha, bool b_lower) {
+  if (kern::active() != kern::Tier::kScalar) {
+    kern::packed_gemm_strided(m, n, k, a, lda, b, ldb, c, ldc, alpha, b_lower);
+    return;
+  }
+  // gemm_rows' i-k-j order; row kk of a lower-triangular B is zero past
+  // column kk.
+  par::parallel_for(
+      0, m, kBlockI,
+      [&](index_t i0, index_t i1) {
+        for (index_t i = i0; i < i1; ++i) {
+          real_t* ci = c + i * ldc;
+          const real_t* ai = a + i * lda;
+          for (index_t kk = 0; kk < k; ++kk) {
+            const real_t aik = alpha * ai[kk];
+            const real_t* bk = b + kk * ldb;
+            const index_t jend = b_lower ? std::min(n, kk + 1) : n;
+            for (index_t j = 0; j < jend; ++j) ci[j] += aik * bk[j];
+          }
+        }
+      },
+      "tensor/gemm_strided",
+      audit::Footprint([c, ldc, m, n](index_t i0, index_t i1,
+                                      audit::WriteSet& ws) {
+        ws.track(c, sizeof(real_t) *
+                        static_cast<std::size_t>((m - 1) * ldc + n));
+        for (index_t i = i0; i < i1; ++i) ws.add_range(c + i * ldc, 0, n);
+      }));
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
   gemm(a, b, c);
@@ -250,6 +282,32 @@ Matrix gram_tn_tril(const Matrix& x) {
   HYLO_CHECK(x.rows() == x.cols(), "gram_tn_tril needs square, got "
                                        << x.rows() << "x" << x.cols());
   return gram_tn_impl(x, true);
+}
+
+Matrix running_factor(const std::vector<Matrix>& ranks, const Matrix* old,
+                      real_t decay) {
+  HYLO_CHECK(!ranks.empty(), "running factor of no ranks");
+  const index_t n = ranks.front().cols();
+  index_t m = 0;
+  for (const Matrix& a : ranks) m += a.rows();
+  HYLO_CHECK(m > 0, "running factor of an empty capture");
+  HYLO_CHECK(old == nullptr || (old->rows() == n && old->cols() == n),
+             "running factor is " << n << "x" << n << ", old one "
+                                  << old->rows() << "x" << old->cols());
+  const real_t inv_m = 1.0 / static_cast<real_t>(m);
+  const kern::Tier tier = kern::active();
+  if (tier == kern::Tier::kAvx2 || tier == kern::Tier::kAvx512) {
+    Matrix out(n, n);
+    kern::packed_running_factor(ranks, inv_m, old, decay, out);
+    return out;
+  }
+  Matrix out = gram_tn(ranks.front());
+  for (std::size_t r = 1; r < ranks.size(); ++r) out += gram_tn(ranks[r]);
+  out *= inv_m;
+  if (old != nullptr)
+    for (index_t i = 0; i < out.size(); ++i)
+      out[i] = std::fma(1.0 - decay, out[i], (*old)[i] * decay);
+  return out;
 }
 
 void syrk_trailing(Matrix& c, index_t k0, index_t k1, real_t alpha) {

@@ -37,6 +37,8 @@ namespace avx2 {
 #define HYLO_OP HYLO_AVX2_TARGET HYLO_INLINE
 
 constexpr int kW = 4;
+/// Vector registers (ymm0-15): what a register tile may hold.
+constexpr int kRegs = 16;
 using Vec = __m256d;
 /// A lane predicate: all-ones or all-zero bits per lane.
 using Lanes = __m256d;
@@ -129,20 +131,40 @@ HYLO_OP void transpose_regs(Vec (&r)[kW]) {
   r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
 }
 
+/// Rows k and k + 2 of a half block side by side: lanes [0, 2) the first w
+/// values at lo, lanes [2, 4) those at hi, +0.0 past w and for a null row
+/// (hi is null whenever lo is).
+HYLO_OP Vec load_pair(const real_t* lo, const real_t* hi, index_t w) {
+  if (hi == nullptr) return lo != nullptr ? load(lo, w) : zero();
+  if (w == kW / 2) return load_halves(lo, hi);
+  const __m128i m = _mm_cmpgt_epi64(_mm_set1_epi64x(w), _mm_set_epi64x(1, 0));
+  return _mm256_set_m128d(_mm_maskload_pd(hi, m), _mm_maskload_pd(lo, m));
+}
+
+/// The transpose of a half block held as load_pair rows (z[k] = rows k and
+/// k + 2): z[t] becomes position t's vector over the four rows, t < 2.
+HYLO_OP void transpose_pairs(Vec (&z)[kW / 2]) {
+  const Vec t0 = _mm256_unpacklo_pd(z[0], z[1]);
+  z[1] = _mm256_unpackhi_pd(z[0], z[1]);
+  z[0] = t0;
+}
+
 #undef HYLO_OP
 
 }  // namespace avx2
 
 // ---- AVX-512 --------------------------------------------------------------
 // A part of a vector is a mask register. max, unpack, the 128-bit shuffle
-// and the 256-bit insert use their masked forms: the unmasked intrinsics are
-// built on _mm512_undefined_pd(), which GCC 12 warns about.
+// and the 256-bit insert and extract use their masked forms: the unmasked
+// intrinsics are built on _mm512_undefined_pd(), which GCC 12 warns about.
 
 namespace avx512 {
 
 #define HYLO_OP HYLO_AVX512_TARGET HYLO_INLINE
 
 constexpr int kW = 8;
+/// Vector registers (zmm0-31).
+constexpr int kRegs = 32;
 using Vec = __m512d;
 /// A lane predicate: one mask bit per lane.
 using Lanes = __mmask8;
@@ -230,6 +252,34 @@ HYLO_OP void transpose_regs(Vec (&r)[kW]) {
   }
 #pragma GCC unroll 8
   for (int k = 0; k < kW; ++k) r[k] = t[k];
+}
+
+/// Rows k and k + 4 of a half block side by side: lanes [0, 4) the first w
+/// values at lo, lanes [4, 8) those at hi, +0.0 past w and for a null row
+/// (hi is null whenever lo is). A whole pair is one load and one insert
+/// from memory.
+HYLO_OP Vec load_pair(const real_t* lo, const real_t* hi, index_t w) {
+  if (hi == nullptr) return lo != nullptr ? load(lo, w) : zero();
+  if (w == kW / 2) return load_halves(lo, hi);
+  const Vec l = load(lo, w);
+  return _mm512_mask_insertf64x4(
+      l, 0xF0, l, _mm512_maskz_extractf64x4_pd(0xF, load(hi, w), 0), 1);
+}
+
+/// The transpose of a half block held as load_pair rows (z[k] = rows k and
+/// k + 4): z[t] becomes position t's vector over the eight rows, t < 4,
+/// with transpose_regs' middle round.
+HYLO_OP void transpose_pairs(Vec (&z)[kW / 2]) {
+  const __m512i lo2 = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i hi2 = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  const Vec t0 = _mm512_maskz_unpacklo_pd(0xFF, z[0], z[1]);
+  const Vec t1 = _mm512_maskz_unpackhi_pd(0xFF, z[0], z[1]);
+  const Vec t2 = _mm512_maskz_unpacklo_pd(0xFF, z[2], z[3]);
+  const Vec t3 = _mm512_maskz_unpackhi_pd(0xFF, z[2], z[3]);
+  z[0] = _mm512_permutex2var_pd(t0, lo2, t2);
+  z[1] = _mm512_permutex2var_pd(t1, lo2, t3);
+  z[2] = _mm512_permutex2var_pd(t0, hi2, t2);
+  z[3] = _mm512_permutex2var_pd(t1, hi2, t3);
 }
 
 #undef HYLO_OP

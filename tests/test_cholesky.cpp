@@ -260,5 +260,91 @@ TEST(Cholesky, DampingRescuesSemiDefinite) {
   EXPECT_TRUE(try_cholesky(a, l));
 }
 
+// ---- The in-place triangular inverse --------------------------------------
+
+// The copying blocked inverse cholesky_inverse ran before it worked in place:
+// each split copies L₂₁, X₁₁ and X₂₂ out, multiplies them whole (X₁₁'s zero
+// triangle included) through the GEMM tiers and copies X₂₁ back.
+void copying_invert_lower(Matrix& x, index_t r0, index_t r1) {
+  const index_t n = r1 - r0;
+  if (n <= kCholeskyPanel) {
+    for (index_t j = r0; j < r1; ++j) {
+      x(j, j) = 1.0 / x(j, j);
+      for (index_t i = j + 1; i < r1; ++i) {
+        const real_t* xi = x.row_ptr(i);
+        real_t acc = 0.0;
+        for (index_t k = j; k < i; ++k) acc += xi[k] * x(k, j);
+        x(i, j) = -acc / xi[i];
+      }
+    }
+    return;
+  }
+  const index_t mid = r0 + n / 2;
+  copying_invert_lower(x, r0, mid);
+  copying_invert_lower(x, mid, r1);
+  auto block = [&x](index_t i0, index_t i1, index_t j0, index_t j1) {
+    Matrix b(i1 - i0, j1 - j0);
+    for (index_t i = i0; i < i1; ++i)
+      std::copy(x.row_ptr(i) + j0, x.row_ptr(i) + j1, b.row_ptr(i - i0));
+    return b;
+  };
+  const Matrix t = matmul(block(mid, r1, r0, mid), block(r0, mid, r0, mid));
+  Matrix x21;
+  gemm(block(mid, r1, mid, r1), t, x21, -1.0);
+  for (index_t i = mid; i < r1; ++i)
+    std::copy(x21.row_ptr(i - mid), x21.row_ptr(i - mid) + (mid - r0),
+              x.row_ptr(i) + r0);
+}
+
+Matrix copying_cholesky_inverse(const Matrix& l) {
+  Matrix x = l;
+  copying_invert_lower(x, 0, x.rows());
+  return gram_tn_tril(x);
+}
+
+// A damped factor with a dead input channel every 7th (its row and column
+// zero, -0.0 below the diagonal in every other one), so L has exactly-zero
+// rows and columns and -0.0 entries.
+Matrix dead_channel_factor(Rng& rng, index_t n) {
+  Matrix a = factor_like(rng, n, 16 + n / 3, 1e-2);
+  for (index_t d = 3; d < n; d += 7)
+    for (index_t j = 0; j < n; ++j) {
+      if (j == d) continue;
+      const real_t zero = d % 2 == 0 && j < d ? -0.0 : 0.0;
+      a(d, j) = zero;
+      a(j, d) = zero;
+    }
+  return a;
+}
+
+TEST(CholeskyInverse, InPlaceMatchesCopyingReferenceBitwise) {
+  TierThreadGuard guard;
+  for (const index_t n : {1, 31, 32, 33, 64, 65, 109, 217, 433}) {
+    Rng rng(static_cast<std::uint64_t>(500 + n));
+    for (const bool dead : {false, true}) {
+      const Matrix a = dead ? dead_channel_factor(rng, n)
+                            : factor_like(rng, n, 16 + n / 2, 1e-3);
+      for (const kern::Tier tier : available_tiers()) {
+        kern::set_tier(tier);
+        par::set_num_threads(1);
+        Matrix l;
+        ASSERT_TRUE(try_cholesky(a, l)) << kern::tier_name(tier) << " " << n;
+        if (dead && n > 10) {
+          // Row 3 is zero off the diagonal; row 10 starts with -0.0.
+          for (index_t j = 0; j < 3; ++j) EXPECT_EQ(l(3, j), 0.0);
+          EXPECT_TRUE(l(10, 0) == 0.0 && std::signbit(l(10, 0)));
+        }
+        const Matrix want = copying_cholesky_inverse(l);
+        for (const int threads : {1, 3}) {
+          par::set_num_threads(threads);
+          EXPECT_TRUE(bitwise_equal(cholesky_inverse(l), want))
+              << kern::tier_name(tier) << " n=" << n << " dead=" << dead
+              << " @" << threads;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hylo
